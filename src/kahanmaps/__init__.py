@@ -6,90 +6,9 @@ measures of the resulting maps, and numerical detection of
 Hirota-Kimura-style null-space bases along orbits.
 """
 
-from kahanmaps.cli import ExperimentConfig, main, parse_config, run_command
-from kahanmaps.hkbasis import (
-    HKNullSpaceReport,
-    OrbitRecord,
-    RatioSequences,
-    WronskianBasisSpec,
-    bilinear_observable,
-    conjugate_pairs,
-    constant_observable,
-    default_window,
-    discrete_wronskian,
-    extract_integral_ratios,
-    functional_rank,
-    hk_nullspace,
-    iterate_orbit,
-    state_observable,
-    wronskian_observable,
-    wronskian_ratio_integral,
-)
-from kahanmaps.integrals import (
-    DenominatorZeroError,
-    IntegralSuiteResult,
-    MeasureHypothesisReport,
-    QuadraticEpsPolynomial,
-    denominator_witnesses,
-    eval_G,
-    eval_I0,
-    eval_J0,
-    eval_K,
-    eval_coeffs,
-    eval_density,
-    eval_g,
-    eval_planar_F,
-    eval_suite,
-    evaluate_named,
-    measure_hypothesis_check,
-    polarize_integral,
-)
-from kahanmaps.quadfield import (
-    KahanStepResult,
-    QuadraticVectorField,
-    SingularStepError,
-    delta,
-    evaluate_field,
-    field_from_json,
-    field_to_json,
-    jacobian_field,
-    kahan_step,
-    map_jacobian,
-    polarize_eval,
-)
-from kahanmaps.systems import (
-    ClebschParams,
-    ContinuousInvariants,
-    FirstClebschParams,
-    KirchhoffParams,
-    LagrangeParams,
-    PlanarFamilyParams,
-    SecondClebschParams,
-    SystemDescriptor,
-    build_system,
-    central_gradient,
-    clebsch_condition_residual,
-    clebsch_derived_params,
-    clebsch_params_from_decomposition,
-    continuous_invariants,
-    continuous_wronskian_residual,
-    decompose_clebsch,
-    params_from_dict,
-    params_to_dict,
-    poisson_bracket_e3,
-    system_from_json,
-    system_to_json,
-)
-from kahanmaps.verify import (
-    PropertyReport,
-    check_conservation,
-    check_identities_clebsch1,
-    check_measure,
-    check_reversibility,
-    draw_initial_state,
-    reports_to_json,
-    run_suites,
-    suites_passed,
-)
+from kahanmaps.hkbasis import WronskianBasisSpec, conjugate_pairs, hk_nullspace, iterate_orbit
+from kahanmaps.integrals import eval_I0
+from kahanmaps.quadfield import kahan_step
+from kahanmaps.systems import KirchhoffParams, build_system
 
 __version__ = "0.1.0"

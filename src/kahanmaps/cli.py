@@ -24,8 +24,8 @@ from .hkbasis import (
     hk_nullspace,
     iterate_orbit,
 )
-from .integrals import DenominatorZeroError, evaluate_named
-from .quadfield import SingularStepError, kahan_step
+from .integrals import DenominatorZeroError, KahanPair
+from .quadfield import SingularStepError
 from .systems import build_system, params_from_dict, params_to_dict
 from .verify import draw_initial_state, reports_to_json, run_suites, suites_passed
 
@@ -152,6 +152,11 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write(out_dir: str, name: str, lines: list) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _resolve_x0(cfg: ExperimentConfig, desc) -> np.ndarray:
     if cfg.x0 is not None:
         return np.asarray(cfg.x0, dtype=float)
@@ -159,9 +164,8 @@ def _resolve_x0(cfg: ExperimentConfig, desc) -> np.ndarray:
     return draw_initial_state(rng, desc, cfg.eps)
 
 
-def _simulate(cfg: ExperimentConfig, out_dir: str) -> int:
-    desc = build_system(cfg.kind, cfg.params)
-    x0 = _resolve_x0(cfg, desc)
+def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
+    pair = KahanPair(desc, _resolve_x0(cfg, desc), cfg.eps)
     columns = list(desc.integral_names) + [f"density_{d}" for d in desc.density_names]
     header = (
         ["step"]
@@ -170,27 +174,25 @@ def _simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         + columns
     )
     lines = [",".join(header)]
-    x = x0
     truncated_at = None
     for k in range(1, cfg.steps + 1):
+        # step k is the successor the previous row's bilinear columns used
         try:
-            result = kahan_step(desc.field, x, cfg.eps)
+            result = pair.step
         except SingularStepError as exc:
             if k == 1:
                 raise ValueError(f"orbit hits a pole at the first step: {exc}") from exc
             truncated_at = k
             break
-        x = result.next
-        row = [str(k)] + [_fmt(v) for v in x] + [_fmt(result.delta)]
+        pair = KahanPair(desc, result.next, cfg.eps)
+        row = [str(k)] + [_fmt(v) for v in result.next] + [_fmt(result.delta)]
         for name in columns:
             try:
-                row.append(_fmt(evaluate_named(desc, name, x, cfg.eps)))
+                row.append(_fmt(pair.value(name)))
             except (DenominatorZeroError, SingularStepError):
                 row.append("nan")
         lines.append(",".join(row))
-    path = os.path.join(out_dir, "orbit.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "orbit.csv", lines)
     if truncated_at is not None:
         print(
             f"orbit truncated: pole at step {truncated_at} of {cfg.steps}",
@@ -199,23 +201,19 @@ def _simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _verify_reports(cfg: ExperimentConfig) -> list:
-    desc = build_system(cfg.kind, cfg.params)
+def _verify_reports(cfg: ExperimentConfig, desc) -> list:
     return run_suites(
         [desc], eps=cfg.eps, trials=cfg.trials, steps=cfg.steps, seed=cfg.seed
     )
 
 
-def _verify(cfg: ExperimentConfig, out_dir: str) -> int:
-    reports = _verify_reports(cfg)
-    path = os.path.join(out_dir, "verify.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(reports_to_json(reports) + "\n")
+def _verify(cfg: ExperimentConfig, desc, out_dir: str) -> int:
+    reports = _verify_reports(cfg, desc)
+    _write(out_dir, "verify.json", [reports_to_json(reports)])
     return 0 if suites_passed(reports) else 1
 
 
-def _scan_orders(cfg: ExperimentConfig):
-    desc = build_system(cfg.kind, cfg.params)
+def _scan_orders(cfg: ExperimentConfig, desc):
     if desc.dim != 6:
         raise ValueError(
             f"hk-scan needs conjugate coordinate pairs; '{cfg.kind}' has none"
@@ -233,8 +231,8 @@ def _scan_orders(cfg: ExperimentConfig):
     return x0, window, results
 
 
-def _hk_scan(cfg: ExperimentConfig, out_dir: str) -> int:
-    x0, window, results = _scan_orders(cfg)
+def _hk_scan(cfg: ExperimentConfig, desc, out_dir: str) -> int:
+    x0, window, results = _scan_orders(cfg, desc)
     doc = {
         "system": cfg.kind,
         "eps": cfg.eps,
@@ -245,9 +243,7 @@ def _hk_scan(cfg: ExperimentConfig, out_dir: str) -> int:
             {"order": order, **report.to_json_dict()} for order, report in results
         ],
     }
-    path = os.path.join(out_dir, "hkscan.json")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    _write(out_dir, "hkscan.json", [json.dumps(doc, indent=2)])
     return 0
 
 
@@ -268,8 +264,8 @@ def _describe(report_name: str, cfg: ExperimentConfig) -> str:
     return name
 
 
-def _report(cfg: ExperimentConfig, out_dir: str) -> int:
-    reports = _verify_reports(cfg)
+def _report(cfg: ExperimentConfig, desc, out_dir: str) -> int:
+    reports = _verify_reports(cfg, desc)
     lines = [
         "kahan map property report",
         f"system: {cfg.kind}",
@@ -284,10 +280,9 @@ def _report(cfg: ExperimentConfig, out_dir: str) -> int:
             f" skipped {rep.skipped})"
         )
     all_passed = suites_passed(reports)
-    desc = build_system(cfg.kind, cfg.params)
     if desc.dim == 6:
         lines.append("")
-        _, _, results = _scan_orders(cfg)
+        _, _, results = _scan_orders(cfg, desc)
         for order, hk in results:
             expected = order in desc.wronskian_orders
             ok = hk.null_dim == 1 and hk.gap_ratio >= 1e6
@@ -303,9 +298,7 @@ def _report(cfg: ExperimentConfig, out_dir: str) -> int:
             )
     lines.append("")
     lines.append(f"overall: {'PASS' if all_passed else 'FAIL'}")
-    path = os.path.join(out_dir, "report.txt")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "report.txt", lines)
     return 0 if all_passed else 1
 
 
@@ -322,7 +315,7 @@ def run_command(cfg: ExperimentConfig, command: str, out_dir: str = ".") -> int:
     if command not in _COMMANDS:
         raise ValueError(f"unknown command '{command}'")
     os.makedirs(out_dir, exist_ok=True)
-    return _COMMANDS[command](cfg, out_dir)
+    return _COMMANDS[command](cfg, build_system(cfg.kind, cfg.params), out_dir)
 
 
 def build_parser() -> argparse.ArgumentParser:

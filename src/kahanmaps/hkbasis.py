@@ -295,15 +295,6 @@ class RatioSequences:
     non_constant: tuple
     tolerance: float
 
-    def __len__(self) -> int:
-        return len(self.ratios)
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.ratios[index]
-
-    def __iter__(self):
-        return iter(self.ratios)
-
 
 def extract_integral_ratios(
     report: HKNullSpaceReport,

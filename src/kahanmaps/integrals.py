@@ -1,17 +1,13 @@
-"""Conserved quantities and preserved densities of the catalog Kahan maps.
+"""Evaluation of the conserved quantities and preserved densities of the
+catalog Kahan maps.
 
-Two families of expressions appear throughout:
-
-* state-only quantities (lowercase names: c1..c0, g_i, r, s, F) evaluated at
-  a single point x;
-* bilinear quantities (uppercase: C1..C0, G_i, R, S, Fhat) evaluated on a
-  consecutive orbit pair (x, x~), where x~ is one forward Kahan step.
-
-For each system the ratio of the designated coefficient pair is a conserved
-quantity of the map (I0 from the state-only family, J0 from the bilinear
-family), the coefficient vectors annihilate the corresponding observable
-quadruples along orbits, and the designated coefficients times
-Delta(x; eps) = det(I - eps f'(x)) are preserved densities.
+The formulas are entries of the catalog table (systems.KINDS): state-only
+quantities at a single point x, and bilinear quantities on the consecutive
+orbit pair (x, x~), where x~ is one forward Kahan step. A KahanPair holds
+x, takes that step at most once (or is handed the step an orbit already
+holds), and evaluates every named quantity on it; the designated
+coefficients times Delta(x; eps) = det(I - eps f'(x)) are the preserved
+densities.
 
 The bilinear family is obtained from the state-only family by the polarization
 substitution x_i x_j -> (x_i x~_j + x~_i x_j)/2, x_i -> (x_i + x~_i)/2
@@ -21,24 +17,27 @@ user-supplied quadratic-fractional expressions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from kahanmaps.quadfield import QuadraticVectorField, delta, kahan_step
+from kahanmaps.quadfield import KahanStepResult, SingularStepError, delta, kahan_step
 from kahanmaps.systems import (
+    KINDS,
+    DenominatorZeroError,
     FirstClebschParams,
-    PlanarFamilyParams,
     SystemDescriptor,
+    _div,
     build_system,
 )
 
 __all__ = [
     "DenominatorZeroError",
-    "DensityValue",
     "IntegralSuiteResult",
+    "KahanPair",
     "MeasureHypothesisReport",
     "QuadraticEpsPolynomial",
     "eval_g",
@@ -56,270 +55,129 @@ __all__ = [
     "denominator_witnesses",
 ]
 
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
-# A density value is a plain float: the designated coefficient times Delta.
-DensityValue = float
+class KahanPair:
+    """A state x and its Kahan successor x~, on which the named quantities of
+    the system are evaluated.
 
-# The Lagrange top's state-only quantities divide by m3; below this the
-# point counts as a pole of the expression, not a small value.
-LAGRANGE_M3_FLOOR = 1e-12
-
-
-class DenominatorZeroError(RuntimeError):
-    """A conserved-quantity denominator vanished at the evaluation point."""
-
-
-def _div(num: float, den: float, what: str) -> float:
-    if den == 0.0:
-        raise DenominatorZeroError(f"zero denominator in {what}")
-    return num / den
-
-
-def _forward(desc: SystemDescriptor, x: np.ndarray, eps: float) -> np.ndarray:
-    return kahan_step(desc.field, np.asarray(x, dtype=float), eps).next
-
-
-def _family_ab(desc: SystemDescriptor):
-    """(a, b, A, beta) for the three Clebsch-family kinds."""
-    if desc.kind == "general_clebsch":
-        pr = desc.params
-        return pr.a, pr.b, pr.wcoef, pr.beta
-    if desc.kind == "second_clebsch":
-        om = desc.params.omega
-        b = np.array([-om[j] * om[k] for _, j, k in _CYCLIC])
-        return om, b, np.asarray(desc.wronskian_coeffs), 1.0
-    if desc.kind == "first_clebsch":
-        return np.ones(3), desc.params.omega, np.ones(3), 0.0
-    raise ValueError(f"{desc.kind} is not in the Clebsch family")
-
-
-def eval_g(desc: SystemDescriptor, x) -> np.ndarray:
-    """State-only quadratic triple g_i = p_i^2 + (beta a_i / (a_j a_k)) m_i^2.
-
-    For the first special case (beta = 0) this is just p_i^2.
+    The forward step is taken at most once: pass it as step when the orbit
+    already holds it, otherwise the first quantity that needs x~ takes it. A
+    pole there is kept and raised again by every quantity that needs x~.
+    Vectors that several names share are computed once per pair.
     """
-    a, _, _, beta = _family_ab(desc)
-    x = np.asarray(x, dtype=float)
-    return np.array(
-        [x[3 + i] ** 2 + (beta * a[i] / (a[j] * a[k])) * x[i] ** 2 for i, j, k in _CYCLIC]
-    )
+
+    def __init__(self, desc: SystemDescriptor, x, eps: float, step: Optional[KahanStepResult] = None):
+        self.desc = desc
+        self.params = desc.params
+        self.x = np.asarray(x, dtype=float)
+        self.eps = eps
+        self._step = step
+        self._parts: dict = {}
+
+    @property
+    def step(self) -> KahanStepResult:
+        """The forward step from x; raises SingularStepError at a pole."""
+        if self._step is None:
+            try:
+                self._step = kahan_step(self.desc.field, self.x, self.eps)
+            except SingularStepError as exc:
+                self._step = exc
+        if isinstance(self._step, SingularStepError):
+            raise self._step
+        return self._step
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.step.next
+
+    def part(self, fn: Callable):
+        """fn(self), computed once per pair; a failure is raised, not kept."""
+        if fn not in self._parts:
+            self._parts[fn] = fn(self)
+        return self._parts[fn]
+
+    def value(self, name: str) -> float:
+        """A declared integral name, a coordinate name "m1".."p3", a ratio
+        name like "c1/c0", or a density column "density_<name>"."""
+        if "/" in name:
+            num, den = name.split("/", 1)
+            return _div(self.value(num), self.value(den), name)
+        if name.startswith("density_"):
+            return self.density(name[len("density_"):])
+        formula = KINDS[self.desc.kind].quantities.get(name)
+        if formula is None:
+            if any(name in spec.quantities for spec in KINDS.values()):
+                raise ValueError(f"'{name}' is not defined for {self.desc.kind}")
+            raise ValueError(f"unknown quantity name '{name}' for {self.desc.kind}")
+        return formula(self)
+
+    def density(self, which: str) -> float:
+        """Preserved density numerator: the named bilinear coefficient on
+        (x, x~) times Delta(x; eps).
+
+        The defining property, checked by the verification suites, is
+        density(x~)/density(x) = det dPhi(x) along orbits.
+        """
+        if which not in self.desc.density_names:
+            raise ValueError(
+                f"'{which}' is not a declared density of {self.desc.kind}; have {self.desc.density_names}"
+            )
+        return self.value(which) * self.step.delta
+
+    def coefficients(self, kind: str = "small_c") -> np.ndarray:
+        """Coefficient vector of the system's null-space relations.
+
+        kind="small_c": state-only coefficients; Clebsch family returns
+        (c1, c2, c3, c0), Kirchhoff (c1, c3), Lagrange (r, s).
+        kind="big_C": bilinear coefficients on (x, x~); Clebsch family
+        (C1, C2, C3, C0), Kirchhoff (C1, C3), Lagrange (R, S).
+        """
+        if kind not in ("small_c", "big_C"):
+            raise ValueError(f"kind must be 'small_c' or 'big_C', got '{kind}'")
+        names = KINDS[self.desc.kind].coefficients[kind == "big_C"]
+        if not names:
+            raise ValueError(f"coefficient vectors are not defined for {self.desc.kind}")
+        return np.array([self.value(name) for name in names])
 
 
-def eval_G(desc: SystemDescriptor, x, x_next) -> np.ndarray:
-    """Bilinear counterpart G_i = p_i p~_i + (beta a_i / (a_j a_k)) m_i m~_i."""
-    a, _, _, beta = _family_ab(desc)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(x_next, dtype=float)
-    return np.array(
-        [
-            x[3 + i] * y[3 + i] + (beta * a[i] / (a[j] * a[k])) * x[i] * y[i]
-            for i, j, k in _CYCLIC
-        ]
-    )
+def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:
+    """Evaluate one named quantity at x (see KahanPair.value); bilinear names
+    take one forward step."""
+    return KahanPair(desc, x, eps).value(name)
 
 
-def _coeff_vec(A, a, b, eps2: float, g) -> np.ndarray:
-    """(c1, c2, c3, c0) of the Clebsch family; the bilinear variant is the
-    same formula at -eps^2 with g replaced by G."""
-    c = [
-        A[i]
-        + eps2 * (A[k] * a[i] * (b[i] - b[j]) * g[j] + A[j] * a[i] * (b[i] - b[k]) * g[k])
-        for i, j, k in _CYCLIC
-    ]
-    c0 = sum(A[i] * a[j] * a[k] * g[i] for i, j, k in _CYCLIC)
-    return np.array([c[0], c[1], c[2], c0])
-
-
-def _clebsch_I0(desc, x, eps) -> float:
-    a, b, A, beta = _family_ab(desc)
-    g = eval_g(desc, x)
-    vec = _coeff_vec(A, a, b, eps * eps, g)
-    if desc.kind == "first_clebsch":
-        den = 1.0 - eps * eps * float(np.dot(b, g))
-    else:
-        den = 1.0 + eps * eps * (a[0] * a[1] * a[2] / beta) * float(np.sum(g))
-    return _div(float(vec[3]), den, "I0")
-
-
-def _clebsch_J0(desc, x, x_next, eps) -> float:
-    a, b, A, beta = _family_ab(desc)
-    G = eval_G(desc, x, x_next)
-    vec = _coeff_vec(A, a, b, -eps * eps, G)
-    if desc.kind == "first_clebsch":
-        den = 1.0 + eps * eps * float(np.dot(b, G))
-    else:
-        den = 1.0 - eps * eps * (a[0] * a[1] * a[2] / beta) * float(np.sum(G))
-    return _div(float(vec[3]), den, "J0")
-
-
-def _kirchhoff_small(pr, x, eps2):
-    m, p = x[:3], x[3:]
-    c1 = 1.0 + eps2 * pr.a3 * (pr.a1 - pr.a3) * m[2] ** 2 + eps2 * pr.a1 * (pr.b1 - pr.b3) * p[2] ** 2
-    c3 = (
-        2.0 * pr.a3 / pr.a1
-        - 1.0
-        + eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[0] ** 2 + m[1] ** 2)
-        + eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[0] ** 2 + p[1] ** 2)
-    )
-    return c1, c3
-
-
-def _kirchhoff_big(pr, x, y, eps2):
-    m, p = x[:3], x[3:]
-    mt, pt = y[:3], y[3:]
-    # the m3 term is state-only: m3 is preserved exactly by the map
-    C1 = 1.0 - eps2 * pr.a3 * (pr.a1 - pr.a3) * m[2] ** 2 - eps2 * pr.a1 * (pr.b1 - pr.b3) * p[2] * pt[2]
-    C3 = (
-        2.0 * pr.a3 / pr.a1
-        - 1.0
-        - eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[0] * mt[0] + m[1] * mt[1])
-        - eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[0] * pt[0] + p[1] * pt[1])
-    )
-    return C1, C3
-
-
-def _lagrange_small(pr, x, eps2):
-    m, p = x[:3], x[3:]
-    if abs(m[2]) < LAGRANGE_M3_FLOOR:
-        raise DenominatorZeroError("Lagrange state-only coefficients divide by m3")
-    r = (
-        2.0 * pr.alpha
-        - 1.0
-        + eps2 * (pr.alpha - 1.0) * (m[0] ** 2 + m[1] ** 2)
-        + (eps2 * pr.gamma / m[2]) * (m[0] * p[0] + m[1] * p[1])
-    )
-    s = 1.0 + eps2 * pr.alpha * (1.0 - pr.alpha) * m[2] ** 2 - eps2 * pr.gamma * p[2]
-    return r, s
-
-
-def _lagrange_big(pr, x, y, eps2):
-    m, p = x[:3], x[3:]
-    mt, pt = y[:3], y[3:]
-    if abs(m[2]) < LAGRANGE_M3_FLOOR:
-        raise DenominatorZeroError("Lagrange bilinear coefficients divide by m3")
-    R = (
-        2.0 * pr.alpha
-        - 1.0
-        - eps2 * (pr.alpha - 1.0) * (m[0] * mt[0] + m[1] * mt[1])
-        - (eps2 * pr.gamma / (2.0 * m[2]))
-        * (mt[0] * p[0] + m[0] * pt[0] + mt[1] * p[1] + m[1] * pt[1])
-    )
-    S = 1.0 - eps2 * pr.alpha * (1.0 - pr.alpha) * m[2] ** 2 + 0.5 * eps2 * pr.gamma * (p[2] + pt[2])
-    return R, S
-
-
-def _planar_F(pr: PlanarFamilyParams, x, eps) -> float:
-    qa, qb, qc = pr.qform
-    num = qa * x[0] ** 2 + 2.0 * qb * x[0] * x[1] + qc * x[1] ** 2
-    ell = float(pr.ell @ x) + pr.ell0
-    den = 1.0 + eps * eps * (qa * qc - qb * qb) * ell * ell
-    return _div(num, den, "F")
-
-
-def _planar_Fhat(pr: PlanarFamilyParams, x, y, eps) -> float:
-    qa, qb, qc = pr.qform
-    num = qa * x[0] * y[0] + qb * (x[0] * y[1] + y[0] * x[1]) + qc * x[1] * y[1]
-    ell_x = float(pr.ell @ x) + pr.ell0
-    ell_y = float(pr.ell @ y) + pr.ell0
-    den = 1.0 - eps * eps * (qa * qc - qb * qb) * ell_x * ell_y
-    return _div(num, den, "Fhat")
-
-
-_CLEBSCH_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch")
+def eval_density(desc: SystemDescriptor, x, eps: float, which: str) -> float:
+    """Preserved density numerator at x (see KahanPair.density)."""
+    return KahanPair(desc, x, eps).density(which)
 
 
 def eval_I0(desc: SystemDescriptor, x, eps: float) -> float:
     """The state-only conserved quantity of the map (coefficient ratio)."""
-    x = np.asarray(x, dtype=float)
-    if desc.kind in _CLEBSCH_KINDS:
-        return _clebsch_I0(desc, x, eps)
-    if desc.kind == "kirchhoff":
-        c1, c3 = _kirchhoff_small(desc.params, x, eps * eps)
-        return _div(c3, c1, "I0")
-    if desc.kind == "lagrange":
-        r, s = _lagrange_small(desc.params, x, eps * eps)
-        return _div(r, s, "I0")
-    raise ValueError(f"I0 is not defined for {desc.kind}")
+    return evaluate_named(desc, "I0", x, eps)
 
 
 def eval_J0(desc: SystemDescriptor, x, eps: float) -> float:
     """Bilinear conserved quantity on the pair (x, x~), x~ one forward step."""
-    x = np.asarray(x, dtype=float)
-    x_next = _forward(desc, x, eps)
-    if desc.kind in _CLEBSCH_KINDS:
-        return _clebsch_J0(desc, x, x_next, eps)
-    if desc.kind == "kirchhoff":
-        C1, C3 = _kirchhoff_big(desc.params, x, x_next, eps * eps)
-        return _div(C3, C1, "J0")
-    if desc.kind == "lagrange":
-        R, S = _lagrange_big(desc.params, x, x_next, eps * eps)
-        return _div(R, S, "J0")
-    raise ValueError(f"J0 is not defined for {desc.kind}")
+    return evaluate_named(desc, "J0", x, eps)
 
 
-def _verify_first_clebsch_closed_form(desc, vec, eps: float, x, kind: str) -> None:
-    # the coefficient vector must be projectively [1 + eps^2 w_i V : -V]
-    # with V = I0 (state-only) or J0 with flipped sign (bilinear)
-    omega = desc.params.omega
-    eps2 = eps * eps
-    c1, c2, c3, c0 = vec
-    if kind == "small_c":
-        den = 1.0 - eps2 * float(np.dot(omega, eval_g(desc, x)))
-        signs = 1.0
-    else:
-        den = 1.0 + eps2 * float(np.dot(omega, x[1]))
-        signs = -1.0
-    if den == 0.0:
-        return
-    value = c0 / den  # I0 or J0
-    for ci, wi in zip((c1, c2, c3), omega):
-        lhs = ci * value
-        rhs = (1.0 + signs * eps2 * wi * value) * c0
-        if abs(lhs - rhs) > 1e-11 * (abs(lhs) + abs(rhs) + 1.0):
-            raise RuntimeError(
-                "first Clebsch closed-form check failed: coefficient vector is "
-                "not projectively [1 + eps^2 w_i V : -V]"
-            )
+def eval_g(desc: SystemDescriptor, x) -> np.ndarray:
+    """Clebsch family: the state-only quadratic triple (g1, g2, g3)."""
+    pair = KahanPair(desc, x, 0.0)
+    return np.array([pair.value(name) for name in ("g1", "g2", "g3")])
+
+
+def eval_G(desc: SystemDescriptor, x, x_next) -> np.ndarray:
+    """Clebsch family: the bilinear triple (G1, G2, G3) on (x, x_next)."""
+    # only the successor state is given; G needs neither eps nor Delta
+    given = KahanStepResult(next=np.asarray(x_next, dtype=float), delta=math.nan, residual=math.nan)
+    pair = KahanPair(desc, x, 0.0, given)
+    return np.array([pair.value(name) for name in ("G1", "G2", "G3")])
 
 
 def eval_coeffs(desc: SystemDescriptor, x, eps: float, kind: str = "small_c") -> np.ndarray:
-    """Coefficient vector of the system's null-space relations.
-
-    kind="small_c": state-only coefficients; Clebsch family returns
-    (c1, c2, c3, c0), Kirchhoff (c1, c3), Lagrange (r, s).
-    kind="big_C": bilinear coefficients on (x, x~) with x~ one forward step;
-    Clebsch family (C1, C2, C3, C0), Kirchhoff (C1, C3), Lagrange (R, S).
-
-    For the first special case the result is verified against the closed
-    projective form [1 + eps^2 w_i V : -V] to 1e-11.
-    """
-    if kind not in ("small_c", "big_C"):
-        raise ValueError(f"kind must be 'small_c' or 'big_C', got '{kind}'")
-    x = np.asarray(x, dtype=float)
-    eps2 = eps * eps
-    if desc.kind in _CLEBSCH_KINDS:
-        a, b, A, _ = _family_ab(desc)
-        if kind == "small_c":
-            vec = _coeff_vec(A, a, b, eps2, eval_g(desc, x))
-            if desc.kind == "first_clebsch":
-                _verify_first_clebsch_closed_form(desc, vec, eps, x, kind)
-            return vec
-        x_next = _forward(desc, x, eps)
-        G = eval_G(desc, x, x_next)
-        vec = _coeff_vec(A, a, b, -eps2, G)
-        if desc.kind == "first_clebsch":
-            _verify_first_clebsch_closed_form(desc, vec, eps, (x, G), kind)
-        return vec
-    if desc.kind == "kirchhoff":
-        if kind == "small_c":
-            return np.array(_kirchhoff_small(desc.params, x, eps2))
-        return np.array(_kirchhoff_big(desc.params, x, _forward(desc, x, eps), eps2))
-    if desc.kind == "lagrange":
-        if kind == "small_c":
-            return np.array(_lagrange_small(desc.params, x, eps2))
-        return np.array(_lagrange_big(desc.params, x, _forward(desc, x, eps), eps2))
-    raise ValueError(f"coefficient vectors are not defined for {desc.kind}")
+    """Coefficient vector at x (see KahanPair.coefficients)."""
+    return KahanPair(desc, x, eps).coefficients(kind)
 
 
 @lru_cache(maxsize=32)
@@ -331,128 +189,16 @@ def eval_K(x, eps: float, omega) -> float:
     """First special case only: K = sum_i (C_i/C_0) m_i p_i / c_0, a conserved
     quantity built from both coefficient families."""
     desc = _first_clebsch_system(tuple(float(w) for w in omega))
-    x = np.asarray(x, dtype=float)
-    x_next = _forward(desc, x, eps)
-    G = eval_G(desc, x, x_next)
-    a, b, A, _ = _family_ab(desc)
-    C1, C2, C3, C0 = _coeff_vec(A, a, b, -eps * eps, G)
-    c0 = float(np.sum(x[3:] ** 2))
-    if C0 == 0.0 or c0 == 0.0:
-        raise DenominatorZeroError("zero denominator in K")
-    m, p = x[:3], x[3:]
-    return float(sum(Ci * m[i] * p[i] for i, Ci in enumerate((C1, C2, C3))) / (C0 * c0))
-
-
-def eval_density(desc: SystemDescriptor, x, eps: float, which: str) -> DensityValue:
-    """Preserved density numerator: the named bilinear coefficient evaluated
-    on (x, x~) times Delta(x; eps).
-
-    The defining property, checked by the verification suites, is
-    density(x~)/density(x) = det dPhi(x) along orbits.
-    """
-    if which not in desc.density_names:
-        raise ValueError(
-            f"'{which}' is not a declared density of {desc.kind}; have {desc.density_names}"
-        )
-    x = np.asarray(x, dtype=float)
-    x_next = _forward(desc, x, eps)
-    eps2 = eps * eps
-    if desc.kind in _CLEBSCH_KINDS:
-        if which == "J0_den":
-            G = eval_G(desc, x, x_next)
-            coeff = 1.0 + eps2 * float(np.dot(desc.params.omega, G))
-        else:
-            a, b, A, _ = _family_ab(desc)
-            vec = _coeff_vec(A, a, b, -eps2, eval_G(desc, x, x_next))
-            coeff = float(vec[("C1", "C2", "C3", "C0").index(which)])
-    elif desc.kind == "kirchhoff":
-        C1, C3 = _kirchhoff_big(desc.params, x, x_next, eps2)
-        coeff = C1 if which == "C1" else C3
-    elif desc.kind == "lagrange":
-        R, S = _lagrange_big(desc.params, x, x_next, eps2)
-        coeff = R if which == "R" else S
-    else:
-        raise ValueError(f"{desc.kind} declares no densities")
-    return coeff * delta(desc.field, x, eps)
+    return evaluate_named(desc, "K", x, eps)
 
 
 def eval_planar_F(params, x, eps: float, variant: str = "F") -> float:
     """Planar family conserved quantities F (state-only) and Fhat (bilinear,
     one forward step). Accepts PlanarFamilyParams or the built descriptor."""
-    if isinstance(params, SystemDescriptor):
-        desc = params
-        pr = desc.params
-    else:
-        pr = params
-        desc = _planar_system(pr)
-    if not isinstance(pr, PlanarFamilyParams):
-        raise TypeError("eval_planar_F needs planar-family parameters")
-    x = np.asarray(x, dtype=float)
-    if variant == "F":
-        return _planar_F(pr, x, eps)
-    if variant == "Fhat":
-        return _planar_Fhat(pr, x, _forward(desc, x, eps), eps)
-    raise ValueError(f"variant must be 'F' or 'Fhat', got '{variant}'")
-
-
-def _planar_system(pr: PlanarFamilyParams) -> SystemDescriptor:
-    return build_system("planar_family", pr)
-
-
-def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:
-    """Evaluate one named quantity at x; bilinear names take one forward step.
-
-    Accepts the system's declared integral names, coordinate names
-    "m1".."p3", ratio names like "c1/c0", and density columns
-    "density_<name>".
-    """
-    if "/" in name:
-        num, den = name.split("/", 1)
-        return _div(
-            evaluate_named(desc, num, x, eps), evaluate_named(desc, den, x, eps), name
-        )
-    if name.startswith("density_"):
-        return eval_density(desc, x, eps, name[len("density_"):])
-    x = np.asarray(x, dtype=float)
-    if name in ("m1", "m2", "m3", "p1", "p2", "p3"):
-        if desc.dim != 6:
-            raise ValueError(f"{name} applies to the 6-dim systems only")
-        return float(x[int(name[1]) - 1 + (3 if name[0] == "p" else 0)])
-    if name == "I0":
-        return eval_I0(desc, x, eps)
-    if name == "J0":
-        return eval_J0(desc, x, eps)
-    if name == "K":
-        if desc.kind != "first_clebsch":
-            raise ValueError("K is defined for the first special case only")
-        return eval_K(x, eps, desc.params.omega)
-    if name in ("g1", "g2", "g3"):
-        return float(eval_g(desc, x)[int(name[1]) - 1])
-    if name in ("G1", "G2", "G3"):
-        return float(eval_G(desc, x, _forward(desc, x, eps))[int(name[1]) - 1])
-    if name in ("c1", "c2", "c3", "c0", "r", "s"):
-        vec = eval_coeffs(desc, x, eps, "small_c")
-        if desc.kind in _CLEBSCH_KINDS:
-            return float(vec[("c1", "c2", "c3", "c0").index(name)])
-        if desc.kind == "kirchhoff" and name in ("c1", "c3"):
-            return float(vec[("c1", "c3").index(name)])
-        if desc.kind == "lagrange" and name in ("r", "s"):
-            return float(vec[("r", "s").index(name)])
-        raise ValueError(f"'{name}' is not defined for {desc.kind}")
-    if name in ("C1", "C2", "C3", "C0", "R", "S"):
-        vec = eval_coeffs(desc, x, eps, "big_C")
-        if desc.kind in _CLEBSCH_KINDS:
-            return float(vec[("C1", "C2", "C3", "C0").index(name)])
-        if desc.kind == "kirchhoff" and name in ("C1", "C3"):
-            return float(vec[("C1", "C3").index(name)])
-        if desc.kind == "lagrange" and name in ("R", "S"):
-            return float(vec[("R", "S").index(name)])
-        raise ValueError(f"'{name}' is not defined for {desc.kind}")
-    if name in ("F", "Fhat"):
-        if desc.kind != "planar_family":
-            raise ValueError(f"'{name}' is defined for the planar family only")
-        return eval_planar_F(desc, x, eps, name)
-    raise ValueError(f"unknown quantity name '{name}' for {desc.kind}")
+    if variant not in ("F", "Fhat"):
+        raise ValueError(f"variant must be 'F' or 'Fhat', got '{variant}'")
+    desc = params if isinstance(params, SystemDescriptor) else build_system("planar_family", params)
+    return evaluate_named(desc, variant, x, eps)
 
 
 @dataclass(frozen=True)
@@ -470,7 +216,8 @@ def eval_suite(desc: SystemDescriptor, x, eps: float, include_densities: bool = 
     names = list(desc.integral_names)
     if include_densities:
         names += [f"density_{d}" for d in desc.density_names]
-    values = tuple(evaluate_named(desc, name, x, eps) for name in names)
+    pair = KahanPair(desc, x, eps)
+    values = tuple(pair.value(name) for name in names)
     return IntegralSuiteResult(names=tuple(names), values=values)
 
 
@@ -478,47 +225,10 @@ def denominator_witnesses(desc: SystemDescriptor, x, eps: float) -> list:
     """Magnitudes of every denominator the system's quantities divide by at x.
 
     Used by the random-state rejection rule (draws must keep all of these
-    at or above 1e-6).
+    finite and at or above 1e-6). Kinds outside the catalog have none.
     """
-    x = np.asarray(x, dtype=float)
-    out = []
-    eps2 = eps * eps
-    if desc.kind in _CLEBSCH_KINDS:
-        a, b, _, beta = _family_ab(desc)
-        g = eval_g(desc, x)
-        if desc.kind == "first_clebsch":
-            out.append(abs(1.0 - eps2 * float(np.dot(b, g))))
-        else:
-            out.append(abs(1.0 + eps2 * (a[0] * a[1] * a[2] / beta) * float(np.sum(g))))
-        out.append(float(np.sum(x[3:] ** 2)))  # c0, the K denominator
-        x_next = _forward(desc, x, eps)
-        G = eval_G(desc, x, x_next)
-        if desc.kind == "first_clebsch":
-            out.append(abs(1.0 + eps2 * float(np.dot(b, G))))
-        else:
-            out.append(abs(1.0 - eps2 * (a[0] * a[1] * a[2] / beta) * float(np.sum(G))))
-        out.append(abs(float(np.sum(x[3:] * x_next[3:]))))  # C0 scale for K
-    elif desc.kind == "kirchhoff":
-        out.append(abs(_kirchhoff_small(desc.params, x, eps2)[0]))
-        x_next = _forward(desc, x, eps)
-        out.append(abs(_kirchhoff_big(desc.params, x, x_next, eps2)[0]))
-        out.append(abs(x[2]))  # m3, separates the order-3 Wronskian ratios
-    elif desc.kind == "lagrange":
-        out.append(abs(x[2]))
-        if abs(x[2]) >= LAGRANGE_M3_FLOOR:
-            out.append(abs(_lagrange_small(desc.params, x, eps2)[1]))
-            x_next = _forward(desc, x, eps)
-            out.append(abs(_lagrange_big(desc.params, x, x_next, eps2)[1]))
-    elif desc.kind == "planar_family":
-        pr = desc.params
-        qa, qb, qc = pr.qform
-        disc = qa * qc - qb * qb
-        ell_x = float(pr.ell @ x) + pr.ell0
-        out.append(abs(1.0 + eps2 * disc * ell_x * ell_x))
-        x_next = _forward(desc, x, eps)
-        ell_y = float(pr.ell @ x_next) + pr.ell0
-        out.append(abs(1.0 - eps2 * disc * ell_x * ell_y))
-    return out
+    spec = KINDS.get(desc.kind)
+    return spec.witnesses(KahanPair(desc, x, eps)) if spec else []
 
 
 class MeasureHypothesisReport(NamedTuple):
@@ -558,8 +268,8 @@ def measure_hypothesis_check(
         a = phat(u, v, eps)
         b = phat(v, u, eps)
         sym = max(sym, abs(a - b) / (abs(a) + abs(b) + 1.0))
-    fwd = _forward(desc, x, eps)
-    bwd = _forward(desc, x, -eps)
+    fwd = kahan_step(desc.field, x, eps).next
+    bwd = kahan_step(desc.field, x, -eps).next
     plus = phat(x, fwd, eps) * delta(desc.field, x, eps)
     minus = phat(x, bwd, eps) * delta(desc.field, x, -eps)
     parity = abs(plus - minus) / (abs(plus) + abs(minus) + 1.0)

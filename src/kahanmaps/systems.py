@@ -6,13 +6,28 @@ omega), the Kirchhoff case (a1 = a2, b1 = b2), the Lagrange top (the one
 entry with a linear part), and a planar family with an affine multiplier
 where only the first two components are constrained.
 
+Each kind is one entry of KINDS: its parameter class and JSON keys, the
+field builder, the declared quantity names, the continuous invariants, and
+the formulas of its map-level quantities, which come in two families:
+
+* state-only quantities (lowercase names: c1..c0, g_i, r, s, F) evaluated at
+  a single point x;
+* bilinear quantities (uppercase: C1..C0, G_i, R, S, Fhat) evaluated on a
+  consecutive orbit pair (x, x~), where x~ is one forward Kahan step.
+
+For each system the ratio of the designated coefficient pair is a conserved
+quantity of the map (I0 from the state-only family, J0 from the bilinear
+family), and the designated coefficients times Delta(x; eps) =
+det(I - eps f'(x)) are preserved densities; integrals evaluates them.
+
 State ordering for the 6-dim systems is x = (m1, m2, m3, p1, p2, p3).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,8 +35,9 @@ import numpy as np
 from kahanmaps.quadfield import QuadraticVectorField, evaluate_field
 
 __all__ = [
+    "KINDS",
     "SYSTEM_KINDS",
-    "PARAM_FIELDS",
+    "DenominatorZeroError",
     "ClebschParams",
     "FirstClebschParams",
     "SecondClebschParams",
@@ -30,8 +46,8 @@ __all__ = [
     "PlanarFamilyParams",
     "ContinuousInvariants",
     "SystemDescriptor",
+    "SystemKind",
     "clebsch_condition_residual",
-    "clebsch_derived_params",
     "clebsch_params_from_decomposition",
     "decompose_clebsch",
     "build_system",
@@ -45,27 +61,9 @@ __all__ = [
     "central_gradient",
 ]
 
-SYSTEM_KINDS = (
-    "general_clebsch",
-    "first_clebsch",
-    "second_clebsch",
-    "kirchhoff",
-    "lagrange",
-    "planar_family",
-)
-
-# Config keys that belong to each system's params block.
-PARAM_FIELDS = {
-    "general_clebsch": {"required": ("a", "b"), "optional": ("beta", "wcoef")},
-    "first_clebsch": {"required": ("omega",), "optional": ()},
-    "second_clebsch": {"required": ("omega",), "optional": ()},
-    "kirchhoff": {"required": ("a1", "a3", "b1", "b3"), "optional": ()},
-    "lagrange": {"required": ("alpha", "gamma"), "optional": ()},
-    "planar_family": {
-        "required": ("qform", "ell"),
-        "optional": ("ell0", "extra_quad", "extra_lin", "extra_const"),
-    },
-}
+# The Lagrange top's quantities divide by m3; below this the point counts as
+# a pole of the expression, not a small value.
+LAGRANGE_M3_FLOOR = 1e-12
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -171,6 +169,11 @@ class ClebschParams:
         object.__setattr__(self, "wcoef", wcoef)
         object.__setattr__(self, "degenerate", degenerate)
 
+    @cached_property
+    def family(self) -> tuple:
+        """(a, b, A, beta): field coefficients, Wronskian weights, beta."""
+        return self.a, self.b, self.wcoef, self.beta
+
 
 @dataclass(frozen=True, eq=False)
 class FirstClebschParams:
@@ -180,6 +183,10 @@ class FirstClebschParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", _vec3(self.omega, "omega"))
+
+    @cached_property
+    def family(self) -> tuple:
+        return np.ones(3), self.omega, np.ones(3), 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,6 +200,12 @@ class SecondClebschParams:
         if np.any(omega == 0.0):
             raise ValueError("omega entries must be nonzero (they become the a-coefficients)")
         object.__setattr__(self, "omega", omega)
+
+    @cached_property
+    def family(self) -> tuple:
+        om = self.omega
+        b = np.array([-om[j] * om[k] for _, j, k in _CYCLIC])
+        return om, b, _wcoef_from_a(om), 1.0
 
 
 @dataclass(frozen=True)
@@ -302,12 +315,8 @@ class ContinuousInvariants:
     lagrangeH1: Optional[Callable] = None
 
     def available(self) -> dict:
-        out = {}
-        for name in ("H", "H1", "H2", "K1", "K2", "lagrangeH1"):
-            fn = getattr(self, name)
-            if fn is not None:
-                out[name] = fn
-        return out
+        named = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: fn for name, fn in named if fn is not None}
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,11 +355,6 @@ def clebsch_params_from_decomposition(alpha: float, beta: float, omega) -> Clebs
     omega = _vec3(omega, "omega")
     a = np.array([alpha + beta * omega[i] for i in range(3)])
     b = np.array([alpha * omega[i] - beta * omega[j] * omega[k] for i, j, k in _CYCLIC])
-    return ClebschParams(a=a, b=b)
-
-
-def clebsch_derived_params(a, b) -> ClebschParams:
-    """Validate the compatibility condition and derive beta and wcoef."""
     return ClebschParams(a=a, b=b)
 
 
@@ -439,184 +443,6 @@ def _planar_field(params: PlanarFamilyParams) -> QuadraticVectorField:
     return QuadraticVectorField(quad=quad, lin=lin, const=const)
 
 
-_CLEBSCH_INTEGRALS = (
-    "I0", "J0",
-    "g1", "g2", "g3", "G1", "G2", "G3",
-    "c1", "c2", "c3", "c0", "C1", "C2", "C3", "C0",
-)
-_CLEBSCH_RATIOS = ("c1/c0", "c2/c0", "c3/c0", "C1/C0", "C2/C0", "C3/C0")
-
-
-def build_system(kind: str, params) -> SystemDescriptor:
-    """Assemble the quadratic field and the attached quantity names for one
-    catalog entry. params may be the matching params object or a plain dict.
-    """
-    if kind not in SYSTEM_KINDS:
-        raise ValueError(f"unknown system kind '{kind}'; expected one of {SYSTEM_KINDS}")
-    if isinstance(params, dict):
-        params = params_from_dict(kind, params)
-
-    if kind == "general_clebsch":
-        if not isinstance(params, ClebschParams):
-            raise TypeError("general_clebsch takes ClebschParams")
-        if params.degenerate or params.beta == 0.0:
-            raise ValueError(
-                "general_clebsch requires beta != 0; constant-a parameters belong to first_clebsch"
-            )
-        return SystemDescriptor(
-            kind=kind,
-            params=params,
-            field=_clebsch_field(params.a, params.b),
-            integral_names=_CLEBSCH_INTEGRALS,
-            density_names=("C0", "C1", "C2", "C3"),
-            conserved_names=("I0", "J0") + _CLEBSCH_RATIOS,
-            wronskian_coeffs=tuple(params.wcoef),
-            wronskian_orders=(1, 2, 3, 4),
-        )
-    if kind == "first_clebsch":
-        if not isinstance(params, FirstClebschParams):
-            raise TypeError("first_clebsch takes FirstClebschParams")
-        omega = params.omega
-        return SystemDescriptor(
-            kind=kind,
-            params=params,
-            field=_clebsch_field(np.ones(3), omega),
-            integral_names=("I0", "J0", "K", "c1", "c2", "c3", "c0", "C1", "C2", "C3", "C0"),
-            density_names=("C0", "J0_den"),
-            conserved_names=("I0", "J0", "K") + _CLEBSCH_RATIOS,
-            wronskian_coeffs=(1.0, 1.0, 1.0),
-            wronskian_orders=(1, 2, 3, 4),
-        )
-    if kind == "second_clebsch":
-        if not isinstance(params, SecondClebschParams):
-            raise TypeError("second_clebsch takes SecondClebschParams")
-        omega = params.omega
-        b = np.array([-omega[j] * omega[k] for _, j, k in _CYCLIC])
-        return SystemDescriptor(
-            kind=kind,
-            params=params,
-            field=_clebsch_field(omega, b),
-            integral_names=_CLEBSCH_INTEGRALS,
-            density_names=("C0", "C1", "C2", "C3"),
-            conserved_names=("I0", "J0") + _CLEBSCH_RATIOS,
-            wronskian_coeffs=tuple(_wcoef_from_a(omega)),
-            wronskian_orders=(1, 2, 3, 4),
-        )
-    if kind == "kirchhoff":
-        if not isinstance(params, KirchhoffParams):
-            raise TypeError("kirchhoff takes KirchhoffParams")
-        a = (params.a1, params.a1, params.a3)
-        b = (params.b1, params.b1, params.b3)
-        return SystemDescriptor(
-            kind=kind,
-            params=params,
-            field=_clebsch_field(a, b),
-            integral_names=("I0", "J0", "c1", "c3", "C1", "C3"),
-            density_names=("C1", "C3"),
-            conserved_names=("I0", "J0", "m3"),
-            wronskian_coeffs=(1.0, 1.0, 2.0 * params.a3 / params.a1 - 1.0),
-            wronskian_orders=(1, 2, 3),
-        )
-    if kind == "lagrange":
-        if not isinstance(params, LagrangeParams):
-            raise TypeError("lagrange takes LagrangeParams")
-        return SystemDescriptor(
-            kind=kind,
-            params=params,
-            field=_lagrange_field(params.alpha, params.gamma),
-            integral_names=("I0", "J0", "r", "s", "R", "S"),
-            density_names=("R", "S"),
-            conserved_names=("I0", "J0", "m3"),
-            wronskian_coeffs=(1.0, 1.0, 2.0 * params.alpha - 1.0),
-            wronskian_orders=(1, 2, 3),
-        )
-    if not isinstance(params, PlanarFamilyParams):
-        raise TypeError("planar_family takes PlanarFamilyParams")
-    return SystemDescriptor(
-        kind="planar_family",
-        params=params,
-        field=_planar_field(params),
-        integral_names=("F", "Fhat"),
-        density_names=(),
-        conserved_names=("F", "Fhat"),
-        wronskian_coeffs=None,
-        wronskian_orders=(),
-    )
-
-
-def params_from_dict(kind: str, doc: dict) -> object:
-    """Build the params object for a kind from plain JSON data, naming any
-    missing field in the error."""
-    if kind not in SYSTEM_KINDS:
-        raise ValueError(f"unknown system kind '{kind}'; expected one of {SYSTEM_KINDS}")
-    spec = PARAM_FIELDS[kind]
-    for key in spec["required"]:
-        if key not in doc:
-            raise ValueError(f"{kind} config missing required field '{key}'")
-    known = set(spec["required"]) | set(spec["optional"])
-    for key in doc:
-        if key not in known:
-            raise ValueError(f"{kind} config has unknown field '{key}'")
-    if kind == "general_clebsch":
-        return ClebschParams(
-            a=doc["a"], b=doc["b"], beta=doc.get("beta"), wcoef=doc.get("wcoef")
-        )
-    if kind == "first_clebsch":
-        return FirstClebschParams(omega=doc["omega"])
-    if kind == "second_clebsch":
-        return SecondClebschParams(omega=doc["omega"])
-    if kind == "kirchhoff":
-        return KirchhoffParams(a1=doc["a1"], a3=doc["a3"], b1=doc["b1"], b3=doc["b3"])
-    if kind == "lagrange":
-        return LagrangeParams(alpha=doc["alpha"], gamma=doc["gamma"])
-    return PlanarFamilyParams(
-        qform=doc["qform"],
-        ell=doc["ell"],
-        ell0=doc.get("ell0", 0.0),
-        extra_quad=doc.get("extra_quad"),
-        extra_lin=doc.get("extra_lin"),
-        extra_const=doc.get("extra_const"),
-    )
-
-
-def params_to_dict(params) -> dict:
-    """JSON-ready dict for any catalog params object."""
-    if isinstance(params, ClebschParams):
-        return {
-            "a": params.a.tolist(),
-            "b": params.b.tolist(),
-            "beta": params.beta,
-            "wcoef": params.wcoef.tolist(),
-        }
-    if isinstance(params, (FirstClebschParams, SecondClebschParams)):
-        return {"omega": params.omega.tolist()}
-    if isinstance(params, KirchhoffParams):
-        return {"a1": params.a1, "a3": params.a3, "b1": params.b1, "b3": params.b3}
-    if isinstance(params, LagrangeParams):
-        return {"alpha": params.alpha, "gamma": params.gamma}
-    if isinstance(params, PlanarFamilyParams):
-        return {
-            "qform": list(params.qform),
-            "ell": params.ell.tolist(),
-            "ell0": params.ell0,
-            "extra_quad": params.extra_quad.tolist(),
-            "extra_lin": params.extra_lin.tolist(),
-            "extra_const": params.extra_const.tolist(),
-        }
-    raise TypeError(f"not a catalog params object: {type(params).__name__}")
-
-
-def system_to_json(desc: SystemDescriptor) -> dict:
-    return {"kind": desc.kind, "params": params_to_dict(desc.params)}
-
-
-def system_from_json(doc: dict) -> SystemDescriptor:
-    for key in ("kind", "params"):
-        if key not in doc:
-            raise ValueError(f"system document is missing key '{key}'")
-    return build_system(doc["kind"], params_from_dict(doc["kind"], doc["params"]))
-
-
 def _kirchhoff_omega(params: KirchhoffParams) -> np.ndarray:
     return np.array([params.b1 / params.a1, params.b1 / params.a1, params.b3 / params.a1])
 
@@ -659,76 +485,516 @@ def _casimir_k2(x):
     return float(np.dot(x[:3], x[3:]))
 
 
-def continuous_invariants(desc: SystemDescriptor) -> ContinuousInvariants:
-    """Conserved quantities of the continuous flow for one catalog entry."""
-    kind = desc.kind
-    if kind == "planar_family":
-        qa, qb, qc = desc.params.qform
-
-        def planar_h(x):
-            return 0.5 * float(qa * x[0] ** 2 + 2 * qb * x[0] * x[1] + qc * x[1] ** 2)
-
-        return ContinuousInvariants(H=planar_h)
-    if kind == "lagrange":
-        alpha, gamma = desc.params.alpha, desc.params.gamma
-
-        def lag_h1(x):
-            return float(x[0] ** 2 + x[1] ** 2 + alpha * x[2] ** 2 + 2 * gamma * x[5])
-
-        return ContinuousInvariants(
-            H=lambda x: 0.5 * lag_h1(x),
-            K1=_casimir_k1,
-            K2=_casimir_k2,
-            lagrangeH1=lag_h1,
-        )
-    if kind == "first_clebsch":
-        omega = desc.params.omega
-        return ContinuousInvariants(
-            H=_quadratic_h(np.ones(3), omega),
-            H1=_h1(omega),
-            H2=_h2(omega),
-            K1=_casimir_k1,
-            K2=_casimir_k2,
-        )
-    if kind == "second_clebsch":
-        omega = desc.params.omega
-        b = np.array([-omega[j] * omega[k] for _, j, k in _CYCLIC])
-        return ContinuousInvariants(
-            H=_quadratic_h(omega, b),
-            H1=_h1(omega),
-            H2=_h2(omega),
-            K1=_casimir_k1,
-            K2=_casimir_k2,
-        )
-    if kind == "kirchhoff":
-        params = desc.params
-        omega = _kirchhoff_omega(params)
-        a = (params.a1, params.a1, params.a3)
-        b = (params.b1, params.b1, params.b3)
-        return ContinuousInvariants(
-            H=_quadratic_h(a, b),
-            H1=_h1(omega),
-            H2=_h2(omega),
-            K1=_casimir_k1,
-            K2=_casimir_k2,
-        )
-    # general Clebsch: H1/H2 need a spectral decomposition; omit them when
-    # none exists over the reals
-    params = desc.params
-    h1 = h2 = None
-    try:
-        _, omega = decompose_clebsch(params)[0]
-    except ValueError:
-        omega = None
-    if omega is not None:
-        h1, h2 = _h1(omega), _h2(omega)
+def _spectral_invariants(a, b, omega) -> ContinuousInvariants:
+    """H of the quadratic Hamiltonian (a, b), the e(3)* Casimirs, and the
+    quadratic pair H1, H2 of the spectral data omega when there is one."""
     return ContinuousInvariants(
-        H=_quadratic_h(params.a, params.b),
-        H1=h1,
-        H2=h2,
+        H=_quadratic_h(a, b),
+        H1=None if omega is None else _h1(omega),
+        H2=None if omega is None else _h2(omega),
         K1=_casimir_k1,
         K2=_casimir_k2,
     )
+
+
+def _real_omega(params: ClebschParams):
+    # H1/H2 of the general case need a spectral decomposition; None when
+    # there is none over the reals
+    try:
+        return decompose_clebsch(params)[0][1]
+    except ValueError:
+        return None
+
+
+def _kirchhoff_ab(params: KirchhoffParams) -> tuple:
+    return (params.a1, params.a1, params.a3), (params.b1, params.b1, params.b3)
+
+
+def _lagrange_invariants(params: LagrangeParams) -> ContinuousInvariants:
+    alpha, gamma = params.alpha, params.gamma
+
+    def lag_h1(x):
+        return float(x[0] ** 2 + x[1] ** 2 + alpha * x[2] ** 2 + 2 * gamma * x[5])
+
+    return ContinuousInvariants(
+        H=lambda x: 0.5 * lag_h1(x),
+        K1=_casimir_k1,
+        K2=_casimir_k2,
+        lagrangeH1=lag_h1,
+    )
+
+
+def _planar_invariants(params: PlanarFamilyParams) -> ContinuousInvariants:
+    qa, qb, qc = params.qform
+
+    def planar_h(x):
+        return 0.5 * float(qa * x[0] ** 2 + 2 * qb * x[0] * x[1] + qc * x[1] ** 2)
+
+    return ContinuousInvariants(H=planar_h)
+
+
+def _family_field(params) -> QuadraticVectorField:
+    return _clebsch_field(*params.family[:2])
+
+
+def _omega_invariants(params) -> ContinuousInvariants:
+    return _spectral_invariants(*params.family[:2], params.omega)
+
+
+def _general_clebsch_field(params: ClebschParams) -> QuadraticVectorField:
+    if params.degenerate or params.beta == 0.0:
+        raise ValueError(
+            "general_clebsch requires beta != 0; constant-a parameters belong to first_clebsch"
+        )
+    return _clebsch_field(params.a, params.b)
+
+
+# Map-level quantity formulas. Each takes a pair q (integrals.KahanPair):
+# q.params, the state q.x, q.eps, the successor q.y (one forward Kahan step,
+# taken at most once per pair) and q.part(fn), fn(q) computed once per pair.
+
+
+class DenominatorZeroError(RuntimeError):
+    """A conserved-quantity denominator vanished at the evaluation point."""
+
+
+def _div(num: float, den: float, what: str) -> float:
+    if den == 0.0:
+        raise DenominatorZeroError(f"zero denominator in {what}")
+    return num / den
+
+
+def _entries(part, names) -> dict:
+    """One named formula per component of a vector-valued part."""
+    return {name: (lambda q, i=i: float(q.part(part)[i])) for i, name in enumerate(names)}
+
+
+def _ratio(part, num: int, den: int, what: str):
+    return lambda q: _div(q.part(part)[num], q.part(part)[den], what)
+
+
+_COORDINATES = {
+    name: (lambda q, i=i: float(q.x[i]))
+    for i, name in enumerate(("m1", "m2", "m3", "p1", "p2", "p3"))
+}
+
+
+def _g(q) -> np.ndarray:
+    """State-only quadratic triple g_i = p_i^2 + (beta a_i / (a_j a_k)) m_i^2.
+
+    For the first special case (beta = 0) this is just p_i^2.
+    """
+    a, _, _, beta = q.params.family
+    x = q.x
+    return np.array(
+        [x[3 + i] ** 2 + (beta * a[i] / (a[j] * a[k])) * x[i] ** 2 for i, j, k in _CYCLIC]
+    )
+
+
+def _G(q) -> np.ndarray:
+    """Bilinear counterpart G_i = p_i p~_i + (beta a_i / (a_j a_k)) m_i m~_i."""
+    x, y = q.x, q.y
+    a, _, _, beta = q.params.family
+    return np.array(
+        [
+            x[3 + i] * y[3 + i] + (beta * a[i] / (a[j] * a[k])) * x[i] * y[i]
+            for i, j, k in _CYCLIC
+        ]
+    )
+
+
+def _coeff_vec(A, a, b, eps2: float, g) -> np.ndarray:
+    """(c1, c2, c3, c0) of the Clebsch family; the bilinear variant is the
+    same formula at -eps^2 with g replaced by G."""
+    c = [
+        A[i]
+        + eps2 * (A[k] * a[i] * (b[i] - b[j]) * g[j] + A[j] * a[i] * (b[i] - b[k]) * g[k])
+        for i, j, k in _CYCLIC
+    ]
+    c0 = sum(A[i] * a[j] * a[k] * g[i] for i, j, k in _CYCLIC)
+    return np.array([c[0], c[1], c[2], c0])
+
+
+def _c(q) -> np.ndarray:
+    a, b, A, _ = q.params.family
+    return _coeff_vec(A, a, b, q.eps * q.eps, q.part(_g))
+
+
+def _C(q) -> np.ndarray:
+    a, b, A, _ = q.params.family
+    return _coeff_vec(A, a, b, -q.eps * q.eps, q.part(_G))
+
+
+def _spectral_den(triple, sign: float):
+    """Denominator of I0 (g, +1) or J0 (G, -1) for beta != 0:
+    1 + sign eps^2 (a1 a2 a3 / beta) sum g."""
+
+    def den(q) -> float:
+        a, _, _, beta = q.params.family
+        return 1.0 + sign * q.eps * q.eps * (a[0] * a[1] * a[2] / beta) * float(np.sum(q.part(triple)))
+
+    return den
+
+
+def _first_den(triple, sign: float):
+    """Denominator of I0 (g, -1) or J0 (G, +1) for the first special case:
+    1 + sign eps^2 omega.g."""
+
+    def den(q) -> float:
+        return 1.0 + sign * q.eps * q.eps * float(np.dot(q.params.omega, q.part(triple)))
+
+    return den
+
+
+_SPECTRAL_DENS = (_spectral_den(_g, 1.0), _spectral_den(_G, -1.0))
+_FIRST_DENS = (_first_den(_g, -1.0), _first_den(_G, 1.0))
+
+
+def _first_K(q) -> float:
+    """K = sum_i (C_i/C_0) m_i p_i / c_0, a conserved quantity of the first
+    special case built from both coefficient families."""
+    C1, C2, C3, C0 = q.part(_C)
+    x = q.x
+    c0 = float(np.sum(x[3:] ** 2))
+    if C0 == 0.0 or c0 == 0.0:
+        raise DenominatorZeroError("zero denominator in K")
+    m, p = x[:3], x[3:]
+    return float(sum(Ci * m[i] * p[i] for i, Ci in enumerate((C1, C2, C3))) / (C0 * c0))
+
+
+def _clebsch_quantities(den, den_hat) -> dict:
+    return {
+        **_COORDINATES,
+        **_entries(_g, ("g1", "g2", "g3")),
+        **_entries(_G, ("G1", "G2", "G3")),
+        **_entries(_c, ("c1", "c2", "c3", "c0")),
+        **_entries(_C, ("C1", "C2", "C3", "C0")),
+        "I0": lambda q: _div(float(q.part(_c)[3]), den(q), "I0"),
+        "J0": lambda q: _div(float(q.part(_C)[3]), den_hat(q), "J0"),
+    }
+
+
+def _clebsch_witnesses(den, den_hat):
+    def witnesses(q) -> list:
+        x = q.x
+        return [
+            abs(den(q)),
+            float(np.sum(x[3:] ** 2)),  # c0, the K denominator
+            abs(den_hat(q)),
+            abs(float(np.sum(x[3:] * q.y[3:]))),  # C0 scale for K
+        ]
+
+    return witnesses
+
+
+def _kirchhoff_small(q) -> tuple:
+    pr, x, eps2 = q.params, q.x, q.eps * q.eps
+    m, p = x[:3], x[3:]
+    c1 = 1.0 + eps2 * pr.a3 * (pr.a1 - pr.a3) * m[2] ** 2 + eps2 * pr.a1 * (pr.b1 - pr.b3) * p[2] ** 2
+    c3 = (
+        2.0 * pr.a3 / pr.a1
+        - 1.0
+        + eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[0] ** 2 + m[1] ** 2)
+        + eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[0] ** 2 + p[1] ** 2)
+    )
+    return c1, c3
+
+
+def _kirchhoff_big(q) -> tuple:
+    x, y = q.x, q.y
+    pr, eps2 = q.params, q.eps * q.eps
+    m, p = x[:3], x[3:]
+    mt, pt = y[:3], y[3:]
+    # the m3 term is state-only: m3 is preserved exactly by the map
+    C1 = 1.0 - eps2 * pr.a3 * (pr.a1 - pr.a3) * m[2] ** 2 - eps2 * pr.a1 * (pr.b1 - pr.b3) * p[2] * pt[2]
+    C3 = (
+        2.0 * pr.a3 / pr.a1
+        - 1.0
+        - eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[0] * mt[0] + m[1] * mt[1])
+        - eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[0] * pt[0] + p[1] * pt[1])
+    )
+    return C1, C3
+
+
+def _lagrange_small(q) -> tuple:
+    pr, x, eps2 = q.params, q.x, q.eps * q.eps
+    m, p = x[:3], x[3:]
+    if abs(m[2]) < LAGRANGE_M3_FLOOR:
+        raise DenominatorZeroError("Lagrange state-only coefficients divide by m3")
+    r = (
+        2.0 * pr.alpha
+        - 1.0
+        + eps2 * (pr.alpha - 1.0) * (m[0] ** 2 + m[1] ** 2)
+        + (eps2 * pr.gamma / m[2]) * (m[0] * p[0] + m[1] * p[1])
+    )
+    s = 1.0 + eps2 * pr.alpha * (1.0 - pr.alpha) * m[2] ** 2 - eps2 * pr.gamma * p[2]
+    return r, s
+
+
+def _lagrange_big(q) -> tuple:
+    x, y = q.x, q.y
+    pr, eps2 = q.params, q.eps * q.eps
+    m, p = x[:3], x[3:]
+    mt, pt = y[:3], y[3:]
+    if abs(m[2]) < LAGRANGE_M3_FLOOR:
+        raise DenominatorZeroError("Lagrange bilinear coefficients divide by m3")
+    R = (
+        2.0 * pr.alpha
+        - 1.0
+        - eps2 * (pr.alpha - 1.0) * (m[0] * mt[0] + m[1] * mt[1])
+        - (eps2 * pr.gamma / (2.0 * m[2]))
+        * (mt[0] * p[0] + m[0] * pt[0] + mt[1] * p[1] + m[1] * pt[1])
+    )
+    S = 1.0 - eps2 * pr.alpha * (1.0 - pr.alpha) * m[2] ** 2 + 0.5 * eps2 * pr.gamma * (p[2] + pt[2])
+    return R, S
+
+
+def _lagrange_witnesses(q) -> list:
+    out = [abs(q.x[2])]
+    if abs(q.x[2]) >= LAGRANGE_M3_FLOOR:
+        out += [abs(q.part(_lagrange_small)[1]), abs(q.part(_lagrange_big)[1])]
+    return out
+
+
+def _planar_small(q) -> tuple:
+    """Numerator and denominator of F."""
+    pr, x, eps = q.params, q.x, q.eps
+    qa, qb, qc = pr.qform
+    num = qa * x[0] ** 2 + 2.0 * qb * x[0] * x[1] + qc * x[1] ** 2
+    ell = float(pr.ell @ x) + pr.ell0
+    return num, 1.0 + eps * eps * (qa * qc - qb * qb) * ell * ell
+
+
+def _planar_big(q) -> tuple:
+    """Numerator and denominator of Fhat."""
+    x, y = q.x, q.y
+    pr, eps = q.params, q.eps
+    qa, qb, qc = pr.qform
+    num = qa * x[0] * y[0] + qb * (x[0] * y[1] + y[0] * x[1]) + qc * x[1] * y[1]
+    ell_x = float(pr.ell @ x) + pr.ell0
+    ell_y = float(pr.ell @ y) + pr.ell0
+    return num, 1.0 - eps * eps * (qa * qc - qb * qb) * ell_x * ell_y
+
+
+@dataclass(frozen=True)
+class SystemKind:
+    """Everything the package knows about one catalog kind.
+
+    params: parameter class, built from JSON with the keys required/optional
+    field, wronskian_coeffs, invariants: functions of the parameters
+    integral_names, density_names, conserved_names, wronskian_orders: as in
+      SystemDescriptor
+    quantities: name -> formula on a pair q (see above), for every name
+      evaluate_named accepts besides ratios and densities
+    coefficients: (state-only, bilinear) names of the coefficient vectors
+    witnesses: q -> magnitudes of every denominator the quantities divide by
+    """
+
+    params: type
+    required: tuple
+    optional: tuple
+    field: Callable
+    integral_names: tuple
+    density_names: tuple
+    conserved_names: tuple
+    wronskian_coeffs: Callable
+    wronskian_orders: tuple
+    invariants: Callable
+    quantities: dict
+    coefficients: tuple
+    witnesses: Callable
+
+
+_CLEBSCH_INTEGRALS = (
+    "I0", "J0",
+    "g1", "g2", "g3", "G1", "G2", "G3",
+    "c1", "c2", "c3", "c0", "C1", "C2", "C3", "C0",
+)
+_CLEBSCH_RATIOS = ("c1/c0", "c2/c0", "c3/c0", "C1/C0", "C2/C0", "C3/C0")
+_CLEBSCH_COEFFICIENTS = (("c1", "c2", "c3", "c0"), ("C1", "C2", "C3", "C0"))
+
+_GENERAL_CLEBSCH = SystemKind(
+    params=ClebschParams,
+    required=("a", "b"),
+    optional=("beta", "wcoef"),
+    field=_general_clebsch_field,
+    integral_names=_CLEBSCH_INTEGRALS,
+    density_names=("C0", "C1", "C2", "C3"),
+    conserved_names=("I0", "J0") + _CLEBSCH_RATIOS,
+    wronskian_coeffs=lambda pr: tuple(pr.family[2]),
+    wronskian_orders=(1, 2, 3, 4),
+    invariants=lambda pr: _spectral_invariants(pr.a, pr.b, _real_omega(pr)),
+    quantities=_clebsch_quantities(*_SPECTRAL_DENS),
+    coefficients=_CLEBSCH_COEFFICIENTS,
+    witnesses=_clebsch_witnesses(*_SPECTRAL_DENS),
+)
+
+KINDS = {
+    "general_clebsch": _GENERAL_CLEBSCH,
+    "first_clebsch": SystemKind(
+        params=FirstClebschParams,
+        required=("omega",),
+        optional=(),
+        field=_family_field,
+        integral_names=("I0", "J0", "K", "c1", "c2", "c3", "c0", "C1", "C2", "C3", "C0"),
+        density_names=("C0", "J0_den"),
+        conserved_names=("I0", "J0", "K") + _CLEBSCH_RATIOS,
+        wronskian_coeffs=lambda pr: tuple(pr.family[2]),
+        wronskian_orders=(1, 2, 3, 4),
+        invariants=_omega_invariants,
+        quantities={
+            **_clebsch_quantities(*_FIRST_DENS),
+            "K": _first_K,
+            "J0_den": _FIRST_DENS[1],
+        },
+        coefficients=_CLEBSCH_COEFFICIENTS,
+        witnesses=_clebsch_witnesses(*_FIRST_DENS),
+    ),
+    # the second special case has the general case's names and formulas
+    "second_clebsch": replace(
+        _GENERAL_CLEBSCH,
+        params=SecondClebschParams,
+        required=("omega",),
+        optional=(),
+        field=_family_field,
+        invariants=_omega_invariants,
+    ),
+    "kirchhoff": SystemKind(
+        params=KirchhoffParams,
+        required=("a1", "a3", "b1", "b3"),
+        optional=(),
+        field=lambda pr: _clebsch_field(*_kirchhoff_ab(pr)),
+        integral_names=("I0", "J0", "c1", "c3", "C1", "C3"),
+        density_names=("C1", "C3"),
+        conserved_names=("I0", "J0", "m3"),
+        wronskian_coeffs=lambda pr: (1.0, 1.0, 2.0 * pr.a3 / pr.a1 - 1.0),
+        wronskian_orders=(1, 2, 3),
+        invariants=lambda pr: _spectral_invariants(*_kirchhoff_ab(pr), _kirchhoff_omega(pr)),
+        quantities={
+            **_COORDINATES,
+            **_entries(_kirchhoff_small, ("c1", "c3")),
+            **_entries(_kirchhoff_big, ("C1", "C3")),
+            "I0": _ratio(_kirchhoff_small, 1, 0, "I0"),
+            "J0": _ratio(_kirchhoff_big, 1, 0, "J0"),
+        },
+        coefficients=(("c1", "c3"), ("C1", "C3")),
+        witnesses=lambda q: [
+            abs(q.part(_kirchhoff_small)[0]),
+            abs(q.part(_kirchhoff_big)[0]),
+            abs(q.x[2]),  # m3, separates the order-3 Wronskian ratios
+        ],
+    ),
+    "lagrange": SystemKind(
+        params=LagrangeParams,
+        required=("alpha", "gamma"),
+        optional=(),
+        field=lambda pr: _lagrange_field(pr.alpha, pr.gamma),
+        integral_names=("I0", "J0", "r", "s", "R", "S"),
+        density_names=("R", "S"),
+        conserved_names=("I0", "J0", "m3"),
+        wronskian_coeffs=lambda pr: (1.0, 1.0, 2.0 * pr.alpha - 1.0),
+        wronskian_orders=(1, 2, 3),
+        invariants=_lagrange_invariants,
+        quantities={
+            **_COORDINATES,
+            **_entries(_lagrange_small, ("r", "s")),
+            **_entries(_lagrange_big, ("R", "S")),
+            "I0": _ratio(_lagrange_small, 0, 1, "I0"),
+            "J0": _ratio(_lagrange_big, 0, 1, "J0"),
+        },
+        coefficients=(("r", "s"), ("R", "S")),
+        witnesses=_lagrange_witnesses,
+    ),
+    "planar_family": SystemKind(
+        params=PlanarFamilyParams,
+        required=("qform", "ell"),
+        optional=("ell0", "extra_quad", "extra_lin", "extra_const"),
+        field=_planar_field,
+        integral_names=("F", "Fhat"),
+        density_names=(),
+        conserved_names=("F", "Fhat"),
+        wronskian_coeffs=lambda pr: None,
+        wronskian_orders=(),
+        invariants=_planar_invariants,
+        quantities={
+            "F": _ratio(_planar_small, 0, 1, "F"),
+            "Fhat": _ratio(_planar_big, 0, 1, "Fhat"),
+        },
+        coefficients=((), ()),
+        witnesses=lambda q: [abs(q.part(_planar_small)[1]), abs(q.part(_planar_big)[1])],
+    ),
+}
+SYSTEM_KINDS = tuple(KINDS)
+
+
+def _kind(kind: str) -> SystemKind:
+    if kind not in SYSTEM_KINDS:
+        raise ValueError(f"unknown system kind '{kind}'; expected one of {SYSTEM_KINDS}")
+    return KINDS[kind]
+
+
+def build_system(kind: str, params) -> SystemDescriptor:
+    """Assemble the quadratic field and the attached quantity names for one
+    catalog entry. params may be the matching params object or a plain dict.
+    """
+    spec = _kind(kind)
+    if isinstance(params, dict):
+        params = params_from_dict(kind, params)
+    if not isinstance(params, spec.params):
+        raise TypeError(f"{kind} takes {spec.params.__name__}")
+    return SystemDescriptor(
+        kind=kind,
+        params=params,
+        field=spec.field(params),
+        integral_names=spec.integral_names,
+        density_names=spec.density_names,
+        conserved_names=spec.conserved_names,
+        wronskian_coeffs=spec.wronskian_coeffs(params),
+        wronskian_orders=spec.wronskian_orders,
+    )
+
+
+def params_from_dict(kind: str, doc: dict) -> object:
+    """Build the params object for a kind from plain JSON data, naming any
+    missing field in the error."""
+    spec = _kind(kind)
+    for key in spec.required:
+        if key not in doc:
+            raise ValueError(f"{kind} config missing required field '{key}'")
+    for key in doc:
+        if key not in spec.required + spec.optional:
+            raise ValueError(f"{kind} config has unknown field '{key}'")
+    return spec.params(**doc)
+
+
+def _json_value(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def params_to_dict(params) -> dict:
+    """JSON-ready dict for any catalog params object."""
+    for spec in KINDS.values():
+        if isinstance(params, spec.params):
+            return {key: _json_value(getattr(params, key)) for key in spec.required + spec.optional}
+    raise TypeError(f"not a catalog params object: {type(params).__name__}")
+
+
+def system_to_json(desc: SystemDescriptor) -> dict:
+    return {"kind": desc.kind, "params": params_to_dict(desc.params)}
+
+
+def system_from_json(doc: dict) -> SystemDescriptor:
+    for key in ("kind", "params"):
+        if key not in doc:
+            raise ValueError(f"system document is missing key '{key}'")
+    return build_system(doc["kind"], params_from_dict(doc["kind"], doc["params"]))
+
+
+def continuous_invariants(desc: SystemDescriptor) -> ContinuousInvariants:
+    """Conserved quantities of the continuous flow for one catalog entry."""
+    return KINDS[desc.kind].invariants(desc.params)
 
 
 def continuous_wronskian_residual(desc: SystemDescriptor, x) -> float:

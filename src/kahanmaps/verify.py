@@ -10,16 +10,17 @@ size share one tolerance.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .integrals import (
     DenominatorZeroError,
+    KahanPair,
     denominator_witnesses,
     eval_coeffs,
     eval_density,
-    evaluate_named,
 )
 from .quadfield import SingularStepError, kahan_step, map_jacobian
 from .systems import FirstClebschParams, SystemDescriptor, build_system
@@ -28,6 +29,7 @@ __all__ = [
     "CONSERVATION_TOL",
     "DENOMINATOR_FLOOR",
     "IDENTITY_TOL",
+    "MAX_DRAWS",
     "MEASURE_TOL",
     "REVERSIBILITY_TOL",
     "PropertyReport",
@@ -46,8 +48,10 @@ CONSERVATION_TOL = 1e-8
 MEASURE_TOL = 1e-10
 IDENTITY_TOL = 1e-12
 
-# states whose integral denominators sit closer to zero than this are redrawn
+# states whose integral denominators sit closer to zero than this are redrawn,
+# at most MAX_DRAWS times
 DENOMINATOR_FLOOR = 1e-6
+MAX_DRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -107,22 +111,38 @@ def _report(
 def draw_initial_state(
     rng: np.random.Generator, desc: SystemDescriptor, eps: float, radius: float = 1.0
 ) -> np.ndarray:
-    """Random state in a ball, redrawn until every denominator clears the floor."""
-    while True:
+    """Random state in a ball, redrawn until every denominator witness is
+    finite and clears the floor.
+
+    Raises ValueError after MAX_DRAWS draws, naming the witness that bound:
+    the lowest one seen, a non-finite one first.
+    """
+    binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
+    for _ in range(MAX_DRAWS):
         v = rng.standard_normal(desc.dim)
         norm = float(np.linalg.norm(v))
         if norm < 1e-12:
             continue
         x = v * (radius * rng.uniform(0.3, 1.0) / norm)
         wits = denominator_witnesses(desc, x, eps)
-        if not wits or min(wits) >= DENOMINATOR_FLOOR:
+        if not wits:
             return x
+        low = min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
+        if low[0] >= DENOMINATOR_FLOOR:
+            return x
+        binding = min(binding, low)
+    raise ValueError(
+        f"no {desc.kind} state with every denominator witness finite and >= "
+        f"{DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding witness: "
+        f"denominator_witnesses[{binding[1]}] = {binding[2]:.3e}"
+    )
 
 
-def check_reversibility(
-    desc: SystemDescriptor, trials: int, eps: float, seed: int = 42
+def _worst_trial(
+    name: str, desc: SystemDescriptor, trials: int, eps: float, seed: int, tolerance: float, trial
 ) -> PropertyReport:
-    """Worst relative defect of stepping forward at eps then back at -eps."""
+    """Grade trial(x) over seeded draws: it returns the violations of one
+    trial, or none to skip it; a pole or a zero denominator skips it too."""
     rng = np.random.default_rng(seed)
     worst_violation = 0.0
     worst_x = np.zeros(desc.dim)
@@ -130,23 +150,28 @@ def check_reversibility(
     for _ in range(trials):
         x = draw_initial_state(rng, desc, eps)
         try:
-            forward = kahan_step(desc.field, x, eps).next
-            back = kahan_step(desc.field, forward, -eps).next
-        except SingularStepError:
+            violations = trial(x)
+        except (SingularStepError, DenominatorZeroError):
+            violations = ()
+        if not violations:
             skipped += 1
-            continue
-        violation = float(np.max(np.abs(back - x))) / (1.0 + float(np.max(np.abs(x))))
-        if violation > worst_violation:
-            worst_violation, worst_x = violation, x
-    return _report(
-        f"{desc.kind}.reversibility",
-        trials,
-        worst_violation,
-        REVERSIBILITY_TOL,
-        worst_x,
-        seed,
-        skipped,
-    )
+        for violation in violations:
+            if violation > worst_violation:
+                worst_violation, worst_x = violation, x
+    return _report(name, trials, worst_violation, tolerance, worst_x, seed, skipped)
+
+
+def check_reversibility(
+    desc: SystemDescriptor, trials: int, eps: float, seed: int = 42
+) -> PropertyReport:
+    """Worst relative defect of stepping forward at eps then back at -eps."""
+
+    def trial(x):
+        forward = kahan_step(desc.field, x, eps).next
+        back = kahan_step(desc.field, forward, -eps).next
+        return [float(np.max(np.abs(back - x))) / (1.0 + float(np.max(np.abs(x))))]
+
+    return _worst_trial(f"{desc.kind}.reversibility", desc, trials, eps, seed, REVERSIBILITY_TOL, trial)
 
 
 def check_conservation(
@@ -164,20 +189,23 @@ def check_conservation(
     """
     rng = np.random.default_rng(seed)
     x0 = draw_initial_state(rng, desc, eps)
-    baseline = evaluate_named(desc, integral_name, x0, eps)
+    pair = KahanPair(desc, x0, eps)
+    baseline = pair.value(integral_name)
     scale = 1.0 + abs(baseline)
     worst_violation = 0.0
     worst_x = x0
     skipped = 0
-    x = x0
     for k in range(steps):
         try:
-            x = kahan_step(desc.field, x, eps).next
+            x = pair.step.next
         except SingularStepError:
             skipped += steps - k
             break
+        # one step per orbit point: a bilinear quantity's successor is the
+        # next point's state
+        pair = KahanPair(desc, x, eps)
         try:
-            value = evaluate_named(desc, integral_name, x, eps)
+            value = pair.value(integral_name)
         except (DenominatorZeroError, SingularStepError):
             skipped += 1
             continue
@@ -199,37 +227,20 @@ def check_measure(
     desc: SystemDescriptor, density_name: str, trials: int, eps: float, seed: int = 42
 ) -> PropertyReport:
     """Worst relative defect of density(x~)/density(x) against det dPhi(x)."""
-    rng = np.random.default_rng(seed)
-    worst_violation = 0.0
-    worst_x = np.zeros(desc.dim)
-    skipped = 0
-    for _ in range(trials):
-        x = draw_initial_state(rng, desc, eps)
-        try:
-            x_next = kahan_step(desc.field, x, eps).next
-            den = eval_density(desc, x, eps, density_name)
-            num = eval_density(desc, x_next, eps, density_name)
-        except (SingularStepError, DenominatorZeroError):
-            skipped += 1
-            continue
+
+    def trial(x):
+        here = KahanPair(desc, x, eps)
+        x_next = here.step.next
+        den = here.density(density_name)
+        num = eval_density(desc, x_next, eps, density_name)
         if abs(den) < 1e-8 * (1.0 + abs(num)):
             # density crosses zero at x; the ratio is meaningless there
-            skipped += 1
-            continue
+            return []
         det = float(np.linalg.det(map_jacobian(desc.field, x, eps)))
         ratio = num / den
-        violation = abs(ratio - det) / (1.0 + abs(ratio) + abs(det))
-        if violation > worst_violation:
-            worst_violation, worst_x = violation, x
-    return _report(
-        f"{desc.kind}.measure.{density_name}",
-        trials,
-        worst_violation,
-        MEASURE_TOL,
-        worst_x,
-        seed,
-        skipped,
-    )
+        return [abs(ratio - det) / (1.0 + abs(ratio) + abs(det))]
+
+    return _worst_trial(f"{desc.kind}.measure.{density_name}", desc, trials, eps, seed, MEASURE_TOL, trial)
 
 
 def check_identities_clebsch1(
@@ -242,42 +253,28 @@ def check_identities_clebsch1(
     sum c~_i m_i p~_i, sum c~_i m~_i p_i equals sum C_i m~_i p~_i.
     """
     desc = build_system("first_clebsch", FirstClebschParams(omega=tuple(omega)))
-    rng = np.random.default_rng(seed)
-    worst_violation = 0.0
-    worst_x = np.zeros(desc.dim)
-    skipped = 0
-    for _ in range(trials):
-        x = draw_initial_state(rng, desc, eps)
-        try:
-            x_next = kahan_step(desc.field, x, eps).next
-            c = eval_coeffs(desc, x, eps, "small_c")[:3]
-            c_next = eval_coeffs(desc, x_next, eps, "small_c")[:3]
-            big = eval_coeffs(desc, x, eps, "big_C")[:3]
-        except (SingularStepError, DenominatorZeroError):
-            skipped += 1
-            continue
+
+    def trial(x):
+        here = KahanPair(desc, x, eps)
+        x_next = here.step.next
+        c = here.coefficients("small_c")[:3]
+        c_next = eval_coeffs(desc, x_next, eps, "small_c")[:3]
+        big = here.coefficients("big_C")[:3]
         m, p = x[:3], x[3:]
         m_next, p_next = x_next[:3], x_next[3:]
         rhs_here = float(np.dot(big, m * p))
         rhs_next = float(np.dot(big, m_next * p_next))
-        for lhs, rhs in (
-            (float(np.dot(c, m_next * p)), rhs_here),
-            (float(np.dot(c, m * p_next)), rhs_here),
-            (float(np.dot(c_next, m * p_next)), rhs_next),
-            (float(np.dot(c_next, m_next * p)), rhs_next),
-        ):
-            violation = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-            if violation > worst_violation:
-                worst_violation, worst_x = violation, x
-    return _report(
-        "first_clebsch.identities",
-        trials,
-        worst_violation,
-        IDENTITY_TOL,
-        worst_x,
-        seed,
-        skipped,
-    )
+        return [
+            abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+            for lhs, rhs in (
+                (float(np.dot(c, m_next * p)), rhs_here),
+                (float(np.dot(c, m * p_next)), rhs_here),
+                (float(np.dot(c_next, m * p_next)), rhs_next),
+                (float(np.dot(c_next, m_next * p)), rhs_next),
+            )
+        ]
+
+    return _worst_trial("first_clebsch.identities", desc, trials, eps, seed, IDENTITY_TOL, trial)
 
 
 def run_suites(

@@ -1,5 +1,7 @@
 """Shared catalog instances and small helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from kahanmaps.integrals import denominator_witnesses
@@ -63,12 +65,23 @@ def unit_ball(rng, n):
 
 
 def safe_state(rng, desc, eps=0.05):
-    # redraw until every integral denominator is safely away from zero
-    while True:
+    # redraw until every integral denominator is finite and safely away from
+    # zero; give up after 1000 draws, naming the lowest witness seen
+    binding = (math.inf, None, math.nan)
+    for _ in range(1000):
         x = unit_ball(rng, desc.dim)
-        wits = denominator_witnesses(desc, x, eps)
-        if wits and min(wits) >= 1e-6:
+        ranked = [
+            (w if math.isfinite(w) else -math.inf, i, w)
+            for i, w in enumerate(denominator_witnesses(desc, x, eps))
+        ]
+        if ranked and min(ranked)[0] >= 1e-6:
             return x
+        binding = min([binding] + ranked)
+    raise ValueError(
+        f"no {desc.kind} state with every denominator witness finite and >= 1e-6 "
+        "in 1000 draws; binding witness: "
+        f"denominator_witnesses[{binding[1]}] = {binding[2]:.3e}"
+    )
 
 
 SIX_DIM_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch", "kirchhoff", "lagrange")

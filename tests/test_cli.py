@@ -2,17 +2,22 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+from conftest import ALL_KINDS, make_params, make_system, safe_state
 
 from kahanmaps.cli import (
     ExperimentConfig,
+    _fmt,
     config_to_json_dict,
     main,
     parse_config,
     run_command,
 )
+from kahanmaps.integrals import evaluate_named
+from kahanmaps.quadfield import SingularStepError, kahan_step
 
 KIRCHHOFF_DOC = {
     "system": "kirchhoff",
@@ -157,6 +162,17 @@ class TestSimulate:
         run_command(cfg, "simulate", str(tmp_path))
         assert (tmp_path / "orbit.csv").read_bytes() == first
 
+    def test_unbounded_redraw_is_a_config_error(self, tmp_path, capsys):
+        # at eps 1e200 c1 = 1 + inf - inf is nan for every draw; the redraw
+        # gives up after its bound and names the witness
+        doc = dict(KIRCHHOFF_DOC, a1=2.0, a3=1.0, steps=5)
+        path = write_config(tmp_path, doc)
+        code = main(["simulate", "--config", path, "--eps", "1e200", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1000 draws" in err
+        assert "denominator_witnesses[0] = nan" in err
+
     def test_seed_changes_drawn_orbit(self, tmp_path):
         doc = dict(KIRCHHOFF_DOC, steps=3)
         cfg_a = parse_config(write_config(tmp_path, dict(doc, seed=1)))
@@ -165,6 +181,96 @@ class TestSimulate:
         cfg_b = parse_config(write_config(tmp_path, dict(doc, seed=2)))
         run_command(cfg_b, "simulate", str(tmp_path))
         assert (tmp_path / "orbit.csv").read_bytes() != first
+
+
+def catalog_config(kind, steps, x0=None):
+    return ExperimentConfig(
+        kind=kind,
+        params=make_params(kind),
+        x0=x0,
+        eps=0.05,
+        steps=steps,
+        seed=42,
+        orders=None,
+        trials=10,
+    )
+
+
+def read_orbit(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def patch_kahan_step(monkeypatch, wrap):
+    # every package module that binds kahan_step by name gets the wrapper
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kahanmaps") and getattr(module, "kahan_step", None) is kahan_step:
+            monkeypatch.setattr(module, "kahan_step", wrap)
+
+
+# columns evaluated on the pair (x, x~): they need the row's successor
+BILINEAR = {"J0", "K", "G1", "G2", "G3", "C1", "C2", "C3", "C0", "R", "S", "Fhat"}
+
+
+class TestOnePassRows:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_cells_equal_direct_evaluation(self, kind, tmp_path):
+        # every cell, the last row included, equals evaluate_named at the
+        # row's state with its own forward step
+        cfg = catalog_config(kind, steps=50)
+        assert run_command(cfg, "simulate", str(tmp_path)) == 0
+        header, rows = read_orbit(tmp_path / "orbit.csv")
+        desc = make_system(kind)
+        dim = desc.dim
+        assert len(rows) == 50
+        for row in rows:
+            x = np.array([float(v) for v in row[1 : 1 + dim]])
+            for name, cell in zip(header[2 + dim :], row[2 + dim :]):
+                assert cell == _fmt(evaluate_named(desc, name, x, cfg.eps)), (kind, row[0], name)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_mid_orbit_pole_blanks_only_the_pair_cells(self, kind, tmp_path, monkeypatch, capsys):
+        # a pole at step k: row k-1 keeps its state-only cells, its bilinear
+        # and density cells read nan, and the orbit stops there
+        steps, k = 10, 6
+        desc = make_system(kind)
+        x0 = safe_state(np.random.default_rng(7), desc)
+        states = [x0]
+        for _ in range(k - 1):
+            states.append(kahan_step(desc.field, states[-1], 0.05).next)
+        cfg = catalog_config(kind, steps, x0=x0)
+        assert run_command(cfg, "simulate", str(tmp_path / "clean")) == 0
+        _, clean = read_orbit(tmp_path / "clean" / "orbit.csv")
+
+        def pole_at_step_k(field, x, eps):
+            if np.array_equal(x, states[k - 1]):
+                raise SingularStepError("pole placed by the test")
+            return kahan_step(field, x, eps)
+
+        patch_kahan_step(monkeypatch, pole_at_step_k)
+        assert run_command(cfg, "simulate", str(tmp_path / "pole")) == 0
+        assert f"pole at step {k} of {steps}" in capsys.readouterr().err
+        header, rows = read_orbit(tmp_path / "pole" / "orbit.csv")
+        assert len(rows) == k - 1
+        assert rows[: k - 2] == clean[: k - 2]
+        for name, cell, clean_cell in zip(header, rows[k - 2], clean[k - 2]):
+            paired = name in BILINEAR or name.startswith("density_")
+            assert cell == ("nan" if paired else clean_cell), (kind, name)
+            assert paired or cell != "nan", (kind, name)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_one_kahan_step_per_row(self, kind, tmp_path, monkeypatch):
+        # one step per row, one after the last row, and one to draw x0
+        calls = []
+
+        def counted(field, x, eps):
+            calls.append(1)
+            return kahan_step(field, x, eps)
+
+        patch_kahan_step(monkeypatch, counted)
+        cfg = catalog_config(kind, steps=50)
+        assert run_command(cfg, "simulate", str(tmp_path)) == 0
+        assert len(calls) <= cfg.steps + 2, (kind, len(calls))
 
 
 class TestVerifyCommand:

@@ -374,15 +374,15 @@ class TestExtractRatios:
         obs.append(constant_observable(1.0))
         report = hk_nullspace(orbit, obs, window=12)
         seqs = extract_integral_ratios(report, orbit, obs, pivot=3)
-        assert len(seqs) == 4
-        assert len(seqs[0]) >= 30
+        assert len(seqs.ratios) == 4
+        assert len(seqs.ratios[0]) >= 30
         assert not any(seqs.non_constant)
         c = eval_coeffs(desc, x0, eps, "small_c")
         for i in range(3):
             # coefficient over the pivot coefficient -c0
             expected = -c[i] / c[3]
-            assert np.max(np.abs(seqs[i] - expected)) <= 1e-9 * (1 + abs(expected))
-        assert seqs[3] == pytest.approx(np.ones(len(seqs[3])), rel=1e-15)
+            assert np.max(np.abs(seqs.ratios[i] - expected)) <= 1e-9 * (1 + abs(expected))
+        assert seqs.ratios[3] == pytest.approx(np.ones(len(seqs.ratios[3])), rel=1e-15)
 
     def test_third_order_ratios_are_integrals(self):
         # ratios of the order-3 null vector stay constant along the orbit
@@ -393,11 +393,11 @@ class TestExtractRatios:
         obs = wronskian_observables(3)
         report = hk_nullspace(orbit, obs, window=10)
         seqs = extract_integral_ratios(report, orbit, obs, pivot=2)
-        assert len(seqs[0]) >= 30
+        assert len(seqs.ratios[0]) >= 30
         assert not any(seqs.non_constant)
         for i in range(2):
-            spread = np.max(seqs[i]) - np.min(seqs[i])
-            assert spread <= 1e-9 * (1 + abs(np.median(seqs[i])))
+            spread = np.max(seqs.ratios[i]) - np.min(seqs.ratios[i])
+            assert spread <= 1e-9 * (1 + abs(np.median(seqs.ratios[i])))
 
     def test_tight_tolerance_flags_non_constancy(self):
         desc = make_system("first_clebsch")
@@ -415,7 +415,7 @@ class TestExtractRatios:
         obs = [constant_observable(1.0), constant_observable(-1.0)]
         report = hk_nullspace(orbit, obs, window=6)
         seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
-        assert seqs[1] == pytest.approx(np.ones(len(seqs[1])), abs=1e-12)
+        assert seqs.ratios[1] == pytest.approx(np.ones(len(seqs.ratios[1])), abs=1e-12)
 
     def test_requires_one_dimensional_null_space(self):
         orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)

@@ -234,13 +234,25 @@ class TestCoefficientStructure:
         c1, c3 = eval_coeffs(desc, x, 0.05, "small_c")
         assert eval_I0(desc, x, 0.05) == pytest.approx(c3 / c1, rel=1e-14)
 
-    def test_first_clebsch_closed_form_self_check_passes(self):
+    def test_first_clebsch_closed_form(self):
+        # the coefficient vectors are projectively [1 + eps^2 w_i V : V] with
+        # V = I0 (state-only) and [1 - eps^2 w_i V : V] with V = J0 (bilinear):
+        # c_i V = (1 + eps^2 w_i V) c0 and C_i V = (1 - eps^2 w_i V) C0, to 1e-11
         desc = make_system("first_clebsch")
+        omega = desc.params.omega
+        eps = 0.12
         rng = np.random.default_rng(43)
         for _ in range(20):
             x = unit_ball(rng, 6)
-            eval_coeffs(desc, x, 0.12, "small_c")
-            eval_coeffs(desc, x, 0.12, "big_C")  # raises RuntimeError on failure
+            for coeff_kind, value, sign in (
+                ("small_c", eval_I0(desc, x, eps), 1.0),
+                ("big_C", eval_J0(desc, x, eps), -1.0),
+            ):
+                vec = eval_coeffs(desc, x, eps, coeff_kind)
+                for ci, wi in zip(vec[:3], omega):
+                    lhs = ci * value
+                    rhs = (1.0 + sign * eps * eps * wi * value) * vec[3]
+                    assert abs(lhs - rhs) <= 1e-11 * (abs(lhs) + abs(rhs) + 1.0), coeff_kind
 
     def test_invalid_kind_argument(self):
         desc = make_system("first_clebsch")

@@ -16,7 +16,6 @@ from kahanmaps.systems import (
     build_system,
     central_gradient,
     clebsch_condition_residual,
-    clebsch_derived_params,
     clebsch_params_from_decomposition,
     continuous_invariants,
     continuous_wronskian_residual,
@@ -139,21 +138,21 @@ class TestClebschCondition:
 
     def test_incompatible_parameters_rejected(self):
         with pytest.raises(ValueError, match="condition"):
-            clebsch_derived_params((1, 2, 3), (3, 2, 1))
+            ClebschParams(a=(1, 2, 3), b=(3, 2, 1))
 
     def test_derived_params_frozen_example(self):
-        pr = clebsch_derived_params((1.0, 2.0, 3.0), (-6.0, -3.0, -2.0))
+        pr = ClebschParams(a=(1.0, 2.0, 3.0), b=(-6.0, -3.0, -2.0))
         assert pr.beta == pytest.approx(1.0, abs=1e-13)
         assert np.allclose(pr.wcoef, [-1 / 6, 5 / 6, 7 / 6], atol=1e-14)
         assert not pr.degenerate
 
     def test_constant_a_gives_beta_zero(self):
-        pr = clebsch_derived_params((1.0, 1.0, 1.0), (1.0, 2.0, 5.0))
+        pr = ClebschParams(a=(1.0, 1.0, 1.0), b=(1.0, 2.0, 5.0))
         assert pr.beta == 0.0
         assert not pr.degenerate
 
     def test_fully_constant_parameters_flagged_degenerate(self):
-        pr = clebsch_derived_params((2.0, 2.0, 2.0), (3.0, 3.0, 3.0))
+        pr = ClebschParams(a=(2.0, 2.0, 2.0), b=(3.0, 3.0, 3.0))
         assert pr.degenerate
 
     def test_supplied_beta_must_agree(self):
@@ -163,7 +162,7 @@ class TestClebschCondition:
 
 class TestDecomposition:
     def test_frozen_example_both_roots(self):
-        pr = clebsch_derived_params((1.0, 2.0, 3.0), (-6.0, -3.0, -2.0))
+        pr = ClebschParams(a=(1.0, 2.0, 3.0), b=(-6.0, -3.0, -2.0))
         roots = decompose_clebsch(pr)
         assert len(roots) == 2
         alphas = [alpha for alpha, _ in roots]
@@ -179,7 +178,7 @@ class TestDecomposition:
             assert np.allclose(back.b, pr.b, atol=1e-12)
 
     def test_beta_zero_rejected(self):
-        pr = clebsch_derived_params((1.0, 1.0, 1.0), (1.0, 2.0, 5.0))
+        pr = ClebschParams(a=(1.0, 1.0, 1.0), b=(1.0, 2.0, 5.0))
         with pytest.raises(ValueError, match="beta"):
             decompose_clebsch(pr)
 
@@ -190,7 +189,7 @@ class TestBuildSystem:
             build_system("rigid_body", None)
 
     def test_general_clebsch_requires_nonzero_beta(self):
-        pr = clebsch_derived_params((1.0, 1.0, 1.0), (1.0, 2.0, 5.0))
+        pr = ClebschParams(a=(1.0, 1.0, 1.0), b=(1.0, 2.0, 5.0))
         with pytest.raises(ValueError, match="first_clebsch"):
             build_system("general_clebsch", pr)
 
