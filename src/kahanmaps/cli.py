@@ -222,12 +222,12 @@ def _scan_orders(cfg: ExperimentConfig, desc):
     pairs = conjugate_pairs(desc.dim)
     window = default_window(len(pairs))
     x0 = _resolve_x0(cfg, desc)
+    # one orbit long enough for the highest order; each window reads a prefix
+    orbit = iterate_orbit(desc.field, x0, cfg.eps, window - 1 + max(orders))
     results = []
     for order in orders:
         observables = WronskianBasisSpec(order=order, pairs=pairs).observables()
-        orbit = iterate_orbit(desc.field, x0, cfg.eps, window - 1 + order)
-        report = hk_nullspace(orbit, observables, window)
-        results.append((order, report))
+        results.append((order, hk_nullspace(orbit, observables, window)))
     return x0, window, results
 
 

@@ -5,15 +5,23 @@ coefficient vector annihilates the observable values along every orbit.
 On a finite orbit this becomes a null-space question for the window
 matrix M[r][s] = (observable s at orbit point start+r): a one-dimensional
 null space whose vector varies only with the initial point turns the
-coefficient ratios into integrals of the map.  Observables are callables
-(orbit, base) -> real so that a single window matrix can mix state
-functions, bilinear functions of consecutive points, and discrete
-Wronskians that look several steps ahead.
+coefficient ratios into integrals of the map.
+
+An observable produces a whole column: observe(orbit, bases) takes an int
+array of base points and returns one value per base.  Its `reach` is the
+number of successor states a value reads: 0 for state and constant
+observables, 1 for bilinear ones, ell for an order-ell discrete Wronskian,
+so the value at base b needs orbit points b .. b + reach.  A window matrix
+is its observables' columns stacked side by side, so state functions,
+bilinear functions of consecutive points and Wronskians that look several
+steps ahead mix freely in one matrix.
 
 Null-space detection uses a full singular-value decomposition with the
 relative threshold NULL_SIGMA_FACTOR and reports the spectral gap as a
 quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
+Ratio extraction builds the columns once over the whole orbit and takes
+the decompositions of all its sliding windows in one stacked call.
 """
 
 from __future__ import annotations
@@ -29,9 +37,6 @@ from .systems import central_gradient
 NULL_SIGMA_FACTOR = 1e-9
 ANNIHILATION_FACTOR = 1e-10
 PIVOT_FLOOR = 1e-6
-
-Observable = Callable[["OrbitRecord", int], float]
-
 
 @dataclass(frozen=True)
 class OrbitRecord:
@@ -119,55 +124,69 @@ def iterate_orbit(
     )
 
 
-def discrete_wronskian(orbit: OrbitRecord, ell: int, pair: tuple, base: int) -> float:
+@dataclass(frozen=True)
+class Observable:
+    """A column of values along an orbit.
+
+    column(states, bases) returns one value per base, in the shape of the
+    int array bases; the value at base b reads states b .. b + reach, which
+    calling the observable checks.
+    """
+
+    column: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    reach: int
+
+    def __call__(self, orbit: OrbitRecord, bases: np.ndarray) -> np.ndarray:
+        bases = np.asarray(bases)
+        points = orbit.states.shape[0]
+        if bases.size and (bases.min() < 0 or bases.max() + self.reach >= points):
+            raise IndexError(
+                f"bases {bases.min()}..{bases.max()} with reach {self.reach} "
+                f"exceed orbit of {points} points"
+            )
+        return self.column(orbit.states, bases)
+
+
+def wronskian_observable(ell: int, pair: tuple) -> Observable:
     """x_i at base+ell times x_j at base, minus x_i at base times x_j at base+ell."""
     if ell < 1:
         raise ValueError("order must be >= 1")
     i, j = pair
-    if not (0 <= i < orbit.dim and 0 <= j < orbit.dim):
-        raise IndexError(f"pair {pair} outside dimension {orbit.dim}")
-    if base < 0 or base + ell >= orbit.states.shape[0]:
-        raise IndexError(
-            f"base {base} with order {ell} exceeds orbit of {orbit.states.shape[0]} points"
-        )
-    s = orbit.states
-    return float(s[base + ell, i] * s[base, j] - s[base, i] * s[base + ell, j])
+
+    def column(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        dim = states.shape[1]
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise IndexError(f"pair {pair} outside dimension {dim}")
+        return states[bases + ell, i] * states[bases, j] - states[bases, i] * states[bases + ell, j]
+
+    return Observable(column, reach=ell)
 
 
-def wronskian_observable(ell: int, pair: tuple) -> Observable:
-    def observe(orbit: OrbitRecord, base: int) -> float:
-        return discrete_wronskian(orbit, ell, pair, base)
-
-    return observe
+def discrete_wronskian(orbit: OrbitRecord, ell: int, pair: tuple, base: int) -> float:
+    """The order-ell Wronskian of the pair at one base."""
+    return float(wronskian_observable(ell, pair)(orbit, np.array([base]))[0])
 
 
 def state_observable(fn: Callable[[np.ndarray], float]) -> Observable:
     """Wrap a plain function of the state."""
 
-    def observe(orbit: OrbitRecord, base: int) -> float:
-        if base < 0 or base >= orbit.states.shape[0]:
-            raise IndexError(f"base {base} outside orbit")
-        return float(fn(orbit.states[base]))
+    def column(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.vectorize(lambda b: float(fn(states[b])), otypes=[float])(bases)
 
-    return observe
+    return Observable(column, reach=0)
 
 
 def bilinear_observable(fn: Callable[[np.ndarray, np.ndarray], float]) -> Observable:
     """Wrap a function of a state and its successor on the orbit."""
 
-    def observe(orbit: OrbitRecord, base: int) -> float:
-        if base < 0 or base + 1 >= orbit.states.shape[0]:
-            raise IndexError(f"base {base} needs a successor state")
-        return float(fn(orbit.states[base], orbit.states[base + 1]))
+    def column(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
+        return np.vectorize(lambda b: float(fn(states[b], states[b + 1])), otypes=[float])(bases)
 
-    return observe
+    return Observable(column, reach=1)
 
 
 def constant_observable(value: float = 1.0) -> Observable:
-    def observe(orbit: OrbitRecord, base: int) -> float:
-        return float(value)
-
-    return observe
+    return Observable(lambda states, bases: np.full(bases.shape, float(value)), reach=0)
 
 
 def conjugate_pairs(dim: int) -> tuple:
@@ -225,39 +244,30 @@ class HKNullSpaceReport:
 def _window_matrix(
     orbit: OrbitRecord, observables: Sequence[Observable], window: int, start: int
 ) -> np.ndarray:
-    m = len(observables)
-    rows = np.empty((window, m))
+    """Rows start .. start + window - 1: one column per observable."""
+    bases = np.arange(start, start + window)
     try:
-        for r in range(window):
-            for s, observe in enumerate(observables):
-                rows[r, s] = observe(orbit, start + r)
+        return np.column_stack([observe(orbit, bases) for observe in observables])
     except IndexError as exc:
         raise ValueError(
             f"orbit too short for window of {window} rows starting at {start}"
         ) from exc
-    if not np.isfinite(rows).all():
-        raise ValueError("observable produced a non-finite value inside the window")
-    return rows
 
 
-def hk_nullspace(
-    orbit: OrbitRecord,
-    observables: Sequence[Observable],
-    window: int,
-    start: int = 0,
-) -> HKNullSpaceReport:
-    """Singular spectrum and annihilating vectors of the window matrix.
+def _check_window(m: int, window: int) -> None:
+    if window < m + 2:
+        raise ValueError(f"window must be at least {m + 2} for {m} observables")
+
+
+def _null_vectors(rows: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple:
+    """Accepted null vectors of one window matrix and its spectral gap.
 
     Trailing singular directions count toward the null space only while
     sigma < NULL_SIGMA_FACTOR * sigma_max and the normalized vector
     annihilates the matrix to ANNIHILATION_FACTOR * sigma_max.  Vectors
     are scaled so their largest-magnitude entry is +1.
     """
-    m = len(observables)
-    if window < m + 2:
-        raise ValueError(f"window must be at least {m + 2} for {m} observables")
-    rows = _window_matrix(orbit, observables, window, start)
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    m = rows.shape[1]
     sigma_max = sv[0]
     accepted: list[np.ndarray] = []
     for idx in range(m - 1, -1, -1):
@@ -270,20 +280,34 @@ def hk_nullspace(
         accepted.append(v)
     null_dim = len(accepted)
     if null_dim == 0:
-        gap = 0.0  # sentinel: no spectral split to report
-        vectors = np.empty((0, m))
+        return np.empty((0, m)), 0.0  # gap 0.0: sentinel, no spectral split to report
+    if null_dim == m or sv[m - null_dim] == 0:
+        gap = np.inf
     else:
-        if null_dim == m or sv[m - null_dim] == 0:
-            gap = np.inf
-        else:
-            gap = sv[m - null_dim - 1] / sv[m - null_dim]
-        vectors = np.array(accepted[::-1])
+        gap = sv[m - null_dim - 1] / sv[m - null_dim]
+    return np.array(accepted[::-1]), float(gap)
+
+
+def hk_nullspace(
+    orbit: OrbitRecord,
+    observables: Sequence[Observable],
+    window: int,
+    start: int = 0,
+) -> HKNullSpaceReport:
+    """Singular spectrum and annihilating vectors (see _null_vectors) of the
+    window matrix of `window` rows from orbit point `start`."""
+    _check_window(len(observables), window)
+    rows = _window_matrix(orbit, observables, window, start)
+    if not np.isfinite(rows).all():
+        raise ValueError("observable produced a non-finite value inside the window")
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    vectors, gap = _null_vectors(rows, sv, vt)
     return HKNullSpaceReport(
         singular_values=sv,
-        null_dim=null_dim,
+        null_dim=len(vectors),
         coeff_vectors=vectors,
         window=(start, window),
-        gap_ratio=float(gap),
+        gap_ratio=gap,
     )
 
 
@@ -304,30 +328,37 @@ def extract_integral_ratios(
     tol: float = 1e-9,
 ) -> RatioSequences:
     """Recompute the null vector on every window the orbit affords and
-    divide by the pivot coefficient; constant sequences are integrals."""
+    divide by the pivot coefficient; constant sequences are integrals.
+
+    Windows slide by one point from the report's start and stop before the
+    first one that runs past the orbit or holds a non-finite value.
+    """
     if report.null_dim != 1:
         raise ValueError(f"requires null_dim 1, report has {report.null_dim}")
     m = len(observables)
     if not 0 <= pivot < m:
         raise ValueError(f"pivot {pivot} outside {m} observables")
     start, window = report.window
-    columns: list[list[float]] = [[] for _ in range(m)]
-    while start <= orbit.states.shape[0]:
-        try:
-            sub = hk_nullspace(orbit, observables, window, start=start)
-        except ValueError:
-            break
-        if sub.null_dim != 1:
+    _check_window(m, window)
+    stop = orbit.states.shape[0] - max(observe.reach for observe in observables)
+    rows = _window_matrix(orbit, observables, max(stop - start, 0), start)
+    finite = np.isfinite(rows).all(axis=1)
+    usable = rows.shape[0] if finite.all() else int(np.argmin(finite))
+    count = max(usable - window + 1, 0)
+    windows = rows[np.arange(count)[:, None] + np.arange(window)]
+    _, sv, vt = np.linalg.svd(windows, full_matrices=False)
+    table = np.empty((count, m))
+    for k in range(count):
+        vectors, _ = _null_vectors(windows[k], sv[k], vt[k])
+        if len(vectors) != 1:
             raise RuntimeError(
-                f"null space dimension {sub.null_dim} != 1 at window start {start}"
+                f"null space dimension {len(vectors)} != 1 at window start {start + k}"
             )
-        v = sub.coeff_vectors[0]
+        v = vectors[0]
         if abs(v[pivot]) < PIVOT_FLOOR * np.max(np.abs(v)):
-            raise ValueError(f"pivot coefficient degenerate at window start {start}")
-        for s in range(m):
-            columns[s].append(v[s] / v[pivot])
-        start += 1
-    ratios = tuple(np.array(col) for col in columns)
+            raise ValueError(f"pivot coefficient degenerate at window start {start + k}")
+        table[k] = v / v[pivot]
+    ratios = tuple(table.T.copy())
     flags = []
     for seq in ratios:
         center = float(np.median(seq))
@@ -340,9 +371,15 @@ def functional_rank(
     x: np.ndarray,
     threshold: float = 1e-7,
 ) -> int:
-    """Numerical rank of the stacked finite-difference gradients at x."""
+    """Numerical rank of the finite-difference gradients at x.
+
+    Each gradient row is scaled to unit length first (zero rows stay zero),
+    so one steep integral cannot push the others under the threshold.
+    """
     x = np.asarray(x, dtype=float)
     grads = np.array([central_gradient(fn, x) for fn in integrals])
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    grads = np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
     sv = np.linalg.svd(grads, compute_uv=False)
     if sv[0] == 0:
         return 0

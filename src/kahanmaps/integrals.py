@@ -192,12 +192,18 @@ def eval_K(x, eps: float, omega) -> float:
     return evaluate_named(desc, "K", x, eps)
 
 
+@lru_cache(maxsize=32)
+def _planar_system(params) -> SystemDescriptor:
+    # PlanarFamilyParams hashes by identity, so this builds once per params object
+    return build_system("planar_family", params)
+
+
 def eval_planar_F(params, x, eps: float, variant: str = "F") -> float:
     """Planar family conserved quantities F (state-only) and Fhat (bilinear,
     one forward step). Accepts PlanarFamilyParams or the built descriptor."""
     if variant not in ("F", "Fhat"):
         raise ValueError(f"variant must be 'F' or 'Fhat', got '{variant}'")
-    desc = params if isinstance(params, SystemDescriptor) else build_system("planar_family", params)
+    desc = params if isinstance(params, SystemDescriptor) else _planar_system(params)
     return evaluate_named(desc, variant, x, eps)
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import ALL_KINDS, make_params, make_system, safe_state
 
+import kahanmaps.cli as cli
 from kahanmaps.cli import (
     ExperimentConfig,
     _fmt,
@@ -16,8 +17,10 @@ from kahanmaps.cli import (
     parse_config,
     run_command,
 )
+from kahanmaps.hkbasis import WronskianBasisSpec, conjugate_pairs, hk_nullspace, iterate_orbit
 from kahanmaps.integrals import evaluate_named
 from kahanmaps.quadfield import SingularStepError, kahan_step
+from kahanmaps.systems import build_system
 
 KIRCHHOFF_DOC = {
     "system": "kirchhoff",
@@ -313,6 +316,29 @@ class TestHkScan:
         run_command(cfg, "hk-scan", str(tmp_path))
         scan = json.loads((tmp_path / "hkscan.json").read_text())
         assert [entry["order"] for entry in scan["orders"]] == [1, 2]
+
+    def test_one_orbit_serves_every_order(self, tmp_path, monkeypatch):
+        steps = []
+
+        def counting_orbit(field, x0, eps, n):
+            steps.append(n)
+            return iterate_orbit(field, x0, eps, n)
+
+        monkeypatch.setattr(cli, "iterate_orbit", counting_orbit)
+        x0 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        doc = dict(KIRCHHOFF_DOC, orders=[3, 1, 4, 2], x0=x0, eps=0.05)
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert run_command(cfg, "hk-scan", str(tmp_path)) == 0
+        scan = json.loads((tmp_path / "hkscan.json").read_text())
+        assert steps == [scan["window"] - 1 + 4]
+        desc = build_system(cfg.kind, cfg.params)
+        for entry in scan["orders"]:
+            # the order's own orbit, as short as its window allows
+            order = entry.pop("order")
+            orbit = iterate_orbit(desc.field, np.array(x0), 0.05, scan["window"] - 1 + order)
+            obs = WronskianBasisSpec(order, conjugate_pairs(6)).observables()
+            expected = hk_nullspace(orbit, obs, scan["window"]).to_json_dict()
+            assert entry == json.loads(json.dumps(expected)), order
 
     def test_planar_scan_is_config_error(self, tmp_path, capsys):
         doc = {

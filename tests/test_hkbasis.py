@@ -11,10 +11,11 @@ against the closed-form coefficient evaluations.
 import numpy as np
 import pytest
 
-from conftest import make_system, safe_state, unit_ball
+from conftest import SIX_DIM_KINDS, make_system, safe_state, unit_ball
 from kahanmaps.hkbasis import (
     HKNullSpaceReport,
     OrbitRecord,
+    _window_matrix,
     WronskianBasisSpec,
     bilinear_observable,
     conjugate_pairs,
@@ -60,6 +61,39 @@ def normalize(v):
 
 def wronskian_observables(order, dim=6):
     return WronskianBasisSpec(order, conjugate_pairs(dim)).observables()
+
+
+def per_window_ratios(report, orbit, observables, pivot):
+    """Reference for extract_integral_ratios: one hk_nullspace call (one
+    window build, one SVD) per window start, until a window cannot be built."""
+    start, window = report.window
+    rows = []
+    while True:
+        try:
+            sub = hk_nullspace(orbit, observables, window, start=start)
+        except ValueError:
+            break
+        if sub.null_dim != 1:
+            raise RuntimeError(
+                f"null space dimension {sub.null_dim} != 1 at window start {start}"
+            )
+        v = sub.coeff_vectors[0]
+        if abs(v[pivot]) < 1e-6 * np.max(np.abs(v)):
+            raise ValueError(f"pivot coefficient degenerate at window start {start}")
+        rows.append([v[s] / v[pivot] for s in range(len(observables))])
+        start += 1
+    return np.array(rows).reshape(-1, len(observables)).T
+
+
+def scalar_mixed_observables(eps):
+    """x, x~, x x~ and 1 on the scalar orbit: the step x~ = x/(1 - 2 eps x)
+    makes x - x~ + 2 eps x x~ vanish, the only relation among them."""
+    return [
+        state_observable(lambda x: x[0]),
+        bilinear_observable(lambda x, y: y[0]),
+        bilinear_observable(lambda x, y: x[0] * y[0]),
+        constant_observable(1.0),
+    ]
 
 
 class TestIterateOrbit:
@@ -198,12 +232,73 @@ class TestBasisSpec:
         with pytest.raises(ValueError, match="pair"):
             WronskianBasisSpec(1, ())
 
+    def test_reach_is_the_successor_count(self):
+        assert wronskian_observable(3, (0, 1)).reach == 3
+        assert state_observable(lambda x: x[0]).reach == 0
+        assert bilinear_observable(lambda x, y: x[0] * y[0]).reach == 1
+        assert constant_observable(2.0).reach == 0
+        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        assert list(bilinear_observable(lambda x, y: x[0] * y[1])(orbit, np.arange(2))) == [
+            5.0,
+            33.0,
+        ]
+        assert state_observable(lambda x: x[1])(orbit, 2) == 11.0
+        with pytest.raises(IndexError):
+            bilinear_observable(lambda x, y: x[0])(orbit, np.arange(3))
+        with pytest.raises(IndexError):
+            wronskian_observable(2, (0, 1))(orbit, np.array([1]))
+
     def test_spec_observables_match_direct_calls(self):
         orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         spec = WronskianBasisSpec(1, ((0, 1),))
         obs = spec.observables()
         assert len(obs) == 1
         assert obs[0](orbit, 1) == discrete_wronskian(orbit, 1, (0, 1), 1)
+
+
+class TestColumnWindows:
+    @pytest.mark.parametrize("kind", SIX_DIM_KINDS)
+    def test_columns_equal_per_cell_wronskians(self, kind):
+        desc = make_system(kind)
+        eps = 0.05
+        x0 = safe_state(np.random.default_rng(40), desc, eps)
+        orbit = iterate_orbit(desc.field, x0, eps, 40)
+        s = orbit.states
+        pairs = conjugate_pairs(6)
+        for order in (1, 2, 3, 4):
+            obs = wronskian_observables(order)
+            rows = 41 - order
+            built = _window_matrix(orbit, obs, rows, 0)
+            cells = np.array(
+                [[discrete_wronskian(orbit, order, p, b) for p in pairs] for b in range(rows)]
+            )
+            # the scalar formula, one cell at a time
+            loop = np.array(
+                [
+                    [s[b + order, i] * s[b, j] - s[b, i] * s[b + order, j] for i, j in pairs]
+                    for b in range(rows)
+                ]
+            )
+            assert built.tobytes() == cells.tobytes() == loop.tobytes(), order
+            assert _window_matrix(orbit, obs, 10, 7).tobytes() == loop[7:17].tobytes()
+
+    def test_mixed_window_equals_per_cell_values(self):
+        eps = 0.01
+        orbit = iterate_orbit(scalar_field(), np.array([0.3]), eps, 12)
+        x = orbit.states[:, 0]
+        built = _window_matrix(orbit, scalar_mixed_observables(eps), 8, 2)
+        cells = [[x[b], x[b + 1], x[b] * x[b + 1], 1.0] for b in range(2, 10)]
+        assert built.tobytes() == np.array(cells).tobytes()
+        report = hk_nullspace(orbit, scalar_mixed_observables(eps), window=8, start=2)
+        assert report.null_dim == 1
+        v = report.coeff_vectors[0]
+        assert v / v[0] == pytest.approx([1.0, -1.0, 2 * eps, 0.0], abs=1e-9)
+
+    def test_window_past_reach_rejected(self):
+        orbit = iterate_orbit(scalar_field(), np.array([0.3]), 0.01, 8)
+        # bases 3..8 need the successor of point 8, which the orbit lacks
+        with pytest.raises(ValueError, match="orbit too short for window of 6 rows starting at 3"):
+            hk_nullspace(orbit, scalar_mixed_observables(0.01), window=6, start=3)
 
 
 class TestHkNullspace:
@@ -425,6 +520,90 @@ class TestExtractRatios:
         with pytest.raises(ValueError, match="null"):
             extract_integral_ratios(report, orbit, obs, pivot=0)
 
+    @pytest.mark.parametrize("kind", SIX_DIM_KINDS)
+    def test_equals_separate_window_null_spaces(self, kind):
+        desc = make_system(kind)
+        eps = 0.05
+        x0 = safe_state(np.random.default_rng(41), desc, eps)
+        orbit = iterate_orbit(desc.field, x0, eps, 60)
+        for order in (1, 2, 3, 4):
+            obs = wronskian_observables(order)
+            report = hk_nullspace(orbit, obs, window=10, start=1)
+            seqs = extract_integral_ratios(report, orbit, obs, pivot=2)
+            expected = per_window_ratios(report, orbit, obs, pivot=2)
+            assert len(seqs.ratios[0]) == 60 - order - 10 + 1 == expected.shape[1]
+            for got, want in zip(seqs.ratios, expected):
+                assert got.tobytes() == want.tobytes(), order
+
+    def test_mixed_observables_extracted(self):
+        eps = 0.01
+        orbit = iterate_orbit(scalar_field(), np.array([0.3]), eps, 30)
+        obs = scalar_mixed_observables(eps)
+        report = hk_nullspace(orbit, obs, window=6)
+        seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
+        expected = per_window_ratios(report, orbit, obs, pivot=0)
+        assert [r.tobytes() for r in seqs.ratios] == [r.tobytes() for r in expected]
+        # bases 0..29 have a successor: 25 windows of 6 rows
+        assert len(seqs.ratios[0]) == 25
+        assert not any(seqs.non_constant[:3])
+        assert seqs.ratios[2] == pytest.approx(np.full(25, 2 * eps), rel=1e-9)
+
+    def test_orbit_stopped_at_pole_ends_the_sequence(self):
+        # 1/x_0 = 0.42 = 2 eps (20 + 1): the pole is the attempt at step 20
+        eps = 0.01
+        orbit = iterate_orbit(scalar_field(), np.array([1.0 / 0.42]), eps, 40)
+        assert orbit.hit_pole and orbit.steps == 20
+        obs = scalar_mixed_observables(eps)
+        report = hk_nullspace(orbit, obs, window=6)
+        seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
+        expected = per_window_ratios(report, orbit, obs, pivot=0)
+        # 21 points, bases 0..19 have a successor: starts 0..14
+        assert len(seqs.ratios[0]) == expected.shape[1] == 15
+        assert [r.tobytes() for r in seqs.ratios] == [r.tobytes() for r in expected]
+
+    def test_non_finite_row_ends_the_sequence(self):
+        eps = 0.01
+        states = iterate_orbit(scalar_field(), np.array([0.3]), eps, 30).states.copy()
+        states[15] = np.nan
+        orbit = synthetic_record(states, eps)
+        obs = scalar_mixed_observables(eps)
+        report = hk_nullspace(orbit, obs, window=6)
+        seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
+        expected = per_window_ratios(report, orbit, obs, pivot=0)
+        # base 14 reads the NaN point as its successor: starts 0..8 stay finite
+        assert len(seqs.ratios[0]) == expected.shape[1] == 9
+        assert [r.tobytes() for r in seqs.ratios] == [r.tobytes() for r in expected]
+
+    def test_null_dimension_change_names_window_start(self):
+        # x1 = 2 x0 + 1 on points 0..5 only, so the window from point 2 on
+        # loses its null vector
+        x0 = np.array([0.1, 0.4, -0.3, 0.7, 0.2, -0.5, 0.9, 0.3, -0.1])
+        x1 = 2.0 * x0 + 1.0
+        x1[6:] += np.array([0.3, -0.2, 0.5])
+        orbit = synthetic_record(np.column_stack([x0, x1]))
+        obs = [
+            state_observable(lambda x: x[0]),
+            state_observable(lambda x: x[1]),
+            constant_observable(1.0),
+        ]
+        report = hk_nullspace(orbit, obs, window=5, start=1)
+        assert report.null_dim == 1
+        message = "null space dimension 0 != 1 at window start 2"
+        with pytest.raises(RuntimeError, match=message):
+            per_window_ratios(report, orbit, obs, pivot=0)
+        with pytest.raises(RuntimeError, match=message):
+            extract_integral_ratios(report, orbit, obs, pivot=0)
+
+    def test_degenerate_pivot_names_window_start(self):
+        orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
+        obs = [state_observable(lambda x: x[0]), constant_observable(0.0)]
+        report = hk_nullspace(orbit, obs, window=6, start=3)
+        message = "pivot coefficient degenerate at window start 3"
+        with pytest.raises(ValueError, match=message):
+            per_window_ratios(report, orbit, obs, pivot=0)
+        with pytest.raises(ValueError, match=message):
+            extract_integral_ratios(report, orbit, obs, pivot=0)
+
     def test_degenerate_pivot_rejected(self):
         orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
         obs = [state_observable(lambda x: x[0]), constant_observable(0.0)]
@@ -445,6 +624,16 @@ class TestFunctionalRank:
     def test_coordinates_have_full_rank(self):
         fns = [lambda x, i=i: x[i] for i in range(4)]
         assert functional_rank(fns, np.zeros(6)) == 4
+
+    def test_steep_integral_does_not_mask_another(self):
+        # raw gradient rows e0 and 1e9 e1 have sigma_2 / sigma_1 = 1e-9
+        fns = [lambda x: float(x[0]), lambda x: 1e9 * float(x[1])]
+        assert functional_rank(fns, np.full(6, 0.3)) == 2
+
+    def test_zero_gradient_adds_no_rank(self):
+        fns = [lambda x: float(x[0]), lambda x: 5.0]
+        assert functional_rank(fns, np.full(6, 0.3)) == 1
+        assert functional_rank([lambda x: 5.0], np.full(6, 0.3)) == 0
 
     def test_functional_dependence_detected(self):
         desc = make_system("kirchhoff")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import ALL_KINDS, SIX_DIM_KINDS, make_system, safe_state, unit_ball
 
+import kahanmaps.integrals as integrals
 from kahanmaps.integrals import (
     DenominatorZeroError,
     IntegralSuiteResult,
@@ -293,6 +294,23 @@ class TestPlanarFamily:
     def test_variant_validated(self):
         with pytest.raises(ValueError, match="variant"):
             eval_planar_F(make_system("planar_family").params, np.zeros(3), 0.05, "G")
+
+    def test_system_built_once_per_params_object(self, monkeypatch):
+        calls = []
+
+        def counting_build(kind, params):
+            calls.append(kind)
+            return build_system(kind, params)
+
+        monkeypatch.setattr(integrals, "build_system", counting_build)
+        pr = PlanarFamilyParams(qform=(1.0, 0.2, -2.0), ell=(0.5, -0.3), ell0=1.0)
+        x = np.array([0.1, -0.2])
+        values = [eval_planar_F(pr, x, 0.05, variant) for variant in ("F", "Fhat") * 10]
+        assert calls == ["planar_family"]
+        assert values[::2] == [values[0]] * 10
+        twin = PlanarFamilyParams(qform=(1.0, 0.2, -2.0), ell=(0.5, -0.3), ell0=1.0)
+        assert eval_planar_F(twin, x, 0.05, "F") == values[0]
+        assert len(calls) == 2
 
 
 class TestPolarizeSubstitution:
