@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from kahanmaps.quadfield import KahanStepResult, SingularStepError, delta, kahan_step
+from kahanmaps.quadfield import KahanStepResult, SingularStepError, kahan_step
 from kahanmaps.systems import (
     KINDS,
     DenominatorZeroError,
@@ -60,13 +60,14 @@ class KahanPair:
     """A state x and its Kahan successor x~, on which the named quantities of
     the system are evaluated.
 
-    The forward step is taken at most once: pass it as step when the orbit
-    already holds it, otherwise the first quantity that needs x~ takes it. A
-    pole there is kept and raised again by every quantity that needs x~.
-    Vectors that several names share are computed once per pair.
+    The forward step is taken at most once: pass it as step when the caller
+    already holds it (a KahanStepResult, or the SingularStepError of a pole,
+    as KahanBatch.row gives them), otherwise the first quantity that needs x~
+    takes it. A pole there is kept and raised again by every quantity that
+    needs x~. Vectors that several names share are computed once per pair.
     """
 
-    def __init__(self, desc: SystemDescriptor, x, eps: float, step: Optional[KahanStepResult] = None):
+    def __init__(self, desc: SystemDescriptor, x, eps: float, step=None):
         self.desc = desc
         self.params = desc.params
         self.x = np.asarray(x, dtype=float)
@@ -138,6 +139,12 @@ class KahanPair:
         if not names:
             raise ValueError(f"coefficient vectors are not defined for {self.desc.kind}")
         return np.array([self.value(name) for name in names])
+
+    def witnesses(self) -> list:
+        """Magnitudes of every denominator the system's quantities divide by
+        at x (see denominator_witnesses)."""
+        spec = KINDS.get(self.desc.kind)
+        return spec.witnesses(self) if spec else []
 
 
 def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:
@@ -233,8 +240,7 @@ def denominator_witnesses(desc: SystemDescriptor, x, eps: float) -> list:
     Used by the random-state rejection rule (draws must keep all of these
     finite and at or above 1e-6). Kinds outside the catalog have none.
     """
-    spec = KINDS.get(desc.kind)
-    return spec.witnesses(KahanPair(desc, x, eps)) if spec else []
+    return KahanPair(desc, x, eps).witnesses()
 
 
 class MeasureHypothesisReport(NamedTuple):
@@ -274,10 +280,10 @@ def measure_hypothesis_check(
         a = phat(u, v, eps)
         b = phat(v, u, eps)
         sym = max(sym, abs(a - b) / (abs(a) + abs(b) + 1.0))
-    fwd = kahan_step(desc.field, x, eps).next
-    bwd = kahan_step(desc.field, x, -eps).next
-    plus = phat(x, fwd, eps) * delta(desc.field, x, eps)
-    minus = phat(x, bwd, eps) * delta(desc.field, x, -eps)
+    fwd = kahan_step(desc.field, x, eps)
+    bwd = kahan_step(desc.field, x, -eps)
+    plus = phat(x, fwd.next, eps) * fwd.delta
+    minus = phat(x, bwd.next, eps) * bwd.delta
     parity = abs(plus - minus) / (abs(plus) + abs(minus) + 1.0)
     tol = 1e-11
     return MeasureHypothesisReport(

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import (
-    DenominatorZeroError,
-    KahanPair,
-    denominator_witnesses,
-    eval_coeffs,
-    eval_density,
-)
-from .quadfield import SingularStepError, kahan_step, map_jacobian
+from .integrals import DenominatorZeroError, KahanPair, eval_coeffs
+from .quadfield import SingularStepError, kahan_step_batch, map_jacobian
 from .systems import FirstClebschParams, SystemDescriptor, build_system
 
 __all__ = [
@@ -108,56 +102,107 @@ def _report(
     )
 
 
+def _lowest_witness(pair: KahanPair) -> tuple:
+    """(rank, index, value) of the lowest denominator witness at a proposal,
+    a non-finite one ranked lowest."""
+    wits = pair.witnesses()
+    if not wits:
+        return (math.inf, None, math.nan)
+    return min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
+
+
+def _draw_states(
+    rng: np.random.Generator, desc: SystemDescriptor, eps: float, count: int, radius: float = 1.0
+) -> list:
+    """count random states in a ball, each in a KahanPair holding its forward
+    step: the states that count sequential draw_initial_state calls return.
+
+    The stream is consumed as one-at-a-time draws consume it, and proposals
+    are accepted in stream order, but each round's proposals step as one
+    batch. A round proposes only as many states as are still missing, so it
+    never draws more than the last acceptance needs.
+    """
+    pairs = []
+    draws = 0  # since the last accepted state
+    binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
+    while len(pairs) < count:
+        proposals = []
+        for _ in range(count - len(pairs)):
+            v = rng.standard_normal(desc.dim)
+            norm = float(np.linalg.norm(v))
+            proposals.append(None if norm < 1e-12 else v * (radius * rng.uniform(0.3, 1.0) / norm))
+        xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
+        batch = kahan_step_batch(desc.field, xs, eps)
+        row = 0
+        for x in proposals:
+            draws += 1
+            if x is not None:
+                if batch.pole[row]:
+                    # a pole ranks below every witness, as index -1 with its det
+                    low = (-math.inf, -1, batch.delta[row])
+                else:
+                    pair = KahanPair(desc, xs[row], eps, batch.row(row))
+                    low = _lowest_witness(pair)
+                row += 1
+                if low[0] >= DENOMINATOR_FLOOR:
+                    pairs.append(pair)
+                    draws, binding = 0, (math.inf, None, math.nan)
+                    continue
+                binding = min(binding, low)
+            if draws == MAX_DRAWS:
+                index, value = binding[1:]
+                raise ValueError(
+                    f"no {desc.kind} state off the poles of the map with every denominator "
+                    f"witness finite and >= {DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding "
+                    + (
+                        f"pole: det(I - eps*f'(x)) = {value:.3e}"
+                        if index == -1
+                        else f"witness: denominator_witnesses[{index}] = {value:.3e}"
+                    )
+                )
+    return pairs
+
+
 def draw_initial_state(
     rng: np.random.Generator, desc: SystemDescriptor, eps: float, radius: float = 1.0
 ) -> np.ndarray:
-    """Random state in a ball, redrawn until every denominator witness is
-    finite and clears the floor.
+    """Random state in a ball, redrawn until the map has no pole there and
+    every denominator witness is finite and clears the floor.
 
-    Raises ValueError after MAX_DRAWS draws, naming the witness that bound:
-    the lowest one seen, a non-finite one first.
+    Raises ValueError after MAX_DRAWS draws, naming what bound: the lowest
+    witness seen, a pole first and a non-finite witness next.
     """
-    binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
-    for _ in range(MAX_DRAWS):
-        v = rng.standard_normal(desc.dim)
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-12:
-            continue
-        x = v * (radius * rng.uniform(0.3, 1.0) / norm)
-        wits = denominator_witnesses(desc, x, eps)
-        if not wits:
-            return x
-        low = min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
-        if low[0] >= DENOMINATOR_FLOOR:
-            return x
-        binding = min(binding, low)
-    raise ValueError(
-        f"no {desc.kind} state with every denominator witness finite and >= "
-        f"{DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding witness: "
-        f"denominator_witnesses[{binding[1]}] = {binding[2]:.3e}"
-    )
+    return _draw_states(rng, desc, eps, 1, radius)[0].x
+
+
+def _skip_on_pole(trial, *rows) -> list:
+    """trial(*row) for every row; a pole or a zero denominator skips the row
+    (no violations)."""
+    out = []
+    for args in zip(*rows):
+        try:
+            out.append(trial(*args))
+        except (SingularStepError, DenominatorZeroError):
+            out.append(())
+    return out
 
 
 def _worst_trial(
     name: str, desc: SystemDescriptor, trials: int, eps: float, seed: int, tolerance: float, trial
 ) -> PropertyReport:
-    """Grade trial(x) over seeded draws: it returns the violations of one
-    trial, or none to skip it; a pole or a zero denominator skips it too."""
-    rng = np.random.default_rng(seed)
+    """Grade seeded draws: trial(pairs) gets every drawn state in a KahanPair
+    holding its forward step and returns one sequence of violations per
+    state, empty to skip it."""
+    pairs = _draw_states(np.random.default_rng(seed), desc, eps, trials)
     worst_violation = 0.0
     worst_x = np.zeros(desc.dim)
     skipped = 0
-    for _ in range(trials):
-        x = draw_initial_state(rng, desc, eps)
-        try:
-            violations = trial(x)
-        except (SingularStepError, DenominatorZeroError):
-            violations = ()
+    for pair, violations in zip(pairs, trial(pairs) if pairs else ()):
         if not violations:
             skipped += 1
         for violation in violations:
             if violation > worst_violation:
-                worst_violation, worst_x = violation, x
+                worst_violation, worst_x = violation, pair.x
     return _report(name, trials, worst_violation, tolerance, worst_x, seed, skipped)
 
 
@@ -166,12 +211,59 @@ def check_reversibility(
 ) -> PropertyReport:
     """Worst relative defect of stepping forward at eps then back at -eps."""
 
-    def trial(x):
-        forward = kahan_step(desc.field, x, eps).next
-        back = kahan_step(desc.field, forward, -eps).next
-        return [float(np.max(np.abs(back - x))) / (1.0 + float(np.max(np.abs(x))))]
+    def trial(pairs):
+        back = kahan_step_batch(desc.field, np.array([p.y for p in pairs]), -eps)
+
+        def defect(pair, x_back, pole):
+            if pole:
+                return ()
+            x = pair.x
+            return [float(np.max(np.abs(x_back - x))) / (1.0 + float(np.max(np.abs(x))))]
+
+        return [defect(*row) for row in zip(pairs, back.next, back.pole)]
 
     return _worst_trial(f"{desc.kind}.reversibility", desc, trials, eps, seed, REVERSIBILITY_TOL, trial)
+
+
+def _conservation(
+    desc: SystemDescriptor, names, seeds, steps: int, eps: float, tolerance: float
+) -> list:
+    """One report per named quantity: its worst relative drift along an
+    orbit from a state drawn with its own seed. The orbits step as one
+    stack; a pole ends only the orbit that meets it."""
+    pairs = [_draw_states(np.random.default_rng(seed), desc, eps, 1)[0] for seed in seeds]
+    baselines = [pair.value(name) for pair, name in zip(pairs, names)]
+    worst = [0.0] * len(names)
+    worst_x = [pair.x for pair in pairs]
+    skipped = [0] * len(names)
+    running = range(len(names))
+    for k in range(steps):
+        # one step per orbit point: a bilinear quantity's successor is the
+        # next point's state
+        moving = []
+        for r in running:
+            try:
+                moving.append((r, pairs[r].step.next))
+            except SingularStepError:
+                skipped[r] += steps - k
+        if not moving:
+            break
+        running = [r for r, _ in moving]
+        batch = kahan_step_batch(desc.field, np.array([x for _, x in moving]), eps)
+        for j, (r, x) in enumerate(moving):
+            pairs[r] = KahanPair(desc, x, eps, batch.row(j))
+            try:
+                value = pairs[r].value(names[r])
+            except (DenominatorZeroError, SingularStepError):
+                skipped[r] += 1
+                continue
+            violation = abs(value - baselines[r]) / (1.0 + abs(baselines[r]))
+            if violation > worst[r]:
+                worst[r], worst_x[r] = violation, x
+    return [
+        _report(f"{desc.kind}.conserved.{names[r]}", steps, worst[r], tolerance, worst_x[r], seeds[r], skipped[r])
+        for r in range(len(names))
+    ]
 
 
 def check_conservation(
@@ -187,40 +279,7 @@ def check_conservation(
     States where the quantity's denominator vanishes are skipped and counted;
     a pole ends the orbit early with the remaining steps counted as skipped.
     """
-    rng = np.random.default_rng(seed)
-    x0 = draw_initial_state(rng, desc, eps)
-    pair = KahanPair(desc, x0, eps)
-    baseline = pair.value(integral_name)
-    scale = 1.0 + abs(baseline)
-    worst_violation = 0.0
-    worst_x = x0
-    skipped = 0
-    for k in range(steps):
-        try:
-            x = pair.step.next
-        except SingularStepError:
-            skipped += steps - k
-            break
-        # one step per orbit point: a bilinear quantity's successor is the
-        # next point's state
-        pair = KahanPair(desc, x, eps)
-        try:
-            value = pair.value(integral_name)
-        except (DenominatorZeroError, SingularStepError):
-            skipped += 1
-            continue
-        violation = abs(value - baseline) / scale
-        if violation > worst_violation:
-            worst_violation, worst_x = violation, x
-    return _report(
-        f"{desc.kind}.conserved.{integral_name}",
-        steps,
-        worst_violation,
-        tolerance,
-        worst_x,
-        seed,
-        skipped,
-    )
+    return _conservation(desc, [integral_name], [seed], steps, eps, tolerance)[0]
 
 
 def check_measure(
@@ -228,17 +287,23 @@ def check_measure(
 ) -> PropertyReport:
     """Worst relative defect of density(x~)/density(x) against det dPhi(x)."""
 
-    def trial(x):
-        here = KahanPair(desc, x, eps)
-        x_next = here.step.next
-        den = here.density(density_name)
-        num = eval_density(desc, x_next, eps, density_name)
-        if abs(den) < 1e-8 * (1.0 + abs(num)):
-            # density crosses zero at x; the ratio is meaningless there
-            return []
-        det = float(np.linalg.det(map_jacobian(desc.field, x, eps)))
-        ratio = num / den
-        return [abs(ratio - det) / (1.0 + abs(ratio) + abs(det))]
+    def trial(pairs):
+        xs = np.array([p.x for p in pairs])
+        ys = np.array([p.y for p in pairs])
+        onward = kahan_step_batch(desc.field, ys, eps)
+        dets = np.linalg.det(map_jacobian(desc.field, xs, eps, ys))
+
+        def defect(here, i):
+            den = here.density(density_name)
+            num = KahanPair(desc, ys[i], eps, onward.row(i)).density(density_name)
+            if abs(den) < 1e-8 * (1.0 + abs(num)):
+                # density crosses zero at x; the ratio is meaningless there
+                return []
+            det = float(dets[i])
+            ratio = num / den
+            return [abs(ratio - det) / (1.0 + abs(ratio) + abs(det))]
+
+        return _skip_on_pole(defect, pairs, range(len(pairs)))
 
     return _worst_trial(f"{desc.kind}.measure.{density_name}", desc, trials, eps, seed, MEASURE_TOL, trial)
 
@@ -254,9 +319,8 @@ def check_identities_clebsch1(
     """
     desc = build_system("first_clebsch", FirstClebschParams(omega=tuple(omega)))
 
-    def trial(x):
-        here = KahanPair(desc, x, eps)
-        x_next = here.step.next
+    def defect(here):
+        x, x_next = here.x, here.y
         c = here.coefficients("small_c")[:3]
         c_next = eval_coeffs(desc, x_next, eps, "small_c")[:3]
         big = here.coefficients("big_C")[:3]
@@ -274,7 +338,9 @@ def check_identities_clebsch1(
             )
         ]
 
-    return _worst_trial("first_clebsch.identities", desc, trials, eps, seed, IDENTITY_TOL, trial)
+    return _worst_trial(
+        "first_clebsch.identities", desc, trials, eps, seed, IDENTITY_TOL, lambda pairs: _skip_on_pole(defect, pairs)
+    )
 
 
 def run_suites(
@@ -295,11 +361,10 @@ def run_suites(
     for desc in descriptors:
         reports.append(check_reversibility(desc, trials, eps, seed=seed + offset))
         offset += 1
-        for name in desc.conserved_names:
-            reports.append(
-                check_conservation(desc, name, steps, eps, seed=seed + offset)
-            )
-            offset += 1
+        names = desc.conserved_names
+        seeds = [seed + offset + i for i in range(len(names))]
+        reports += _conservation(desc, names, seeds, steps, eps, CONSERVATION_TOL)
+        offset += len(names)
         for density in desc.density_names:
             reports.append(
                 check_measure(desc, density, trials, eps, seed=seed + offset)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
+from conftest import ALL_KINDS, make_system, safe_state
 from kahanmaps.quadfield import (
     KahanStepResult,
     QuadraticVectorField,
@@ -24,9 +26,11 @@ from kahanmaps.quadfield import (
     field_to_json,
     jacobian_field,
     kahan_step,
+    kahan_step_batch,
     map_jacobian,
     polarize_eval,
 )
+from kahanmaps.verify import draw_initial_state
 
 
 def cofactor_det(a):
@@ -310,3 +314,94 @@ class TestJsonRoundTrip:
         doc["dim"] = 2
         with pytest.raises(ValueError, match="malformed"):
             field_from_json(doc)
+
+
+def one_state_step(field, x, eps):
+    """The one-state step formulas the batch kernel replaced, kept verbatim
+    as the reference: (next, delta, residual, on a pole)."""
+    jac = 2.0 * np.einsum("ijk,k->ij", field.quad, x) + field.lin
+    mat = np.eye(field.dim) - eps * jac
+    det = float(np.linalg.det(mat))
+    threshold = 1e-13 * (1.0 + np.linalg.norm(eps * jac, np.inf)) ** field.dim
+    if abs(det) < threshold:
+        return None, det, None, True
+    f = np.einsum("ijk,j,k->i", field.quad, x, x) + field.lin @ x + field.const
+    x_next = x + np.linalg.solve(mat, 2.0 * eps * f)
+    pol = np.einsum("ijk,j,k->i", field.quad, x, x_next) + 0.5 * (field.lin @ (x + x_next)) + field.const
+    defect = x_next - x - 2.0 * eps * pol
+    return x_next, det, float(np.max(np.abs(defect))), False
+
+
+def pole_eps(field, x, span=30.0):
+    """A real root of eps -> det(I - eps*f'(x)), a polynomial of degree n in
+    eps, found from n + 1 samples and polished by Newton steps on delta
+    itself; None when it has none in [-span, span]."""
+    samples = np.linspace(-span, span, field.dim + 1)
+    poly = Polynomial.fit(samples, [delta(field, x, e) for e in samples], field.dim)
+    roots = [r.real for r in poly.roots() if abs(r.imag) <= 1e-9 * abs(r) and 0 < abs(r.real) <= span]
+    if not roots:
+        return None
+    root, slope = min(roots, key=abs), poly.deriv()
+    for _ in range(8):
+        root -= delta(field, x, root) / slope(root)
+    return root
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("eps", [0.05, -0.05])
+    def test_rows_equal_the_one_state_formulas(self, kind, eps):
+        # 500 states in and around the unit ball; poles at a root of the
+        # denominator are compared below
+        desc = make_system(kind)
+        rng = np.random.default_rng(17)
+        xs = rng.standard_normal((500, desc.dim)) * rng.uniform(0.05, 2.0, (500, 1))
+        batch = kahan_step_batch(desc.field, xs, eps)
+        for x, x_next, det, residual, pole in zip(xs, *batch[:4]):
+            ref_next, ref_det, ref_residual, ref_pole = one_state_step(desc.field, x, eps)
+            assert det == ref_det and pole == ref_pole
+            if not pole:
+                assert np.array_equal(x_next, ref_next) and residual == ref_residual
+                one = kahan_step(desc.field, x, eps)
+                assert np.array_equal(one.next, ref_next)
+                assert one.delta == ref_det and one.residual == ref_residual
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_pole_flags_only_its_row(self, kind):
+        desc = make_system(kind)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = safe_state(rng, desc)
+            root = pole_eps(desc.field, x)
+            if root is not None:
+                break
+        assert root is not None, "no real root of the denominator in 50 states"
+        assert one_state_step(desc.field, x, root)[3]
+        regular = [0.5 * x, safe_state(rng, desc)]
+        batch = kahan_step_batch(desc.field, np.array([regular[0], x, regular[1]]), root)
+        assert list(batch.pole) == [False, True, False]
+        assert np.isnan(batch.next[1]).all() and np.isnan(batch.residual[1])
+        for row, y in zip((0, 2), regular):
+            one = kahan_step(desc.field, y, root)
+            assert np.array_equal(batch.next[row], one.next)
+            assert batch.delta[row] == one.delta and batch.residual[row] == one.residual
+        with pytest.raises(SingularStepError, match="below threshold"):
+            kahan_step(desc.field, x, root)
+
+    def test_draw_on_a_pole_redraws(self):
+        # the first kirchhoff proposal of seed 3 sits on a pole at eps ~ 19.11
+        desc = make_system("kirchhoff")
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(desc.dim)
+        first = v * (rng.uniform(0.3, 1.0) / np.linalg.norm(v))
+        root = pole_eps(desc.field, first)
+        assert root == pytest.approx(19.1107, abs=1e-4)
+        with pytest.raises(SingularStepError):
+            kahan_step(desc.field, first, root)
+        x = draw_initial_state(np.random.default_rng(3), desc, root)
+        assert not np.array_equal(x, first)
+        kahan_step(desc.field, x, root)
+
+    def test_empty_stack(self):
+        batch = kahan_step_batch(SCALAR, np.zeros((0, 1)), 0.1)
+        assert batch.next.shape == (0, 1) and batch.pole.shape == (0,)

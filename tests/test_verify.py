@@ -2,12 +2,16 @@
 and the aggregated battery with its JSON serialization."""
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, make_system
-from kahanmaps.quadfield import QuadraticVectorField
+from kahanmaps import quadfield, verify
+from kahanmaps.integrals import DenominatorZeroError, KahanPair, denominator_witnesses
+from kahanmaps.quadfield import QuadraticVectorField, SingularStepError, kahan_step, kahan_step_batch
 from kahanmaps.systems import SystemDescriptor
 from kahanmaps.verify import (
     CONSERVATION_TOL,
@@ -226,3 +230,189 @@ class TestRunSuites:
         bad = check_conservation(desc, "m1", steps=100, eps=0.05, seed=19)
         good = check_reversibility(desc, trials=10, eps=0.05, seed=20)
         assert not suites_passed([good, bad])
+
+
+def sequential_draw(rng, desc, eps, floor, counter):
+    """One state drawn as draw_initial_state drew it before draws were
+    batched, one proposal and one witness evaluation at a time; the number
+    of proposals goes to counter."""
+    for _ in range(1000):
+        counter.append(1)
+        v = rng.standard_normal(desc.dim)
+        norm = float(np.linalg.norm(v))
+        if norm < 1e-12:
+            continue
+        x = v * (rng.uniform(0.3, 1.0) / norm)
+        wits = denominator_witnesses(desc, x, eps)
+        if not wits:
+            return x
+        low = min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
+        if low[0] >= floor:
+            return x
+    raise ValueError("no state in 1000 draws")
+
+
+def conservation_reference(desc, name, steps, eps, seed):
+    """check_conservation as a one-name loop of one-state steps, the form the
+    stacked orbits replaced: (max_violation, worst_x, skipped)."""
+    rng = np.random.default_rng(seed)
+    x0 = sequential_draw(rng, desc, eps, verify.DENOMINATOR_FLOOR, [])
+    pair = KahanPair(desc, x0, eps)
+    baseline = pair.value(name)
+    scale = 1.0 + abs(baseline)
+    worst_violation, worst_x, skipped = 0.0, x0, 0
+    for k in range(steps):
+        try:
+            x = pair.step.next
+        except SingularStepError:
+            skipped += steps - k
+            break
+        pair = KahanPair(desc, x, eps)
+        try:
+            value = pair.value(name)
+        except (DenominatorZeroError, SingularStepError):
+            skipped += 1
+            continue
+        violation = abs(value - baseline) / scale
+        if violation > worst_violation:
+            worst_violation, worst_x = violation, x
+    return worst_violation, worst_x, skipped
+
+
+def patch_steps(monkeypatch, one, batch):
+    # every package module that binds kahan_step or kahan_step_batch by name
+    # gets the wrapper
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("kahanmaps"):
+            continue
+        for attr, real, wrap in (("kahan_step", kahan_step, one), ("kahan_step_batch", kahan_step_batch, batch)):
+            if getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, wrap)
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("floor", [1e-6, 0.05])
+    def test_equal_sequential_draws(self, kind, floor, monkeypatch):
+        # floor 0.05 forces rejections in the drawn stream
+        monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", floor)
+        desc = make_system(kind)
+        rng_ref, rng = np.random.default_rng(21), np.random.default_rng(21)
+        proposals = []
+        expected = [sequential_draw(rng_ref, desc, 0.05, floor, proposals) for _ in range(40)]
+        pairs = verify._draw_states(rng, desc, 0.05, 40)
+        assert all(np.array_equal(p.x, x) for p, x in zip(pairs, expected))
+        assert len(pairs) == 40
+        # the stream is left where the sequential draws leave it
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if floor > 1e-6 and kind != "planar_family":
+            assert len(proposals) > 40
+
+    def test_held_step_is_the_state_step(self):
+        desc = make_system("lagrange")
+        for pair in verify._draw_states(np.random.default_rng(22), desc, 0.05, 10):
+            step = quadfield.kahan_step(desc.field, pair.x, 0.05)
+            assert np.array_equal(pair.step.next, step.next) and pair.step.delta == step.delta
+
+    def test_binding_witness_named_after_max_draws(self, monkeypatch):
+        monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", math.inf)
+        monkeypatch.setattr(verify, "MAX_DRAWS", 30)
+        with pytest.raises(ValueError, match=r"in 30 draws; binding witness: denominator_witnesses\[\d\]"):
+            draw_initial_state(np.random.default_rng(1), make_system("kirchhoff"), 0.05)
+
+
+class TestStackedConservation:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_equals_one_name_loops(self, kind):
+        desc = make_system(kind)
+        names = desc.conserved_names
+        seeds = [30 + i for i in range(len(names))]
+        reports = verify._conservation(desc, names, seeds, 300, 0.05, CONSERVATION_TOL)
+        for report, name, seed in zip(reports, names, seeds):
+            violation, worst_x, skipped = conservation_reference(desc, name, 300, 0.05, seed)
+            assert report.name == f"{kind}.conserved.{name}" and report.seed == seed
+            assert report.max_violation == violation and report.skipped == skipped
+            assert np.array_equal(report.worst_case_input, worst_x)
+
+    def test_run_suites_reports_equal_one_name_checks(self):
+        desc = make_system("kirchhoff")
+        reports = run_suites([desc], trials=5, steps=60, seed=40)
+        conserved = [r for r in reports if ".conserved." in r.name]
+        for name, report in zip(desc.conserved_names, conserved):
+            alone = check_conservation(desc, name, 60, 0.05, seed=report.seed)
+            assert report.to_json_dict() == alone.to_json_dict()
+
+    @pytest.mark.parametrize("kind", ["general_clebsch", "kirchhoff", "planar_family"])
+    def test_mid_orbit_pole_ends_its_orbit_alone(self, kind, monkeypatch):
+        # a pole placed at step 7 of the first name's orbit: that report
+        # counts the remaining steps as skipped, the others are unchanged
+        desc = make_system(kind)
+        names = desc.conserved_names
+        seeds = [50 + i for i in range(len(names))]
+        clean = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
+        x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1)[0].x
+        for _ in range(7):
+            x = quadfield.kahan_step(desc.field, x, 0.05).next
+        def one_pole(field, y, eps):
+            if np.array_equal(y, x):
+                raise SingularStepError("pole placed by the test")
+            return kahan_step(field, y, eps)
+
+        def batch_pole(field, xs, eps):
+            out = kahan_step_batch(field, xs, eps)
+            hit = np.all(np.asarray(xs) == x, axis=-1)
+            return out._replace(
+                next=np.where(hit[:, None], np.nan, out.next),
+                residual=np.where(hit, np.nan, out.residual),
+                pole=out.pole | hit,
+            )
+
+        patch_steps(monkeypatch, one_pole, batch_pole)
+        stubbed = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
+        for name, seed, report in zip(names, seeds, stubbed):
+            violation, worst_x, skipped = conservation_reference(desc, name, 40, 0.05, seed)
+            assert report.max_violation == violation and report.skipped == skipped
+            assert np.array_equal(report.worst_case_input, worst_x)
+        assert stubbed[0].skipped >= 40 - 7
+        assert [r.to_json_dict() for r in stubbed[1:]] == [r.to_json_dict() for r in clean[1:]]
+
+
+class TestStepsPerTrial:
+    def count_rows(self, monkeypatch):
+        # one-state steps and batch rows alike
+        rows = []
+
+        def one(field, x, eps):
+            rows.append(1)
+            return kahan_step(field, x, eps)
+
+        def batch(field, x, eps):
+            rows.append(len(x))
+            return kahan_step_batch(field, x, eps)
+
+        patch_steps(monkeypatch, one, batch)
+        return rows
+
+    @pytest.mark.parametrize("kind", ["general_clebsch", "kirchhoff", "lagrange"])
+    def test_measure_two_steps(self, kind, monkeypatch):
+        desc = make_system(kind)
+        rows = self.count_rows(monkeypatch)
+        check_measure(desc, desc.density_names[0], trials=50, eps=0.05, seed=60)
+        assert sum(rows) <= 2 * 50
+
+    def test_reversibility_two_steps(self, monkeypatch):
+        rows = self.count_rows(monkeypatch)
+        check_reversibility(make_system("kirchhoff"), trials=50, eps=0.05, seed=61)
+        assert sum(rows) <= 2 * 50
+
+    def test_identities_one_step(self, monkeypatch):
+        rows = self.count_rows(monkeypatch)
+        check_identities_clebsch1((1.0, 2.0, 3.0), trials=50, eps=0.05, seed=62)
+        assert sum(rows) <= 50
+
+    def test_conservation_one_step_per_orbit_point(self, monkeypatch):
+        desc = make_system("kirchhoff")
+        rows = self.count_rows(monkeypatch)
+        verify._conservation(desc, desc.conserved_names, [63, 64, 65], 100, 0.05, CONSERVATION_TOL)
+        # one draw step per orbit, then one step per orbit point
+        assert sum(rows) <= 3 * (100 + 1)
