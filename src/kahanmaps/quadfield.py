@@ -44,8 +44,6 @@ __all__ = [
     "kahan_step",
     "kahan_step_batch",
     "map_jacobian",
-    "field_to_json",
-    "field_from_json",
 ]
 
 # Pole detection: |det(I - eps*f'(x))| below this times a conditioning factor
@@ -260,33 +258,3 @@ def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next=
         eye - eps * jacobian_field(field, x),
         eye + eps * jacobian_field(field, x_next),
     )
-
-
-def field_to_json(field: QuadraticVectorField) -> dict:
-    """Plain-JSON document with keys dim, quad, lin, const."""
-    return {
-        "dim": field.dim,
-        "quad": field.quad.tolist(),
-        "lin": field.lin.tolist(),
-        "const": field.const.tolist(),
-    }
-
-
-def field_from_json(doc: dict) -> QuadraticVectorField:
-    """Inverse of field_to_json; validates shapes, symmetry, and finiteness."""
-    for key in ("dim", "quad", "lin", "const"):
-        if key not in doc:
-            raise ValueError(f"field document is missing key '{key}'")
-    try:
-        field = QuadraticVectorField(
-            quad=np.asarray(doc["quad"], dtype=float),
-            lin=np.asarray(doc["lin"], dtype=float),
-            const=np.asarray(doc["const"], dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed field document: {exc}") from exc
-    if field.dim != doc["dim"]:
-        raise ValueError(
-            f"key 'dim' is {doc['dim']} but coefficient arrays have dimension {field.dim}"
-        )
-    return field

@@ -53,8 +53,6 @@ __all__ = [
     "build_system",
     "params_from_dict",
     "params_to_dict",
-    "system_from_json",
-    "system_to_json",
     "continuous_invariants",
     "continuous_wronskian_residual",
     "poisson_bracket_e3",
@@ -979,17 +977,6 @@ def params_to_dict(params) -> dict:
         if isinstance(params, spec.params):
             return {key: _json_value(getattr(params, key)) for key in spec.required + spec.optional}
     raise TypeError(f"not a catalog params object: {type(params).__name__}")
-
-
-def system_to_json(desc: SystemDescriptor) -> dict:
-    return {"kind": desc.kind, "params": params_to_dict(desc.params)}
-
-
-def system_from_json(doc: dict) -> SystemDescriptor:
-    for key in ("kind", "params"):
-        if key not in doc:
-            raise ValueError(f"system document is missing key '{key}'")
-    return build_system(doc["kind"], params_from_dict(doc["kind"], doc["params"]))
 
 
 def continuous_invariants(desc: SystemDescriptor) -> ContinuousInvariants:

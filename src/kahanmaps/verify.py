@@ -125,41 +125,44 @@ def _draw_states(
     pairs = []
     draws = 0  # since the last accepted state
     binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
-    while len(pairs) < count:
-        proposals = []
-        for _ in range(count - len(pairs)):
-            v = rng.standard_normal(desc.dim)
-            norm = float(np.linalg.norm(v))
-            proposals.append(None if norm < 1e-12 else v * (radius * rng.uniform(0.3, 1.0) / norm))
-        xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
-        batch = kahan_step_batch(desc.field, xs, eps)
-        row = 0
-        for x in proposals:
-            draws += 1
-            if x is not None:
-                if batch.pole[row]:
-                    # a pole ranks below every witness, as index -1 with its det
-                    low = (-math.inf, -1, batch.delta[row])
-                else:
-                    pair = KahanPair(desc, xs[row], eps, batch.row(row))
-                    low = _lowest_witness(pair)
-                row += 1
-                if low[0] >= DENOMINATOR_FLOOR:
-                    pairs.append(pair)
-                    draws, binding = 0, (math.inf, None, math.nan)
-                    continue
-                binding = min(binding, low)
-            if draws == MAX_DRAWS:
-                index, value = binding[1:]
-                raise ValueError(
-                    f"no {desc.kind} state off the poles of the map with every denominator "
-                    f"witness finite and >= {DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding "
-                    + (
-                        f"pole: det(I - eps*f'(x)) = {value:.3e}"
-                        if index == -1
-                        else f"witness: denominator_witnesses[{index}] = {value:.3e}"
+    # a huge eps can overflow the step or a witness; such a draw is rejected
+    # as non-finite, so numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(pairs) < count:
+            proposals = []
+            for _ in range(count - len(pairs)):
+                v = rng.standard_normal(desc.dim)
+                norm = float(np.linalg.norm(v))
+                proposals.append(None if norm < 1e-12 else v * (radius * rng.uniform(0.3, 1.0) / norm))
+            xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
+            batch = kahan_step_batch(desc.field, xs, eps)
+            row = 0
+            for x in proposals:
+                draws += 1
+                if x is not None:
+                    if batch.pole[row]:
+                        # a pole ranks below every witness, as index -1 with its det
+                        low = (-math.inf, -1, batch.delta[row])
+                    else:
+                        pair = KahanPair(desc, xs[row], eps, batch.row(row))
+                        low = _lowest_witness(pair)
+                    row += 1
+                    if low[0] >= DENOMINATOR_FLOOR:
+                        pairs.append(pair)
+                        draws, binding = 0, (math.inf, None, math.nan)
+                        continue
+                    binding = min(binding, low)
+                if draws == MAX_DRAWS:
+                    index, value = binding[1:]
+                    raise ValueError(
+                        f"no {desc.kind} state off the poles of the map with every denominator "
+                        f"witness finite and >= {DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding "
+                        + (
+                            f"pole: det(I - eps*f'(x)) = {value:.3e}"
+                            if index == -1
+                            else f"witness: denominator_witnesses[{index}] = {value:.3e}"
+                        )
                     )
-                )
     return pairs
 
 

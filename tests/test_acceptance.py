@@ -26,7 +26,7 @@ from kahanmaps.integrals import (
     eval_I0,
     eval_J0,
     eval_coeffs,
-    eval_planar_F,
+    evaluate_named,
 )
 from kahanmaps.quadfield import SingularStepError, delta, kahan_step, map_jacobian
 from kahanmaps.systems import (
@@ -356,8 +356,8 @@ def test_criterion_09_planar_bilinear_equals_state_form():
                 # both forms then dwarf their difference's 1e-12 budget
                 break
             try:
-                f_state = eval_planar_F(params, x, eps, "F")
-                f_bilinear = eval_planar_F(params, x, eps, "Fhat")
+                f_state = evaluate_named(desc, "F", x, eps)
+                f_bilinear = evaluate_named(desc, "Fhat", x, eps)
             except (SingularStepError, DenominatorZeroError):
                 break
             assert abs(f_bilinear - f_state) <= 1e-12 * (1.0 + abs(f_state)), (

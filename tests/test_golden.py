@@ -14,7 +14,8 @@ import pytest
 
 from kahanmaps.cli import parse_config, run_command
 
-GOLDEN = json.load(open(os.path.join(os.path.dirname(__file__), "golden_seed1.json"), encoding="utf-8"))
+with open(os.path.join(os.path.dirname(__file__), "golden_seed1.json"), encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
 OUTPUT = {"simulate": "orbit.csv", "verify": "verify.json", "hk-scan": "hkscan.json"}
 
 

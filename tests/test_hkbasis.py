@@ -8,6 +8,8 @@ Wronskian arithmetic.  Null vectors of the catalog bases are checked
 against the closed-form coefficient evaluations.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,8 @@ from kahanmaps.hkbasis import (
     wronskian_observable,
     wronskian_ratio_integral,
 )
-from kahanmaps.integrals import eval_G, eval_I0, eval_J0, eval_coeffs, eval_g
-from kahanmaps.quadfield import QuadraticVectorField, SingularStepError, kahan_step
+from kahanmaps.integrals import KahanPair, eval_I0, eval_J0, eval_coeffs, evaluate_named
+from kahanmaps.quadfield import KahanStepResult, QuadraticVectorField, SingularStepError, kahan_step
 
 CLEBSCH_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch")
 
@@ -324,7 +326,9 @@ class TestHkNullspace:
         eps = 0.05
         x0 = safe_state(np.random.default_rng(8), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 20)
-        obs = [state_observable(lambda x, i=i: eval_g(desc, x)[i]) for i in range(3)]
+        obs = [
+            state_observable(lambda x, g=g: evaluate_named(desc, g, x, eps)) for g in ("g1", "g2", "g3")
+        ]
         obs.append(constant_observable(1.0))
         report = hk_nullspace(orbit, obs, window=12)
         assert report.null_dim == 1
@@ -341,7 +345,10 @@ class TestHkNullspace:
         x0 = safe_state(np.random.default_rng(9), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 20)
         obs = [
-            bilinear_observable(lambda x, y, i=i: eval_G(desc, x, y)[i]) for i in range(3)
+            bilinear_observable(
+                lambda x, y, G=G: KahanPair(desc, x, eps, KahanStepResult(y, math.nan, math.nan)).value(G)
+            )
+            for G in ("G1", "G2", "G3")
         ]
         obs.append(constant_observable(1.0))
         report = hk_nullspace(orbit, obs, window=12)

@@ -7,8 +7,6 @@ value frozen from a hand-rolled Gaussian-elimination solve of the polarized
 defining equations.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +20,6 @@ from kahanmaps.quadfield import (
     SingularStepError,
     delta,
     evaluate_field,
-    field_from_json,
-    field_to_json,
     jacobian_field,
     kahan_step,
     kahan_step_batch,
@@ -283,37 +279,6 @@ class TestValidation:
         res = kahan_step(SCALAR, np.array([0.5]), 0.1)
         assert isinstance(res, KahanStepResult)
         assert res.next is res[0]
-
-
-class TestJsonRoundTrip:
-    def test_round_trip_is_exact(self):
-        f = random_field(np.random.default_rng(17), 3)
-        doc = json.loads(json.dumps(field_to_json(f)))
-        g = field_from_json(doc)
-        assert np.array_equal(f.quad, g.quad)
-        assert np.array_equal(f.lin, g.lin)
-        assert np.array_equal(f.const, g.const)
-
-    def test_missing_key_named(self):
-        doc = field_to_json(_lagrange21())
-        del doc["lin"]
-        with pytest.raises(ValueError, match="'lin'"):
-            field_from_json(doc)
-
-    def test_dim_mismatch_named(self):
-        doc = field_to_json(_lagrange21())
-        doc["dim"] = 5
-        with pytest.raises(ValueError, match="'dim'"):
-            field_from_json(doc)
-
-    def test_asymmetric_document_rejected(self):
-        doc = field_to_json(SCALAR)
-        doc["quad"] = [[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-        doc["lin"] = [[0.0, 0.0], [0.0, 0.0]]
-        doc["const"] = [0.0, 0.0]
-        doc["dim"] = 2
-        with pytest.raises(ValueError, match="malformed"):
-            field_from_json(doc)
 
 
 def one_state_step(field, x, eps):
