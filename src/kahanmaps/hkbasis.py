@@ -21,7 +21,10 @@ relative threshold NULL_SIGMA_FACTOR and reports the spectral gap as a
 quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
 Ratio extraction builds the columns once over the whole orbit and takes
-the decompositions of all its sliding windows in one stacked call.
+the decompositions of all its sliding windows in one stacked call.  A
+WronskianRatio integral likewise steps a stack of initial states as one
+batch, and functional_rank hands the ratios that share an orbit all 2n
+perturbed states of its central differences at once.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, SingularStepError, delta, kahan_step
-from .systems import central_gradient
+from .quadfield import QuadraticVectorField, SingularStepError, delta, kahan_step, kahan_step_batch
+from .systems import central_difference, central_gradient, central_states
 
 NULL_SIGMA_FACTOR = 1e-9
 ANNIHILATION_FACTOR = 1e-10
@@ -154,10 +157,14 @@ def wronskian_observable(ell: int, pair: tuple) -> Observable:
     i, j = pair
 
     def column(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        dim = states.shape[1]
+        # states may be one orbit (points, n) or a stack of orbits (B, points, n)
+        dim = states.shape[-1]
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError(f"pair {pair} outside dimension {dim}")
-        return states[bases + ell, i] * states[bases, j] - states[bases, i] * states[bases + ell, j]
+        return (
+            states[..., bases + ell, i] * states[..., bases, j]
+            - states[..., bases, i] * states[..., bases + ell, j]
+        )
 
     return Observable(column, reach=ell)
 
@@ -371,19 +378,158 @@ def functional_rank(
     x: np.ndarray,
     threshold: float = 1e-7,
 ) -> int:
-    """Numerical rank of the finite-difference gradients at x.
-
-    Each gradient row is scaled to unit length first (zero rows stay zero),
-    so one steep integral cannot push the others under the threshold.
-    """
-    x = np.asarray(x, dtype=float)
-    grads = np.array([central_gradient(fn, x) for fn in integrals])
-    norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    grads = np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
-    sv = np.linalg.svd(grads, compute_uv=False)
+    """Numerical rank of the finite-difference gradients at x (see
+    _unit_gradients)."""
+    sv = np.linalg.svd(_unit_gradients(integrals, x), compute_uv=False)
     if sv[0] == 0:
         return 0
     return int(np.sum(sv > threshold * sv[0]))
+
+
+def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient rows of the integrals at x, each scaled
+    to unit length (zero rows stay zero), so one steep integral cannot push
+    the others under the rank threshold.
+
+    Wronskian ratios that share an orbit are evaluated together on the
+    stacked perturbed states; any other integral is called once per
+    perturbed state.  A non-finite value or gradient entry is an error,
+    not a zero row.
+    """
+    if not integrals:
+        raise ValueError("at least one integral is required")
+    x = np.asarray(x, dtype=float)
+    states, h = central_states(x)
+    groups: dict = {}
+    for index, fn in enumerate(integrals):
+        if isinstance(fn, WronskianRatio):
+            groups.setdefault((fn.field, fn.eps, fn.pairs, fn.window), []).append(index)
+    shared = {}
+    for members in groups.values():
+        shared.update(zip(members, _ratio_values([integrals[i] for i in members], states)))
+    grads = np.empty((len(integrals), x.shape[0]))
+    for index, fn in enumerate(integrals):
+        if index in shared:
+            if isinstance(shared[index], Exception):
+                raise shared[index]
+            grads[index] = central_difference(shared[index], h)
+        else:
+            grads[index] = central_gradient(fn, x)
+        if not np.isfinite(grads[index]).all():
+            raise ValueError(f"integral {index} has a non-finite value or gradient at x")
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    return np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
+
+
+@dataclass(frozen=True, eq=False)
+class WronskianRatio:
+    """Integral of the map read off a discrete-Wronskian null vector.
+
+    From each initial state it runs a short orbit, finds the one-dimensional
+    null space of the order-`order` Wronskian window matrix of `window`
+    rows over `pairs`, and returns entry `num` over entry `den`.  values()
+    does so for a stack of states at once; calling it on one state is the
+    stack of one.
+    """
+
+    field: QuadraticVectorField
+    eps: float
+    order: int
+    num: int
+    den: int
+    pairs: tuple
+    window: int
+
+    def __post_init__(self) -> None:
+        pairs = WronskianBasisSpec(self.order, self.pairs).pairs
+        if max(max(pair) for pair in pairs) >= self.field.dim:
+            raise ValueError(f"pairs {pairs} reach past dimension {self.field.dim}")
+        m = len(pairs)
+        _check_window(m, self.window)
+        for name in ("num", "den"):
+            index = getattr(self, name)
+            if not 0 <= index < m:
+                raise ValueError(f"{name} must lie in 0..{m - 1} for {m} pairs, got {index}")
+        if self.num == self.den:
+            raise ValueError(f"num and den are both {self.num}: the ratio is the constant 1")
+        object.__setattr__(self, "pairs", pairs)
+
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """The ratio at every row of states[B, n]."""
+        (values,) = _ratio_values([self], states)
+        if isinstance(values, Exception):
+            raise values
+        return values
+
+    def __call__(self, x: np.ndarray) -> float:
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+
+
+def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
+    """Values of ratios sharing field, eps, pairs and window at every row of
+    states[B, n]: one stacked orbit to the longest order's length, and per
+    order one window build and one stacked SVD.
+
+    Each entry is the ratio's B values or, if a row fails, the error that
+    ratio raises at its first failing row: a pole at step 0, an orbit cut
+    short of the window by a later pole, a non-finite window, a null
+    dimension other than 1, or a degenerate denominator.
+    """
+    first = ratios[0]
+    field, eps, pairs, window = first.field, first.eps, first.pairs, first.window
+    x = np.asarray(states, dtype=float)
+    if x.ndim != 2 or x.shape[1] != field.dim:
+        raise ValueError(f"states must have shape (B, {field.dim}), got {x.shape}")
+    count = x.shape[0]
+    orders = sorted({r.order for r in ratios})
+    orbit = np.full((count, window + orders[-1], field.dim), np.nan)
+    orbit[:, 0] = x
+    points = np.full(count, orbit.shape[1])  # states each row reached before a pole
+    failed: list = [None] * count
+    live = np.arange(count)
+    for k in range(orbit.shape[1] - 1):
+        batch = kahan_step_batch(field, orbit[live, k], eps)
+        for i in np.flatnonzero(batch.pole):
+            points[live[i]] = k + 1
+            if k == 0:
+                failed[live[i]] = batch.row(i)
+        orbit[live[~batch.pole], k + 1] = batch.next[~batch.pole]
+        live = live[~batch.pole]
+    bases = np.arange(window)
+    vectors = {}
+    for ell in orders:
+        observables = WronskianBasisSpec(ell, pairs).observables()
+        rows = np.stack([observe.column(orbit, bases) for observe in observables], -1)
+        fits = points >= window + ell
+        usable = fits & np.isfinite(rows).all(axis=(1, 2))
+        _, sv, vt = np.linalg.svd(rows[usable], full_matrices=False)
+        found = iter(zip(rows[usable], sv, vt))
+
+        def outcome(b: int):
+            if failed[b] is not None:
+                return failed[b]
+            if not fits[b]:
+                return ValueError(f"orbit too short for window of {window} rows starting at 0")
+            if not usable[b]:
+                return ValueError("observable produced a non-finite value inside the window")
+            null, _ = _null_vectors(*next(found))
+            if len(null) != 1:
+                return RuntimeError(f"order-{ell} Wronskian window has null dimension {len(null)}")
+            return null[0]
+
+        vectors[ell] = [outcome(b) for b in range(count)]
+
+    def ratio_values(ratio: WronskianRatio):
+        values = np.empty(count)
+        for b, v in enumerate(vectors[ratio.order]):
+            if isinstance(v, Exception):
+                return v
+            if abs(v[ratio.den]) < PIVOT_FLOOR * np.max(np.abs(v)):
+                return ValueError(f"denominator entry {ratio.den} degenerate in null vector")
+            values[b] = v[ratio.num] / v[ratio.den]
+        return values
+
+    return [ratio_values(ratio) for ratio in ratios]
 
 
 def wronskian_ratio_integral(
@@ -394,30 +540,11 @@ def wronskian_ratio_integral(
     den: int,
     pairs: tuple = None,
     window: int = None,
-):
-    """Integral of the map read off a discrete-Wronskian null vector.
-
-    Returns a function of the initial state: it runs a short orbit, finds
-    the one-dimensional null space of the order-`order` Wronskian window
-    matrix, and returns entry `num` over entry `den`.
-    """
+) -> WronskianRatio:
+    """The WronskianRatio of entry `num` over entry `den`, over the conjugate
+    pairs and the default window height unless given."""
     if pairs is None:
         pairs = conjugate_pairs(field.dim)
-    observables = WronskianBasisSpec(order, pairs).observables()
-    m = len(observables)
-    height = window if window is not None else default_window(m)
-    steps = height - 1 + order
-
-    def integral(x: np.ndarray) -> float:
-        orbit = iterate_orbit(field, x, eps, steps)
-        report = hk_nullspace(orbit, observables, height)
-        if report.null_dim != 1:
-            raise RuntimeError(
-                f"order-{order} Wronskian window has null dimension {report.null_dim}"
-            )
-        v = report.coeff_vectors[0]
-        if abs(v[den]) < PIVOT_FLOOR * np.max(np.abs(v)):
-            raise ValueError(f"denominator entry {den} degenerate in null vector")
-        return float(v[num] / v[den])
-
-    return integral
+    if window is None:
+        window = default_window(len(pairs))
+    return WronskianRatio(field, eps, order, num, den, pairs, window)

@@ -56,6 +56,8 @@ __all__ = [
     "continuous_invariants",
     "continuous_wronskian_residual",
     "poisson_bracket_e3",
+    "central_states",
+    "central_difference",
     "central_gradient",
 ]
 
@@ -997,16 +999,26 @@ def continuous_wronskian_residual(desc: SystemDescriptor, x) -> float:
     return float(np.sum(gamma * (mdot * p - m * pdot)))
 
 
+def central_states(x: np.ndarray, scale: float = 1e-6) -> tuple:
+    """The 2n states of a central difference at x, stacked [2n, n] in the
+    order x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ..., and the per-coordinate
+    steps h_j = scale*(1+|x_j|)."""
+    x = np.asarray(x, dtype=float)
+    h = scale * (1.0 + np.abs(x))
+    e = np.diag(h)
+    return np.stack([x + e, x - e], axis=1).reshape(-1, x.shape[0]), h
+
+
+def central_difference(values, h: np.ndarray) -> np.ndarray:
+    """Gradient from a function's values on the rows of central_states."""
+    values = np.asarray(values, dtype=float).reshape(-1, 2)
+    return (values[:, 0] - values[:, 1]) / (2.0 * h)
+
+
 def central_gradient(fn: Callable, x: np.ndarray, scale: float = 1e-6) -> np.ndarray:
     """Central-difference gradient with per-coordinate step scale*(1+|x_j|)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[0])
-    for j in range(x.shape[0]):
-        h = scale * (1.0 + abs(x[j]))
-        e = np.zeros(x.shape[0])
-        e[j] = h
-        out[j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return out
+    states, h = central_states(x, scale)
+    return central_difference([fn(state) for state in states], h)
 
 
 def poisson_bracket_e3(F: Callable, G: Callable, x, scale: float = 1e-6) -> float:

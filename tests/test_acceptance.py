@@ -194,24 +194,11 @@ def test_criterion_07_functional_independence_rank_four():
     needed = 20
     max_draws = 100
 
-    def memoized(fn):
-        # the probe sets share quantities and reseed the same points, so a
-        # quantity's central-difference gradient is computed once per point
-        seen = {}
-
-        def call(y):
-            key = y.tobytes()
-            if key not in seen:
-                seen[key] = fn(y)
-            return seen[key]
-
-        return call
-
     gen = make_system("general_clebsch")
-    i0 = memoized(lambda y: eval_I0(gen, y, eps))
-    j0 = memoized(lambda y: eval_J0(gen, y, eps))
+    i0 = lambda y: eval_I0(gen, y, eps)
+    j0 = lambda y: eval_J0(gen, y, eps)
     j1, j2, j3, j4 = (
-        memoized(wronskian_ratio_integral(gen.field, eps, ell, num, 2, window=window))
+        wronskian_ratio_integral(gen.field, eps, ell, num, 2, window=window)
         for ell in (3, 4)
         for num in (0, 1)
     )

@@ -14,11 +14,15 @@ import numpy as np
 import pytest
 
 from conftest import SIX_DIM_KINDS, make_system, safe_state, unit_ball
+from kahanmaps import hkbasis, quadfield
 from kahanmaps.hkbasis import (
+    PIVOT_FLOOR,
     HKNullSpaceReport,
     OrbitRecord,
     _window_matrix,
     WronskianBasisSpec,
+    WronskianRatio,
+    _unit_gradients,
     bilinear_observable,
     conjugate_pairs,
     constant_observable,
@@ -32,8 +36,16 @@ from kahanmaps.hkbasis import (
     wronskian_observable,
     wronskian_ratio_integral,
 )
-from kahanmaps.integrals import KahanPair, eval_I0, eval_J0, eval_coeffs, evaluate_named
+from kahanmaps.integrals import (
+    KahanPair,
+    denominator_witnesses,
+    eval_I0,
+    eval_J0,
+    eval_coeffs,
+    evaluate_named,
+)
 from kahanmaps.quadfield import KahanStepResult, QuadraticVectorField, SingularStepError, kahan_step
+from kahanmaps.systems import central_states
 
 CLEBSCH_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch")
 
@@ -727,6 +739,238 @@ class TestRatioIntegralHelper:
         for _ in range(5):
             x = kahan_step(desc.field, x, eps).next
             assert j1(x) == pytest.approx(reference, rel=1e-8)
+
+
+def scalar_ratio(ratio):
+    """The per-state ratio evaluation that WronskianRatio replaced: one
+    iterate_orbit of its own length and one hk_nullspace call per state."""
+    observables = WronskianBasisSpec(ratio.order, ratio.pairs).observables()
+
+    def integral(x):
+        orbit = iterate_orbit(ratio.field, x, ratio.eps, ratio.window - 1 + ratio.order)
+        report = hk_nullspace(orbit, observables, ratio.window)
+        if report.null_dim != 1:
+            raise RuntimeError(
+                f"order-{ratio.order} Wronskian window has null dimension {report.null_dim}"
+            )
+        v = report.coeff_vectors[0]
+        if abs(v[ratio.den]) < PIVOT_FLOOR * np.max(np.abs(v)):
+            raise ValueError(f"denominator entry {ratio.den} degenerate in null vector")
+        return float(v[ratio.num] / v[ratio.den])
+
+    return integral
+
+
+def reference_unit_gradients(integrals, x, scale=1e-6):
+    """functional_rank's gradient rows as a loop: every integral, a ratio
+    through scalar_ratio, called at x + h e_j and x - h e_j for one
+    coordinate j at a time, then every row scaled to unit length."""
+    x = np.asarray(x, dtype=float)
+    grads = np.empty((len(integrals), x.shape[0]))
+    for row, fn in enumerate(integrals):
+        if isinstance(fn, WronskianRatio):
+            fn = scalar_ratio(fn)
+        for j in range(x.shape[0]):
+            h = scale * (1.0 + abs(x[j]))
+            e = np.zeros(x.shape[0])
+            e[j] = h
+            grads[row, j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+    norms = np.linalg.norm(grads, axis=1, keepdims=True)
+    return np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
+
+
+def shell_state(rng, desc, eps):
+    # criterion 07's probe points: radius 0.4..1, every denominator witness >= 1e-6
+    for _ in range(1000):
+        v = rng.standard_normal(desc.dim)
+        x = v * (rng.uniform(0.4, 1.0) / float(np.linalg.norm(v)))
+        if min(denominator_witnesses(desc, x, eps)) >= 1e-6:
+            return x
+    pytest.fail(f"no {desc.kind} shell state cleared the denominators")
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    pytest.fail("no error raised")
+
+
+def clebsch_ratios(eps=0.4, window=16):
+    desc = make_system("general_clebsch")
+    return desc, [
+        wronskian_ratio_integral(desc.field, eps, ell, num, 2, window=window)
+        for ell in (3, 4)
+        for num in (0, 1)
+    ]
+
+
+class TestStackedRatios:
+    """WronskianRatio evaluates a stack of states in one orbit; functional_rank
+    evaluates the ratios that share an orbit on all 2n perturbed states at
+    once. Both must give the per-state loop's numbers and errors."""
+
+    @pytest.mark.parametrize("seed", [71, 72])
+    def test_clebsch_rank_rows_match_loop(self, seed):
+        desc, ratios = clebsch_ratios()
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            x = shell_state(rng, desc, 0.4)
+            try:
+                expected = reference_unit_gradients(ratios, x)
+            except (SingularStepError, RuntimeError, ValueError) as exc:
+                assert raised(lambda: _unit_gradients(ratios, x)) == (type(exc), str(exc))
+                continue
+            assert np.array_equal(_unit_gradients(ratios, x), expected)
+
+    @pytest.mark.parametrize("kind", ["kirchhoff", "lagrange"])
+    def test_order_three_rank_rows_match_loop(self, kind):
+        desc = make_system(kind)
+        eps = 0.05
+        ratios = [wronskian_ratio_integral(desc.field, eps, 3, num, 0) for num in (1, 2)]
+        rng = np.random.default_rng(73)
+        for _ in range(5):
+            x = safe_state(rng, desc, eps)
+            assert np.array_equal(_unit_gradients(ratios, x), reference_unit_gradients(ratios, x))
+
+    def test_mixed_list_matches_loop(self):
+        # plain callables interleaved with ratio groups of two fields and two
+        # window heights, in an order that splits every group
+        gen, (j1, j2, j3, j4) = clebsch_ratios(eps=0.05)
+        kir = make_system("kirchhoff")
+        eps = 0.05
+        fns = [
+            lambda y: eval_I0(gen, y, eps),
+            j1,
+            wronskian_ratio_integral(kir.field, eps, 3, 2, 0),
+            lambda y: float(y[2]),
+            wronskian_ratio_integral(gen.field, eps, 3, 1, 2, window=10),
+            j4,
+            wronskian_ratio_integral(kir.field, eps, 3, 1, 0),
+            j2,
+            lambda y: eval_J0(gen, y, eps),
+            j3,
+        ]
+        x = safe_state(np.random.default_rng(74), gen, eps)
+        expected = reference_unit_gradients(fns, x)
+        assert np.array_equal(_unit_gradients(fns, x), expected)
+        sv = np.linalg.svd(expected, compute_uv=False)
+        assert functional_rank(fns, x) == int(np.sum(sv > 1e-7 * sv[0]))
+
+    def test_call_and_stack_match_scalar_ratio(self):
+        desc, ratios = clebsch_ratios()
+        rng = np.random.default_rng(75)
+        states = np.array([shell_state(rng, desc, 0.4) for _ in range(4)])
+        for ratio in ratios:
+            expected = [scalar_ratio(ratio)(x) for x in states]
+            assert [ratio(x) for x in states] == expected
+            assert ratio.values(states).tolist() == expected
+
+    def test_call_checks_state_shape(self):
+        _, (j1, *_) = clebsch_ratios()
+        with pytest.raises(ValueError, match="shape"):
+            j1(np.zeros(5))
+
+    def _pole_at(self, monkeypatch, ratios, x, row, step):
+        """Make the Kahan step from the state `step` steps along perturbed
+        state `row` a pole, in the scalar and the stacked kernel alike."""
+        field, eps = ratios[0].field, ratios[0].eps
+        start = central_states(x)[0][row]
+        state = iterate_orbit(field, start, eps, step).states[step] if step else start
+        target = float(quadfield._step_matrix(field, state, eps)[2])
+        threshold = quadfield._pole_threshold
+        monkeypatch.setattr(
+            quadfield,
+            "_pole_threshold",
+            lambda norm, n: math.inf if norm == target else threshold(norm, n),
+        )
+
+    @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
+    def test_pole_errors_match_loop(self, monkeypatch, step, error):
+        # step 18 is the last one, which only the order-4 windows reach
+        desc, ratios = clebsch_ratios()
+        x = shell_state(np.random.default_rng(76), desc, 0.4)
+        self._pole_at(monkeypatch, ratios, x, row=5, step=step)
+        expected = raised(lambda: reference_unit_gradients(ratios, x))
+        assert expected[0] is error
+        assert raised(lambda: functional_rank(ratios, x)) == expected
+        states = central_states(x)[0]
+        j1 = ratios[0]
+        if step < 18:
+            assert raised(lambda: j1.values(states)) == expected
+        else:
+            assert j1.values(states).tolist() == [scalar_ratio(j1)(y) for y in states]
+
+    def test_null_dimension_error_matches_loop(self, monkeypatch):
+        desc, ratios = clebsch_ratios()
+        x = shell_state(np.random.default_rng(77), desc, 0.4)
+        null_vectors = hkbasis._null_vectors
+
+        def doubled(rows, sv, vt):
+            vectors, gap = null_vectors(rows, sv, vt)
+            return np.vstack([vectors, vectors]), gap
+
+        monkeypatch.setattr(hkbasis, "_null_vectors", doubled)
+        expected = raised(lambda: reference_unit_gradients(ratios, x))
+        assert expected == (RuntimeError, "order-3 Wronskian window has null dimension 2")
+        assert raised(lambda: functional_rank(ratios, x)) == expected
+
+    def test_degenerate_denominator_matches_loop(self, monkeypatch):
+        desc, ratios = clebsch_ratios()
+        x = shell_state(np.random.default_rng(78), desc, 0.4)
+        null_vectors = hkbasis._null_vectors
+
+        def zero_den(rows, sv, vt):
+            vectors, gap = null_vectors(rows, sv, vt)
+            vectors[:, 2] = 0.0
+            return vectors, gap
+
+        monkeypatch.setattr(hkbasis, "_null_vectors", zero_den)
+        expected = raised(lambda: reference_unit_gradients(ratios, x))
+        assert expected == (ValueError, "denominator entry 2 degenerate in null vector")
+        assert raised(lambda: functional_rank(ratios, x)) == expected
+
+
+class TestRankInputs:
+    def test_nan_integral_named(self):
+        fns = [lambda y: math.nan, lambda y: float(y[0])]
+        with pytest.raises(ValueError, match="integral 0 has a non-finite"):
+            functional_rank(fns, np.full(6, 0.3))
+
+    def test_infinite_value_named(self):
+        fns = [lambda y: float(y[0]), lambda y: math.inf if y[3] > 0.3 else 0.0]
+        with pytest.raises(ValueError, match="integral 1 has a non-finite"):
+            functional_rank(fns, np.full(6, 0.3))
+
+    def test_overflowing_gradient_named(self):
+        # finite values whose difference overflows to an infinite gradient
+        fns = [lambda y: float(y[0]), lambda y: 1e308 if y[1] > 0.3 else -1e308]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="integral 1 has a non-finite"):
+            functional_rank(fns, np.full(6, 0.3))
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one integral is required"):
+            functional_rank([], np.full(6, 0.3))
+
+    @pytest.mark.parametrize(
+        "num, den, message",
+        [(0, -1, "den must lie in 0..2"), (7, 2, "num must lie in 0..2"), (1, 1, "num and den")],
+    )
+    def test_ratio_indices_validated_at_build(self, num, den, message):
+        field = make_system("general_clebsch").field
+        with pytest.raises(ValueError, match=message):
+            wronskian_ratio_integral(field, 0.4, 3, num, den, window=16)
+
+    def test_pairs_past_dimension_rejected_at_build(self):
+        field = make_system("kirchhoff").field
+        with pytest.raises(ValueError, match="reach past dimension 6"):
+            wronskian_ratio_integral(field, 0.05, 1, 0, 1, pairs=((0, 7), (1, 4), (2, 5)))
+
+    def test_short_window_rejected_at_build(self):
+        field = make_system("general_clebsch").field
+        with pytest.raises(ValueError, match="window must be at least 5"):
+            wronskian_ratio_integral(field, 0.4, 3, 0, 2, window=4)
 
 
 class TestRecordValidation:
