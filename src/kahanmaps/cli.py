@@ -24,8 +24,8 @@ from .hkbasis import (
     hk_nullspace,
     iterate_orbit,
 )
-from .integrals import DenominatorZeroError, KahanPair
-from .quadfield import SingularStepError
+from .integrals import KahanPair
+from .quadfield import SingularStepError, kahan_step
 from .systems import build_system, params_from_dict, params_to_dict
 from .verify import draw_initial_state, reports_to_json, run_suites, suites_passed
 
@@ -60,6 +60,26 @@ class ExperimentConfig:
     seed: int
     orders: Optional[tuple]
     trials: int
+
+
+def _is_number(value) -> bool:
+    # JSON true/false are not numbers, though Python counts bool as int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer, or a number with an integral value (1e3): one that
+    int() takes without truncating."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _integer(doc: dict, key: str, default: int, low: int) -> int:
+    value = doc.get(key, default)
+    if not _is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -107,21 +127,23 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
         if not np.isfinite(x0).all():
             raise ValueError("x0 must be finite")
 
-    eps = float(doc.get("eps", DEFAULT_EPS))
-    steps = int(doc.get("steps", DEFAULT_STEPS))
-    seed = int(doc.get("seed", DEFAULT_SEED))
-    trials = int(doc.get("trials", DEFAULT_TRIALS))
+    eps = doc.get("eps", DEFAULT_EPS)
+    if not _is_number(eps):
+        raise ValueError(f"eps must be a number, got {eps!r}")
+    eps = float(eps)
     if not np.isfinite(eps):
         raise ValueError("eps must be finite")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    steps = _integer(doc, "steps", DEFAULT_STEPS, 0)
+    seed = _integer(doc, "seed", DEFAULT_SEED, 0)
+    trials = _integer(doc, "trials", DEFAULT_TRIALS, 1)
     orders = None
     if doc.get("orders") is not None:
-        orders = tuple(int(o) for o in doc["orders"])
-        if not orders or any(o < 1 for o in orders):
-            raise ValueError("orders must be a non-empty list of integers >= 1")
+        listed = doc["orders"]
+        if not isinstance(listed, list) or not listed or not all(_is_integer(o) and o >= 1 for o in listed):
+            raise ValueError(f"orders must be a non-empty list of integers >= 1, got {listed!r}")
+        orders = tuple(int(o) for o in listed)
+        if len(set(orders)) != len(orders):
+            raise ValueError(f"orders must not repeat an order, got {listed!r}")
     return ExperimentConfig(
         kind=kind,
         params=params,
@@ -165,33 +187,36 @@ def _resolve_x0(cfg: ExperimentConfig, desc) -> np.ndarray:
 
 
 def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
-    pair = KahanPair(desc, _resolve_x0(cfg, desc), cfg.eps)
-    columns = list(desc.integral_names) + [f"density_{d}" for d in desc.density_names]
-    header = (
-        ["step"]
-        + [f"x{i + 1}" for i in range(desc.dim)]
-        + ["delta"]
-        + columns
-    )
-    lines = [",".join(header)]
+    # step the orbit first: row k shows point k, and its bilinear columns
+    # pair it with point k + 1, so the last row needs one step past it
+    states = [_resolve_x0(cfg, desc)]
+    results = []
     truncated_at = None
-    for k in range(1, cfg.steps + 1):
-        # step k is the successor the previous row's bilinear columns used
+    for k in range(1, cfg.steps + 2 if cfg.steps else 1):
         try:
-            result = pair.step
+            results.append(kahan_step(desc.field, states[-1], cfg.eps))
         except SingularStepError as exc:
             if k == 1:
                 raise ValueError(f"orbit hits a pole at the first step: {exc}") from exc
-            truncated_at = k
+            # the row before keeps its state-only columns
+            results.append(exc)
+            truncated_at = k if k <= cfg.steps else None
             break
-        pair = KahanPair(desc, result.next, cfg.eps)
-        row = [str(k)] + [_fmt(v) for v in result.next] + [_fmt(result.delta)]
-        for name in columns:
-            try:
-                row.append(_fmt(pair.value(name)))
-            except (DenominatorZeroError, SingularStepError):
-                row.append("nan")
-        lines.append(",".join(row))
+        states.append(results[-1].next)
+    rows = min(len(states) - 1, cfg.steps)
+    columns = list(desc.integral_names) + [f"density_{d}" for d in desc.density_names]
+    pair = KahanPair(desc, np.array(states[1 : rows + 1]).reshape(rows, desc.dim), cfg.eps, results[1 : rows + 1])
+    table = np.empty((rows, len(columns)))
+    failed = np.empty((rows, len(columns)), dtype=bool)
+    for j, name in enumerate(columns):
+        values = pair.value(name)
+        table[:, j], failed[:, j] = values.value, values.fail
+    header = ["step"] + [f"x{i + 1}" for i in range(desc.dim)] + ["delta"] + columns
+    lines = [",".join(header)]
+    for k in range(1, rows + 1):
+        cells = [_fmt(v) for v in states[k].tolist()] + [_fmt(results[k - 1].delta)]
+        cells += ["nan" if bad else _fmt(v) for v, bad in zip(table[k - 1].tolist(), failed[k - 1].tolist())]
+        lines.append(",".join([str(k)] + cells))
     _write(out_dir, "orbit.csv", lines)
     if truncated_at is not None:
         print(

@@ -251,14 +251,20 @@ class HKNullSpaceReport:
 def _window_matrix(
     orbit: OrbitRecord, observables: Sequence[Observable], window: int, start: int
 ) -> np.ndarray:
-    """Rows start .. start + window - 1: one column per observable."""
+    """Rows start .. start + window - 1: one column per observable.
+
+    The bases are checked against every observable's reach first; an
+    observable that still rejects them (a Wronskian pair outside the state
+    dimension) raises ValueError with its own message.
+    """
+    reach = max((observe.reach for observe in observables), default=0)
+    if window > 0 and (start < 0 or start + window - 1 + reach >= orbit.states.shape[0]):
+        raise ValueError(f"orbit too short for window of {window} rows starting at {start}")
     bases = np.arange(start, start + window)
     try:
         return np.column_stack([observe(orbit, bases) for observe in observables])
     except IndexError as exc:
-        raise ValueError(
-            f"orbit too short for window of {window} rows starting at {start}"
-        ) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _check_window(m: int, window: int) -> None:

@@ -2,13 +2,17 @@
 catalog Kahan maps.
 
 The formulas are entries of the catalog table (systems.KINDS): state-only
-quantities at a single point x, and bilinear quantities on the consecutive
-orbit pair (x, x~), where x~ is one forward Kahan step. A KahanPair holds
-x, takes that step at most once (or is handed the step an orbit already
-holds), and evaluates every named quantity on it; the designated
-coefficients times Delta(x; eps) = det(I - eps f'(x)) are the preserved
-densities. KahanPair and evaluate_named are the one evaluation path; the
-eval_* functions and denominator_witnesses are one-line views of it.
+quantities at a point x, and bilinear quantities on the consecutive orbit
+pair (x, x~), where x~ is one forward Kahan step. Every formula takes a
+stack of states x[B, n] with their successors and returns one value per
+row, with the rows where the one-state formula raises marked instead of
+raised. A KahanPair holds such a stack, takes its steps at most once (or is
+handed the steps an orbit already holds), and evaluates every named
+quantity on all rows in one call; the designated coefficients times
+Delta(x; eps) = det(I - eps f'(x)) are the preserved densities. A single
+state is the stack of one: its quantities return plain values and raise
+where the row fails. KahanPair is the one evaluation path; evaluate_named,
+the eval_* functions and denominator_witnesses are one-line views of it.
 
 The bilinear family is obtained from the state-only family by the polarization
 substitution x_i x_j -> (x_i x~_j + x~_i x_j)/2, x_i -> (x_i + x~_i)/2
@@ -17,11 +21,12 @@ followed by eps^2 -> -eps^2 (the tests check this on I0 -> J0 and F -> Fhat).
 
 from __future__ import annotations
 
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kahanmaps.quadfield import KahanStepResult, SingularStepError, kahan_step
+from kahanmaps.quadfield import KahanBatch, KahanStepResult, SingularStepError, kahan_step, kahan_step_batch
 from kahanmaps.systems import (
     KINDS,
     DenominatorZeroError,
@@ -32,6 +37,7 @@ from kahanmaps.systems import (
 __all__ = [
     "DenominatorZeroError",
     "KahanPair",
+    "Rows",
     "eval_I0",
     "eval_J0",
     "eval_coeffs",
@@ -41,55 +47,174 @@ __all__ = [
 ]
 
 
-class KahanPair:
-    """A state x and its Kahan successor x~, on which the named quantities of
-    the system are evaluated.
+class Rows(NamedTuple):
+    """A quantity on every row of a stack.
 
-    The forward step is taken at most once: pass it as step when the caller
-    already holds it (a KahanStepResult, or the SingularStepError of a pole,
-    as KahanBatch.row gives them), otherwise the first quantity that needs x~
-    takes it. A pole there is kept and raised again by every quantity that
-    needs x~. Vectors that several names share are computed once per pair.
+    value: one value (or one vector) per row; a failing row's is unspecified
+    failures: (rows mask, error) pairs in the order the one-state evaluation
+      raises them; row i fails with error(i) of the first mask holding it
+    """
+
+    value: np.ndarray
+    failures: tuple = ()
+
+    @property
+    def fail(self) -> np.ndarray:
+        """The rows where the one-state evaluation raises."""
+        out = np.zeros(self.value.shape[0], dtype=bool)
+        for rows, _ in self.failures:
+            out |= rows
+        return out
+
+    def item(self, i: int):
+        """Row i's value (a float, or an array for a vector quantity); raises
+        the error the one-state evaluation raises there."""
+        for rows, error in self.failures:
+            if rows[i]:
+                raise error(i)
+        value = self.value[i]
+        return float(value) if np.ndim(value) == 0 else value
+
+
+def _steps(step, shape: tuple) -> tuple:
+    """(KahanBatch, error(i)) of forward steps given as a KahanBatch or as a
+    sequence of per-row KahanStepResult or SingularStepError; error(i) is
+    the SingularStepError of a pole row."""
+    if isinstance(step, KahanBatch):
+        return step, step.row
+    count = shape[0]
+    batch = KahanBatch(
+        np.full(shape, np.nan),
+        np.full(count, np.nan),
+        np.full(count, np.nan),
+        np.array([isinstance(s, SingularStepError) for s in step], dtype=bool),
+        np.full(count, np.nan),
+    )
+    for i, s in enumerate(step):
+        if not batch.pole[i]:
+            batch.next[i], batch.delta[i], batch.residual[i] = s
+    return batch, step.__getitem__
+
+
+class KahanPair:
+    """States x and their Kahan successors x~, on which the named quantities
+    of the system are evaluated.
+
+    x is a stack [B, n]: each quantity is one call over every row and
+    returns Rows. A single state x[n] is the stack of one: its quantities
+    return row 0's value and raise that row's error.
+
+    The forward steps are taken at most once: pass them as step when the
+    caller already holds them (a KahanBatch, or per-row KahanStepResult or
+    SingularStepError; for a single state its KahanStepResult or
+    SingularStepError), otherwise the first quantity that needs x~ takes
+    them. A row on a pole fails in every quantity that needs x~. Vectors
+    that several names share are computed once per pair.
     """
 
     def __init__(self, desc: SystemDescriptor, x, eps: float, step=None):
+        x = np.asarray(x, dtype=float)
         self.desc = desc
         self.params = desc.params
-        self.x = np.asarray(x, dtype=float)
+        self.single = x.ndim == 1
+        self.x = x[None] if self.single else x
         self.eps = eps
-        self._step = step
+        self._step = None
+        if step is not None:
+            self._step = _steps([step] if self.single else step, self.x.shape)
         self._parts: dict = {}
+        self._failures: list = []
+        self._scope = None
 
-    @property
-    def step(self) -> KahanStepResult:
-        """The forward step from x; raises SingularStepError at a pole."""
+    def _stepped(self) -> tuple:
         if self._step is None:
-            try:
-                self._step = kahan_step(self.desc.field, self.x, self.eps)
-            except SingularStepError as exc:
-                self._step = exc
-        if isinstance(self._step, SingularStepError):
-            raise self._step
+            if self.single:
+                try:
+                    result = kahan_step(self.desc.field, self.x[0], self.eps)
+                except SingularStepError as exc:
+                    result = exc
+                self._step = _steps([result], self.x.shape)
+            else:
+                self._step = _steps(kahan_step_batch(self.desc.field, self.x, self.eps), self.x.shape)
         return self._step
 
     @property
+    def step(self):
+        """The forward steps as a KahanBatch; for a single state its
+        KahanStepResult, raising SingularStepError at a pole."""
+        batch, error = self._stepped()
+        if not self.single:
+            return batch
+        if batch.pole[0]:
+            raise error(0)
+        return KahanStepResult(batch.next[0], float(batch.delta[0]), float(batch.residual[0]))
+
+    def _successors(self) -> KahanBatch:
+        """The forward steps, marking the rows whose step is a pole."""
+        batch, error = self._stepped()
+        self.fail(batch.pole, error)
+        return batch
+
+    @property
     def y(self) -> np.ndarray:
-        return self.step.next
+        """The successors x~[B, n]; marks the rows whose step is a pole."""
+        return self._successors().next
+
+    def fail(self, rows: np.ndarray, error: Callable) -> None:
+        """Mark rows where the one-state formula raises error(i), after the
+        failures already marked."""
+        if self._scope is not None:
+            rows = rows & self._scope
+        if rows.any():
+            self._failures.append((rows, error))
+
+    @contextmanager
+    def only(self, rows: np.ndarray):
+        """Failures marked inside count on rows alone: the one-state formula
+        evaluates this branch only there."""
+        scope = self._scope
+        self._scope = rows if scope is None else scope & rows
+        try:
+            yield
+        finally:
+            self._scope = scope
 
     def part(self, fn: Callable):
-        """fn(self), computed once per pair; a failure is raised, not kept."""
+        """fn(self), computed once per pair; its failures are marked on
+        every use. A raised exception is not kept."""
         if fn not in self._parts:
-            self._parts[fn] = fn(self)
-        return self._parts[fn]
+            outer, scope = self._failures, self._scope
+            self._failures, self._scope = [], None
+            try:
+                self._parts[fn] = (fn(self), self._failures)
+            finally:
+                self._failures, self._scope = outer, scope
+        value, failures = self._parts[fn]
+        for rows, error in failures:
+            self.fail(rows, error)
+        return value
 
-    def value(self, name: str) -> float:
+    def _evaluate(self, compute: Callable) -> tuple:
+        """compute() and the failures it marks."""
+        self._failures = []
+        value = compute()
+        return value, tuple(self._failures)
+
+    def _result(self, compute: Callable):
+        rows = Rows(*self._evaluate(compute))
+        return rows.item(0) if self.single else rows
+
+    def value(self, name: str):
         """A declared integral name, a coordinate name "m1".."p3", a ratio
         name like "c1/c0", or a density column "density_<name>"."""
+        return self._result(lambda: self._value(name))
+
+    def _value(self, name: str) -> np.ndarray:
         if "/" in name:
             num, den = name.split("/", 1)
-            return _div(self.value(num), self.value(den), name)
+            return _div(self, self._value(num), self._value(den), name)
         if name.startswith("density_"):
-            return self.density(name[len("density_"):])
+            return self._density(name[len("density_"):])
         formula = KINDS[self.desc.kind].quantities.get(name)
         if formula is None:
             if any(name in spec.quantities for spec in KINDS.values()):
@@ -97,21 +222,26 @@ class KahanPair:
             raise ValueError(f"unknown quantity name '{name}' for {self.desc.kind}")
         return formula(self)
 
-    def density(self, which: str) -> float:
+    def density(self, which: str):
         """Preserved density numerator: the named bilinear coefficient on
         (x, x~) times Delta(x; eps).
 
         The defining property, checked by the verification suites, is
         density(x~)/density(x) = det dPhi(x) along orbits.
         """
+        return self._result(lambda: self._density(which))
+
+    def _density(self, which: str) -> np.ndarray:
         if which not in self.desc.density_names:
             raise ValueError(
                 f"'{which}' is not a declared density of {self.desc.kind}; have {self.desc.density_names}"
             )
-        return self.value(which) * self.step.delta
+        value = self._value(which)
+        return value * self._successors().delta
 
-    def coefficients(self, kind: str = "small_c") -> np.ndarray:
-        """Coefficient vector of the system's null-space relations.
+    def coefficients(self, kind: str = "small_c"):
+        """Coefficient vectors of the system's null-space relations, one row
+        per state.
 
         kind="small_c": state-only coefficients; Clebsch family returns
         (c1, c2, c3, c0), Kirchhoff (c1, c3), Lagrange (r, s).
@@ -123,13 +253,22 @@ class KahanPair:
         names = KINDS[self.desc.kind].coefficients[kind == "big_C"]
         if not names:
             raise ValueError(f"coefficient vectors are not defined for {self.desc.kind}")
-        return np.array([self.value(name) for name in names])
+        return self._result(lambda: np.stack([self._value(name) for name in names], axis=-1))
 
-    def witnesses(self) -> list:
+    def witnesses(self):
         """Magnitudes of every denominator the system's quantities divide by
-        at x (see denominator_witnesses)."""
+        (see denominator_witnesses): Rows of one column per witness, and the
+        mask of the entries each row has. For a single state, the list."""
         spec = KINDS.get(self.desc.kind)
-        return spec.witnesses(self) if spec else []
+        (values, has), failures = self._evaluate(
+            lambda: spec.witnesses(self) if spec else (np.empty((self.x.shape[0], 0)), None)
+        )
+        rows = Rows(values, failures)
+        if has is None:
+            has = np.ones(values.shape, dtype=bool)
+        if self.single:
+            return [float(v) for v in rows.item(0)[has[0]]]
+        return rows, has
 
 
 def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:

@@ -11,7 +11,7 @@ field builder, the declared quantity names, the continuous invariants, and
 the formulas of its map-level quantities, which come in two families:
 
 * state-only quantities (lowercase names: c1..c0, g_i, r, s, F) evaluated at
-  a single point x;
+  a point x;
 * bilinear quantities (uppercase: C1..C0, G_i, R, S, Fhat) evaluated on a
   consecutive orbit pair (x, x~), where x~ is one forward Kahan step.
 
@@ -549,32 +549,54 @@ def _general_clebsch_field(params: ClebschParams) -> QuadraticVectorField:
     return _clebsch_field(params.a, params.b)
 
 
-# Map-level quantity formulas. Each takes a pair q (integrals.KahanPair):
-# q.params, the state q.x, q.eps, the successor q.y (one forward Kahan step,
-# taken at most once per pair) and q.part(fn), fn(q) computed once per pair.
+# Map-level quantity formulas. Each takes a pair q (integrals.KahanPair)
+# holding a stack of states and returns one value per row (a vector part one
+# row per state): q.params, the states q.x[B, n], q.eps, their successors
+# q.y[B, n] (one forward Kahan step each, taken at most once per pair) and
+# q.part(fn), fn(q) computed once per pair. Where the one-state formula
+# raises, a formula marks the rows with q.fail(rows, error) in the order the
+# one-state formula raises, and guards its arithmetic there with a mask;
+# reading q.y marks the rows whose step is a pole. The scalar view of a
+# quantity is the stack of one, so each formula exists once.
+#
+# The arithmetic is chosen so that every row rounds as the recorded outputs
+# do. A coordinate squared is np.float_power(v, 2.0), libm's pow, which is
+# what v ** 2 of a numpy scalar calls; np.square and v * v differ from it in
+# about 8 values in 10 000. A sum of squares of a block (x[:, 3:] ** 2) is
+# np.square. Dot products of 3-vectors are np.vecdot, which rounds as np.dot
+# does; X @ w does not.
 
 
 class DenominatorZeroError(RuntimeError):
     """A conserved-quantity denominator vanished at the evaluation point."""
 
 
-def _div(num: float, den: float, what: str) -> float:
-    if den == 0.0:
-        raise DenominatorZeroError(f"zero denominator in {what}")
-    return num / den
+def _sq(v: np.ndarray) -> np.ndarray:
+    return np.float_power(v, 2.0)
+
+
+def _nan_like(den: np.ndarray) -> np.ndarray:
+    return np.full(np.shape(den), np.nan)
+
+
+def _div(q, num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
+    """num / den on every row; a row whose den is exactly zero fails."""
+    zero = den == 0.0
+    q.fail(zero, lambda i: DenominatorZeroError(f"zero denominator in {what}"))
+    return np.divide(num, den, out=_nan_like(den), where=~zero)
 
 
 def _entries(part, names) -> dict:
     """One named formula per component of a vector-valued part."""
-    return {name: (lambda q, i=i: float(q.part(part)[i])) for i, name in enumerate(names)}
+    return {name: (lambda q, i=i: q.part(part)[:, i]) for i, name in enumerate(names)}
 
 
 def _ratio(part, num: int, den: int, what: str):
-    return lambda q: _div(q.part(part)[num], q.part(part)[den], what)
+    return lambda q: _div(q, q.part(part)[:, num], q.part(part)[:, den], what)
 
 
 _COORDINATES = {
-    name: (lambda q, i=i: float(q.x[i]))
+    name: (lambda q, i=i: q.x[:, i])
     for i, name in enumerate(("m1", "m2", "m3", "p1", "p2", "p3"))
 }
 
@@ -586,8 +608,9 @@ def _g(q) -> np.ndarray:
     """
     a, _, _, beta = q.params.family
     x = q.x
-    return np.array(
-        [x[3 + i] ** 2 + (beta * a[i] / (a[j] * a[k])) * x[i] ** 2 for i, j, k in _CYCLIC]
+    return np.stack(
+        [_sq(x[:, 3 + i]) + (beta * a[i] / (a[j] * a[k])) * _sq(x[:, i]) for i, j, k in _CYCLIC],
+        axis=-1,
     )
 
 
@@ -595,24 +618,25 @@ def _G(q) -> np.ndarray:
     """Bilinear counterpart G_i = p_i p~_i + (beta a_i / (a_j a_k)) m_i m~_i."""
     x, y = q.x, q.y
     a, _, _, beta = q.params.family
-    return np.array(
+    return np.stack(
         [
-            x[3 + i] * y[3 + i] + (beta * a[i] / (a[j] * a[k])) * x[i] * y[i]
+            x[:, 3 + i] * y[:, 3 + i] + (beta * a[i] / (a[j] * a[k])) * x[:, i] * y[:, i]
             for i, j, k in _CYCLIC
-        ]
+        ],
+        axis=-1,
     )
 
 
-def _coeff_vec(A, a, b, eps2: float, g) -> np.ndarray:
+def _coeff_vec(A, a, b, eps2: float, g: np.ndarray) -> np.ndarray:
     """(c1, c2, c3, c0) of the Clebsch family; the bilinear variant is the
     same formula at -eps^2 with g replaced by G."""
     c = [
         A[i]
-        + eps2 * (A[k] * a[i] * (b[i] - b[j]) * g[j] + A[j] * a[i] * (b[i] - b[k]) * g[k])
+        + eps2 * (A[k] * a[i] * (b[i] - b[j]) * g[:, j] + A[j] * a[i] * (b[i] - b[k]) * g[:, k])
         for i, j, k in _CYCLIC
     ]
-    c0 = sum(A[i] * a[j] * a[k] * g[i] for i, j, k in _CYCLIC)
-    return np.array([c[0], c[1], c[2], c0])
+    c0 = sum(A[i] * a[j] * a[k] * g[:, i] for i, j, k in _CYCLIC)
+    return np.stack([c[0], c[1], c[2], c0], axis=-1)
 
 
 def _c(q) -> np.ndarray:
@@ -629,9 +653,9 @@ def _spectral_den(triple, sign: float):
     """Denominator of I0 (g, +1) or J0 (G, -1) for beta != 0:
     1 + sign eps^2 (a1 a2 a3 / beta) sum g."""
 
-    def den(q) -> float:
+    def den(q) -> np.ndarray:
         a, _, _, beta = q.params.family
-        return 1.0 + sign * q.eps * q.eps * (a[0] * a[1] * a[2] / beta) * float(np.sum(q.part(triple)))
+        return 1.0 + sign * q.eps * q.eps * (a[0] * a[1] * a[2] / beta) * np.sum(q.part(triple), axis=-1)
 
     return den
 
@@ -640,8 +664,8 @@ def _first_den(triple, sign: float):
     """Denominator of I0 (g, -1) or J0 (G, +1) for the first special case:
     1 + sign eps^2 omega.g."""
 
-    def den(q) -> float:
-        return 1.0 + sign * q.eps * q.eps * float(np.dot(q.params.omega, q.part(triple)))
+    def den(q) -> np.ndarray:
+        return 1.0 + sign * q.eps * q.eps * np.vecdot(q.params.omega, q.part(triple))
 
     return den
 
@@ -650,16 +674,18 @@ _SPECTRAL_DENS = (_spectral_den(_g, 1.0), _spectral_den(_G, -1.0))
 _FIRST_DENS = (_first_den(_g, -1.0), _first_den(_G, 1.0))
 
 
-def _first_K(q) -> float:
+def _first_K(q) -> np.ndarray:
     """K = sum_i (C_i/C_0) m_i p_i / c_0, a conserved quantity of the first
     special case built from both coefficient families."""
-    C1, C2, C3, C0 = q.part(_C)
+    C = q.part(_C)
     x = q.x
-    c0 = float(np.sum(x[3:] ** 2))
-    if C0 == 0.0 or c0 == 0.0:
-        raise DenominatorZeroError("zero denominator in K")
-    m, p = x[:3], x[3:]
-    return float(sum(Ci * m[i] * p[i] for i, Ci in enumerate((C1, C2, C3))) / (C0 * c0))
+    c0 = np.sum(x[:, 3:] ** 2, axis=-1)
+    zero = (C[:, 3] == 0.0) | (c0 == 0.0)
+    q.fail(zero, lambda i: DenominatorZeroError("zero denominator in K"))
+    m, p = x[:, :3], x[:, 3:]
+    num = sum(C[:, i] * m[:, i] * p[:, i] for i in range(3))
+    den = C[:, 3] * c0
+    return np.divide(num, den, out=_nan_like(den), where=~zero)
 
 
 def _clebsch_quantities(den, den_hat) -> dict:
@@ -669,111 +695,121 @@ def _clebsch_quantities(den, den_hat) -> dict:
         **_entries(_G, ("G1", "G2", "G3")),
         **_entries(_c, ("c1", "c2", "c3", "c0")),
         **_entries(_C, ("C1", "C2", "C3", "C0")),
-        "I0": lambda q: _div(float(q.part(_c)[3]), den(q), "I0"),
-        "J0": lambda q: _div(float(q.part(_C)[3]), den_hat(q), "J0"),
+        "I0": lambda q: _div(q, q.part(_c)[:, 3], den(q), "I0"),
+        "J0": lambda q: _div(q, q.part(_C)[:, 3], den_hat(q), "J0"),
     }
 
 
 def _clebsch_witnesses(den, den_hat):
-    def witnesses(q) -> list:
+    def witnesses(q) -> tuple:
         x = q.x
-        return [
-            abs(den(q)),
-            float(np.sum(x[3:] ** 2)),  # c0, the K denominator
-            abs(den_hat(q)),
-            abs(float(np.sum(x[3:] * q.y[3:]))),  # C0 scale for K
+        columns = [
+            np.abs(den(q)),
+            np.sum(x[:, 3:] ** 2, axis=-1),  # c0, the K denominator
+            np.abs(den_hat(q)),
+            np.abs(np.sum(x[:, 3:] * q.y[:, 3:], axis=-1)),  # C0 scale for K
         ]
+        return np.stack(columns, axis=-1), None
 
     return witnesses
 
 
-def _kirchhoff_small(q) -> tuple:
+def _kirchhoff_small(q) -> np.ndarray:
     pr, x, eps2 = q.params, q.x, q.eps * q.eps
-    m, p = x[:3], x[3:]
-    c1 = 1.0 + eps2 * pr.a3 * (pr.a1 - pr.a3) * m[2] ** 2 + eps2 * pr.a1 * (pr.b1 - pr.b3) * p[2] ** 2
+    m, p = x[:, :3], x[:, 3:]
+    c1 = 1.0 + eps2 * pr.a3 * (pr.a1 - pr.a3) * _sq(m[:, 2]) + eps2 * pr.a1 * (pr.b1 - pr.b3) * _sq(p[:, 2])
     c3 = (
         2.0 * pr.a3 / pr.a1
         - 1.0
-        + eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[0] ** 2 + m[1] ** 2)
-        + eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[0] ** 2 + p[1] ** 2)
+        + eps2 * pr.a1 * (pr.a3 - pr.a1) * (_sq(m[:, 0]) + _sq(m[:, 1]))
+        + eps2 * pr.a3 * (pr.b3 - pr.b1) * (_sq(p[:, 0]) + _sq(p[:, 1]))
     )
-    return c1, c3
+    return np.stack([c1, c3], axis=-1)
 
 
-def _kirchhoff_big(q) -> tuple:
+def _kirchhoff_big(q) -> np.ndarray:
     x, y = q.x, q.y
     pr, eps2 = q.params, q.eps * q.eps
-    m, p = x[:3], x[3:]
-    mt, pt = y[:3], y[3:]
+    m, p = x[:, :3], x[:, 3:]
+    mt, pt = y[:, :3], y[:, 3:]
     # the m3 term is state-only: m3 is preserved exactly by the map
-    C1 = 1.0 - eps2 * pr.a3 * (pr.a1 - pr.a3) * m[2] ** 2 - eps2 * pr.a1 * (pr.b1 - pr.b3) * p[2] * pt[2]
+    C1 = 1.0 - eps2 * pr.a3 * (pr.a1 - pr.a3) * _sq(m[:, 2]) - eps2 * pr.a1 * (pr.b1 - pr.b3) * p[:, 2] * pt[:, 2]
     C3 = (
         2.0 * pr.a3 / pr.a1
         - 1.0
-        - eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[0] * mt[0] + m[1] * mt[1])
-        - eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[0] * pt[0] + p[1] * pt[1])
+        - eps2 * pr.a1 * (pr.a3 - pr.a1) * (m[:, 0] * mt[:, 0] + m[:, 1] * mt[:, 1])
+        - eps2 * pr.a3 * (pr.b3 - pr.b1) * (p[:, 0] * pt[:, 0] + p[:, 1] * pt[:, 1])
     )
-    return C1, C3
+    return np.stack([C1, C3], axis=-1)
 
 
-def _lagrange_small(q) -> tuple:
+def _near_m3(q, what: str) -> np.ndarray:
+    """Rows whose m3 the Lagrange coefficients cannot divide by; they fail."""
+    near = np.abs(q.x[:, 2]) < LAGRANGE_M3_FLOOR
+    q.fail(near, lambda i: DenominatorZeroError(f"Lagrange {what} coefficients divide by m3"))
+    return near
+
+
+def _lagrange_small(q) -> np.ndarray:
     pr, x, eps2 = q.params, q.x, q.eps * q.eps
-    m, p = x[:3], x[3:]
-    if abs(m[2]) < LAGRANGE_M3_FLOOR:
-        raise DenominatorZeroError("Lagrange state-only coefficients divide by m3")
+    m, p = x[:, :3], x[:, 3:]
+    near = _near_m3(q, "state-only")
     r = (
         2.0 * pr.alpha
         - 1.0
-        + eps2 * (pr.alpha - 1.0) * (m[0] ** 2 + m[1] ** 2)
-        + (eps2 * pr.gamma / m[2]) * (m[0] * p[0] + m[1] * p[1])
+        + eps2 * (pr.alpha - 1.0) * (_sq(m[:, 0]) + _sq(m[:, 1]))
+        + np.divide(eps2 * pr.gamma, m[:, 2], out=_nan_like(near), where=~near)
+        * (m[:, 0] * p[:, 0] + m[:, 1] * p[:, 1])
     )
-    s = 1.0 + eps2 * pr.alpha * (1.0 - pr.alpha) * m[2] ** 2 - eps2 * pr.gamma * p[2]
-    return r, s
+    s = 1.0 + eps2 * pr.alpha * (1.0 - pr.alpha) * _sq(m[:, 2]) - eps2 * pr.gamma * p[:, 2]
+    return np.stack([r, s], axis=-1)
 
 
-def _lagrange_big(q) -> tuple:
+def _lagrange_big(q) -> np.ndarray:
     x, y = q.x, q.y
     pr, eps2 = q.params, q.eps * q.eps
-    m, p = x[:3], x[3:]
-    mt, pt = y[:3], y[3:]
-    if abs(m[2]) < LAGRANGE_M3_FLOOR:
-        raise DenominatorZeroError("Lagrange bilinear coefficients divide by m3")
+    m, p = x[:, :3], x[:, 3:]
+    mt, pt = y[:, :3], y[:, 3:]
+    near = _near_m3(q, "bilinear")
     R = (
         2.0 * pr.alpha
         - 1.0
-        - eps2 * (pr.alpha - 1.0) * (m[0] * mt[0] + m[1] * mt[1])
-        - (eps2 * pr.gamma / (2.0 * m[2]))
-        * (mt[0] * p[0] + m[0] * pt[0] + mt[1] * p[1] + m[1] * pt[1])
+        - eps2 * (pr.alpha - 1.0) * (m[:, 0] * mt[:, 0] + m[:, 1] * mt[:, 1])
+        - np.divide(eps2 * pr.gamma, 2.0 * m[:, 2], out=_nan_like(near), where=~near)
+        * (mt[:, 0] * p[:, 0] + m[:, 0] * pt[:, 0] + mt[:, 1] * p[:, 1] + m[:, 1] * pt[:, 1])
     )
-    S = 1.0 - eps2 * pr.alpha * (1.0 - pr.alpha) * m[2] ** 2 + 0.5 * eps2 * pr.gamma * (p[2] + pt[2])
-    return R, S
+    S = 1.0 - eps2 * pr.alpha * (1.0 - pr.alpha) * _sq(m[:, 2]) + 0.5 * eps2 * pr.gamma * (p[:, 2] + pt[:, 2])
+    return np.stack([R, S], axis=-1)
 
 
-def _lagrange_witnesses(q) -> list:
-    out = [abs(q.x[2])]
-    if abs(q.x[2]) >= LAGRANGE_M3_FLOOR:
-        out += [abs(q.part(_lagrange_small)[1]), abs(q.part(_lagrange_big)[1])]
-    return out
+def _lagrange_witnesses(q) -> tuple:
+    m3 = np.abs(q.x[:, 2])
+    # the s and S witnesses exist only where the coefficients can divide by m3
+    has_s = m3 >= LAGRANGE_M3_FLOOR
+    with q.only(has_s):
+        s, S = q.part(_lagrange_small)[:, 1], q.part(_lagrange_big)[:, 1]
+    values = np.stack([m3, np.abs(s), np.abs(S)], axis=-1)
+    return values, np.stack([np.ones_like(has_s), has_s, has_s], axis=-1)
 
 
-def _planar_small(q) -> tuple:
+def _planar_small(q) -> np.ndarray:
     """Numerator and denominator of F."""
     pr, x, eps = q.params, q.x, q.eps
     qa, qb, qc = pr.qform
-    num = qa * x[0] ** 2 + 2.0 * qb * x[0] * x[1] + qc * x[1] ** 2
-    ell = float(pr.ell @ x) + pr.ell0
-    return num, 1.0 + eps * eps * (qa * qc - qb * qb) * ell * ell
+    num = qa * _sq(x[:, 0]) + 2.0 * qb * x[:, 0] * x[:, 1] + qc * _sq(x[:, 1])
+    ell = np.vecdot(pr.ell, x) + pr.ell0
+    return np.stack([num, 1.0 + eps * eps * (qa * qc - qb * qb) * ell * ell], axis=-1)
 
 
-def _planar_big(q) -> tuple:
+def _planar_big(q) -> np.ndarray:
     """Numerator and denominator of Fhat."""
     x, y = q.x, q.y
     pr, eps = q.params, q.eps
     qa, qb, qc = pr.qform
-    num = qa * x[0] * y[0] + qb * (x[0] * y[1] + y[0] * x[1]) + qc * x[1] * y[1]
-    ell_x = float(pr.ell @ x) + pr.ell0
-    ell_y = float(pr.ell @ y) + pr.ell0
-    return num, 1.0 - eps * eps * (qa * qc - qb * qb) * ell_x * ell_y
+    num = qa * x[:, 0] * y[:, 0] + qb * (x[:, 0] * y[:, 1] + y[:, 0] * x[:, 1]) + qc * x[:, 1] * y[:, 1]
+    ell_x = np.vecdot(pr.ell, x) + pr.ell0
+    ell_y = np.vecdot(pr.ell, y) + pr.ell0
+    return np.stack([num, 1.0 - eps * eps * (qa * qc - qb * qb) * ell_x * ell_y], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -784,10 +820,12 @@ class SystemKind:
     field, wronskian_coeffs, invariants: functions of the parameters
     integral_names, density_names, conserved_names, wronskian_orders: as in
       SystemDescriptor
-    quantities: name -> formula on a pair q (see above), for every name
-      evaluate_named accepts besides ratios and densities
+    quantities: name -> formula on a stacked pair q (see above), for every
+      name evaluate_named accepts besides ratios and densities
     coefficients: (state-only, bilinear) names of the coefficient vectors
-    witnesses: q -> magnitudes of every denominator the quantities divide by
+    witnesses: q -> magnitudes of every denominator the quantities divide by,
+      one column each, and the mask of the entries the one-state list holds
+      (None: all of them)
     """
 
     params: type
@@ -878,11 +916,17 @@ KINDS = {
             "J0": _ratio(_kirchhoff_big, 1, 0, "J0"),
         },
         coefficients=(("c1", "c3"), ("C1", "C3")),
-        witnesses=lambda q: [
-            abs(q.part(_kirchhoff_small)[0]),
-            abs(q.part(_kirchhoff_big)[0]),
-            abs(q.x[2]),  # m3, separates the order-3 Wronskian ratios
-        ],
+        witnesses=lambda q: (
+            np.stack(
+                [
+                    np.abs(q.part(_kirchhoff_small)[:, 0]),
+                    np.abs(q.part(_kirchhoff_big)[:, 0]),
+                    np.abs(q.x[:, 2]),  # m3, separates the order-3 Wronskian ratios
+                ],
+                axis=-1,
+            ),
+            None,
+        ),
     ),
     "lagrange": SystemKind(
         params=LagrangeParams,
@@ -921,7 +965,10 @@ KINDS = {
             "Fhat": _ratio(_planar_big, 0, 1, "Fhat"),
         },
         coefficients=((), ()),
-        witnesses=lambda q: [abs(q.part(_planar_small)[1]), abs(q.part(_planar_big)[1])],
+        witnesses=lambda q: (
+            np.abs(np.stack([q.part(_planar_small)[:, 1], q.part(_planar_big)[:, 1]], axis=-1)),
+            None,
+        ),
     ),
 }
 SYSTEM_KINDS = tuple(KINDS)

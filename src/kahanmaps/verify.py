@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrals import DenominatorZeroError, KahanPair, eval_coeffs
-from .quadfield import SingularStepError, kahan_step_batch, map_jacobian
+from .integrals import KahanPair
+from .quadfield import KahanBatch, kahan_step_batch, map_jacobian
 from .systems import FirstClebschParams, SystemDescriptor, build_system
 
 __all__ = [
@@ -102,53 +102,62 @@ def _report(
     )
 
 
-def _lowest_witness(pair: KahanPair) -> tuple:
-    """(rank, index, value) of the lowest denominator witness at a proposal,
-    a non-finite one ranked lowest."""
-    wits = pair.witnesses()
-    if not wits:
-        return (math.inf, None, math.nan)
-    return min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
+def _lowest_witnesses(pair: KahanPair) -> tuple:
+    """Per row of a stacked pair: the rank, index and value of the lowest
+    denominator witness, a non-finite one ranked lowest."""
+    rows, has = pair.witnesses()
+    values = rows.value
+    count = values.shape[0]
+    if not values.shape[1]:  # a kind outside the catalog: nothing bars a draw
+        return np.full(count, np.inf), np.zeros(count, dtype=int), np.full(count, np.nan)
+    ranks = np.where(has, np.where(np.isfinite(values), values, -np.inf), np.inf)
+    index = np.argmin(ranks, axis=1)  # the first of equal ranks, as min() over (rank, index) takes
+    pick = np.arange(count)
+    return ranks[pick, index], index, values[pick, index]
 
 
 def _draw_states(
     rng: np.random.Generator, desc: SystemDescriptor, eps: float, count: int, radius: float = 1.0
-) -> list:
-    """count random states in a ball, each in a KahanPair holding its forward
-    step: the states that count sequential draw_initial_state calls return.
+) -> KahanPair:
+    """count random states in a ball, as one stacked KahanPair holding their
+    forward steps: the states that count sequential draw_initial_state calls
+    return.
 
     The stream is consumed as one-at-a-time draws consume it, and proposals
     are accepted in stream order, but each round's proposals step as one
-    batch. A round proposes only as many states as are still missing, so it
-    never draws more than the last acceptance needs.
+    batch and have their witnesses taken in one call. A round proposes only
+    as many states as are still missing, so it never draws more than the
+    last acceptance needs.
     """
-    pairs = []
+    accepted = []  # per round: its steps and the rows it accepted
+    total = 0
     draws = 0  # since the last accepted state
     binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
     # a huge eps can overflow the step or a witness; such a draw is rejected
     # as non-finite, so numpy's warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(pairs) < count:
+        while total < count:
             proposals = []
-            for _ in range(count - len(pairs)):
+            for _ in range(count - total):
                 v = rng.standard_normal(desc.dim)
                 norm = float(np.linalg.norm(v))
                 proposals.append(None if norm < 1e-12 else v * (radius * rng.uniform(0.3, 1.0) / norm))
             xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
             batch = kahan_step_batch(desc.field, xs, eps)
-            row = 0
+            ranks, indices, values = _lowest_witnesses(KahanPair(desc, xs, eps, batch))
+            taken = []
+            row = -1
             for x in proposals:
                 draws += 1
                 if x is not None:
+                    row += 1
                     if batch.pole[row]:
                         # a pole ranks below every witness, as index -1 with its det
                         low = (-math.inf, -1, batch.delta[row])
                     else:
-                        pair = KahanPair(desc, xs[row], eps, batch.row(row))
-                        low = _lowest_witness(pair)
-                    row += 1
+                        low = (float(ranks[row]), int(indices[row]), float(values[row]))
                     if low[0] >= DENOMINATOR_FLOOR:
-                        pairs.append(pair)
+                        taken.append(row)
                         draws, binding = 0, (math.inf, None, math.nan)
                         continue
                     binding = min(binding, low)
@@ -163,7 +172,12 @@ def _draw_states(
                             else f"witness: denominator_witnesses[{index}] = {value:.3e}"
                         )
                     )
-    return pairs
+            accepted.append((xs[taken], KahanBatch(*(field[taken] for field in batch))))
+            total += len(taken)
+    if not accepted:
+        return KahanPair(desc, np.empty((0, desc.dim)), eps)
+    xs, batches = zip(*accepted)
+    return KahanPair(desc, np.concatenate(xs), eps, KahanBatch(*map(np.concatenate, zip(*batches))))
 
 
 def draw_initial_state(
@@ -175,38 +189,36 @@ def draw_initial_state(
     Raises ValueError after MAX_DRAWS draws, naming what bound: the lowest
     witness seen, a pole first and a non-finite witness next.
     """
-    return _draw_states(rng, desc, eps, 1, radius)[0].x
+    return _draw_states(rng, desc, eps, 1, radius).x[0]
 
 
-def _skip_on_pole(trial, *rows) -> list:
-    """trial(*row) for every row; a pole or a zero denominator skips the row
-    (no violations)."""
-    out = []
-    for args in zip(*rows):
-        try:
-            out.append(trial(*args))
-        except (SingularStepError, DenominatorZeroError):
-            out.append(())
-    return out
+def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:
+    """The largest violation above 0 over the rows not skipped, and its row:
+    the first in row order (then column order) to reach it, as a running
+    strict maximum finds it; nan never counts. (0.0, None) when none."""
+    v = violations.reshape(skip.shape[0], -1)
+    v = np.where(skip[:, None] | np.isnan(v), -np.inf, v)
+    if not v.size:
+        return 0.0, None
+    flat = int(np.argmax(v))
+    worst = float(v.flat[flat])
+    return (worst, flat // v.shape[1]) if worst > 0.0 else (0.0, None)
 
 
 def _worst_trial(
     name: str, desc: SystemDescriptor, trials: int, eps: float, seed: int, tolerance: float, trial
 ) -> PropertyReport:
-    """Grade seeded draws: trial(pairs) gets every drawn state in a KahanPair
-    holding its forward step and returns one sequence of violations per
-    state, empty to skip it."""
-    pairs = _draw_states(np.random.default_rng(seed), desc, eps, trials)
-    worst_violation = 0.0
-    worst_x = np.zeros(desc.dim)
-    skipped = 0
-    for pair, violations in zip(pairs, trial(pairs) if pairs else ()):
-        if not violations:
-            skipped += 1
-        for violation in violations:
-            if violation > worst_violation:
-                worst_violation, worst_x = violation, pair.x
-    return _report(name, trials, worst_violation, tolerance, worst_x, seed, skipped)
+    """Grade seeded draws: trial(pair) gets every drawn state in one stacked
+    KahanPair holding their forward steps and returns the violations, one
+    row per state, and the mask of the states it skips."""
+    pair = _draw_states(np.random.default_rng(seed), desc, eps, trials)
+    if pair.x.shape[0]:
+        violations, skip = trial(pair)
+    else:
+        violations, skip = np.empty((0, 1)), np.zeros(0, dtype=bool)
+    worst, row = _first_worst(violations, skip)
+    worst_x = np.zeros(desc.dim) if row is None else pair.x[row]
+    return _report(name, trials, worst, tolerance, worst_x, seed, int(skip.sum()))
 
 
 def check_reversibility(
@@ -214,16 +226,11 @@ def check_reversibility(
 ) -> PropertyReport:
     """Worst relative defect of stepping forward at eps then back at -eps."""
 
-    def trial(pairs):
-        back = kahan_step_batch(desc.field, np.array([p.y for p in pairs]), -eps)
-
-        def defect(pair, x_back, pole):
-            if pole:
-                return ()
-            x = pair.x
-            return [float(np.max(np.abs(x_back - x))) / (1.0 + float(np.max(np.abs(x))))]
-
-        return [defect(*row) for row in zip(pairs, back.next, back.pole)]
+    def trial(pair):
+        x = pair.x
+        back = kahan_step_batch(desc.field, pair.step.next, -eps)
+        defect = np.abs(back.next - x).max(axis=-1) / (1.0 + np.abs(x).max(axis=-1))
+        return defect, back.pole
 
     return _worst_trial(f"{desc.kind}.reversibility", desc, trials, eps, seed, REVERSIBILITY_TOL, trial)
 
@@ -232,41 +239,50 @@ def _conservation(
     desc: SystemDescriptor, names, seeds, steps: int, eps: float, tolerance: float
 ) -> list:
     """One report per named quantity: its worst relative drift along an
-    orbit from a state drawn with its own seed. The orbits step as one
-    stack; a pole ends only the orbit that meets it."""
-    pairs = [_draw_states(np.random.default_rng(seed), desc, eps, 1)[0] for seed in seeds]
-    baselines = [pair.value(name) for pair, name in zip(pairs, names)]
-    worst = [0.0] * len(names)
-    worst_x = [pair.x for pair in pairs]
-    skipped = [0] * len(names)
-    running = range(len(names))
+    orbit from a state drawn with its own seed.
+
+    The orbits only step, as one stack, and a pole ends only the orbit that
+    meets it. Each quantity is then evaluated on its whole orbit in one
+    call, every point with the step the orbit holds from it."""
+    drawn = [_draw_states(np.random.default_rng(seed), desc, eps, 1) for seed in seeds]
+    baselines = [pair.value(name).item(0) for pair, name in zip(drawn, names)]
+    count = len(names)
+    # orbit[k]: the steps from point k of every orbit; point 0 is the draw,
+    # point k + 1 is orbit.next[k]
+    orbit = KahanBatch(
+        np.full((steps + 1, count, desc.dim), np.nan),
+        np.full((steps + 1, count), np.nan),
+        np.full((steps + 1, count), np.nan),
+        np.zeros((steps + 1, count), dtype=bool),
+        np.full((steps + 1, count), np.nan),
+    )
+    for field, *values in zip(orbit, *(pair.step for pair in drawn)):
+        field[0] = np.concatenate(values)
+    running = np.ones(count, dtype=bool)
     for k in range(steps):
-        # one step per orbit point: a bilinear quantity's successor is the
-        # next point's state
-        moving = []
-        for r in running:
-            try:
-                moving.append((r, pairs[r].step.next))
-            except SingularStepError:
-                skipped[r] += steps - k
-        if not moving:
+        running &= ~orbit.pole[k]
+        if not running.any():
             break
-        running = [r for r, _ in moving]
-        batch = kahan_step_batch(desc.field, np.array([x for _, x in moving]), eps)
-        for j, (r, x) in enumerate(moving):
-            pairs[r] = KahanPair(desc, x, eps, batch.row(j))
-            try:
-                value = pairs[r].value(names[r])
-            except (DenominatorZeroError, SingularStepError):
-                skipped[r] += 1
-                continue
-            violation = abs(value - baselines[r]) / (1.0 + abs(baselines[r]))
-            if violation > worst[r]:
-                worst[r], worst_x[r] = violation, x
-    return [
-        _report(f"{desc.kind}.conserved.{names[r]}", steps, worst[r], tolerance, worst_x[r], seeds[r], skipped[r])
-        for r in range(len(names))
-    ]
+        live = np.flatnonzero(running)
+        for field, values in zip(orbit, kahan_step_batch(desc.field, orbit.next[k, live], eps)):
+            field[k + 1, live] = values
+    # an orbit that meets a pole in the step from point k has points 1..k
+    poles = orbit.pole[:steps]
+    ends = np.where(poles.any(axis=0), poles.argmax(axis=0), steps)
+    reports = []
+    for r, (name, baseline, end) in enumerate(zip(names, baselines, ends)):
+        on_orbit = KahanBatch(*(np.ascontiguousarray(field[1 : end + 1, r]) for field in orbit))
+        values = KahanPair(desc, np.ascontiguousarray(orbit.next[:end, r]), eps, on_orbit).value(name)
+        fail = values.fail
+        violation = np.abs(values.value - baseline) / (1.0 + abs(baseline))
+        worst, row = _first_worst(violation, fail)
+        worst_x = drawn[r].x[0] if row is None else orbit.next[row, r]
+        # a pole counts every step from it to the end as skipped
+        skipped = int(fail.sum()) + steps - int(end)
+        reports.append(
+            _report(f"{desc.kind}.conserved.{name}", steps, worst, tolerance, worst_x, seeds[r], skipped)
+        )
+    return reports
 
 
 def check_conservation(
@@ -290,23 +306,18 @@ def check_measure(
 ) -> PropertyReport:
     """Worst relative defect of density(x~)/density(x) against det dPhi(x)."""
 
-    def trial(pairs):
-        xs = np.array([p.x for p in pairs])
-        ys = np.array([p.y for p in pairs])
-        onward = kahan_step_batch(desc.field, ys, eps)
+    def trial(pair):
+        xs, ys = pair.x, pair.step.next
+        here = pair.density(density_name)
+        onward = KahanPair(desc, ys, eps, kahan_step_batch(desc.field, ys, eps)).density(density_name)
         dets = np.linalg.det(map_jacobian(desc.field, xs, eps, ys))
-
-        def defect(here, i):
-            den = here.density(density_name)
-            num = KahanPair(desc, ys[i], eps, onward.row(i)).density(density_name)
-            if abs(den) < 1e-8 * (1.0 + abs(num)):
-                # density crosses zero at x; the ratio is meaningless there
-                return []
-            det = float(dets[i])
-            ratio = num / den
-            return [abs(ratio - det) / (1.0 + abs(ratio) + abs(det))]
-
-        return _skip_on_pole(defect, pairs, range(len(pairs)))
+        den, num = here.value, onward.value
+        # a pole or a zero denominator skips the state, and so does a density
+        # crossing zero at x, where the ratio is meaningless
+        skip = here.fail | onward.fail
+        skip[~skip] = np.abs(den[~skip]) < 1e-8 * (1.0 + np.abs(num[~skip]))
+        ratio = np.divide(num, den, out=np.full_like(den, np.nan), where=~skip)
+        return np.abs(ratio - dets) / (1.0 + np.abs(ratio) + np.abs(dets)), skip
 
     return _worst_trial(f"{desc.kind}.measure.{density_name}", desc, trials, eps, seed, MEASURE_TOL, trial)
 
@@ -322,28 +333,26 @@ def check_identities_clebsch1(
     """
     desc = build_system("first_clebsch", FirstClebschParams(omega=tuple(omega)))
 
-    def defect(here):
-        x, x_next = here.x, here.y
-        c = here.coefficients("small_c")[:3]
-        c_next = eval_coeffs(desc, x_next, eps, "small_c")[:3]
-        big = here.coefficients("big_C")[:3]
-        m, p = x[:3], x[3:]
-        m_next, p_next = x_next[:3], x_next[3:]
-        rhs_here = float(np.dot(big, m * p))
-        rhs_next = float(np.dot(big, m_next * p_next))
-        return [
-            abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
-            for lhs, rhs in (
-                (float(np.dot(c, m_next * p)), rhs_here),
-                (float(np.dot(c, m * p_next)), rhs_here),
-                (float(np.dot(c_next, m * p_next)), rhs_next),
-                (float(np.dot(c_next, m_next * p)), rhs_next),
-            )
-        ]
+    def trial(pair):
+        x, x_next = pair.x, pair.step.next
+        here = pair.coefficients("small_c")
+        onward = KahanPair(desc, x_next, eps).coefficients("small_c")
+        big = pair.coefficients("big_C")
+        c, c_next, C = here.value[:, :3], onward.value[:, :3], big.value[:, :3]
+        m, p = x[:, :3], x[:, 3:]
+        m_next, p_next = x_next[:, :3], x_next[:, 3:]
+        rhs_here = np.vecdot(C, m * p)
+        rhs_next = np.vecdot(C, m_next * p_next)
+        sides = (
+            (np.vecdot(c, m_next * p), rhs_here),
+            (np.vecdot(c, m * p_next), rhs_here),
+            (np.vecdot(c_next, m * p_next), rhs_next),
+            (np.vecdot(c_next, m_next * p), rhs_next),
+        )
+        violations = [np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs)) for lhs, rhs in sides]
+        return np.stack(violations, axis=-1), here.fail | onward.fail | big.fail
 
-    return _worst_trial(
-        "first_clebsch.identities", desc, trials, eps, seed, IDENTITY_TOL, lambda pairs: _skip_on_pole(defect, pairs)
-    )
+    return _worst_trial("first_clebsch.identities", desc, trials, eps, seed, IDENTITY_TOL, trial)
 
 
 def run_suites(

@@ -6,7 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+import scalar_table
 from conftest import ALL_KINDS, make_params, make_system, safe_state
+from scalar_table import ScalarPair
 
 import kahanmaps.cli as cli
 from kahanmaps.cli import (
@@ -18,7 +20,7 @@ from kahanmaps.cli import (
     run_command,
 )
 from kahanmaps.hkbasis import WronskianBasisSpec, conjugate_pairs, hk_nullspace, iterate_orbit
-from kahanmaps.integrals import evaluate_named
+from kahanmaps.integrals import DenominatorZeroError, evaluate_named
 from kahanmaps.quadfield import SingularStepError, kahan_step
 from kahanmaps.systems import build_system
 
@@ -100,6 +102,36 @@ class TestParseConfig:
         doc = dict(KIRCHHOFF_DOC, orders=[0, 1])
         with pytest.raises(ValueError, match="orders"):
             parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("steps", "abc"),
+            ("steps", 1.5),
+            ("steps", -1),
+            ("trials", True),
+            ("trials", 0),
+            ("seed", -1),
+            ("seed", 2.5),
+            ("eps", "0.1"),
+            ("eps", False),
+            ("orders", [3, 3]),
+            ("orders", [1.5]),
+            ("orders", 3),
+            ("orders", ["a"]),
+        ],
+    )
+    def test_bad_run_setting_names_its_field(self, tmp_path, field, value):
+        # rejected at parse time, never truncated or converted in silence
+        doc = dict(KIRCHHOFF_DOC, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must "):
+            parse_config(write_config(tmp_path, doc))
+
+    def test_integral_float_settings_accepted(self, tmp_path):
+        doc = dict(KIRCHHOFF_DOC, steps=1e3, trials=25.0, seed=7.0, orders=[1.0, 2])
+        cfg = parse_config(write_config(tmp_path, doc))
+        assert (cfg.steps, cfg.trials, cfg.seed, cfg.orders) == (1000, 25, 7, (1, 2))
+        assert all(type(v) is int for v in (cfg.steps, cfg.trials, cfg.seed, *cfg.orders))
 
     def test_json_roundtrip_is_canonical(self, tmp_path):
         doc = dict(KIRCHHOFF_DOC, eps=0.1, orders=[1, 2, 3], trials=25)
@@ -274,6 +306,69 @@ class TestOnePassRows:
         cfg = catalog_config(kind, steps=50)
         assert run_command(cfg, "simulate", str(tmp_path)) == 0
         assert len(calls) <= cfg.steps + 2, (kind, len(calls))
+
+
+def reference_simulate(cfg, desc):
+    """The one-pair-per-row simulate loop the stacked columns replaced, on
+    the frozen one-state table: (orbit.csv text, stderr note, ValueError
+    message or None)."""
+    pair = ScalarPair(desc, cfg.x0, cfg.eps)
+    columns = list(desc.integral_names) + [f"density_{d}" for d in desc.density_names]
+    header = ["step"] + [f"x{i + 1}" for i in range(desc.dim)] + ["delta"] + columns
+    lines = [",".join(header)]
+    truncated_at = None
+    for k in range(1, cfg.steps + 1):
+        try:
+            result = pair.step
+        except SingularStepError as exc:
+            if k == 1:
+                return None, "", f"orbit hits a pole at the first step: {exc}"
+            truncated_at = k
+            break
+        pair = ScalarPair(desc, result.next, cfg.eps)
+        row = [str(k)] + [_fmt(v) for v in result.next] + [_fmt(result.delta)]
+        for name in columns:
+            try:
+                row.append(_fmt(pair.value(name)))
+            except (DenominatorZeroError, SingularStepError):
+                row.append("nan")
+        lines.append(",".join(row))
+    note = "" if truncated_at is None else f"orbit truncated: pole at step {truncated_at} of {cfg.steps}\n"
+    return "\n".join(lines) + "\n", note, None
+
+
+class TestTruncatedOrbit:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("k", [1, 7, 11])
+    def test_pole_matches_one_pair_loop(self, kind, k, tmp_path, monkeypatch, capsys):
+        # a pole in the step from point k - 1; with 10 steps, k = 11 is the
+        # successor only the last row's bilinear columns read
+        desc = make_system(kind)
+        x0 = safe_state(np.random.default_rng(17), desc)
+        states = [x0]
+        for _ in range(k - 1):
+            states.append(kahan_step(desc.field, states[-1], 0.05).next)
+
+        def pole_at_step_k(field, x, eps):
+            if np.array_equal(x, states[k - 1]):
+                raise SingularStepError(f"pole placed by the test at step {k}")
+            return kahan_step(field, x, eps)
+
+        patch_kahan_step(monkeypatch, pole_at_step_k)
+        monkeypatch.setattr(scalar_table, "kahan_step", pole_at_step_k)
+        cfg = catalog_config(kind, 10, x0=x0)
+        text, note, error = reference_simulate(cfg, desc)
+        capsys.readouterr()
+        if error is not None:
+            with pytest.raises(ValueError) as raised:
+                run_command(cfg, "simulate", str(tmp_path))
+            assert str(raised.value) == error
+            assert not (tmp_path / "orbit.csv").exists()
+            return
+        assert run_command(cfg, "simulate", str(tmp_path)) == 0
+        assert (tmp_path / "orbit.csv").read_text() == text
+        assert capsys.readouterr().err == note
+        assert "nan" in text.splitlines()[-1]
 
 
 class TestVerifyCommand:

@@ -1,9 +1,10 @@
-"""Golden outputs: simulate, verify and hk-scan at seed 1 must write the
-same bytes as the recorded digests in golden_seed1.json.
+"""Golden outputs: simulate, verify, hk-scan and report at seed 1 must write
+the same bytes as the recorded digests in golden_seed1.json.
 
 The catalog configs there are the benchmark's; for a fixed config and seed,
-orbit.csv, verify.json and hkscan.json stay byte-identical across refactors
-unless a change says why they move (and then records the new digests).
+orbit.csv, verify.json, hkscan.json and report.txt (verify and hk-scan
+together) stay byte-identical across refactors unless a change says why
+they move (and then records the new digests).
 """
 
 import hashlib
@@ -16,7 +17,12 @@ from kahanmaps.cli import parse_config, run_command
 
 with open(os.path.join(os.path.dirname(__file__), "golden_seed1.json"), encoding="utf-8") as fh:
     GOLDEN = json.load(fh)
-OUTPUT = {"simulate": "orbit.csv", "verify": "verify.json", "hk-scan": "hkscan.json"}
+OUTPUT = {
+    "simulate": "orbit.csv",
+    "verify": "verify.json",
+    "hk-scan": "hkscan.json",
+    "report": "report.txt",
+}
 
 
 @pytest.mark.parametrize("command", list(OUTPUT))

@@ -314,6 +314,23 @@ class TestColumnWindows:
         with pytest.raises(ValueError, match="orbit too short for window of 6 rows starting at 3"):
             hk_nullspace(orbit, scalar_mixed_observables(0.01), window=6, start=3)
 
+    def test_pair_outside_dimension_named_by_nullspace(self):
+        # a long enough orbit: the bad pair, not the orbit, is at fault
+        desc = make_system("general_clebsch")
+        orbit = iterate_orbit(desc.field, safe_state(np.random.default_rng(5), desc), 0.05, 40)
+        bad = WronskianBasisSpec(1, ((0, 7), (1, 4), (2, 5))).observables()
+        with pytest.raises(ValueError, match=r"^pair \(0, 7\) outside dimension 6$"):
+            hk_nullspace(orbit, bad, window=10)
+
+    def test_pair_outside_dimension_named_by_extraction(self):
+        desc = make_system("general_clebsch")
+        orbit = iterate_orbit(desc.field, safe_state(np.random.default_rng(5), desc), 0.05, 40)
+        good = WronskianBasisSpec(1, conjugate_pairs(6)).observables()
+        report = hk_nullspace(orbit, good, window=10)
+        bad = WronskianBasisSpec(1, ((0, 1), (1, 4), (2, 6))).observables()
+        with pytest.raises(ValueError, match=r"^pair \(2, 6\) outside dimension 6$"):
+            extract_integral_ratios(report, orbit, bad, pivot=0)
+
 
 class TestHkNullspace:
     def test_quadratic_plus_constant_basis_first_clebsch(self):

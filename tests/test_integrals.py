@@ -2,14 +2,19 @@
 frozen substitution values, conservation along orbits, preserved densities
 against the map Jacobian determinant and the two hypotheses of their
 certificate (symmetry in (x, x~), evenness in eps), the one-step bilinear
-identities, and the polarization substitution that turns each state-only
-quantity into its bilinear twin (checked with a plain-array helper)."""
+identities, the polarization substitution that turns each state-only
+quantity into its bilinear twin (checked with a plain-array helper), and the
+stacked formula table against the one-state table it replaced."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import ALL_KINDS, SIX_DIM_KINDS, make_system, safe_state, unit_ball
+from scalar_table import ScalarPair
+
+from kahanmaps import quadfield
 
 from kahanmaps.integrals import (
     DenominatorZeroError,
@@ -483,3 +488,156 @@ class TestSuiteAndNames:
         assert evaluate_named(desc, "m3", x, 0.05) == x[2]
         c1, c3 = eval_coeffs(desc, x, 0.05, "small_c")
         assert evaluate_named(desc, "c3/c1", x, 0.05) == pytest.approx(c3 / c1, rel=1e-14)
+
+
+# The stacked table is checked at a dyadic eps, where eps^2 = 1/64 makes the
+# rows below exact zeros of a denominator.
+TABLE_EPS = 0.125
+TABLE_ROWS = 200
+POLE_ROW = 3  # its forward step is made a pole
+
+
+def zero_rows(kind):
+    """Rows where a one-state formula raises: x = 0 zeroes every ratio
+    denominator that is a sum of squares (c0, F, m1), and the others each
+    zero one named denominator exactly."""
+    rows = [np.zeros(3 if kind == "planar_family" else 6)]
+    if kind == "first_clebsch":
+        rows.append([0.1, 0.2, 0.3, 8.0, 0.0, 0.0])  # I0: 1 - eps^2 * 8^2 = 0
+        rows.append([0.3, 0.2, 0.1, 0.0, 0.0, 0.0])  # K: c0 = p.p = 0
+    if kind == "kirchhoff":
+        rows.append([0.1, 0.2, 4.0, 0.3, 0.4, 4.0])  # I0: c1 = 1 - 2 eps^2 (16 + 16) = 0
+    if kind == "lagrange":
+        rows.append([0.1, 0.2, 4.0, 0.3, 0.4, 32.0])  # I0: s = 1 - 2 eps^2 16 - eps^2 32 = 0
+        rows.append([0.1, 0.2, 1e-13, 0.3, 0.4, 0.5])  # |m3| below the floor
+        rows.append([0.1, 0.2, 0.0, 0.3, 0.4, 0.5])  # m3 exactly zero
+    return np.array(rows, dtype=float)
+
+
+def table_states(desc):
+    rng = np.random.default_rng(80 + ALL_KINDS.index(desc.kind))
+    drawn = [unit_ball(rng, desc.dim) for _ in range(TABLE_ROWS)]
+    return np.concatenate([np.array(drawn), zero_rows(desc.kind)])
+
+
+def table_names(desc):
+    extra = "Fhat/F" if desc.kind == "planar_family" else "m2/m1"
+    return (
+        desc.integral_names
+        + tuple(f"density_{d}" for d in desc.density_names)
+        + tuple(n for n in desc.conserved_names if "/" in n)
+        + (extra,)
+    )
+
+
+def outcome(fn):
+    """("value", bytes of the result) or (exception type, message)."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "value", np.asarray(value, dtype=float).tobytes()
+
+
+def pole_at(monkeypatch, desc, x):
+    # the step from x sits on a pole, in kahan_step and kahan_step_batch alike
+    target = float(quadfield._step_matrix(desc.field, x, TABLE_EPS)[2])
+    threshold = quadfield._pole_threshold
+    monkeypatch.setattr(
+        quadfield, "_pole_threshold", lambda norm, n: math.inf if norm == target else threshold(norm, n)
+    )
+
+
+class TestStackedTable:
+    """Each quantity of the table, taken on a stack in one call, equals the
+    one-state formula table it replaced (tests/scalar_table.py) row by row,
+    bit for bit; rows where the one-state formula raises are masked, and the
+    scalar view raises there the same error type and message."""
+
+    def check(self, desc, stacked, reference, scalar_view):
+        states = table_states(desc)
+        failed = 0
+        for i, x in enumerate(states):
+            expected = outcome(lambda: reference(ScalarPair(desc, x, TABLE_EPS)))
+            assert outcome(lambda: stacked.item(i)) == expected, (i, expected)
+            assert bool(stacked.fail[i]) == (expected[0] != "value"), i
+            if expected[0] != "value" or i < 10:
+                assert outcome(lambda: scalar_view(x)) == expected, i
+            failed += expected[0] != "value"
+        return failed
+
+    def pair(self, desc, monkeypatch):
+        states = table_states(desc)
+        pole_at(monkeypatch, desc, states[POLE_ROW])
+        pair = KahanPair(desc, states, TABLE_EPS)
+        assert pair.step.pole[POLE_ROW] and pair.step.pole.sum() == 1
+        return pair
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_named_quantities(self, kind, monkeypatch):
+        desc = make_system(kind)
+        pair = self.pair(desc, monkeypatch)
+        zero = {}
+        for name in table_names(desc):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = pair.value(name)
+            zero[name] = self.check(
+                desc,
+                rows,
+                lambda q: q.value(name),
+                lambda x: evaluate_named(desc, name, x, TABLE_EPS),
+            )
+        # every bilinear column fails at the pole row at least, and the
+        # extra ratio at x = 0
+        assert all(zero[f"density_{d}"] >= 1 for d in desc.density_names)
+        assert zero[table_names(desc)[-1]] >= 1
+        if kind in ("first_clebsch", "kirchhoff", "lagrange"):
+            assert zero["I0"] >= 1
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_densities(self, kind, monkeypatch):
+        desc = make_system(kind)
+        pair = self.pair(desc, monkeypatch)
+        for which in desc.density_names:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = pair.density(which)
+            self.check(desc, rows, lambda q: q.density(which), lambda x: eval_density(desc, x, TABLE_EPS, which))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("coeffs", ["small_c", "big_C"])
+    def test_coefficient_vectors(self, kind, coeffs, monkeypatch):
+        desc = make_system(kind)
+        if kind == "planar_family":
+            with pytest.raises(ValueError, match="not defined for planar_family"):
+                KahanPair(desc, table_states(desc), TABLE_EPS).coefficients(coeffs)
+            return
+        pair = self.pair(desc, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = pair.coefficients(coeffs)
+        self.check(desc, rows, lambda q: q.coefficients(coeffs), lambda x: eval_coeffs(desc, x, TABLE_EPS, coeffs))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_witnesses(self, kind, monkeypatch):
+        desc = make_system(kind)
+        pair = self.pair(desc, monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, has = pair.witnesses()
+
+        def stacked_list(i):
+            return [float(v) for v in rows.item(i)[has[i]]]
+
+        for i, x in enumerate(table_states(desc)):
+            expected = outcome(lambda: ScalarPair(desc, x, TABLE_EPS).witnesses())
+            assert outcome(lambda: stacked_list(i)) == expected, i
+            assert outcome(lambda: denominator_witnesses(desc, x, TABLE_EPS)) == expected, i
+        # the pole row raises where a witness needs the successor; the
+        # Lagrange rows with |m3| below the floor have one witness
+        assert outcome(lambda: denominator_witnesses(desc, table_states(desc)[POLE_ROW], TABLE_EPS))[0] is (
+            quadfield.SingularStepError
+        )
+        if kind == "lagrange":
+            assert [len(denominator_witnesses(desc, x, TABLE_EPS)) for x in zero_rows(kind)[-2:]] == [1, 1]

@@ -300,9 +300,9 @@ class TestBatchedDraws:
         rng_ref, rng = np.random.default_rng(21), np.random.default_rng(21)
         proposals = []
         expected = [sequential_draw(rng_ref, desc, 0.05, floor, proposals) for _ in range(40)]
-        pairs = verify._draw_states(rng, desc, 0.05, 40)
-        assert all(np.array_equal(p.x, x) for p, x in zip(pairs, expected))
-        assert len(pairs) == 40
+        pair = verify._draw_states(rng, desc, 0.05, 40)
+        assert np.array_equal(pair.x, np.array(expected))
+        assert pair.x.shape == (40, desc.dim)
         # the stream is left where the sequential draws leave it
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         if floor > 1e-6 and kind != "planar_family":
@@ -310,9 +310,10 @@ class TestBatchedDraws:
 
     def test_held_step_is_the_state_step(self):
         desc = make_system("lagrange")
-        for pair in verify._draw_states(np.random.default_rng(22), desc, 0.05, 10):
-            step = quadfield.kahan_step(desc.field, pair.x, 0.05)
-            assert np.array_equal(pair.step.next, step.next) and pair.step.delta == step.delta
+        pair = verify._draw_states(np.random.default_rng(22), desc, 0.05, 10)
+        for x, x_next, delta in zip(pair.x, pair.step.next, pair.step.delta):
+            step = quadfield.kahan_step(desc.field, x, 0.05)
+            assert np.array_equal(x_next, step.next) and delta == step.delta
 
     def test_binding_witness_named_after_max_draws(self, monkeypatch):
         monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", math.inf)
@@ -350,7 +351,7 @@ class TestStackedConservation:
         names = desc.conserved_names
         seeds = [50 + i for i in range(len(names))]
         clean = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
-        x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1)[0].x
+        x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1).x[0]
         for _ in range(7):
             x = quadfield.kahan_step(desc.field, x, 0.05).next
         def one_pole(field, y, eps):
