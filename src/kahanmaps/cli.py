@@ -25,7 +25,7 @@ from .hkbasis import (
     iterate_orbit,
 )
 from .integrals import KahanPair
-from .quadfield import SingularStepError, kahan_step
+from .quadfield import KahanBatch, SingularStepError, kahan_orbit
 from .systems import build_system, params_from_dict, params_to_dict
 from .verify import draw_initial_state, reports_to_json, run_suites, suites_passed
 
@@ -186,26 +186,22 @@ def _resolve_x0(cfg: ExperimentConfig, desc) -> np.ndarray:
     return draw_initial_state(rng, desc, cfg.eps)
 
 
+def _first_step_pole(exc: SingularStepError) -> ValueError:
+    return ValueError(f"orbit hits a pole at the first step: {exc}")
+
+
 def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
-    # step the orbit first: row k shows point k, and its bilinear columns
-    # pair it with point k + 1, so the last row needs one step past it
-    states = [_resolve_x0(cfg, desc)]
-    results = []
-    truncated_at = None
-    for k in range(1, cfg.steps + 2 if cfg.steps else 1):
-        try:
-            results.append(kahan_step(desc.field, states[-1], cfg.eps))
-        except SingularStepError as exc:
-            if k == 1:
-                raise ValueError(f"orbit hits a pole at the first step: {exc}") from exc
-            # the row before keeps its state-only columns
-            results.append(exc)
-            truncated_at = k if k <= cfg.steps else None
-            break
-        states.append(results[-1].next)
-    rows = min(len(states) - 1, cfg.steps)
+    # row k shows point k, and its bilinear columns pair it with point k + 1,
+    # so the orbit takes one step past the last row
+    steps = cfg.steps + 1 if cfg.steps else 0
+    orbit = kahan_orbit(desc.field, _resolve_x0(cfg, desc)[None], cfg.eps, steps)
+    if steps and orbit.pole[0, 0]:
+        raise _first_step_pole(orbit.row((0, 0)))
+    end = int(orbit.ends()[0])
+    rows = min(end, cfg.steps)
     columns = list(desc.integral_names) + [f"density_{d}" for d in desc.density_names]
-    pair = KahanPair(desc, np.array(states[1 : rows + 1]).reshape(rows, desc.dim), cfg.eps, results[1 : rows + 1])
+    # a pole in the step from the last row's point blanks its pair columns
+    pair = KahanPair(desc, orbit.next[:rows, 0], cfg.eps, KahanBatch(*(f[1 : rows + 1, 0] for f in orbit)))
     table = np.empty((rows, len(columns)))
     failed = np.empty((rows, len(columns)), dtype=bool)
     for j, name in enumerate(columns):
@@ -214,15 +210,12 @@ def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     header = ["step"] + [f"x{i + 1}" for i in range(desc.dim)] + ["delta"] + columns
     lines = [",".join(header)]
     for k in range(1, rows + 1):
-        cells = [_fmt(v) for v in states[k].tolist()] + [_fmt(results[k - 1].delta)]
+        cells = [_fmt(v) for v in orbit.next[k - 1, 0].tolist()] + [_fmt(orbit.delta[k - 1, 0])]
         cells += ["nan" if bad else _fmt(v) for v, bad in zip(table[k - 1].tolist(), failed[k - 1].tolist())]
         lines.append(",".join([str(k)] + cells))
     _write(out_dir, "orbit.csv", lines)
-    if truncated_at is not None:
-        print(
-            f"orbit truncated: pole at step {truncated_at} of {cfg.steps}",
-            file=sys.stderr,
-        )
+    if end < cfg.steps:
+        print(f"orbit truncated: pole at step {end + 1} of {cfg.steps}", file=sys.stderr)
     return 0
 
 
@@ -248,7 +241,10 @@ def _scan_orders(cfg: ExperimentConfig, desc):
     window = default_window(len(pairs))
     x0 = _resolve_x0(cfg, desc)
     # one orbit long enough for the highest order; each window reads a prefix
-    orbit = iterate_orbit(desc.field, x0, cfg.eps, window - 1 + max(orders))
+    try:
+        orbit = iterate_orbit(desc.field, x0, cfg.eps, window - 1 + max(orders))
+    except SingularStepError as exc:
+        raise _first_step_pole(exc) from exc
     results = []
     for order in orders:
         observables = WronskianBasisSpec(order=order, pairs=pairs).observables()

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, SingularStepError, delta, kahan_step, kahan_step_batch
+from .quadfield import QuadraticVectorField, kahan_orbit
 from .systems import central_difference, central_gradient, central_states
 
 NULL_SIGMA_FACTOR = 1e-9
@@ -93,37 +93,25 @@ class OrbitRecord:
 def iterate_orbit(
     field: QuadraticVectorField, x0: np.ndarray, eps: float, steps: int
 ) -> OrbitRecord:
-    """Apply the Kahan map repeatedly, stopping early if a step denominator
-    vanishes after the first step (a pole at step 0 is re-raised)."""
+    """The Kahan orbit of one state: kahan_orbit on a stack of one, which
+    stops at the first pole and records that attempt. A pole at step 0
+    raises SingularStepError."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x = np.asarray(x0, dtype=float)
     if x.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},), got {x.shape}")
-    states = [x.copy()]
-    deltas: list[float] = []
-    residuals: list[float] = []
-    flags: list[bool] = []
-    for k in range(steps):
-        try:
-            result = kahan_step(field, states[-1], eps)
-        except SingularStepError:
-            if k == 0:
-                raise
-            deltas.append(delta(field, states[-1], eps))
-            residuals.append(np.nan)
-            flags.append(True)
-            break
-        states.append(result.next)
-        deltas.append(result.delta)
-        residuals.append(result.residual)
-        flags.append(False)
+    orbit = kahan_orbit(field, x[None], eps, steps)
+    if orbit.pole[0, 0]:
+        raise orbit.row((0, 0))
+    end = int(orbit.ends()[0])
+    attempts = min(end + 1, steps)  # a pole's attempt is the last one
     return OrbitRecord(
-        states=np.array(states),
+        states=np.concatenate([x[None], orbit.next[:end, 0]]),
         eps=eps,
-        deltas=np.array(deltas),
-        residuals=np.array(residuals),
-        pole_flags=np.array(flags, dtype=bool),
+        deltas=orbit.delta[:attempts, 0],
+        residuals=orbit.residual[:attempts, 0],
+        pole_flags=orbit.pole[:attempts, 0],
     )
 
 
@@ -488,19 +476,10 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
         raise ValueError(f"states must have shape (B, {field.dim}), got {x.shape}")
     count = x.shape[0]
     orders = sorted({r.order for r in ratios})
-    orbit = np.full((count, window + orders[-1], field.dim), np.nan)
-    orbit[:, 0] = x
-    points = np.full(count, orbit.shape[1])  # states each row reached before a pole
-    failed: list = [None] * count
-    live = np.arange(count)
-    for k in range(orbit.shape[1] - 1):
-        batch = kahan_step_batch(field, orbit[live, k], eps)
-        for i in np.flatnonzero(batch.pole):
-            points[live[i]] = k + 1
-            if k == 0:
-                failed[live[i]] = batch.row(i)
-        orbit[live[~batch.pole], k + 1] = batch.next[~batch.pole]
-        live = live[~batch.pole]
+    stepped = kahan_orbit(field, x, eps, window - 1 + orders[-1])
+    # orbit[b]: the points of row b, nan past a pole
+    orbit = np.concatenate([x[None], stepped.next]).swapaxes(0, 1)
+    points = stepped.ends() + 1  # points each row reached before a pole
     bases = np.arange(window)
     vectors = {}
     for ell in orders:
@@ -512,8 +491,8 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
         found = iter(zip(rows[usable], sv, vt))
 
         def outcome(b: int):
-            if failed[b] is not None:
-                return failed[b]
+            if stepped.pole[0, b]:
+                return stepped.row((0, b))
             if not fits[b]:
                 return ValueError(f"orbit too short for window of {window} rows starting at 0")
             if not usable[b]:

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kahanmaps.quadfield import KahanBatch, KahanStepResult, SingularStepError, kahan_step, kahan_step_batch
+from kahanmaps.quadfield import KahanBatch, KahanStepResult, kahan_step_batch
 from kahanmaps.systems import (
     KINDS,
     DenominatorZeroError,
@@ -76,26 +76,6 @@ class Rows(NamedTuple):
         return float(value) if np.ndim(value) == 0 else value
 
 
-def _steps(step, shape: tuple) -> tuple:
-    """(KahanBatch, error(i)) of forward steps given as a KahanBatch or as a
-    sequence of per-row KahanStepResult or SingularStepError; error(i) is
-    the SingularStepError of a pole row."""
-    if isinstance(step, KahanBatch):
-        return step, step.row
-    count = shape[0]
-    batch = KahanBatch(
-        np.full(shape, np.nan),
-        np.full(count, np.nan),
-        np.full(count, np.nan),
-        np.array([isinstance(s, SingularStepError) for s in step], dtype=bool),
-        np.full(count, np.nan),
-    )
-    for i, s in enumerate(step):
-        if not batch.pole[i]:
-            batch.next[i], batch.delta[i], batch.residual[i] = s
-    return batch, step.__getitem__
-
-
 class KahanPair:
     """States x and their Kahan successors x~, on which the named quantities
     of the system are evaluated.
@@ -105,11 +85,11 @@ class KahanPair:
     return row 0's value and raise that row's error.
 
     The forward steps are taken at most once: pass them as step when the
-    caller already holds them (a KahanBatch, or per-row KahanStepResult or
-    SingularStepError; for a single state its KahanStepResult or
-    SingularStepError), otherwise the first quantity that needs x~ takes
-    them. A row on a pole fails in every quantity that needs x~. Vectors
-    that several names share are computed once per pair.
+    caller already holds them (a KahanBatch; for a single state its
+    KahanStepResult), otherwise the first quantity that needs x~ takes them,
+    as a stack for a single state too. A row on a pole fails in every
+    quantity that needs x~. Vectors that several names share are computed
+    once per pair.
     """
 
     def __init__(self, desc: SystemDescriptor, x, eps: float, step=None):
@@ -119,40 +99,39 @@ class KahanPair:
         self.single = x.ndim == 1
         self.x = x[None] if self.single else x
         self.eps = eps
-        self._step = None
-        if step is not None:
-            self._step = _steps([step] if self.single else step, self.x.shape)
+        if isinstance(step, KahanStepResult):
+            step = KahanBatch(
+                np.asarray(step.next, dtype=float)[None],
+                np.array([step.delta]),
+                np.array([step.residual]),
+                np.zeros(1, dtype=bool),
+                np.full(1, np.nan),
+            )
+        self._step = step
         self._parts: dict = {}
         self._failures: list = []
         self._scope = None
 
-    def _stepped(self) -> tuple:
+    def _stepped(self) -> KahanBatch:
         if self._step is None:
-            if self.single:
-                try:
-                    result = kahan_step(self.desc.field, self.x[0], self.eps)
-                except SingularStepError as exc:
-                    result = exc
-                self._step = _steps([result], self.x.shape)
-            else:
-                self._step = _steps(kahan_step_batch(self.desc.field, self.x, self.eps), self.x.shape)
+            self._step = kahan_step_batch(self.desc.field, self.x, self.eps)
         return self._step
 
     @property
     def step(self):
         """The forward steps as a KahanBatch; for a single state its
         KahanStepResult, raising SingularStepError at a pole."""
-        batch, error = self._stepped()
+        batch = self._stepped()
         if not self.single:
             return batch
         if batch.pole[0]:
-            raise error(0)
-        return KahanStepResult(batch.next[0], float(batch.delta[0]), float(batch.residual[0]))
+            raise batch.row(0)
+        return batch.row(0)
 
     def _successors(self) -> KahanBatch:
         """The forward steps, marking the rows whose step is a pole."""
-        batch, error = self._stepped()
-        self.fail(batch.pole, error)
+        batch = self._stepped()
+        self.fail(batch.pole, batch.row)
         return batch
 
     @property

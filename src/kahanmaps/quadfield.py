@@ -14,13 +14,14 @@ This is linear in x~, so the update solves a single n x n system with matrix
 I - eps*f'(x), where f' is the Jacobian of the continuous field.  The map is
 birational; it has a pole wherever det(I - eps*f'(x)) vanishes.
 
-The step is written once, for one state or a stack x[..., n], with stacked
-contractions, determinants and solves.  kahan_step_batch steps a stack
-x[B, n]; every row's numbers are those kahan_step gives for that state
-alone, bit for bit.  A row whose |det(I - eps*f'(x))| falls below a
-scale-aware threshold sits on a pole: the batch flags it in a per-row mask,
-leaves its next state nan and steps the other rows, where kahan_step raises
-SingularStepError.
+The step is written once, for one state or a stack x[..., n]: kahan_step
+and kahan_step_batch give a state the same numbers, bit for bit.  A state
+whose |det(I - eps*f'(x))| falls below a scale-aware threshold sits on a
+pole, where kahan_step raises SingularStepError and the batch flags the row
+and steps the others.  kahan_orbit is the one orbit routine and alone
+applies the pole rule: a row stops at its first pole, whose entry keeps its
+denominator and threshold, and every later entry of the row is nan.
+Whether a pole at the first step is an error is for the caller to say.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "delta",
     "kahan_step",
     "kahan_step_batch",
+    "kahan_orbit",
     "map_jacobian",
 ]
 
@@ -188,7 +190,9 @@ class KahanBatch(NamedTuple):
     """Kahan steps from a stack of states x[B, n]: the next states, the
     denominators det(I - eps*f'(x)) and the residuals, one row per state,
     with the mask of the rows that sit on a pole (their next state and
-    residual are nan) and the threshold each row's |det| was held against."""
+    residual are nan) and the threshold each row's |det| was held against.
+    An orbit from kahan_orbit puts a step axis first, [steps, B, ...], and
+    sets the threshold at its pole entries alone, for every B."""
 
     next: np.ndarray
     delta: np.ndarray
@@ -196,12 +200,17 @@ class KahanBatch(NamedTuple):
     pole: np.ndarray
     threshold: np.ndarray
 
-    def row(self, i: int):
-        """Row i as a KahanStepResult or, on a pole, the SingularStepError
-        that kahan_step raises there (returned, not raised)."""
+    def row(self, i):
+        """Entry i (a row, or a (step, row) pair) as a KahanStepResult or, on
+        a pole, the SingularStepError kahan_step raises there (not raised)."""
         if self.pole[i]:
             return _pole_error(self.delta[i], self.threshold[i])
         return KahanStepResult(self.next[i], float(self.delta[i]), float(self.residual[i]))
+
+    def ends(self) -> np.ndarray:
+        """Per row of an orbit: the entry of its first pole, or the number
+        of entries when it meets none."""
+        return (~np.logical_or.accumulate(self.pole, axis=0)).sum(axis=0)
 
 
 def kahan_step_batch(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
@@ -242,6 +251,48 @@ def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanS
         raise _pole_error(det, threshold)
     x_next, residual = _regular_steps(field, x, mat, eps)
     return KahanStepResult(x_next, det, float(residual))
+
+
+def kahan_orbit(
+    field: QuadraticVectorField, x: np.ndarray, eps: float, steps: int, first: KahanBatch = None
+) -> KahanBatch:
+    """The orbits of the rows of x[B, n]: a KahanBatch of `steps` entries,
+    step axis first, whose entry k is the step from point k (point 0 is x,
+    point k + 1 is next[k]). first, when given, holds the steps from x,
+    which are then not taken again. A row stops at its first pole (see the
+    module docstring). A lone orbit (B = 1) steps with kahan_step, cheaper
+    than a stack of one; only its pole entry comes from kahan_step_batch.
+    """
+    x = np.asarray(x, dtype=float)
+    count = x.shape[0]
+    orbit = KahanBatch(
+        np.full((steps, *x.shape), np.nan),
+        np.full((steps, count), np.nan),
+        np.full((steps, count), np.nan),
+        np.zeros((steps, count), dtype=bool),
+        np.full((steps, count), np.nan),
+    )
+    live = np.arange(count)
+    for k in range(steps):
+        if k == 0 and first is not None:
+            step = first
+        elif count == 1:
+            try:
+                orbit.next[k, 0], orbit.delta[k, 0], orbit.residual[k, 0] = kahan_step(
+                    field, orbit.next[k - 1, 0] if k else x[0], eps
+                )
+                continue
+            except SingularStepError:
+                step = kahan_step_batch(field, orbit.next[k - 1] if k else x, eps)
+        else:
+            step = kahan_step_batch(field, orbit.next[k - 1, live] if k else x, eps)
+        for column, values in zip(orbit, step):
+            column[k, live] = values
+        live = live[~step.pole]
+        if not live.size:
+            break
+    orbit.threshold[~orbit.pole] = np.nan
+    return orbit
 
 
 def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next=None) -> np.ndarray:

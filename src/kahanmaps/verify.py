@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import KahanPair
-from .quadfield import KahanBatch, kahan_step_batch, map_jacobian
+from .quadfield import KahanBatch, kahan_orbit, kahan_step_batch, map_jacobian
 from .systems import FirstClebschParams, SystemDescriptor, build_system
 
 __all__ = [
@@ -246,29 +246,17 @@ def _conservation(
     call, every point with the step the orbit holds from it."""
     drawn = [_draw_states(np.random.default_rng(seed), desc, eps, 1) for seed in seeds]
     baselines = [pair.value(name).item(0) for pair, name in zip(drawn, names)]
-    count = len(names)
     # orbit[k]: the steps from point k of every orbit; point 0 is the draw,
     # point k + 1 is orbit.next[k]
-    orbit = KahanBatch(
-        np.full((steps + 1, count, desc.dim), np.nan),
-        np.full((steps + 1, count), np.nan),
-        np.full((steps + 1, count), np.nan),
-        np.zeros((steps + 1, count), dtype=bool),
-        np.full((steps + 1, count), np.nan),
+    orbit = kahan_orbit(
+        desc.field,
+        np.concatenate([pair.x for pair in drawn]),
+        eps,
+        steps + 1,
+        KahanBatch(*map(np.concatenate, zip(*(pair.step for pair in drawn)))),
     )
-    for field, *values in zip(orbit, *(pair.step for pair in drawn)):
-        field[0] = np.concatenate(values)
-    running = np.ones(count, dtype=bool)
-    for k in range(steps):
-        running &= ~orbit.pole[k]
-        if not running.any():
-            break
-        live = np.flatnonzero(running)
-        for field, values in zip(orbit, kahan_step_batch(desc.field, orbit.next[k, live], eps)):
-            field[k + 1, live] = values
     # an orbit that meets a pole in the step from point k has points 1..k
-    poles = orbit.pole[:steps]
-    ends = np.where(poles.any(axis=0), poles.argmax(axis=0), steps)
+    ends = np.minimum(orbit.ends(), steps)
     reports = []
     for r, (name, baseline, end) in enumerate(zip(names, baselines, ends)):
         on_orbit = KahanBatch(*(np.ascontiguousarray(field[1 : end + 1, r]) for field in orbit))

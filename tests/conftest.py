@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from kahanmaps import quadfield
 from kahanmaps.integrals import denominator_witnesses
 from kahanmaps.systems import (
     ClebschParams,
@@ -81,6 +82,18 @@ def safe_state(rng, desc, eps=0.05):
         f"no {desc.kind} state with every denominator witness finite and >= 1e-6 "
         "in 1000 draws; binding witness: "
         f"denominator_witnesses[{binding[1]}] = {binding[2]:.3e}"
+    )
+
+
+def place_pole(monkeypatch, field, x, eps):
+    """Make the Kahan step from x a pole: the pole threshold reads inf at
+    x's step-matrix norm, so kahan_step, kahan_step_batch and every caller
+    of them, the one-state oracle in scalar_table included, see the pole
+    from the same code."""
+    target = float(quadfield._step_matrix(field, x, eps)[2])
+    threshold = quadfield._pole_threshold
+    monkeypatch.setattr(
+        quadfield, "_pole_threshold", lambda norm, n: math.inf if norm == target else threshold(norm, n)
     )
 
 

@@ -209,11 +209,19 @@ def test_criterion_07_functional_independence_rank_four():
         wronskian_ratio_integral(kir.field, eps, 3, 2, 0, window=window),
         lambda y: float(y[2]),
     ]
+    lag = make_system("lagrange")
+    lag_set = [
+        lambda y: eval_I0(lag, y, eps),
+        lambda y: eval_J0(lag, y, eps),
+        wronskian_ratio_integral(lag.field, eps, 3, 2, 0, window=window),
+        lambda y: float(y[2]),
+    ]
     probes = (
         ("I0,J0,J1,J3", gen, [i0, j0, j1, j3], 4),
         ("I0,J0,J2,J4", gen, [i0, j0, j2, j4], 4),
         ("J1,J2,J3,J4", gen, [j1, j2, j3, j4], 4),
         ("kirchhoff I0,J0,J1,m3", kir, kir_set, 4),
+        ("lagrange I0,J0,J1,m3", lag, lag_set, 4),
         ("I0,J0,J1,J2", gen, [i0, j0, j1, j2], 3),
         ("I0,J0,J3,J4", gen, [i0, j0, j3, j4], 3),
     )

@@ -2,15 +2,14 @@
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
-import scalar_table
-from conftest import ALL_KINDS, make_params, make_system, safe_state
+from conftest import ALL_KINDS, make_params, make_system, place_pole, safe_state
 from scalar_table import ScalarPair
 
 import kahanmaps.cli as cli
+from kahanmaps import quadfield
 from kahanmaps.cli import (
     ExperimentConfig,
     _fmt,
@@ -236,13 +235,6 @@ def read_orbit(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-def patch_kahan_step(monkeypatch, wrap):
-    # every package module that binds kahan_step by name gets the wrapper
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kahanmaps") and getattr(module, "kahan_step", None) is kahan_step:
-            monkeypatch.setattr(module, "kahan_step", wrap)
-
-
 # columns evaluated on the pair (x, x~): they need the row's successor
 BILINEAR = {"J0", "K", "G1", "G2", "G3", "C1", "C2", "C3", "C0", "R", "S", "Fhat"}
 
@@ -276,13 +268,7 @@ class TestOnePassRows:
         cfg = catalog_config(kind, steps, x0=x0)
         assert run_command(cfg, "simulate", str(tmp_path / "clean")) == 0
         _, clean = read_orbit(tmp_path / "clean" / "orbit.csv")
-
-        def pole_at_step_k(field, x, eps):
-            if np.array_equal(x, states[k - 1]):
-                raise SingularStepError("pole placed by the test")
-            return kahan_step(field, x, eps)
-
-        patch_kahan_step(monkeypatch, pole_at_step_k)
+        place_pole(monkeypatch, desc.field, states[k - 1], cfg.eps)
         assert run_command(cfg, "simulate", str(tmp_path / "pole")) == 0
         assert f"pole at step {k} of {steps}" in capsys.readouterr().err
         header, rows = read_orbit(tmp_path / "pole" / "orbit.csv")
@@ -302,7 +288,7 @@ class TestOnePassRows:
             calls.append(1)
             return kahan_step(field, x, eps)
 
-        patch_kahan_step(monkeypatch, counted)
+        monkeypatch.setattr(quadfield, "kahan_step", counted)
         cfg = catalog_config(kind, steps=50)
         assert run_command(cfg, "simulate", str(tmp_path)) == 0
         assert len(calls) <= cfg.steps + 2, (kind, len(calls))
@@ -348,14 +334,7 @@ class TestTruncatedOrbit:
         states = [x0]
         for _ in range(k - 1):
             states.append(kahan_step(desc.field, states[-1], 0.05).next)
-
-        def pole_at_step_k(field, x, eps):
-            if np.array_equal(x, states[k - 1]):
-                raise SingularStepError(f"pole placed by the test at step {k}")
-            return kahan_step(field, x, eps)
-
-        patch_kahan_step(monkeypatch, pole_at_step_k)
-        monkeypatch.setattr(scalar_table, "kahan_step", pole_at_step_k)
+        place_pole(monkeypatch, desc.field, states[k - 1], 0.05)
         cfg = catalog_config(kind, 10, x0=x0)
         text, note, error = reference_simulate(cfg, desc)
         capsys.readouterr()
@@ -462,6 +441,15 @@ class TestReportCommand:
 
 
 class TestMain:
+    @pytest.mark.parametrize("command", ["simulate", "hk-scan", "report"])
+    def test_pole_at_x0_is_a_config_error(self, command, tmp_path, monkeypatch, capsys):
+        # every command that steps x0 exits 2 with the message, no traceback
+        x0 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        place_pole(monkeypatch, make_system("kirchhoff").field, np.array(x0), 0.05)
+        path = write_config(tmp_path, dict(KIRCHHOFF_DOC, x0=x0, eps=0.05, steps=20, trials=10))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: orbit hits a pole at the first step: |det(")
+
     def test_requires_system_somewhere(self, capsys):
         assert main(["simulate"]) == 2
         assert "system" in capsys.readouterr().err

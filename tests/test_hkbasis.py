@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SIX_DIM_KINDS, make_system, safe_state, unit_ball
-from kahanmaps import hkbasis, quadfield
+from conftest import SIX_DIM_KINDS, make_system, place_pole, safe_state, unit_ball
+from kahanmaps import hkbasis
 from kahanmaps.hkbasis import (
     PIVOT_FLOOR,
     HKNullSpaceReport,
@@ -895,13 +895,7 @@ class TestStackedRatios:
         field, eps = ratios[0].field, ratios[0].eps
         start = central_states(x)[0][row]
         state = iterate_orbit(field, start, eps, step).states[step] if step else start
-        target = float(quadfield._step_matrix(field, state, eps)[2])
-        threshold = quadfield._pole_threshold
-        monkeypatch.setattr(
-            quadfield,
-            "_pole_threshold",
-            lambda norm, n: math.inf if norm == target else threshold(norm, n),
-        )
+        place_pole(monkeypatch, field, state, eps)
 
     @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
     def test_pole_errors_match_loop(self, monkeypatch, step, error):

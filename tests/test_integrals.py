@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, SIX_DIM_KINDS, make_system, safe_state, unit_ball
+from conftest import ALL_KINDS, SIX_DIM_KINDS, make_system, place_pole, safe_state, unit_ball
 from scalar_table import ScalarPair
 
 from kahanmaps import quadfield
@@ -539,15 +539,6 @@ def outcome(fn):
     return "value", np.asarray(value, dtype=float).tobytes()
 
 
-def pole_at(monkeypatch, desc, x):
-    # the step from x sits on a pole, in kahan_step and kahan_step_batch alike
-    target = float(quadfield._step_matrix(desc.field, x, TABLE_EPS)[2])
-    threshold = quadfield._pole_threshold
-    monkeypatch.setattr(
-        quadfield, "_pole_threshold", lambda norm, n: math.inf if norm == target else threshold(norm, n)
-    )
-
-
 class TestStackedTable:
     """Each quantity of the table, taken on a stack in one call, equals the
     one-state formula table it replaced (tests/scalar_table.py) row by row,
@@ -568,7 +559,7 @@ class TestStackedTable:
 
     def pair(self, desc, monkeypatch):
         states = table_states(desc)
-        pole_at(monkeypatch, desc, states[POLE_ROW])
+        place_pole(monkeypatch, desc.field, states[POLE_ROW], TABLE_EPS)
         pair = KahanPair(desc, states, TABLE_EPS)
         assert pair.step.pole[POLE_ROW] and pair.step.pole.sum() == 1
         return pair

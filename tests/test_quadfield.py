@@ -7,13 +7,16 @@ value frozen from a hand-rolled Gaussian-elimination solve of the polarized
 defining equations.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from conftest import ALL_KINDS, make_system, safe_state
+from conftest import ALL_KINDS, make_system, place_pole, safe_state
+from kahanmaps import quadfield
 from kahanmaps.quadfield import (
     KahanStepResult,
     QuadraticVectorField,
@@ -21,6 +24,7 @@ from kahanmaps.quadfield import (
     delta,
     evaluate_field,
     jacobian_field,
+    kahan_orbit,
     kahan_step,
     kahan_step_batch,
     map_jacobian,
@@ -370,3 +374,126 @@ class TestBatchStep:
     def test_empty_stack(self):
         batch = kahan_step_batch(SCALAR, np.zeros((0, 1)), 0.1)
         assert batch.next.shape == (0, 1) and batch.pole.shape == (0,)
+
+
+def step_loop(field, x, eps, steps):
+    """kahan_orbit's row as a loop of one-state steps: (next, delta,
+    residual) per step, stopping at the first pole."""
+    out = []
+    for _ in range(steps):
+        try:
+            step = kahan_step(field, x, eps)
+        except SingularStepError:
+            break
+        out.append(step)
+        x = step.next
+    return out
+
+
+def same(a, b):
+    return np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+
+class TestKahanOrbit:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_rows_equal_a_kahan_step_loop(self, kind, count):
+        desc = make_system(kind)
+        rng = np.random.default_rng(23)
+        xs = np.array([safe_state(rng, desc) for _ in range(count)])
+        orbit = kahan_orbit(desc.field, xs, 0.05, 30)
+        assert orbit.next.shape == (30, count, desc.dim) and orbit.delta.shape == (30, count)
+        assert not orbit.pole.any() and np.isnan(orbit.threshold).all()
+        assert list(orbit.ends()) == [30] * count
+        for b, x in enumerate(xs):
+            for k, step in enumerate(step_loop(desc.field, x, 0.05, 30)):
+                assert np.array_equal(orbit.next[k, b], step.next), (b, k)
+                assert orbit.delta[k, b] == step.delta and orbit.residual[k, b] == step.residual
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_pole_stops_only_its_row(self, kind, k, monkeypatch):
+        # rows [regular, pole in the step from point k, regular] of a
+        # 10-step orbit; k = 9 is its last step
+        desc, eps, steps = make_system(kind), 0.05, 10
+        rng = np.random.default_rng(29)
+        xs = np.array([safe_state(rng, desc) for _ in range(3)])
+        clean = kahan_orbit(desc.field, xs, eps, steps)
+        point = clean.next[k - 1, 1] if k else xs[1]
+        place_pole(monkeypatch, desc.field, point, eps)
+        orbit = kahan_orbit(desc.field, xs, eps, steps)
+        assert list(orbit.ends()) == [steps, k, steps]
+        assert orbit.pole.sum() == 1 and orbit.pole[k, 1]
+        for field, expected in zip(orbit, clean):
+            assert same(field[:, [0, 2]], expected[:, [0, 2]])
+            assert same(field[:k, 1], expected[:k, 1])
+        # the pole entry keeps its denominator and threshold; the rest is nan
+        assert orbit.delta[k, 1] == clean.delta[k, 1] and orbit.threshold[k, 1] == math.inf
+        assert np.isnan(orbit.next[k:, 1]).all() and np.isnan(orbit.residual[k:, 1]).all()
+        assert np.isnan(orbit.delta[k + 1 :, 1]).all() and np.isnan(orbit.threshold[k + 1 :, 1]).all()
+        with pytest.raises(SingularStepError) as raised:
+            kahan_step(desc.field, point, eps)
+        assert str(orbit.row((k, 1))) == str(raised.value)
+        # the lone orbit of the middle row takes the one-state path to the
+        # same entries
+        lone = kahan_orbit(desc.field, xs[1:2], eps, steps)
+        for field, expected in zip(lone, orbit):
+            assert same(field[:, 0], expected[:, 1])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_first_is_used_not_stepped_again(self, count, monkeypatch):
+        # first holds the steps from other states: the orbit continues from
+        # their successors and never steps x
+        desc, eps = make_system("kirchhoff"), 0.05
+        rng = np.random.default_rng(31)
+        xs = np.array([safe_state(rng, desc) for _ in range(count)])
+        first = kahan_step_batch(desc.field, np.array([safe_state(rng, desc) for _ in range(count)]), eps)
+        onward = kahan_orbit(desc.field, first.next, eps, 4)
+        stepped = []
+        for name in ("kahan_step", "kahan_step_batch"):
+            kernel = getattr(quadfield, name)
+            monkeypatch.setattr(
+                quadfield,
+                name,
+                lambda f, x, e, name=name, kernel=kernel: stepped.append((name, np.array(x))) or kernel(f, x, e),
+            )
+        orbit = kahan_orbit(desc.field, xs, eps, 5, first)
+        # the steps taken start at points 1..4: x, point 0, is never stepped;
+        # a lone orbit takes them with the one-state kernel
+        points = np.concatenate([first.next[None], onward.next[:3]])
+        kernel = "kahan_step" if count == 1 else "kahan_step_batch"
+        assert [name for name, _ in stepped] == [kernel] * 4
+        for (_, y), expected in zip(stepped, points):
+            assert np.array_equal(np.reshape(y, expected.shape), expected)
+        assert np.array_equal(orbit.next[0], first.next) and np.array_equal(orbit.delta[0], first.delta)
+        assert np.array_equal(orbit.residual[0], first.residual) and not orbit.pole[0].any()
+        for field, expected in zip(orbit, onward):
+            assert same(field[1:], expected)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_orbit_stops_at_an_exact_root(self, kind):
+        # eps a root of det(I - eps*f'(x)): the lone orbit of x and the row
+        # of x in a stack stop at step 0, and a row one step before x stops
+        # at step 1; the regular rows go on
+        desc = make_system(kind)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = safe_state(rng, desc)
+            root = pole_eps(desc.field, x)
+            if root is not None:
+                break
+        assert root is not None, "no real root of the denominator in 50 states"
+        lone = kahan_orbit(desc.field, x[None], root, 3)
+        assert list(lone.pole[:, 0]) == [True, False, False]
+        before = kahan_step(desc.field, x, -root).next
+        orbit = kahan_orbit(desc.field, np.array([0.5 * x, x, before]), root, 3)
+        assert not orbit.pole[0, 0] and list(orbit.ends()[1:]) == [0, 1]
+        for field, expected in zip(lone, orbit):
+            assert same(field[:, 0], expected[:, 1])
+        with pytest.raises(SingularStepError) as raised:
+            kahan_step(desc.field, x, root)
+        assert str(lone.row((0, 0))) == str(raised.value)
+
+    def test_no_steps(self):
+        orbit = kahan_orbit(SCALAR, np.ones((2, 1)), 0.1, 0)
+        assert orbit.next.shape == (0, 2, 1) and list(orbit.ends()) == [0, 0]
