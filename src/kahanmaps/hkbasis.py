@@ -332,7 +332,9 @@ def extract_integral_ratios(
     divide by the pivot coefficient; constant sequences are integrals.
 
     Windows slide by one point from the report's start and stop before the
-    first one that runs past the orbit or holds a non-finite value.
+    first one that runs past the orbit or holds a non-finite value. When
+    not even the first window fits the orbit, or it holds a non-finite
+    value, that is a ValueError naming the cause.
     """
     if report.null_dim != 1:
         raise ValueError(f"requires null_dim 1, report has {report.null_dim}")
@@ -343,9 +345,13 @@ def extract_integral_ratios(
     _check_window(m, window)
     stop = orbit.states.shape[0] - max(observe.reach for observe in observables)
     rows = _window_matrix(orbit, observables, max(stop - start, 0), start)
+    if rows.shape[0] < window:
+        raise ValueError(f"orbit too short for window of {window} rows starting at {start}")
     finite = np.isfinite(rows).all(axis=1)
     usable = rows.shape[0] if finite.all() else int(np.argmin(finite))
-    count = max(usable - window + 1, 0)
+    if usable < window:
+        raise ValueError("observable produced a non-finite value inside the window")
+    count = usable - window + 1
     windows = rows[np.arange(count)[:, None] + np.arange(window)]
     _, sv, vt = np.linalg.svd(windows, full_matrices=False)
     table = np.empty((count, m))

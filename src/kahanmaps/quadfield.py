@@ -14,14 +14,17 @@ This is linear in x~, so the update solves a single n x n system with matrix
 I - eps*f'(x), where f' is the Jacobian of the continuous field.  The map is
 birational; it has a pole wherever det(I - eps*f'(x)) vanishes.
 
-The step is written once, for one state or a stack x[..., n]: kahan_step
-and kahan_step_batch give a state the same numbers, bit for bit.  A state
-whose |det(I - eps*f'(x))| falls below a scale-aware threshold sits on a
-pole, where kahan_step raises SingularStepError and the batch flags the row
-and steps the others.  kahan_orbit is the one orbit routine and alone
-applies the pole rule: a row stops at its first pole, whose entry keeps its
-denominator and threshold, and every later entry of the row is nan.
-Whether a pole at the first step is an error is for the caller to say.
+The step is written once, in kahan_orbit, for a stack of states x[B, n].
+Its loop carries only what the next point depends on: the step matrix, its
+determinant and the pole decision, then the solve.  A state whose
+|det(I - eps*f'(x))| falls below a scale-aware threshold sits on a pole:
+its row stops there, that entry keeps its denominator and threshold, and
+every later entry of the row is nan.  The residuals, which no later step
+reads, are taken once per orbit, after the loop.  kahan_step_batch is the
+one-step orbit of a stack and kahan_step the one-step orbit of one state,
+which raises SingularStepError at a pole; a state gets the same numbers
+from all three, bit for bit.  Whether a pole at the first step of an orbit
+is an error is for the caller to say.
 """
 
 from __future__ import annotations
@@ -174,13 +177,6 @@ def _pole_error(det: float, threshold: float) -> SingularStepError:
     return SingularStepError(f"|det(I - eps*f'(x))| = {abs(det):.3e} below threshold {threshold:.3e}")
 
 
-def _regular_steps(field: QuadraticVectorField, x: np.ndarray, mat: np.ndarray, eps: float):
-    """Next states and residuals for one state or a stack off the poles."""
-    x_next = x + np.linalg.solve(mat, 2.0 * eps * evaluate_field(field, x)[..., None])[..., 0]
-    defect = x_next - x - 2.0 * eps * polarize_eval(field, x, x_next)
-    return x_next, np.abs(defect).max(axis=-1)
-
-
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
     """det(I - eps*f'(x)), the denominator polynomial of the Kahan map."""
     return float(np.linalg.det(_eye(field.dim) - eps * jacobian_field(field, x)))
@@ -190,9 +186,9 @@ class KahanBatch(NamedTuple):
     """Kahan steps from a stack of states x[B, n]: the next states, the
     denominators det(I - eps*f'(x)) and the residuals, one row per state,
     with the mask of the rows that sit on a pole (their next state and
-    residual are nan) and the threshold each row's |det| was held against.
-    An orbit from kahan_orbit puts a step axis first, [steps, B, ...], and
-    sets the threshold at its pole entries alone, for every B."""
+    residual are nan) and, at those rows alone, the threshold their |det|
+    fell below. An orbit from kahan_orbit puts a step axis first,
+    [steps, B, ...]."""
 
     next: np.ndarray
     delta: np.ndarray
@@ -213,46 +209,6 @@ class KahanBatch(NamedTuple):
         return (~np.logical_or.accumulate(self.pole, axis=0)).sum(axis=0)
 
 
-def kahan_step_batch(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
-    """Advance every row of x[B, n] by one Kahan step of size 2*eps (time
-    step 2*eps of the flow).
-
-    Each row solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with partial
-    pivoting and reports the defect of the polarized defining equation. A
-    row's numbers are those kahan_step gives for that state alone. A row
-    whose |det| is below a scale-aware threshold sits on a pole of the map:
-    it is flagged in the mask, never raised, and the other rows step as
-    usual.
-    """
-    x = np.asarray(x, dtype=float)
-    mat, det, norms = _step_matrix(field, x, eps)
-    threshold = np.array([_pole_threshold(v, field.dim) for v in norms.tolist()])
-    pole = np.abs(det) < threshold
-    if pole.any():
-        # solve the regular rows only: one singular matrix fails a stacked solve
-        live = ~pole
-        x_next = np.full_like(x, np.nan)
-        residual = np.full(x.shape[0], np.nan)
-        x_next[live], residual[live] = _regular_steps(field, x[live], mat[live], eps)
-    else:
-        x_next, residual = _regular_steps(field, x, mat, eps)
-    return KahanBatch(x_next, det, residual, pole, threshold)
-
-
-def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanStepResult:
-    """Advance x by one Kahan step of size 2*eps: the step of
-    kahan_step_batch on one state, taken without the stack axis, whose
-    array bookkeeping costs a single step more than the step saves. Raises
-    SingularStepError at a pole of the map."""
-    x = np.asarray(x, dtype=float)
-    mat, det, norm = _step_matrix(field, x, eps)
-    det, threshold = float(det), _pole_threshold(float(norm), field.dim)
-    if abs(det) < threshold:
-        raise _pole_error(det, threshold)
-    x_next, residual = _regular_steps(field, x, mat, eps)
-    return KahanStepResult(x_next, det, float(residual))
-
-
 def kahan_orbit(
     field: QuadraticVectorField, x: np.ndarray, eps: float, steps: int, first: KahanBatch = None
 ) -> KahanBatch:
@@ -260,39 +216,72 @@ def kahan_orbit(
     step axis first, whose entry k is the step from point k (point 0 is x,
     point k + 1 is next[k]). first, when given, holds the steps from x,
     which are then not taken again. A row stops at its first pole (see the
-    module docstring). A lone orbit (B = 1) steps with kahan_step, cheaper
-    than a stack of one; only its pole entry comes from kahan_step_batch.
+    module docstring).
+
+    Each step solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with
+    partial pivoting for the rows still off a pole. The loop carries the
+    denominator and the pole decision; the residuals of every entry are
+    taken in one stacked evaluation after it.
     """
     x = np.asarray(x, dtype=float)
-    count = x.shape[0]
+    count, n = x.shape
+    # points[k] is point k of every row; next is its view from point 1 on
+    points = np.full((steps + 1, count, n), np.nan)
+    points[0] = x
     orbit = KahanBatch(
-        np.full((steps, *x.shape), np.nan),
+        points[1:],
         np.full((steps, count), np.nan),
         np.full((steps, count), np.nan),
         np.zeros((steps, count), dtype=bool),
         np.full((steps, count), np.nan),
     )
-    live = np.arange(count)
-    for k in range(steps):
-        if k == 0 and first is not None:
-            step = first
-        elif count == 1:
-            try:
-                orbit.next[k, 0], orbit.delta[k, 0], orbit.residual[k, 0] = kahan_step(
-                    field, orbit.next[k - 1, 0] if k else x[0], eps
-                )
-                continue
-            except SingularStepError:
-                step = kahan_step_batch(field, orbit.next[k - 1] if k else x, eps)
-        else:
-            step = kahan_step_batch(field, orbit.next[k - 1, live] if k else x, eps)
-        for column, values in zip(orbit, step):
-            column[k, live] = values
-        live = live[~step.pole]
-        if not live.size:
+    # the rows off a pole (all of them until one is met) and their points
+    live, point, start = slice(None), x, 0
+    if first is not None and steps:
+        orbit.next[0], orbit.delta[0], orbit.residual[0], orbit.pole[0] = first[:4]
+        orbit.threshold[0, first.pole] = first.threshold[first.pole]
+        if first.pole.any():
+            live = np.flatnonzero(~first.pole)
+        point, start = first.next[live], 1
+    for k in range(start, steps):
+        if not len(point):
             break
-    orbit.threshold[~orbit.pole] = np.nan
+        mat, det, norms = _step_matrix(field, point, eps)
+        threshold = [_pole_threshold(v, n) for v in norms.tolist()]
+        poles = [i for i, (d, t) in enumerate(zip(det.tolist(), threshold)) if abs(d) < t]
+        orbit.delta[k, live] = det
+        if poles:
+            rows = np.arange(count)[live]
+            orbit.pole[k, rows[poles]] = True
+            orbit.threshold[k, rows[poles]] = [threshold[i] for i in poles]
+            # solve the regular rows only: one singular matrix fails a stacked solve
+            live, point, mat = np.delete(rows, poles), np.delete(point, poles, 0), np.delete(mat, poles, 0)
+        step = np.linalg.solve(mat, 2.0 * eps * evaluate_field(field, point)[..., None])[..., 0]
+        point = orbit.next[k, live] = point + step
+    if steps > start:
+        # the max-norm defect of the polarized defining equation; pole
+        # entries and those after them are nan in next, so in residual
+        before, after = points[start:-1], points[start + 1 :]
+        defect = after - before - 2.0 * eps * polarize_eval(field, before, after)
+        orbit.residual[start:] = np.abs(defect).max(axis=-1)
     return orbit
+
+
+def kahan_step_batch(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
+    """Advance every row of x[B, n] by one Kahan step of size 2*eps (time
+    step 2*eps of the flow): the one-step orbit of x, without its step
+    axis. A row on a pole is flagged in the mask, never raised, and the
+    other rows step as usual."""
+    return KahanBatch(*(column[0] for column in kahan_orbit(field, x, eps, 1)))
+
+
+def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanStepResult:
+    """Advance one state x by one Kahan step of size 2*eps: the lone
+    one-step orbit of x. Raises SingularStepError at a pole of the map."""
+    step = kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1).row((0, 0))
+    if isinstance(step, SingularStepError):
+        raise step
+    return step
 
 
 def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next=None) -> np.ndarray:

@@ -281,17 +281,19 @@ class TestOnePassRows:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_one_kahan_step_per_row(self, kind, tmp_path, monkeypatch):
-        # one step per row, one after the last row, and one to draw x0
-        calls = []
+        # one step per row, one after the last row, and one to draw x0:
+        # every step builds its step matrix once per row
+        rows = []
+        step_matrix = quadfield._step_matrix
 
         def counted(field, x, eps):
-            calls.append(1)
-            return kahan_step(field, x, eps)
+            rows.append(len(x))
+            return step_matrix(field, x, eps)
 
-        monkeypatch.setattr(quadfield, "kahan_step", counted)
+        monkeypatch.setattr(quadfield, "_step_matrix", counted)
         cfg = catalog_config(kind, steps=50)
         assert run_command(cfg, "simulate", str(tmp_path)) == 0
-        assert len(calls) <= cfg.steps + 2, (kind, len(calls))
+        assert sum(rows) == cfg.steps + 2, (kind, rows)
 
 
 def reference_simulate(cfg, desc):

@@ -548,6 +548,29 @@ class TestExtractRatios:
         seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
         assert seqs.ratios[1] == pytest.approx(np.ones(len(seqs.ratios[1])), abs=1e-12)
 
+    def short_orbit_case(self, steps):
+        # a report from a 12-step kirchhoff orbit, window 10, order 1
+        desc = make_system("kirchhoff")
+        x0 = safe_state(np.random.default_rng(0), desc)
+        obs = wronskian_observables(1)
+        report = hk_nullspace(iterate_orbit(desc.field, x0, 0.05, 12), obs, window=10)
+        assert report.null_dim == 1
+        return report, iterate_orbit(desc.field, x0, 0.05, steps), obs
+
+    def test_orbit_without_a_full_window(self):
+        # a 9-step orbit has 9 order-1 rows, one short of the window
+        report, orbit, obs = self.short_orbit_case(9)
+        with pytest.raises(ValueError, match="orbit too short for window of 10 rows starting at 0"):
+            extract_integral_ratios(report, orbit, obs, pivot=2)
+
+    def test_non_finite_value_in_the_first_window(self):
+        report, orbit, obs = self.short_orbit_case(12)
+        states = orbit.states.copy()
+        states[4] = np.nan
+        broken = OrbitRecord(states, orbit.eps, orbit.deltas, orbit.residuals, orbit.pole_flags)
+        with pytest.raises(ValueError, match="non-finite value inside the window"):
+            extract_integral_ratios(report, broken, obs, pivot=2)
+
     def test_requires_one_dimensional_null_space(self):
         orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
         obs = [constant_observable(1.0)] * 3

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -390,6 +390,21 @@ def step_loop(field, x, eps, steps):
     return out
 
 
+def one_state_loop(field, x, eps, steps, pole_at=None):
+    """The entries of x's orbit from one_state_step, up to its first pole;
+    the step from point pole_at counts as a pole, as place_pole makes it."""
+    entries = []
+    for k in range(steps):
+        x_next, det, residual, pole = one_state_step(field, x, eps)
+        if k == pole_at:
+            x_next, residual, pole = None, None, True
+        entries.append((x_next, det, residual, pole))
+        if pole:
+            break
+        x = x_next
+    return entries
+
+
 def same(a, b):
     return np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
@@ -450,21 +465,16 @@ class TestKahanOrbit:
         first = kahan_step_batch(desc.field, np.array([safe_state(rng, desc) for _ in range(count)]), eps)
         onward = kahan_orbit(desc.field, first.next, eps, 4)
         stepped = []
-        for name in ("kahan_step", "kahan_step_batch"):
-            kernel = getattr(quadfield, name)
-            monkeypatch.setattr(
-                quadfield,
-                name,
-                lambda f, x, e, name=name, kernel=kernel: stepped.append((name, np.array(x))) or kernel(f, x, e),
-            )
+        step_matrix = quadfield._step_matrix
+        monkeypatch.setattr(
+            quadfield, "_step_matrix", lambda f, y, e: stepped.append(np.array(y)) or step_matrix(f, y, e)
+        )
         orbit = kahan_orbit(desc.field, xs, eps, 5, first)
-        # the steps taken start at points 1..4: x, point 0, is never stepped;
-        # a lone orbit takes them with the one-state kernel
+        # the steps taken start at points 1..4: x, point 0, is never stepped
         points = np.concatenate([first.next[None], onward.next[:3]])
-        kernel = "kahan_step" if count == 1 else "kahan_step_batch"
-        assert [name for name, _ in stepped] == [kernel] * 4
-        for (_, y), expected in zip(stepped, points):
-            assert np.array_equal(np.reshape(y, expected.shape), expected)
+        assert len(stepped) == 4
+        for y, expected in zip(stepped, points):
+            assert np.array_equal(y, expected)
         assert np.array_equal(orbit.next[0], first.next) and np.array_equal(orbit.delta[0], first.delta)
         assert np.array_equal(orbit.residual[0], first.residual) and not orbit.pole[0].any()
         for field, expected in zip(orbit, onward):
@@ -493,6 +503,65 @@ class TestKahanOrbit:
         with pytest.raises(SingularStepError) as raised:
             kahan_step(desc.field, x, root)
         assert str(lone.row((0, 0))) == str(raised.value)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        count=st.sampled_from([1, 3]),
+        steps=st.integers(1, 6),
+        radius=st.floats(0.05, 1.5),
+        # place_pole keys on the step-matrix norm, which a step too small to
+        # move its point repeats at the next point
+        eps=st.floats(-0.3, 0.3).filter(lambda e: abs(e) >= 1e-6),
+        at_root=st.booleans(),
+        pole_at=st.none() | st.integers(0, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_entry_equals_the_one_state_formulas(self, seed, n, count, steps, radius, eps, at_root, pole_at):
+        # random fields and states; the last row meets a pole at its first
+        # step when at_root puts eps on a root of its denominator, and at
+        # the step from point pole_at when place_pole puts one there
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n)
+        xs = rng.uniform(-radius, radius, (count, n))
+        if at_root:
+            eps = pole_eps(field, xs[-1], span=3.0)
+            assume(eps is not None)
+        # keep to orbits that stay in range: the oracle raises on overflow
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                expected = [one_state_loop(field, x, eps, steps) for x in xs]
+            except FloatingPointError:
+                assume(False)
+        clean = expected[-1]
+        with pytest.MonkeyPatch.context() as patch:
+            if pole_at is not None and pole_at < len(clean) and not clean[pole_at][3]:
+                place_pole(patch, field, clean[pole_at - 1][0] if pole_at else xs[-1], eps)
+                expected[-1] = one_state_loop(field, xs[-1], eps, steps, pole_at)
+            orbit = kahan_orbit(field, xs, eps, steps)
+            batch = kahan_step_batch(field, xs, eps)
+            lone = [kahan_step(field, x, eps) if not row[0][3] else None for x, row in zip(xs, expected)]
+            for x, row in zip(xs, expected):
+                if row[0][3]:
+                    with pytest.raises(SingularStepError):
+                        kahan_step(field, x, eps)
+        ends = [next((k for k, entry in enumerate(row) if entry[3]), steps) for row in expected]
+        assert list(orbit.ends()) == ends
+        for b, row in enumerate(expected):
+            for k in range(steps):
+                x_next, det, residual, pole = row[k] if k < len(row) else (None, math.nan, None, False)
+                assert orbit.pole[k, b] == pole and same(orbit.delta[k, b], np.float64(det)), (b, k)
+                if x_next is None:
+                    assert np.isnan(orbit.next[k, b]).all() and np.isnan(orbit.residual[k, b])
+                else:
+                    assert np.array_equal(orbit.next[k, b], x_next) and orbit.residual[k, b] == residual
+        # the one-step views: their entries are the orbit's first
+        for column, orbit_column in zip(batch[:4], orbit[:4]):
+            assert same(column, orbit_column[0])
+        for one, row in zip(lone, expected):
+            x_next, det, residual, _ = row[0]
+            if one is not None:
+                assert np.array_equal(one.next, x_next) and one.delta == det and one.residual == residual
 
     def test_no_steps(self):
         orbit = kahan_orbit(SCALAR, np.ones((2, 1)), 0.1, 0)

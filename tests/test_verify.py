@@ -3,15 +3,14 @@ and the aggregated battery with its JSON serialization."""
 
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import ALL_KINDS, make_system
+from conftest import ALL_KINDS, make_system, place_pole
 from kahanmaps import quadfield, verify
 from kahanmaps.integrals import DenominatorZeroError, KahanPair, denominator_witnesses
-from kahanmaps.quadfield import QuadraticVectorField, SingularStepError, kahan_step, kahan_step_batch
+from kahanmaps.quadfield import QuadraticVectorField, SingularStepError
 from kahanmaps.systems import SystemDescriptor
 from kahanmaps.verify import (
     CONSERVATION_TOL,
@@ -279,17 +278,6 @@ def conservation_reference(desc, name, steps, eps, seed):
     return worst_violation, worst_x, skipped
 
 
-def patch_steps(monkeypatch, one, batch):
-    # every package module that binds kahan_step or kahan_step_batch by name
-    # gets the wrapper
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("kahanmaps"):
-            continue
-        for attr, real, wrap in (("kahan_step", kahan_step, one), ("kahan_step_batch", kahan_step_batch, batch)):
-            if getattr(module, attr, None) is real:
-                monkeypatch.setattr(module, attr, wrap)
-
-
 class TestBatchedDraws:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("floor", [1e-6, 0.05])
@@ -354,21 +342,7 @@ class TestStackedConservation:
         x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1).x[0]
         for _ in range(7):
             x = quadfield.kahan_step(desc.field, x, 0.05).next
-        def one_pole(field, y, eps):
-            if np.array_equal(y, x):
-                raise SingularStepError("pole placed by the test")
-            return kahan_step(field, y, eps)
-
-        def batch_pole(field, xs, eps):
-            out = kahan_step_batch(field, xs, eps)
-            hit = np.all(np.asarray(xs) == x, axis=-1)
-            return out._replace(
-                next=np.where(hit[:, None], np.nan, out.next),
-                residual=np.where(hit, np.nan, out.residual),
-                pole=out.pole | hit,
-            )
-
-        patch_steps(monkeypatch, one_pole, batch_pole)
+        place_pole(monkeypatch, desc.field, x, 0.05)
         stubbed = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
         for name, seed, report in zip(names, seeds, stubbed):
             violation, worst_x, skipped = conservation_reference(desc, name, 40, 0.05, seed)
@@ -380,18 +354,16 @@ class TestStackedConservation:
 
 class TestStepsPerTrial:
     def count_rows(self, monkeypatch):
-        # one-state steps and batch rows alike
+        # every Kahan step, of one state or of a stack, builds its step
+        # matrix once per row
         rows = []
+        step_matrix = quadfield._step_matrix
 
-        def one(field, x, eps):
-            rows.append(1)
-            return kahan_step(field, x, eps)
-
-        def batch(field, x, eps):
+        def counted(field, x, eps):
             rows.append(len(x))
-            return kahan_step_batch(field, x, eps)
+            return step_matrix(field, x, eps)
 
-        patch_steps(monkeypatch, one, batch)
+        monkeypatch.setattr(quadfield, "_step_matrix", counted)
         return rows
 
     @pytest.mark.parametrize("kind", ["general_clebsch", "kirchhoff", "lagrange"])
@@ -399,21 +371,21 @@ class TestStepsPerTrial:
         desc = make_system(kind)
         rows = self.count_rows(monkeypatch)
         check_measure(desc, desc.density_names[0], trials=50, eps=0.05, seed=60)
-        assert sum(rows) <= 2 * 50
+        assert sum(rows) == 2 * 50
 
     def test_reversibility_two_steps(self, monkeypatch):
         rows = self.count_rows(monkeypatch)
         check_reversibility(make_system("kirchhoff"), trials=50, eps=0.05, seed=61)
-        assert sum(rows) <= 2 * 50
+        assert sum(rows) == 2 * 50
 
     def test_identities_one_step(self, monkeypatch):
         rows = self.count_rows(monkeypatch)
         check_identities_clebsch1((1.0, 2.0, 3.0), trials=50, eps=0.05, seed=62)
-        assert sum(rows) <= 50
+        assert sum(rows) == 50
 
     def test_conservation_one_step_per_orbit_point(self, monkeypatch):
         desc = make_system("kirchhoff")
         rows = self.count_rows(monkeypatch)
         verify._conservation(desc, desc.conserved_names, [63, 64, 65], 100, 0.05, CONSERVATION_TOL)
         # one draw step per orbit, then one step per orbit point
-        assert sum(rows) <= 3 * (100 + 1)
+        assert sum(rows) == 3 * (100 + 1)
