@@ -203,16 +203,14 @@ def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     # a pole in the step from the last row's point blanks its pair columns
     pair = KahanPair(desc, orbit.next[:rows, 0], cfg.eps, KahanBatch(*(f[1 : rows + 1, 0] for f in orbit)))
     table = np.empty((rows, len(columns)))
-    failed = np.empty((rows, len(columns)), dtype=bool)
     for j, name in enumerate(columns):
         values = pair.value(name)
-        table[:, j], failed[:, j] = values.value, values.fail
+        table[:, j] = np.where(values.fail, np.nan, values.value)
+    cells = np.column_stack([orbit.next[:rows, 0], orbit.delta[:rows, 0], table])
     header = ["step"] + [f"x{i + 1}" for i in range(desc.dim)] + ["delta"] + columns
-    lines = [",".join(header)]
-    for k in range(1, rows + 1):
-        cells = [_fmt(v) for v in orbit.next[k - 1, 0].tolist()] + [_fmt(orbit.delta[k - 1, 0])]
-        cells += ["nan" if bad else _fmt(v) for v, bad in zip(table[k - 1].tolist(), failed[k - 1].tolist())]
-        lines.append(",".join([str(k)] + cells))
+    # %.17g writes the bytes of _fmt, nan, inf and -0 included
+    row_format = "%d," + ",".join(["%.17g"] * cells.shape[1])
+    lines = [",".join(header)] + [row_format % (k, *row) for k, row in enumerate(cells.tolist(), 1)]
     _write(out_dir, "orbit.csv", lines)
     if end < cfg.steps:
         print(f"orbit truncated: pole at step {end + 1} of {cfg.steps}", file=sys.stderr)

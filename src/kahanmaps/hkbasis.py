@@ -20,11 +20,13 @@ Null-space detection uses a full singular-value decomposition with the
 relative threshold NULL_SIGMA_FACTOR and reports the spectral gap as a
 quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
-Ratio extraction builds the columns once over the whole orbit and takes
-the decompositions of all its sliding windows in one stacked call.  A
-WronskianRatio integral likewise steps a stack of initial states as one
-batch, and functional_rank hands the ratios that share an orbit all 2n
-perturbed states of its central differences at once.
+Ratio extraction builds the columns once over the whole orbit, takes the
+decompositions of all its sliding windows in one stacked call and then
+decides every window's null space in one stacked pass.  A WronskianRatio
+integral likewise steps a stack of initial states as one batch, with one
+stacked decomposition and decision per order, and functional_rank hands
+the ratios that share an orbit all 2n perturbed states of its central
+differences at once.
 """
 
 from __future__ import annotations
@@ -157,11 +159,6 @@ def wronskian_observable(ell: int, pair: tuple) -> Observable:
     return Observable(column, reach=ell)
 
 
-def discrete_wronskian(orbit: OrbitRecord, ell: int, pair: tuple, base: int) -> float:
-    """The order-ell Wronskian of the pair at one base."""
-    return float(wronskian_observable(ell, pair)(orbit, np.array([base]))[0])
-
-
 def state_observable(fn: Callable[[np.ndarray], float]) -> Observable:
     """Wrap a plain function of the state."""
 
@@ -261,32 +258,27 @@ def _check_window(m: int, window: int) -> None:
 
 
 def _null_vectors(rows: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple:
-    """Accepted null vectors of one window matrix and its spectral gap.
+    """Null spaces of a stack of window matrices rows[W, r, m], given their
+    singular values sv[W, m] and right singular vectors vt[W, m, m].
 
-    Trailing singular directions count toward the null space only while
-    sigma < NULL_SIGMA_FACTOR * sigma_max and the normalized vector
-    annihilates the matrix to ANNIHILATION_FACTOR * sigma_max.  Vectors
-    are scaled so their largest-magnitude entry is +1.
+    Returns every direction scaled so its largest-magnitude entry is +1,
+    vectors[W, m, m], and null_dim[W]: window w's accepted null vectors are
+    vectors[w, m - null_dim[w]:].  A trailing singular direction counts
+    toward the null space only while it and every direction after it have
+    sigma < NULL_SIGMA_FACTOR * sigma_max and a normalized vector that
+    annihilates the matrix to ANNIHILATION_FACTOR * sigma_max; when
+    sigma_max is 0 every direction counts.
     """
-    m = rows.shape[1]
-    sigma_max = sv[0]
-    accepted: list[np.ndarray] = []
-    for idx in range(m - 1, -1, -1):
-        if sigma_max > 0 and sv[idx] >= NULL_SIGMA_FACTOR * sigma_max:
-            break
-        v = vt[idx]
-        v = v / v[np.argmax(np.abs(v))]
-        if sigma_max > 0 and np.max(np.abs(rows @ v)) > ANNIHILATION_FACTOR * sigma_max:
-            break
-        accepted.append(v)
-    null_dim = len(accepted)
-    if null_dim == 0:
-        return np.empty((0, m)), 0.0  # gap 0.0: sentinel, no spectral split to report
-    if null_dim == m or sv[m - null_dim] == 0:
-        gap = np.inf
-    else:
-        gap = sv[m - null_dim - 1] / sv[m - null_dim]
-    return np.array(accepted[::-1]), float(gap)
+    pivots = np.take_along_axis(vt, np.argmax(np.abs(vt), axis=-1)[..., None], axis=-1)
+    vectors = vt / pivots
+    # one matrix-vector product per direction, the same bits as rows @ v
+    residual = np.max(np.abs(rows[:, None] @ vectors[..., None]), axis=(-2, -1))
+    sigma_max = sv[:, :1]
+    accepted = (sigma_max <= 0) | (
+        (sv < NULL_SIGMA_FACTOR * sigma_max) & ~(residual > ANNIHILATION_FACTOR * sigma_max)
+    )
+    null_dim = np.logical_and.accumulate(accepted[:, ::-1], axis=-1).sum(axis=-1)
+    return vectors, null_dim
 
 
 def hk_nullspace(
@@ -302,11 +294,18 @@ def hk_nullspace(
     if not np.isfinite(rows).all():
         raise ValueError("observable produced a non-finite value inside the window")
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    vectors, gap = _null_vectors(rows, sv, vt)
+    vectors, null_dim = _null_vectors(rows[None], sv[None], vt[None])
+    m, null_dim = rows.shape[1], int(null_dim[0])
+    if null_dim == 0:
+        gap = 0.0  # sentinel: no spectral split to report
+    elif null_dim == m or sv[m - null_dim] == 0:
+        gap = np.inf
+    else:
+        gap = float(sv[m - null_dim - 1] / sv[m - null_dim])
     return HKNullSpaceReport(
         singular_values=sv,
-        null_dim=len(vectors),
-        coeff_vectors=vectors,
+        null_dim=null_dim,
+        coeff_vectors=vectors[0, m - null_dim :],
         window=(start, window),
         gap_ratio=gap,
     )
@@ -354,17 +353,16 @@ def extract_integral_ratios(
     count = usable - window + 1
     windows = rows[np.arange(count)[:, None] + np.arange(window)]
     _, sv, vt = np.linalg.svd(windows, full_matrices=False)
-    table = np.empty((count, m))
-    for k in range(count):
-        vectors, _ = _null_vectors(windows[k], sv[k], vt[k])
-        if len(vectors) != 1:
-            raise RuntimeError(
-                f"null space dimension {len(vectors)} != 1 at window start {start + k}"
-            )
-        v = vectors[0]
-        if abs(v[pivot]) < PIVOT_FLOOR * np.max(np.abs(v)):
-            raise ValueError(f"pivot coefficient degenerate at window start {start + k}")
-        table[k] = v / v[pivot]
+    vectors, null_dim = _null_vectors(windows, sv, vt)
+    v = vectors[:, -1]  # the null vector wherever null_dim is 1
+    wrong_dim = null_dim != 1
+    failed = wrong_dim | (np.abs(v[:, pivot]) < PIVOT_FLOOR * np.max(np.abs(v), axis=1))
+    if failed.any():
+        k = int(np.argmax(failed))
+        if wrong_dim[k]:
+            raise RuntimeError(f"null space dimension {null_dim[k]} != 1 at window start {start + k}")
+        raise ValueError(f"pivot coefficient degenerate at window start {start + k}")
+    table = v / v[:, pivot, None]
     ratios = tuple(table.T.copy())
     flags = []
     for seq in ratios:
@@ -487,38 +485,36 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
     orbit = np.concatenate([x[None], stepped.next]).swapaxes(0, 1)
     points = stepped.ends() + 1  # points each row reached before a pole
     bases = np.arange(window)
-    vectors = {}
+    found = {}
     for ell in orders:
         observables = WronskianBasisSpec(ell, pairs).observables()
         rows = np.stack([observe.column(orbit, bases) for observe in observables], -1)
         fits = points >= window + ell
         usable = fits & np.isfinite(rows).all(axis=(1, 2))
         _, sv, vt = np.linalg.svd(rows[usable], full_matrices=False)
-        found = iter(zip(rows[usable], sv, vt))
-
-        def outcome(b: int):
-            if stepped.pole[0, b]:
-                return stepped.row((0, b))
-            if not fits[b]:
-                return ValueError(f"orbit too short for window of {window} rows starting at 0")
-            if not usable[b]:
-                return ValueError("observable produced a non-finite value inside the window")
-            null, _ = _null_vectors(*next(found))
-            if len(null) != 1:
-                return RuntimeError(f"order-{ell} Wronskian window has null dimension {len(null)}")
-            return null[0]
-
-        vectors[ell] = [outcome(b) for b in range(count)]
+        vectors, null_dim = _null_vectors(rows[usable], sv, vt)
+        v = np.ones((count, len(pairs)))
+        v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
+        dims = np.zeros(count, dtype=int)  # 0 on rows that have no window
+        dims[usable] = null_dim
+        found[ell] = v, fits, usable, dims
 
     def ratio_values(ratio: WronskianRatio):
-        values = np.empty(count)
-        for b, v in enumerate(vectors[ratio.order]):
-            if isinstance(v, Exception):
-                return v
-            if abs(v[ratio.den]) < PIVOT_FLOOR * np.max(np.abs(v)):
-                return ValueError(f"denominator entry {ratio.den} degenerate in null vector")
-            values[b] = v[ratio.num] / v[ratio.den]
-        return values
+        v, fits, usable, dims = found[ratio.order]
+        degenerate = np.abs(v[:, ratio.den]) < PIVOT_FLOOR * np.max(np.abs(v), axis=1)
+        failed = (dims != 1) | degenerate
+        if not failed.any():
+            return v[:, ratio.num] / v[:, ratio.den]
+        b = int(np.argmax(failed))
+        if stepped.pole[0, b]:
+            return stepped.row((0, b))
+        if not fits[b]:
+            return ValueError(f"orbit too short for window of {window} rows starting at 0")
+        if not usable[b]:
+            return ValueError("observable produced a non-finite value inside the window")
+        if dims[b] != 1:
+            return RuntimeError(f"order-{ratio.order} Wronskian window has null dimension {dims[b]}")
+        return ValueError(f"denominator entry {ratio.den} degenerate in null vector")
 
     return [ratio_values(ratio) for ratio in ratios]
 

@@ -85,16 +85,20 @@ def safe_state(rng, desc, eps=0.05):
     )
 
 
-def place_pole(monkeypatch, field, x, eps):
-    """Make the Kahan step from x a pole: the pole threshold reads inf at
-    x's step-matrix norm, so kahan_step, kahan_step_batch and every caller
-    of them, the one-state oracle in scalar_table included, see the pole
-    from the same code."""
-    target = float(quadfield._step_matrix(field, x, eps)[2])
-    threshold = quadfield._pole_threshold
-    monkeypatch.setattr(
-        quadfield, "_pole_threshold", lambda norm, n: math.inf if norm == target else threshold(norm, n)
-    )
+def place_pole(monkeypatch, x):
+    """Make the Kahan step from every point equal to x a pole, whatever the
+    field and step size: the step matrix reads an infinite norm at such a
+    row, so the pole threshold is inf there, and kahan_orbit and every
+    caller of it, the one-state oracle in scalar_table included, see the
+    pole from the same code."""
+    target = np.array(x, dtype=float)
+    step_matrix = quadfield._step_matrix
+
+    def placed(field, point, eps):
+        mat, det, norm = step_matrix(field, point, eps)
+        return mat, det, np.where((point == target).all(axis=-1), math.inf, norm)
+
+    monkeypatch.setattr(quadfield, "_step_matrix", placed)
 
 
 SIX_DIM_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch", "kirchhoff", "lagrange")

@@ -268,7 +268,7 @@ class TestOnePassRows:
         cfg = catalog_config(kind, steps, x0=x0)
         assert run_command(cfg, "simulate", str(tmp_path / "clean")) == 0
         _, clean = read_orbit(tmp_path / "clean" / "orbit.csv")
-        place_pole(monkeypatch, desc.field, states[k - 1], cfg.eps)
+        place_pole(monkeypatch, states[k - 1])
         assert run_command(cfg, "simulate", str(tmp_path / "pole")) == 0
         assert f"pole at step {k} of {steps}" in capsys.readouterr().err
         header, rows = read_orbit(tmp_path / "pole" / "orbit.csv")
@@ -336,7 +336,7 @@ class TestTruncatedOrbit:
         states = [x0]
         for _ in range(k - 1):
             states.append(kahan_step(desc.field, states[-1], 0.05).next)
-        place_pole(monkeypatch, desc.field, states[k - 1], 0.05)
+        place_pole(monkeypatch, states[k - 1])
         cfg = catalog_config(kind, 10, x0=x0)
         text, note, error = reference_simulate(cfg, desc)
         capsys.readouterr()
@@ -447,7 +447,7 @@ class TestMain:
     def test_pole_at_x0_is_a_config_error(self, command, tmp_path, monkeypatch, capsys):
         # every command that steps x0 exits 2 with the message, no traceback
         x0 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-        place_pole(monkeypatch, make_system("kirchhoff").field, np.array(x0), 0.05)
+        place_pole(monkeypatch, np.array(x0))
         path = write_config(tmp_path, dict(KIRCHHOFF_DOC, x0=x0, eps=0.05, steps=20, trials=10))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: orbit hits a pole at the first step: |det(")

@@ -12,10 +12,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SIX_DIM_KINDS, make_system, place_pole, safe_state, unit_ball
 from kahanmaps import hkbasis
 from kahanmaps.hkbasis import (
+    ANNIHILATION_FACTOR,
+    NULL_SIGMA_FACTOR,
     PIVOT_FLOOR,
     HKNullSpaceReport,
     OrbitRecord,
@@ -27,7 +31,6 @@ from kahanmaps.hkbasis import (
     conjugate_pairs,
     constant_observable,
     default_window,
-    discrete_wronskian,
     extract_integral_ratios,
     functional_rank,
     hk_nullspace,
@@ -73,6 +76,11 @@ def normalize(v):
     return v / v[np.argmax(np.abs(v))]
 
 
+def discrete_wronskian(orbit, ell, pair, base):
+    """The order-ell Wronskian of the pair at one base, read from its column."""
+    return float(wronskian_observable(ell, pair)(orbit, np.array([base]))[0])
+
+
 def wronskian_observables(order, dim=6):
     return WronskianBasisSpec(order, conjugate_pairs(dim)).observables()
 
@@ -97,6 +105,37 @@ def per_window_ratios(report, orbit, observables, pivot):
         rows.append([v[s] / v[pivot] for s in range(len(observables))])
         start += 1
     return np.array(rows).reshape(-1, len(observables)).T
+
+
+def one_window_null_vectors(rows, sv, vt):
+    """The one-window null-space decision, frozen as it stood before it took
+    stacks: the oracle the stacked _null_vectors is checked against.
+
+    Trailing singular directions count toward the null space only while
+    sigma < NULL_SIGMA_FACTOR * sigma_max and the normalized vector
+    annihilates the matrix to ANNIHILATION_FACTOR * sigma_max.  Vectors
+    are scaled so their largest-magnitude entry is +1.  Returns the
+    accepted vectors and the spectral gap.
+    """
+    m = rows.shape[1]
+    sigma_max = sv[0]
+    accepted = []
+    for idx in range(m - 1, -1, -1):
+        if sigma_max > 0 and sv[idx] >= NULL_SIGMA_FACTOR * sigma_max:
+            break
+        v = vt[idx]
+        v = v / v[np.argmax(np.abs(v))]
+        if sigma_max > 0 and np.max(np.abs(rows @ v)) > ANNIHILATION_FACTOR * sigma_max:
+            break
+        accepted.append(v)
+    null_dim = len(accepted)
+    if null_dim == 0:
+        return np.empty((0, m)), 0.0
+    if null_dim == m or sv[m - null_dim] == 0:
+        gap = np.inf
+    else:
+        gap = sv[m - null_dim - 1] / sv[m - null_dim]
+    return np.array(accepted[::-1]), float(gap)
 
 
 def scalar_mixed_observables(eps):
@@ -495,6 +534,93 @@ class TestHkNullspace:
         assert doc["gap_ratio"] == report.gap_ratio
 
 
+WINDOW_KINDS = ("full", "rank-1", "rank-2", "zero", "sigma-edge", "residual-edge")
+
+
+def window_stack(seed, m, r, kinds, exponents):
+    """One r x m window per kind, scaled by 10**exponent: U diag(s) V^T
+    with random orthonormal U, V and s in 0.5..2, the last one or two s
+    set to zero for "rank-1"/"rank-2" and the edges, every s zero for
+    "zero"."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for kind, exponent in zip(kinds, exponents):
+        u = np.linalg.qr(rng.standard_normal((r, m)))[0]
+        v = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        s = np.sort(rng.uniform(0.5, 2.0, m))[::-1]
+        if kind == "zero":
+            s[:] = 0.0
+        elif kind == "rank-1" or kind == "residual-edge":
+            s[-1] = 0.0
+        elif kind == "rank-2" or kind == "sigma-edge":
+            s[-2:] = 0.0
+        stack.append(10.0**exponent * (u * s) @ v.T)
+    return np.array(stack)
+
+
+class TestStackedNullSpace:
+    """The stacked decision of _null_vectors against the frozen one-window
+    oracle, bit for bit, on every window of a stack."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 5),
+        extra_rows=st.integers(2, 8),
+        kinds=st.lists(st.sampled_from(WINDOW_KINDS), min_size=1, max_size=6),
+        exponent=st.floats(-8.0, 8.0),
+        ulps=st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_stack_equals_one_window_oracle(self, seed, m, extra_rows, kinds, exponent, ulps):
+        r = m + extra_rows
+        exponents = np.random.default_rng(seed).uniform(-8.0, 8.0, len(kinds))
+        exponents[0] = exponent
+        stack = window_stack(seed, m, r, kinds, exponents)
+        _, sv, vt = np.linalg.svd(stack, full_matrices=False)
+        # the edges put a null direction on a threshold, or one ulp either
+        # side of it: "sigma-edge" the last of two null directions at sigma
+        # NULL_SIGMA_FACTOR * sigma_max, so the sigma test alone cuts the
+        # trailing run; "residual-edge" sigma_max where the one-window
+        # residual of the null direction reads ANNIHILATION_FACTOR * sigma_max
+        nudge = (lambda v: v) if ulps == 0 else (lambda v: np.nextafter(v, ulps * np.inf))
+        for w, kind in enumerate(kinds):
+            if kind == "sigma-edge":
+                sv[w, -1] = nudge(NULL_SIGMA_FACTOR * sv[w, 0])
+            elif kind == "residual-edge":
+                v = vt[w, -1] / vt[w, -1, np.argmax(np.abs(vt[w, -1]))]
+                sv[w, 0] = nudge(np.max(np.abs(stack[w] @ v)) / ANNIHILATION_FACTOR)
+                sv[w, -1] = 0.0
+        vectors, null_dim = hkbasis._null_vectors(stack, sv, vt)
+        assert vectors.shape == (len(kinds), m, m) and null_dim.shape == (len(kinds),)
+        for w in range(len(kinds)):
+            want, _ = one_window_null_vectors(stack[w], sv[w], vt[w])
+            assert null_dim[w] == len(want), kinds[w]
+            assert vectors[w, m - null_dim[w] :].tobytes() == want.tobytes(), kinds[w]
+            if kinds[w] == "zero":
+                assert null_dim[w] == m
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 5),
+        extra_rows=st.integers(2, 8),
+        kind=st.sampled_from(WINDOW_KINDS[:4]),  # the edges set sv by hand
+        exponent=st.floats(-8.0, 8.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_report_equals_one_window_oracle(self, seed, m, extra_rows, kind, exponent):
+        # hk_nullspace on an orbit whose states are the window's rows
+        rows = window_stack(seed, m, m + extra_rows, [kind], [exponent])[0]
+        obs = [state_observable(lambda x, i=i: x[i]) for i in range(m)]
+        report = hk_nullspace(synthetic_record(rows), obs, window=len(rows))
+        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+        want, gap = one_window_null_vectors(rows, sv, vt)
+        assert report.null_dim == len(want)
+        assert report.coeff_vectors.tobytes() == want.tobytes()
+        assert np.float64(report.gap_ratio).tobytes() == np.float64(gap).tobytes()
+        if kind == "zero":
+            assert report.null_dim == m and report.gap_ratio == math.inf
+
+
 class TestExtractRatios:
     def test_first_clebsch_ratios_constant_across_windows(self):
         desc = make_system("first_clebsch")
@@ -658,6 +784,44 @@ class TestExtractRatios:
         obs = [state_observable(lambda x: x[0]), constant_observable(0.0)]
         report = hk_nullspace(orbit, obs, window=6, start=3)
         message = "pivot coefficient degenerate at window start 3"
+        with pytest.raises(ValueError, match=message):
+            per_window_ratios(report, orbit, obs, pivot=0)
+        with pytest.raises(ValueError, match=message):
+            extract_integral_ratios(report, orbit, obs, pivot=0)
+
+    @staticmethod
+    def regions_case(layout):
+        """Rows of three states by region letter, with x2 = x0 + x1 on "G",
+        x2 = 1.5 x1 on "D", and t (1, 2, 3) on "R", which satisfies both
+        relations: a window of "G" and "R" rows has the null vector
+        (1, 1, -1), one of "D" and "R" rows (0, 1.5, -1), with a degenerate
+        pivot 0, and one of five "R" rows has null dimension 2."""
+        rng = np.random.default_rng(90)
+        states = []
+        for region in layout:
+            x0, x1 = rng.uniform(-1.0, 1.0, 2)
+            states.append({"G": (x0, x1, x0 + x1), "D": (x0, x1, 1.5 * x1), "R": (x0, 2 * x0, 3 * x0)}[region])
+        orbit = synthetic_record(states)
+        obs = [state_observable(lambda x, i=i: x[i]) for i in range(3)]
+        report = hk_nullspace(orbit, obs, window=5, start=2)
+        assert report.null_dim == 1
+        return report, orbit, obs
+
+    def test_null_dimension_before_degenerate_pivot(self):
+        # windows from 2: GGGRR, GGRRR, GRRRR, RRRRR (null dimension 2), then
+        # RRRRD on, degenerate
+        report, orbit, obs = self.regions_case("GG" + "GGG" + "RRRRR" + "DDD")
+        message = "null space dimension 2 != 1 at window start 5"
+        with pytest.raises(RuntimeError, match=message):
+            per_window_ratios(report, orbit, obs, pivot=0)
+        with pytest.raises(RuntimeError, match=message):
+            extract_integral_ratios(report, orbit, obs, pivot=0)
+
+    def test_degenerate_pivot_before_null_dimension(self):
+        # windows from 2: GGGRR, GGRRR, GRRRR, RRRRD (degenerate) .. DRRRR,
+        # then RRRRR, null dimension 2
+        report, orbit, obs = self.regions_case("GG" + "GGG" + "RRRR" + "D" + "RRRRR")
+        message = "pivot coefficient degenerate at window start 5"
         with pytest.raises(ValueError, match=message):
             per_window_ratios(report, orbit, obs, pivot=0)
         with pytest.raises(ValueError, match=message):
@@ -918,7 +1082,7 @@ class TestStackedRatios:
         field, eps = ratios[0].field, ratios[0].eps
         start = central_states(x)[0][row]
         state = iterate_orbit(field, start, eps, step).states[step] if step else start
-        place_pole(monkeypatch, field, state, eps)
+        place_pole(monkeypatch, state)
 
     @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
     def test_pole_errors_match_loop(self, monkeypatch, step, error):
@@ -942,8 +1106,8 @@ class TestStackedRatios:
         null_vectors = hkbasis._null_vectors
 
         def doubled(rows, sv, vt):
-            vectors, gap = null_vectors(rows, sv, vt)
-            return np.vstack([vectors, vectors]), gap
+            vectors, null_dim = null_vectors(rows, sv, vt)
+            return vectors, 2 * null_dim
 
         monkeypatch.setattr(hkbasis, "_null_vectors", doubled)
         expected = raised(lambda: reference_unit_gradients(ratios, x))
@@ -956,9 +1120,9 @@ class TestStackedRatios:
         null_vectors = hkbasis._null_vectors
 
         def zero_den(rows, sv, vt):
-            vectors, gap = null_vectors(rows, sv, vt)
-            vectors[:, 2] = 0.0
-            return vectors, gap
+            vectors, null_dim = null_vectors(rows, sv, vt)
+            vectors[..., 2] = 0.0
+            return vectors, null_dim
 
         monkeypatch.setattr(hkbasis, "_null_vectors", zero_den)
         expected = raised(lambda: reference_unit_gradients(ratios, x))

@@ -559,7 +559,7 @@ class TestStackedTable:
 
     def pair(self, desc, monkeypatch):
         states = table_states(desc)
-        place_pole(monkeypatch, desc.field, states[POLE_ROW], TABLE_EPS)
+        place_pole(monkeypatch, states[POLE_ROW])
         pair = KahanPair(desc, states, TABLE_EPS)
         assert pair.step.pole[POLE_ROW] and pair.step.pole.sum() == 1
         return pair

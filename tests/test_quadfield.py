@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
@@ -390,13 +390,14 @@ def step_loop(field, x, eps, steps):
     return out
 
 
-def one_state_loop(field, x, eps, steps, pole_at=None):
+def one_state_loop(field, x, eps, steps, pole_point=None):
     """The entries of x's orbit from one_state_step, up to its first pole;
-    the step from point pole_at counts as a pole, as place_pole makes it."""
+    the step from any point equal to pole_point counts as a pole, as
+    place_pole makes it."""
     entries = []
-    for k in range(steps):
+    for _ in range(steps):
         x_next, det, residual, pole = one_state_step(field, x, eps)
-        if k == pole_at:
+        if pole_point is not None and np.array_equal(x, pole_point):
             x_next, residual, pole = None, None, True
         entries.append((x_next, det, residual, pole))
         if pole:
@@ -435,7 +436,7 @@ class TestKahanOrbit:
         xs = np.array([safe_state(rng, desc) for _ in range(3)])
         clean = kahan_orbit(desc.field, xs, eps, steps)
         point = clean.next[k - 1, 1] if k else xs[1]
-        place_pole(monkeypatch, desc.field, point, eps)
+        place_pole(monkeypatch, point)
         orbit = kahan_orbit(desc.field, xs, eps, steps)
         assert list(orbit.ends()) == [steps, k, steps]
         assert orbit.pole.sum() == 1 and orbit.pole[k, 1]
@@ -510,12 +511,13 @@ class TestKahanOrbit:
         count=st.sampled_from([1, 3]),
         steps=st.integers(1, 6),
         radius=st.floats(0.05, 1.5),
-        # place_pole keys on the step-matrix norm, which a step too small to
-        # move its point repeats at the next point
-        eps=st.floats(-0.3, 0.3).filter(lambda e: abs(e) >= 1e-6),
+        eps=st.floats(-0.3, 0.3),
         at_root=st.booleans(),
         pole_at=st.none() | st.integers(0, 5),
     )
+    # steps too small to move their point: the placed pole repeats at step 0
+    @example(seed=1, n=3, count=3, steps=4, radius=0.5, eps=1.1e-308, at_root=False, pole_at=2)
+    @example(seed=2, n=2, count=1, steps=3, radius=0.5, eps=0.0, at_root=False, pole_at=1)
     @settings(max_examples=80, deadline=None)
     def test_every_entry_equals_the_one_state_formulas(self, seed, n, count, steps, radius, eps, at_root, pole_at):
         # random fields and states; the last row meets a pole at its first
@@ -536,8 +538,12 @@ class TestKahanOrbit:
         clean = expected[-1]
         with pytest.MonkeyPatch.context() as patch:
             if pole_at is not None and pole_at < len(clean) and not clean[pole_at][3]:
-                place_pole(patch, field, clean[pole_at - 1][0] if pole_at else xs[-1], eps)
-                expected[-1] = one_state_loop(field, xs[-1], eps, steps, pole_at)
+                # the pole sits at every point equal to point pole_at: an
+                # earlier one too, where a step too small to move its point
+                # (eps 0 or subnormal) repeats it
+                target = clean[pole_at - 1][0] if pole_at else xs[-1]
+                place_pole(patch, target)
+                expected = [one_state_loop(field, x, eps, steps, target) for x in xs]
             orbit = kahan_orbit(field, xs, eps, steps)
             batch = kahan_step_batch(field, xs, eps)
             lone = [kahan_step(field, x, eps) if not row[0][3] else None for x, row in zip(xs, expected)]

@@ -342,7 +342,7 @@ class TestStackedConservation:
         x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1).x[0]
         for _ in range(7):
             x = quadfield.kahan_step(desc.field, x, 0.05).next
-        place_pole(monkeypatch, desc.field, x, 0.05)
+        place_pole(monkeypatch, x)
         stubbed = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
         for name, seed, report in zip(names, seeds, stubbed):
             violation, worst_x, skipped = conservation_reference(desc, name, 40, 0.05, seed)
