@@ -239,10 +239,13 @@ def _scan_orders(cfg: ExperimentConfig, desc):
     window = default_window(len(pairs))
     x0 = _resolve_x0(cfg, desc)
     # one orbit long enough for the highest order; each window reads a prefix
+    steps = window - 1 + max(orders)
     try:
-        orbit = iterate_orbit(desc.field, x0, cfg.eps, window - 1 + max(orders))
+        orbit = iterate_orbit(desc.field, x0, cfg.eps, steps)
     except SingularStepError as exc:
         raise _first_step_pole(exc) from exc
+    if len(orbit) <= steps:
+        raise ValueError(f"orbit hits a pole at step {len(orbit)} of the {steps} the scan needs")
     results = []
     for order in orders:
         observables = WronskianBasisSpec(order=order, pairs=pairs).observables()

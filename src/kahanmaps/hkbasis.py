@@ -1,4 +1,4 @@
-"""Orbit records, discrete Wronskians, and window-based basis detection.
+"""Discrete Wronskians and window-based basis detection on Kahan orbits.
 
 A family of scalar observables is a basis for the map when one fixed
 coefficient vector annihilates the observable values along every orbit.
@@ -7,25 +7,26 @@ matrix M[r][s] = (observable s at orbit point start+r): a one-dimensional
 null space whose vector varies only with the initial point turns the
 coefficient ratios into integrals of the map.
 
-An observable produces a whole column: observe(orbit, bases) takes an int
-array of base points and returns one value per base.  Its `reach` is the
-number of successor states a value reads: 0 for state and constant
-observables, 1 for bilinear ones, ell for an order-ell discrete Wronskian,
-so the value at base b needs orbit points b .. b + reach.  A window matrix
-is its observables' columns stacked side by side, so state functions,
-bilinear functions of consecutive points and Wronskians that look several
-steps ahead mix freely in one matrix.
+An orbit is the array of its points, states[points, n], as iterate_orbit
+returns it.  An observable produces a whole column: observe(states, bases)
+takes an int array of base points and returns one value per base.  Its
+`reach` is the number of successor states a value reads: 0 for state and
+constant observables, 1 for bilinear ones, ell for an order-ell discrete
+Wronskian, so the value at base b needs orbit points b .. b + reach.  A
+window matrix is its observables' columns stacked side by side, so state
+functions, bilinear functions of consecutive points and Wronskians that
+look several steps ahead mix freely in one matrix.
 
 Null-space detection uses a full singular-value decomposition with the
 relative threshold NULL_SIGMA_FACTOR and reports the spectral gap as a
 quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
-Ratio extraction builds the columns once over the whole orbit, takes the
-decompositions of all its sliding windows in one stacked call and then
-decides every window's null space in one stacked pass.  A WronskianRatio
-integral likewise steps a stack of initial states as one batch, with one
-stacked decomposition and decision per order, and functional_rank hands
-the ratios that share an orbit all 2n perturbed states of its central
+Every caller builds its windows with _windows and decides them with
+_decide, one stacked decomposition and one stacked pass: hk_nullspace a
+stack of one, ratio extraction every sliding window of the orbit, and a
+WronskianRatio integral, per order, the first window of each orbit in a
+stack of initial states stepped as one batch.  functional_rank hands the
+ratios that share an orbit all 2n perturbed states of its central
 differences at once.
 """
 
@@ -43,61 +44,13 @@ NULL_SIGMA_FACTOR = 1e-9
 ANNIHILATION_FACTOR = 1e-10
 PIVOT_FLOOR = 1e-6
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """A Kahan orbit: states (k+1, n) plus one entry per attempted step.
-
-    When the iteration dies at a pole, the failed attempt still records
-    its (near-zero) denominator and a raised flag, but no new state and a
-    NaN residual; the arrays are then one longer than states[1:].
-    """
-
-    states: np.ndarray
-    eps: float
-    deltas: np.ndarray
-    residuals: np.ndarray
-    pole_flags: np.ndarray
-
-    def __post_init__(self) -> None:
-        states = np.array(self.states, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 1:
-            raise ValueError("states must be a (points, dim) matrix")
-        deltas = np.array(self.deltas, dtype=float)
-        residuals = np.array(self.residuals, dtype=float)
-        flags = np.array(self.pole_flags, dtype=bool)
-        attempts = deltas.shape[0]
-        if residuals.shape != (attempts,) or flags.shape != (attempts,):
-            raise ValueError("deltas, residuals, pole_flags must share one attempt count")
-        if attempts not in (states.shape[0] - 1, states.shape[0]):
-            raise ValueError(f"{attempts} attempts inconsistent with {states.shape[0]} states")
-        for arr in (states, deltas, residuals, flags):
-            arr.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "deltas", deltas)
-        object.__setattr__(self, "residuals", residuals)
-        object.__setattr__(self, "pole_flags", flags)
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def steps(self) -> int:
-        """Completed steps, excluding a final pole attempt."""
-        return self.states.shape[0] - 1
-
-    @property
-    def hit_pole(self) -> bool:
-        return bool(self.pole_flags.any())
-
-
 def iterate_orbit(
     field: QuadraticVectorField, x0: np.ndarray, eps: float, steps: int
-) -> OrbitRecord:
-    """The Kahan orbit of one state: kahan_orbit on a stack of one, which
-    stops at the first pole and records that attempt. A pole at step 0
-    raises SingularStepError."""
+) -> np.ndarray:
+    """The points of the Kahan orbit of one state up to its first pole, a
+    read-only array [k + 1, n]: kahan_orbit on a stack of one, so k is
+    `steps` unless a pole cuts the orbit short. A pole at step 0 raises
+    SingularStepError."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x = np.asarray(x0, dtype=float)
@@ -106,15 +59,9 @@ def iterate_orbit(
     orbit = kahan_orbit(field, x[None], eps, steps)
     if orbit.pole[0, 0]:
         raise orbit.row((0, 0))
-    end = int(orbit.ends()[0])
-    attempts = min(end + 1, steps)  # a pole's attempt is the last one
-    return OrbitRecord(
-        states=np.concatenate([x[None], orbit.next[:end, 0]]),
-        eps=eps,
-        deltas=orbit.delta[:attempts, 0],
-        residuals=orbit.residual[:attempts, 0],
-        pole_flags=orbit.pole[:attempts, 0],
-    )
+    states = np.concatenate([x[None], orbit.next[: int(orbit.ends()[0]), 0]])
+    states.setflags(write=False)
+    return states
 
 
 @dataclass(frozen=True)
@@ -129,15 +76,15 @@ class Observable:
     column: Callable[[np.ndarray, np.ndarray], np.ndarray]
     reach: int
 
-    def __call__(self, orbit: OrbitRecord, bases: np.ndarray) -> np.ndarray:
+    def __call__(self, states: np.ndarray, bases: np.ndarray) -> np.ndarray:
         bases = np.asarray(bases)
-        points = orbit.states.shape[0]
+        points = states.shape[0]
         if bases.size and (bases.min() < 0 or bases.max() + self.reach >= points):
             raise IndexError(
                 f"bases {bases.min()}..{bases.max()} with reach {self.reach} "
                 f"exceed orbit of {points} points"
             )
-        return self.column(orbit.states, bases)
+        return self.column(states, bases)
 
 
 def wronskian_observable(ell: int, pair: tuple) -> Observable:
@@ -233,21 +180,28 @@ class HKNullSpaceReport:
         }
 
 
-def _window_matrix(
-    orbit: OrbitRecord, observables: Sequence[Observable], window: int, start: int
+def _windows(
+    states: np.ndarray, observables: Sequence[Observable], window: int, starts: np.ndarray
 ) -> np.ndarray:
-    """Rows start .. start + window - 1: one column per observable.
+    """Window matrices [..., window, m] of the orbits states[..., points, n],
+    one per base in the int array starts: row r of the window at base b
+    holds every observable at base b + r.
 
-    The bases are checked against every observable's reach first; an
-    observable that still rejects them (a Wronskian pair outside the state
-    dimension) raises ValueError with its own message.
+    The window height is checked against m, then every window against the
+    orbit and every observable's reach; an observable that still rejects
+    its bases (a Wronskian pair outside the state dimension) raises
+    ValueError with its own message.
     """
+    _check_window(len(observables), window)
+    starts = np.asarray(starts)
     reach = max((observe.reach for observe in observables), default=0)
-    if window > 0 and (start < 0 or start + window - 1 + reach >= orbit.states.shape[0]):
+    outside = (starts < 0) | (starts + window - 1 + reach >= states.shape[-2])
+    if outside.any():
+        start = starts[outside][0]
         raise ValueError(f"orbit too short for window of {window} rows starting at {start}")
-    bases = np.arange(start, start + window)
+    bases = starts[..., None] + np.arange(window)
     try:
-        return np.column_stack([observe(orbit, bases) for observe in observables])
+        return np.stack([observe.column(states, bases) for observe in observables], -1)
     except IndexError as exc:
         raise ValueError(str(exc)) from exc
 
@@ -281,21 +235,24 @@ def _null_vectors(rows: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple:
     return vectors, null_dim
 
 
+def _decide(windows: np.ndarray) -> tuple:
+    """The singular values sv[W, m] of a stack of window matrices
+    windows[W, r, m] and their null spaces, (sv, vectors, null_dim) as
+    _null_vectors returns them."""
+    _, sv, vt = np.linalg.svd(windows, full_matrices=False)
+    return (sv, *_null_vectors(windows, sv, vt))
+
+
 def hk_nullspace(
-    orbit: OrbitRecord,
-    observables: Sequence[Observable],
-    window: int,
-    start: int = 0,
+    states: np.ndarray, observables: Sequence[Observable], window: int, start: int = 0
 ) -> HKNullSpaceReport:
     """Singular spectrum and annihilating vectors (see _null_vectors) of the
     window matrix of `window` rows from orbit point `start`."""
-    _check_window(len(observables), window)
-    rows = _window_matrix(orbit, observables, window, start)
+    rows = _windows(states, observables, window, np.array([start]))
     if not np.isfinite(rows).all():
         raise ValueError("observable produced a non-finite value inside the window")
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    vectors, null_dim = _null_vectors(rows[None], sv[None], vt[None])
-    m, null_dim = rows.shape[1], int(null_dim[0])
+    sv, vectors, null_dim = _decide(rows)
+    m, sv, null_dim = rows.shape[-1], sv[0], int(null_dim[0])
     if null_dim == 0:
         gap = 0.0  # sentinel: no spectral split to report
     elif null_dim == m or sv[m - null_dim] == 0:
@@ -322,7 +279,7 @@ class RatioSequences:
 
 def extract_integral_ratios(
     report: HKNullSpaceReport,
-    orbit: OrbitRecord,
+    states: np.ndarray,
     observables: Sequence[Observable],
     pivot: int,
     tol: float = 1e-9,
@@ -341,19 +298,14 @@ def extract_integral_ratios(
     if not 0 <= pivot < m:
         raise ValueError(f"pivot {pivot} outside {m} observables")
     start, window = report.window
-    _check_window(m, window)
-    stop = orbit.states.shape[0] - max(observe.reach for observe in observables)
-    rows = _window_matrix(orbit, observables, max(stop - start, 0), start)
-    if rows.shape[0] < window:
-        raise ValueError(f"orbit too short for window of {window} rows starting at {start}")
-    finite = np.isfinite(rows).all(axis=1)
-    usable = rows.shape[0] if finite.all() else int(np.argmin(finite))
-    if usable < window:
+    # every start whose window fits, or the report's own for _windows to reject
+    last = states.shape[0] - window - max(observe.reach for observe in observables)
+    windows = _windows(states, observables, window, np.arange(start, max(last, start) + 1))
+    finite = np.isfinite(windows).all(axis=(1, 2))
+    count = len(finite) if finite.all() else int(np.argmin(finite))
+    if count == 0:
         raise ValueError("observable produced a non-finite value inside the window")
-    count = usable - window + 1
-    windows = rows[np.arange(count)[:, None] + np.arange(window)]
-    _, sv, vt = np.linalg.svd(windows, full_matrices=False)
-    vectors, null_dim = _null_vectors(windows, sv, vt)
+    _, vectors, null_dim = _decide(windows[:count])
     v = vectors[:, -1]  # the null vector wherever null_dim is 1
     wrong_dim = null_dim != 1
     failed = wrong_dim | (np.abs(v[:, pivot]) < PIVOT_FLOOR * np.max(np.abs(v), axis=1))
@@ -363,12 +315,9 @@ def extract_integral_ratios(
             raise RuntimeError(f"null space dimension {null_dim[k]} != 1 at window start {start + k}")
         raise ValueError(f"pivot coefficient degenerate at window start {start + k}")
     table = v / v[:, pivot, None]
-    ratios = tuple(table.T.copy())
-    flags = []
-    for seq in ratios:
-        center = float(np.median(seq))
-        flags.append(bool(np.max(np.abs(seq - center)) > tol * (1 + abs(center))))
-    return RatioSequences(ratios=ratios, non_constant=tuple(flags), tolerance=tol)
+    center = np.median(table, axis=0)
+    non_constant = np.max(np.abs(table - center), axis=0) > tol * (1 + np.abs(center))
+    return RatioSequences(tuple(table.T.copy()), tuple(non_constant.tolist()), tol)
 
 
 def functional_rank(
@@ -484,15 +433,12 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
     # orbit[b]: the points of row b, nan past a pole
     orbit = np.concatenate([x[None], stepped.next]).swapaxes(0, 1)
     points = stepped.ends() + 1  # points each row reached before a pole
-    bases = np.arange(window)
     found = {}
     for ell in orders:
-        observables = WronskianBasisSpec(ell, pairs).observables()
-        rows = np.stack([observe.column(orbit, bases) for observe in observables], -1)
+        rows = _windows(orbit, WronskianBasisSpec(ell, pairs).observables(), window, np.array(0))
         fits = points >= window + ell
         usable = fits & np.isfinite(rows).all(axis=(1, 2))
-        _, sv, vt = np.linalg.svd(rows[usable], full_matrices=False)
-        vectors, null_dim = _null_vectors(rows[usable], sv, vt)
+        _, vectors, null_dim = _decide(rows[usable])
         v = np.ones((count, len(pairs)))
         v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
         dims = np.zeros(count, dtype=int)  # 0 on rows that have no window

@@ -452,6 +452,19 @@ class TestMain:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: orbit hits a pole at the first step: |det(")
 
+    @pytest.mark.parametrize("command", ["hk-scan", "report"])
+    def test_later_pole_names_its_step(self, command, tmp_path, monkeypatch, capsys):
+        # a pole in the step from point 5 of the scan orbit: the scan needs
+        # 13 steps and names the pole step as simulate numbers it
+        x0 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        desc = build_system("kirchhoff", parse_config(overrides=KIRCHHOFF_DOC).params)
+        place_pole(monkeypatch, iterate_orbit(desc.field, np.array(x0), 0.05, 5)[5])
+        path = write_config(tmp_path, dict(KIRCHHOFF_DOC, x0=x0, eps=0.05, steps=20, trials=10))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 0
+        assert "pole at step 6 of 20" in capsys.readouterr().err
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: orbit hits a pole at step 6 of the 13 the scan needs\n"
+
     def test_requires_system_somewhere(self, capsys):
         assert main(["simulate"]) == 2
         assert "system" in capsys.readouterr().err

@@ -1,9 +1,9 @@
-"""Orbit records, discrete Wronskians, window null spaces, ratio extraction,
+"""Orbit points, discrete Wronskians, window null spaces, ratio extraction,
 and gradient rank counts.
 
 Hand oracles: the scalar field xdot = x^2 has the closed-form step
 x -> x/(1 - 2*eps*x), so 1/x_k = 1/x_0 - 2*k*eps, which pins orbit states
-and the pole location exactly.  Synthetic three-state records pin the
+and the pole location exactly.  Synthetic three-state orbits pin the
 Wronskian arithmetic.  Null vectors of the catalog bases are checked
 against the closed-form coefficient evaluations.
 """
@@ -22,11 +22,10 @@ from kahanmaps.hkbasis import (
     NULL_SIGMA_FACTOR,
     PIVOT_FLOOR,
     HKNullSpaceReport,
-    OrbitRecord,
-    _window_matrix,
     WronskianBasisSpec,
     WronskianRatio,
     _unit_gradients,
+    _windows,
     bilinear_observable,
     conjugate_pairs,
     constant_observable,
@@ -47,7 +46,13 @@ from kahanmaps.integrals import (
     eval_coeffs,
     evaluate_named,
 )
-from kahanmaps.quadfield import KahanStepResult, QuadraticVectorField, SingularStepError, kahan_step
+from kahanmaps.quadfield import (
+    KahanStepResult,
+    QuadraticVectorField,
+    SingularStepError,
+    kahan_step,
+    polarize_eval,
+)
 from kahanmaps.systems import central_states
 
 CLEBSCH_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch")
@@ -59,16 +64,8 @@ def scalar_field():
     )
 
 
-def synthetic_record(states, eps=0.0):
-    states = np.asarray(states, dtype=float)
-    k = len(states) - 1
-    return OrbitRecord(
-        states=states,
-        eps=eps,
-        deltas=np.ones(k),
-        residuals=np.zeros(k),
-        pole_flags=np.zeros(k, dtype=bool),
-    )
+def synthetic_orbit(states):
+    return np.asarray(states, dtype=float)
 
 
 def normalize(v):
@@ -152,36 +149,29 @@ def scalar_mixed_observables(eps):
 class TestIterateOrbit:
     def test_scalar_orbit_matches_closed_form(self):
         orbit = iterate_orbit(scalar_field(), np.array([1.0]), 0.1, 2)
-        assert orbit.states[:, 0] == pytest.approx([1.0, 1.25, 5.0 / 3.0], rel=1e-15)
-        # Delta(x; eps) = 1 - 2*eps*x at the departure point of each step
-        assert orbit.deltas == pytest.approx([0.8, 0.75], rel=1e-15)
-        assert not orbit.pole_flags.any()
-        assert orbit.steps == 2
-        assert orbit.eps == 0.1
+        assert orbit.shape == (3, 1)
+        assert orbit[:, 0] == pytest.approx([1.0, 1.25, 5.0 / 3.0], rel=1e-15)
 
     def test_eps_zero_orbit_is_constant(self):
         desc = make_system("kirchhoff")
         x0 = unit_ball(np.random.default_rng(1), 6)
         orbit = iterate_orbit(desc.field, x0, 0.0, 5)
-        assert np.allclose(orbit.states, x0, atol=1e-15)
-        assert orbit.deltas == pytest.approx(np.ones(5), rel=1e-15)
+        assert orbit.shape == (6, 6)
+        assert np.allclose(orbit, x0, atol=1e-15)
 
     def test_reverse_orbit_returns_to_start(self):
         desc = make_system("first_clebsch")
         x0 = safe_state(np.random.default_rng(2), desc)
         fwd = iterate_orbit(desc.field, x0, 0.05, 50)
-        back = iterate_orbit(desc.field, fwd.states[-1], -0.05, 50)
-        assert np.max(np.abs(back.states[-1] - x0)) <= 1e-9
+        back = iterate_orbit(desc.field, fwd[-1], -0.05, 50)
+        assert np.max(np.abs(back[-1] - x0)) <= 1e-9
 
     def test_pole_stops_early_with_flag(self):
-        # 1/x_0 = 0.6 puts the pole exactly at the third step
+        # 1/x_0 = 0.6 puts the pole exactly at the third step: the orbit
+        # keeps the points before it
         orbit = iterate_orbit(scalar_field(), np.array([5.0 / 3.0]), 0.1, 10)
-        assert orbit.states[:, 0] == pytest.approx([5.0 / 3.0, 2.5, 5.0], rel=1e-14)
-        assert list(orbit.pole_flags) == [False, False, True]
-        assert orbit.deltas[-1] == pytest.approx(0.0, abs=1e-12)
-        assert np.isnan(orbit.residuals[-1])
-        assert orbit.hit_pole
-        assert orbit.steps == 2
+        assert orbit.shape == (3, 1)
+        assert orbit[:, 0] == pytest.approx([5.0 / 3.0, 2.5, 5.0], rel=1e-14)
 
     def test_pole_at_step_zero_raises(self):
         with pytest.raises(SingularStepError):
@@ -192,32 +182,38 @@ class TestIterateOrbit:
             iterate_orbit(scalar_field(), np.array([1.0]), 0.1, 0)
 
     def test_residuals_recorded_and_small(self):
+        # every pair of consecutive points solves the polarized defining
+        # equation x~ - x = 2 eps f(x, x~)
         desc = make_system("lagrange")
         x0 = safe_state(np.random.default_rng(3), desc)
-        orbit = iterate_orbit(desc.field, x0, 0.05, 20)
-        assert orbit.residuals.shape == (20,)
-        assert np.all(orbit.residuals <= 1e-12)
+        eps = 0.05
+        orbit = iterate_orbit(desc.field, x0, eps, 20)
+        before, after = orbit[:-1], orbit[1:]
+        defect = after - before - 2.0 * eps * polarize_eval(desc.field, before, after)
+        residuals = np.abs(defect).max(axis=1)
+        assert residuals.shape == (20,)
+        assert np.all(residuals <= 1e-12)
 
     def test_states_are_read_only(self):
         orbit = iterate_orbit(scalar_field(), np.array([1.0]), 0.1, 1)
         with pytest.raises(ValueError):
-            orbit.states[0, 0] = 2.0
+            orbit[0, 0] = 2.0
 
 
 class TestDiscreteWronskian:
     def test_synthetic_values(self):
-        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        orbit = synthetic_orbit([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         # x_i^(base+ell) x_j^(base) - x_i^(base) x_j^(base+ell)
         assert discrete_wronskian(orbit, 1, (0, 1), 0) == pytest.approx(1.0)
         assert discrete_wronskian(orbit, 2, (0, 1), 0) == pytest.approx(3.0)
         assert discrete_wronskian(orbit, 1, (0, 1), 1) == pytest.approx(2.0)
 
     def test_same_component_is_zero(self):
-        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        orbit = synthetic_orbit([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         assert discrete_wronskian(orbit, 1, (1, 1), 0) == 0.0
 
     def test_antisymmetric_in_pair(self):
-        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        orbit = synthetic_orbit([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         assert discrete_wronskian(orbit, 2, (1, 0), 0) == -discrete_wronskian(
             orbit, 2, (0, 1), 0
         )
@@ -230,7 +226,7 @@ class TestDiscreteWronskian:
             assert discrete_wronskian(orbit, 2, (i, j), 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_range_checks(self):
-        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        orbit = synthetic_orbit([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         with pytest.raises(IndexError):
             discrete_wronskian(orbit, 3, (0, 1), 0)
         with pytest.raises(IndexError):
@@ -247,7 +243,7 @@ class TestDiscreteWronskian:
         x0 = safe_state(np.random.default_rng(5), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 12)
         for base in range(10):
-            c = eval_coeffs(desc, orbit.states[base], eps, "small_c")
+            c = eval_coeffs(desc, orbit[base], eps, "small_c")
             terms = [
                 c[i] * discrete_wronskian(orbit, 1, pair, base)
                 for i, pair in enumerate(conjugate_pairs(6))
@@ -261,7 +257,7 @@ class TestDiscreteWronskian:
         x0 = safe_state(np.random.default_rng(6), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 12)
         for base in range(8):
-            big = eval_coeffs(desc, orbit.states[base], eps, "big_C")
+            big = eval_coeffs(desc, orbit[base], eps, "big_C")
             terms = [
                 big[i] * discrete_wronskian(orbit, 2, pair, base)
                 for i, pair in enumerate(conjugate_pairs(6))
@@ -290,7 +286,7 @@ class TestBasisSpec:
         assert state_observable(lambda x: x[0]).reach == 0
         assert bilinear_observable(lambda x, y: x[0] * y[0]).reach == 1
         assert constant_observable(2.0).reach == 0
-        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        orbit = synthetic_orbit([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         assert list(bilinear_observable(lambda x, y: x[0] * y[1])(orbit, np.arange(2))) == [
             5.0,
             33.0,
@@ -302,7 +298,7 @@ class TestBasisSpec:
             wronskian_observable(2, (0, 1))(orbit, np.array([1]))
 
     def test_spec_observables_match_direct_calls(self):
-        orbit = synthetic_record([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        orbit = synthetic_orbit([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
         spec = WronskianBasisSpec(1, ((0, 1),))
         obs = spec.observables()
         assert len(obs) == 1
@@ -316,12 +312,12 @@ class TestColumnWindows:
         eps = 0.05
         x0 = safe_state(np.random.default_rng(40), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 40)
-        s = orbit.states
+        s = orbit
         pairs = conjugate_pairs(6)
         for order in (1, 2, 3, 4):
             obs = wronskian_observables(order)
             rows = 41 - order
-            built = _window_matrix(orbit, obs, rows, 0)
+            (built,) = _windows(orbit, obs, rows, [0])
             cells = np.array(
                 [[discrete_wronskian(orbit, order, p, b) for p in pairs] for b in range(rows)]
             )
@@ -333,13 +329,13 @@ class TestColumnWindows:
                 ]
             )
             assert built.tobytes() == cells.tobytes() == loop.tobytes(), order
-            assert _window_matrix(orbit, obs, 10, 7).tobytes() == loop[7:17].tobytes()
+            assert _windows(orbit, obs, 10, [7]).tobytes() == loop[7:17].tobytes()
 
     def test_mixed_window_equals_per_cell_values(self):
         eps = 0.01
         orbit = iterate_orbit(scalar_field(), np.array([0.3]), eps, 12)
-        x = orbit.states[:, 0]
-        built = _window_matrix(orbit, scalar_mixed_observables(eps), 8, 2)
+        x = orbit[:, 0]
+        (built,) = _windows(orbit, scalar_mixed_observables(eps), 8, [2])
         cells = [[x[b], x[b + 1], x[b] * x[b + 1], 1.0] for b in range(2, 10)]
         assert built.tobytes() == np.array(cells).tobytes()
         report = hk_nullspace(orbit, scalar_mixed_observables(eps), window=8, start=2)
@@ -505,7 +501,7 @@ class TestHkNullspace:
         with pytest.raises(ValueError, match="window"):
             hk_nullspace(orbit, wronskian_observables(2), window=8)
 
-    def test_null_vectors_annihilate_window_matrix(self):
+    def test_null_vectors_annihilate_the_window(self):
         desc = make_system("second_clebsch")
         eps = 0.05
         x0 = safe_state(np.random.default_rng(15), desc, eps)
@@ -611,7 +607,7 @@ class TestStackedNullSpace:
         # hk_nullspace on an orbit whose states are the window's rows
         rows = window_stack(seed, m, m + extra_rows, [kind], [exponent])[0]
         obs = [state_observable(lambda x, i=i: x[i]) for i in range(m)]
-        report = hk_nullspace(synthetic_record(rows), obs, window=len(rows))
+        report = hk_nullspace(synthetic_orbit(rows), obs, window=len(rows))
         _, sv, vt = np.linalg.svd(rows, full_matrices=False)
         want, gap = one_window_null_vectors(rows, sv, vt)
         assert report.null_dim == len(want)
@@ -691,9 +687,8 @@ class TestExtractRatios:
 
     def test_non_finite_value_in_the_first_window(self):
         report, orbit, obs = self.short_orbit_case(12)
-        states = orbit.states.copy()
-        states[4] = np.nan
-        broken = OrbitRecord(states, orbit.eps, orbit.deltas, orbit.residuals, orbit.pole_flags)
+        broken = orbit.copy()
+        broken[4] = np.nan
         with pytest.raises(ValueError, match="non-finite value inside the window"):
             extract_integral_ratios(report, broken, obs, pivot=2)
 
@@ -737,7 +732,7 @@ class TestExtractRatios:
         # 1/x_0 = 0.42 = 2 eps (20 + 1): the pole is the attempt at step 20
         eps = 0.01
         orbit = iterate_orbit(scalar_field(), np.array([1.0 / 0.42]), eps, 40)
-        assert orbit.hit_pole and orbit.steps == 20
+        assert len(orbit) == 21
         obs = scalar_mixed_observables(eps)
         report = hk_nullspace(orbit, obs, window=6)
         seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
@@ -748,9 +743,8 @@ class TestExtractRatios:
 
     def test_non_finite_row_ends_the_sequence(self):
         eps = 0.01
-        states = iterate_orbit(scalar_field(), np.array([0.3]), eps, 30).states.copy()
-        states[15] = np.nan
-        orbit = synthetic_record(states, eps)
+        orbit = iterate_orbit(scalar_field(), np.array([0.3]), eps, 30).copy()
+        orbit[15] = np.nan
         obs = scalar_mixed_observables(eps)
         report = hk_nullspace(orbit, obs, window=6)
         seqs = extract_integral_ratios(report, orbit, obs, pivot=0)
@@ -765,7 +759,7 @@ class TestExtractRatios:
         x0 = np.array([0.1, 0.4, -0.3, 0.7, 0.2, -0.5, 0.9, 0.3, -0.1])
         x1 = 2.0 * x0 + 1.0
         x1[6:] += np.array([0.3, -0.2, 0.5])
-        orbit = synthetic_record(np.column_stack([x0, x1]))
+        orbit = synthetic_orbit(np.column_stack([x0, x1]))
         obs = [
             state_observable(lambda x: x[0]),
             state_observable(lambda x: x[1]),
@@ -801,7 +795,7 @@ class TestExtractRatios:
         for region in layout:
             x0, x1 = rng.uniform(-1.0, 1.0, 2)
             states.append({"G": (x0, x1, x0 + x1), "D": (x0, x1, 1.5 * x1), "R": (x0, 2 * x0, 3 * x0)}[region])
-        orbit = synthetic_record(states)
+        orbit = synthetic_orbit(states)
         obs = [state_observable(lambda x, i=i: x[i]) for i in range(3)]
         report = hk_nullspace(orbit, obs, window=5, start=2)
         assert report.null_dim == 1
@@ -1081,7 +1075,7 @@ class TestStackedRatios:
         state `row` a pole, in the scalar and the stacked kernel alike."""
         field, eps = ratios[0].field, ratios[0].eps
         start = central_states(x)[0][row]
-        state = iterate_orbit(field, start, eps, step).states[step] if step else start
+        state = iterate_orbit(field, start, eps, step)[step] if step else start
         place_pole(monkeypatch, state)
 
     @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
@@ -1169,25 +1163,3 @@ class TestRankInputs:
         field = make_system("general_clebsch").field
         with pytest.raises(ValueError, match="window must be at least 5"):
             wronskian_ratio_integral(field, 0.4, 3, 0, 2, window=4)
-
-
-class TestRecordValidation:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="attempt"):
-            OrbitRecord(
-                states=np.zeros((3, 2)),
-                eps=0.1,
-                deltas=np.ones(1),
-                residuals=np.zeros(2),
-                pole_flags=np.zeros(2, dtype=bool),
-            )
-
-    def test_states_must_be_matrix(self):
-        with pytest.raises(ValueError, match="states"):
-            OrbitRecord(
-                states=np.zeros(3),
-                eps=0.1,
-                deltas=np.ones(2),
-                residuals=np.zeros(2),
-                pole_flags=np.zeros(2, dtype=bool),
-            )

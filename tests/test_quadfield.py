@@ -17,6 +17,7 @@ from numpy.polynomial import Polynomial
 
 from conftest import ALL_KINDS, make_system, place_pole, safe_state
 from kahanmaps import quadfield
+from kahanmaps.hkbasis import iterate_orbit
 from kahanmaps.quadfield import (
     KahanStepResult,
     QuadraticVectorField,
@@ -141,6 +142,14 @@ class TestScalarRecursion:
     def test_pole_raises(self):
         with pytest.raises(SingularStepError):
             kahan_step(SCALAR, np.array([1.0]), 0.5)
+
+    def test_orbit_meets_the_closed_form_pole(self):
+        # 1/x_0 = 0.6 puts the pole exactly at the third step, whose entry
+        # keeps its near-zero denominator and a nan residual
+        orbit = kahan_orbit(SCALAR, np.array([[5.0 / 3.0]]), 0.1, 10)
+        assert list(orbit.pole[:3, 0]) == [False, False, True] and list(orbit.ends()) == [2]
+        assert orbit.delta[2, 0] == pytest.approx(0.0, abs=1e-12)
+        assert np.isnan(orbit.residual[2, 0])
 
 
 # One Kahan step of the Lagrange top (alpha=2, gamma=1) frozen from a
@@ -547,10 +556,13 @@ class TestKahanOrbit:
             orbit = kahan_orbit(field, xs, eps, steps)
             batch = kahan_step_batch(field, xs, eps)
             lone = [kahan_step(field, x, eps) if not row[0][3] else None for x, row in zip(xs, expected)]
+            points = [None if one is None else iterate_orbit(field, x, eps, steps) for x, one in zip(xs, lone)]
             for x, row in zip(xs, expected):
                 if row[0][3]:
                     with pytest.raises(SingularStepError):
                         kahan_step(field, x, eps)
+                    with pytest.raises(SingularStepError):
+                        iterate_orbit(field, x, eps, steps)
         ends = [next((k for k, entry in enumerate(row) if entry[3]), steps) for row in expected]
         assert list(orbit.ends()) == ends
         for b, row in enumerate(expected):
@@ -568,6 +580,11 @@ class TestKahanOrbit:
             x_next, det, residual, _ = row[0]
             if one is not None:
                 assert np.array_equal(one.next, x_next) and one.delta == det and one.residual == residual
+        # iterate_orbit: the row's points up to its first pole
+        for states, x, row in zip(points, xs, expected):
+            if states is not None:
+                reached = [x] + [entry[0] for entry in row if not entry[3]]
+                assert states.shape == (len(reached), n) and np.array_equal(states, np.array(reached))
 
     def test_no_steps(self):
         orbit = kahan_orbit(SCALAR, np.ones((2, 1)), 0.1, 0)
