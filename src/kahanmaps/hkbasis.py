@@ -419,8 +419,9 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
 
     Each entry is the ratio's B values or, if a row fails, the error that
     ratio raises at its first failing row: a pole at step 0, an orbit cut
-    short of the window by a later pole, a non-finite window, a null
-    dimension other than 1, or a degenerate denominator.
+    short of the window by a later pole (named by its step, as hk-scan
+    names it), a non-finite window, a null dimension other than 1, or a
+    degenerate denominator.
     """
     first = ratios[0]
     field, eps, pairs, window = first.field, first.eps, first.pairs, first.window
@@ -455,7 +456,8 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
         if stepped.pole[0, b]:
             return stepped.row((0, b))
         if not fits[b]:
-            return ValueError(f"orbit too short for window of {window} rows starting at 0")
+            needed = window - 1 + ratio.order
+            return ValueError(f"orbit hits a pole at step {points[b]} of the {needed} the window needs")
         if not usable[b]:
             return ValueError("observable produced a non-finite value inside the window")
         if dims[b] != 1:

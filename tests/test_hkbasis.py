@@ -941,11 +941,15 @@ class TestRatioIntegralHelper:
 
 def scalar_ratio(ratio):
     """The per-state ratio evaluation that WronskianRatio replaced: one
-    iterate_orbit of its own length and one hk_nullspace call per state."""
+    iterate_orbit of its own length and one hk_nullspace call per state; a
+    later pole that cuts the orbit short is named by its step."""
     observables = WronskianBasisSpec(ratio.order, ratio.pairs).observables()
 
     def integral(x):
-        orbit = iterate_orbit(ratio.field, x, ratio.eps, ratio.window - 1 + ratio.order)
+        steps = ratio.window - 1 + ratio.order
+        orbit = iterate_orbit(ratio.field, x, ratio.eps, steps)
+        if len(orbit) <= steps:
+            raise ValueError(f"orbit hits a pole at step {len(orbit)} of the {steps} the window needs")
         report = hk_nullspace(orbit, observables, ratio.window)
         if report.null_dim != 1:
             raise RuntimeError(
@@ -1080,12 +1084,18 @@ class TestStackedRatios:
 
     @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
     def test_pole_errors_match_loop(self, monkeypatch, step, error):
-        # step 18 is the last one, which only the order-4 windows reach
+        # step 18 is the last one, which only the order-4 windows reach; a
+        # later pole is named by its step, numbered as hk-scan numbers it
+        message = {
+            0: "below threshold",
+            5: "orbit hits a pole at step 6 of the 18 the window needs",
+            18: "orbit hits a pole at step 19 of the 19 the window needs",
+        }[step]
         desc, ratios = clebsch_ratios()
         x = shell_state(np.random.default_rng(76), desc, 0.4)
         self._pole_at(monkeypatch, ratios, x, row=5, step=step)
         expected = raised(lambda: reference_unit_gradients(ratios, x))
-        assert expected[0] is error
+        assert expected[0] is error and message in expected[1]
         assert raised(lambda: functional_rank(ratios, x)) == expected
         states = central_states(x)[0]
         j1 = ratios[0]

@@ -589,3 +589,57 @@ class TestKahanOrbit:
     def test_no_steps(self):
         orbit = kahan_orbit(SCALAR, np.ones((2, 1)), 0.1, 0)
         assert orbit.next.shape == (0, 2, 1) and list(orbit.ends()) == [0, 0]
+
+
+def near_singular_stack(seed, count, n):
+    """count float64 n x n matrices, random ones and ones whose smallest
+    singular value is 1e-8, 1e-15 or 1e-300 of the largest, in turn from
+    the seed's one."""
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((count, n, n))
+    for i in range(count):
+        tiny = [None, 1e-8, 1e-15, 1e-300][(seed + i) % 4]
+        if tiny is not None:
+            u, s, vt = np.linalg.svd(mats[i])
+            s[-1] = tiny * s[0]
+            mats[i] = (u * s) @ vt
+    return mats
+
+
+def outcome(fn, *args):
+    """fn(*args) as (dtype, shape, bytes), or the LinAlgError it raises."""
+    try:
+        out = np.asarray(fn(*args))
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestLapackKernels:
+    """_det and _solve call the gufuncs numpy.linalg dispatches to, so they
+    must give numpy.linalg's bits and raise where it raises."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,)])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_bits_equal_numpy_linalg(self, seed, shape, n):
+        mats = near_singular_stack(seed, math.prod(shape), n).reshape(*shape, n, n)
+        assert outcome(quadfield._det, mats) == outcome(np.linalg.det, mats)
+        for k in (1, n):
+            rhs = np.random.default_rng(seed).standard_normal((*shape, n, k))
+            # a 1e-300 matrix can round to singular: both sides raise then
+            assert outcome(quadfield._solve, mats, rhs) == outcome(np.linalg.solve, mats, rhs)
+
+    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]], np.diag([1.0, 2.0, 0.0, 3.0, 4.0, 5.0])])
+    def test_singular_matrix_raises(self, mat):
+        mats = np.array([np.eye(len(mat)), mat])
+        rhs = np.ones((2, len(mat), 1))
+        assert quadfield._det(mats)[1] == np.linalg.det(mats)[1] == 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(mats, rhs)
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            quadfield._solve(mats, rhs)
+        # the error state the state draws run under does not silence it
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                quadfield._solve(mats, rhs)
