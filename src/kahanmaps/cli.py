@@ -119,7 +119,10 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
 
     x0 = None
     if doc.get("x0") is not None:
-        x0 = np.asarray(doc["x0"], dtype=float)
+        listed = doc["x0"]
+        if not isinstance(listed, list) or not all(_is_number(v) for v in listed):
+            raise ValueError(f"x0 must be a list of numbers, got {listed!r}")
+        x0 = np.array(listed, dtype=float)
         if x0.shape != (desc.dim,):
             raise ValueError(
                 f"x0 must have {desc.dim} components for {kind}, got shape {x0.shape}"

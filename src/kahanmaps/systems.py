@@ -68,6 +68,12 @@ LAGRANGE_M3_FLOOR = 1e-12
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+def _real(value, name: str) -> float:
+    if np.ndim(value) != 0:
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _vec3(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.shape != (3,):
@@ -153,11 +159,12 @@ class ClebschParams:
             )
         beta, degenerate = _beta_from_ratios(a, b)
         if self.beta is not None and not degenerate:
-            if abs(self.beta - beta) > 1e-9 * (1.0 + abs(beta)):
+            supplied = _real(self.beta, "beta")
+            if abs(supplied - beta) > 1e-9 * (1.0 + abs(beta)):
                 raise ValueError(
                     f"supplied beta {self.beta} disagrees with ratio value {beta}"
                 )
-            beta = float(self.beta)
+            beta = supplied
         wcoef = _wcoef_from_a(a)
         if self.wcoef is not None:
             supplied = _vec3(self.wcoef, "wcoef")
@@ -219,7 +226,7 @@ class KirchhoffParams:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a3", "b1", "b3"):
-            val = float(getattr(self, name))
+            val = _real(getattr(self, name), name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
@@ -236,7 +243,7 @@ class LagrangeParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma"):
-            val = float(getattr(self, name))
+            val = _real(getattr(self, name), name)
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, val)
@@ -257,9 +264,7 @@ class PlanarFamilyParams:
     extra_const: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        qform = tuple(float(v) for v in self.qform)
-        if len(qform) != 3:
-            raise ValueError("qform must be the triple (a, b, c)")
+        qform = tuple(_vec3(self.qform, "qform (a, b, c)").tolist())
         ell = np.array(self.ell, dtype=float)
         if ell.ndim != 1 or ell.shape[0] < 2:
             raise ValueError("ell must be a coefficient vector of length >= 2")
@@ -287,7 +292,7 @@ class PlanarFamilyParams:
             arr.setflags(write=False)
         object.__setattr__(self, "qform", qform)
         object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "ell0", float(self.ell0))
+        object.__setattr__(self, "ell0", _real(self.ell0, "ell0"))
         object.__setattr__(self, "extra_quad", extra_quad)
         object.__setattr__(self, "extra_lin", extra_lin)
         object.__setattr__(self, "extra_const", extra_const)
@@ -1001,16 +1006,33 @@ def build_system(kind: str, params) -> SystemDescriptor:
     )
 
 
+def _json_shape(value, name: str) -> tuple:
+    """The shape of a JSON number or rectangular nested list of numbers;
+    anything else (null, a string, a boolean, a ragged list) is an error
+    that names the field."""
+    if isinstance(value, list):
+        shapes = {_json_shape(item, name) for item in value}
+        if len(shapes) > 1:
+            raise ValueError(f"{name} must be a rectangular list of numbers, got {value!r}")
+        return (len(value), *(shapes.pop() if shapes else ()))
+    # JSON true/false are not numbers, though Python counts bool as int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number or a list of numbers, got {value!r}")
+    return ()
+
+
 def params_from_dict(kind: str, doc: dict) -> object:
-    """Build the params object for a kind from plain JSON data, naming any
-    missing field in the error."""
+    """Build the params object for a kind from plain JSON data (numbers and
+    lists of them), naming any missing, unknown or malformed field in the
+    error."""
     spec = _kind(kind)
     for key in spec.required:
         if key not in doc:
             raise ValueError(f"{kind} config missing required field '{key}'")
-    for key in doc:
+    for key, value in doc.items():
         if key not in spec.required + spec.optional:
             raise ValueError(f"{kind} config has unknown field '{key}'")
+        _json_shape(value, f"{kind} config field '{key}'")
     return spec.params(**doc)
 
 

@@ -140,7 +140,7 @@ def _draw_states(
             proposals = []
             for _ in range(count - total):
                 v = rng.standard_normal(desc.dim)
-                norm = float(np.linalg.norm(v))
+                norm = math.sqrt(v.dot(v))  # numpy.linalg.norm's formula for a float vector
                 proposals.append(None if norm < 1e-12 else v * (radius * rng.uniform(0.3, 1.0) / norm))
             xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
             batch = kahan_step_batch(desc.field, xs, eps)

@@ -488,3 +488,36 @@ class TestMain:
         assert code == 0
         lines = (tmp_path / "orbit.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            (dict(KIRCHHOFF_DOC, a1=None), "'a1'"),
+            (dict(KIRCHHOFF_DOC, a1=[1, 2]), "a1"),
+            (dict(KIRCHHOFF_DOC, a1="x"), "'a1'"),
+            (dict(KIRCHHOFF_DOC, a1=True), "'a1'"),
+            (dict(KIRCHHOFF_DOC, x0=["a", 0, 0, 0, 0, 0]), "x0"),
+            (dict(KIRCHHOFF_DOC, x0=[True, 0, 0, 0, 0, 0]), "x0"),
+            (dict(KIRCHHOFF_DOC, x0=[[0.1], [0.2, 0.3]]), "x0"),
+            ({"system": "lagrange", "params": {"alpha": [2.0], "gamma": 1.0}}, "alpha"),
+            ({"system": "general_clebsch", "a": [1, 1, 2], "b": [1, 1, 3], "beta": "0.5"}, "'beta'"),
+            ({"system": "general_clebsch", "a": [1, 1, 2], "b": [1, 1, 3], "beta": [0.5]}, "beta"),
+            ({"system": "first_clebsch", "omega": [0.3, None, 2.4]}, "'omega'"),
+            ({"system": "planar_family", "qform": [1, 0.5, 2], "ell": [[1], [1, 2]]}, "'ell'"),
+            ({"system": "planar_family", "qform": 1.0, "ell": [1, -1]}, "qform"),
+            ({"system": "planar_family", "qform": [1, 0.5, 2], "ell": [1, -1], "ell0": [0.2]}, "ell0"),
+        ],
+        ids=[
+            "a1-null", "a1-list", "a1-string", "a1-bool",
+            "x0-string", "x0-bool", "x0-nested",
+            "alpha-list", "beta-string", "beta-list", "omega-null",
+            "ell-ragged", "qform-number", "ell0-list",
+        ],
+    )
+    def test_malformed_field_is_a_config_error(self, doc, field, tmp_path, capsys):
+        # exit 2 with a message naming the field, never a traceback or a silent 1.0
+        path = write_config(tmp_path, dict(doc, steps=2))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "orbit.csv").exists()

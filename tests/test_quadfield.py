@@ -591,6 +591,54 @@ class TestKahanOrbit:
         assert orbit.next.shape == (0, 2, 1) and list(orbit.ends()) == [0, 0]
 
 
+def einsum_field(field, x):
+    """evaluate_field as np.einsum expressions, frozen as the oracle of the
+    direct-kernel, in-place forms; likewise einsum_polarize and
+    einsum_jacobian."""
+    return np.einsum("ijk,...j,...k->...i", field.quad, x, x) + (field.lin @ x[..., None])[..., 0] + field.const
+
+
+def einsum_polarize(field, x, y):
+    return (
+        np.einsum("ijk,...j,...k->...i", field.quad, x, y)
+        + 0.5 * (field.lin @ (x + y)[..., None])[..., 0]
+        + field.const
+    )
+
+
+def einsum_jacobian(field, x):
+    return 2.0 * np.einsum("ijk,...k->...ij", field.quad, x) + field.lin
+
+
+class TestDirectEinsum:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        shape=st.sampled_from([(), (0,), (1,), (5,), (3, 0), (3, 4)]),
+        # subnormal products, and magnitudes far apart, test the rounding order
+        scale=st.sampled_from([1.0, 1e-160, 1e-300, 1e100]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bits_equal_the_einsum_expressions(self, seed, n, shape, scale):
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n)
+        x = scale * rng.standard_normal((*shape, n))
+        y = rng.standard_normal((*shape, n))
+        kept = [arr.copy() for arr in (x, y, field.quad, field.lin, field.const)]
+        for got, expected, args in [
+            (evaluate_field(field, x), einsum_field(field, x), (x,)),
+            (polarize_eval(field, x, y), einsum_polarize(field, x, y), (x, y)),
+            (jacobian_field(field, x), einsum_jacobian(field, x), (x,)),
+        ]:
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            # a fresh array: writing into it leaves the field and the states alone
+            assert got.flags.writeable and not any(np.shares_memory(got, arr) for arr in args)
+            got[...] = 7.0
+        for arr, copy in zip((x, y, field.quad, field.lin, field.const), kept):
+            assert np.array_equal(arr, copy)
+
+
 def near_singular_stack(seed, count, n):
     """count float64 n x n matrices, random ones and ones whose smallest
     singular value is 1e-8, 1e-15 or 1e-300 of the largest, in turn from
@@ -616,8 +664,8 @@ def outcome(fn, *args):
 
 
 class TestLapackKernels:
-    """_det and _solve call the gufuncs numpy.linalg dispatches to, so they
-    must give numpy.linalg's bits and raise where it raises."""
+    """_det, _solve and _solve1 call the gufuncs numpy.linalg dispatches to,
+    so they must give numpy.linalg's bits and raise where it raises."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,)])
@@ -643,3 +691,33 @@ class TestLapackKernels:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
                 quadfield._solve(mats, rhs)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,), (2, 3)])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_solve1_bits_equal_numpy_linalg(self, seed, shape, n):
+        mats = near_singular_stack(seed, math.prod(shape), n).reshape(*shape, n, n)
+        rhs = np.random.default_rng(seed).standard_normal((*shape, n))
+        got = outcome(quadfield._solve1, mats, rhs)
+
+        def one_by_one(mats, rhs):
+            # numpy.linalg.solve with a 1-D rhs, row by row
+            rows = [np.linalg.solve(m, b) for m, b in zip(mats.reshape(-1, n, n), rhs.reshape(-1, n))]
+            return np.array(rows).reshape(rhs.shape)
+
+        assert got == outcome(one_by_one, mats, rhs)
+        # and the column form the orbit loop solved before
+        assert got == outcome(lambda m, b: np.linalg.solve(m, b[..., None])[..., 0], mats, rhs)
+
+    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]], np.diag([1.0, 2.0, 0.0, 3.0, 4.0, 5.0])])
+    def test_solve1_singular_matrix_raises(self, mat):
+        mat, ones = np.array(mat), np.ones(len(mat))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(mat, ones)
+        # one vector, and a stack whose second matrix is singular
+        for args in ((mat, ones), (np.array([np.eye(len(mat)), mat]), np.array([ones, ones]))):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                quadfield._solve1(*args)
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    quadfield._solve1(*args)
