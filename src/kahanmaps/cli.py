@@ -26,7 +26,7 @@ from .hkbasis import (
 )
 from .integrals import KahanPair
 from .quadfield import KahanBatch, SingularStepError, kahan_orbit
-from .systems import build_system, params_from_dict, params_to_dict
+from .systems import build_system, is_json_number, params_from_dict, params_to_dict
 from .verify import draw_initial_state, reports_to_json, run_suites, suites_passed
 
 __all__ = [
@@ -62,15 +62,10 @@ class ExperimentConfig:
     trials: int
 
 
-def _is_number(value) -> bool:
-    # JSON true/false are not numbers, though Python counts bool as int
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_integer(value) -> bool:
     """A JSON integer, or a number with an integral value (1e3): one that
     int() takes without truncating."""
-    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+    return is_json_number(value) and (isinstance(value, int) or value.is_integer())
 
 
 def _integer(doc: dict, key: str, default: int, low: int) -> int:
@@ -120,22 +115,18 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     x0 = None
     if doc.get("x0") is not None:
         listed = doc["x0"]
-        if not isinstance(listed, list) or not all(_is_number(v) for v in listed):
-            raise ValueError(f"x0 must be a list of numbers, got {listed!r}")
+        if not isinstance(listed, list) or not all(is_json_number(v) for v in listed):
+            raise ValueError(f"x0 must be a list of finite numbers, got {listed!r}")
         x0 = np.array(listed, dtype=float)
         if x0.shape != (desc.dim,):
             raise ValueError(
                 f"x0 must have {desc.dim} components for {kind}, got shape {x0.shape}"
             )
-        if not np.isfinite(x0).all():
-            raise ValueError("x0 must be finite")
 
     eps = doc.get("eps", DEFAULT_EPS)
-    if not _is_number(eps):
-        raise ValueError(f"eps must be a number, got {eps!r}")
+    if not is_json_number(eps):
+        raise ValueError(f"eps must be a finite number, got {eps!r}")
     eps = float(eps)
-    if not np.isfinite(eps):
-        raise ValueError("eps must be finite")
     steps = _integer(doc, "steps", DEFAULT_STEPS, 0)
     seed = _integer(doc, "seed", DEFAULT_SEED, 0)
     trials = _integer(doc, "trials", DEFAULT_TRIALS, 1)

@@ -7,8 +7,8 @@ entry with a linear part), and a planar family with an affine multiplier
 where only the first two components are constrained.
 
 Each kind is one entry of KINDS: its parameter class and JSON keys, the
-field builder, the declared quantity names, the continuous invariants, and
-the formulas of its map-level quantities, which come in two families:
+field builder, the declared quantity names, and the formulas of its
+map-level quantities, which come in two families:
 
 * state-only quantities (lowercase names: c1..c0, g_i, r, s, F) evaluated at
   a point x;
@@ -26,13 +26,14 @@ State ordering for the 6-dim systems is x = (m1, m2, m3, p1, p2, p3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields, replace
+import sys
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from kahanmaps.quadfield import QuadraticVectorField, evaluate_field
+from kahanmaps.quadfield import QuadraticVectorField
 
 __all__ = [
     "KINDS",
@@ -44,18 +45,12 @@ __all__ = [
     "KirchhoffParams",
     "LagrangeParams",
     "PlanarFamilyParams",
-    "ContinuousInvariants",
     "SystemDescriptor",
     "SystemKind",
     "clebsch_condition_residual",
-    "clebsch_params_from_decomposition",
-    "decompose_clebsch",
     "build_system",
     "params_from_dict",
     "params_to_dict",
-    "continuous_invariants",
-    "continuous_wronskian_residual",
-    "poisson_bracket_e3",
     "central_states",
     "central_difference",
     "central_gradient",
@@ -68,10 +63,24 @@ LAGRANGE_M3_FLOOR = 1e-12
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+def is_json_number(value) -> bool:
+    """A finite number as strict JSON holds one: not NaN or Infinity, which
+    Python's reader takes, not true/false, which Python counts as int, and
+    not an integer past the float range, which float() cannot take."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _real(value, name: str) -> float:
     if np.ndim(value) != 0:
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _vec3(value, name: str) -> np.ndarray:
@@ -158,8 +167,8 @@ class ClebschParams:
                 f"compatibility condition violated: cyclic-sum residual {residual:.3e}"
             )
         beta, degenerate = _beta_from_ratios(a, b)
-        if self.beta is not None and not degenerate:
-            supplied = _real(self.beta, "beta")
+        supplied = None if self.beta is None else _real(self.beta, "beta")
+        if supplied is not None and not degenerate:
             if abs(supplied - beta) > 1e-9 * (1.0 + abs(beta)):
                 raise ValueError(
                     f"supplied beta {self.beta} disagrees with ratio value {beta}"
@@ -226,10 +235,7 @@ class KirchhoffParams:
 
     def __post_init__(self) -> None:
         for name in ("a1", "a3", "b1", "b3"):
-            val = _real(getattr(self, name), name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.a1 == 0.0:
             raise ValueError("a1 must be nonzero")
 
@@ -243,10 +249,7 @@ class LagrangeParams:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma"):
-            val = _real(getattr(self, name), name)
-            if not math.isfinite(val):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, _real(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,28 +305,6 @@ class PlanarFamilyParams:
         return self.ell.shape[0]
 
 
-@dataclass(frozen=True)
-class ContinuousInvariants:
-    """Conserved quantities of the continuous flow, as callables of the state.
-
-    Entries that do not apply to a system are None. H generates the flow;
-    K1 = p.p and K2 = m.p are the e(3)* Casimirs; H1 and H2 are the pair of
-    quadratic integrals of the Clebsch family; lagrangeH1 is the Lagrange
-    top's defining Hamiltonian combination.
-    """
-
-    H: Optional[Callable] = None
-    H1: Optional[Callable] = None
-    H2: Optional[Callable] = None
-    K1: Optional[Callable] = None
-    K2: Optional[Callable] = None
-    lagrangeH1: Optional[Callable] = None
-
-    def available(self) -> dict:
-        named = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: fn for name, fn in named if fn is not None}
-
-
 @dataclass(frozen=True, eq=False)
 class SystemDescriptor:
     """A catalog system: its kind, parameters, quadratic field, and the names
@@ -334,8 +315,6 @@ class SystemDescriptor:
       density numerator
     conserved_names: quantities checked for drift along orbits (may contain
       ratio names like "c1/c0" and the plain coordinate "m3")
-    wronskian_coeffs: weights of the continuous relation
-      sum_i gamma_i (mdot_i p_i - m_i pdot_i) = 0, None for the planar family
     wronskian_orders: discrete Wronskian orders with an asserted
       one-dimensional null space
     """
@@ -346,55 +325,11 @@ class SystemDescriptor:
     integral_names: tuple
     density_names: tuple
     conserved_names: tuple
-    wronskian_coeffs: Optional[tuple]
     wronskian_orders: tuple
 
     @property
     def dim(self) -> int:
         return self.field.dim
-
-
-def clebsch_params_from_decomposition(alpha: float, beta: float, omega) -> ClebschParams:
-    """Assemble (a, b) from the spectral data: a_i = alpha + beta*omega_i,
-    b_i = alpha*omega_i - beta*omega_j*omega_k."""
-    omega = _vec3(omega, "omega")
-    a = np.array([alpha + beta * omega[i] for i in range(3)])
-    b = np.array([alpha * omega[i] - beta * omega[j] * omega[k] for i, j, k in _CYCLIC])
-    return ClebschParams(a=a, b=b)
-
-
-def decompose_clebsch(params: ClebschParams) -> list:
-    """Both spectral decompositions (alpha, omega) of general Clebsch
-    parameters with beta != 0, sorted by alpha.
-
-    alpha solves 2*alpha^2 - S*alpha + T = 0 with S = sum(a) and
-    T = a_j*a_k + beta*b_i (the same for every i); omega = (a - alpha)/beta.
-    """
-    if params.degenerate or params.beta == 0.0:
-        raise ValueError("decomposition requires beta != 0 (use the first special case instead)")
-    a, b, beta = params.a, params.b, params.beta
-    s = float(np.sum(a))
-    t_all = [a[j] * a[k] + beta * b[i] for i, j, k in _CYCLIC]
-    t = t_all[0]
-    scale = 1.0 + max(abs(v) for v in t_all)
-    if max(abs(v - t) for v in t_all) > 1e-9 * scale:
-        raise ValueError("inconsistent spectral data: a_j*a_k + beta*b_i varies with i")
-    disc = s * s - 8.0 * t
-    if disc < -1e-12 * (1.0 + s * s):
-        raise ValueError("no real decomposition: negative discriminant")
-    root = math.sqrt(max(disc, 0.0))
-    alphas = sorted({(s - root) / 4.0, (s + root) / 4.0})
-    out = []
-    for alpha in alphas:
-        omega = (a - alpha) / beta
-        rebuilt = np.array(
-            [alpha * omega[i] - beta * omega[j] * omega[k] for i, j, k in _CYCLIC]
-        )
-        if not np.allclose(rebuilt, b, rtol=1e-8, atol=1e-8 * (1 + np.max(np.abs(b)))):
-            raise ValueError("decomposition failed to reproduce b")
-        omega.setflags(write=False)
-        out.append((float(alpha), omega))
-    return out
 
 
 def _sym_put(quad: np.ndarray, i: int, j: int, k: int, coef: float) -> None:
@@ -448,102 +383,8 @@ def _planar_field(params: PlanarFamilyParams) -> QuadraticVectorField:
     return QuadraticVectorField(quad=quad, lin=lin, const=const)
 
 
-def _kirchhoff_omega(params: KirchhoffParams) -> np.ndarray:
-    return np.array([params.b1 / params.a1, params.b1 / params.a1, params.b3 / params.a1])
-
-
-def _h1(omega):
-    def fn(x):
-        m, p = x[:3], x[3:]
-        return float(np.dot(m, m) + np.dot(omega, p * p))
-
-    return fn
-
-
-def _h2(omega):
-    ojk = np.array([omega[j] * omega[k] for _, j, k in _CYCLIC])
-
-    def fn(x):
-        m, p = x[:3], x[3:]
-        return float(np.dot(omega, m * m) - np.dot(ojk, p * p))
-
-    return fn
-
-
-def _quadratic_h(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-
-    def fn(x):
-        m, p = x[:3], x[3:]
-        return 0.5 * float(np.dot(a, m * m) + np.dot(b, p * p))
-
-    return fn
-
-
-def _casimir_k1(x):
-    p = x[3:]
-    return float(np.dot(p, p))
-
-
-def _casimir_k2(x):
-    return float(np.dot(x[:3], x[3:]))
-
-
-def _spectral_invariants(a, b, omega) -> ContinuousInvariants:
-    """H of the quadratic Hamiltonian (a, b), the e(3)* Casimirs, and the
-    quadratic pair H1, H2 of the spectral data omega when there is one."""
-    return ContinuousInvariants(
-        H=_quadratic_h(a, b),
-        H1=None if omega is None else _h1(omega),
-        H2=None if omega is None else _h2(omega),
-        K1=_casimir_k1,
-        K2=_casimir_k2,
-    )
-
-
-def _real_omega(params: ClebschParams):
-    # H1/H2 of the general case need a spectral decomposition; None when
-    # there is none over the reals
-    try:
-        return decompose_clebsch(params)[0][1]
-    except ValueError:
-        return None
-
-
-def _kirchhoff_ab(params: KirchhoffParams) -> tuple:
-    return (params.a1, params.a1, params.a3), (params.b1, params.b1, params.b3)
-
-
-def _lagrange_invariants(params: LagrangeParams) -> ContinuousInvariants:
-    alpha, gamma = params.alpha, params.gamma
-
-    def lag_h1(x):
-        return float(x[0] ** 2 + x[1] ** 2 + alpha * x[2] ** 2 + 2 * gamma * x[5])
-
-    return ContinuousInvariants(
-        H=lambda x: 0.5 * lag_h1(x),
-        K1=_casimir_k1,
-        K2=_casimir_k2,
-        lagrangeH1=lag_h1,
-    )
-
-
-def _planar_invariants(params: PlanarFamilyParams) -> ContinuousInvariants:
-    qa, qb, qc = params.qform
-
-    def planar_h(x):
-        return 0.5 * float(qa * x[0] ** 2 + 2 * qb * x[0] * x[1] + qc * x[1] ** 2)
-
-    return ContinuousInvariants(H=planar_h)
-
-
 def _family_field(params) -> QuadraticVectorField:
     return _clebsch_field(*params.family[:2])
-
-
-def _omega_invariants(params) -> ContinuousInvariants:
-    return _spectral_invariants(*params.family[:2], params.omega)
 
 
 def _general_clebsch_field(params: ClebschParams) -> QuadraticVectorField:
@@ -822,7 +663,7 @@ class SystemKind:
     """Everything the package knows about one catalog kind.
 
     params: parameter class, built from JSON with the keys required/optional
-    field, wronskian_coeffs, invariants: functions of the parameters
+    field: the quadratic field of the parameters
     integral_names, density_names, conserved_names, wronskian_orders: as in
       SystemDescriptor
     quantities: name -> formula on a stacked pair q (see above), for every
@@ -840,9 +681,7 @@ class SystemKind:
     integral_names: tuple
     density_names: tuple
     conserved_names: tuple
-    wronskian_coeffs: Callable
     wronskian_orders: tuple
-    invariants: Callable
     quantities: dict
     coefficients: tuple
     witnesses: Callable
@@ -864,9 +703,7 @@ _GENERAL_CLEBSCH = SystemKind(
     integral_names=_CLEBSCH_INTEGRALS,
     density_names=("C0", "C1", "C2", "C3"),
     conserved_names=("I0", "J0") + _CLEBSCH_RATIOS,
-    wronskian_coeffs=lambda pr: tuple(pr.family[2]),
     wronskian_orders=(1, 2, 3, 4),
-    invariants=lambda pr: _spectral_invariants(pr.a, pr.b, _real_omega(pr)),
     quantities=_clebsch_quantities(*_SPECTRAL_DENS),
     coefficients=_CLEBSCH_COEFFICIENTS,
     witnesses=_clebsch_witnesses(*_SPECTRAL_DENS),
@@ -882,9 +719,7 @@ KINDS = {
         integral_names=("I0", "J0", "K", "c1", "c2", "c3", "c0", "C1", "C2", "C3", "C0"),
         density_names=("C0", "J0_den"),
         conserved_names=("I0", "J0", "K") + _CLEBSCH_RATIOS,
-        wronskian_coeffs=lambda pr: tuple(pr.family[2]),
         wronskian_orders=(1, 2, 3, 4),
-        invariants=_omega_invariants,
         quantities={
             **_clebsch_quantities(*_FIRST_DENS),
             "K": _first_K,
@@ -900,19 +735,16 @@ KINDS = {
         required=("omega",),
         optional=(),
         field=_family_field,
-        invariants=_omega_invariants,
     ),
     "kirchhoff": SystemKind(
         params=KirchhoffParams,
         required=("a1", "a3", "b1", "b3"),
         optional=(),
-        field=lambda pr: _clebsch_field(*_kirchhoff_ab(pr)),
+        field=lambda pr: _clebsch_field((pr.a1, pr.a1, pr.a3), (pr.b1, pr.b1, pr.b3)),
         integral_names=("I0", "J0", "c1", "c3", "C1", "C3"),
         density_names=("C1", "C3"),
         conserved_names=("I0", "J0", "m3"),
-        wronskian_coeffs=lambda pr: (1.0, 1.0, 2.0 * pr.a3 / pr.a1 - 1.0),
         wronskian_orders=(1, 2, 3),
-        invariants=lambda pr: _spectral_invariants(*_kirchhoff_ab(pr), _kirchhoff_omega(pr)),
         quantities={
             **_COORDINATES,
             **_entries(_kirchhoff_small, ("c1", "c3")),
@@ -941,9 +773,7 @@ KINDS = {
         integral_names=("I0", "J0", "r", "s", "R", "S"),
         density_names=("R", "S"),
         conserved_names=("I0", "J0", "m3"),
-        wronskian_coeffs=lambda pr: (1.0, 1.0, 2.0 * pr.alpha - 1.0),
         wronskian_orders=(1, 2, 3),
-        invariants=_lagrange_invariants,
         quantities={
             **_COORDINATES,
             **_entries(_lagrange_small, ("r", "s")),
@@ -962,9 +792,7 @@ KINDS = {
         integral_names=("F", "Fhat"),
         density_names=(),
         conserved_names=("F", "Fhat"),
-        wronskian_coeffs=lambda pr: None,
         wronskian_orders=(),
-        invariants=_planar_invariants,
         quantities={
             "F": _ratio(_planar_small, 0, 1, "F"),
             "Fhat": _ratio(_planar_big, 0, 1, "Fhat"),
@@ -1001,23 +829,21 @@ def build_system(kind: str, params) -> SystemDescriptor:
         integral_names=spec.integral_names,
         density_names=spec.density_names,
         conserved_names=spec.conserved_names,
-        wronskian_coeffs=spec.wronskian_coeffs(params),
         wronskian_orders=spec.wronskian_orders,
     )
 
 
 def _json_shape(value, name: str) -> tuple:
-    """The shape of a JSON number or rectangular nested list of numbers;
-    anything else (null, a string, a boolean, a ragged list) is an error
-    that names the field."""
+    """The shape of a finite JSON number or rectangular nested list of
+    them; anything else (null, a string, a boolean, NaN, an integer past the
+    float range, a ragged list) is an error that names the field."""
     if isinstance(value, list):
         shapes = {_json_shape(item, name) for item in value}
         if len(shapes) > 1:
             raise ValueError(f"{name} must be a rectangular list of numbers, got {value!r}")
         return (len(value), *(shapes.pop() if shapes else ()))
-    # JSON true/false are not numbers, though Python counts bool as int
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number or a list of numbers, got {value!r}")
+    if not is_json_number(value):
+        raise ValueError(f"{name} must be a finite number or a list of them, got {value!r}")
     return ()
 
 
@@ -1050,24 +876,6 @@ def params_to_dict(params) -> dict:
     raise TypeError(f"not a catalog params object: {type(params).__name__}")
 
 
-def continuous_invariants(desc: SystemDescriptor) -> ContinuousInvariants:
-    """Conserved quantities of the continuous flow for one catalog entry."""
-    return KINDS[desc.kind].invariants(desc.params)
-
-
-def continuous_wronskian_residual(desc: SystemDescriptor, x) -> float:
-    """sum_i gamma_i (mdot_i p_i - m_i pdot_i) along the continuous field;
-    identically zero for the 6-dim catalog systems."""
-    if desc.wronskian_coeffs is None:
-        raise ValueError(f"{desc.kind} has no Wronskian relation")
-    x = np.asarray(x, dtype=float)
-    xdot = evaluate_field(desc.field, x)
-    m, p = x[:3], x[3:]
-    mdot, pdot = xdot[:3], xdot[3:]
-    gamma = np.asarray(desc.wronskian_coeffs)
-    return float(np.sum(gamma * (mdot * p - m * pdot)))
-
-
 def central_states(x: np.ndarray, scale: float = 1e-6) -> tuple:
     """The 2n states of a central difference at x, stacked [2n, n] in the
     order x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ..., and the per-coordinate
@@ -1089,19 +897,3 @@ def central_gradient(fn: Callable, x: np.ndarray, scale: float = 1e-6) -> np.nda
     states, h = central_states(x, scale)
     return central_difference([fn(state) for state in states], h)
 
-
-def poisson_bracket_e3(F: Callable, G: Callable, x, scale: float = 1e-6) -> float:
-    """e(3)* bracket m.(dF_m x dG_m) + p.(dF_m x dG_p - dG_m x dF_p) with
-    central-difference gradients. The Casimirs p.p and m.p commute with
-    everything; the bracket is antisymmetric."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (6,):
-        raise ValueError("bracket is defined on 6-dim (m, p) states")
-    grad_f = central_gradient(F, x, scale)
-    grad_g = central_gradient(G, x, scale)
-    fm, fp = grad_f[:3], grad_f[3:]
-    gm, gp = grad_g[:3], grad_g[3:]
-    m, p = x[:3], x[3:]
-    return float(
-        np.dot(m, np.cross(fm, gm)) + np.dot(p, np.cross(fm, gp) - np.cross(gm, fp))
-    )

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from continuous import spectral_params
 from kahanmaps import quadfield
 from kahanmaps.integrals import denominator_witnesses
 from kahanmaps.systems import (
@@ -14,7 +15,6 @@ from kahanmaps.systems import (
     PlanarFamilyParams,
     SecondClebschParams,
     build_system,
-    clebsch_params_from_decomposition,
 )
 
 OMEGA = (1.0, 2.0, 3.0)
@@ -34,7 +34,7 @@ def planar_extra(n=3):
 
 def make_params(kind):
     if kind == "general_clebsch":
-        return clebsch_params_from_decomposition(0.7, 1.3, (0.3, 1.1, 2.4))
+        return spectral_params(0.7, 1.3, (0.3, 1.1, 2.4))
     if kind == "first_clebsch":
         return FirstClebschParams(omega=OMEGA)
     if kind == "second_clebsch":

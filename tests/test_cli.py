@@ -506,17 +506,27 @@ class TestMain:
             ({"system": "planar_family", "qform": [1, 0.5, 2], "ell": [[1], [1, 2]]}, "'ell'"),
             ({"system": "planar_family", "qform": 1.0, "ell": [1, -1]}, "qform"),
             ({"system": "planar_family", "qform": [1, 0.5, 2], "ell": [1, -1], "ell0": [0.2]}, "ell0"),
+            # NaN and Infinity are JSON extensions that json.load reads as floats
+            ({"system": "general_clebsch", "a": [1, 1, 2], "b": [1, 1, 3], "beta": math.nan}, "beta"),
+            ({"system": "planar_family", "qform": [1, 0.5, 2], "ell": [1, -1], "ell0": math.inf}, "ell0"),
+            # integers that float() cannot take
+            (dict(KIRCHHOFF_DOC, a1=10**400), "'a1'"),
+            (dict(KIRCHHOFF_DOC, eps=10**400), "eps"),
+            (dict(KIRCHHOFF_DOC, x0=[10**400, 0, 0, 0, 0, 0]), "x0"),
+            (dict(KIRCHHOFF_DOC, steps=10**400), "steps"),
         ],
         ids=[
             "a1-null", "a1-list", "a1-string", "a1-bool",
             "x0-string", "x0-bool", "x0-nested",
             "alpha-list", "beta-string", "beta-list", "omega-null",
             "ell-ragged", "qform-number", "ell0-list",
+            "beta-nan", "ell0-inf",
+            "a1-huge", "eps-huge", "x0-huge", "steps-huge",
         ],
     )
     def test_malformed_field_is_a_config_error(self, doc, field, tmp_path, capsys):
         # exit 2 with a message naming the field, never a traceback or a silent 1.0
-        path = write_config(tmp_path, dict(doc, steps=2))
+        path = write_config(tmp_path, {"steps": 2, **doc})
         assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err

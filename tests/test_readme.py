@@ -1,9 +1,12 @@
-"""The README's library sketch runs against the package as it is."""
+"""The README's library sketch runs, and its catalog table lists the
+package's kinds and keys, against the package as it is."""
 
 import re
 from pathlib import Path
 
 import numpy as np
+
+from kahanmaps.systems import KINDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +20,18 @@ def test_library_sketch_runs_as_documented():
     assert names["report"].null_dim == 1
     assert names["orbit"].shape == (11, 6) and not names["orbit"].flags.writeable
     assert np.array_equal(names["orbits"].ends(), [10, 10])
+
+
+def test_catalog_table_matches_kinds():
+    # one row per kind; the keys before "optional" are its required JSON
+    # keys and the rest its optional ones, in the order KINDS declares them
+    section = README.read_text(encoding="utf-8").split("## The catalog")[1].split("\n\n")[1]
+    rows = {}
+    for line in section.splitlines()[2:]:
+        kind, _, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        required, _, optional = keys.partition("optional")
+        rows[kind.strip("`")] = (
+            tuple(re.findall(r"`(\w+)`", required)),
+            tuple(re.findall(r"`(\w+)`", optional)),
+        )
+    assert rows == {kind: (spec.required, spec.optional) for kind, spec in KINDS.items()}

@@ -1,9 +1,12 @@
 """Catalog flows checked against cross-product oracles, frozen point values,
 and the continuous conserved quantities."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import ALL_KINDS, SIX_DIM_KINDS, make_params, make_system, unit_ball
+from continuous import bracket, invariants, spectral_params, wronskian_coeffs, wronskian_residual
 
 from kahanmaps.quadfield import evaluate_field
 from kahanmaps.systems import (
@@ -16,13 +19,8 @@ from kahanmaps.systems import (
     build_system,
     central_gradient,
     clebsch_condition_residual,
-    clebsch_params_from_decomposition,
-    continuous_invariants,
-    continuous_wronskian_residual,
-    decompose_clebsch,
     params_from_dict,
     params_to_dict,
-    poisson_bracket_e3,
 )
 
 
@@ -161,25 +159,18 @@ class TestClebschCondition:
 
 class TestDecomposition:
     def test_frozen_example_both_roots(self):
-        pr = ClebschParams(a=(1.0, 2.0, 3.0), b=(-6.0, -3.0, -2.0))
-        roots = decompose_clebsch(pr)
-        assert len(roots) == 2
-        alphas = [alpha for alpha, _ in roots]
-        assert alphas == pytest.approx([0.0, 3.0], abs=1e-12)
-        assert np.allclose(roots[0][1], [1.0, 2.0, 3.0], atol=1e-12)
-        assert np.allclose(roots[1][1], [-2.0, -1.0, 0.0], atol=1e-12)
+        # both spectral decompositions of a = (1, 2, 3), b = (-6, -3, -2)
+        for alpha, omega in ((0.0, (1.0, 2.0, 3.0)), (3.0, (-2.0, -1.0, 0.0))):
+            pr = spectral_params(alpha, 1.0, omega)
+            assert np.array_equal(pr.a, [1.0, 2.0, 3.0])
+            assert np.array_equal(pr.b, [-6.0, -3.0, -2.0])
+            assert pr.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_through_assembly(self):
-        pr = clebsch_params_from_decomposition(0.7, 1.3, (0.3, 1.1, 2.4))
-        for alpha, omega in decompose_clebsch(pr):
-            back = clebsch_params_from_decomposition(alpha, pr.beta, omega)
-            assert np.allclose(back.a, pr.a, atol=1e-12)
-            assert np.allclose(back.b, pr.b, atol=1e-12)
-
-    def test_beta_zero_rejected(self):
-        pr = ClebschParams(a=(1.0, 1.0, 1.0), b=(1.0, 2.0, 5.0))
-        with pytest.raises(ValueError, match="beta"):
-            decompose_clebsch(pr)
+        # the derived beta and a = alpha + beta omega give the data back
+        pr = spectral_params(0.7, 1.3, (0.3, 1.1, 2.4))
+        assert pr.beta == pytest.approx(1.3, abs=1e-12)
+        assert np.allclose((pr.a - 0.7) / pr.beta, [0.3, 1.1, 2.4], atol=1e-12)
 
 
 class TestBuildSystem:
@@ -214,12 +205,11 @@ class TestBuildSystem:
         assert np.array_equal(rebuilt.field.const, desc.field.const)
 
     def test_wronskian_coefficients(self):
-        assert make_system("first_clebsch").wronskian_coeffs == (1.0, 1.0, 1.0)
-        assert make_system("kirchhoff").wronskian_coeffs == (1.0, 1.0, 3.0)  # 2*a3/a1 - 1
-        assert make_system("lagrange").wronskian_coeffs == (1.0, 1.0, 3.0)  # 2*alpha - 1
+        assert wronskian_coeffs(make_system("first_clebsch")) == (1.0, 1.0, 1.0)
+        assert wronskian_coeffs(make_system("kirchhoff")) == (1.0, 1.0, 3.0)  # 2*a3/a1 - 1
+        assert wronskian_coeffs(make_system("lagrange")) == (1.0, 1.0, 3.0)  # 2*alpha - 1
         gen = make_system("general_clebsch")
-        assert gen.wronskian_coeffs == pytest.approx(tuple(gen.params.wcoef))
-        assert make_system("planar_family").wronskian_coeffs is None
+        assert wronskian_coeffs(gen) == pytest.approx(tuple(gen.params.wcoef))
 
     def test_declared_names(self):
         first = make_system("first_clebsch")
@@ -234,34 +224,51 @@ class TestContinuousConservation:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_all_declared_invariants_are_flow_constant(self, kind):
         desc = make_system(kind)
-        inv = continuous_invariants(desc)
-        assert inv.H is not None
+        inv = invariants(desc)
+        assert "H" in inv
         rng = np.random.default_rng(24)
         for _ in range(6):
             x = unit_ball(rng, desc.dim)
             xdot = evaluate_field(desc.field, x)
-            for name, fn in inv.available().items():
+            for name, fn in inv.items():
                 drift = float(np.dot(central_gradient(fn, x), xdot))
                 assert abs(drift) < 1e-8, (kind, name, drift)
 
+    def test_perturbed_field_breaks_the_spectral_pair(self):
+        # negative control: one wrong quadratic coefficient in the field,
+        # and H1 or H2 drifts by orders of magnitude past the 1e-8 bound
+        desc = make_system("kirchhoff")
+        quad = desc.field.quad.copy()
+        quad[0, 1, 2] += 0.5
+        quad[0, 2, 1] += 0.5
+        bent = replace(desc.field, quad=quad)
+        inv = invariants(desc)
+        rng = np.random.default_rng(24)
+        states = [unit_ball(rng, 6) for _ in range(6)]
+        drift = max(
+            abs(central_gradient(inv[name], x) @ evaluate_field(bent, x))
+            for x in states
+            for name in ("H1", "H2")
+        )
+        assert drift > 1e-3
+
     def test_general_clebsch_has_spectral_pair(self):
-        inv = continuous_invariants(make_system("general_clebsch"))
-        assert inv.H1 is not None and inv.H2 is not None
+        assert {"H1", "H2"} <= invariants(make_system("general_clebsch")).keys()
 
     def test_lagrange_h1_frozen_value(self):
-        inv = continuous_invariants(make_system("lagrange"))
+        inv = invariants(make_system("lagrange"))
         x = np.array([1.0, 0.0, 2.0, 0.0, 0.0, 0.5])
         # m1^2 + m2^2 + alpha m3^2 + 2 gamma p3 with alpha=2, gamma=1
-        assert inv.lagrangeH1(x) == pytest.approx(1 + 8 + 1, abs=1e-14)
-        assert inv.H(x) == pytest.approx(5.0, abs=1e-14)
+        assert inv["lagrangeH1"](x) == pytest.approx(1 + 8 + 1, abs=1e-14)
+        assert inv["H"](x) == pytest.approx(5.0, abs=1e-14)
 
     def test_first_clebsch_frozen_values(self):
-        inv = continuous_invariants(make_system("first_clebsch"))
+        inv = invariants(make_system("first_clebsch"))
         x = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-        assert inv.H1(x) == pytest.approx(3.0, abs=1e-14)
-        assert inv.H2(x) == pytest.approx(-2.0, abs=1e-14)
-        assert inv.K1(x) == 1.0
-        assert inv.K2(x) == 0.0
+        assert inv["H1"](x) == pytest.approx(3.0, abs=1e-14)
+        assert inv["H2"](x) == pytest.approx(-2.0, abs=1e-14)
+        assert inv["K1"](x) == 1.0
+        assert inv["K2"](x) == 0.0
 
 
 class TestWronskianRelation:
@@ -273,57 +280,53 @@ class TestWronskianRelation:
             x = rng.standard_normal(6)
             xdot = evaluate_field(desc.field, x)
             scale = 1.0 + float(
-                np.max(np.abs(desc.wronskian_coeffs))
+                np.max(np.abs(wronskian_coeffs(desc)))
                 * np.max(np.abs(xdot[:3] * x[3:]) + np.abs(x[:3] * xdot[3:]))
             )
-            assert abs(continuous_wronskian_residual(desc, x)) <= 1e-13 * scale
-
-    def test_planar_family_has_no_relation(self):
-        with pytest.raises(ValueError, match="no Wronskian relation"):
-            continuous_wronskian_residual(make_system("planar_family"), np.zeros(3))
+            assert abs(wronskian_residual(desc, x)) <= 1e-13 * scale
 
 
 class TestPoissonBracket:
     def test_coordinate_bracket_frozen(self):
         # {m1, m2} = m3 on e(3)*
         x = np.array([0.3, -0.7, 1.9, 0.2, 0.4, -0.5])
-        val = poisson_bracket_e3(lambda y: y[0], lambda y: y[1], x)
+        val = bracket(lambda y: y[0], lambda y: y[1], x)
         assert val == pytest.approx(1.9, abs=1e-9)
-        val = poisson_bracket_e3(lambda y: y[0], lambda y: y[4], x)  # {m1, p2} = p3
+        val = bracket(lambda y: y[0], lambda y: y[4], x)  # {m1, p2} = p3
         assert val == pytest.approx(-0.5, abs=1e-9)
 
     def test_antisymmetry(self):
-        inv = continuous_invariants(make_system("first_clebsch"))
+        inv = invariants(make_system("first_clebsch"))
         rng = np.random.default_rng(26)
         x = rng.standard_normal(6)
-        ab = poisson_bracket_e3(inv.H1, inv.H2, x)
-        ba = poisson_bracket_e3(inv.H2, inv.H1, x)
+        ab = bracket(inv["H1"], inv["H2"], x)
+        ba = bracket(inv["H2"], inv["H1"], x)
         assert ab == pytest.approx(-ba, abs=1e-9)
 
     @pytest.mark.parametrize("kind", SIX_DIM_KINDS)
     def test_casimirs_commute_with_everything(self, kind):
         desc = make_system(kind)
-        inv = continuous_invariants(desc)
+        inv = invariants(desc)
         rng = np.random.default_rng(27)
         for _ in range(4):
             x = unit_ball(rng, 6)
-            for fn in inv.available().values():
-                assert abs(poisson_bracket_e3(inv.K1, fn, x)) < 1e-6
-                assert abs(poisson_bracket_e3(inv.K2, fn, x)) < 1e-6
+            for fn in inv.values():
+                assert abs(bracket(inv["K1"], fn, x)) < 1e-6
+                assert abs(bracket(inv["K2"], fn, x)) < 1e-6
 
     @pytest.mark.parametrize("kind", ("general_clebsch", "first_clebsch", "second_clebsch", "kirchhoff"))
     def test_spectral_pair_commutes(self, kind):
-        inv = continuous_invariants(make_system(kind))
+        inv = invariants(make_system(kind))
         rng = np.random.default_rng(28)
         for _ in range(4):
             x = unit_ball(rng, 6)
-            assert abs(poisson_bracket_e3(inv.H1, inv.H2, x)) < 1e-6
-            assert abs(poisson_bracket_e3(inv.H, inv.H1, x)) < 1e-6
+            assert abs(bracket(inv["H1"], inv["H2"], x)) < 1e-6
+            assert abs(bracket(inv["H"], inv["H1"], x)) < 1e-6
 
     def test_non_commuting_pair_detected(self):
         # negative control: {m1, m2} is not zero away from m3 = 0
         x = np.array([0.1, 0.2, 1.0, 0.0, 0.1, 0.3])
-        assert abs(poisson_bracket_e3(lambda y: y[0], lambda y: y[1], x)) > 0.5
+        assert abs(bracket(lambda y: y[0], lambda y: y[1], x)) > 0.5
 
 
 class TestParamValidation:
@@ -344,6 +347,12 @@ class TestParamValidation:
         bad[0, 0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
             PlanarFamilyParams(qform=(1, 0, 1), ell=(1, 0, 0), extra_quad=bad)
+
+    def test_non_finite_beta_and_ell0_rejected(self):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ClebschParams(a=(1.0, 1.0, 2.0), b=(1.0, 1.0, 3.0), beta=np.nan)
+        with pytest.raises(ValueError, match="ell0 must be finite"):
+            PlanarFamilyParams(qform=(1, 0.5, 2), ell=(1, -1), ell0=np.inf)
 
     def test_planar_dim(self):
         assert make_params("planar_family").dim == 3

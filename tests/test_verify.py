@@ -37,7 +37,6 @@ def bare_descriptor(field: QuadraticVectorField, kind: str = "probe") -> SystemD
         integral_names=(),
         density_names=(),
         conserved_names=(),
-        wronskian_coeffs=None,
         wronskian_orders=(),
     )
 
