@@ -42,6 +42,18 @@ DEFAULT_STEPS = 1000
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 500
 
+# Upper bound on steps x dim and on trials x dim, a memory budget. The
+# largest allocation is verify's conservation stack: (steps + 2) x names x
+# dim float64 points plus, per step and name, the delta, residual and
+# threshold columns and the pole mask (25 bytes). first_clebsch has the most
+# names, 9: at dim 6 that is 9 x (6 x 8 + 25) = 657 bytes per step, and
+# evaluating the names on it lifts the peak to 2.3 kB per step (measured at
+# 25 000 and 100 000 steps), 380 bytes per unit of steps x dim. A trial
+# peaks at 1.6 kB, 260 bytes per unit of trials x dim (measured at 2 000 and
+# 20 000 trials). 2**21 units keep either near 0.8 GB, 349 525 steps or
+# trials at dim 6.
+MAX_RUN_POINTS = 2**21
+
 # config keys that are not system parameters when params are given flat
 RESERVED_KEYS = frozenset(
     {"system", "params", "x0", "eps", "steps", "seed", "orders", "trials"}
@@ -68,12 +80,19 @@ def _is_integer(value) -> bool:
     return is_json_number(value) and (isinstance(value, int) or value.is_integer())
 
 
-def _integer(doc: dict, key: str, default: int, low: int) -> int:
+def _integer(doc: dict, key: str, default: int, low: int, dim: Optional[int] = None) -> int:
+    """The integer doc[key], at least low; with dim, at most
+    MAX_RUN_POINTS // dim."""
     value = doc.get(key, default)
     if not _is_integer(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{key} must be >= {low}, got {value!r}")
+    if dim is not None and value > MAX_RUN_POINTS // dim:
+        raise ValueError(
+            f"{key} must be <= {MAX_RUN_POINTS // dim} for a {dim}-dimensional system "
+            f"({key} x dim <= {MAX_RUN_POINTS}), got {value!r}"
+        )
     return int(value)
 
 
@@ -127,9 +146,9 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     if not is_json_number(eps):
         raise ValueError(f"eps must be a finite number, got {eps!r}")
     eps = float(eps)
-    steps = _integer(doc, "steps", DEFAULT_STEPS, 0)
+    steps = _integer(doc, "steps", DEFAULT_STEPS, 0, desc.dim)
     seed = _integer(doc, "seed", DEFAULT_SEED, 0)
-    trials = _integer(doc, "trials", DEFAULT_TRIALS, 1)
+    trials = _integer(doc, "trials", DEFAULT_TRIALS, 1, desc.dim)
     orders = None
     if doc.get("orders") is not None:
         listed = doc["orders"]
@@ -190,7 +209,7 @@ def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     steps = cfg.steps + 1 if cfg.steps else 0
     orbit = kahan_orbit(desc.field, _resolve_x0(cfg, desc)[None], cfg.eps, steps)
     if steps and orbit.pole[0, 0]:
-        raise _first_step_pole(orbit.row((0, 0)))
+        raise _first_step_pole(orbit.pole_error((0, 0)))
     end = int(orbit.ends()[0])
     rows = min(end, cfg.steps)
     columns = list(desc.integral_names) + [f"density_{d}" for d in desc.density_names]

@@ -58,7 +58,7 @@ def iterate_orbit(
         raise ValueError(f"x0 must have shape ({field.dim},), got {x.shape}")
     orbit = kahan_orbit(field, x[None], eps, steps)
     if orbit.pole[0, 0]:
-        raise orbit.row((0, 0))
+        raise orbit.pole_error((0, 0))
     states = np.concatenate([x[None], orbit.next[: int(orbit.ends()[0]), 0]])
     states.setflags(write=False)
     return states
@@ -454,7 +454,7 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
             return v[:, ratio.num] / v[:, ratio.den]
         b = int(np.argmax(failed))
         if stepped.pole[0, b]:
-            return stepped.row((0, b))
+            return stepped.pole_error((0, b))
         if not fits[b]:
             needed = window - 1 + ratio.order
             return ValueError(f"orbit hits a pole at step {points[b]} of the {needed} the window needs")

@@ -5,14 +5,14 @@ The formulas are entries of the catalog table (systems.KINDS): state-only
 quantities at a point x, and bilinear quantities on the consecutive orbit
 pair (x, x~), where x~ is one forward Kahan step. Every formula takes a
 stack of states x[B, n] with their successors and returns one value per
-row, with the rows where the one-state formula raises marked instead of
-raised. A KahanPair holds such a stack, takes its steps at most once (or is
-handed the steps an orbit already holds), and evaluates every named
-quantity on all rows in one call; the designated coefficients times
-Delta(x; eps) = det(I - eps f'(x)) are the preserved densities. A single
-state is the stack of one: its quantities return plain values and raise
-where the row fails. KahanPair is the one evaluation path; evaluate_named,
-the eval_* functions and denominator_witnesses are one-line views of it.
+row, with the rows where it is undefined marked instead of raised. A
+KahanPair holds such a stack, takes its steps at most once (or is handed
+the steps an orbit already holds), and evaluates every named quantity on
+all rows in one call, as Rows; the designated coefficients times
+Delta(x; eps) = det(I - eps f'(x)) are the preserved densities. KahanPair
+is the one evaluation path. The one-state functions evaluate_named,
+eval_I0, eval_density and denominator_witnesses are the stack of one: they
+return row 0's value and raise that row's error.
 
 The bilinear family is obtained from the state-only family by the polarization
 substitution x_i x_j -> (x_i x~_j + x~_i x_j)/2, x_i -> (x_i + x~_i)/2
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kahanmaps.quadfield import KahanBatch, KahanStepResult, kahan_step_batch
+from kahanmaps.quadfield import KahanBatch, kahan_step_batch
 from kahanmaps.systems import (
     KINDS,
     DenominatorZeroError,
@@ -39,8 +39,6 @@ __all__ = [
     "KahanPair",
     "Rows",
     "eval_I0",
-    "eval_J0",
-    "eval_coeffs",
     "eval_density",
     "evaluate_named",
     "denominator_witnesses",
@@ -77,61 +75,41 @@ class Rows(NamedTuple):
 
 
 class KahanPair:
-    """States x and their Kahan successors x~, on which the named quantities
-    of the system are evaluated.
+    """States x[B, n] and their Kahan successors x~, on which the named
+    quantities of the system are evaluated: each quantity is one call over
+    every row and returns Rows. Any other shape of x is a ValueError.
 
-    x is a stack [B, n]: each quantity is one call over every row and
-    returns Rows. A single state x[n] is the stack of one: its quantities
-    return row 0's value and raise that row's error.
-
-    The forward steps are taken at most once: pass them as step when the
-    caller already holds them (a KahanBatch; for a single state its
-    KahanStepResult), otherwise the first quantity that needs x~ takes them,
-    as a stack for a single state too. A row on a pole fails in every
+    The forward steps are taken at most once: pass them as step (a
+    KahanBatch) when the caller already holds them, otherwise the first
+    quantity that needs x~ takes them. A row on a pole fails in every
     quantity that needs x~. Vectors that several names share are computed
     once per pair.
     """
 
-    def __init__(self, desc: SystemDescriptor, x, eps: float, step=None):
+    def __init__(self, desc: SystemDescriptor, x, eps: float, step: KahanBatch = None):
         x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != desc.dim:
+            raise ValueError(f"x must have shape (B, {desc.dim}), got {x.shape}")
         self.desc = desc
         self.params = desc.params
-        self.single = x.ndim == 1
-        self.x = x[None] if self.single else x
+        self.x = x
         self.eps = eps
-        if isinstance(step, KahanStepResult):
-            step = KahanBatch(
-                np.asarray(step.next, dtype=float)[None],
-                np.array([step.delta]),
-                np.array([step.residual]),
-                np.zeros(1, dtype=bool),
-                np.full(1, np.nan),
-            )
         self._step = step
         self._parts: dict = {}
         self._failures: list = []
         self._scope = None
 
-    def _stepped(self) -> KahanBatch:
+    @property
+    def step(self) -> KahanBatch:
+        """The forward steps, taken on first use."""
         if self._step is None:
             self._step = kahan_step_batch(self.desc.field, self.x, self.eps)
         return self._step
 
-    @property
-    def step(self):
-        """The forward steps as a KahanBatch; for a single state its
-        KahanStepResult, raising SingularStepError at a pole."""
-        batch = self._stepped()
-        if not self.single:
-            return batch
-        if batch.pole[0]:
-            raise batch.row(0)
-        return batch.row(0)
-
     def _successors(self) -> KahanBatch:
         """The forward steps, marking the rows whose step is a pole."""
-        batch = self._stepped()
-        self.fail(batch.pole, batch.row)
+        batch = self.step
+        self.fail(batch.pole, batch.pole_error)
         return batch
 
     @property
@@ -173,20 +151,16 @@ class KahanPair:
             self.fail(rows, error)
         return value
 
-    def _evaluate(self, compute: Callable) -> tuple:
+    def _rows(self, compute: Callable) -> Rows:
         """compute() and the failures it marks."""
         self._failures = []
         value = compute()
-        return value, tuple(self._failures)
+        return Rows(value, tuple(self._failures))
 
-    def _result(self, compute: Callable):
-        rows = Rows(*self._evaluate(compute))
-        return rows.item(0) if self.single else rows
-
-    def value(self, name: str):
+    def value(self, name: str) -> Rows:
         """A declared integral name, a coordinate name "m1".."p3", a ratio
         name like "c1/c0", or a density column "density_<name>"."""
-        return self._result(lambda: self._value(name))
+        return self._rows(lambda: self._value(name))
 
     def _value(self, name: str) -> np.ndarray:
         if "/" in name:
@@ -201,14 +175,14 @@ class KahanPair:
             raise ValueError(f"unknown quantity name '{name}' for {self.desc.kind}")
         return formula(self)
 
-    def density(self, which: str):
+    def density(self, which: str) -> Rows:
         """Preserved density numerator: the named bilinear coefficient on
         (x, x~) times Delta(x; eps).
 
         The defining property, checked by the verification suites, is
         density(x~)/density(x) = det dPhi(x) along orbits.
         """
-        return self._result(lambda: self._density(which))
+        return self._rows(lambda: self._density(which))
 
     def _density(self, which: str) -> np.ndarray:
         if which not in self.desc.density_names:
@@ -218,7 +192,7 @@ class KahanPair:
         value = self._value(which)
         return value * self._successors().delta
 
-    def coefficients(self, kind: str = "small_c"):
+    def coefficients(self, kind: str = "small_c") -> Rows:
         """Coefficient vectors of the system's null-space relations, one row
         per state.
 
@@ -232,54 +206,49 @@ class KahanPair:
         names = KINDS[self.desc.kind].coefficients[kind == "big_C"]
         if not names:
             raise ValueError(f"coefficient vectors are not defined for {self.desc.kind}")
-        return self._result(lambda: np.stack([self._value(name) for name in names], axis=-1))
+        return self._rows(lambda: np.stack([self._value(name) for name in names], axis=-1))
 
-    def witnesses(self):
+    def witnesses(self) -> tuple:
         """Magnitudes of every denominator the system's quantities divide by
         (see denominator_witnesses): Rows of one column per witness, and the
-        mask of the entries each row has. For a single state, the list."""
+        mask of the entries each row has."""
         spec = KINDS.get(self.desc.kind)
-        (values, has), failures = self._evaluate(
+        (values, has), failures = self._rows(
             lambda: spec.witnesses(self) if spec else (np.empty((self.x.shape[0], 0)), None)
         )
-        rows = Rows(values, failures)
         if has is None:
             has = np.ones(values.shape, dtype=bool)
-        if self.single:
-            return [float(v) for v in rows.item(0)[has[0]]]
-        return rows, has
+        return Rows(values, failures), has
+
+
+def _one(desc: SystemDescriptor, x, eps: float) -> KahanPair:
+    """The pair of one state x, as a stack of one."""
+    return KahanPair(desc, np.asarray(x, dtype=float)[None], eps)
 
 
 def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:
-    """Evaluate one named quantity at x (see KahanPair.value); bilinear names
-    take one forward step."""
-    return KahanPair(desc, x, eps).value(name)
+    """Evaluate one named quantity at one state x (see KahanPair.value);
+    bilinear names take one forward step."""
+    return _one(desc, x, eps).value(name).item(0)
 
 
 def eval_density(desc: SystemDescriptor, x, eps: float, which: str) -> float:
-    """Preserved density numerator at x (see KahanPair.density)."""
-    return KahanPair(desc, x, eps).density(which)
+    """Preserved density numerator at one state x (see KahanPair.density)."""
+    return _one(desc, x, eps).density(which).item(0)
 
 
 def eval_I0(desc: SystemDescriptor, x, eps: float) -> float:
-    """The state-only conserved quantity of the map (coefficient ratio)."""
-    return evaluate_named(desc, "I0", x, eps)
-
-
-def eval_J0(desc: SystemDescriptor, x, eps: float) -> float:
-    """Bilinear conserved quantity on the pair (x, x~), x~ one forward step."""
-    return evaluate_named(desc, "J0", x, eps)
-
-
-def eval_coeffs(desc: SystemDescriptor, x, eps: float, kind: str = "small_c") -> np.ndarray:
-    """Coefficient vector at x (see KahanPair.coefficients)."""
-    return KahanPair(desc, x, eps).coefficients(kind)
+    """The state-only conserved quantity of the map (coefficient ratio) at
+    one state x."""
+    return _one(desc, x, eps).value("I0").item(0)
 
 
 def denominator_witnesses(desc: SystemDescriptor, x, eps: float) -> list:
-    """Magnitudes of every denominator the system's quantities divide by at x.
+    """Magnitudes of every denominator the system's quantities divide by at
+    one state x.
 
     Used by the random-state rejection rule (draws must keep all of these
     finite and at or above 1e-6). Kinds outside the catalog have none.
     """
-    return KahanPair(desc, x, eps).witnesses()
+    rows, has = _one(desc, x, eps).witnesses()
+    return [float(v) for v in rows.item(0)[has[0]]]

@@ -20,11 +20,13 @@ determinant and the pole decision, then the solve.  A state whose
 |det(I - eps*f'(x))| falls below a scale-aware threshold sits on a pole:
 its row stops there, that entry keeps its denominator and threshold, and
 every later entry of the row is nan.  The residuals, which no later step
-reads, are taken once per orbit, after the loop.  kahan_step_batch is the
-one-step orbit of a stack and kahan_step the one-step orbit of one state,
+reads, are taken once per orbit, after the loop.  Every step is a
+KahanBatch: kahan_step_batch is the one-step orbit of a stack without its
+step axis, and kahan_step entry (0, 0) of the one-step orbit of one state,
 which raises SingularStepError at a pole; a state gets the same numbers
-from all three, bit for bit.  Whether a pole at the first step of an orbit
-is an error is for the caller to say.
+from all three, bit for bit.  delta reads det(I - eps*f'(x)) from the same
+step matrix.  Whether a pole at the first step of an orbit is an error is
+for the caller to say.
 
 The determinant and the solve call LAPACK's det and solve kernels directly:
 the gufuncs that numpy.linalg's det and solve dispatch to, the solve under
@@ -53,7 +55,6 @@ from numpy.linalg import LinAlgError, _umath_linalg
 __all__ = [
     "SingularStepError",
     "QuadraticVectorField",
-    "KahanStepResult",
     "KahanBatch",
     "evaluate_field",
     "polarize_eval",
@@ -115,15 +116,6 @@ class QuadraticVectorField:
     @property
     def dim(self) -> int:
         return self.const.shape[0]
-
-
-class KahanStepResult(NamedTuple):
-    """One Kahan step: the new state, det(I - eps*f'(x)), and the max-norm
-    defect of the polarized defining equation at (x, x~)."""
-
-    next: np.ndarray
-    delta: float
-    residual: float
 
 
 def evaluate_field(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
@@ -220,13 +212,10 @@ def _pole_threshold(norm: float, n: int) -> float:
         return math.inf
 
 
-def _pole_error(det: float, threshold: float) -> SingularStepError:
-    return SingularStepError(f"|det(I - eps*f'(x))| = {abs(det):.3e} below threshold {threshold:.3e}")
-
-
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
-    """det(I - eps*f'(x)), the denominator polynomial of the Kahan map."""
-    return float(_det(_eye(field.dim) - eps * jacobian_field(field, x)))
+    """det(I - eps*f'(x)), the denominator polynomial of the Kahan map, as
+    the step from x computes it."""
+    return float(_step_matrix(field, x, eps)[1])
 
 
 class KahanBatch(NamedTuple):
@@ -235,7 +224,7 @@ class KahanBatch(NamedTuple):
     with the mask of the rows that sit on a pole (their next state and
     residual are nan) and, at those rows alone, the threshold their |det|
     fell below. An orbit from kahan_orbit puts a step axis first,
-    [steps, B, ...]."""
+    [steps, B, ...]; one step of one state, from kahan_step, has no axis."""
 
     next: np.ndarray
     delta: np.ndarray
@@ -243,12 +232,12 @@ class KahanBatch(NamedTuple):
     pole: np.ndarray
     threshold: np.ndarray
 
-    def row(self, i):
-        """Entry i (a row, or a (step, row) pair) as a KahanStepResult or, on
-        a pole, the SingularStepError kahan_step raises there (not raised)."""
-        if self.pole[i]:
-            return _pole_error(self.delta[i], self.threshold[i])
-        return KahanStepResult(self.next[i], float(self.delta[i]), float(self.residual[i]))
+    def pole_error(self, i) -> SingularStepError:
+        """The SingularStepError kahan_step raises at pole entry i (a row, or
+        a (step, row) pair), not raised."""
+        return SingularStepError(
+            f"|det(I - eps*f'(x))| = {abs(self.delta[i]):.3e} below threshold {self.threshold[i]:.3e}"
+        )
 
     def ends(self) -> np.ndarray:
         """Per row of an orbit: the entry of its first pole, or the number
@@ -326,13 +315,14 @@ def kahan_step_batch(field: QuadraticVectorField, x: np.ndarray, eps: float) -> 
     return KahanBatch(*(column[0] for column in kahan_orbit(field, x, eps, 1)))
 
 
-def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanStepResult:
-    """Advance one state x by one Kahan step of size 2*eps: the lone
-    one-step orbit of x. Raises SingularStepError at a pole of the map."""
-    step = kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1).row((0, 0))
-    if isinstance(step, SingularStepError):
-        raise step
-    return step
+def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
+    """Advance one state x by one Kahan step of size 2*eps: entry (0, 0) of
+    the one-step orbit of x, its next state, delta and residual. Raises
+    SingularStepError at a pole of the map."""
+    orbit = kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1)
+    if orbit.pole[0, 0]:
+        raise orbit.pole_error((0, 0))
+    return KahanBatch(*(column[0, 0] for column in orbit))
 
 
 def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next=None) -> np.ndarray:

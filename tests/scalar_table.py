@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from kahanmaps.quadfield import KahanStepResult, SingularStepError, kahan_step
+from kahanmaps.quadfield import KahanBatch, SingularStepError, kahan_step
 from kahanmaps.systems import LAGRANGE_M3_FLOOR, DenominatorZeroError
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -302,7 +302,7 @@ class ScalarPair:
         self._parts: dict = {}
 
     @property
-    def step(self) -> KahanStepResult:
+    def step(self) -> KahanBatch:
         if self._step is None:
             try:
                 self._step = kahan_step(self.desc.field, self.x, self.eps)

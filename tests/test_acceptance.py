@@ -23,10 +23,9 @@ from kahanmaps.hkbasis import (
 )
 from kahanmaps.integrals import (
     DenominatorZeroError,
+    KahanPair,
     denominator_witnesses,
     eval_I0,
-    eval_J0,
-    eval_coeffs,
     evaluate_named,
 )
 from kahanmaps.quadfield import SingularStepError, delta, kahan_step, map_jacobian
@@ -122,16 +121,14 @@ def test_criterion_05_first_clebsch_identities_and_closed_forms():
     omega = np.asarray(OMEGA, dtype=float)
     rng = np.random.default_rng(108)
     eps = 0.1
-    for _ in range(200):
-        x = safe_state(rng, desc, eps)
-        small = eval_coeffs(desc, x, eps, "small_c")
-        big = eval_coeffs(desc, x, eps, "big_C")
-        i0 = eval_I0(desc, x, eps)
-        j0 = eval_J0(desc, x, eps)
-        small_closed = np.append(1.0 + eps * eps * omega * i0, i0)
-        big_closed = np.append(1.0 - eps * eps * omega * j0, j0)
-        assert normalized(small) == pytest.approx(normalized(small_closed), rel=1e-11)
-        assert normalized(big) == pytest.approx(normalized(big_closed), rel=1e-11)
+    pair = KahanPair(desc, [safe_state(rng, desc, eps) for _ in range(200)], eps)
+    small, big = pair.coefficients("small_c"), pair.coefficients("big_C")
+    i0, j0 = pair.value("I0"), pair.value("J0")
+    for row in range(200):
+        small_closed = np.append(1.0 + eps * eps * omega * i0.item(row), i0.item(row))
+        big_closed = np.append(1.0 - eps * eps * omega * j0.item(row), j0.item(row))
+        assert normalized(small.item(row)) == pytest.approx(normalized(small_closed), rel=1e-11)
+        assert normalized(big.item(row)) == pytest.approx(normalized(big_closed), rel=1e-11)
 
 
 def test_criterion_06_wronskian_null_spaces():
@@ -157,7 +154,7 @@ def test_criterion_06_wronskian_null_spaces():
             assert report.gap_ratio >= 1e6, (kind, order, report.gap_ratio)
             if order in (1, 2):
                 coeff_kind = "small_c" if order == 1 else "big_C"
-                coeffs = eval_coeffs(desc, x0, eps, coeff_kind)
+                coeffs = KahanPair(desc, x0[None], eps).coefficients(coeff_kind).item(0)
                 if kind == "kirchhoff":
                     # ratio c3/c1: vector proportional to (c1, c1, c3)
                     expected = np.array([coeffs[0], coeffs[0], coeffs[1]])
@@ -191,7 +188,7 @@ def test_criterion_07_functional_independence_rank_four():
 
     gen = make_system("general_clebsch")
     i0 = lambda y: eval_I0(gen, y, eps)
-    j0 = lambda y: eval_J0(gen, y, eps)
+    j0 = lambda y: KahanPair(gen, y[None], eps).value("J0").item(0)
     j1, j2, j3, j4 = (
         wronskian_ratio_integral(gen.field, eps, ell, num, 2, window=window)
         for ell in (3, 4)
@@ -200,14 +197,14 @@ def test_criterion_07_functional_independence_rank_four():
     kir = make_system("kirchhoff")
     kir_set = [
         lambda y: eval_I0(kir, y, eps),
-        lambda y: eval_J0(kir, y, eps),
+        lambda y: KahanPair(kir, y[None], eps).value("J0").item(0),
         wronskian_ratio_integral(kir.field, eps, 3, 2, 0, window=window),
         lambda y: float(y[2]),
     ]
     lag = make_system("lagrange")
     lag_set = [
         lambda y: eval_I0(lag, y, eps),
-        lambda y: eval_J0(lag, y, eps),
+        lambda y: KahanPair(lag, y[None], eps).value("J0").item(0),
         wronskian_ratio_integral(lag.field, eps, 3, 2, 0, window=window),
         lambda y: float(y[2]),
     ]
@@ -294,7 +291,7 @@ def test_criterion_07_exact_rank_certificate():
         # measured <= 5e-14 (the float parameters and x0 are the rounded
         # rationals, then an 18/19-step orbit and an SVD for the ratios)
         x = np.array([float(v.val) for v in states[0]])
-        floats = {"I0": eval_I0(gen, x, eps), "J0": eval_J0(gen, x, eps)}
+        floats = {name: KahanPair(gen, x[None], eps).value(name).item(0) for name in ("I0", "J0")}
         floats.update((name, fn(x)) for name, fn in ratio_fns.items())
         for name, value in floats.items():
             assert value == pytest.approx(float(now[name].val), rel=1e-10), (point, name)

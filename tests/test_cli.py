@@ -11,6 +11,7 @@ from scalar_table import ScalarPair
 import kahanmaps.cli as cli
 from kahanmaps import quadfield
 from kahanmaps.cli import (
+    MAX_RUN_POINTS,
     ExperimentConfig,
     _fmt,
     config_to_json_dict,
@@ -79,6 +80,17 @@ class TestParseConfig:
         doc = {"system": "lagrange", "params": {"alpha": 2.0, "gamma": 1.0}, "alpha": 3.0}
         with pytest.raises(ValueError, match="nested and flat"):
             parse_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["steps", "trials"])
+    def test_run_size_is_bounded(self, key, tmp_path):
+        # key x dim stops at MAX_RUN_POINTS, a memory budget; the configs are
+        # only parsed, never run
+        for doc, dim in ((KIRCHHOFF_DOC, 6), ({"system": "planar_family", "qform": [1, 0, 1], "ell": [1, 0]}, 2)):
+            limit = MAX_RUN_POINTS // dim
+            assert getattr(parse_config(write_config(tmp_path, {**doc, key: limit})), key) == limit
+            for value in (limit + 1, 10**20):
+                with pytest.raises(ValueError, match=rf"^{key} must be <= {limit} "):
+                    parse_config(write_config(tmp_path, {**doc, key: value}))
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -464,6 +476,13 @@ class TestMain:
         assert "pole at step 6 of 20" in capsys.readouterr().err
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "error: orbit hits a pole at step 6 of the 13 the scan needs\n"
+
+    def test_huge_steps_flag_names_the_field(self, tmp_path, capsys):
+        # refused while parsing, before any orbit is allocated
+        path = write_config(tmp_path, KIRCHHOFF_DOC)
+        assert main(["simulate", "--config", path, "--steps", str(10**20), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: steps must be <= ")
+        assert not (tmp_path / "orbit.csv").exists()
 
     def test_requires_system_somewhere(self, capsys):
         assert main(["simulate"]) == 2

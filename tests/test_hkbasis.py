@@ -42,12 +42,10 @@ from kahanmaps.integrals import (
     KahanPair,
     denominator_witnesses,
     eval_I0,
-    eval_J0,
-    eval_coeffs,
     evaluate_named,
 )
 from kahanmaps.quadfield import (
-    KahanStepResult,
+    KahanBatch,
     QuadraticVectorField,
     SingularStepError,
     kahan_step,
@@ -242,8 +240,9 @@ class TestDiscreteWronskian:
         eps = 0.05
         x0 = safe_state(np.random.default_rng(5), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 12)
+        small = KahanPair(desc, orbit[:10], eps).coefficients("small_c")
         for base in range(10):
-            c = eval_coeffs(desc, orbit[base], eps, "small_c")
+            c = small.item(base)
             terms = [
                 c[i] * discrete_wronskian(orbit, 1, pair, base)
                 for i, pair in enumerate(conjugate_pairs(6))
@@ -256,8 +255,9 @@ class TestDiscreteWronskian:
         eps = 0.05
         x0 = safe_state(np.random.default_rng(6), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 12)
+        coefficients = KahanPair(desc, orbit[:8], eps).coefficients("big_C")
         for base in range(8):
-            big = eval_coeffs(desc, orbit[base], eps, "big_C")
+            big = coefficients.item(base)
             terms = [
                 big[i] * discrete_wronskian(orbit, 2, pair, base)
                 for i, pair in enumerate(conjugate_pairs(6))
@@ -380,7 +380,7 @@ class TestHkNullspace:
         report = hk_nullspace(orbit, obs, window=12)
         assert report.null_dim == 1
         assert report.gap_ratio >= 1e6
-        c = eval_coeffs(desc, x0, eps, "small_c")
+        c = KahanPair(desc, x0[None], eps).coefficients("small_c").item(0)
         predicted = normalize([c[0], c[1], c[2], -c[3]])
         assert report.coeff_vectors[0] == pytest.approx(predicted, rel=1e-8)
 
@@ -396,7 +396,7 @@ class TestHkNullspace:
         obs.append(constant_observable(1.0))
         report = hk_nullspace(orbit, obs, window=12)
         assert report.null_dim == 1
-        c = eval_coeffs(desc, x0, eps, "small_c")
+        c = KahanPair(desc, x0[None], eps).coefficients("small_c").item(0)
         predicted = normalize(
             [c[0] * a[1] * a[2], c[1] * a[2] * a[0], c[2] * a[0] * a[1], -c[3]]
         )
@@ -408,16 +408,17 @@ class TestHkNullspace:
         eps = 0.05
         x0 = safe_state(np.random.default_rng(9), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 20)
+        # the pair (x, y) with y given as the successor of x
+        nan = np.full(1, math.nan)
+        given = lambda y: KahanBatch(y[None], nan, nan, np.zeros(1, dtype=bool), nan)
         obs = [
-            bilinear_observable(
-                lambda x, y, G=G: KahanPair(desc, x, eps, KahanStepResult(y, math.nan, math.nan)).value(G)
-            )
+            bilinear_observable(lambda x, y, G=G: KahanPair(desc, x[None], eps, given(y)).value(G).item(0))
             for G in ("G1", "G2", "G3")
         ]
         obs.append(constant_observable(1.0))
         report = hk_nullspace(orbit, obs, window=12)
         assert report.null_dim == 1
-        big = eval_coeffs(desc, x0, eps, "big_C")
+        big = KahanPair(desc, x0[None], eps).coefficients("big_C").item(0)
         predicted = normalize(
             [big[0] * a[1] * a[2], big[1] * a[2] * a[0], big[2] * a[0] * a[1], -big[3]]
         )
@@ -438,7 +439,7 @@ class TestHkNullspace:
         for order, coeff_kind in ((1, "small_c"), (2, "big_C")):
             report = hk_nullspace(orbit, wronskian_observables(order), window=10)
             assert report.null_dim == 1
-            predicted = normalize(eval_coeffs(desc, x0, eps, coeff_kind)[:3])
+            predicted = normalize(KahanPair(desc, x0[None], eps).coefficients(coeff_kind).item(0)[:3])
             assert report.coeff_vectors[0] == pytest.approx(predicted, rel=1e-8)
 
     @pytest.mark.parametrize("kind", ("kirchhoff", "lagrange"))
@@ -448,7 +449,7 @@ class TestHkNullspace:
         eps = 0.05
         x0 = safe_state(np.random.default_rng(11), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 24)
-        for order, value in ((1, eval_I0(desc, x0, eps)), (2, eval_J0(desc, x0, eps))):
+        for order, value in ((1, eval_I0(desc, x0, eps)), (2, KahanPair(desc, x0[None], eps).value("J0").item(0))):
             report = hk_nullspace(orbit, wronskian_observables(order), window=10)
             assert report.null_dim == 1
             v = report.coeff_vectors[0]
@@ -630,7 +631,7 @@ class TestExtractRatios:
         assert len(seqs.ratios) == 4
         assert len(seqs.ratios[0]) >= 30
         assert not any(seqs.non_constant)
-        c = eval_coeffs(desc, x0, eps, "small_c")
+        c = KahanPair(desc, x0[None], eps).coefficients("small_c").item(0)
         for i in range(3):
             # coefficient over the pivot coefficient -c0
             expected = -c[i] / c[3]
@@ -900,7 +901,7 @@ class TestFunctionalRank:
         }
         quad = [
             lambda y: eval_I0(desc, y, eps),
-            lambda y: eval_J0(desc, y, eps),
+            lambda y: KahanPair(desc, y[None], eps).value("J0").item(0),
         ]
         assert functional_rank(quad + [ratios[3, 0], ratios[3, 1]], x) == 3
         assert functional_rank(quad + [ratios[4, 0], ratios[4, 1]], x) == 3
@@ -911,7 +912,7 @@ class TestFunctionalRank:
         x = safe_state(np.random.default_rng(24), desc, eps)
         fns = [
             lambda y: eval_I0(desc, y, eps),
-            lambda y: eval_J0(desc, y, eps),
+            lambda y: KahanPair(desc, y[None], eps).value("J0").item(0),
             wronskian_ratio_integral(desc.field, eps, 3, 2, 0),
             lambda y: float(y[2]),
         ]
@@ -926,7 +927,7 @@ class TestRatioIntegralHelper:
         ratio1 = wronskian_ratio_integral(desc.field, eps, 1, 2, 0)
         ratio2 = wronskian_ratio_integral(desc.field, eps, 2, 2, 0)
         assert ratio1(x) == pytest.approx(eval_I0(desc, x, eps), rel=1e-8)
-        assert ratio2(x) == pytest.approx(eval_J0(desc, x, eps), rel=1e-8)
+        assert ratio2(x) == pytest.approx(KahanPair(desc, x[None], eps).value("J0").item(0), rel=1e-8)
 
     def test_third_order_ratio_is_conserved(self):
         desc = make_system("lagrange")
@@ -1051,7 +1052,7 @@ class TestStackedRatios:
             j4,
             wronskian_ratio_integral(kir.field, eps, 3, 1, 0),
             j2,
-            lambda y: eval_J0(gen, y, eps),
+            lambda y: KahanPair(gen, y[None], eps).value("J0").item(0),
             j3,
         ]
         x = safe_state(np.random.default_rng(74), gen, eps)

@@ -7,6 +7,7 @@ quantity into its bilinear twin (checked with a plain-array helper), and the
 stacked formula table against the one-state table it replaced."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,12 +22,10 @@ from kahanmaps.integrals import (
     KahanPair,
     denominator_witnesses,
     eval_I0,
-    eval_J0,
-    eval_coeffs,
     eval_density,
     evaluate_named,
 )
-from kahanmaps.quadfield import KahanStepResult, kahan_step, map_jacobian
+from kahanmaps.quadfield import KahanBatch, kahan_step, map_jacobian
 from kahanmaps.systems import (
     FirstClebschParams,
     KirchhoffParams,
@@ -52,21 +51,21 @@ class TestFrozenValues:
     def test_coeffs_at_eps_zero(self):
         desc = make_system("first_clebsch")
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-        vec = eval_coeffs(desc, x, 0.0, "small_c")
+        vec = KahanPair(desc, x[None], 0.0).coefficients("small_c").item(0)
         assert np.allclose(vec[:3], 1.0, atol=1e-15)
         assert vec[3] == pytest.approx(float(np.sum(x[3:] ** 2)), rel=1e-14)
 
     def test_kirchhoff_axis_point(self):
         desc = build_system("kirchhoff", KirchhoffParams(a1=1.0, a3=2.0, b1=0.0, b3=0.0))
         x = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        c1, c3 = eval_coeffs(desc, x, 0.1, "small_c")
+        c1, c3 = KahanPair(desc, x[None], 0.1).coefficients("small_c").item(0)
         assert c1 == pytest.approx(1.0 - 2 * 0.01, abs=1e-15)  # 1 + eps^2 a3 (a1-a3) m3^2
         assert c3 == pytest.approx(3.0, abs=1e-15)              # 2 a3/a1 - 1
 
     def test_lagrange_axis_point(self):
         desc = make_system("lagrange")  # alpha=2, gamma=1
         x = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.25])
-        r, s = eval_coeffs(desc, x, 0.1, "small_c")
+        r, s = KahanPair(desc, x[None], 0.1).coefficients("small_c").item(0)
         assert r == pytest.approx(3.0, abs=1e-15)
         assert s == pytest.approx(1.0 - 2 * 0.01 * 0.25 - 0.01 * 0.25, abs=1e-15)
 
@@ -89,9 +88,9 @@ class TestFrozenValues:
         rng = np.random.default_rng(33)
         x = unit_ball(rng, 6)
         xt = kahan_step(desc.field, x, 0.05).next
-        pair = KahanPair(desc, x, 0.05)
-        g = [pair.value(name) for name in ("g1", "g2", "g3")]
-        G = [pair.value(name) for name in ("G1", "G2", "G3")]
+        pair = KahanPair(desc, x[None], 0.05)
+        g = [pair.value(name).item(0) for name in ("g1", "g2", "g3")]
+        G = [pair.value(name).item(0) for name in ("G1", "G2", "G3")]
         assert np.allclose(g, x[3:] ** 2, atol=1e-15)
         assert np.allclose(G, x[3:] * xt[3:], atol=1e-15)
 
@@ -195,12 +194,14 @@ class TestOneStepIdentities:
         desc = make_system("first_clebsch")
         rng = np.random.default_rng(39)
         eps = 0.1
-        for _ in range(100):
-            x = unit_ball(rng, 6)
-            xt = kahan_step(desc.field, x, eps).next
-            c = eval_coeffs(desc, x, eps, "small_c")[:3]
-            ct = eval_coeffs(desc, xt, eps, "small_c")[:3]
-            C = eval_coeffs(desc, x, eps, "big_C")[:3]
+        pair = KahanPair(desc, [unit_ball(rng, 6) for _ in range(100)], eps)
+        onward = KahanPair(desc, pair.step.next, eps)
+        small, big = pair.coefficients("small_c"), pair.coefficients("big_C")
+        small_next = onward.coefficients("small_c")
+        for i, (x, xt) in enumerate(zip(pair.x, pair.step.next)):
+            c = small.item(i)[:3]
+            ct = small_next.item(i)[:3]
+            C = big.item(i)[:3]
             m, p, mt, pt = x[:3], x[3:], xt[:3], xt[3:]
             pairs = (
                 (np.dot(c, mt * p), np.dot(C, m * p)),
@@ -217,9 +218,10 @@ class TestOneStepIdentities:
         rng = np.random.default_rng(40)
         eps = 0.1
         x = unit_ball(rng, 6)
-        xt = kahan_step(desc.field, x, eps).next
-        c = eval_coeffs(desc, x, eps, "small_c")[:3] + np.array([1e-3, 0.0, 0.0])
-        C = eval_coeffs(desc, x, eps, "big_C")[:3]
+        pair = KahanPair(desc, x[None], eps)
+        xt = pair.step.next[0]
+        c = pair.coefficients("small_c").item(0)[:3] + np.array([1e-3, 0.0, 0.0])
+        C = pair.coefficients("big_C").item(0)[:3]
         m, p, mt, pt = x[:3], x[3:], xt[:3], xt[3:]
         assert abs(np.dot(c, mt * p) - np.dot(C, m * p)) > 1e-9
 
@@ -231,14 +233,14 @@ class TestCoefficientStructure:
         rng = np.random.default_rng(41)
         x = safe_state(rng, desc)
         eps = 0.07
-        small = eval_coeffs(desc, x, eps, "small_c")
+        small = KahanPair(desc, x[None], eps).coefficients("small_c").item(0)
         assert evaluate_named(desc, "c2", x, eps) == pytest.approx(float(small[1]), rel=1e-14)
 
     def test_kirchhoff_I0_is_coefficient_ratio(self):
         desc = make_system("kirchhoff")
         rng = np.random.default_rng(42)
         x = safe_state(rng, desc)
-        c1, c3 = eval_coeffs(desc, x, 0.05, "small_c")
+        c1, c3 = KahanPair(desc, x[None], 0.05).coefficients("small_c").item(0)
         assert eval_I0(desc, x, 0.05) == pytest.approx(c3 / c1, rel=1e-14)
 
     def test_first_clebsch_closed_form(self):
@@ -249,13 +251,11 @@ class TestCoefficientStructure:
         omega = desc.params.omega
         eps = 0.12
         rng = np.random.default_rng(43)
-        for _ in range(20):
-            x = unit_ball(rng, 6)
-            for coeff_kind, value, sign in (
-                ("small_c", eval_I0(desc, x, eps), 1.0),
-                ("big_C", eval_J0(desc, x, eps), -1.0),
-            ):
-                vec = eval_coeffs(desc, x, eps, coeff_kind)
+        pair = KahanPair(desc, [unit_ball(rng, 6) for _ in range(20)], eps)
+        for coeff_kind, name, sign in (("small_c", "I0", 1.0), ("big_C", "J0", -1.0)):
+            values, vectors = pair.value(name), pair.coefficients(coeff_kind)
+            for row in range(20):
+                value, vec = values.item(row), vectors.item(row)
                 for ci, wi in zip(vec[:3], omega):
                     lhs = ci * value
                     rhs = (1.0 + sign * eps * eps * wi * value) * vec[3]
@@ -264,11 +264,11 @@ class TestCoefficientStructure:
     def test_invalid_kind_argument(self):
         desc = make_system("first_clebsch")
         with pytest.raises(ValueError, match="small_c"):
-            eval_coeffs(desc, np.zeros(6), 0.05, "medium")
+            KahanPair(desc, np.zeros((1, 6)), 0.05).coefficients("medium")
 
     def test_planar_has_no_coefficients(self):
         with pytest.raises(ValueError):
-            eval_coeffs(make_system("planar_family"), np.zeros(3), 0.05)
+            KahanPair(make_system("planar_family"), np.zeros((1, 3)), 0.05).coefficients()
 
 
 class TestPlanarFamily:
@@ -344,7 +344,7 @@ class TestPolarizeSubstitution:
                 eval_I0(desc, x, eps), rel=1e-13
             )
             jhat = polarize(num, x, xt, eps) / polarize(den, x, xt, eps)
-            assert jhat == pytest.approx(eval_J0(desc, x, eps), rel=1e-12)
+            assert jhat == pytest.approx(KahanPair(desc, x[None], eps).value("J0").item(0), rel=1e-12)
 
     def test_planar_F_polarizes_to_Fhat(self):
         pr = PlanarFamilyParams(qform=(1.0, 0.5, -2.0), ell=(1.0, -1.0), ell0=0.2)
@@ -428,7 +428,9 @@ class TestMeasureHypotheses:
 
         def phat(u, v, e):
             # the coefficient on a given pair; it needs neither Delta nor the residual
-            return KahanPair(desc, u, e, KahanStepResult(v, math.nan, math.nan)).value(name)
+            nan = np.full(1, math.nan)
+            given = KahanBatch(v[None], nan, nan, np.zeros(1, dtype=bool), nan)
+            return KahanPair(desc, u[None], e, given).value(name).item(0)
 
         states = [safe_state(rng, desc, eps) for _ in range(50)]
         pairs = [(safe_state(rng, desc, eps), safe_state(rng, desc, eps)) for _ in range(50)]
@@ -469,12 +471,24 @@ class TestSuiteAndNames:
         rng = np.random.default_rng(54)
         x = safe_state(rng, desc)
         # every declared integral and density column evaluates on one pair
-        pair = KahanPair(desc, x, 0.05)
+        pair = KahanPair(desc, x[None], 0.05)
         names = desc.integral_names + tuple(f"density_{d}" for d in desc.density_names)
-        values = {name: pair.value(name) for name in names}
+        values = {name: pair.value(name).item(0) for name in names}
         assert all(np.isfinite(v) for v in values.values())
         first = "I0" if kind != "planar_family" else "F"
         assert values[first] == evaluate_named(desc, first, x, 0.05)
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 5), (1, 1, 6), ()])
+    def test_pair_takes_only_a_stack(self, shape):
+        # a lone state, a stack of the wrong width and any other shape
+        desc = make_system("kirchhoff")
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape (B, 6), got {shape}")):
+            KahanPair(desc, np.zeros(shape), 0.05)
+
+    def test_one_state_view_rejects_a_stack(self):
+        desc = make_system("kirchhoff")
+        with pytest.raises(ValueError, match=re.escape("(B, 6)")):
+            evaluate_named(desc, "I0", np.zeros((2, 6)), 0.05)
 
     def test_unknown_name_rejected(self):
         desc = make_system("first_clebsch")
@@ -486,7 +500,7 @@ class TestSuiteAndNames:
         rng = np.random.default_rng(55)
         x = safe_state(rng, desc)
         assert evaluate_named(desc, "m3", x, 0.05) == x[2]
-        c1, c3 = eval_coeffs(desc, x, 0.05, "small_c")
+        c1, c3 = KahanPair(desc, x[None], 0.05).coefficients("small_c").item(0)
         assert evaluate_named(desc, "c3/c1", x, 0.05) == pytest.approx(c3 / c1, rel=1e-14)
 
 
@@ -608,7 +622,12 @@ class TestStackedTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = pair.coefficients(coeffs)
-        self.check(desc, rows, lambda q: q.coefficients(coeffs), lambda x: eval_coeffs(desc, x, TABLE_EPS, coeffs))
+        self.check(
+            desc,
+            rows,
+            lambda q: q.coefficients(coeffs),
+            lambda x: KahanPair(desc, x[None], TABLE_EPS).coefficients(coeffs).item(0),
+        )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_witnesses(self, kind, monkeypatch):

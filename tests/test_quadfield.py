@@ -19,7 +19,7 @@ from conftest import ALL_KINDS, make_system, place_pole, safe_state
 from kahanmaps import quadfield
 from kahanmaps.hkbasis import iterate_orbit
 from kahanmaps.quadfield import (
-    KahanStepResult,
+    KahanBatch,
     QuadraticVectorField,
     SingularStepError,
     delta,
@@ -288,11 +288,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             QuadraticVectorField(quad=np.zeros((2, 2, 2)), lin=lin, const=np.zeros(2))
 
-    def test_result_is_named_tuple(self):
-        res = kahan_step(SCALAR, np.array([0.5]), 0.1)
-        assert isinstance(res, KahanStepResult)
-        assert res.next is res[0]
-
 
 def one_state_step(field, x, eps):
     """The one-state step formulas the batch kernel replaced, kept verbatim
@@ -458,7 +453,7 @@ class TestKahanOrbit:
         assert np.isnan(orbit.delta[k + 1 :, 1]).all() and np.isnan(orbit.threshold[k + 1 :, 1]).all()
         with pytest.raises(SingularStepError) as raised:
             kahan_step(desc.field, point, eps)
-        assert str(orbit.row((k, 1))) == str(raised.value)
+        assert str(orbit.pole_error((k, 1))) == str(raised.value)
         # the lone orbit of the middle row takes the one-state path to the
         # same entries
         lone = kahan_orbit(desc.field, xs[1:2], eps, steps)
@@ -512,7 +507,7 @@ class TestKahanOrbit:
             assert same(field[:, 0], expected[:, 1])
         with pytest.raises(SingularStepError) as raised:
             kahan_step(desc.field, x, root)
-        assert str(lone.row((0, 0))) == str(raised.value)
+        assert str(lone.pole_error((0, 0))) == str(raised.value)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -585,6 +580,19 @@ class TestKahanOrbit:
             if states is not None:
                 reached = [x] + [entry[0] for entry in row if not entry[3]]
                 assert states.shape == (len(reached), n) and np.array_equal(states, np.array(reached))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_step_is_the_lone_orbit_entry(self, kind):
+        # kahan_step is entry (0, 0) of the one-step orbit of x, a KahanBatch
+        # without axes, and delta the denominator that step computes, bit
+        # for bit
+        desc, eps = make_system(kind), 0.05
+        x = safe_state(np.random.default_rng(37), desc, eps)
+        step = kahan_step(desc.field, x, eps)
+        assert isinstance(step, KahanBatch)
+        for column, expected in zip(step, kahan_orbit(desc.field, x[None], eps, 1)):
+            assert np.asarray(column).tobytes() == expected[0, 0].tobytes()
+        assert np.float64(delta(desc.field, x, eps)).tobytes() == step.delta.tobytes()
 
     def test_no_steps(self):
         orbit = kahan_orbit(SCALAR, np.ones((2, 1)), 0.1, 0)

@@ -255,19 +255,18 @@ def conservation_reference(desc, name, steps, eps, seed):
     stacked orbits replaced: (max_violation, worst_x, skipped)."""
     rng = np.random.default_rng(seed)
     x0 = sequential_draw(rng, desc, eps, verify.DENOMINATOR_FLOOR, [])
-    pair = KahanPair(desc, x0, eps)
-    baseline = pair.value(name)
+    pair = KahanPair(desc, x0[None], eps)
+    baseline = pair.value(name).item(0)
     scale = 1.0 + abs(baseline)
     worst_violation, worst_x, skipped = 0.0, x0, 0
     for k in range(steps):
-        try:
-            x = pair.step.next
-        except SingularStepError:
+        if pair.step.pole[0]:
             skipped += steps - k
             break
-        pair = KahanPair(desc, x, eps)
+        x = pair.step.next[0]
+        pair = KahanPair(desc, x[None], eps)
         try:
-            value = pair.value(name)
+            value = pair.value(name).item(0)
         except (DenominatorZeroError, SingularStepError):
             skipped += 1
             continue
