@@ -43,14 +43,14 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 500
 
 # Upper bound on steps x dim and on trials x dim, a memory budget. The
-# largest allocation is verify's conservation stack: (steps + 2) x names x
-# dim float64 points plus, per step and name, the delta, residual and
-# threshold columns and the pole mask (25 bytes). first_clebsch has the most
-# names, 9: at dim 6 that is 9 x (6 x 8 + 25) = 657 bytes per step, and
-# evaluating the names on it lifts the peak to 2.3 kB per step (measured at
-# 25 000 and 100 000 steps), 380 bytes per unit of steps x dim. A trial
-# peaks at 1.6 kB, 260 bytes per unit of trials x dim (measured at 2 000 and
-# 20 000 trials). 2**21 units keep either near 0.8 GB, 349 525 steps or
+# largest allocation is verify's conservation stack: (steps + 1) x names x
+# dim float64 points plus, per step and name, the delta and threshold
+# columns and the pole mask (17 bytes). first_clebsch has the most names,
+# 9: at dim 6 that is 9 x (6 x 8 + 17) = 585 bytes per step, and evaluating
+# the names on it lifts the peak to 0.8 kB per step (peak RSS measured at
+# 25 000 and 100 000 steps), 140 bytes per unit of steps x dim. A trial
+# peaks at 1.5 kB, 260 bytes per unit of trials x dim (measured at 2 000 and
+# 20 000 trials). 2**21 units keep either under 0.6 GB, 349 525 steps or
 # trials at dim 6.
 MAX_RUN_POINTS = 2**21
 

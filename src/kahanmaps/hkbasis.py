@@ -41,6 +41,11 @@ from .quadfield import QuadraticVectorField, kahan_orbit
 from .systems import central_difference, central_gradient, central_states
 
 NULL_SIGMA_FACTOR = 1e-9
+# functional_rank counts the singular values above this times the largest.
+# Criterion 07 (functional independence) was settled at this value; it still
+# owes a measured reason, such as the largest sigma seen on sets known to be
+# dependent (ROADMAP.md, the tangent-gradient item).
+RANK_THRESHOLD = 1e-7
 ANNIHILATION_FACTOR = 1e-10
 PIVOT_FLOOR = 1e-6
 
@@ -320,17 +325,13 @@ def extract_integral_ratios(
     return RatioSequences(tuple(table.T.copy()), tuple(non_constant.tolist()), tol)
 
 
-def functional_rank(
-    integrals: Sequence[Callable[[np.ndarray], float]],
-    x: np.ndarray,
-    threshold: float = 1e-7,
-) -> int:
+def functional_rank(integrals: Sequence[Callable[[np.ndarray], float]], x: np.ndarray) -> int:
     """Numerical rank of the finite-difference gradients at x (see
     _unit_gradients)."""
     sv = np.linalg.svd(_unit_gradients(integrals, x), compute_uv=False)
     if sv[0] == 0:
         return 0
-    return int(np.sum(sv > threshold * sv[0]))
+    return int(np.sum(sv > RANK_THRESHOLD * sv[0]))
 
 
 def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:

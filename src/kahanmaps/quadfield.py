@@ -16,29 +16,28 @@ birational; it has a pole wherever det(I - eps*f'(x)) vanishes.
 
 The step is written once, in kahan_orbit, for a stack of states x[B, n].
 Its loop carries only what the next point depends on: the step matrix, its
-determinant and the pole decision, then the solve.  A state whose
-|det(I - eps*f'(x))| falls below a scale-aware threshold sits on a pole:
-its row stops there, that entry keeps its denominator and threshold, and
-every later entry of the row is nan.  The residuals, which no later step
-reads, are taken once per orbit, after the loop.  Every step is a
-KahanBatch: kahan_step_batch is the one-step orbit of a stack without its
-step axis, and kahan_step entry (0, 0) of the one-step orbit of one state,
-which raises SingularStepError at a pole; a state gets the same numbers
-from all three, bit for bit.  delta reads det(I - eps*f'(x)) from the same
-step matrix.  Whether a pole at the first step of an orbit is an error is
-for the caller to say.
+determinant and the pole decision, then the solve; nothing is evaluated
+after it.  The defining equation above is the definition of the map, and
+the linear form is how it is solved.  A state whose |det(I - eps*f'(x))|
+falls below a scale-aware threshold sits on a pole: its row stops there,
+that entry keeps its denominator and threshold, and every later entry of
+the row is nan.  Every step is a KahanBatch: kahan_step_batch is the
+one-step orbit of a stack without its step axis, and kahan_step entry
+(0, 0) of the one-step orbit of one state, which raises SingularStepError
+at a pole; a state gets the same numbers from all three, bit for bit.
+delta reads det(I - eps*f'(x)) from the same step matrix.  Whether a pole
+at the first step of an orbit is an error is for the caller to say.
 
 The determinant and the solve call LAPACK's det and solve kernels directly:
 the gufuncs that numpy.linalg's det and solve dispatch to, the solve under
 the error state numpy.linalg sets for it.  On the float64 square stacks the
 step builds, numpy.linalg's wrapper (array conversion, shape checks, type
 promotion, a no-op cast) changes nothing, so the bits are the same, and its
-per-call cost, half or more of each call, is saved.  Likewise the field,
-its polarization and its Jacobian call numpy's einsum kernel, c_einsum,
-which np.einsum returns from without optimization, and add the other terms
-in place on its fresh output, in the order the plain expression rounds
-them.  A lone step takes about 21 us (best of 15 interleaved 1000-step
-orbits, 2-core x86-64 VM).
+per-call cost, half or more of each call, is saved.  Likewise the field and
+its Jacobian call numpy's einsum kernel, c_einsum, which np.einsum returns
+from without optimization, and add the other terms in place on its fresh
+output, in the order the plain expression rounds them.  A lone step takes
+about 21 us (best of 15 interleaved 1000-step orbits, 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ __all__ = [
     "QuadraticVectorField",
     "KahanBatch",
     "evaluate_field",
-    "polarize_eval",
     "jacobian_field",
     "delta",
     "kahan_step",
@@ -125,24 +123,6 @@ def evaluate_field(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
     # B x as a column product: for a stack this rounds as the one-state B @ x
     # does, which x @ B.T and einsum do not
     out += (field.lin @ x[..., None])[..., 0]
-    out += field.const
-    return out
-
-
-def polarize_eval(field: QuadraticVectorField, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Symmetric bilinear extension Q(x, y) + B (x + y)/2 + c, for one pair
-    of states or stacks x[..., n], y[..., n].
-
-    Q(x, y) = (Q(x+y) - Q(x) - Q(y)) / 2; with a symmetric coefficient
-    tensor this is the plain bilinear contraction, which is what is
-    evaluated (no cancellation).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = c_einsum("ijk,...j,...k->...i", field.quad, x, y)
-    linear = field.lin @ (x + y)[..., None]
-    linear *= 0.5
-    out += linear[..., 0]
     out += field.const
     return out
 
@@ -219,16 +199,15 @@ def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
 
 
 class KahanBatch(NamedTuple):
-    """Kahan steps from a stack of states x[B, n]: the next states, the
-    denominators det(I - eps*f'(x)) and the residuals, one row per state,
-    with the mask of the rows that sit on a pole (their next state and
-    residual are nan) and, at those rows alone, the threshold their |det|
-    fell below. An orbit from kahan_orbit puts a step axis first,
-    [steps, B, ...]; one step of one state, from kahan_step, has no axis."""
+    """Kahan steps from a stack of states x[B, n]: the next states and the
+    denominators det(I - eps*f'(x)), one row per state, with the mask of
+    the rows that sit on a pole (their next state is nan) and, at those
+    rows alone, the threshold their |det| fell below. An orbit from
+    kahan_orbit puts a step axis first, [steps, B, ...]; one step of one
+    state, from kahan_step, has no axis."""
 
     next: np.ndarray
     delta: np.ndarray
-    residual: np.ndarray
     pole: np.ndarray
     threshold: np.ndarray
 
@@ -255,18 +234,13 @@ def kahan_orbit(
     module docstring).
 
     Each step solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with
-    partial pivoting for the rows still off a pole. The loop carries the
-    denominator and the pole decision; the residuals of every entry are
-    taken in one stacked evaluation after it.
+    partial pivoting for the rows still off a pole, carrying the
+    denominator and the pole decision.
     """
     x = np.asarray(x, dtype=float)
     count, n = x.shape
-    # points[k] is point k of every row; next is its view from point 1 on
-    points = np.full((steps + 1, count, n), np.nan)
-    points[0] = x
     orbit = KahanBatch(
-        points[1:],
-        np.full((steps, count), np.nan),
+        np.full((steps, count, n), np.nan),
         np.full((steps, count), np.nan),
         np.zeros((steps, count), dtype=bool),
         np.full((steps, count), np.nan),
@@ -275,7 +249,7 @@ def kahan_orbit(
     live, point, start = slice(None), x, 0
     two_eps = 2.0 * eps
     if first is not None and steps:
-        orbit.next[0], orbit.delta[0], orbit.residual[0], orbit.pole[0] = first[:4]
+        orbit.next[0], orbit.delta[0], orbit.pole[0] = first[:3]
         orbit.threshold[0, first.pole] = first.threshold[first.pole]
         if first.pole.any():
             live = np.flatnonzero(~first.pole)
@@ -297,13 +271,6 @@ def kahan_orbit(
         rhs *= two_eps
         step = _solve1(mat, rhs)
         point = orbit.next[k, live] = point + step
-    if steps > start:
-        # the max-norm defect of the polarized defining equation; pole
-        # entries and those after them are nan in next, so in residual
-        before, after = points[start:-1], points[start + 1 :]
-        defect = after - before
-        defect -= two_eps * polarize_eval(field, before, after)
-        orbit.residual[start:] = np.abs(defect).max(axis=-1)
     return orbit
 
 
@@ -317,7 +284,7 @@ def kahan_step_batch(field: QuadraticVectorField, x: np.ndarray, eps: float) -> 
 
 def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
     """Advance one state x by one Kahan step of size 2*eps: entry (0, 0) of
-    the one-step orbit of x, its next state, delta and residual. Raises
+    the one-step orbit of x, its next state and delta. Raises
     SingularStepError at a pole of the map."""
     orbit = kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1)
     if orbit.pole[0, 0]:

@@ -154,7 +154,7 @@ class ClebschParams:
     b: np.ndarray
     beta: Optional[float] = None
     wcoef: Optional[np.ndarray] = None
-    degenerate: bool = dc_field(default=False)
+    degenerate: bool = dc_field(default=False, init=False)
 
     def __post_init__(self) -> None:
         a = _vec3(self.a, "a")

@@ -116,12 +116,10 @@ def _lowest_witnesses(pair: KahanPair) -> tuple:
     return ranks[pick, index], index, values[pick, index]
 
 
-def _draw_states(
-    rng: np.random.Generator, desc: SystemDescriptor, eps: float, count: int, radius: float = 1.0
-) -> KahanPair:
-    """count random states in a ball, as one stacked KahanPair holding their
-    forward steps: the states that count sequential draw_initial_state calls
-    return.
+def _draw_states(rng: np.random.Generator, desc: SystemDescriptor, eps: float, count: int) -> KahanPair:
+    """count random states in the unit ball, as one stacked KahanPair
+    holding their forward steps: the states that count sequential
+    draw_initial_state calls return.
 
     The stream is consumed as one-at-a-time draws consume it, and proposals
     are accepted in stream order, but each round's proposals step as one
@@ -141,7 +139,7 @@ def _draw_states(
             for _ in range(count - total):
                 v = rng.standard_normal(desc.dim)
                 norm = math.sqrt(v.dot(v))  # numpy.linalg.norm's formula for a float vector
-                proposals.append(None if norm < 1e-12 else v * (radius * rng.uniform(0.3, 1.0) / norm))
+                proposals.append(None if norm < 1e-12 else v * (rng.uniform(0.3, 1.0) / norm))
             xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
             batch = kahan_step_batch(desc.field, xs, eps)
             ranks, indices, values = _lowest_witnesses(KahanPair(desc, xs, eps, batch))
@@ -180,16 +178,14 @@ def _draw_states(
     return KahanPair(desc, np.concatenate(xs), eps, KahanBatch(*map(np.concatenate, zip(*batches))))
 
 
-def draw_initial_state(
-    rng: np.random.Generator, desc: SystemDescriptor, eps: float, radius: float = 1.0
-) -> np.ndarray:
-    """Random state in a ball, redrawn until the map has no pole there and
-    every denominator witness is finite and clears the floor.
+def draw_initial_state(rng: np.random.Generator, desc: SystemDescriptor, eps: float) -> np.ndarray:
+    """Random state in the unit ball, redrawn until the map has no pole
+    there and every denominator witness is finite and clears the floor.
 
     Raises ValueError after MAX_DRAWS draws, naming what bound: the lowest
     witness seen, a pole first and a non-finite witness next.
     """
-    return _draw_states(rng, desc, eps, 1, radius).x[0]
+    return _draw_states(rng, desc, eps, 1).x[0]
 
 
 def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:

@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from continuous import spectral_params
 from kahanmaps import quadfield
 from kahanmaps.integrals import denominator_witnesses
+from kahanmaps.quadfield import delta
 from kahanmaps.systems import (
     ClebschParams,
     FirstClebschParams,
@@ -99,6 +101,40 @@ def place_pole(monkeypatch, x):
         return mat, det, np.where((point == target).all(axis=-1), math.inf, norm)
 
     monkeypatch.setattr(quadfield, "_step_matrix", placed)
+
+
+def einsum_polarize(field, x, y):
+    """The polarized field Q(x, y) + B (x + y)/2 + c of pairs of states or
+    stacks x[..., n], y[..., n], as a frozen np.einsum expression that
+    shares no kernel with the package."""
+    return (
+        np.einsum("ijk,...j,...k->...i", field.quad, x, y)
+        + 0.5 * (field.lin @ (x + y)[..., None])[..., 0]
+        + field.const
+    )
+
+
+def step_defect(field, x, x_next, eps):
+    """Max-norm defect of the polarized defining equation
+    x~ - x = 2 eps (Q(x, x~) + B (x + x~)/2 + c), per pair of states or
+    stacks x[..., n], x~[..., n]; nan where x~ is."""
+    x, x_next = np.asarray(x, dtype=float), np.asarray(x_next, dtype=float)
+    return np.abs(x_next - x - 2.0 * eps * einsum_polarize(field, x, x_next)).max(axis=-1)
+
+
+def pole_eps(field, x, span=30.0):
+    """A real root of eps -> det(I - eps*f'(x)), a polynomial of degree n in
+    eps, found from n + 1 samples and polished by Newton steps on delta
+    itself; None when it has none in [-span, span]."""
+    samples = np.linspace(-span, span, field.dim + 1)
+    poly = Polynomial.fit(samples, [delta(field, x, e) for e in samples], field.dim)
+    roots = [r.real for r in poly.roots() if abs(r.imag) <= 1e-9 * abs(r) and 0 < abs(r.real) <= span]
+    if not roots:
+        return None
+    root, slope = min(roots, key=abs), poly.deriv()
+    for _ in range(8):
+        root -= delta(field, x, root) / slope(root)
+    return root
 
 
 SIX_DIM_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch", "kirchhoff", "lagrange")

@@ -1,11 +1,16 @@
-"""The public names the benchmark and the package's modules export resolve.
+"""The public names the benchmark and the package's modules export resolve,
+and each has a caller.
 
 perfbench/tracer.py wraps every LAYERS function by getattr on its module,
 and perfbench/workloads.py calls the package through its api object, so a
 name pruned from the package without updating the benchmark would break
-it; this catches it in the test suite instead.
+it; this catches it in the test suite instead.  The other way round, a
+name the package exports but neither the package, the benchmark nor the
+README sketch uses serves only the tests, and leaves the package.
 """
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -16,7 +21,12 @@ import pytest
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACER_PATH = os.path.join(PERFBENCH, "tracer.py")
 WORKLOADS_PATH = os.path.join(PERFBENCH, "workloads.py")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "kahanmaps")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 MODULES = ("cli", "integrals", "quadfield", "systems", "verify")  # those with __all__
+# exported with no caller yet: the run manifest is to record the parsed
+# config through it
+UNCALLED = {("cli", "config_to_json_dict")}
 
 
 def load_tracer():
@@ -56,3 +66,42 @@ def test_all_names_resolve(layer):
     module = importlib.import_module(f"kahanmaps.{layer}")
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def loaded_names(tree, skip=None):
+    """The names tree reads, outside its top-level def or class named skip."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+            continue
+        names.update(
+            node.id for node in ast.walk(top) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
+    return names
+
+
+@pytest.mark.parametrize("layer", MODULES)
+def test_every_export_has_a_caller(layer):
+    # a caller is a read of the name in the package (its own definition
+    # aside), a word in the benchmark's sources, or a read in the README sketch
+    module = importlib.import_module(f"kahanmaps.{layer}")
+    trees = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.splitext(os.path.basename(path))[0]] = ast.parse(fh.read())
+    bench = ""
+    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            bench += fh.read()
+    with open(README, encoding="utf-8") as fh:
+        (sketch,) = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    uncalled = []
+    for name in module.__all__:
+        read = [loaded_names(tree, name if other == layer else None) for other, tree in trees.items()]
+        if not (
+            any(name in names for names in read)
+            or re.search(rf"\b{name}\b", bench)
+            or name in loaded_names(ast.parse(sketch))
+        ):
+            uncalled.append(name)
+    assert sorted(uncalled) == sorted(name for other, name in UNCALLED if other == layer)

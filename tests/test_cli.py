@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_params, make_system, place_pole, safe_state
+from conftest import ALL_KINDS, make_params, make_system, place_pole, pole_eps, safe_state
 from scalar_table import ScalarPair
 
 import kahanmaps.cli as cli
@@ -462,6 +462,15 @@ class TestMain:
         place_pole(monkeypatch, np.array(x0))
         path = write_config(tmp_path, dict(KIRCHHOFF_DOC, x0=x0, eps=0.05, steps=20, trials=10))
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: orbit hits a pole at the first step: |det(")
+
+    def test_simulate_at_an_exact_root_is_a_config_error(self, tmp_path, capsys):
+        # eps a root of det(I - eps*f'(x0)), found rather than placed
+        x0 = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        eps = pole_eps(make_system("kirchhoff").field, np.array(x0))
+        assert eps is not None
+        path = write_config(tmp_path, dict(KIRCHHOFF_DOC, x0=x0, eps=eps, steps=20))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: orbit hits a pole at the first step: |det(")
 
     @pytest.mark.parametrize("command", ["hk-scan", "report"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIX_DIM_KINDS, make_system, place_pole, safe_state, unit_ball
+from conftest import SIX_DIM_KINDS, make_system, place_pole, safe_state, step_defect, unit_ball
 from kahanmaps import hkbasis
 from kahanmaps.hkbasis import (
     ANNIHILATION_FACTOR,
@@ -49,7 +49,6 @@ from kahanmaps.quadfield import (
     QuadraticVectorField,
     SingularStepError,
     kahan_step,
-    polarize_eval,
 )
 from kahanmaps.systems import central_states
 
@@ -187,8 +186,7 @@ class TestIterateOrbit:
         eps = 0.05
         orbit = iterate_orbit(desc.field, x0, eps, 20)
         before, after = orbit[:-1], orbit[1:]
-        defect = after - before - 2.0 * eps * polarize_eval(desc.field, before, after)
-        residuals = np.abs(defect).max(axis=1)
+        residuals = step_defect(desc.field, before, after, eps)
         assert residuals.shape == (20,)
         assert np.all(residuals <= 1e-12)
 
@@ -410,7 +408,7 @@ class TestHkNullspace:
         orbit = iterate_orbit(desc.field, x0, eps, 20)
         # the pair (x, y) with y given as the successor of x
         nan = np.full(1, math.nan)
-        given = lambda y: KahanBatch(y[None], nan, nan, np.zeros(1, dtype=bool), nan)
+        given = lambda y: KahanBatch(y[None], nan, np.zeros(1, dtype=bool), nan)
         obs = [
             bilinear_observable(lambda x, y, G=G: KahanPair(desc, x[None], eps, given(y)).value(G).item(0))
             for G in ("G1", "G2", "G3")

@@ -427,9 +427,9 @@ class TestMeasureHypotheses:
         eps = 0.05
 
         def phat(u, v, e):
-            # the coefficient on a given pair; it needs neither Delta nor the residual
+            # the coefficient on a given pair; it does not need Delta
             nan = np.full(1, math.nan)
-            given = KahanBatch(v[None], nan, nan, np.zeros(1, dtype=bool), nan)
+            given = KahanBatch(v[None], nan, np.zeros(1, dtype=bool), nan)
             return KahanPair(desc, u[None], e, given).value(name).item(0)
 
         states = [safe_state(rng, desc, eps) for _ in range(50)]

@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import Polynomial
 
-from conftest import ALL_KINDS, make_system, place_pole, safe_state
+from conftest import ALL_KINDS, make_system, place_pole, pole_eps, safe_state, step_defect
 from kahanmaps import quadfield
 from kahanmaps.hkbasis import iterate_orbit
 from kahanmaps.quadfield import (
@@ -29,7 +28,6 @@ from kahanmaps.quadfield import (
     kahan_step,
     kahan_step_batch,
     map_jacobian,
-    polarize_eval,
 )
 from kahanmaps.verify import draw_initial_state
 
@@ -85,28 +83,6 @@ class TestFieldEvaluation:
         )
         assert np.allclose(evaluate_field(f, x), expected, rtol=1e-13)
 
-    def test_polarize_on_diagonal_equals_field(self):
-        rng = np.random.default_rng(8)
-        f = random_field(rng, 5)
-        x = rng.standard_normal(5)
-        assert np.array_equal(polarize_eval(f, x, x), evaluate_field(f, x))
-
-    @given(
-        xs=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
-        ys=st.lists(st.floats(-3, 3), min_size=3, max_size=3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_polarize_is_symmetric_bilinear(self, xs, ys):
-        f = random_field(np.random.default_rng(11), 3)
-        x, y = np.array(xs), np.array(ys)
-        fwd = polarize_eval(f, x, y)
-        rev = polarize_eval(f, y, x)
-        assert np.allclose(fwd, rev, rtol=1e-12, atol=1e-12)
-        # defining identity Q(x,y) = (Q(x+y) - Q(x) - Q(y))/2 shifted by the affine part
-        q = lambda v: evaluate_field(f, v) - f.lin @ v - f.const
-        qxy = fwd - 0.5 * f.lin @ (x + y) - f.const
-        assert np.allclose(qxy, 0.5 * (q(x + y) - q(x) - q(y)), atol=1e-10)
-
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(9)
         f = random_field(rng, 6)
@@ -122,7 +98,7 @@ class TestScalarRecursion:
         res = kahan_step(SCALAR, np.array([1.0]), 0.1)
         assert res.next[0] == pytest.approx(1.25, abs=1e-15)
         assert res.delta == pytest.approx(0.8, abs=1e-15)
-        assert res.residual <= 1e-12 * (1 + 1 + 1.25)
+        assert step_defect(SCALAR, [1.0], res.next, 0.1) <= 1e-12 * (1 + 1 + 1.25)
 
     def test_second_step_exact_fraction(self):
         x1 = kahan_step(SCALAR, np.array([1.0]), 0.1).next
@@ -145,11 +121,11 @@ class TestScalarRecursion:
 
     def test_orbit_meets_the_closed_form_pole(self):
         # 1/x_0 = 0.6 puts the pole exactly at the third step, whose entry
-        # keeps its near-zero denominator and a nan residual
+        # keeps its near-zero denominator and a nan next state
         orbit = kahan_orbit(SCALAR, np.array([[5.0 / 3.0]]), 0.1, 10)
         assert list(orbit.pole[:3, 0]) == [False, False, True] and list(orbit.ends()) == [2]
         assert orbit.delta[2, 0] == pytest.approx(0.0, abs=1e-12)
-        assert np.isnan(orbit.residual[2, 0])
+        assert np.isnan(orbit.next[2, 0]).all()
 
 
 # One Kahan step of the Lagrange top (alpha=2, gamma=1) frozen from a
@@ -205,7 +181,7 @@ class TestSixDimStep:
     def test_residual_within_bound(self):
         res = kahan_step(_lagrange21(), self.X0, self.EPS)
         scale = 1 + np.max(np.abs(self.X0)) + np.max(np.abs(res.next))
-        assert res.residual <= 1e-12 * scale
+        assert step_defect(_lagrange21(), self.X0, res.next, self.EPS) <= 1e-12 * scale
 
     def test_delta_matches_cofactor_determinant(self):
         f = _lagrange21()
@@ -268,7 +244,7 @@ class TestMapProperties:
             x = rng.standard_normal(6) * 0.6
             res = kahan_step(f, x, 0.05)
             scale = 1 + np.max(np.abs(x)) + np.max(np.abs(res.next))
-            assert res.residual <= 1e-12 * scale
+            assert step_defect(f, x, res.next, 0.05) <= 1e-12 * scale
 
 
 class TestValidation:
@@ -305,21 +281,6 @@ def one_state_step(field, x, eps):
     return x_next, det, float(np.max(np.abs(defect))), False
 
 
-def pole_eps(field, x, span=30.0):
-    """A real root of eps -> det(I - eps*f'(x)), a polynomial of degree n in
-    eps, found from n + 1 samples and polished by Newton steps on delta
-    itself; None when it has none in [-span, span]."""
-    samples = np.linspace(-span, span, field.dim + 1)
-    poly = Polynomial.fit(samples, [delta(field, x, e) for e in samples], field.dim)
-    roots = [r.real for r in poly.roots() if abs(r.imag) <= 1e-9 * abs(r) and 0 < abs(r.real) <= span]
-    if not roots:
-        return None
-    root, slope = min(roots, key=abs), poly.deriv()
-    for _ in range(8):
-        root -= delta(field, x, root) / slope(root)
-    return root
-
-
 class TestBatchStep:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("eps", [0.05, -0.05])
@@ -330,14 +291,13 @@ class TestBatchStep:
         rng = np.random.default_rng(17)
         xs = rng.standard_normal((500, desc.dim)) * rng.uniform(0.05, 2.0, (500, 1))
         batch = kahan_step_batch(desc.field, xs, eps)
-        for x, x_next, det, residual, pole in zip(xs, *batch[:4]):
-            ref_next, ref_det, ref_residual, ref_pole = one_state_step(desc.field, x, eps)
+        for x, x_next, det, pole in zip(xs, *batch[:3]):
+            ref_next, ref_det, _, ref_pole = one_state_step(desc.field, x, eps)
             assert det == ref_det and pole == ref_pole
             if not pole:
-                assert np.array_equal(x_next, ref_next) and residual == ref_residual
+                assert np.array_equal(x_next, ref_next)
                 one = kahan_step(desc.field, x, eps)
-                assert np.array_equal(one.next, ref_next)
-                assert one.delta == ref_det and one.residual == ref_residual
+                assert np.array_equal(one.next, ref_next) and one.delta == ref_det
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_pole_flags_only_its_row(self, kind):
@@ -353,11 +313,10 @@ class TestBatchStep:
         regular = [0.5 * x, safe_state(rng, desc)]
         batch = kahan_step_batch(desc.field, np.array([regular[0], x, regular[1]]), root)
         assert list(batch.pole) == [False, True, False]
-        assert np.isnan(batch.next[1]).all() and np.isnan(batch.residual[1])
+        assert np.isnan(batch.next[1]).all()
         for row, y in zip((0, 2), regular):
             one = kahan_step(desc.field, y, root)
-            assert np.array_equal(batch.next[row], one.next)
-            assert batch.delta[row] == one.delta and batch.residual[row] == one.residual
+            assert np.array_equal(batch.next[row], one.next) and batch.delta[row] == one.delta
         with pytest.raises(SingularStepError, match="below threshold"):
             kahan_step(desc.field, x, root)
 
@@ -381,8 +340,8 @@ class TestBatchStep:
 
 
 def step_loop(field, x, eps, steps):
-    """kahan_orbit's row as a loop of one-state steps: (next, delta,
-    residual) per step, stopping at the first pole."""
+    """kahan_orbit's row as a loop of one-state steps, one KahanBatch per
+    step, stopping at the first pole."""
     out = []
     for _ in range(steps):
         try:
@@ -428,7 +387,7 @@ class TestKahanOrbit:
         for b, x in enumerate(xs):
             for k, step in enumerate(step_loop(desc.field, x, 0.05, 30)):
                 assert np.array_equal(orbit.next[k, b], step.next), (b, k)
-                assert orbit.delta[k, b] == step.delta and orbit.residual[k, b] == step.residual
+                assert orbit.delta[k, b] == step.delta
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("k", [0, 4, 9])
@@ -449,7 +408,7 @@ class TestKahanOrbit:
             assert same(field[:k, 1], expected[:k, 1])
         # the pole entry keeps its denominator and threshold; the rest is nan
         assert orbit.delta[k, 1] == clean.delta[k, 1] and orbit.threshold[k, 1] == math.inf
-        assert np.isnan(orbit.next[k:, 1]).all() and np.isnan(orbit.residual[k:, 1]).all()
+        assert np.isnan(orbit.next[k:, 1]).all()
         assert np.isnan(orbit.delta[k + 1 :, 1]).all() and np.isnan(orbit.threshold[k + 1 :, 1]).all()
         with pytest.raises(SingularStepError) as raised:
             kahan_step(desc.field, point, eps)
@@ -481,7 +440,7 @@ class TestKahanOrbit:
         for y, expected in zip(stepped, points):
             assert np.array_equal(y, expected)
         assert np.array_equal(orbit.next[0], first.next) and np.array_equal(orbit.delta[0], first.delta)
-        assert np.array_equal(orbit.residual[0], first.residual) and not orbit.pole[0].any()
+        assert not orbit.pole[0].any()
         for field, expected in zip(orbit, onward):
             assert same(field[1:], expected)
 
@@ -562,19 +521,19 @@ class TestKahanOrbit:
         assert list(orbit.ends()) == ends
         for b, row in enumerate(expected):
             for k in range(steps):
-                x_next, det, residual, pole = row[k] if k < len(row) else (None, math.nan, None, False)
+                x_next, det, _, pole = row[k] if k < len(row) else (None, math.nan, None, False)
                 assert orbit.pole[k, b] == pole and same(orbit.delta[k, b], np.float64(det)), (b, k)
                 if x_next is None:
-                    assert np.isnan(orbit.next[k, b]).all() and np.isnan(orbit.residual[k, b])
+                    assert np.isnan(orbit.next[k, b]).all()
                 else:
-                    assert np.array_equal(orbit.next[k, b], x_next) and orbit.residual[k, b] == residual
+                    assert np.array_equal(orbit.next[k, b], x_next)
         # the one-step views: their entries are the orbit's first
-        for column, orbit_column in zip(batch[:4], orbit[:4]):
+        for column, orbit_column in zip(batch[:3], orbit[:3]):
             assert same(column, orbit_column[0])
         for one, row in zip(lone, expected):
-            x_next, det, residual, _ = row[0]
+            x_next, det, _, _ = row[0]
             if one is not None:
-                assert np.array_equal(one.next, x_next) and one.delta == det and one.residual == residual
+                assert np.array_equal(one.next, x_next) and one.delta == det
         # iterate_orbit: the row's points up to its first pole
         for states, x, row in zip(points, xs, expected):
             if states is not None:
@@ -601,17 +560,8 @@ class TestKahanOrbit:
 
 def einsum_field(field, x):
     """evaluate_field as np.einsum expressions, frozen as the oracle of the
-    direct-kernel, in-place forms; likewise einsum_polarize and
-    einsum_jacobian."""
+    direct-kernel, in-place forms; likewise einsum_jacobian."""
     return np.einsum("ijk,...j,...k->...i", field.quad, x, x) + (field.lin @ x[..., None])[..., 0] + field.const
-
-
-def einsum_polarize(field, x, y):
-    return (
-        np.einsum("ijk,...j,...k->...i", field.quad, x, y)
-        + 0.5 * (field.lin @ (x + y)[..., None])[..., 0]
-        + field.const
-    )
 
 
 def einsum_jacobian(field, x):
@@ -631,19 +581,17 @@ class TestDirectEinsum:
         rng = np.random.default_rng(seed)
         field = random_field(rng, n)
         x = scale * rng.standard_normal((*shape, n))
-        y = rng.standard_normal((*shape, n))
-        kept = [arr.copy() for arr in (x, y, field.quad, field.lin, field.const)]
-        for got, expected, args in [
-            (evaluate_field(field, x), einsum_field(field, x), (x,)),
-            (polarize_eval(field, x, y), einsum_polarize(field, x, y), (x, y)),
-            (jacobian_field(field, x), einsum_jacobian(field, x), (x,)),
+        kept = [arr.copy() for arr in (x, field.quad, field.lin, field.const)]
+        for got, expected in [
+            (evaluate_field(field, x), einsum_field(field, x)),
+            (jacobian_field(field, x), einsum_jacobian(field, x)),
         ]:
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
-            # a fresh array: writing into it leaves the field and the states alone
-            assert got.flags.writeable and not any(np.shares_memory(got, arr) for arr in args)
+            # a fresh array: writing into it leaves the field and the state alone
+            assert got.flags.writeable and not np.shares_memory(got, x)
             got[...] = 7.0
-        for arr, copy in zip((x, y, field.quad, field.lin, field.const), kept):
+        for arr, copy in zip((x, field.quad, field.lin, field.const), kept):
             assert np.array_equal(arr, copy)
 
 

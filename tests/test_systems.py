@@ -152,6 +152,10 @@ class TestClebschCondition:
         pr = ClebschParams(a=(2.0, 2.0, 2.0), b=(3.0, 3.0, 3.0))
         assert pr.degenerate
 
+    def test_degenerate_is_derived_not_passed(self):
+        with pytest.raises(TypeError, match="degenerate"):
+            ClebschParams(a=(2.0, 2.0, 2.0), b=(3.0, 3.0, 3.0), degenerate=True)
+
     def test_supplied_beta_must_agree(self):
         with pytest.raises(ValueError, match="beta"):
             ClebschParams(a=(1.0, 2.0, 3.0), b=(-6.0, -3.0, -2.0), beta=2.0)

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, make_system, place_pole
+from conftest import ALL_KINDS, make_system, place_pole, pole_eps
 from kahanmaps import quadfield, verify
 from kahanmaps.integrals import DenominatorZeroError, KahanPair, denominator_witnesses
 from kahanmaps.quadfield import QuadraticVectorField, SingularStepError
@@ -232,8 +234,8 @@ class TestRunSuites:
 
 def sequential_draw(rng, desc, eps, floor, counter):
     """One state drawn as draw_initial_state drew it before draws were
-    batched, one proposal and one witness evaluation at a time; the number
-    of proposals goes to counter."""
+    batched, one proposal and one witness evaluation at a time, a pole of
+    the map redrawn; the number of proposals goes to counter."""
     for _ in range(1000):
         counter.append(1)
         v = rng.standard_normal(desc.dim)
@@ -241,7 +243,10 @@ def sequential_draw(rng, desc, eps, floor, counter):
         if norm < 1e-12:
             continue
         x = v * (rng.uniform(0.3, 1.0) / norm)
-        wits = denominator_witnesses(desc, x, eps)
+        try:
+            wits = denominator_witnesses(desc, x, eps)
+        except SingularStepError:
+            continue
         if not wits:
             return x
         low = min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
@@ -293,6 +298,25 @@ class TestBatchedDraws:
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         if floor > 1e-6 and kind != "planar_family":
             assert len(proposals) > 40
+
+    @given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_root_at_the_first_proposal(self, kind, seed):
+        # eps a root of det(I - eps*f'(x)) at the seed's first proposal x:
+        # x sits on a pole, so the draws pass over it as the sequential
+        # draws do
+        desc = make_system(kind)
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(desc.dim)
+        first = v * (rng.uniform(0.3, 1.0) / np.linalg.norm(v))
+        eps = pole_eps(desc.field, first)
+        assume(eps is not None)
+        assert quadfield.kahan_step_batch(desc.field, first[None], eps).pole[0]
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [sequential_draw(rng_ref, desc, eps, verify.DENOMINATOR_FLOOR, []) for _ in range(3)]
+        pair = verify._draw_states(rng, desc, eps, 3)
+        assert np.array_equal(pair.x, np.array(expected))
+        assert not (pair.x == first).all(axis=1).any()
 
     def test_held_step_is_the_state_step(self):
         desc = make_system("lagrange")
