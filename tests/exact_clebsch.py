@@ -1,4 +1,12 @@
-"""Exact rational oracle for the Kahan map of the general Clebsch flow.
+"""Exact rational oracles for the Kahan map: one step of any quadratic field,
+and short orbits of the general Clebsch flow with their gradients.
+
+Every float is a dyadic rational, so the Kahan step from a float state x at
+a float eps, of a field whose tensors are floats, has an exact rational
+value.  `ExactField` reads a field's tensors as integers over powers of two
+and solves the polarized defining equation, linear in x~, by fraction-free
+integer elimination: the reference the float step's forward error is
+measured against.
 
 The Kahan map is birational with rational coefficients, so from a rational
 initial state and rational spectral data (alpha, beta, omega) a short orbit
@@ -8,7 +16,7 @@ respect to the initial state (forward-mode differentiation).  Gradient ranks
 of the map's integrals are then ranks over the rationals, free of any
 finite-difference step or singular-value threshold.
 
-The oracle shares no code with the package:
+The Clebsch oracle shares no code with the package:
 
 * the field is written in its cross-product form, mdot = m x Am + p x Bp,
   pdot = p x Am, and the step solves (I - 2 eps P(x)) x~ = x by exact
@@ -102,6 +110,79 @@ def solve(mat, rhs) -> list:
             acc = acc - rows[r][c] * out[c]
         out[r] = acc / rows[r][r]
     return out
+
+
+def dyadic(values) -> tuple:
+    """Integers m_i and one shift s with values[i] = m_i / 2**s exactly,
+    for floats."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    s = max(q.bit_length() for _, q in ratios) - 1
+    return [p << (s + 1 - q.bit_length()) for p, q in ratios], s
+
+
+def integer_solve(rows) -> list:
+    """The solution, as Fractions, of an integer system given as augmented
+    rows [a_i1 .. a_in | b_i], by Bareiss fraction-free elimination; a
+    ZeroDivisionError means the matrix is singular."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    prev = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError(f"singular matrix: no pivot in column {col}")
+        a[col], a[piv] = a[piv], a[col]
+        top = a[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            a[r] = [0] * (col + 1) + [(top[col] * row[c] - row[col] * top[c]) // prev for c in range(col + 1, n + 1)]
+        prev = top[col]
+    out = [None] * n
+    for r in range(n - 1, -1, -1):
+        acc = Fraction(a[r][n])
+        for c in range(r + 1, n):
+            acc -= a[r][c] * out[c]
+        out[r] = acc / a[r][r]
+    return out
+
+
+class ExactField:
+    """The tensors of a QuadraticVectorField read exactly: quad, lin and
+    const as integers over 2**sq, 2**sl and 2**sc."""
+
+    def __init__(self, field):
+        n = self.n = field.dim
+        quad, self.sq = dyadic(field.quad.ravel().tolist())
+        # per (i, k), the nonzero quad[i, j, k] as (j, value)
+        self.quad = [
+            [(j, quad[(i * n + j) * n + k]) for j in range(n) if quad[(i * n + j) * n + k]]
+            for i in range(n)
+            for k in range(n)
+        ]
+        self.lin, self.sl = dyadic(field.lin.ravel().tolist())
+        self.const, self.sc = dyadic(field.const.tolist())
+
+    def step(self, x, eps) -> list:
+        """The Kahan step from a float state x at a float eps, exactly, as
+        Fractions: x~ solving x~ - x = 2 eps (Q(x, x~) + B (x + x~)/2 + c),
+        that is (I - 2 eps Q(x, .) - eps B) x~ = x + eps B x + 2 eps c,
+        scaled to integers by 2**(se + sq + sx + sl + sc)."""
+        n, quad, lin, const = self.n, self.quad, self.lin, self.const
+        sq, sl, sc = self.sq, self.sl, self.sc
+        xs, sx = dyadic(x)
+        (e,), se = dyadic([eps])
+        one = 1 << (se + sq + sx + sl + sc)
+        rows = []
+        for i in range(n):
+            row = [
+                (one if i == k else 0)
+                - (e << sc) * ((sum(q * xs[j] for j, q in quad[i * n + k]) << (sl + 1)) + (lin[i * n + k] << (sq + sx)))
+                for k in range(n)
+            ]
+            bx = sum(lin[i * n + k] * xs[k] for k in range(n))
+            row.append((xs[i] << (se + sq + sl + sc)) + ((e * bx) << (sq + sc)) + ((e * const[i]) << (sq + sx + sl + 1)))
+            rows.append(row)
+        return integer_solve(rows)
 
 
 def exact_rank(rows) -> int:
