@@ -249,6 +249,10 @@ def denominator_witnesses(desc: SystemDescriptor, x, eps: float) -> list:
 
     Used by the random-state rejection rule (draws must keep all of these
     finite and at or above 1e-6). Kinds outside the catalog have none.
+    Raises SingularStepError when the map has a pole at x and a witness
+    reads the step from x, as every catalog kind's do (a Lagrange state
+    with |m3| below its floor aside); it does not redraw, as
+    verify._draw_states does.
     """
     rows, has = _one(desc, x, eps).witnesses()
     return [float(v) for v in rows.item(0)[has[0]]]

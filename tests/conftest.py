@@ -97,8 +97,8 @@ def place_pole(monkeypatch, x):
     step_matrix = quadfield._step_matrix
 
     def placed(field, point, eps):
-        mat, det, norm = step_matrix(field, point, eps)
-        return mat, det, np.where((point == target).all(axis=-1), math.inf, norm)
+        mat, det, norm, scaled = step_matrix(field, point, eps)
+        return mat, det, np.where((point == target).all(axis=-1), math.inf, norm), scaled
 
     monkeypatch.setattr(quadfield, "_step_matrix", placed)
 

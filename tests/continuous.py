@@ -1,14 +1,20 @@
-"""Conserved quantities of the continuous catalog flows. The package holds
-only the flows' fields; their integrals, the weights of their Wronskian
-relation and the e(3)* bracket live here, where they check that each field
-builder makes the flow it names (tests/test_systems.py, criterion 08)."""
+"""The continuous catalog flows. The package holds only the flows' field
+tensors; the field's value f(x), its integrals, the weights of its
+Wronskian relation and the e(3)* bracket live here, where they check that
+each field builder makes the flow it names (tests/test_systems.py,
+criterion 08)."""
 
 import numpy as np
 
-from kahanmaps.quadfield import evaluate_field
 from kahanmaps.systems import ClebschParams, central_gradient
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def einsum_field(field, x):
+    """f(x) = Q(x) + B x + c of one state or a stack x[..., n], as a frozen
+    np.einsum expression that shares no kernel with the package."""
+    return np.einsum("ijk,...j,...k->...i", field.quad, x, x) + (field.lin @ x[..., None])[..., 0] + field.const
 
 
 def spectral_params(alpha, beta, omega) -> ClebschParams:
@@ -66,7 +72,7 @@ def wronskian_coeffs(desc) -> tuple:
 
 def wronskian_residual(desc, x) -> float:
     """sum_i gamma_i (mdot_i p_i - m_i pdot_i) along the field at x."""
-    xdot = evaluate_field(desc.field, x)
+    xdot = einsum_field(desc.field, x)
     gamma = np.array(wronskian_coeffs(desc))
     return float(np.sum(gamma * (xdot[:3] * x[3:] - x[:3] * xdot[3:])))
 

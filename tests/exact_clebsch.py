@@ -174,11 +174,10 @@ class ExactField:
         one = 1 << (se + sq + sx + sl + sc)
         rows = []
         for i in range(n):
-            row = [
-                (one if i == k else 0)
-                - (e << sc) * ((sum(q * xs[j] for j, q in quad[i * n + k]) << (sl + 1)) + (lin[i * n + k] << (sq + sx)))
-                for k in range(n)
-            ]
+            row = []
+            for k in range(n):
+                qx = sum(q * xs[j] for j, q in quad[i * n + k])  # sum_j quad[i, j, k] x_j
+                row.append((one if i == k else 0) - (e << sc) * ((qx << (sl + 1)) + (lin[i * n + k] << (sq + sx))))
             bx = sum(lin[i * n + k] * xs[k] for k in range(n))
             row.append((xs[i] << (se + sq + sl + sc)) + ((e * bx) << (sq + sc)) + ((e * const[i]) << (sq + sx + sl + 1)))
             rows.append(row)

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_KINDS, make_system, place_pole, pole_eps, safe_state, step_defect, unit_ball
+from continuous import einsum_field
 from exact_clebsch import ExactField
 from kahanmaps import quadfield
 from kahanmaps.hkbasis import iterate_orbit
@@ -24,7 +25,6 @@ from kahanmaps.quadfield import (
     QuadraticVectorField,
     SingularStepError,
     delta,
-    evaluate_field,
     jacobian_field,
     kahan_orbit,
     kahan_step,
@@ -53,7 +53,7 @@ def fd_field_jacobian(field, x):
         h = 1e-6 * (1.0 + abs(x[j]))
         e = np.zeros(n)
         e[j] = h
-        out[:, j] = (evaluate_field(field, x + e) - evaluate_field(field, x - e)) / (2 * h)
+        out[:, j] = (einsum_field(field, x + e) - einsum_field(field, x - e)) / (2 * h)
     return out
 
 
@@ -83,7 +83,7 @@ class TestFieldEvaluation:
                 for i in range(4)
             ]
         )
-        assert np.allclose(evaluate_field(f, x), expected, rtol=1e-13)
+        assert np.allclose(einsum_field(f, x), expected, rtol=1e-13)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -268,9 +268,9 @@ class TestValidation:
 
 
 # Median one-step forward error, in ulps of |x~|_inf, of the kernel that
-# evaluated f(x) with its own einsum and solved (I - eps*f'(x)) (x~ - x) =
-# 2*eps*f(x), on the states TestForwardError draws.
-INCREMENT_KERNEL_MEDIAN_ULPS = {
+# evaluated f(x) with an einsum of its own and solved
+# (I - eps*f'(x)) (x~ - x) = 2*eps*f(x), on the states TestForwardError draws.
+SEPARATE_FIELD_MEDIAN_ULPS = {
     ("general_clebsch", 0.05): 0.330,
     ("general_clebsch", 0.4): 0.536,
     ("first_clebsch", 0.05): 0.301,
@@ -317,29 +317,30 @@ class TestForwardError:
         assert list(nxt - xf) == list(2 * e * pol)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_median_error_within_the_increment_kernel(self, kind):
+    def test_median_error_within_the_separate_field_kernel(self, kind):
         # 200 states in the unit ball per kind; the median stays within
-        # 0.05 ulp of the increment kernel's median on the same states
+        # 0.05 ulp of that kernel's median on the same states
         desc = make_system(kind)
         rng = np.random.default_rng(41)
         xs = np.array([unit_ball(rng, desc.dim) for _ in range(200)])
         for eps in (0.05, 0.4):
             errors = forward_errors(desc.field, xs, eps)
             assert len(errors) == len(xs)
-            assert np.median(errors) <= INCREMENT_KERNEL_MEDIAN_ULPS[kind, eps] + 0.05, (kind, eps)
+            assert np.median(errors) <= SEPARATE_FIELD_MEDIAN_ULPS[kind, eps] + 0.05, (kind, eps)
 
 
 def one_state_step(field, x, eps):
-    """The one-state step formulas the batch kernel replaced, kept verbatim
-    as the reference: (next, delta, residual, on a pole)."""
+    """The one-state step formulas, kept as the reference of the batch
+    kernel: (next, delta, residual, on a pole). The right-hand side
+    2 eps f(x) = eps (f'(x) + B) x + 2 eps c reuses eps f'(x)."""
     jac = 2.0 * np.einsum("ijk,k->ij", field.quad, x) + field.lin
     mat = np.eye(field.dim) - eps * jac
     det = float(np.linalg.det(mat))
     threshold = 1e-13 * (1.0 + np.linalg.norm(eps * jac, np.inf)) ** field.dim
     if abs(det) < threshold:
         return None, det, None, True
-    f = np.einsum("ijk,j,k->i", field.quad, x, x) + field.lin @ x + field.const
-    x_next = x + np.linalg.solve(mat, 2.0 * eps * f)
+    rhs = (eps * jac + eps * field.lin) @ x + 2.0 * eps * field.const
+    x_next = x + np.linalg.solve(mat, rhs)
     pol = np.einsum("ijk,j,k->i", field.quad, x, x_next) + 0.5 * (field.lin @ (x + x_next)) + field.const
     defect = x_next - x - 2.0 * eps * pol
     return x_next, det, float(np.max(np.abs(defect))), False
@@ -622,13 +623,68 @@ class TestKahanOrbit:
         assert orbit.next.shape == (0, 2, 1) and list(orbit.ends()) == [0, 0]
 
 
-def einsum_field(field, x):
-    """evaluate_field as np.einsum expressions, frozen as the oracle of the
-    direct-kernel, in-place forms; likewise einsum_jacobian."""
-    return np.einsum("ijk,...j,...k->...i", field.quad, x, x) + (field.lin @ x[..., None])[..., 0] + field.const
+def scalar_pole_rule(det, norm, n):
+    """The per-state pole test: |det| below 1e-13 (1 + norm)^n as a Python
+    float power, inf where that overflows."""
+    try:
+        threshold = 1e-13 * (1.0 + norm) ** n
+    except OverflowError:
+        threshold = math.inf
+    return abs(det) < threshold, threshold
+
+
+class TestPoleTest:
+    @pytest.mark.parametrize("count", [1, quadfield.POLE_TEST_ROWS, quadfield.POLE_TEST_ROWS + 1, 300])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_decisions_equal_the_scalar_rule(self, count, n):
+        # determinants within a few ulps of their thresholds, on both sides,
+        # and far from them; norms that are 0, huge enough to overflow the
+        # power, infinite (place_pole's) or nan
+        rng = np.random.default_rng(count * 10 + n)
+        norms = rng.uniform(0.0, 3.0, count) * rng.choice([1.0, 1e3, 1e60], count, p=[0.8, 0.15, 0.05])
+        norms[rng.random(count) < 0.05] = 0.0
+        norms[rng.random(count) < 0.05] = math.inf
+        norms[rng.random(count) < 0.05] = math.nan
+        factors = [0.0, 1 - 2e-16, 1 - 1e-15, 1.0, 1 + 2.3e-16, 1 + 1e-15, 1 + 1e-7, 2.0, 1e12]
+        thresholds = np.array([scalar_pole_rule(0.0, v, n)[1] for v in norms.tolist()])
+        det = rng.uniform(-1.0, 1.0, count)
+        at = np.isfinite(thresholds)
+        det[at] = thresholds[at] * rng.choice(factors, at.sum()) * rng.choice([-1.0, 1.0], at.sum())
+        det[rng.random(count) < 0.03] = math.nan
+        rules = [scalar_pole_rule(d, v, n) for d, v in zip(det.tolist(), norms.tolist())]
+        expected = [(i, threshold) for i, (pole, threshold) in enumerate(rules) if pole]
+        poles, thresholds = quadfield._poles(det, norms, n)
+        assert list(zip(poles, thresholds)) == expected
+
+    @pytest.mark.parametrize("kind", ["general_clebsch", "planar_family"])
+    def test_stack_rows_equal_their_lone_orbits(self, kind):
+        # a stack past POLE_TEST_ROWS: a row on an exact root of its
+        # denominator, a row one step before it and a row that meets a
+        # placed pole keep the entries of their lone orbits
+        desc = make_system(kind)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = safe_state(rng, desc)
+            root = pole_eps(desc.field, x)
+            if root is not None:
+                break
+        assert root is not None, "no real root of the denominator in 50 states"
+        scaled = [s * x for s in np.linspace(0.1, 0.9, quadfield.POLE_TEST_ROWS + 4)]
+        xs = np.array(scaled + [x, kahan_step(desc.field, x, -root).next])
+        clean = kahan_orbit(desc.field, xs, root, 3)
+        with pytest.MonkeyPatch.context() as patch:
+            place_pole(patch, clean.next[0, 2])
+            orbit = kahan_orbit(desc.field, xs, root, 3)
+            lone = [kahan_orbit(desc.field, row[None], root, 3) for row in xs]
+        assert orbit.pole[1, 2] and orbit.pole[0, -2] and orbit.pole[1, -1]
+        for b, row in enumerate(lone):
+            for field, expected in zip(orbit, row):
+                assert same(field[:, b], expected[:, 0]), b
 
 
 def einsum_jacobian(field, x):
+    """jacobian_field as an np.einsum expression, frozen as the oracle of its
+    direct-kernel, in-place form."""
     return 2.0 * np.einsum("ijk,...k->...ij", field.quad, x) + field.lin
 
 
@@ -646,15 +702,12 @@ class TestDirectEinsum:
         field = random_field(rng, n)
         x = scale * rng.standard_normal((*shape, n))
         kept = [arr.copy() for arr in (x, field.quad, field.lin, field.const)]
-        for got, expected in [
-            (evaluate_field(field, x), einsum_field(field, x)),
-            (jacobian_field(field, x), einsum_jacobian(field, x)),
-        ]:
-            assert got.dtype == expected.dtype and got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
-            # a fresh array: writing into it leaves the field and the state alone
-            assert got.flags.writeable and not np.shares_memory(got, x)
-            got[...] = 7.0
+        got, expected = jacobian_field(field, x), einsum_jacobian(field, x)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        # a fresh array: writing into it leaves the field and the state alone
+        assert got.flags.writeable and not np.shares_memory(got, x)
+        got[...] = 7.0
         for arr, copy in zip((x, field.quad, field.lin, field.const), kept):
             assert np.array_equal(arr, copy)
 

@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import ALL_KINDS, SIX_DIM_KINDS, make_params, make_system, unit_ball
-from continuous import bracket, invariants, spectral_params, wronskian_coeffs, wronskian_residual
+from continuous import bracket, einsum_field, invariants, spectral_params, wronskian_coeffs, wronskian_residual
 
-from kahanmaps.quadfield import evaluate_field
 from kahanmaps.systems import (
     ClebschParams,
     FirstClebschParams,
@@ -60,7 +59,7 @@ class TestCatalogFields:
         for _ in range(10):
             x = rng.standard_normal(6)
             assert np.allclose(
-                evaluate_field(desc.field, x), clebsch_cross_flow(a, b, x), rtol=1e-13, atol=1e-13
+                einsum_field(desc.field, x), clebsch_cross_flow(a, b, x), rtol=1e-13, atol=1e-13
             )
 
     def test_lagrange_matches_cross_product_oracle(self):
@@ -69,7 +68,7 @@ class TestCatalogFields:
         for _ in range(10):
             x = rng.standard_normal(6)
             assert np.allclose(
-                evaluate_field(desc.field, x),
+                einsum_field(desc.field, x),
                 lagrange_cross_flow(desc.params.alpha, desc.params.gamma, x),
                 rtol=1e-13,
                 atol=1e-13,
@@ -81,7 +80,7 @@ class TestCatalogFields:
         desc = make_system("first_clebsch")
         x = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
         assert np.allclose(
-            evaluate_field(desc.field, x), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-15
+            einsum_field(desc.field, x), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], atol=1e-15
         )
 
     @pytest.mark.parametrize("kind", ("kirchhoff", "lagrange"))
@@ -116,7 +115,7 @@ class TestCatalogFields:
         for _ in range(10):
             x = rng.standard_normal(3)
             ell = float(pr.ell @ x) + pr.ell0
-            got = evaluate_field(desc.field, x)
+            got = einsum_field(desc.field, x)
             assert got[0] == pytest.approx(ell * (qb * x[0] + qc * x[1]), rel=1e-12, abs=1e-12)
             assert got[1] == pytest.approx(-ell * (qa * x[0] + qb * x[1]), rel=1e-12, abs=1e-12)
             extra = (
@@ -233,7 +232,7 @@ class TestContinuousConservation:
         rng = np.random.default_rng(24)
         for _ in range(6):
             x = unit_ball(rng, desc.dim)
-            xdot = evaluate_field(desc.field, x)
+            xdot = einsum_field(desc.field, x)
             for name, fn in inv.items():
                 drift = float(np.dot(central_gradient(fn, x), xdot))
                 assert abs(drift) < 1e-8, (kind, name, drift)
@@ -250,7 +249,7 @@ class TestContinuousConservation:
         rng = np.random.default_rng(24)
         states = [unit_ball(rng, 6) for _ in range(6)]
         drift = max(
-            abs(central_gradient(inv[name], x) @ evaluate_field(bent, x))
+            abs(central_gradient(inv[name], x) @ einsum_field(bent, x))
             for x in states
             for name in ("H1", "H2")
         )
@@ -282,7 +281,7 @@ class TestWronskianRelation:
         rng = np.random.default_rng(25)
         for _ in range(20):
             x = rng.standard_normal(6)
-            xdot = evaluate_field(desc.field, x)
+            xdot = einsum_field(desc.field, x)
             scale = 1.0 + float(
                 np.max(np.abs(wronskian_coeffs(desc)))
                 * np.max(np.abs(xdot[:3] * x[3:]) + np.abs(x[:3] * xdot[3:]))
