@@ -282,23 +282,6 @@ def _hk_scan(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     return 0
 
 
-def _describe(report_name: str, cfg: ExperimentConfig) -> str:
-    kind_prefix = f"{cfg.kind}."
-    name = report_name[len(kind_prefix):] if report_name.startswith(kind_prefix) else report_name
-    if name == "reversibility":
-        return "reversibility: backward step at -eps undoes the forward step"
-    if name.startswith("conserved."):
-        return f"conservation of {name[len('conserved.'):]} over {cfg.steps} steps"
-    if name.startswith("measure."):
-        return (
-            f"invariant density {name[len('measure.'):]}: one-step ratio matches "
-            "the map Jacobian determinant"
-        )
-    if name == "identities":
-        return "one-step bilinear coefficient identities"
-    return name
-
-
 def _report(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     reports = _verify_reports(cfg, desc)
     lines = [
@@ -310,7 +293,7 @@ def _report(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     for rep in reports:
         tag = "PASS" if rep.passed else "FAIL"
         lines.append(
-            f"[{tag}] {_describe(rep.name, cfg)}"
+            f"[{tag}] {rep.description}"
             f"  (worst {rep.max_violation:.3e}, tolerance {rep.tolerance:.0e},"
             f" skipped {rep.skipped})"
         )

@@ -3,7 +3,7 @@
 A family of scalar observables is a basis for the map when one fixed
 coefficient vector annihilates the observable values along every orbit.
 On a finite orbit this becomes a null-space question for the window
-matrix M[r][s] = (observable s at orbit point start+r): a one-dimensional
+matrix M[r][s] = (observable s at orbit point r): a one-dimensional
 null space whose vector varies only with the initial point turns the
 coefficient ratios into integrals of the map.
 
@@ -40,6 +40,25 @@ import numpy as np
 from .quadfield import QuadraticVectorField, kahan_orbit
 from .systems import central_difference, central_gradient, central_states
 
+__all__ = [
+    "HKNullSpaceReport",
+    "Observable",
+    "RatioSequences",
+    "WronskianBasisSpec",
+    "WronskianRatio",
+    "bilinear_observable",
+    "conjugate_pairs",
+    "constant_observable",
+    "default_window",
+    "extract_integral_ratios",
+    "functional_rank",
+    "hk_nullspace",
+    "iterate_orbit",
+    "state_observable",
+    "wronskian_observable",
+    "wronskian_ratio_integral",
+]
+
 NULL_SIGMA_FACTOR = 1e-9
 # functional_rank counts the singular values above this times the largest.
 # Criterion 07 (functional independence) was settled at this value; it still
@@ -48,6 +67,9 @@ NULL_SIGMA_FACTOR = 1e-9
 RANK_THRESHOLD = 1e-7
 ANNIHILATION_FACTOR = 1e-10
 PIVOT_FLOOR = 1e-6
+# a ratio sequence is constant while every entry stays within this times
+# 1 + |its median| of the median
+RATIO_TOL = 1e-9
 
 def iterate_orbit(
     field: QuadraticVectorField, x0: np.ndarray, eps: float, steps: int
@@ -163,15 +185,17 @@ class WronskianBasisSpec:
 
 def default_window(m: int) -> int:
     """Window height giving comfortable oversampling for m observables."""
-    return max(2 * m + 4, m + 2)
+    return 2 * m + 4
 
 
 @dataclass(frozen=True)
 class HKNullSpaceReport:
+    """The null space of the window of `window` rows from orbit point 0."""
+
     singular_values: np.ndarray
     null_dim: int
     coeff_vectors: np.ndarray
-    window: tuple
+    window: int
     gap_ratio: float
 
     def to_json_dict(self) -> dict:
@@ -181,7 +205,7 @@ class HKNullSpaceReport:
             "null_dim": int(self.null_dim),
             "gap_ratio": gap,
             "coeff_vectors": [[float(c) for c in v] for v in self.coeff_vectors],
-            "window": [int(self.window[0]), int(self.window[1])],
+            "window": [0, int(self.window)],  # [first orbit point, rows]
         }
 
 
@@ -248,12 +272,11 @@ def _decide(windows: np.ndarray) -> tuple:
     return (sv, *_null_vectors(windows, sv, vt))
 
 
-def hk_nullspace(
-    states: np.ndarray, observables: Sequence[Observable], window: int, start: int = 0
-) -> HKNullSpaceReport:
+def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: int) -> HKNullSpaceReport:
     """Singular spectrum and annihilating vectors (see _null_vectors) of the
-    window matrix of `window` rows from orbit point `start`."""
-    rows = _windows(states, observables, window, np.array([start]))
+    window matrix of `window` rows from orbit point 0; pass states[start:]
+    for a window from a later point."""
+    rows = _windows(states, observables, window, np.array([0]))
     if not np.isfinite(rows).all():
         raise ValueError("observable produced a non-finite value inside the window")
     sv, vectors, null_dim = _decide(rows)
@@ -268,7 +291,7 @@ def hk_nullspace(
         singular_values=sv,
         null_dim=null_dim,
         coeff_vectors=vectors[0, m - null_dim :],
-        window=(start, window),
+        window=window,
         gap_ratio=gap,
     )
 
@@ -279,7 +302,6 @@ class RatioSequences:
 
     ratios: tuple
     non_constant: tuple
-    tolerance: float
 
 
 def extract_integral_ratios(
@@ -287,12 +309,12 @@ def extract_integral_ratios(
     states: np.ndarray,
     observables: Sequence[Observable],
     pivot: int,
-    tol: float = 1e-9,
 ) -> RatioSequences:
     """Recompute the null vector on every window the orbit affords and
-    divide by the pivot coefficient; constant sequences are integrals.
+    divide by the pivot coefficient; constant sequences (to RATIO_TOL) are
+    integrals.
 
-    Windows slide by one point from the report's start and stop before the
+    Windows slide by one point from orbit point 0 and stop before the
     first one that runs past the orbit or holds a non-finite value. When
     not even the first window fits the orbit, or it holds a non-finite
     value, that is a ValueError naming the cause.
@@ -302,10 +324,10 @@ def extract_integral_ratios(
     m = len(observables)
     if not 0 <= pivot < m:
         raise ValueError(f"pivot {pivot} outside {m} observables")
-    start, window = report.window
-    # every start whose window fits, or the report's own for _windows to reject
+    window = report.window
+    # every start whose window fits, or 0 for _windows to reject
     last = states.shape[0] - window - max(observe.reach for observe in observables)
-    windows = _windows(states, observables, window, np.arange(start, max(last, start) + 1))
+    windows = _windows(states, observables, window, np.arange(max(last, 0) + 1))
     finite = np.isfinite(windows).all(axis=(1, 2))
     count = len(finite) if finite.all() else int(np.argmin(finite))
     if count == 0:
@@ -317,12 +339,12 @@ def extract_integral_ratios(
     if failed.any():
         k = int(np.argmax(failed))
         if wrong_dim[k]:
-            raise RuntimeError(f"null space dimension {null_dim[k]} != 1 at window start {start + k}")
-        raise ValueError(f"pivot coefficient degenerate at window start {start + k}")
+            raise RuntimeError(f"null space dimension {null_dim[k]} != 1 at window start {k}")
+        raise ValueError(f"pivot coefficient degenerate at window start {k}")
     table = v / v[:, pivot, None]
     center = np.median(table, axis=0)
-    non_constant = np.max(np.abs(table - center), axis=0) > tol * (1 + np.abs(center))
-    return RatioSequences(tuple(table.T.copy()), tuple(non_constant.tolist()), tol)
+    non_constant = np.max(np.abs(table - center), axis=0) > RATIO_TOL * (1 + np.abs(center))
+    return RatioSequences(tuple(table.T.copy()), tuple(non_constant.tolist()))
 
 
 def functional_rank(integrals: Sequence[Callable[[np.ndarray], float]], x: np.ndarray) -> int:

@@ -190,7 +190,9 @@ class KahanPair:
                 f"'{which}' is not a declared density of {self.desc.kind}; have {self.desc.density_names}"
             )
         value = self._value(which)
-        return value * self._successors().delta
+        # a Delta past the float range is +-inf, and 0 * inf a nan value
+        with np.errstate(invalid="ignore"):
+            return value * self._successors().delta
 
     def coefficients(self, kind: str = "small_c") -> Rows:
         """Coefficient vectors of the system's null-space relations, one row

@@ -42,12 +42,15 @@ and 0.35-0.64 ulp at eps 0.4.  Solving for x~ directly, from
 (I - eps*f'(x)) x~ = (I + eps*B) x + 2*eps*c, gives 0.58-0.78 ulp at eps
 0.05 on the same states, about twice as far off, hence the increment.
 
-The determinant and the solve call LAPACK's det and solve kernels directly:
-the gufuncs that numpy.linalg's det and solve dispatch to, the solve under
-the error state numpy.linalg sets for it.  On the float64 square stacks the
-step builds, numpy.linalg's wrapper (array conversion, shape checks, type
-promotion, a no-op cast) changes nothing, so the bits are the same, and its
-per-call cost, half or more of each call, is saved.  Likewise the Jacobian
+The step's determinant and solve call LAPACK's det and solve kernels
+directly: the gufuncs that numpy.linalg's det and solve dispatch to, the
+solve under the error state numpy.linalg sets for it.  On the float64
+square stacks the step builds, numpy.linalg's wrapper (array conversion,
+shape checks, type promotion, a no-op cast) changes nothing, so the bits
+are the same, and its per-call cost, half or more of each call, is saved.
+A determinant past the float range is recorded as +-inf without a warning,
+under one error state per orbit.  map_jacobian, one call on a whole stack
+per density check, calls numpy.linalg.solve itself.  Likewise the Jacobian
 calls numpy's einsum kernel, c_einsum, which np.einsum returns from without
 optimization, and adds the other term in place on its fresh output, in the
 order the plain expression rounds them.  A lone step takes about 17 us,
@@ -163,20 +166,12 @@ def _raise_singular(err, flag):
 
 
 # the error state numpy.linalg.solve runs its gufunc under
-_solve_errstate = np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
-
-
-@_solve_errstate
-def _solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """numpy.linalg's solve of float64 stacks mat[..., n, n], rhs[..., n, k],
-    without its wrapper; a singular matrix raises LinAlgError as it does."""
-    return _umath_linalg.solve(mat, rhs, signature="dd->d")
-
-
-@_solve_errstate
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _solve1(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """_solve for vector right-hand sides rhs[..., n]: the gufunc
-    numpy.linalg.solve takes for a 1-D rhs, for any stack."""
+    """numpy.linalg's solve of float64 stacks mat[..., n, n] with vector
+    right-hand sides rhs[..., n], without its wrapper: the gufunc
+    numpy.linalg.solve takes for a 1-D rhs, for any stack. A singular
+    matrix raises LinAlgError as it does."""
     return _umath_linalg.solve1(mat, rhs, signature="dd->d")
 
 
@@ -256,6 +251,8 @@ class KahanBatch(NamedTuple):
         return (~np.logical_or.accumulate(self.pole, axis=0)).sum(axis=0)
 
 
+# a denominator past the float range is data: det returns it as +-inf
+@np.errstate(over="ignore")
 def kahan_orbit(
     field: QuadraticVectorField, x: np.ndarray, eps: float, steps: int, first: KahanBatch = None
 ) -> KahanBatch:
@@ -326,17 +323,11 @@ def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanB
     return KahanBatch(*(column[0, 0] for column in orbit))
 
 
-def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next=None) -> np.ndarray:
-    """Jacobian of the Kahan map, (I - eps*f'(x))^{-1} (I + eps*f'(x~)).
-
-    x and its successor x~ may be stacks [..., n]; x~ is stepped from x (one
-    state) when not given.
-    """
-    x = np.asarray(x, dtype=float)
-    if x_next is None:
-        x_next = kahan_step(field, x, eps).next
+def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next: np.ndarray) -> np.ndarray:
+    """Jacobian of the Kahan map at x, (I - eps*f'(x))^{-1} (I + eps*f'(x~)),
+    given its successor x~; both may be stacks [..., n]."""
     eye = _eye(field.dim)
-    return _solve(
+    return np.linalg.solve(
         eye - eps * jacobian_field(field, x),
         eye + eps * jacobian_field(field, x_next),
     )

@@ -815,11 +815,8 @@ def _kind(kind: str) -> SystemKind:
 
 def build_system(kind: str, params) -> SystemDescriptor:
     """Assemble the quadratic field and the attached quantity names for one
-    catalog entry. params may be the matching params object or a plain dict.
-    """
+    catalog entry from its params object (see params_from_dict for JSON)."""
     spec = _kind(kind)
-    if isinstance(params, dict):
-        params = params_from_dict(kind, params)
     if not isinstance(params, spec.params):
         raise TypeError(f"{kind} takes {spec.params.__name__}")
     return SystemDescriptor(
@@ -876,12 +873,12 @@ def params_to_dict(params) -> dict:
     raise TypeError(f"not a catalog params object: {type(params).__name__}")
 
 
-def central_states(x: np.ndarray, scale: float = 1e-6) -> tuple:
+def central_states(x: np.ndarray) -> tuple:
     """The 2n states of a central difference at x, stacked [2n, n] in the
     order x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ..., and the per-coordinate
-    steps h_j = scale*(1+|x_j|)."""
+    steps h_j = 1e-6*(1+|x_j|)."""
     x = np.asarray(x, dtype=float)
-    h = scale * (1.0 + np.abs(x))
+    h = 1e-6 * (1.0 + np.abs(x))
     e = np.diag(h)
     return np.stack([x + e, x - e], axis=1).reshape(-1, x.shape[0]), h
 
@@ -892,8 +889,8 @@ def central_difference(values, h: np.ndarray) -> np.ndarray:
     return (values[:, 0] - values[:, 1]) / (2.0 * h)
 
 
-def central_gradient(fn: Callable, x: np.ndarray, scale: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step scale*(1+|x_j|)."""
-    states, h = central_states(x, scale)
+def central_gradient(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with per-coordinate step 1e-6*(1+|x_j|)."""
+    states, h = central_states(x)
     return central_difference([fn(state) for state in states], h)
 

@@ -50,13 +50,14 @@ MAX_DRAWS = 1000
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of one seeded property suite."""
+    """Outcome of one seeded property suite; description says in words what
+    was checked, for the report, and stays out of the JSON."""
 
     name: str
+    description: str
     trials: int
     max_violation: float
     tolerance: float
-    passed: bool
     worst_case_input: np.ndarray
     seed: int
     skipped: int = 0
@@ -65,8 +66,10 @@ class PropertyReport:
         object.__setattr__(
             self, "worst_case_input", np.asarray(self.worst_case_input, dtype=float)
         )
-        if self.passed != (self.max_violation <= self.tolerance):
-            raise ValueError("passed must mirror max_violation <= tolerance")
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= self.tolerance
 
     def to_json_dict(self) -> dict:
         return {
@@ -79,27 +82,6 @@ class PropertyReport:
             "seed": self.seed,
             "skipped": self.skipped,
         }
-
-
-def _report(
-    name: str,
-    trials: int,
-    max_violation: float,
-    tolerance: float,
-    worst: np.ndarray,
-    seed: int,
-    skipped: int,
-) -> PropertyReport:
-    return PropertyReport(
-        name=name,
-        trials=trials,
-        max_violation=float(max_violation),
-        tolerance=float(tolerance),
-        passed=bool(max_violation <= tolerance),
-        worst_case_input=worst,
-        seed=seed,
-        skipped=skipped,
-    )
 
 
 def _lowest_witnesses(pair: KahanPair) -> tuple:
@@ -189,20 +171,24 @@ def draw_initial_state(rng: np.random.Generator, desc: SystemDescriptor, eps: fl
 
 
 def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:
-    """The largest violation above 0 over the rows not skipped, and its row:
-    the first in row order (then column order) to reach it, as a running
-    strict maximum finds it; nan never counts. (0.0, None) when none."""
+    """The largest violation above 0 over the rows not skipped, its row and
+    the number of rows skipped. A row with a nan violation is skipped too,
+    not passed over. The row is the first in row order (then column order)
+    to reach the largest violation, as a running strict maximum finds it;
+    (0.0, None, skipped) when none is above 0."""
     v = violations.reshape(skip.shape[0], -1)
-    v = np.where(skip[:, None] | np.isnan(v), -np.inf, v)
+    skip = skip | np.isnan(v).any(axis=1)
+    skipped = int(skip.sum())
+    v = np.where(skip[:, None], -np.inf, v)
     if not v.size:
-        return 0.0, None
+        return 0.0, None, skipped
     flat = int(np.argmax(v))
     worst = float(v.flat[flat])
-    return (worst, flat // v.shape[1]) if worst > 0.0 else (0.0, None)
+    return (worst, flat // v.shape[1], skipped) if worst > 0.0 else (0.0, None, skipped)
 
 
 def _worst_trial(
-    name: str, desc: SystemDescriptor, trials: int, eps: float, seed: int, tolerance: float, trial
+    name: str, description: str, desc: SystemDescriptor, trials: int, eps: float, seed: int, tolerance: float, trial
 ) -> PropertyReport:
     """Grade seeded draws: trial(pair) gets every drawn state in one stacked
     KahanPair holding their forward steps and returns the violations, one
@@ -212,9 +198,9 @@ def _worst_trial(
         violations, skip = trial(pair)
     else:
         violations, skip = np.empty((0, 1)), np.zeros(0, dtype=bool)
-    worst, row = _first_worst(violations, skip)
+    worst, row, skipped = _first_worst(violations, skip)
     worst_x = np.zeros(desc.dim) if row is None else pair.x[row]
-    return _report(name, trials, worst, tolerance, worst_x, seed, int(skip.sum()))
+    return PropertyReport(name, description, trials, worst, tolerance, worst_x, seed, skipped)
 
 
 def check_reversibility(
@@ -228,12 +214,11 @@ def check_reversibility(
         defect = np.abs(back.next - x).max(axis=-1) / (1.0 + np.abs(x).max(axis=-1))
         return defect, back.pole
 
-    return _worst_trial(f"{desc.kind}.reversibility", desc, trials, eps, seed, REVERSIBILITY_TOL, trial)
+    description = "reversibility: backward step at -eps undoes the forward step"
+    return _worst_trial(f"{desc.kind}.reversibility", description, desc, trials, eps, seed, REVERSIBILITY_TOL, trial)
 
 
-def _conservation(
-    desc: SystemDescriptor, names, seeds, steps: int, eps: float, tolerance: float
-) -> list:
+def _conservation(desc: SystemDescriptor, names, seeds, steps: int, eps: float) -> list:
     """One report per named quantity: its worst relative drift along an
     orbit from a state drawn with its own seed.
 
@@ -257,14 +242,17 @@ def _conservation(
     for r, (name, baseline, end) in enumerate(zip(names, baselines, ends)):
         on_orbit = KahanBatch(*(np.ascontiguousarray(field[1 : end + 1, r]) for field in orbit))
         values = KahanPair(desc, np.ascontiguousarray(orbit.next[:end, r]), eps, on_orbit).value(name)
-        fail = values.fail
         violation = np.abs(values.value - baseline) / (1.0 + abs(baseline))
-        worst, row = _first_worst(violation, fail)
+        worst, row, skipped = _first_worst(violation, values.fail)
         worst_x = drawn[r].x[0] if row is None else orbit.next[row, r]
         # a pole counts every step from it to the end as skipped
-        skipped = int(fail.sum()) + steps - int(end)
+        skipped += steps - int(end)
         reports.append(
-            _report(f"{desc.kind}.conserved.{name}", steps, worst, tolerance, worst_x, seeds[r], skipped)
+            PropertyReport(
+                f"{desc.kind}.conserved.{name}",
+                f"conservation of {name} over {steps} steps",
+                steps, worst, CONSERVATION_TOL, worst_x, seeds[r], skipped,
+            )
         )
     return reports
 
@@ -275,14 +263,13 @@ def check_conservation(
     steps: int,
     eps: float,
     seed: int = 42,
-    tolerance: float = CONSERVATION_TOL,
 ) -> PropertyReport:
     """Worst relative drift of one named quantity along a seeded orbit.
 
     States where the quantity's denominator vanishes are skipped and counted;
     a pole ends the orbit early with the remaining steps counted as skipped.
     """
-    return _conservation(desc, [integral_name], [seed], steps, eps, tolerance)[0]
+    return _conservation(desc, [integral_name], [seed], steps, eps)[0]
 
 
 def check_measure(
@@ -300,10 +287,15 @@ def check_measure(
         # crossing zero at x, where the ratio is meaningless
         skip = here.fail | onward.fail
         skip[~skip] = np.abs(den[~skip]) < 1e-8 * (1.0 + np.abs(num[~skip]))
-        ratio = np.divide(num, den, out=np.full_like(den, np.nan), where=~skip)
-        return np.abs(ratio - dets) / (1.0 + np.abs(ratio) + np.abs(dets)), skip
+        # a density out of the float range at a huge eps gives inf/inf: a
+        # nan violation, which counts the state as skipped
+        with np.errstate(invalid="ignore"):
+            ratio = np.divide(num, den, out=np.full_like(den, np.nan), where=~skip)
+            return np.abs(ratio - dets) / (1.0 + np.abs(ratio) + np.abs(dets)), skip
 
-    return _worst_trial(f"{desc.kind}.measure.{density_name}", desc, trials, eps, seed, MEASURE_TOL, trial)
+    name = f"{desc.kind}.measure.{density_name}"
+    description = f"invariant density {density_name}: one-step ratio matches the map Jacobian determinant"
+    return _worst_trial(name, description, desc, trials, eps, seed, MEASURE_TOL, trial)
 
 
 def check_identities_clebsch1(
@@ -336,7 +328,8 @@ def check_identities_clebsch1(
         violations = [np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs)) for lhs, rhs in sides]
         return np.stack(violations, axis=-1), here.fail | onward.fail | big.fail
 
-    return _worst_trial("first_clebsch.identities", desc, trials, eps, seed, IDENTITY_TOL, trial)
+    description = "one-step bilinear coefficient identities"
+    return _worst_trial("first_clebsch.identities", description, desc, trials, eps, seed, IDENTITY_TOL, trial)
 
 
 def run_suites(
@@ -359,7 +352,7 @@ def run_suites(
         offset += 1
         names = desc.conserved_names
         seeds = [seed + offset + i for i in range(len(names))]
-        reports += _conservation(desc, names, seeds, steps, eps, CONSERVATION_TOL)
+        reports += _conservation(desc, names, seeds, steps, eps)
         offset += len(names)
         for density in desc.density_names:
             reports.append(

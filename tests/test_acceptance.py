@@ -73,7 +73,7 @@ def test_criterion_02_jacobian_determinant_identity():
             x = draw_initial_state(rng, desc, eps)
             try:
                 x_next = kahan_step(desc.field, x, eps).next
-                det = float(np.linalg.det(map_jacobian(desc.field, x, eps)))
+                det = float(np.linalg.det(map_jacobian(desc.field, x, eps, x_next)))
             except SingularStepError:
                 continue
             lhs = det * delta(desc.field, x, eps)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +453,33 @@ class TestReportCommand:
         assert "[INFO] order-4" in text
         assert text.rstrip().endswith("overall: PASS")
         assert "conservation of m3" in text
+
+
+class TestHugeEps:
+    """At eps 1e150 every denominator Delta(x) = det(I - eps f'(x)) is past
+    the float range. The commands keep it as +-inf, warn about nothing, and
+    a density check counts each trial whose ratio is inf/inf as skipped."""
+
+    def run(self, command, tmp_path):
+        path = write_config(tmp_path, KIRCHHOFF_DOC)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return main([command, "--config", path, "--eps", "1e150", "--steps", "50", "--out", str(tmp_path)])
+
+    def test_simulate_keeps_the_overflowed_delta(self, tmp_path):
+        assert self.run("simulate", tmp_path) == 0
+        rows = np.genfromtxt(tmp_path / "orbit.csv", delimiter=",", names=True)
+        assert len(rows) == 50
+        assert np.isinf(rows["delta"]).all()
+
+    def test_verify_counts_nan_trials_as_skipped(self, tmp_path):
+        self.run("verify", tmp_path)
+        reports = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
+        measure = [r for r in reports if ".measure." in r["name"]]
+        assert [r["name"] for r in measure] == ["kirchhoff.measure.C1", "kirchhoff.measure.C3"]
+        for report in measure:
+            assert report["skipped"] == report["trials"] == 500
+            assert report["max_violation"] == 0.0
 
 
 class TestMain:

@@ -82,11 +82,11 @@ def wronskian_observables(order, dim=6):
 def per_window_ratios(report, orbit, observables, pivot):
     """Reference for extract_integral_ratios: one hk_nullspace call (one
     window build, one SVD) per window start, until a window cannot be built."""
-    start, window = report.window
+    window, start = report.window, 0
     rows = []
     while True:
         try:
-            sub = hk_nullspace(orbit, observables, window, start=start)
+            sub = hk_nullspace(orbit[start:], observables, window)
         except ValueError:
             break
         if sub.null_dim != 1:
@@ -336,7 +336,7 @@ class TestColumnWindows:
         (built,) = _windows(orbit, scalar_mixed_observables(eps), 8, [2])
         cells = [[x[b], x[b + 1], x[b] * x[b + 1], 1.0] for b in range(2, 10)]
         assert built.tobytes() == np.array(cells).tobytes()
-        report = hk_nullspace(orbit, scalar_mixed_observables(eps), window=8, start=2)
+        report = hk_nullspace(orbit[2:], scalar_mixed_observables(eps), window=8)
         assert report.null_dim == 1
         v = report.coeff_vectors[0]
         assert v / v[0] == pytest.approx([1.0, -1.0, 2 * eps, 0.0], abs=1e-9)
@@ -344,8 +344,8 @@ class TestColumnWindows:
     def test_window_past_reach_rejected(self):
         orbit = iterate_orbit(scalar_field(), np.array([0.3]), 0.01, 8)
         # bases 3..8 need the successor of point 8, which the orbit lacks
-        with pytest.raises(ValueError, match="orbit too short for window of 6 rows starting at 3"):
-            hk_nullspace(orbit, scalar_mixed_observables(0.01), window=6, start=3)
+        with pytest.raises(ValueError, match="orbit too short for window of 6 rows starting at 0"):
+            hk_nullspace(orbit[3:], scalar_mixed_observables(0.01), window=6)
 
     def test_pair_outside_dimension_named_by_nullspace(self):
         # a long enough orbit: the bad pair, not the orbit, is at fault
@@ -518,12 +518,12 @@ class TestHkNullspace:
         desc = make_system("lagrange")
         x0 = safe_state(np.random.default_rng(16), desc)
         orbit = iterate_orbit(desc.field, x0, 0.05, 20)
-        report = hk_nullspace(orbit, wronskian_observables(1), window=9, start=3)
+        report = hk_nullspace(orbit[3:], wronskian_observables(1), window=9)
         sv = report.singular_values
         assert np.all(sv[:-1] >= sv[1:])
         doc = report.to_json_dict()
         assert doc["null_dim"] == 1
-        assert doc["window"] == [3, 9]
+        assert doc["window"] == [0, 9]
         assert len(doc["singular_values"]) == 3
         assert len(doc["coeff_vectors"]) == 1
         assert doc["gap_ratio"] == report.gap_ratio
@@ -651,16 +651,16 @@ class TestExtractRatios:
             spread = np.max(seqs.ratios[i]) - np.min(seqs.ratios[i])
             assert spread <= 1e-9 * (1 + abs(np.median(seqs.ratios[i])))
 
-    def test_tight_tolerance_flags_non_constancy(self):
+    def test_tight_tolerance_flags_non_constancy(self, monkeypatch):
+        monkeypatch.setattr(hkbasis, "RATIO_TOL", 1e-18)
         desc = make_system("first_clebsch")
         eps = 0.05
         x0 = safe_state(np.random.default_rng(19), desc, eps)
         orbit = iterate_orbit(desc.field, x0, eps, 30)
         obs = wronskian_observables(1)
         report = hk_nullspace(orbit, obs, window=10)
-        seqs = extract_integral_ratios(report, orbit, obs, pivot=2, tol=1e-18)
+        seqs = extract_integral_ratios(report, orbit, obs, pivot=2)
         assert any(seqs.non_constant)
-        assert seqs.tolerance == 1e-18
 
     def test_constant_observables_give_unit_ratio(self):
         orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
@@ -707,9 +707,9 @@ class TestExtractRatios:
         orbit = iterate_orbit(desc.field, x0, eps, 60)
         for order in (1, 2, 3, 4):
             obs = wronskian_observables(order)
-            report = hk_nullspace(orbit, obs, window=10, start=1)
-            seqs = extract_integral_ratios(report, orbit, obs, pivot=2)
-            expected = per_window_ratios(report, orbit, obs, pivot=2)
+            report = hk_nullspace(orbit[1:], obs, window=10)
+            seqs = extract_integral_ratios(report, orbit[1:], obs, pivot=2)
+            expected = per_window_ratios(report, orbit[1:], obs, pivot=2)
             assert len(seqs.ratios[0]) == 60 - order - 10 + 1 == expected.shape[1]
             for got, want in zip(seqs.ratios, expected):
                 assert got.tobytes() == want.tobytes(), order
@@ -764,9 +764,10 @@ class TestExtractRatios:
             state_observable(lambda x: x[1]),
             constant_observable(1.0),
         ]
-        report = hk_nullspace(orbit, obs, window=5, start=1)
+        orbit = orbit[1:]
+        report = hk_nullspace(orbit, obs, window=5)
         assert report.null_dim == 1
-        message = "null space dimension 0 != 1 at window start 2"
+        message = "null space dimension 0 != 1 at window start 1"
         with pytest.raises(RuntimeError, match=message):
             per_window_ratios(report, orbit, obs, pivot=0)
         with pytest.raises(RuntimeError, match=message):
@@ -775,8 +776,9 @@ class TestExtractRatios:
     def test_degenerate_pivot_names_window_start(self):
         orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
         obs = [state_observable(lambda x: x[0]), constant_observable(0.0)]
-        report = hk_nullspace(orbit, obs, window=6, start=3)
-        message = "pivot coefficient degenerate at window start 3"
+        orbit = orbit[3:]
+        report = hk_nullspace(orbit, obs, window=6)
+        message = "pivot coefficient degenerate at window start 0"
         with pytest.raises(ValueError, match=message):
             per_window_ratios(report, orbit, obs, pivot=0)
         with pytest.raises(ValueError, match=message):
@@ -794,17 +796,17 @@ class TestExtractRatios:
         for region in layout:
             x0, x1 = rng.uniform(-1.0, 1.0, 2)
             states.append({"G": (x0, x1, x0 + x1), "D": (x0, x1, 1.5 * x1), "R": (x0, 2 * x0, 3 * x0)}[region])
-        orbit = synthetic_orbit(states)
+        orbit = synthetic_orbit(states)[2:]
         obs = [state_observable(lambda x, i=i: x[i]) for i in range(3)]
-        report = hk_nullspace(orbit, obs, window=5, start=2)
+        report = hk_nullspace(orbit, obs, window=5)
         assert report.null_dim == 1
         return report, orbit, obs
 
     def test_null_dimension_before_degenerate_pivot(self):
         # windows from 2: GGGRR, GGRRR, GRRRR, RRRRR (null dimension 2), then
-        # RRRRD on, degenerate
+        # RRRRD on, degenerate; the case's orbit starts at point 2
         report, orbit, obs = self.regions_case("GG" + "GGG" + "RRRRR" + "DDD")
-        message = "null space dimension 2 != 1 at window start 5"
+        message = "null space dimension 2 != 1 at window start 3"
         with pytest.raises(RuntimeError, match=message):
             per_window_ratios(report, orbit, obs, pivot=0)
         with pytest.raises(RuntimeError, match=message):
@@ -812,9 +814,9 @@ class TestExtractRatios:
 
     def test_degenerate_pivot_before_null_dimension(self):
         # windows from 2: GGGRR, GGRRR, GRRRR, RRRRD (degenerate) .. DRRRR,
-        # then RRRRR, null dimension 2
+        # then RRRRR, null dimension 2; the case's orbit starts at point 2
         report, orbit, obs = self.regions_case("GG" + "GGG" + "RRRR" + "D" + "RRRRR")
-        message = "pivot coefficient degenerate at window start 5"
+        message = "pivot coefficient degenerate at window start 3"
         with pytest.raises(ValueError, match=message):
             per_window_ratios(report, orbit, obs, pivot=0)
         with pytest.raises(ValueError, match=message):

@@ -162,7 +162,7 @@ class TestDensities:
             for _ in range(15):
                 xn = kahan_step(desc.field, x, eps).next
                 ratio = eval_density(desc, xn, eps, name) / eval_density(desc, x, eps, name)
-                det = float(np.linalg.det(map_jacobian(desc.field, x, eps)))
+                det = float(np.linalg.det(map_jacobian(desc.field, x, eps, xn)))
                 assert abs(ratio - det) <= 1e-10 * (1 + abs(det)), (kind, name)
                 x = xn
 
@@ -178,7 +178,7 @@ class TestDensities:
             xn = kahan_step(desc.field, x, eps).next
             fake = lambda y: evaluate_named(desc, "c0", y, eps)
             ratio = fake(xn) / fake(x)
-            det = float(np.linalg.det(map_jacobian(desc.field, x, eps)))
+            det = float(np.linalg.det(map_jacobian(desc.field, x, eps, xn)))
             worst = max(worst, abs(ratio - det))
             x = xn
         assert worst > 1e-6

@@ -225,7 +225,7 @@ class TestMapProperties:
             e = np.zeros(n)
             e[j] = h
             fd[:, j] = (kahan_step(f, x + e, eps).next - kahan_step(f, x - e, eps).next) / (2 * h)
-        assert np.allclose(map_jacobian(f, x, eps), fd, atol=1e-6)
+        assert np.allclose(map_jacobian(f, x, eps, kahan_step(f, x, eps).next), fd, atol=1e-6)
 
     def test_map_jacobian_determinant_identity(self):
         # det dPhi(x) = Delta(x~, -eps) / Delta(x, eps)
@@ -235,7 +235,7 @@ class TestMapProperties:
             x = rng.standard_normal(4) * 0.5
             eps = 0.08
             x_next = kahan_step(f, x, eps).next
-            lhs = cofactor_det(map_jacobian(f, x, eps))
+            lhs = cofactor_det(map_jacobian(f, x, eps, x_next))
             rhs = delta(f, x_next, -eps) / delta(f, x, eps)
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
@@ -737,7 +737,7 @@ def outcome(fn, *args):
 
 
 class TestLapackKernels:
-    """_det, _solve and _solve1 call the gufuncs numpy.linalg dispatches to,
+    """_det and _solve1 call the gufuncs numpy.linalg dispatches to,
     so they must give numpy.linalg's bits and raise where it raises."""
 
     @pytest.mark.parametrize("seed", range(4))
@@ -746,10 +746,6 @@ class TestLapackKernels:
     def test_bits_equal_numpy_linalg(self, seed, shape, n):
         mats = near_singular_stack(seed, math.prod(shape), n).reshape(*shape, n, n)
         assert outcome(quadfield._det, mats) == outcome(np.linalg.det, mats)
-        for k in (1, n):
-            rhs = np.random.default_rng(seed).standard_normal((*shape, n, k))
-            # a 1e-300 matrix can round to singular: both sides raise then
-            assert outcome(quadfield._solve, mats, rhs) == outcome(np.linalg.solve, mats, rhs)
 
     @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]], np.diag([1.0, 2.0, 0.0, 3.0, 4.0, 5.0])])
     def test_singular_matrix_raises(self, mat):
@@ -758,12 +754,6 @@ class TestLapackKernels:
         assert quadfield._det(mats)[1] == np.linalg.det(mats)[1] == 0.0
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             np.linalg.solve(mats, rhs)
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            quadfield._solve(mats, rhs)
-        # the error state the state draws run under does not silence it
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                quadfield._solve(mats, rhs)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,), (2, 3)])

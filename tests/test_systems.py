@@ -186,8 +186,11 @@ class TestBuildSystem:
         with pytest.raises(ValueError, match="first_clebsch"):
             build_system("general_clebsch", pr)
 
-    def test_params_dict_accepted(self):
-        desc = build_system("lagrange", {"alpha": 2.0, "gamma": 1.0})
+    def test_params_dict_goes_through_params_from_dict(self):
+        doc = {"alpha": 2.0, "gamma": 1.0}
+        with pytest.raises(TypeError, match="lagrange takes LagrangeParams"):
+            build_system("lagrange", doc)
+        desc = build_system("lagrange", params_from_dict("lagrange", doc))
         assert isinstance(desc.params, LagrangeParams)
 
     def test_missing_field_named(self):

@@ -44,31 +44,20 @@ def bare_descriptor(field: QuadraticVectorField, kind: str = "probe") -> SystemD
 
 
 class TestPropertyReport:
-    def test_pass_flag_must_mirror_comparison(self):
-        with pytest.raises(ValueError, match="mirror"):
-            PropertyReport(
-                name="x",
-                trials=1,
-                max_violation=1.0,
-                tolerance=0.5,
-                passed=True,
-                worst_case_input=np.zeros(2),
-                seed=0,
-            )
-
     def test_json_dict_is_serializable(self):
         report = PropertyReport(
             name="x",
+            description="a check",
             trials=3,
             max_violation=1e-12,
             tolerance=1e-10,
-            passed=True,
             worst_case_input=np.array([0.5, -0.25]),
             seed=7,
             skipped=1,
         )
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["passed"] is True
+        assert "description" not in doc
         assert doc["worst_case_input"] == [0.5, -0.25]
         assert doc["seed"] == 7
         assert doc["skipped"] == 1
@@ -338,7 +327,7 @@ class TestStackedConservation:
         desc = make_system(kind)
         names = desc.conserved_names
         seeds = [30 + i for i in range(len(names))]
-        reports = verify._conservation(desc, names, seeds, 300, 0.05, CONSERVATION_TOL)
+        reports = verify._conservation(desc, names, seeds, 300, 0.05)
         for report, name, seed in zip(reports, names, seeds):
             violation, worst_x, skipped = conservation_reference(desc, name, 300, 0.05, seed)
             assert report.name == f"{kind}.conserved.{name}" and report.seed == seed
@@ -360,12 +349,12 @@ class TestStackedConservation:
         desc = make_system(kind)
         names = desc.conserved_names
         seeds = [50 + i for i in range(len(names))]
-        clean = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
+        clean = verify._conservation(desc, names, seeds, 40, 0.05)
         x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1).x[0]
         for _ in range(7):
             x = quadfield.kahan_step(desc.field, x, 0.05).next
         place_pole(monkeypatch, x)
-        stubbed = verify._conservation(desc, names, seeds, 40, 0.05, CONSERVATION_TOL)
+        stubbed = verify._conservation(desc, names, seeds, 40, 0.05)
         for name, seed, report in zip(names, seeds, stubbed):
             violation, worst_x, skipped = conservation_reference(desc, name, 40, 0.05, seed)
             assert report.max_violation == violation and report.skipped == skipped
@@ -408,6 +397,6 @@ class TestStepsPerTrial:
     def test_conservation_one_step_per_orbit_point(self, monkeypatch):
         desc = make_system("kirchhoff")
         rows = self.count_rows(monkeypatch)
-        verify._conservation(desc, desc.conserved_names, [63, 64, 65], 100, 0.05, CONSERVATION_TOL)
+        verify._conservation(desc, desc.conserved_names, [63, 64, 65], 100, 0.05)
         # one draw step per orbit, then one step per orbit point
         assert sum(rows) == 3 * (100 + 1)
