@@ -5,6 +5,10 @@ The catalog configs there are the benchmark's; for a fixed config and seed,
 orbit.csv, verify.json, hkscan.json and report.txt (verify and hk-scan
 together) stay byte-identical across refactors unless a change says why
 they move (and then records the new digests).
+
+The "edges" section pins simulate at step sizes where the orbit meets a pole
+or its denominator leaves the float range: each run's exit status, stderr and
+the digest of its orbit.csv (null when none is written).
 """
 
 import hashlib
@@ -13,7 +17,7 @@ import os
 
 import pytest
 
-from kahanmaps.cli import parse_config, run_command
+from kahanmaps.cli import main, parse_config, run_command
 
 with open(os.path.join(os.path.dirname(__file__), "golden_seed1.json"), encoding="utf-8") as fh:
     GOLDEN = json.load(fh)
@@ -34,3 +38,24 @@ def test_outputs_match_recorded_digests(command, tmp_path):
         run_command(cfg, command, str(out))
         digests[kind] = hashlib.sha256((out / OUTPUT[command]).read_bytes()).hexdigest()
     assert digests == GOLDEN["digests"][command]
+
+
+def edge_run(kind, eps, out, capsys):
+    """simulate on the catalog config of kind at seed 1 and the edges'
+    step count: its exit status, stderr and orbit.csv digest."""
+    out.mkdir()
+    path = out / "config.json"
+    path.write_text(json.dumps(GOLDEN["configs"][kind]), encoding="utf-8")
+    argv = ["simulate", "--config", str(path), "--seed", str(GOLDEN["seed"])]
+    argv += ["--steps", str(GOLDEN["edges"]["steps"]), "--eps", eps, "--out", str(out)]
+    capsys.readouterr()
+    code = main(argv)
+    csv = out / "orbit.csv"
+    digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else None
+    return {"exit": code, "stderr": capsys.readouterr().err, "sha256": digest}
+
+
+@pytest.mark.parametrize("eps", ["1e10", "1e150"])
+def test_edge_outputs_match_recorded_digests(eps, tmp_path, capsys):
+    runs = {kind: edge_run(kind, eps, tmp_path / kind, capsys) for kind in GOLDEN["configs"]}
+    assert runs == GOLDEN["edges"]["runs"][eps]
