@@ -21,19 +21,24 @@ f'(x) x = 2 Q(x) + B x for symmetric quad, so
 
     2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c.
 
-Its loop carries only what the next point depends on: the step matrix, its
-determinant and the pole decision, then that right-hand side and the solve;
-nothing is evaluated after it.  The defining equation above is the
-definition of the map, and the increment form is how it is solved.  A
-state whose |det(I - eps*f'(x))| falls below a scale-aware threshold sits
-on a pole: its row stops there, that entry keeps its denominator and
-threshold, and every later entry of the row is nan.  Every step is a
-KahanBatch: kahan_step_batch is the one-step orbit of a stack without its
-step axis, and kahan_step entry (0, 0) of the one-step orbit of one state,
-which raises SingularStepError at a pole; a state gets the same numbers
-from all three, bit for bit.  delta reads det(I - eps*f'(x)) from the same
-step matrix.  Whether a pole at the first step of an orbit is an error is
-for the caller to say.
+Its loop carries only what the next point depends on: the step matrix,
+that right-hand side, the solve and the add; nothing is evaluated after
+it.  The defining equation above is the definition of the map, and the
+increment form is how it is solved.  A state whose |det(I - eps*f'(x))|
+falls below a scale-aware threshold sits on a pole: its row stops there,
+that entry keeps its denominator and threshold, and every later entry of
+the row is nan.  The rows step DECIDE_STEPS steps at a time, and then one
+step-matrix call on every point of the block gives the denominators and
+one pass decides the poles; a row's steps past its first pole in the
+block, at most DECIDE_STEPS - 1, are dropped.  The Jacobian kernel gives
+each row the same bits in a stack of any size, so the block's
+denominators and decisions are those of the steps one at a time.  Every
+step is a KahanBatch: kahan_step_batch is the one-step orbit of a stack
+without its step axis, and kahan_step entry (0, 0) of the one-step orbit
+of one state, which raises SingularStepError at a pole; a state gets the
+same numbers from all three, bit for bit.  delta reads det(I - eps*f'(x))
+from the same step matrix.  Whether a pole at the first step of an orbit
+is an error is for the caller to say.
 
 Measured against the exact rational step from the same floats
 (tests/exact_clebsch.py), on 200 states in the unit ball per catalog kind,
@@ -43,19 +48,21 @@ and 0.35-0.64 ulp at eps 0.4.  Solving for x~ directly, from
 0.05 on the same states, about twice as far off, hence the increment.
 
 The step's determinant and solve call LAPACK's det and solve kernels
-directly: the gufuncs that numpy.linalg's det and solve dispatch to, the
-solve under the error state numpy.linalg sets for it.  On the float64
-square stacks the step builds, numpy.linalg's wrapper (array conversion,
-shape checks, type promotion, a no-op cast) changes nothing, so the bits
-are the same, and its per-call cost, half or more of each call, is saved.
-A determinant past the float range is recorded as +-inf without a warning,
-under one error state per orbit.  map_jacobian, one call on a whole stack
-per density check, calls numpy.linalg.solve itself.  Likewise the Jacobian
-calls numpy's einsum kernel, c_einsum, which np.einsum returns from without
-optimization, and adds the other term in place on its fresh output, in the
-order the plain expression rounds them.  A lone step takes about 17 us,
-against 21 us when f(x) took its own einsum (best of 15 interleaved
-1000-step orbits, 2-core x86-64 VM).
+directly: the gufuncs that numpy.linalg's det and solve dispatch to.  On
+the float64 square stacks the step builds, numpy.linalg's wrapper (array
+conversion, shape checks, type promotion, a no-op cast) changes nothing,
+so the bits are the same, and its per-call cost, half or more of each
+call, is saved.  kahan_orbit runs under one error state per call: a
+determinant past the float range is recorded as +-inf without a warning,
+and a row stepped past its pole, which may be singular, solves to nan or
+inf instead of raising.  A state that is already nan decides no pole and
+carries nan.  map_jacobian, one call on a whole stack per density check,
+calls numpy.linalg.solve itself.  Likewise the Jacobian calls numpy's
+einsum kernel, c_einsum, which np.einsum returns from without
+optimization, and adds the other term in place on its fresh output, in
+the order the plain expression rounds them.  A lone step takes about
+12 us, against 18-20 us when it decided its pole on every step (best of
+15 interleaved 1000-step orbits, 2-core x86-64 VM).
 """
 
 from __future__ import annotations
@@ -85,11 +92,13 @@ __all__ = [
 # counts as singular rather than merely small.
 SINGULAR_DET_FACTOR = 1e-13
 # The array root rounds a few ulps from the scalar power; a row that clears
-# the array test by this relative margin is off a pole. Stacks of up to
-# POLE_TEST_ROWS rows skip that test: below about that many rows the scalar
-# tests alone cost less (2-core x86-64 VM).
+# the array test by this relative margin is off a pole.
 POLE_MARGIN = 1.0 + 1e-6
-POLE_TEST_ROWS = 8
+# Steps an orbit takes between pole decisions; a row stepped past its pole
+# wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step orbit costs about
+# 12 us a step at any block from 16 to 256 steps, 16 us at 4 and 30 us at 1
+# (2-core x86-64 VM).
+DECIDE_STEPS = 64
 
 
 class SingularStepError(RuntimeError):
@@ -171,16 +180,22 @@ def _solve1(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """numpy.linalg's solve of float64 stacks mat[..., n, n] with vector
     right-hand sides rhs[..., n], without its wrapper: the gufunc
     numpy.linalg.solve takes for a 1-D rhs, for any stack. A singular
-    matrix raises LinAlgError as it does."""
+    matrix raises LinAlgError as it does. kahan_orbit makes the same
+    gufunc call under its own error state."""
     return _umath_linalg.solve1(mat, rhs, signature="dd->d")
+
+
+def _solve_matrix(field: QuadraticVectorField, x: np.ndarray, eps: float):
+    """I - eps*f'(x) and a fresh eps*f'(x), for one state or a stack x[..., n]."""
+    scaled = jacobian_field(field, x)
+    scaled *= eps
+    return _eye(field.dim) - scaled, scaled
 
 
 def _step_matrix(field: QuadraticVectorField, x: np.ndarray, eps: float):
     """I - eps*f'(x), its determinant, the inf-norm of eps*f'(x) and a fresh
     eps*f'(x) itself, for one state or a stack x[..., n]."""
-    scaled = jacobian_field(field, x)
-    scaled *= eps
-    mat = _eye(field.dim) - scaled
+    mat, scaled = _solve_matrix(field, x, eps)
     # the ufunc reductions .sum and .max dispatch to, without their wrappers
     norms = np.maximum.reduce(np.add.reduce(np.abs(scaled), axis=-1), axis=-1)
     return mat, _det(mat), norms, scaled
@@ -198,20 +213,16 @@ def _pole_threshold(norm: float, n: int) -> float:
 
 def _poles(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
     """The rows of a stack whose |det| falls below _pole_threshold of their
-    norm, and those thresholds. A stack of more than POLE_TEST_ROWS rows
-    first takes one array comparison, in n-th roots so that nothing
-    overflows: it clears every row whose |det| passes its threshold by the
-    relative margin POLE_MARGIN, and only the rows it leaves take the
+    norm, and those thresholds. One array comparison, in n-th roots so that
+    nothing overflows, clears every row whose |det| passes its threshold by
+    the relative margin POLE_MARGIN, and only the rows it leaves take the
     scalar test. Every decision and threshold is the scalar one."""
-    near = range(len(det))
-    if len(det) > POLE_TEST_ROWS:
-        root = np.abs(det)
-        root **= 1.0 / n
-        bound = norms + 1.0
-        bound *= (SINGULAR_DET_FACTOR * POLE_MARGIN) ** (1.0 / n)
-        near = np.less(root, bound).nonzero()[0].tolist()
+    root = np.abs(det)
+    root **= 1.0 / n
+    bound = norms + 1.0
+    bound *= (SINGULAR_DET_FACTOR * POLE_MARGIN) ** (1.0 / n)
     poles, thresholds = [], []
-    for i in near:
+    for i in np.less(root, bound).nonzero()[0].tolist():
         threshold = _pole_threshold(norms.item(i), n)
         if abs(det.item(i)) < threshold:
             poles.append(i)
@@ -251,8 +262,6 @@ class KahanBatch(NamedTuple):
         return (~np.logical_or.accumulate(self.pole, axis=0)).sum(axis=0)
 
 
-# a denominator past the float range is data: det returns it as +-inf
-@np.errstate(over="ignore")
 def kahan_orbit(
     field: QuadraticVectorField, x: np.ndarray, eps: float, steps: int, first: KahanBatch = None
 ) -> KahanBatch:
@@ -262,10 +271,12 @@ def kahan_orbit(
     which are then not taken again. A row stops at its first pole (see the
     module docstring).
 
-    Each step solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with
-    partial pivoting for the rows still off a pole, carrying the
-    denominator and the pole decision; the right-hand side reuses the step
-    matrix's eps*f'(x) (see the module docstring).
+    The rows still off a pole step DECIDE_STEPS at a time: each step solves
+    (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with partial pivoting, the
+    right-hand side reusing the step matrix's eps*f'(x), and nothing else.
+    Then one step-matrix call over every point of the block gives the
+    denominators, and one pole decision reads them all; a row's steps past
+    its first pole are dropped.
     """
     x = np.asarray(x, dtype=float)
     count, n = x.shape
@@ -276,7 +287,7 @@ def kahan_orbit(
         np.full((steps, count), np.nan),
     )
     # the rows off a pole (all of them until one is met) and their points
-    live, point, start = slice(None), x, 0
+    live, point, k = slice(None), x, 0
     # 2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c, from the step matrix's eps*f'(x)
     eps_lin, two_eps_const = eps * field.lin, 2.0 * eps * field.const
     if first is not None and steps:
@@ -284,24 +295,40 @@ def kahan_orbit(
         orbit.threshold[0, first.pole] = first.threshold[first.pole]
         if first.pole.any():
             live = np.flatnonzero(~first.pole)
-        point, start = first.next[live], 1
-    for k in range(start, steps):
-        if not len(point):
-            break
-        mat, det, norms, scaled = _step_matrix(field, point, eps)
-        poles, thresholds = _poles(det, norms, n)
-        orbit.delta[k, live] = det
-        if poles:
-            rows = np.arange(count)[live]
-            orbit.pole[k, rows[poles]] = True
-            orbit.threshold[k, rows[poles]] = thresholds
-            # solve the regular rows only: one singular matrix fails a stacked solve
-            live = np.delete(rows, poles)
-            point, mat, scaled = (np.delete(a, poles, 0) for a in (point, mat, scaled))
-        scaled += eps_lin
-        rhs = (scaled @ point[..., None])[..., 0]
-        rhs += two_eps_const
-        point = orbit.next[k, live] = point + _solve1(mat, rhs)
+        point, k = first.next[live], 1
+    # a denominator past the float range is data, det returns it as +-inf,
+    # and a row stepped past its pole may be singular: its solve gives nan
+    # or inf, which the block's pole decision drops
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while k < steps and len(point):
+            block = min(DECIDE_STEPS, steps - k)
+            points = np.empty((block + 1, *point.shape))
+            points[0] = point
+            for j in range(block):
+                mat, scaled = _solve_matrix(field, points[j], eps)
+                scaled += eps_lin
+                rhs = (scaled @ points[j, ..., None])[..., 0]
+                rhs += two_eps_const
+                np.add(points[j], _umath_linalg.solve1(mat, rhs, signature="dd->d"), out=points[j + 1])
+            _, det, norms, _ = _step_matrix(field, points[:-1].reshape(-1, n), eps)
+            poles, thresholds = _poles(det, norms, n)
+            orbit.next[k : k + block, live] = points[1:]
+            orbit.delta[k : k + block, live] = det.reshape(block, -1)
+            point = points[-1]
+            if poles:
+                # each row's first pole in the block, in step-major order
+                ended = {}
+                for i, threshold in zip(poles, thresholds):
+                    ended.setdefault(i % len(point), (k + i // len(point), threshold))
+                rows = np.arange(count)[live]
+                for r, (at, threshold) in ended.items():
+                    orbit.next[at : k + block, rows[r]] = np.nan
+                    orbit.delta[at + 1 : k + block, rows[r]] = np.nan
+                    orbit.pole[at, rows[r]] = True
+                    orbit.threshold[at, rows[r]] = threshold
+                live = np.delete(rows, list(ended))
+                point = np.delete(point, list(ended), 0)
+            k += block
     return orbit
 
 

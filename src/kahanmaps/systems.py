@@ -476,11 +476,14 @@ def _G(q) -> np.ndarray:
 def _coeff_vec(A, a, b, eps2: float, g: np.ndarray) -> np.ndarray:
     """(c1, c2, c3, c0) of the Clebsch family; the bilinear variant is the
     same formula at -eps^2 with g replaced by G."""
-    c = [
-        A[i]
-        + eps2 * (A[k] * a[i] * (b[i] - b[j]) * g[:, j] + A[j] * a[i] * (b[i] - b[k]) * g[:, k])
-        for i, j, k in _CYCLIC
-    ]
+    # at a huge eps, eps^2 times the product leaves the float range: the
+    # coefficient is then +-inf, data like a Delta past it
+    with np.errstate(over="ignore"):
+        c = [
+            A[i]
+            + eps2 * (A[k] * a[i] * (b[i] - b[j]) * g[:, j] + A[j] * a[i] * (b[i] - b[k]) * g[:, k])
+            for i, j, k in _CYCLIC
+        ]
     c0 = sum(A[i] * a[j] * a[k] * g[:, i] for i, j, k in _CYCLIC)
     return np.stack([c[0], c[1], c[2], c0], axis=-1)
 

@@ -48,6 +48,11 @@ DENOMINATOR_FLOOR = 1e-6
 MAX_DRAWS = 1000
 
 
+def _json_float(value: float):
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of one seeded property suite; description says in words what
@@ -69,16 +74,19 @@ class PropertyReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_violation <= self.tolerance
+        # a check that skipped every trial checked nothing
+        return self.max_violation <= self.tolerance and self.skipped < self.trials
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values, a non-finite float as null so that the
+        file stays strict JSON."""
         return {
             "name": self.name,
             "trials": self.trials,
-            "max_violation": float(self.max_violation),
-            "tolerance": float(self.tolerance),
+            "max_violation": _json_float(self.max_violation),
+            "tolerance": _json_float(self.tolerance),
             "passed": bool(self.passed),
-            "worst_case_input": [float(v) for v in self.worst_case_input],
+            "worst_case_input": [_json_float(v) for v in self.worst_case_input.tolist()],
             "seed": self.seed,
             "skipped": self.skipped,
         }

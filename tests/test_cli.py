@@ -23,7 +23,7 @@ from kahanmaps.cli import (
 from kahanmaps.hkbasis import WronskianBasisSpec, conjugate_pairs, hk_nullspace, iterate_orbit
 from kahanmaps.integrals import DenominatorZeroError, evaluate_named
 from kahanmaps.quadfield import SingularStepError, kahan_step
-from kahanmaps.systems import build_system
+from kahanmaps.systems import build_system, params_to_dict
 
 KIRCHHOFF_DOC = {
     "system": "kirchhoff",
@@ -167,7 +167,7 @@ class TestSimulate:
 
     def test_full_roundtrip_precision(self, tmp_path):
         from kahanmaps.quadfield import kahan_step
-        from kahanmaps.systems import build_system
+        from kahanmaps.systems import build_system, params_to_dict
 
         doc = dict(KIRCHHOFF_DOC, steps=1, x0=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], eps=0.05)
         cfg = parse_config(write_config(tmp_path, doc))
@@ -460,11 +460,52 @@ class TestHugeEps:
     the float range. The commands keep it as +-inf, warn about nothing, and
     a density check counts each trial whose ratio is inf/inf as skipped."""
 
-    def run(self, command, tmp_path):
-        path = write_config(tmp_path, KIRCHHOFF_DOC)
+    def run(self, command, tmp_path, doc=KIRCHHOFF_DOC):
+        path = write_config(tmp_path, doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             return main([command, "--config", path, "--eps", "1e150", "--steps", "50", "--out", str(tmp_path)])
+
+    def run_kind(self, command, kind, tmp_path):
+        return self.run(command, tmp_path, {"system": kind, "params": params_to_dict(make_params(kind))})
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_command_warns(self, kind, tmp_path, capsys):
+        # every command but hk-scan, which report runs; first_clebsch draws
+        # no state at this eps and says so
+        codes = [self.run_kind(command, kind, tmp_path) for command in ("simulate", "verify", "report")]
+        if kind == "first_clebsch":
+            assert codes == [2, 2, 2]
+            assert capsys.readouterr().err.count("error: no first_clebsch state off the poles") == 3
+        else:
+            assert codes[0] == 0
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "first_clebsch"])
+    def test_verify_json_is_strict(self, kind, tmp_path):
+        # a non-finite float is written as null
+        self.run_kind("verify", kind, tmp_path)
+
+        def refuse(constant):
+            raise ValueError(f"non-finite constant {constant} in verify.json")
+
+        json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"), parse_constant=refuse)
+
+    @pytest.mark.parametrize("kind", ["general_clebsch", "second_clebsch", "kirchhoff", "lagrange"])
+    def test_a_check_that_skipped_every_trial_fails(self, kind, tmp_path, capsys):
+        # every density trial is inf/inf: nothing was checked
+        assert self.run_kind("verify", kind, tmp_path) == 1
+        reports = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
+        measure = [r for r in reports if ".measure." in r["name"]]
+        assert measure and all(r["skipped"] == r["trials"] and not r["passed"] for r in measure)
+        if kind in ("general_clebsch", "second_clebsch"):
+            # report stops at the scan, whose orbit meets a pole first
+            assert self.run_kind("report", kind, tmp_path) == 2
+            assert capsys.readouterr().err == "error: orbit hits a pole at step 3 of the 13 the scan needs\n"
+            return
+        assert self.run_kind("report", kind, tmp_path) == 1
+        lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL] invariant density")]
+        assert len(failed) == len(measure) and lines[-1] == "overall: FAIL"
 
     def test_simulate_keeps_the_overflowed_delta(self, tmp_path):
         assert self.run("simulate", tmp_path) == 0
