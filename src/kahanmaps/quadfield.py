@@ -27,18 +27,18 @@ it.  The defining equation above is the definition of the map, and the
 increment form is how it is solved.  A state whose |det(I - eps*f'(x))|
 falls below a scale-aware threshold sits on a pole: its row stops there,
 that entry keeps its denominator and threshold, and every later entry of
-the row is nan.  The rows step DECIDE_STEPS steps at a time, and then one
-step-matrix call on every point of the block gives the denominators and
-one pass decides the poles; a row's steps past its first pole in the
-block, at most DECIDE_STEPS - 1, are dropped.  The Jacobian kernel gives
-each row the same bits in a stack of any size, so the block's
-denominators and decisions are those of the steps one at a time.  Every
-step is a KahanBatch: kahan_step_batch is the one-step orbit of a stack
-without its step axis, and kahan_step entry (0, 0) of the one-step orbit
-of one state, which raises SingularStepError at a pole; a state gets the
-same numbers from all three, bit for bit.  delta reads det(I - eps*f'(x))
-from the same step matrix.  Whether a pole at the first step of an orbit
-is an error is for the caller to say.
+the row is nan.  The rows step DECIDE_STEPS steps at a time, keeping
+each step's matrix and eps*f'(x); then one det of the block's matrices
+gives the denominators and one pass decides the poles; a row's steps past
+its first pole in the block, at most DECIDE_STEPS - 1, are dropped.  The
+Jacobian kernel and det give each row the same bits in a stack of any
+size, so the block's denominators and decisions are those of the steps
+one at a time.  Every step is a KahanBatch: kahan_step_batch is the
+one-step orbit of a stack without its step axis, and kahan_step entry
+(0, 0) of the one-step orbit of one state, which raises SingularStepError
+at a pole; a state gets the same numbers from all three, bit for bit.
+delta takes det(I - eps*f'(x)) of the same step matrix.  Whether a pole
+at the first step of an orbit is an error is for the caller to say.
 
 Measured against the exact rational step from the same floats
 (tests/exact_clebsch.py), on 200 states in the unit ball per catalog kind,
@@ -47,22 +47,16 @@ and 0.35-0.64 ulp at eps 0.4.  Solving for x~ directly, from
 (I - eps*f'(x)) x~ = (I + eps*B) x + 2*eps*c, gives 0.58-0.78 ulp at eps
 0.05 on the same states, about twice as far off, hence the increment.
 
-The step's determinant and solve call LAPACK's det and solve kernels
-directly: the gufuncs that numpy.linalg's det and solve dispatch to.  On
-the float64 square stacks the step builds, numpy.linalg's wrapper (array
-conversion, shape checks, type promotion, a no-op cast) changes nothing,
-so the bits are the same, and its per-call cost, half or more of each
-call, is saved.  kahan_orbit runs under one error state per call: a
-determinant past the float range is recorded as +-inf without a warning,
-and a row stepped past its pole, which may be singular, solves to nan or
-inf instead of raising.  A state that is already nan decides no pole and
-carries nan.  map_jacobian, one call on a whole stack per density check,
-calls numpy.linalg.solve itself.  Likewise the Jacobian calls numpy's
-einsum kernel, c_einsum, which np.einsum returns from without
-optimization, and adds the other term in place on its fresh output, in
-the order the plain expression rounds them.  A lone step takes about
-12 us, against 18-20 us when it decided its pole on every step (best of
-15 interleaved 1000-step orbits, 2-core x86-64 VM).
+Each step calls LAPACK's solve kernel directly, the gufunc that
+numpy.linalg.solve dispatches to, without its wrapper, which changes
+nothing on the float64 square stacks the step builds.  kahan_orbit runs
+under one error state per call: a determinant past the float range is
+recorded as +-inf without a warning, and a row stepped past its pole,
+which may be singular, solves to nan or inf instead of raising.  A state
+that is already nan decides no pole and carries nan.  Likewise the
+Jacobian calls numpy's einsum kernel, c_einsum, which np.einsum returns
+from without optimization, and adds the other term in place on its fresh
+output, in the order the plain expression rounds them.
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy._core.multiarray import c_einsum
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "SingularStepError",
@@ -165,40 +159,11 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _det(mat: np.ndarray) -> np.ndarray:
-    """numpy.linalg's det of a float64 stack mat[..., n, n], without its wrapper."""
-    return _umath_linalg.det(mat, signature="d->d")
-
-
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-# the error state numpy.linalg.solve runs its gufunc under
-@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _solve1(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """numpy.linalg's solve of float64 stacks mat[..., n, n] with vector
-    right-hand sides rhs[..., n], without its wrapper: the gufunc
-    numpy.linalg.solve takes for a 1-D rhs, for any stack. A singular
-    matrix raises LinAlgError as it does. kahan_orbit makes the same
-    gufunc call under its own error state."""
-    return _umath_linalg.solve1(mat, rhs, signature="dd->d")
-
-
 def _solve_matrix(field: QuadraticVectorField, x: np.ndarray, eps: float):
     """I - eps*f'(x) and a fresh eps*f'(x), for one state or a stack x[..., n]."""
     scaled = jacobian_field(field, x)
     scaled *= eps
     return _eye(field.dim) - scaled, scaled
-
-
-def _step_matrix(field: QuadraticVectorField, x: np.ndarray, eps: float):
-    """I - eps*f'(x), its determinant, the inf-norm of eps*f'(x) and a fresh
-    eps*f'(x) itself, for one state or a stack x[..., n]."""
-    mat, scaled = _solve_matrix(field, x, eps)
-    # the ufunc reductions .sum and .max dispatch to, without their wrappers
-    norms = np.maximum.reduce(np.add.reduce(np.abs(scaled), axis=-1), axis=-1)
-    return mat, _det(mat), norms, scaled
 
 
 def _pole_threshold(norm: float, n: int) -> float:
@@ -233,7 +198,7 @@ def _poles(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
     """det(I - eps*f'(x)), the denominator polynomial of the Kahan map, as
     the step from x computes it."""
-    return float(_step_matrix(field, x, eps)[1])
+    return float(np.linalg.det(_solve_matrix(field, x, eps)[0]))
 
 
 class KahanBatch(NamedTuple):
@@ -274,8 +239,8 @@ def kahan_orbit(
     The rows still off a pole step DECIDE_STEPS at a time: each step solves
     (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with partial pivoting, the
     right-hand side reusing the step matrix's eps*f'(x), and nothing else.
-    Then one step-matrix call over every point of the block gives the
-    denominators, and one pole decision reads them all; a row's steps past
+    Then the matrices and eps*f'(x) the block built give the denominators
+    and norms, and one pole decision reads them all; a row's steps past
     its first pole are dropped.
     """
     x = np.asarray(x, dtype=float)
@@ -304,13 +269,17 @@ def kahan_orbit(
             block = min(DECIDE_STEPS, steps - k)
             points = np.empty((block + 1, *point.shape))
             points[0] = point
+            mats, scaleds = [], []
             for j in range(block):
                 mat, scaled = _solve_matrix(field, points[j], eps)
-                scaled += eps_lin
-                rhs = (scaled @ points[j, ..., None])[..., 0]
+                rhs = ((scaled + eps_lin) @ points[j, ..., None])[..., 0]
                 rhs += two_eps_const
                 np.add(points[j], _umath_linalg.solve1(mat, rhs, signature="dd->d"), out=points[j + 1])
-            _, det, norms, _ = _step_matrix(field, points[:-1].reshape(-1, n), eps)
+                mats.append(mat)
+                scaleds.append(scaled)
+            # the block's points in step-major order, [block * live, ...]
+            det = np.linalg.det(np.concatenate(mats))
+            norms = np.abs(np.concatenate(scaleds)).sum(-1).max(-1)
             poles, thresholds = _poles(det, norms, n)
             orbit.next[k : k + block, live] = points[1:]
             orbit.delta[k : k + block, live] = det.reshape(block, -1)

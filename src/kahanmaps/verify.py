@@ -183,13 +183,13 @@ def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:
     the number of rows skipped. A row with a nan violation is skipped too,
     not passed over. The row is the first in row order (then column order)
     to reach the largest violation, as a running strict maximum finds it;
-    (0.0, None, skipped) when none is above 0."""
+    (0.0, None, skipped) when none is above 0, as for no rows at all."""
+    if not violations.size:
+        return 0.0, None, int(skip.sum())
     v = violations.reshape(skip.shape[0], -1)
     skip = skip | np.isnan(v).any(axis=1)
     skipped = int(skip.sum())
     v = np.where(skip[:, None], -np.inf, v)
-    if not v.size:
-        return 0.0, None, skipped
     flat = int(np.argmax(v))
     worst = float(v.flat[flat])
     return (worst, flat // v.shape[1], skipped) if worst > 0.0 else (0.0, None, skipped)

@@ -89,18 +89,20 @@ def safe_state(rng, desc, eps=0.05):
 
 def place_pole(monkeypatch, x):
     """Make the Kahan step from every point equal to x a pole, whatever the
-    field and step size: the step matrix reads an infinite norm at such a
-    row, so the pole threshold is inf there, and kahan_orbit and every
-    caller of it, the one-state oracle in scalar_table included, see the
-    pole from the same code."""
+    field and step size: once the step matrix is built, the eps*f'(x) beside
+    it reads inf at such a row, so its norm and pole threshold are inf there
+    while its det keeps its value, and kahan_orbit and every caller of it,
+    the one-state oracle in scalar_table included, see the pole from the
+    same code."""
     target = np.array(x, dtype=float)
-    step_matrix = quadfield._step_matrix
+    solve_matrix = quadfield._solve_matrix
 
     def placed(field, point, eps):
-        mat, det, norm, scaled = step_matrix(field, point, eps)
-        return mat, det, np.where((point == target).all(axis=-1), math.inf, norm), scaled
+        mat, scaled = solve_matrix(field, point, eps)
+        hit = (point == target).all(axis=-1)[..., None, None]
+        return mat, np.where(hit, math.inf, scaled)
 
-    monkeypatch.setattr(quadfield, "_step_matrix", placed)
+    monkeypatch.setattr(quadfield, "_solve_matrix", placed)
 
 
 def einsum_polarize(field, x, y):

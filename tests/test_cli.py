@@ -297,13 +297,13 @@ class TestOnePassRows:
         # one step per row, one after the last row, and one to draw x0:
         # every step builds its step matrix once per row
         rows = []
-        step_matrix = quadfield._step_matrix
+        solve_matrix = quadfield._solve_matrix
 
         def counted(field, x, eps):
             rows.append(len(x))
-            return step_matrix(field, x, eps)
+            return solve_matrix(field, x, eps)
 
-        monkeypatch.setattr(quadfield, "_step_matrix", counted)
+        monkeypatch.setattr(quadfield, "_solve_matrix", counted)
         cfg = catalog_config(kind, steps=50)
         assert run_command(cfg, "simulate", str(tmp_path)) == 0
         assert sum(rows) == cfg.steps + 2, (kind, rows)
@@ -453,6 +453,28 @@ class TestReportCommand:
         assert "[INFO] order-4" in text
         assert text.rstrip().endswith("overall: PASS")
         assert "conservation of m3" in text
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_no_steps_fails_every_conservation_check(command, tmp_path, capsys):
+    # an orbit of 0 steps checks nothing: each conserved quantity reads 0
+    # trials, none skipped, and fails; the other checks run as usual
+    path = write_config(tmp_path, dict(KIRCHHOFF_DOC, trials=10))
+    assert main([command, "--config", path, "--steps", "0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
+    if command == "verify":
+        reports = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
+        conserved = [r for r in reports if ".conserved." in r["name"]]
+        assert [r["name"] for r in conserved] == [f"kirchhoff.conserved.{q}" for q in ("I0", "J0", "m3")]
+        assert all((r["trials"], r["skipped"], r["passed"]) == (0, 0, False) for r in conserved)
+        assert all(r["passed"] for r in reports if r not in conserved)
+    else:
+        lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            f"[FAIL] conservation of {q} over 0 steps  (worst 0.000e+00, tolerance 1e-08, skipped 0)"
+            for q in ("I0", "J0", "m3")
+        ]
+        assert lines[-1] == "overall: FAIL"
 
 
 class TestHugeEps:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from conftest import ALL_KINDS, make_system, place_pole, pole_eps, safe_state, step_defect, unit_ball
 from continuous import einsum_field
@@ -495,9 +496,9 @@ class TestKahanOrbit:
         first = kahan_step_batch(desc.field, np.array([safe_state(rng, desc) for _ in range(count)]), eps)
         onward = kahan_orbit(desc.field, first.next, eps, 4)
         stepped = []
-        step_matrix = quadfield._step_matrix
+        solve_matrix = quadfield._solve_matrix
         monkeypatch.setattr(
-            quadfield, "_step_matrix", lambda f, y, e: stepped.append(np.array(y)) or step_matrix(f, y, e)
+            quadfield, "_solve_matrix", lambda f, y, e: stepped.append(np.array(y)) or solve_matrix(f, y, e)
         )
         orbit = kahan_orbit(desc.field, xs, eps, 5, first)
         # the points whose steps are decided are points 1..4, in step order:
@@ -668,6 +669,39 @@ class TestKahanOrbit:
         assert orbit.next.shape == (0, 2, 1) and list(orbit.ends()) == [0, 0]
 
 
+class TestOneJacobianPerPoint:
+    """The pole decision reads the step matrices the loop built, so each
+    stepped point builds its Jacobian once."""
+
+    def count_rows(self, monkeypatch):
+        rows = []
+        jacobian = quadfield.jacobian_field
+
+        def counted(field, x):
+            rows.append(len(x))
+            return jacobian(field, x)
+
+        monkeypatch.setattr(quadfield, "jacobian_field", counted)
+        return rows
+
+    @pytest.mark.parametrize("count", [1, 7, 500])
+    def test_step_batch(self, count, monkeypatch):
+        desc = make_system("kirchhoff")
+        rng = np.random.default_rng(41)
+        xs = np.array([unit_ball(rng, desc.dim) for _ in range(count)])
+        rows = self.count_rows(monkeypatch)
+        kahan_step_batch(desc.field, xs, 0.05)
+        assert sum(rows) == count
+
+    @pytest.mark.parametrize("steps", [1, quadfield.DECIDE_STEPS, quadfield.DECIDE_STEPS + 1, 200])
+    def test_lone_orbit(self, steps, monkeypatch):
+        desc = make_system("kirchhoff")
+        x = safe_state(np.random.default_rng(43), desc)
+        rows = self.count_rows(monkeypatch)
+        orbit = kahan_orbit(desc.field, x[None], 0.05, steps)
+        assert list(orbit.ends()) == [steps] and sum(rows) == steps
+
+
 def scalar_pole_rule(det, norm, n):
     """The per-state pole test: |det| below 1e-13 (1 + norm)^n as a Python
     float power, inf where that overflows."""
@@ -772,33 +806,39 @@ def near_singular_stack(seed, count, n):
     return mats
 
 
-def outcome(fn, *args):
-    """fn(*args) as (dtype, shape, bytes), or the LinAlgError it raises."""
-    try:
-        out = np.asarray(fn(*args))
-    except np.linalg.LinAlgError as exc:
-        return str(exc)
-    return out.dtype, out.shape, out.tobytes()
+def kahan_orbit_solve(mats, rhs):
+    """kahan_orbit's solve call, under the error state it steps in."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _umath_linalg.solve1(mats, rhs, signature="dd->d")
+
+
+def solve_rows(mats, rhs):
+    """numpy.linalg.solve with a 1-D rhs, row by row; nan at a row it
+    refuses as singular."""
+    n = rhs.shape[-1]
+    rows = []
+    for mat, b in zip(mats.reshape(-1, n, n), rhs.reshape(-1, n)):
+        try:
+            rows.append(np.linalg.solve(mat, b))
+        except np.linalg.LinAlgError:
+            rows.append(np.full(n, np.nan))
+    return np.array(rows).reshape(rhs.shape)
 
 
 class TestLapackKernels:
-    """_det and _solve1 call the gufuncs numpy.linalg dispatches to,
-    so they must give numpy.linalg's bits and raise where it raises."""
+    """kahan_orbit solves with the gufunc numpy.linalg.solve dispatches to,
+    without its wrapper, and decides poles on numpy.linalg.det of a whole
+    block: each must give every matrix of a stack the bits numpy.linalg
+    gives it alone."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,)])
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_bits_equal_numpy_linalg(self, seed, shape, n):
+        # the block's det of a stack is delta's det of each point
         mats = near_singular_stack(seed, math.prod(shape), n).reshape(*shape, n, n)
-        assert outcome(quadfield._det, mats) == outcome(np.linalg.det, mats)
-
-    @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]], np.diag([1.0, 2.0, 0.0, 3.0, 4.0, 5.0])])
-    def test_singular_matrix_raises(self, mat):
-        mats = np.array([np.eye(len(mat)), mat])
-        rhs = np.ones((2, len(mat), 1))
-        assert quadfield._det(mats)[1] == np.linalg.det(mats)[1] == 0.0
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            np.linalg.solve(mats, rhs)
+        lone = np.array([np.linalg.det(mat) for mat in mats.reshape(-1, n, n)]).reshape(shape)
+        assert np.linalg.det(mats).tobytes() == lone.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,), (2, 3)])
@@ -806,26 +846,21 @@ class TestLapackKernels:
     def test_solve1_bits_equal_numpy_linalg(self, seed, shape, n):
         mats = near_singular_stack(seed, math.prod(shape), n).reshape(*shape, n, n)
         rhs = np.random.default_rng(seed).standard_normal((*shape, n))
-        got = outcome(quadfield._solve1, mats, rhs)
-
-        def one_by_one(mats, rhs):
-            # numpy.linalg.solve with a 1-D rhs, row by row
-            rows = [np.linalg.solve(m, b) for m, b in zip(mats.reshape(-1, n, n), rhs.reshape(-1, n))]
-            return np.array(rows).reshape(rhs.shape)
-
-        assert got == outcome(one_by_one, mats, rhs)
-        # and the column form the orbit loop solved before
-        assert got == outcome(lambda m, b: np.linalg.solve(m, b[..., None])[..., 0], mats, rhs)
+        got = kahan_orbit_solve(mats, rhs)
+        assert got.shape == rhs.shape and got.tobytes() == solve_rows(mats, rhs).tobytes()
 
     @pytest.mark.parametrize("mat", [[[1.0, 2.0], [2.0, 4.0]], np.diag([1.0, 2.0, 0.0, 3.0, 4.0, 5.0])])
-    def test_solve1_singular_matrix_raises(self, mat):
-        mat, ones = np.array(mat), np.ones(len(mat))
+    def test_singular_row_solves_to_nonfinite(self, mat):
+        # numpy.linalg.solve raises on a stack holding an exactly singular
+        # matrix; kahan_orbit's call solves that row to non-finite values
+        # and every other row as numpy.linalg does
+        n = len(mat)
+        mats = near_singular_stack(0, 3, n)
+        mats[1] = mat
+        rhs = np.random.default_rng(0).standard_normal((3, n))
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            np.linalg.solve(mat, ones)
-        # one vector, and a stack whose second matrix is singular
-        for args in ((mat, ones), (np.array([np.eye(len(mat)), mat]), np.array([ones, ones]))):
-            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                quadfield._solve1(*args)
-            with np.errstate(invalid="ignore", over="ignore"):
-                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-                    quadfield._solve1(*args)
+            np.linalg.solve(mats, rhs[..., None])
+        got = kahan_orbit_solve(mats, rhs)
+        assert not np.isfinite(got[1]).any()
+        for i in (0, 2):
+            assert got[i].tobytes() == np.linalg.solve(mats[i], rhs[i]).tobytes()

@@ -368,13 +368,13 @@ class TestStepsPerTrial:
         # every Kahan step, of one state or of a stack, builds its step
         # matrix once per row
         rows = []
-        step_matrix = quadfield._step_matrix
+        solve_matrix = quadfield._solve_matrix
 
         def counted(field, x, eps):
             rows.append(len(x))
-            return step_matrix(field, x, eps)
+            return solve_matrix(field, x, eps)
 
-        monkeypatch.setattr(quadfield, "_step_matrix", counted)
+        monkeypatch.setattr(quadfield, "_solve_matrix", counted)
         return rows
 
     @pytest.mark.parametrize("kind", ["general_clebsch", "kirchhoff", "lagrange"])
