@@ -75,7 +75,8 @@ def iterate_orbit(
     field: QuadraticVectorField, x0: np.ndarray, eps: float, steps: int
 ) -> np.ndarray:
     """The points of the Kahan orbit of one state up to its first pole, a
-    read-only array [k + 1, n]: kahan_orbit on a stack of one, so k is
+    read-only array [k + 1, n]: kahan_orbit on a stack of one, which
+    takes no denominator the pole decision does not need, so k is
     `steps` unless a pole cuts the orbit short. A pole at step 0 raises
     SingularStepError."""
     if steps < 1:
@@ -83,7 +84,7 @@ def iterate_orbit(
     x = np.asarray(x0, dtype=float)
     if x.shape != (field.dim,):
         raise ValueError(f"x0 must have shape ({field.dim},), got {x.shape}")
-    orbit = kahan_orbit(field, x[None], eps, steps)
+    orbit = kahan_orbit(field, x[None], eps, steps, delta=False)
     if orbit.pole[0, 0]:
         raise orbit.pole_error((0, 0))
     states = np.concatenate([x[None], orbit.next[: int(orbit.ends()[0]), 0]])
@@ -453,7 +454,7 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
         raise ValueError(f"states must have shape (B, {field.dim}), got {x.shape}")
     count = x.shape[0]
     orders = sorted({r.order for r in ratios})
-    stepped = kahan_orbit(field, x, eps, window - 1 + orders[-1])
+    stepped = kahan_orbit(field, x, eps, window - 1 + orders[-1], delta=False)
     # orbit[b]: the points of row b, nan past a pole
     orbit = np.concatenate([x[None], stepped.next]).swapaxes(0, 1)
     points = stepped.ends() + 1  # points each row reached before a pole

@@ -111,43 +111,53 @@ def _draw_states(rng: np.random.Generator, desc: SystemDescriptor, eps: float, c
     holding their forward steps: the states that count sequential
     draw_initial_state calls return.
 
-    The stream is consumed as one-at-a-time draws consume it, and proposals
-    are accepted in stream order, but each round's proposals step as one
-    batch and have their witnesses taken in one call. A round proposes only
-    as many states as are still missing, so it never draws more than the
-    last acceptance needs.
+    The stream is consumed as one-at-a-time draws consume it: per proposal
+    rng.standard_normal(dim) and, unless its norm is below 1e-12, the
+    radius 0.3 + (1.0 - 0.3) * rng.random(). That is numpy's formula for
+    rng.uniform(0.3, 1.0), low + (high - low) * next_double, so it gives the
+    same bits and leaves the generator in the same state. Proposals are
+    accepted in stream order, but each round's proposals are scaled by one
+    array multiply, step as one batch and have their witnesses taken in
+    one call, and the binding witness is ranked on rejected rows only. A
+    round proposes only as many states as are still missing, so it never
+    draws more than the last acceptance needs.
     """
     accepted = []  # per round: its steps and the rows it accepted
     total = 0
     draws = 0  # since the last accepted state
     binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
+    dim = desc.dim
     # a huge eps can overflow the step or a witness; such a draw is rejected
     # as non-finite, so numpy's warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         while total < count:
-            proposals = []
+            vs, factors, kept = [], [], []  # kept: per proposal, whether it has a row
             for _ in range(count - total):
-                v = rng.standard_normal(desc.dim)
+                v = rng.standard_normal(dim)
                 norm = math.sqrt(v.dot(v))  # numpy.linalg.norm's formula for a float vector
-                proposals.append(None if norm < 1e-12 else v * (rng.uniform(0.3, 1.0) / norm))
-            xs = np.array([x for x in proposals if x is not None]).reshape(-1, desc.dim)
+                kept.append(norm >= 1e-12)
+                if kept[-1]:
+                    vs.append(v)
+                    factors.append((0.3 + (1.0 - 0.3) * rng.random()) / norm)
+            xs = np.array(vs).reshape(-1, dim) * np.array(factors)[:, None]
             batch = kahan_step_batch(desc.field, xs, eps)
             ranks, indices, values = _lowest_witnesses(KahanPair(desc, xs, eps, batch))
+            ok = (~batch.pole & (ranks >= DENOMINATOR_FLOOR)).tolist()
             taken = []
             row = -1
-            for x in proposals:
+            for has_row in kept:
                 draws += 1
-                if x is not None:
+                if has_row:
                     row += 1
+                    if ok[row]:
+                        taken.append(row)
+                        draws, binding = 0, (math.inf, None, math.nan)
+                        continue
                     if batch.pole[row]:
                         # a pole ranks below every witness, as index -1 with its det
                         low = (-math.inf, -1, batch.delta[row])
                     else:
                         low = (float(ranks[row]), int(indices[row]), float(values[row]))
-                    if low[0] >= DENOMINATOR_FLOOR:
-                        taken.append(row)
-                        draws, binding = 0, (math.inf, None, math.nan)
-                        continue
                     binding = min(binding, low)
                 if draws == MAX_DRAWS:
                     index, value = binding[1:]
@@ -163,7 +173,7 @@ def _draw_states(rng: np.random.Generator, desc: SystemDescriptor, eps: float, c
             accepted.append((xs[taken], KahanBatch(*(field[taken] for field in batch))))
             total += len(taken)
     if not accepted:
-        return KahanPair(desc, np.empty((0, desc.dim)), eps)
+        return KahanPair(desc, np.empty((0, dim)), eps)
     xs, batches = zip(*accepted)
     return KahanPair(desc, np.concatenate(xs), eps, KahanBatch(*map(np.concatenate, zip(*batches))))
 
@@ -231,8 +241,10 @@ def _conservation(desc: SystemDescriptor, names, seeds, steps: int, eps: float) 
     orbit from a state drawn with its own seed.
 
     The orbits only step, as one stack, and a pole ends only the orbit that
-    meets it. Each quantity is then evaluated on its whole orbit in one
-    call, every point with the step the orbit holds from it."""
+    meets it. No conserved quantity reads the denominator, so the orbits
+    take it only where the pole decision needs it. Each quantity is then
+    evaluated on its whole orbit in one call, every point with the step the
+    orbit holds from it."""
     drawn = [_draw_states(np.random.default_rng(seed), desc, eps, 1) for seed in seeds]
     baselines = [pair.value(name).item(0) for pair, name in zip(drawn, names)]
     # orbit[k]: the steps from point k of every orbit; point 0 is the draw,
@@ -243,6 +255,7 @@ def _conservation(desc: SystemDescriptor, names, seeds, steps: int, eps: float) 
         eps,
         steps + 1,
         KahanBatch(*map(np.concatenate, zip(*(pair.step for pair in drawn)))),
+        delta=False,
     )
     # an orbit that meets a pole in the step from point k has points 1..k
     ends = np.minimum(orbit.ends(), steps)

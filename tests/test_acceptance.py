@@ -12,6 +12,7 @@ import pytest
 from conftest import ALL_KINDS, OMEGA, SIX_DIM_KINDS, make_system, safe_state, step_defect
 from continuous import bracket, invariants, wronskian_residual
 from exact_clebsch import clebsch_from_decomposition, exact_rank
+from kahanmaps import verify
 from kahanmaps.cli import parse_config, run_command
 from kahanmaps.hkbasis import (
     WronskianBasisSpec,
@@ -28,14 +29,13 @@ from kahanmaps.integrals import (
     eval_I0,
     evaluate_named,
 )
-from kahanmaps.quadfield import SingularStepError, delta, kahan_step, map_jacobian
+from kahanmaps.quadfield import SingularStepError, kahan_step, kahan_step_batch, map_jacobian
 from kahanmaps.systems import PlanarFamilyParams, build_system
 from kahanmaps.verify import (
     check_conservation,
     check_identities_clebsch1,
     check_measure,
     check_reversibility,
-    draw_initial_state,
 )
 
 
@@ -46,40 +46,36 @@ def normalized(vec: np.ndarray) -> np.ndarray:
 
 def test_criterion_01_step_contract_and_reversibility():
     # defining-equation residual <= 1e-12 * scale and forward/backward
-    # composition <= 1e-10 relative, 500 trials per system and eps
+    # composition <= 1e-10 relative, 500 trials per system and eps; the
+    # trials are the states 500 draw_initial_state calls return, as one
+    # stack holding their steps
     for kind in ALL_KINDS:
         desc = make_system(kind)
         for eps in (0.01, 0.05, 0.2):
-            rng = np.random.default_rng(101)
-            for _ in range(500):
-                x = draw_initial_state(rng, desc, eps)
-                try:
-                    result = kahan_step(desc.field, x, eps)
-                except SingularStepError:
-                    continue
-                scale = 1.0 + float(np.max(np.abs(x))) + float(np.max(np.abs(result.next)))
-                assert step_defect(desc.field, x, result.next, eps) <= 1e-12 * scale, (kind, eps)
+            pair = verify._draw_states(np.random.default_rng(101), desc, eps, 500)
+            x, x_next = pair.x, pair.step.next
+            stepped = ~pair.step.pole
+            scale = 1.0 + np.abs(x).max(axis=-1) + np.abs(x_next).max(axis=-1)
+            defect = step_defect(desc.field, x, x_next, eps)
+            assert (defect[stepped] <= 1e-12 * scale[stepped]).all(), (kind, eps, np.max(defect / scale))
             report = check_reversibility(desc, trials=500, eps=eps, seed=102)
             assert report.passed, (kind, eps, report.max_violation)
 
 
 def test_criterion_02_jacobian_determinant_identity():
-    # det dPhi(x) * Delta(x; eps) = Delta(x~; -eps) to 1e-11 * scale
+    # det dPhi(x) * Delta(x; eps) = Delta(x~; -eps) to 1e-11 * scale, 500
+    # trials per system drawn as one stack
     for kind in ALL_KINDS:
         desc = make_system(kind)
-        rng = np.random.default_rng(103)
         eps = 0.05
-        for _ in range(500):
-            x = draw_initial_state(rng, desc, eps)
-            try:
-                x_next = kahan_step(desc.field, x, eps).next
-                det = float(np.linalg.det(map_jacobian(desc.field, x, eps, x_next)))
-            except SingularStepError:
-                continue
-            lhs = det * delta(desc.field, x, eps)
-            rhs = delta(desc.field, x_next, -eps)
-            scale = 1.0 + abs(lhs) + abs(rhs)
-            assert abs(lhs - rhs) <= 1e-11 * scale, (kind, abs(lhs - rhs))
+        pair = verify._draw_states(np.random.default_rng(103), desc, eps, 500)
+        stepped = ~pair.step.pole
+        x, x_next = pair.x[stepped], pair.step.next[stepped]
+        det = np.linalg.det(map_jacobian(desc.field, x, eps, x_next))
+        lhs = det * pair.step.delta[stepped]
+        rhs = kahan_step_batch(desc.field, x_next, -eps).delta
+        scale = 1.0 + np.abs(lhs) + np.abs(rhs)
+        assert (np.abs(lhs - rhs) <= 1e-11 * scale).all(), (kind, np.max(np.abs(lhs - rhs)))
 
 
 def test_criterion_03_conservation_along_orbits():

@@ -651,3 +651,28 @@ class TestStackedTable:
         )
         if kind == "lagrange":
             assert [len(denominator_witnesses(desc, x, TABLE_EPS)) for x in zero_rows(kind)[-2:]] == [1, 1]
+
+
+class TestConservedNamesReadNoDelta:
+    """verify's conservation orbits leave the denominator nan wherever the
+    pole decision does not need it (kahan_orbit's delta=False), so no
+    conserved name may read it."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_values_and_fails_equal_with_a_nan_delta(self, kind, monkeypatch):
+        desc = make_system(kind)
+        states = table_states(desc)
+        place_pole(monkeypatch, states[POLE_ROW])
+        step = KahanPair(desc, states, TABLE_EPS).step
+        no_delta = step._replace(delta=np.full_like(step.delta, np.nan))
+        failed = np.zeros(len(states), dtype=bool)
+        for name in desc.conserved_names:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                true = KahanPair(desc, states, TABLE_EPS, step).value(name)
+                free = KahanPair(desc, states, TABLE_EPS, no_delta).value(name)
+            assert np.array_equal(free.value, true.value, equal_nan=True), name
+            assert np.array_equal(free.fail, true.fail), name
+            failed |= true.fail
+        # the pole row fails in some name
+        assert failed[POLE_ROW], failed.nonzero()

@@ -761,6 +761,114 @@ class TestPoleTest:
                 assert same(field[:, b], expected[:, 0]), b
 
 
+def delta_free_against_full(field, xs, eps, steps, first=None):
+    """kahan_orbit with delta=False against the full orbit: the same points,
+    poles, thresholds and ends, and the full orbit's denominator at every
+    entry whose point has |eps*f'(x)|_inf above 1/2 or not finite (entry
+    0 too when first gives it), nan elsewhere. Returns the full orbit and
+    the norms at the points its entries step from."""
+    full = kahan_orbit(field, xs, eps, steps, first)
+    free = kahan_orbit(field, xs, eps, steps, first, delta=False)
+    assert same(free.next, full.next) and same(free.pole, full.pole) and same(free.threshold, full.threshold)
+    assert list(free.ends()) == list(full.ends())
+    # the norms from the step's own eps*f'(x), which place_pole sets to inf
+    points = np.concatenate([xs[None], full.next[:-1]])
+    with np.errstate(invalid="ignore"):
+        norms = np.abs(quadfield._solve_matrix(field, points, eps)[1]).sum(-1).max(-1)
+    taken = ~(norms <= 0.5)
+    if first is not None:
+        taken[0] = True
+    assert same(free.delta, np.where(taken, full.delta, np.nan))
+    return full, norms
+
+
+class TestDeltaFreeOrbit:
+    """kahan_orbit(..., delta=False) takes the det only where the norm bound
+    leaves the pole decision open, and decides every pole as the full
+    orbit does."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("eps", [0.05, 0.4])
+    @pytest.mark.parametrize("with_first", [False, True])
+    def test_equals_the_full_orbit(self, kind, eps, with_first):
+        # states from 0.05 to 6 in radius put points on both sides of
+        # |eps*f'(x)|_inf = 1/2, and a nan state carries nan; 70 steps
+        # cross a block edge
+        desc = make_system(kind)
+        rng = np.random.default_rng(47)
+        directions = rng.standard_normal((11, desc.dim))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        xs = np.concatenate([np.geomspace(0.05, 6.0, 11)[:, None] * directions, np.full((1, desc.dim), np.nan)])
+        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        with np.errstate(over="ignore", invalid="ignore"):
+            full, norms = delta_free_against_full(desc.field, xs, eps, 70, first)
+        reached = np.arange(70)[:, None] <= full.ends()
+        assert (norms[reached] <= 0.5).any() and (norms[reached] > 0.5).any()
+
+    @pytest.mark.parametrize("with_first", [False, True])
+    @pytest.mark.parametrize("k", [0, 5, quadfield.DECIDE_STEPS])
+    def test_placed_pole(self, k, with_first, monkeypatch):
+        # place_pole's inf norm sends its point to the det: the pole entry
+        # keeps its denominator and error message
+        desc, eps, steps = make_system("kirchhoff"), 0.05, 80
+        rng = np.random.default_rng(53)
+        xs = np.array([safe_state(rng, desc) for _ in range(3)])
+        point = kahan_orbit(desc.field, xs[1:2], eps, k).next[k - 1, 0] if k else xs[1]
+        place_pole(monkeypatch, point)
+        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        full, norms = delta_free_against_full(desc.field, xs, eps, steps, first)
+        assert list(full.ends()) == [steps, k, steps] and norms[k, 1] == math.inf
+        free = kahan_orbit(desc.field, xs, eps, steps, first, delta=False)
+        assert free.delta[k, 1] == full.delta[k, 1]
+        assert str(free.pole_error((k, 1))) == str(full.pole_error((k, 1)))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("with_first", [False, True])
+    def test_exact_root(self, kind, with_first):
+        # eps a root of det(I - eps*f'(x)): the row of x stops at step 0 and
+        # a row one step before x at step 1, each with its denominator
+        desc = make_system(kind)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = safe_state(rng, desc)
+            root = pole_eps(desc.field, x)
+            if root is not None:
+                break
+        assert root is not None, "no real root of the denominator in 50 states"
+        xs = np.array([0.5 * x, x, kahan_step(desc.field, x, -root).next])
+        first = kahan_step_batch(desc.field, xs, root) if with_first else None
+        full, _ = delta_free_against_full(desc.field, xs, root, 3, first)
+        assert list(full.ends()[1:]) == [0, 1]
+        free = kahan_orbit(desc.field, xs, root, 3, first, delta=False)
+        assert free.delta[0, 1] == full.delta[0, 1] and free.delta[1, 2] == full.delta[1, 2]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        radius=st.floats(0.05, 4.0),
+        eps=st.floats(-0.5, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_fields(self, seed, n, radius, eps):
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n)
+        xs = rng.uniform(-radius, radius, (4, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta_free_against_full(field, xs, eps, 8)
+
+    def test_large_dimension_takes_every_det(self):
+        # at n = 28, 2^-n no longer clears 1e-13 (1 + 1/2)^n: every point
+        # takes its det
+        rng = np.random.default_rng(59)
+        field = random_field(rng, 28, scale=0.01)
+        xs = rng.uniform(-0.1, 0.1, (2, 28))
+        full = kahan_orbit(field, xs, 0.05, 5)
+        free = kahan_orbit(field, xs, 0.05, 5, delta=False)
+        for column, expected in zip(free, full):
+            assert same(column, expected)
+        assert np.isfinite(free.delta).all()
+
+
 def einsum_jacobian(field, x):
     """jacobian_field as an np.einsum expression, frozen as the oracle of its
     direct-kernel, in-place form."""

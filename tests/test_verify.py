@@ -321,6 +321,16 @@ class TestBatchedDraws:
             draw_initial_state(np.random.default_rng(1), make_system("kirchhoff"), 0.05)
 
 
+def test_uniform_identity_of_the_draws():
+    # _draw_states writes rng.uniform(0.3, 1.0) as numpy's own formula on
+    # rng.random(); a numpy release that changes uniform fails here
+    ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(100_000):
+        a, b = 0.3 + (1.0 - 0.3) * ours.random(), theirs.uniform(0.3, 1.0)
+        assert a.hex() == b.hex()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestStackedConservation:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_equals_one_name_loops(self, kind):
