@@ -15,25 +15,39 @@ I - eps*f'(x), where f' is the Jacobian of the continuous field.  The map is
 birational; it has a pole wherever det(I - eps*f'(x)) vanishes.
 
 The step is written once, in kahan_orbit, for a stack of states x[B, n].
-It solves for the increment, (I - eps*f'(x)) (x~ - x) = 2*eps*f(x), and
-takes the right-hand side from the eps*f'(x) that builds the matrix:
-f'(x) x = 2 Q(x) + B x for symmetric quad, so
+It solves for the increment, (I - eps*f'(x)) (x~ - x) = 2*eps*f(x).  The
+matrix and the right-hand side are both linear in the augmented point
+a = [x, 1]: f'(x) = 2 Q x + B, and f'(x) x = 2 Q(x) + B x for symmetric
+quad, so
 
-    2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c.
+    2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c = [eps*(f'(x) + B) | 2*eps*c] a.
 
-Its loop carries only what the next point depends on: the step matrix,
-that right-hand side, the solve and the add; nothing is evaluated after
-it.  The defining equation above is the definition of the map, and the
-increment form is how it is solved.  A state whose |det(I - eps*f'(x))|
-falls below a scale-aware threshold sits on a pole: its row stops there,
-that entry keeps its denominator and threshold, and every later entry of
-the row is nan.  The rows step DECIDE_STEPS steps at a time, keeping
-each step's matrix and eps*f'(x); then one det of the block's matrices
-gives the denominators and one pass decides the poles; a row's steps past
-its first pole in the block, at most DECIDE_STEPS - 1, are dropped.  The
-Jacobian kernel and det give each row the same bits in a stack of any
-size, so the block's denominators and decisions are those of the steps
-one at a time.  Every step is a KahanBatch: kahan_step_batch is the
+The field keeps the coefficients of both in one read-only step_tensor, and
+a step is five numpy calls on the stack: the product a @ (eps *
+step_tensor), a row holding eps*f'(x) and the n x (n + 1) matrix
+[eps*(f'(x) + B) | 2*eps*c]; I - eps*f'(x) subtracted from it; that
+matrix times a, the right-hand side; the solve; and the add.  Built from
+the Jacobian instead, the same step took ten calls (its einsum, doubling,
+shift and scaling, the subtraction, the right-hand side's shift, product
+and constant, the solve and the add), and on 6 x 6 stacks each call's
+1-3 us of dispatch was most of the step's cost.  The products are
+np.vecmat and np.matvec, not matmul: matmul hands a stack to BLAS gemm,
+which rounds a row differently from the same row alone, while vecmat and
+matvec give each row its lone bits in a stack of any size.
+
+Its loop carries only what the next point depends on; nothing is
+evaluated after it.  The defining equation above is the definition of
+the map, and the increment form is how it is solved.  A state whose
+|det(I - eps*f'(x))| falls below a scale-aware threshold sits on a pole:
+its row stops there, that entry keeps its denominator and threshold, and
+every later entry of the row is nan.  The rows step DECIDE_STEPS steps at
+a time into the block's buffers of points, products and matrices; then
+one det of the block's matrices gives the denominators, the products'
+eps*f'(x) give the norms, and one pass decides the poles; a row's steps
+past its first pole in the block, at most DECIDE_STEPS - 1, are dropped.
+The products, the solve and det give each row the same bits in a stack
+of any size, so the block's denominators and decisions are those of the
+steps one at a time.  Every step is a KahanBatch: kahan_step_batch is the
 one-step orbit of a stack without its step axis, and kahan_step entry
 (0, 0) of the one-step orbit of one state, which raises SingularStepError
 at a pole; a state gets the same numbers from all three, bit for bit.
@@ -41,21 +55,22 @@ delta takes det(I - eps*f'(x)) of the same step matrix.  Whether a pole
 at the first step of an orbit is an error is for the caller to say.
 
 The callers that never read the denominators, verify's conservation
-orbits and hkbasis's iterate_orbit and Wronskian ratio orbits, pass
-kahan_orbit delta=False.  Then the det is taken only at the points whose
-nu = |eps*f'(x)|_inf is above 1/2 or not finite; every other point keeps
-a nan denominator and is not a pole.  That decision is the full one:
-every eigenvalue of eps*f'(x) lies within nu of 0, so for nu <= 1/2 every
-eigenvalue of I - eps*f'(x) lies within 1/2 of 1 and |det| >= 2^-n; the
-matrix's condition number is at most 3, so the computed det is too.
+orbits and backward reversibility steps and hkbasis's iterate_orbit and
+Wronskian ratio orbits, pass kahan_orbit delta=False.  Then the det is
+taken only at the points whose nu = |eps*f'(x)|_inf is above 1/2 or not
+finite; every other point keeps a nan denominator and is not a pole.
+That decision is the full one: every eigenvalue of eps*f'(x) lies within
+nu of 0, so for nu <= 1/2 every eigenvalue of I - eps*f'(x) lies within
+1/2 of 1 and |det| >= 2^-n; the matrix's condition number is at most 3,
+so the computed det is too.
 The threshold is 1e-13 (1 + nu)^n <= 1e-13 1.5^n, 1.2e-12 at n = 6, which
 2^-n clears while 3^n < 1e13, by 10 decades at n = 6; a larger n takes
 every det.
 
 Measured against the exact rational step from the same floats
 (tests/exact_clebsch.py), on 200 states in the unit ball per catalog kind,
-the median one-step forward error is 0.30-0.33 ulp of |x~|_inf at eps 0.05
-and 0.35-0.64 ulp at eps 0.4.  Solving for x~ directly, from
+the median one-step forward error is 0.30-0.34 ulp of |x~|_inf at eps 0.05
+and 0.35-0.62 ulp at eps 0.4.  Solving for x~ directly, from
 (I - eps*f'(x)) x~ = (I + eps*B) x + 2*eps*c, gives 0.58-0.78 ulp at eps
 0.05 on the same states, about twice as far off, hence the increment.
 
@@ -65,14 +80,17 @@ nothing on the float64 square stacks the step builds.  kahan_orbit runs
 under one error state per call: a determinant past the float range is
 recorded as +-inf without a warning, and a row stepped past its pole,
 which may be singular, solves to nan or inf instead of raising.  A state
-that is already nan decides no pole and carries nan.  Likewise the
-Jacobian calls numpy's einsum kernel, c_einsum, which np.einsum returns
-from without optimization, and adds the other term in place on its fresh
-output, in the order the plain expression rounds them.
+that is already nan decides no pole and carries nan.  map_jacobian solves
+with the same kernel's many-column form under the same error state, so
+a singular row of its stack is nan.  jacobian_field, which it reads, calls
+numpy's einsum kernel, c_einsum, which np.einsum returns from without
+optimization, and adds the other term in place on its fresh output, in
+the order the plain expression rounds them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -101,9 +119,10 @@ SINGULAR_DET_FACTOR = 1e-13
 # the array test by this relative margin is off a pole.
 POLE_MARGIN = 1.0 + 1e-6
 # Steps an orbit takes between pole decisions; a row stepped past its pole
-# wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step orbit costs about
-# 12 us a step at any block from 16 to 256 steps, 16 us at 4 and 30 us at 1
-# (2-core x86-64 VM).
+# wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step kirchhoff orbit
+# costs about 16 us a step at any block from 16 to 256 steps, 24 us at 4
+# and 50 us at 1, where the ten-call step cost 27, 34 and 57 us in the
+# same session (2-core x86-64 VM under shared load).
 DECIDE_STEPS = 64
 
 
@@ -120,12 +139,16 @@ class QuadraticVectorField:
     const: (n,)
 
     All entries must be finite; symmetry and shapes are validated on
-    construction and the arrays are frozen read-only.
+    construction and the arrays are frozen read-only. Construction also
+    builds step_tensor, (n + 1, n*n + n*(n + 1)), read-only: for a = [x, 1],
+    a @ step_tensor holds f'(x) = 2 Q x + B row-major, then the n x (n + 1)
+    matrix [f'(x) + B | 2c] row-major, whose product with a is 2 f(x).
     """
 
     quad: np.ndarray
     lin: np.ndarray
     const: np.ndarray
+    step_tensor: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         const = np.array(self.const, dtype=float)
@@ -143,11 +166,18 @@ class QuadraticVectorField:
                 raise ValueError(f"{name} contains non-finite entries")
         if not np.array_equal(quad, quad.swapaxes(1, 2)):
             raise ValueError("quad must be symmetric in its last two axes")
-        for arr in (quad, lin, const):
+        # row k < n holds the coefficients of x_k and row n the constant
+        # terms: 2 Q[:, :, k] and B for f'(x), then 2 Q[:, :, k] and 2 B
+        # beside a last column of 0 and 2c for [f'(x) + B | 2c]
+        jac = np.concatenate([2.0 * quad.transpose(2, 0, 1), lin[None]])
+        rhs = np.zeros((n + 1, n, n + 1))
+        rhs[:, :, :n] = jac
+        rhs[n, :, :n] += lin
+        rhs[n, :, n] = 2.0 * const
+        step_tensor = np.concatenate([jac.reshape(n + 1, -1), rhs.reshape(n + 1, -1)], axis=1)
+        for name, arr in (("quad", quad), ("lin", lin), ("const", const), ("step_tensor", step_tensor)):
             arr.setflags(write=False)
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "const", const)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -171,11 +201,21 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _solve_matrix(field: QuadraticVectorField, x: np.ndarray, eps: float):
-    """I - eps*f'(x) and a fresh eps*f'(x), for one state or a stack x[..., n]."""
-    scaled = jacobian_field(field, x)
-    scaled *= eps
-    return _eye(field.dim) - scaled, scaled
+def _solve_matrix(
+    field: QuadraticVectorField, a: np.ndarray, eps_tensor: np.ndarray, product=None, jac=None, mat=None
+):
+    """The step product and step matrix at augmented points a[..., n + 1] =
+    [x, 1], given eps_tensor = eps * field.step_tensor: product = a @
+    eps_tensor, whose first n*n entries, jac viewed [..., n, n], are
+    eps*f'(x) row-major, and mat = I - eps*f'(x). Each is written into its
+    buffer when one is given; a given jac is the view of the given
+    product. Returns (mat, product)."""
+    n = field.dim
+    product = np.vecmat(a, eps_tensor, out=product)
+    if jac is None:
+        jac = product[..., : n * n].reshape(*product.shape[:-1], n, n)
+    mat = np.subtract(_eye(n), jac, out=mat)
+    return mat, product
 
 
 def _pole_threshold(norm: float, n: int) -> float:
@@ -210,7 +250,8 @@ def _poles(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
     """det(I - eps*f'(x)), the denominator polynomial of the Kahan map, as
     the step from x computes it."""
-    return float(np.linalg.det(_solve_matrix(field, x, eps)[0]))
+    a = np.append(np.asarray(x, dtype=float), 1.0)
+    return float(np.linalg.det(_solve_matrix(field, a, eps * field.step_tensor)[0]))
 
 
 class KahanBatch(NamedTuple):
@@ -256,12 +297,13 @@ def kahan_orbit(
     |eps*f'(x)|_inf is above 1/2 or not finite, and are nan elsewhere; the
     points, poles and thresholds are unchanged (see the module docstring).
 
-    The rows still off a pole step DECIDE_STEPS at a time: each step solves
-    (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with partial pivoting, the
-    right-hand side reusing the step matrix's eps*f'(x), and nothing else.
-    Then the matrices and eps*f'(x) the block built give the denominators
-    and norms, and one pole decision reads them all; a row's steps past
-    its first pole are dropped.
+    The rows still off a pole step DECIDE_STEPS at a time: each step takes
+    one product of [x, 1] with eps * field.step_tensor, which gives
+    eps*f'(x) and the matrix whose product with [x, 1] is 2*eps*f(x), and
+    solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with partial
+    pivoting, and nothing else. Then the matrices and eps*f'(x) the block
+    built give the denominators and norms, and one pole decision reads
+    them all; a row's steps past its first pole are dropped.
     """
     x = np.asarray(x, dtype=float)
     count, n = x.shape
@@ -273,8 +315,6 @@ def kahan_orbit(
     )
     # the rows off a pole (all of them until one is met) and their points
     live, point, k = slice(None), x, 0
-    # 2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c, from the step matrix's eps*f'(x)
-    eps_lin, two_eps_const = eps * field.lin, 2.0 * eps * field.const
     # below |eps*f'(x)|_inf = 1/2, |det| >= 2^-n clears the threshold while 3^n < 1e13
     every_det = delta or 3.0**n * SINGULAR_DET_FACTOR >= 1.0
     if first is not None and steps:
@@ -287,31 +327,35 @@ def kahan_orbit(
     # and a row stepped past its pole may be singular: its solve gives nan
     # or inf, which the block's pole decision drops
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eps_tensor = eps * field.step_tensor
         while k < steps and len(point):
-            block = min(DECIDE_STEPS, steps - k)
-            points = np.empty((block + 1, *point.shape))
-            points[0] = point
-            mats, scaleds = [], []
+            block, live_count = min(DECIDE_STEPS, steps - k), len(point)
+            # the block's augmented points [x, 1], step products and matrices
+            points = np.ones((block + 1, live_count, n + 1))
+            xs = points[..., :n]
+            xs[0] = point
+            products = np.empty((block, live_count, eps_tensor.shape[1]))
+            mats = np.empty((block, live_count, n, n))
+            jacs = products[..., : n * n].reshape(block, live_count, n, n)
+            rhs_mats = products[..., n * n :].reshape(block, live_count, n, n + 1)
             for j in range(block):
-                mat, scaled = _solve_matrix(field, points[j], eps)
-                rhs = ((scaled + eps_lin) @ points[j, ..., None])[..., 0]
-                rhs += two_eps_const
-                np.add(points[j], _umath_linalg.solve1(mat, rhs, signature="dd->d"), out=points[j + 1])
-                mats.append(mat)
-                scaleds.append(scaled)
+                _solve_matrix(field, points[j], eps_tensor, products[j], jacs[j], mats[j])
+                rhs = np.matvec(rhs_mats[j], points[j])
+                np.add(xs[j], _umath_linalg.solve1(mats[j], rhs, signature="dd->d"), out=xs[j + 1])
             # the block's points in step-major order, [block * live, ...]
-            norms = np.abs(np.concatenate(scaleds)).sum(-1).max(-1)
+            norms = np.abs(jacs).sum(-1).max(-1).reshape(-1)
+            mats = mats.reshape(-1, n, n)
             if every_det:
-                det = np.linalg.det(np.concatenate(mats))
+                det = np.linalg.det(mats)
             else:
                 det = np.full(norms.shape, np.nan)
                 near = ~(norms <= 0.5)
                 if near.any():
-                    det[near] = np.linalg.det(np.concatenate(mats)[near])
+                    det[near] = np.linalg.det(mats[near])
             poles, thresholds = _poles(det, norms, n)
-            orbit.next[k : k + block, live] = points[1:]
+            orbit.next[k : k + block, live] = xs[1:]
             orbit.delta[k : k + block, live] = det.reshape(block, -1)
-            point = points[-1]
+            point = xs[-1]
             if poles:
                 # each row's first pole in the block, in step-major order
                 ended = {}
@@ -349,9 +393,11 @@ def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanB
 
 def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next: np.ndarray) -> np.ndarray:
     """Jacobian of the Kahan map at x, (I - eps*f'(x))^{-1} (I + eps*f'(x~)),
-    given its successor x~; both may be stacks [..., n]."""
+    given its successor x~; both may be stacks [..., n]. It solves with the
+    gufunc numpy.linalg.solve dispatches to, under the step's error state:
+    a row whose I - eps*f'(x) is singular is nan instead of raising, and
+    every other row has numpy.linalg.solve's bits."""
     eye = _eye(field.dim)
-    return np.linalg.solve(
-        eye - eps * jacobian_field(field, x),
-        eye + eps * jacobian_field(field, x_next),
-    )
+    mat, rhs = eye - eps * jacobian_field(field, x), eye + eps * jacobian_field(field, x_next)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _umath_linalg.solve(mat, rhs, signature="dd->d")

@@ -228,9 +228,10 @@ def check_reversibility(
 
     def trial(pair):
         x = pair.x
-        back = kahan_step_batch(desc.field, pair.step.next, -eps)
-        defect = np.abs(back.next - x).max(axis=-1) / (1.0 + np.abs(x).max(axis=-1))
-        return defect, back.pole
+        # no check reads the backward step's denominator
+        back = kahan_orbit(desc.field, pair.step.next, -eps, 1, delta=False)
+        defect = np.abs(back.next[0] - x).max(axis=-1) / (1.0 + np.abs(x).max(axis=-1))
+        return defect, back.pole[0]
 
     description = "reversibility: backward step at -eps undoes the forward step"
     return _worst_trial(f"{desc.kind}.reversibility", description, desc, trials, eps, seed, REVERSIBILITY_TOL, trial)
@@ -302,15 +303,16 @@ def check_measure(
         xs, ys = pair.x, pair.step.next
         here = pair.density(density_name)
         onward = KahanPair(desc, ys, eps, kahan_step_batch(desc.field, ys, eps)).density(density_name)
-        dets = np.linalg.det(map_jacobian(desc.field, xs, eps, ys))
         den, num = here.value, onward.value
         # a pole or a zero denominator skips the state, and so does a density
         # crossing zero at x, where the ratio is meaningless
         skip = here.fail | onward.fail
         skip[~skip] = np.abs(den[~skip]) < 1e-8 * (1.0 + np.abs(num[~skip]))
-        # a density out of the float range at a huge eps gives inf/inf: a
-        # nan violation, which counts the state as skipped
+        # at a huge eps a density out of the float range gives inf/inf, and a
+        # singular I - eps*f'(x) a nan det dPhi: a nan violation, which
+        # counts the state as skipped
         with np.errstate(invalid="ignore"):
+            dets = np.linalg.det(map_jacobian(desc.field, xs, eps, ys))
             ratio = np.divide(num, den, out=np.full_like(den, np.nan), where=~skip)
             return np.abs(ratio - dets) / (1.0 + np.abs(ratio) + np.abs(dets)), skip
 

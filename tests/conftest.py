@@ -89,18 +89,19 @@ def safe_state(rng, desc, eps=0.05):
 
 def place_pole(monkeypatch, x):
     """Make the Kahan step from every point equal to x a pole, whatever the
-    field and step size: once the step matrix is built, the eps*f'(x) beside
-    it reads inf at such a row, so its norm and pole threshold are inf there
-    while its det keeps its value, and kahan_orbit and every caller of it,
-    the one-state oracle in scalar_table included, see the pole from the
-    same code."""
+    field and step size: once the step matrix is built, the step product
+    beside it, eps*f'(x) and the right-hand side's matrix, is set to inf in
+    place at such a row, so its norm and pole threshold are inf there while
+    its det keeps its value, and kahan_orbit and every caller of it, the
+    one-state oracle in scalar_table included, see the pole from the same
+    code."""
     target = np.array(x, dtype=float)
     solve_matrix = quadfield._solve_matrix
 
-    def placed(field, point, eps):
-        mat, scaled = solve_matrix(field, point, eps)
-        hit = (point == target).all(axis=-1)[..., None, None]
-        return mat, np.where(hit, math.inf, scaled)
+    def placed(field, a, eps_tensor, *out):
+        mat, product = solve_matrix(field, a, eps_tensor, *out)
+        product[(a[..., :-1] == target).all(axis=-1)] = math.inf
+        return mat, product
 
     monkeypatch.setattr(quadfield, "_solve_matrix", placed)
 

@@ -299,9 +299,9 @@ class TestOnePassRows:
         rows = []
         solve_matrix = quadfield._solve_matrix
 
-        def counted(field, x, eps):
-            rows.append(len(x))
-            return solve_matrix(field, x, eps)
+        def counted(field, a, *args):
+            rows.append(len(a))
+            return solve_matrix(field, a, *args)
 
         monkeypatch.setattr(quadfield, "_solve_matrix", counted)
         cfg = catalog_config(kind, steps=50)
@@ -520,9 +520,13 @@ class TestHugeEps:
         measure = [r for r in reports if ".measure." in r["name"]]
         assert measure and all(r["skipped"] == r["trials"] and not r["passed"] for r in measure)
         if kind in ("general_clebsch", "second_clebsch"):
-            # report stops at the scan, whose orbit meets a pole first
+            # report stops at the scan, whose orbit meets a pole first. At
+            # eps 1e150 the step matrix is singular to working precision, so
+            # the step whose det is exactly 0 is set by the step kernel's
+            # rounding: recorded, like the golden digests, when that moves
+            step = {"general_clebsch": 5, "second_clebsch": 7}[kind]
             assert self.run_kind("report", kind, tmp_path) == 2
-            assert capsys.readouterr().err == "error: orbit hits a pole at step 3 of the 13 the scan needs\n"
+            assert capsys.readouterr().err == f"error: orbit hits a pole at step {step} of the 13 the scan needs\n"
             return
         assert self.run_kind("report", kind, tmp_path) == 1
         lines = (tmp_path / "report.txt").read_text(encoding="utf-8").splitlines()

@@ -241,6 +241,21 @@ class TestMapProperties:
             rhs = delta(f, x_next, -eps) / delta(f, x, eps)
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
+    def test_map_jacobian_singular_row_is_nan(self):
+        # xdot = x^2 at x = 1, eps = 1/2: I - eps*f'(x) = 1 - 2 eps x is
+        # exactly 0. That row of a stack is nan, without a warning, and every
+        # other row has numpy.linalg.solve's bits
+        xs, ys, eps = np.array([[0.5], [1.0], [-0.25]]), np.array([[0.75], [2.0], [0.5]]), 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = map_jacobian(SCALAR, xs, eps, ys)
+        assert got.shape == (3, 1, 1) and np.isnan(got[1]).all()
+        mats, rhs = np.eye(1) - eps * jacobian_field(SCALAR, xs), np.eye(1) + eps * jacobian_field(SCALAR, ys)
+        for i in (0, 2):
+            assert got[i].tobytes() == np.linalg.solve(mats[i], rhs[i]).tobytes()
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            np.linalg.solve(mats, rhs)
+
     def test_residual_bound_on_random_fields(self):
         rng = np.random.default_rng(16)
         for _ in range(50):
@@ -331,17 +346,37 @@ class TestForwardError:
             assert np.median(errors) <= SEPARATE_FIELD_MEDIAN_ULPS[kind, eps] + 0.05, (kind, eps)
 
 
+def reference_step_tensor(field):
+    """The step tensor entry by entry: row k < n holds the coefficients of
+    x_k and row n the constant terms, of f'(x) = 2 Q x + B row-major and
+    then of the n x (n + 1) matrix [f'(x) + B | 2c] row-major."""
+    n = field.dim
+    jac, rhs = np.zeros((n + 1, n, n)), np.zeros((n + 1, n, n + 1))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                jac[k, i, j] = rhs[k, i, j] = 2.0 * field.quad[i, j, k]
+            jac[n, i, j] = field.lin[i, j]
+            rhs[n, i, j] = 2.0 * field.lin[i, j]
+        rhs[n, i, n] = 2.0 * field.const[i]
+    return np.concatenate([jac.reshape(n + 1, -1), rhs.reshape(n + 1, -1)], axis=1)
+
+
 def one_state_step(field, x, eps):
     """The one-state step formulas, kept as the reference of the batch
-    kernel: (next, delta, residual, on a pole). The right-hand side
-    2 eps f(x) = eps (f'(x) + B) x + 2 eps c reuses eps f'(x)."""
-    jac = 2.0 * np.einsum("ijk,k->ij", field.quad, x) + field.lin
-    mat = np.eye(field.dim) - eps * jac
+    kernel: (next, delta, residual, on a pole). One product of a = [x, 1]
+    with eps times the step tensor gives eps f'(x) and the matrix
+    [eps (f'(x) + B) | 2 eps c], whose product with a is the right-hand
+    side 2 eps f(x) = eps (f'(x) + B) x + 2 eps c."""
+    n, a = field.dim, np.append(x, 1.0)
+    product = np.vecmat(a, eps * reference_step_tensor(field))
+    scaled = product[: n * n].reshape(n, n)
+    mat = np.eye(n) - scaled
     det = float(np.linalg.det(mat))
-    threshold = 1e-13 * (1.0 + np.linalg.norm(eps * jac, np.inf)) ** field.dim
+    threshold = 1e-13 * (1.0 + np.linalg.norm(scaled, np.inf)) ** n
     if abs(det) < threshold:
         return None, det, None, True
-    rhs = (eps * jac + eps * field.lin) @ x + 2.0 * eps * field.const
+    rhs = np.matvec(product[n * n :].reshape(n, n + 1), a)
     x_next = x + np.linalg.solve(mat, rhs)
     pol = np.einsum("ijk,j,k->i", field.quad, x, x_next) + 0.5 * (field.lin @ (x + x_next)) + field.const
     defect = x_next - x - 2.0 * eps * pol
@@ -498,7 +533,9 @@ class TestKahanOrbit:
         stepped = []
         solve_matrix = quadfield._solve_matrix
         monkeypatch.setattr(
-            quadfield, "_solve_matrix", lambda f, y, e: stepped.append(np.array(y)) or solve_matrix(f, y, e)
+            quadfield,
+            "_solve_matrix",
+            lambda f, a, *args: stepped.append(np.array(a[..., :-1])) or solve_matrix(f, a, *args),
         )
         orbit = kahan_orbit(desc.field, xs, eps, 5, first)
         # the points whose steps are decided are points 1..4, in step order:
@@ -670,18 +707,18 @@ class TestKahanOrbit:
 
 
 class TestOneJacobianPerPoint:
-    """The pole decision reads the step matrices the loop built, so each
-    stepped point builds its Jacobian once."""
+    """The pole decision reads the step products and matrices the loop
+    built, so each stepped point builds its Jacobian once."""
 
     def count_rows(self, monkeypatch):
         rows = []
-        jacobian = quadfield.jacobian_field
+        solve_matrix = quadfield._solve_matrix
 
-        def counted(field, x):
-            rows.append(len(x))
-            return jacobian(field, x)
+        def counted(field, a, *args):
+            rows.append(len(a))
+            return solve_matrix(field, a, *args)
 
-        monkeypatch.setattr(quadfield, "jacobian_field", counted)
+        monkeypatch.setattr(quadfield, "_solve_matrix", counted)
         return rows
 
     @pytest.mark.parametrize("count", [1, 7, 500])
@@ -773,8 +810,11 @@ def delta_free_against_full(field, xs, eps, steps, first=None):
     assert list(free.ends()) == list(full.ends())
     # the norms from the step's own eps*f'(x), which place_pole sets to inf
     points = np.concatenate([xs[None], full.next[:-1]])
+    augmented = np.concatenate([points, np.ones((*points.shape[:-1], 1))], axis=-1)
+    n = field.dim
     with np.errstate(invalid="ignore"):
-        norms = np.abs(quadfield._solve_matrix(field, points, eps)[1]).sum(-1).max(-1)
+        product = quadfield._solve_matrix(field, augmented, eps * field.step_tensor)[1]
+        norms = np.abs(product[..., : n * n]).reshape(*points.shape, n).sum(-1).max(-1)
     taken = ~(norms <= 0.5)
     if first is not None:
         taken[0] = True
@@ -873,6 +913,59 @@ def einsum_jacobian(field, x):
     """jacobian_field as an np.einsum expression, frozen as the oracle of its
     direct-kernel, in-place form."""
     return 2.0 * np.einsum("ijk,...k->...ij", field.quad, x) + field.lin
+
+
+class TestStepTensor:
+    """One product of the augmented points [x, 1] with eps times the step
+    tensor gives eps*f'(x) and, through the right-hand side's matrix,
+    2*eps*f(x): each within a few ulps of the einsum expressions, measured
+    on the same sums of absolute values."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        count=st.sampled_from([1, 4]),
+        eps=st.sampled_from([0.05, -0.05, 0.4, 1e10]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_blocks_equal_the_einsum_expressions(self, seed, n, count, eps):
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n)
+        xs = rng.uniform(-1.0, 1.0, (count, n))
+        tensor = field.step_tensor
+        assert tensor.tobytes() == reference_step_tensor(field).tobytes() and not tensor.flags.writeable
+        a = np.concatenate([xs, np.ones((count, 1))], axis=1)
+        mat, product = quadfield._solve_matrix(field, a, eps * tensor)
+        scaled = product[:, : n * n].reshape(count, n, n)
+        assert mat.tobytes() == (np.eye(n) - scaled).tobytes()
+        rhs = np.matvec(product[:, n * n :].reshape(count, n, n + 1), a)
+        # a dot product of n + 1 terms, of terms that are themselves such
+        # dot products, errs by at most a few (n + 2) ulps of the sum of
+        # its terms' absolute values
+        ulps = 4 * (n + 2) * np.finfo(float).eps
+        quad, lin, const, x = np.abs(field.quad), np.abs(field.lin), np.abs(field.const), np.abs(xs)
+        jac_scale = abs(eps) * (2.0 * np.einsum("ijk,...k->...ij", quad, x) + lin)
+        assert (np.abs(scaled - eps * einsum_jacobian(field, xs)) <= ulps * jac_scale).all()
+        field_scale = 2.0 * abs(eps) * (np.einsum("ijk,...j,...k->...i", quad, x, x) + x @ lin.T + const)
+        assert (np.abs(rhs - 2.0 * eps * einsum_field(field, xs)) <= 2 * ulps * field_scale).all()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        eps=st.sampled_from([0.05, -0.05, 0.4, 1e10]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_delta_is_the_steps_denominator(self, seed, n, eps):
+        # delta is the det kahan_step's step takes, bit for bit, on a pole
+        # or off it
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n)
+        x = rng.uniform(-1.0, 1.0, n)
+        orbit = kahan_orbit(field, x[None], eps, 1)
+        got = delta(field, x, eps)
+        assert np.float64(got).tobytes() == orbit.delta[0, 0].tobytes()
+        if not orbit.pole[0, 0]:
+            assert np.float64(got).tobytes() == kahan_step(field, x, eps).delta.tobytes()
 
 
 class TestDirectEinsum:

@@ -380,9 +380,9 @@ class TestStepsPerTrial:
         rows = []
         solve_matrix = quadfield._solve_matrix
 
-        def counted(field, x, eps):
-            rows.append(len(x))
-            return solve_matrix(field, x, eps)
+        def counted(field, a, *args):
+            rows.append(len(a))
+            return solve_matrix(field, a, *args)
 
         monkeypatch.setattr(quadfield, "_solve_matrix", counted)
         return rows
