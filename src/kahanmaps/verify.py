@@ -106,86 +106,107 @@ def _lowest_witnesses(pair: KahanPair) -> tuple:
     return ranks[pick, index], index, values[pick, index]
 
 
-def _draw_states(rng: np.random.Generator, desc: SystemDescriptor, eps: float, count: int) -> KahanPair:
-    """count random states in the unit ball, as one stacked KahanPair
-    holding their forward steps: the states that count sequential
-    draw_initial_state calls return.
+_NO_BINDING = (math.inf, None, math.nan)
 
-    The stream is consumed as one-at-a-time draws consume it: per proposal
-    rng.standard_normal(dim) and, unless its norm is below 1e-12, the
-    radius 0.3 + (1.0 - 0.3) * rng.random(). That is numpy's formula for
-    rng.uniform(0.3, 1.0), low + (high - low) * next_double, so it gives the
-    same bits and leaves the generator in the same state. Proposals are
-    accepted in stream order, but each round's proposals are scaled by one
-    array multiply, step as one batch and have their witnesses taken in
-    one call, and the binding witness is ranked on rejected rows only. A
-    round proposes only as many states as are still missing, so it never
-    draws more than the last acceptance needs.
+
+def _no_state_error(desc: SystemDescriptor, binding: tuple) -> ValueError:
+    """The error of a draw that met MAX_DRAWS rejections in a row, naming
+    the lowest (rank, index, value) among them."""
+    index, value = binding[1:]
+    return ValueError(
+        f"no {desc.kind} state off the poles of the map with every denominator "
+        f"witness finite and >= {DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding "
+        + (
+            f"pole: det(I - eps*f'(x)) = {value:.3e}"
+            if index == -1
+            else f"witness: denominator_witnesses[{index}] = {value:.3e}"
+        )
+    )
+
+
+def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int) -> KahanPair:
+    """count random states in the unit ball from each generator of rngs, as
+    one stacked KahanPair holding their forward steps: the states of rngs[0]
+    first, then those of rngs[1], and so on.
+
+    A state is drawn as draw_initial_state draws it. Each round, every
+    generator still missing states draws one block of proposals, as many as
+    it is missing: rng.standard_normal((k, dim)), then rng.uniform(0.3, 1.0,
+    k) for their radii, and a proposal v becomes v * radius / |v|. A round
+    of one proposal thus consumes the stream as a draw of one state always
+    has, except that a proposal with |v| < 1e-12, which is rejected, now
+    consumes its radius too. All of a round's proposals step as one batch
+    and have their witnesses taken in one call. Each generator accepts its
+    proposals in stream order and counts its own draws since its last
+    acceptance, so its states do not depend on the other generators.
     """
-    accepted = []  # per round: its steps and the rows it accepted
-    total = 0
-    draws = 0  # since the last accepted state
-    binding = (math.inf, None, math.nan)  # (rank, index, value) of the lowest witness
     dim = desc.dim
+    missing = [count] * len(rngs)
+    # per generator: draws since its last acceptance, and the (rank, index,
+    # value) of the lowest witness among them
+    runs = [(0, _NO_BINDING)] * len(rngs)
+    rounds = []  # per round: its states, their steps, which are accepted, whose they are
     # a huge eps can overflow the step or a witness; such a draw is rejected
-    # as non-finite, so numpy's warnings would only repeat that
-    with np.errstate(over="ignore", invalid="ignore"):
-        while total < count:
-            vs, factors, kept = [], [], []  # kept: per proposal, whether it has a row
-            for _ in range(count - total):
-                v = rng.standard_normal(dim)
-                norm = math.sqrt(v.dot(v))  # numpy.linalg.norm's formula for a float vector
-                kept.append(norm >= 1e-12)
-                if kept[-1]:
-                    vs.append(v)
-                    factors.append((0.3 + (1.0 - 0.3) * rng.random()) / norm)
-            xs = np.array(vs).reshape(-1, dim) * np.array(factors)[:, None]
+    # as non-finite, so numpy's warnings would only repeat that, as they would
+    # for the nan row of a rejected proposal v = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while any(missing):
+            live = [g for g, k in enumerate(missing) if k]
+            sizes = [missing[g] for g in live]
+            vs = np.concatenate([rngs[g].standard_normal((k, dim)) for g, k in zip(live, sizes)])
+            radii = np.concatenate([rngs[g].uniform(0.3, 1.0, k) for g, k in zip(live, sizes)])
+            norms = np.sqrt(np.vecdot(vs, vs))
+            kept = norms >= 1e-12  # a shorter v gives no direction: it is rejected
+            xs = vs * (radii / norms)[:, None]
             batch = kahan_step_batch(desc.field, xs, eps)
             ranks, indices, values = _lowest_witnesses(KahanPair(desc, xs, eps, batch))
-            ok = (~batch.pole & (ranks >= DENOMINATOR_FLOOR)).tolist()
-            taken = []
-            row = -1
-            for has_row in kept:
-                draws += 1
-                if has_row:
-                    row += 1
-                    if ok[row]:
-                        taken.append(row)
-                        draws, binding = 0, (math.inf, None, math.nan)
-                        continue
-                    if batch.pole[row]:
+            ok = kept & ~batch.pole & (ranks >= DENOMINATOR_FLOOR)
+            rounds.append((xs, batch, ok, np.repeat(live, sizes)))
+            start = 0
+            for g, k in zip(live, sizes):
+                block = ok[start : start + k]
+                draws, binding = runs[g]
+                last = -1  # the generator's last rejected proposal in the block
+                for p in np.flatnonzero(~block).tolist():
+                    if p > last + 1:  # the proposals between were accepted
+                        draws, binding = 0, _NO_BINDING
+                    last, row = p, start + p
+                    draws += 1
+                    if kept[row]:
                         # a pole ranks below every witness, as index -1 with its det
-                        low = (-math.inf, -1, batch.delta[row])
-                    else:
-                        low = (float(ranks[row]), int(indices[row]), float(values[row]))
-                    binding = min(binding, low)
-                if draws == MAX_DRAWS:
-                    index, value = binding[1:]
-                    raise ValueError(
-                        f"no {desc.kind} state off the poles of the map with every denominator "
-                        f"witness finite and >= {DENOMINATOR_FLOOR:g} in {MAX_DRAWS} draws; binding "
-                        + (
-                            f"pole: det(I - eps*f'(x)) = {value:.3e}"
-                            if index == -1
-                            else f"witness: denominator_witnesses[{index}] = {value:.3e}"
+                        low = (
+                            (-math.inf, -1, float(batch.delta[row]))
+                            if batch.pole[row]
+                            else (float(ranks[row]), int(indices[row]), float(values[row]))
                         )
-                    )
-            accepted.append((xs[taken], KahanBatch(*(field[taken] for field in batch))))
-            total += len(taken)
-    if not accepted:
+                        binding = min(binding, low)
+                    if draws == MAX_DRAWS:
+                        raise _no_state_error(desc, binding)
+                runs[g] = (draws, binding) if last == k - 1 else (0, _NO_BINDING)
+                missing[g] -= int(np.count_nonzero(block))
+                start += k
+    if not rounds:
         return KahanPair(desc, np.empty((0, dim)), eps)
-    xs, batches = zip(*accepted)
-    return KahanPair(desc, np.concatenate(xs), eps, KahanBatch(*map(np.concatenate, zip(*batches))))
+    xs, batches, ok, owner = zip(*rounds)
+    steps = KahanBatch(*map(np.concatenate, zip(*batches)))
+    taken = np.flatnonzero(np.concatenate(ok))
+    # the accepted states of each generator in turn, in its stream order
+    taken = taken[np.argsort(np.concatenate(owner)[taken], kind="stable")]
+    return KahanPair(desc, np.concatenate(xs)[taken], eps, KahanBatch(*(field[taken] for field in steps)))
 
 
 def draw_initial_state(rng: np.random.Generator, desc: SystemDescriptor, eps: float) -> np.ndarray:
     """Random state in the unit ball, redrawn until the map has no pole
     there and every denominator witness is finite and clears the floor.
 
-    Raises ValueError after MAX_DRAWS draws, naming what bound: the lowest
-    witness seen, a pole first and a non-finite witness next.
+    Each redraw is a round of one proposal: rng.standard_normal(dim) and
+    rng.uniform(0.3, 1.0) for its radius, so the generator is consumed as it
+    always was, except by a proposal with |v| < 1e-12 (probability ~1e-70),
+    which now consumes a radius too. Raises ValueError after MAX_DRAWS
+    draws, naming what bound: the lowest witness seen, a pole first and a
+    non-finite witness next.
     """
-    return _draw_states(rng, desc, eps, 1).x[0]
+    return _draw_states([rng], desc, eps, 1).x[0]
 
 
 def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:
@@ -211,7 +232,7 @@ def _worst_trial(
     """Grade seeded draws: trial(pair) gets every drawn state in one stacked
     KahanPair holding their forward steps and returns the violations, one
     row per state, and the mask of the states it skips."""
-    pair = _draw_states(np.random.default_rng(seed), desc, eps, trials)
+    pair = _draw_states([np.random.default_rng(seed)], desc, eps, trials)
     if pair.x.shape[0]:
         violations, skip = trial(pair)
     else:
@@ -241,32 +262,28 @@ def _conservation(desc: SystemDescriptor, names, seeds, steps: int, eps: float) 
     """One report per named quantity: its worst relative drift along an
     orbit from a state drawn with its own seed.
 
-    The orbits only step, as one stack, and a pole ends only the orbit that
-    meets it. No conserved quantity reads the denominator, so the orbits
-    take it only where the pole decision needs it. Each quantity is then
-    evaluated on its whole orbit in one call, every point with the step the
-    orbit holds from it."""
-    drawn = [_draw_states(np.random.default_rng(seed), desc, eps, 1) for seed in seeds]
-    baselines = [pair.value(name).item(0) for pair, name in zip(drawn, names)]
+    The states of all seeds are drawn together, one proposal per seed and
+    round, each from its own seed's stream. The orbits only step, as one
+    stack, and a pole ends only the orbit that meets it. No conserved
+    quantity reads the denominator, so the orbits take it only where the
+    pole decision needs it. Each quantity is then evaluated on its whole
+    orbit, the drawn state included, in one call, every point with the step
+    the orbit holds from it."""
+    drawn = _draw_states([np.random.default_rng(seed) for seed in seeds], desc, eps, 1)
     # orbit[k]: the steps from point k of every orbit; point 0 is the draw,
     # point k + 1 is orbit.next[k]
-    orbit = kahan_orbit(
-        desc.field,
-        np.concatenate([pair.x for pair in drawn]),
-        eps,
-        steps + 1,
-        KahanBatch(*map(np.concatenate, zip(*(pair.step for pair in drawn)))),
-        delta=False,
-    )
+    orbit = kahan_orbit(desc.field, drawn.x, eps, steps + 1, drawn.step, delta=False)
     # an orbit that meets a pole in the step from point k has points 1..k
     ends = np.minimum(orbit.ends(), steps)
     reports = []
-    for r, (name, baseline, end) in enumerate(zip(names, baselines, ends)):
-        on_orbit = KahanBatch(*(np.ascontiguousarray(field[1 : end + 1, r]) for field in orbit))
-        values = KahanPair(desc, np.ascontiguousarray(orbit.next[:end, r]), eps, on_orbit).value(name)
-        violation = np.abs(values.value - baseline) / (1.0 + abs(baseline))
-        worst, row, skipped = _first_worst(violation, values.fail)
-        worst_x = drawn[r].x[0] if row is None else orbit.next[row, r]
+    for r, (name, end) in enumerate(zip(names, ends)):
+        points = np.concatenate([drawn.x[r : r + 1], orbit.next[:end, r]])
+        on_orbit = KahanBatch(*(np.ascontiguousarray(field[: end + 1, r]) for field in orbit))
+        values = KahanPair(desc, points, eps, on_orbit).value(name)
+        baseline = values.item(0)
+        violation = np.abs(values.value[1:] - baseline) / (1.0 + abs(baseline))
+        worst, row, skipped = _first_worst(violation, values.fail[1:])
+        worst_x = points[0 if row is None else row + 1]
         # a pole counts every step from it to the end as skipped
         skipped += steps - int(end)
         reports.append(

@@ -47,12 +47,12 @@ def normalized(vec: np.ndarray) -> np.ndarray:
 def test_criterion_01_step_contract_and_reversibility():
     # defining-equation residual <= 1e-12 * scale and forward/backward
     # composition <= 1e-10 relative, 500 trials per system and eps; the
-    # trials are the states 500 draw_initial_state calls return, as one
-    # stack holding their steps
+    # trials are drawn as verify draws its trials, one generator block per
+    # round, as one stack holding their steps
     for kind in ALL_KINDS:
         desc = make_system(kind)
         for eps in (0.01, 0.05, 0.2):
-            pair = verify._draw_states(np.random.default_rng(101), desc, eps, 500)
+            pair = verify._draw_states([np.random.default_rng(101)], desc, eps, 500)
             x, x_next = pair.x, pair.step.next
             stepped = ~pair.step.pole
             scale = 1.0 + np.abs(x).max(axis=-1) + np.abs(x_next).max(axis=-1)
@@ -68,7 +68,7 @@ def test_criterion_02_jacobian_determinant_identity():
     for kind in ALL_KINDS:
         desc = make_system(kind)
         eps = 0.05
-        pair = verify._draw_states(np.random.default_rng(103), desc, eps, 500)
+        pair = verify._draw_states([np.random.default_rng(103)], desc, eps, 500)
         stepped = ~pair.step.pole
         x, x_next = pair.x[stepped], pair.step.next[stepped]
         det = np.linalg.det(map_jacobian(desc.field, x, eps, x_next))

@@ -221,6 +221,16 @@ class TestRunSuites:
         assert not suites_passed([good, bad])
 
 
+def accepts(desc, x, eps, floor):
+    """Whether a proposal x is kept: the map has no pole there and every
+    denominator witness, taken for x alone, is finite and clears floor."""
+    try:
+        wits = denominator_witnesses(desc, x, eps)
+    except SingularStepError:
+        return False
+    return not wits or min(w if math.isfinite(w) else -math.inf for w in wits) >= floor
+
+
 def sequential_draw(rng, desc, eps, floor, counter):
     """One state drawn as draw_initial_state drew it before draws were
     batched, one proposal and one witness evaluation at a time, a pole of
@@ -232,16 +242,30 @@ def sequential_draw(rng, desc, eps, floor, counter):
         if norm < 1e-12:
             continue
         x = v * (rng.uniform(0.3, 1.0) / norm)
-        try:
-            wits = denominator_witnesses(desc, x, eps)
-        except SingularStepError:
-            continue
-        if not wits:
-            return x
-        low = min((w if math.isfinite(w) else -math.inf, i, w) for i, w in enumerate(wits))
-        if low[0] >= floor:
+        if accepts(desc, x, eps, floor):
             return x
     raise ValueError("no state in 1000 draws")
+
+
+def block_draw(rng, desc, eps, floor, count, counter, max_draws=1000):
+    """count states drawn one generator block per round, a round proposing
+    as many states as are still missing, and each proposal's witnesses
+    taken alone, in stream order, failing after max_draws proposals in a
+    row are rejected; the number of proposals goes to counter."""
+    states, since = [], 0
+    while len(states) < count:
+        k = count - len(states)
+        vs, radii = rng.standard_normal((k, desc.dim)), rng.uniform(0.3, 1.0, k)
+        for v, radius in zip(vs, radii):
+            counter.append(1)
+            since += 1
+            norm = float(np.linalg.norm(v))
+            if norm >= 1e-12 and accepts(desc, v * (radius / norm), eps, floor):
+                states.append(v * (radius / norm))
+                since = 0
+            elif since == max_draws:
+                raise ValueError(f"no state in {max_draws} draws")
+    return states
 
 
 def conservation_reference(desc, name, steps, eps, seed):
@@ -274,42 +298,149 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("floor", [1e-6, 0.05])
     def test_equal_sequential_draws(self, kind, floor, monkeypatch):
-        # floor 0.05 forces rejections in the drawn stream
+        # floor 0.05 forces rejections in the drawn stream, and with them
+        # rounds after the first
         monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", floor)
         desc = make_system(kind)
         rng_ref, rng = np.random.default_rng(21), np.random.default_rng(21)
         proposals = []
-        expected = [sequential_draw(rng_ref, desc, 0.05, floor, proposals) for _ in range(40)]
-        pair = verify._draw_states(rng, desc, 0.05, 40)
+        expected = block_draw(rng_ref, desc, 0.05, floor, 40, proposals)
+        pair = verify._draw_states([rng], desc, 0.05, 40)
         assert np.array_equal(pair.x, np.array(expected))
         assert pair.x.shape == (40, desc.dim)
-        # the stream is left where the sequential draws leave it
+        # the stream is left where the reference leaves it
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         if floor > 1e-6 and kind != "planar_family":
             assert len(proposals) > 40
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("floor", [1e-6, 0.05])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_one_state_draws_keep_their_stream(self, kind, floor, seed, monkeypatch):
+        # a draw of one state proposes one state a round, and so consumes
+        # the generator as the one-at-a-time draws did
+        monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", floor)
+        desc = make_system(kind)
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [sequential_draw(rng_ref, desc, 0.05, floor, []) for _ in range(5)]
+        drawn = [draw_initial_state(rng, desc, 0.05) for _ in range(5)]
+        assert np.array_equal(np.array(drawn), np.array(expected))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("floor", [1e-6, 0.3])
+    def test_stacked_generators_equal_their_own_draws(self, kind, floor, monkeypatch):
+        # one state from each of several generators, drawn together, as the
+        # conservation checks draw them: each generator gives the state and
+        # step it gives alone, and is left where its own draw leaves it; at
+        # floor 0.3 these seeds need from 1 to 12 proposals on the Clebsch
+        # kinds, Kirchhoff and Lagrange, so they drop out in different rounds
+        monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", floor)
+        desc = make_system(kind)
+        seeds = range(70, 78)
+        alone = [verify._draw_states([np.random.default_rng(seed)], desc, 0.05, 1) for seed in seeds]
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        pair = verify._draw_states(rngs, desc, 0.05, 1)
+        assert np.array_equal(pair.x, np.concatenate([one.x for one in alone]))
+        for field, *expected in zip(pair.step, *(one.step for one in alone)):
+            assert np.array_equal(field, np.concatenate(expected), equal_nan=True)
+        for rng, seed in zip(rngs, seeds):
+            rng_ref = np.random.default_rng(seed)
+            sequential_draw(rng_ref, desc, 0.05, floor, [])
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_max_draws_counts_since_the_last_acceptance(self, kind, monkeypatch):
+        # at floor 0.3 most proposals are rejected, and a run of MAX_DRAWS
+        # = 12 rejections ends some of these 40-state draws and not others
+        monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", 0.3)
+        monkeypatch.setattr(verify, "MAX_DRAWS", 12)
+        desc = make_system(kind)
+        for seed in range(21, 31):
+            try:
+                expected = block_draw(np.random.default_rng(seed), desc, 0.05, 0.3, 40, [], 12)
+            except ValueError:
+                with pytest.raises(ValueError, match="in 12 draws"):
+                    verify._draw_states([np.random.default_rng(seed)], desc, 0.05, 40)
+            else:
+                pair = verify._draw_states([np.random.default_rng(seed)], desc, 0.05, 40)
+                assert np.array_equal(pair.x, np.array(expected))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_each_generator_counts_its_own_draws(self, kind, monkeypatch):
+        # at floor 0.3 about half the seeds reject MAX_DRAWS = 3 proposals in
+        # a row: stacked with the others, a seed that finds a state alone
+        # finds the same one, and the stack fails as the first seed that
+        # fails alone does
+        monkeypatch.setattr(verify, "DENOMINATOR_FLOOR", 0.3)
+        monkeypatch.setattr(verify, "MAX_DRAWS", 3)
+        desc = make_system(kind)
+        seeds = range(70, 90)
+        alone = {}
+        for seed in seeds:
+            try:
+                alone[seed] = draw_initial_state(np.random.default_rng(seed), desc, 0.05)
+            except ValueError as error:
+                alone[seed] = str(error)
+        found = [seed for seed in seeds if not isinstance(alone[seed], str)]
+        pair = verify._draw_states([np.random.default_rng(seed) for seed in found], desc, 0.05, 1)
+        assert np.array_equal(pair.x, np.array([alone[seed] for seed in found]).reshape(-1, desc.dim))
+        failed = [alone[seed] for seed in seeds if isinstance(alone[seed], str)]
+        if failed:
+            with pytest.raises(ValueError) as raised:
+                verify._draw_states([np.random.default_rng(seed) for seed in seeds], desc, 0.05, 1)
+            assert str(raised.value) == failed[0]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("scale", [0.0, 1e-14])
+    def test_a_proposal_too_short_to_scale_is_a_rejected_draw(self, kind, scale):
+        # the first and fourth proposals of the first block shrunk below
+        # |v| = 1e-12: each is a draw that consumed its radius and is
+        # rejected, as the reference rejects it, and no warning escapes
+        class Shrunk:
+            def __init__(self, seed):
+                self.rng, self.blocks = np.random.default_rng(seed), 0
+
+            def standard_normal(self, size):
+                vs = self.rng.standard_normal(size)
+                if not self.blocks:
+                    vs[[0, 3]] *= scale
+                self.blocks += 1
+                return vs
+
+            def uniform(self, low, high, size):
+                return self.rng.uniform(low, high, size)
+
+        desc = make_system(kind)
+        ref, rng, proposals = Shrunk(23), Shrunk(23), []
+        expected = block_draw(ref, desc, 0.05, verify.DENOMINATOR_FLOOR, 6, proposals)
+        pair = verify._draw_states([rng], desc, 0.05, 6)
+        assert np.array_equal(pair.x, np.array(expected)) and len(proposals) >= 8
+        assert rng.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert (np.linalg.norm(pair.x, axis=1) >= 0.3 - 1e-12).all()
+
     @given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_exact_root_at_the_first_proposal(self, kind, seed):
-        # eps a root of det(I - eps*f'(x)) at the seed's first proposal x:
-        # x sits on a pole, so the draws pass over it as the sequential
-        # draws do
+        # eps a root of det(I - eps*f'(x)) at the first proposal x of the
+        # seed's first block: x sits on a pole, so the draws pass over it
+        # as the reference does
         desc = make_system(kind)
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal(desc.dim)
-        first = v * (rng.uniform(0.3, 1.0) / np.linalg.norm(v))
+        vs, radii = rng.standard_normal((3, desc.dim)), rng.uniform(0.3, 1.0, 3)
+        first = vs[0] * (radii[0] / np.linalg.norm(vs[0]))
         eps = pole_eps(desc.field, first)
         assume(eps is not None)
         assert quadfield.kahan_step_batch(desc.field, first[None], eps).pole[0]
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected = [sequential_draw(rng_ref, desc, eps, verify.DENOMINATOR_FLOOR, []) for _ in range(3)]
-        pair = verify._draw_states(rng, desc, eps, 3)
+        expected = block_draw(rng_ref, desc, eps, verify.DENOMINATOR_FLOOR, 3, [])
+        pair = verify._draw_states([rng], desc, eps, 3)
         assert np.array_equal(pair.x, np.array(expected))
         assert not (pair.x == first).all(axis=1).any()
 
     def test_held_step_is_the_state_step(self):
         desc = make_system("lagrange")
-        pair = verify._draw_states(np.random.default_rng(22), desc, 0.05, 10)
+        pair = verify._draw_states([np.random.default_rng(22)], desc, 0.05, 10)
         for x, x_next, delta in zip(pair.x, pair.step.next, pair.step.delta):
             step = quadfield.kahan_step(desc.field, x, 0.05)
             assert np.array_equal(x_next, step.next) and delta == step.delta
@@ -321,14 +452,38 @@ class TestBatchedDraws:
             draw_initial_state(np.random.default_rng(1), make_system("kirchhoff"), 0.05)
 
 
-def test_uniform_identity_of_the_draws():
-    # _draw_states writes rng.uniform(0.3, 1.0) as numpy's own formula on
-    # rng.random(); a numpy release that changes uniform fails here
-    ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
-    for _ in range(100_000):
-        a, b = 0.3 + (1.0 - 0.3) * ours.random(), theirs.uniform(0.3, 1.0)
-        assert a.hex() == b.hex()
-    assert ours.bit_generator.state == theirs.bit_generator.state
+class TestTrialSkipsAtPoles:
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        check=st.sampled_from(["reversibility", "measure"]),
+        placed=st.sets(st.integers(0, 19), min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_trial_whose_second_step_is_a_pole_is_skipped(self, kind, seed, check, placed):
+        # a pole placed at the forward step y of some drawn trials: the
+        # backward step (reversibility) or the onward step (measure) from y
+        # is a pole, so each of those trials counts as skipped, and the
+        # worst violation is the worst over the other trials
+        desc = make_system(kind)
+        assume(check == "reversibility" or desc.density_names)
+        if check == "reversibility":
+            run = lambda: check_reversibility(desc, 20, 0.05, seed)  # noqa: E731
+        else:
+            run = lambda: check_measure(desc, desc.density_names[0], 20, 0.05, seed)  # noqa: E731
+        clean = run()
+        assume(clean.skipped == 0)
+        pair = verify._draw_states([np.random.default_rng(seed)], desc, 0.05, 20)
+        with pytest.MonkeyPatch.context() as patch:
+            for t in placed:
+                place_pole(patch, pair.step.next[t])
+            report = run()
+        assert report.skipped == len(placed) and report.passed
+        assert not any(np.array_equal(report.worst_case_input, pair.x[t]) for t in placed)
+        assert report.max_violation <= clean.max_violation
+        if not any(np.array_equal(clean.worst_case_input, pair.x[t]) for t in placed):
+            assert report.max_violation == clean.max_violation
+            assert np.array_equal(report.worst_case_input, clean.worst_case_input)
 
 
 class TestStackedConservation:
@@ -360,7 +515,7 @@ class TestStackedConservation:
         names = desc.conserved_names
         seeds = [50 + i for i in range(len(names))]
         clean = verify._conservation(desc, names, seeds, 40, 0.05)
-        x = verify._draw_states(np.random.default_rng(seeds[0]), desc, 0.05, 1).x[0]
+        x = draw_initial_state(np.random.default_rng(seeds[0]), desc, 0.05)
         for _ in range(7):
             x = quadfield.kahan_step(desc.field, x, 0.05).next
         place_pole(monkeypatch, x)
