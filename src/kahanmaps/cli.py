@@ -118,17 +118,27 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     if "system" not in doc:
         raise ValueError("config missing required field 'system'")
     kind = doc["system"]
-    flat = {k: v for k, v in doc.items() if k not in RESERVED_KEYS}
+    raw = {k: v for k, v in doc.items() if k not in RESERVED_KEYS}
     if "params" in doc:
-        if flat:
+        if raw:
             raise ValueError(
-                f"system parameters given both nested and flat: {sorted(flat)}"
+                f"system parameters given both nested and flat: {sorted(raw)}"
             )
         if not isinstance(doc["params"], dict):
             raise ValueError("'params' must be a JSON object")
-        params = params_from_dict(kind, doc["params"])
-    else:
-        params = params_from_dict(kind, flat)
+        raw = doc["params"]
+    ell = raw.get("ell") if kind == "planar_family" else None
+    # Building a planar field of dimension n = len(ell) peaks at about 7 n^3
+    # doubles: quad, its copies and the step tensor (tracemalloc: 3.5, 27.7
+    # and 93.1 MB at n = 40, 80 and 120). Counting each double as one unit
+    # of MAX_RUN_POINTS, as a unit of steps x dim is one float64
+    # coordinate, 7 n^3 <= 2**21 gives n <= 66, a 16 MB peak.
+    limit = int((MAX_RUN_POINTS / 7) ** (1 / 3))
+    if isinstance(ell, list) and len(ell) > limit:
+        raise ValueError(
+            f"ell must have at most {limit} entries (7 x len(ell)^3 <= {MAX_RUN_POINTS}), got {len(ell)}"
+        )
+    params = params_from_dict(kind, raw)
     desc = build_system(kind, params)
 
     x0 = None
@@ -157,6 +167,16 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
         orders = tuple(int(o) for o in listed)
         if len(set(orders)) != len(orders):
             raise ValueError(f"orders must not repeat an order, got {listed!r}")
+        # hk-scan steps one orbit window - 1 + max(orders) steps long, its
+        # window set by the dim // 2 conjugate coordinate pairs; that orbit
+        # is bounded as steps are
+        window = default_window(desc.dim // 2)
+        limit = MAX_RUN_POINTS // desc.dim - (window - 1)
+        if max(orders) > limit:
+            raise ValueError(
+                f"orders must be <= {limit} for a {desc.dim}-dimensional system "
+                f"((window - 1 + order) x dim <= {MAX_RUN_POINTS}, window {window}), got {max(orders)}"
+            )
     return ExperimentConfig(
         kind=kind,
         params=params,

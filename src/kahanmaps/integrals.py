@@ -175,15 +175,6 @@ class KahanPair:
             raise ValueError(f"unknown quantity name '{name}' for {self.desc.kind}")
         return formula(self)
 
-    def density(self, which: str) -> Rows:
-        """Preserved density numerator: the named bilinear coefficient on
-        (x, x~) times Delta(x; eps).
-
-        The defining property, checked by the verification suites, is
-        density(x~)/density(x) = det dPhi(x) along orbits.
-        """
-        return self._rows(lambda: self._density(which))
-
     def _density(self, which: str) -> np.ndarray:
         if which not in self.desc.density_names:
             raise ValueError(
@@ -235,8 +226,9 @@ def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:
 
 
 def eval_density(desc: SystemDescriptor, x, eps: float, which: str) -> float:
-    """Preserved density numerator at one state x (see KahanPair.density)."""
-    return _one(desc, x, eps).density(which).item(0)
+    """Preserved density numerator at one state x: the named bilinear
+    coefficient on (x, x~) times Delta(x; eps) (see KahanPair.value)."""
+    return _one(desc, x, eps).value(f"density_{which}").item(0)
 
 
 def eval_I0(desc: SystemDescriptor, x, eps: float) -> float:

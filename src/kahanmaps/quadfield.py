@@ -26,14 +26,13 @@ The field keeps the coefficients of both in one read-only step_tensor, and
 a step is five numpy calls on the stack: the product a @ (eps *
 step_tensor), a row holding eps*f'(x) and the n x (n + 1) matrix
 [eps*(f'(x) + B) | 2*eps*c]; I - eps*f'(x) subtracted from it; that
-matrix times a, the right-hand side; the solve; and the add.  Built from
-the Jacobian instead, the same step took ten calls (its einsum, doubling,
-shift and scaling, the subtraction, the right-hand side's shift, product
-and constant, the solve and the add), and on 6 x 6 stacks each call's
-1-3 us of dispatch was most of the step's cost.  The products are
-np.vecmat and np.matvec, not matmul: matmul hands a stack to BLAS gemm,
-which rounds a row differently from the same row alone, while vecmat and
-matvec give each row its lone bits in a stack of any size.
+matrix times a, the right-hand side; the solve; and the add.  On 6 x 6
+stacks each call's 1-3 us of dispatch is most of the step's cost.  The
+products are np.vecmat and np.matvec, not matmul: matmul hands a stack to
+BLAS gemm, which rounds a row differently from the same row alone, while
+vecmat and matvec give each row its lone bits in a stack of any size.
+The step tensor is the package's one source of f'(x): map_jacobian reads
+it from the same tensor, unscaled.
 
 Its loop carries only what the next point depends on; nothing is
 evaluated after it.  The defining equation above is the definition of
@@ -82,10 +81,7 @@ recorded as +-inf without a warning, and a row stepped past its pole,
 which may be singular, solves to nan or inf instead of raising.  A state
 that is already nan decides no pole and carries nan.  map_jacobian solves
 with the same kernel's many-column form under the same error state, so
-a singular row of its stack is nan.  jacobian_field, which it reads, calls
-numpy's einsum kernel, c_einsum, which np.einsum returns from without
-optimization, and adds the other term in place on its fresh output, in
-the order the plain expression rounds them.
+a singular row of its stack is nan.
 """
 
 from __future__ import annotations
@@ -97,14 +93,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 
 __all__ = [
     "SingularStepError",
     "QuadraticVectorField",
     "KahanBatch",
-    "jacobian_field",
     "delta",
     "kahan_step",
     "kahan_step_batch",
@@ -121,8 +115,7 @@ POLE_MARGIN = 1.0 + 1e-6
 # Steps an orbit takes between pole decisions; a row stepped past its pole
 # wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step kirchhoff orbit
 # costs about 16 us a step at any block from 16 to 256 steps, 24 us at 4
-# and 50 us at 1, where the ten-call step cost 27, 34 and 57 us in the
-# same session (2-core x86-64 VM under shared load).
+# and 50 us at 1 (2-core x86-64 VM under shared load).
 DECIDE_STEPS = 64
 
 
@@ -182,16 +175,6 @@ class QuadraticVectorField:
     @property
     def dim(self) -> int:
         return self.const.shape[0]
-
-
-def jacobian_field(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the continuous field: f'(x)[i,j] = 2 sum_k quad[i,j,k] x_k + lin[i,j],
-    for one state or a stack x[..., n]."""
-    x = np.asarray(x, dtype=float)
-    out = c_einsum("ijk,...k->...ij", field.quad, x)
-    out *= 2.0
-    out += field.lin
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -397,7 +380,12 @@ def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next:
     gufunc numpy.linalg.solve dispatches to, under the step's error state:
     a row whose I - eps*f'(x) is singular is nan instead of raising, and
     every other row has numpy.linalg.solve's bits."""
-    eye = _eye(field.dim)
-    mat, rhs = eye - eps * jacobian_field(field, x), eye + eps * jacobian_field(field, x_next)
+    n = field.dim
+    # f'(x) is the first n*n columns of [x, 1] @ step_tensor, row-major
+    points = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x_next, dtype=float)))
+    a = np.concatenate([points, np.ones((*points.shape[:-1], 1))], axis=-1)
+    jac = np.vecmat(a, field.step_tensor[:, : n * n]).reshape(*a.shape[:-1], n, n)
+    eye = _eye(n)
+    mat, rhs = eye - eps * jac[0], eye + eps * jac[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _umath_linalg.solve(mat, rhs, signature="dd->d")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .integrals import KahanPair
 from .quadfield import KahanBatch, kahan_orbit, kahan_step_batch, map_jacobian
-from .systems import FirstClebschParams, SystemDescriptor, build_system
+from .systems import SystemDescriptor
 
 __all__ = [
     "CONSERVATION_TOL",
@@ -318,8 +318,9 @@ def check_measure(
 
     def trial(pair):
         xs, ys = pair.x, pair.step.next
-        here = pair.density(density_name)
-        onward = KahanPair(desc, ys, eps, kahan_step_batch(desc.field, ys, eps)).density(density_name)
+        column = f"density_{density_name}"
+        here = pair.value(column)
+        onward = KahanPair(desc, ys, eps, kahan_step_batch(desc.field, ys, eps)).value(column)
         den, num = here.value, onward.value
         # a pole or a zero denominator skips the state, and so does a density
         # crossing zero at x, where the ratio is meaningless
@@ -339,15 +340,17 @@ def check_measure(
 
 
 def check_identities_clebsch1(
-    omega, trials: int, eps: float, seed: int = 42
+    desc: SystemDescriptor, trials: int, eps: float, seed: int = 42
 ) -> PropertyReport:
-    """Worst defect of the four one-step coefficient identities.
+    """Worst defect of the four one-step coefficient identities of a
+    first_clebsch system; a system of another kind is a ValueError.
 
     With c evaluated at x, c~ at x~ and C on the pair, each of
     sum c_i m~_i p_i, sum c_i m_i p~_i equals sum C_i m_i p_i, and each of
     sum c~_i m_i p~_i, sum c~_i m~_i p_i equals sum C_i m~_i p~_i.
     """
-    desc = build_system("first_clebsch", FirstClebschParams(omega=tuple(omega)))
+    if desc.kind != "first_clebsch":
+        raise ValueError(f"the one-step identities are those of first_clebsch, not {desc.kind}")
 
     def trial(pair):
         x, x_next = pair.x, pair.step.next
@@ -400,11 +403,7 @@ def run_suites(
             )
             offset += 1
         if desc.kind == "first_clebsch":
-            reports.append(
-                check_identities_clebsch1(
-                    desc.params.omega, trials, eps, seed=seed + offset
-                )
-            )
+            reports.append(check_identities_clebsch1(desc, trials, eps, seed=seed + offset))
             offset += 1
     return reports
 

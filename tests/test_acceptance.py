@@ -110,10 +110,10 @@ def test_criterion_05_first_clebsch_identities_and_closed_forms():
     # the four one-step identities hold to 1e-12 * scale at 1000 random
     # pairs; the coefficient vectors match their closed projective forms
     # (1 + eps^2 w_i V : V) to 1e-11 after normalization
-    report = check_identities_clebsch1(OMEGA, trials=1000, eps=0.1, seed=107)
+    desc = make_system("first_clebsch")
+    report = check_identities_clebsch1(desc, trials=1000, eps=0.1, seed=107)
     assert report.passed, report.max_violation
 
-    desc = make_system("first_clebsch")
     omega = np.asarray(OMEGA, dtype=float)
     rng = np.random.default_rng(108)
     eps = 0.1

@@ -145,9 +145,9 @@ def numpy_names(tree):
 
 def test_private_numpy_surface():
     # the numpy<3 cap in pyproject.toml covers these private names: the
-    # Jacobian's einsum kernel, the LAPACK solve gufunc of every orbit step
-    # and the one map_jacobian solves its stacks with. Reaching another is
-    # a decision, made by editing this test
+    # LAPACK solve gufunc of every orbit step and the one map_jacobian
+    # solves its stacks with. Reaching another is a decision, made by
+    # editing this test
     def private(name):
         return any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
 
@@ -157,12 +157,8 @@ def test_private_numpy_surface():
             names = numpy_names(ast.parse(fh.read()))
         imported |= names[0]
         read |= names[1]
-    assert {name for name in imported if private(name)} == {
-        "numpy._core.multiarray.c_einsum",
-        "numpy.linalg._umath_linalg",
-    }
+    assert {name for name in imported if private(name)} == {"numpy.linalg._umath_linalg"}
     assert {name for name in read if private(name)} == {
-        "numpy._core.multiarray.c_einsum",
         "numpy.linalg._umath_linalg.solve",
         "numpy.linalg._umath_linalg.solve1",
     }

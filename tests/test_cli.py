@@ -20,7 +20,7 @@ from kahanmaps.cli import (
     parse_config,
     run_command,
 )
-from kahanmaps.hkbasis import WronskianBasisSpec, conjugate_pairs, hk_nullspace, iterate_orbit
+from kahanmaps.hkbasis import WronskianBasisSpec, conjugate_pairs, default_window, hk_nullspace, iterate_orbit
 from kahanmaps.integrals import DenominatorZeroError, evaluate_named
 from kahanmaps.quadfield import SingularStepError, kahan_step
 from kahanmaps.systems import build_system, params_to_dict
@@ -92,6 +92,25 @@ class TestParseConfig:
             for value in (limit + 1, 10**20):
                 with pytest.raises(ValueError, match=rf"^{key} must be <= {limit} "):
                     parse_config(write_config(tmp_path, {**doc, key: value}))
+
+    def test_orders_are_bounded(self, tmp_path):
+        # hk-scan's orbit, window - 1 + max(orders) steps, x dim stops at
+        # MAX_RUN_POINTS as steps do; the configs are only parsed, never run
+        window = default_window(3)
+        limit = MAX_RUN_POINTS // 6 - (window - 1)
+        assert parse_config(write_config(tmp_path, dict(KIRCHHOFF_DOC, orders=[1, limit]))).orders == (1, limit)
+        for orders in ([limit + 1], [2, 10**12]):
+            with pytest.raises(ValueError, match=rf"^orders must be <= {limit} "):
+                parse_config(write_config(tmp_path, dict(KIRCHHOFF_DOC, orders=orders)))
+
+    def test_planar_dimension_is_bounded(self, tmp_path):
+        # a planar field of dimension n takes about 7 n^3 doubles to build;
+        # the first length past 7 n^3 <= MAX_RUN_POINTS is rejected before
+        # any of them is allocated
+        n = 1 + max(n for n in range(1, 200) if 7 * n**3 <= MAX_RUN_POINTS)
+        doc = {"system": "planar_family", "params": {"qform": [1, 0, 1], "ell": [1.0] * n}}
+        with pytest.raises(ValueError, match=rf"^ell must have at most {n - 1} entries"):
+            parse_config(write_config(tmp_path, doc))
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

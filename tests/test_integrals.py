@@ -607,7 +607,7 @@ class TestStackedTable:
         for which in desc.density_names:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows = pair.density(which)
+                rows = pair.value(f"density_{which}")
             self.check(desc, rows, lambda q: q.density(which), lambda x: eval_density(desc, x, TABLE_EPS, which))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

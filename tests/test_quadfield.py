@@ -27,7 +27,6 @@ from kahanmaps.quadfield import (
     QuadraticVectorField,
     SingularStepError,
     delta,
-    jacobian_field,
     kahan_orbit,
     kahan_step,
     kahan_step_batch,
@@ -92,7 +91,7 @@ class TestFieldEvaluation:
         f = random_field(rng, 6)
         for _ in range(5):
             x = rng.standard_normal(6)
-            assert np.allclose(jacobian_field(f, x), fd_field_jacobian(f, x), atol=1e-8)
+            assert np.allclose(einsum_jacobian(f, x), fd_field_jacobian(f, x), atol=1e-8)
 
 
 class TestScalarRecursion:
@@ -189,7 +188,7 @@ class TestSixDimStep:
 
     def test_delta_matches_cofactor_determinant(self):
         f = _lagrange21()
-        mat = np.eye(6) - self.EPS * jacobian_field(f, self.X0)
+        mat = np.eye(6) - self.EPS * einsum_jacobian(f, self.X0)
         assert delta(f, self.X0, self.EPS) == pytest.approx(cofactor_det(mat), rel=1e-12)
 
     def test_third_component_exactly_preserved(self):
@@ -250,7 +249,7 @@ class TestMapProperties:
             warnings.simplefilter("error")
             got = map_jacobian(SCALAR, xs, eps, ys)
         assert got.shape == (3, 1, 1) and np.isnan(got[1]).all()
-        mats, rhs = np.eye(1) - eps * jacobian_field(SCALAR, xs), np.eye(1) + eps * jacobian_field(SCALAR, ys)
+        mats, rhs = np.eye(1) - eps * einsum_jacobian(SCALAR, xs), np.eye(1) + eps * einsum_jacobian(SCALAR, ys)
         for i in (0, 2):
             assert got[i].tobytes() == np.linalg.solve(mats[i], rhs[i]).tobytes()
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
@@ -910,8 +909,8 @@ class TestDeltaFreeOrbit:
 
 
 def einsum_jacobian(field, x):
-    """jacobian_field as an np.einsum expression, frozen as the oracle of its
-    direct-kernel, in-place form."""
+    """f'(x) = 2 Q x + B of one state or a stack x[..., n], as a frozen
+    np.einsum expression that shares no kernel with the package."""
     return 2.0 * np.einsum("ijk,...k->...ij", field.quad, x) + field.lin
 
 
@@ -968,28 +967,36 @@ class TestStepTensor:
             assert np.float64(got).tobytes() == kahan_step(field, x, eps).delta.tobytes()
 
 
-class TestDirectEinsum:
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 6),
-        shape=st.sampled_from([(), (0,), (1,), (5,), (3, 0), (3, 4)]),
-        # subnormal products, and magnitudes far apart, test the rounding order
-        scale=st.sampled_from([1.0, 1e-160, 1e-300, 1e100]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_bits_equal_the_einsum_expressions(self, seed, n, shape, scale):
-        rng = np.random.default_rng(seed)
-        field = random_field(rng, n)
-        x = scale * rng.standard_normal((*shape, n))
-        kept = [arr.copy() for arr in (x, field.quad, field.lin, field.const)]
-        got, expected = jacobian_field(field, x), einsum_jacobian(field, x)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-        # a fresh array: writing into it leaves the field and the state alone
-        assert got.flags.writeable and not np.shares_memory(got, x)
-        got[...] = 7.0
-        for arr, copy in zip((x, field.quad, field.lin, field.const), kept):
-            assert np.array_equal(arr, copy)
+class TestMapJacobianBits:
+    """map_jacobian reads f'(x) and f'(x~) from the step tensor. On the five
+    e(3) kinds that block has the einsum expression's bits, so the map
+    Jacobian is numpy.linalg.solve of the einsum expressions bit for bit, in
+    a stack of any size. planar_family's block sums its terms in another
+    order; at eps 0.05 its step matrices on the unit ball are within 0.1 of
+    the identity, so a last-bit difference in the block moves the solve by
+    no more than a few ulps."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("count", [1, 7, 500])
+    def test_equals_the_einsum_solve(self, kind, count):
+        desc = make_system(kind)
+        eps = 0.05
+        rng = np.random.default_rng(count)
+        xs = np.array([unit_ball(rng, desc.dim) for _ in range(count)])
+        ys = kahan_step_batch(desc.field, xs, eps).next
+        eye = np.eye(desc.dim)
+        expected = np.linalg.solve(
+            eye - eps * einsum_jacobian(desc.field, xs), eye + eps * einsum_jacobian(desc.field, ys)
+        )
+        got = map_jacobian(desc.field, xs, eps, ys)
+        assert got.shape == expected.shape == (count, desc.dim, desc.dim)
+        if kind == "planar_family":
+            scale = np.abs(expected).max(axis=(-2, -1), keepdims=True)
+            assert (np.abs(got - expected) <= 4 * np.finfo(float).eps * scale).all()
+        else:
+            assert got.tobytes() == expected.tobytes()
+        # one state alone has its row's bits
+        assert map_jacobian(desc.field, xs[0], eps, ys[0]).tobytes() == got[0].tobytes()
 
 
 def near_singular_stack(seed, count, n):

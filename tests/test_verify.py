@@ -13,7 +13,7 @@ from conftest import ALL_KINDS, make_system, place_pole, pole_eps
 from kahanmaps import quadfield, verify
 from kahanmaps.integrals import DenominatorZeroError, KahanPair, denominator_witnesses
 from kahanmaps.quadfield import QuadraticVectorField, SingularStepError
-from kahanmaps.systems import SystemDescriptor
+from kahanmaps.systems import FirstClebschParams, SystemDescriptor, build_system
 from kahanmaps.verify import (
     CONSERVATION_TOL,
     IDENTITY_TOL,
@@ -176,16 +176,22 @@ class TestMeasure:
 
 class TestIdentitiesClebsch1:
     def test_random_trials_pass(self):
-        report = check_identities_clebsch1((1.0, 2.0, 3.0), trials=300, eps=0.1, seed=15)
+        report = check_identities_clebsch1(make_system("first_clebsch"), trials=300, eps=0.1, seed=15)
         assert report.passed
         assert report.tolerance == IDENTITY_TOL
         assert report.trials == 300
 
     def test_deterministic_given_seed(self):
-        a = check_identities_clebsch1((0.3, 1.1, 2.4), trials=50, eps=0.05, seed=16)
-        b = check_identities_clebsch1((0.3, 1.1, 2.4), trials=50, eps=0.05, seed=16)
+        desc = build_system("first_clebsch", FirstClebschParams(omega=(0.3, 1.1, 2.4)))
+        a = check_identities_clebsch1(desc, trials=50, eps=0.05, seed=16)
+        b = check_identities_clebsch1(desc, trials=50, eps=0.05, seed=16)
         assert a.max_violation == b.max_violation
         assert np.array_equal(a.worst_case_input, b.worst_case_input)
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "first_clebsch"])
+    def test_other_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match=f"not {kind}"):
+            check_identities_clebsch1(make_system(kind), trials=5, eps=0.05, seed=16)
 
 
 class TestRunSuites:
@@ -556,7 +562,7 @@ class TestStepsPerTrial:
 
     def test_identities_one_step(self, monkeypatch):
         rows = self.count_rows(monkeypatch)
-        check_identities_clebsch1((1.0, 2.0, 3.0), trials=50, eps=0.05, seed=62)
+        check_identities_clebsch1(make_system("first_clebsch"), trials=50, eps=0.05, seed=62)
         assert sum(rows) == 50
 
     def test_conservation_one_step_per_orbit_point(self, monkeypatch):
