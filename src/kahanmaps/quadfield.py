@@ -23,16 +23,22 @@ quad, so
     2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c = [eps*(f'(x) + B) | 2*eps*c] a.
 
 The field keeps the coefficients of both in one read-only step_tensor, and
-a step is five numpy calls on the stack: the product a @ (eps *
+a step is five numpy calls and nothing else: the product a @ (eps *
 step_tensor), a row holding eps*f'(x) and the n x (n + 1) matrix
 [eps*(f'(x) + B) | 2*eps*c]; I - eps*f'(x) subtracted from it; that
-matrix times a, the right-hand side; the solve; and the add.  On 6 x 6
-stacks each call's 1-3 us of dispatch is most of the step's cost.  The
-products are np.vecmat and np.matvec, not matmul: matmul hands a stack to
-BLAS gemm, which rounds a row differently from the same row alone, while
-vecmat and matvec give each row its lone bits in a stack of any size.
-The step tensor is the package's one source of f'(x): map_jacobian reads
-it from the same tensor, unscaled.
+matrix times a, the right-hand side; the solve, into the next point's
+row; and the add that completes it there.  Each block of steps builds
+its row views once, and every call writes into the block's buffers.  On
+6 x 6 matrices each call's 1-3 us of dispatch is most of the step's
+cost.  On a stack the products are np.vecmat and np.matvec, not matmul:
+matmul hands a stack to BLAS gemm, which rounds a row differently from
+the same row alone, while vecmat and matvec hand each row to BLAS dgemv.
+A lone row steps on its 1-D views with ndarray.dot, np.dot's kernel
+without its Python dispatcher, which calls the same dgemv at about a
+third of the dispatch cost (0.6 us a call against 1.7 us at n = 6).  So
+a row has the same bits alone or in a stack of any size.  The step
+tensor is the package's one source of f'(x): map_jacobian reads it from
+the same tensor, unscaled.
 
 Its loop carries only what the next point depends on; nothing is
 evaluated after it.  The defining equation above is the definition of
@@ -41,8 +47,10 @@ the map, and the increment form is how it is solved.  A state whose
 its row stops there, that entry keeps its denominator and threshold, and
 every later entry of the row is nan.  The rows step DECIDE_STEPS steps at
 a time into the block's buffers of points, products and matrices; then
-one det of the block's matrices gives the denominators, the products'
-eps*f'(x) give the norms, and one pass decides the poles; a row's steps
+one call reads the block's stepped points, their eps*f'(x) and their
+matrices: one det of the matrices gives the denominators and the
+eps*f'(x), taken in place, give the norms.  Every stepped point passes
+through that call once.  One pass then decides the poles; a row's steps
 past its first pole in the block, at most DECIDE_STEPS - 1, are dropped.
 The products, the solve and det give each row the same bits in a stack
 of any size, so the block's denominators and decisions are those of the
@@ -50,8 +58,8 @@ steps one at a time.  Every step is a KahanBatch: kahan_step_batch is the
 one-step orbit of a stack without its step axis, and kahan_step entry
 (0, 0) of the one-step orbit of one state, which raises SingularStepError
 at a pole; a state gets the same numbers from all three, bit for bit.
-delta takes det(I - eps*f'(x)) of the same step matrix.  Whether a pole
-at the first step of an orbit is an error is for the caller to say.
+delta is the denominator of that one-step orbit.  Whether a pole at the
+first step of an orbit is an error is for the caller to say.
 
 The callers that never read the denominators, verify's conservation
 orbits and backward reversibility steps and hkbasis's iterate_orbit and
@@ -114,8 +122,9 @@ SINGULAR_DET_FACTOR = 1e-13
 POLE_MARGIN = 1.0 + 1e-6
 # Steps an orbit takes between pole decisions; a row stepped past its pole
 # wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step kirchhoff orbit
-# costs about 16 us a step at any block from 16 to 256 steps, 24 us at 4
-# and 50 us at 1 (2-core x86-64 VM under shared load).
+# costs about 8-11 us a step at any block from 16 to 256 steps, 16-20 us at
+# 4 and 43-53 us at 1 (process CPU time, median of 7, over three runs on a
+# 2-core x86-64 VM under shared load).
 DECIDE_STEPS = 64
 
 
@@ -184,23 +193,6 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _solve_matrix(
-    field: QuadraticVectorField, a: np.ndarray, eps_tensor: np.ndarray, product=None, jac=None, mat=None
-):
-    """The step product and step matrix at augmented points a[..., n + 1] =
-    [x, 1], given eps_tensor = eps * field.step_tensor: product = a @
-    eps_tensor, whose first n*n entries, jac viewed [..., n, n], are
-    eps*f'(x) row-major, and mat = I - eps*f'(x). Each is written into its
-    buffer when one is given; a given jac is the view of the given
-    product. Returns (mat, product)."""
-    n = field.dim
-    product = np.vecmat(a, eps_tensor, out=product)
-    if jac is None:
-        jac = product[..., : n * n].reshape(*product.shape[:-1], n, n)
-    mat = np.subtract(_eye(n), jac, out=mat)
-    return mat, product
-
-
 def _pole_threshold(norm: float, n: int) -> float:
     # Scale-aware singularity threshold; the power n tracks how the
     # determinant magnitude grows with the matrix norm. It is a scalar
@@ -230,11 +222,33 @@ def _poles(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
     return poles, thresholds
 
 
+def _denominators(points: np.ndarray, jacs: np.ndarray, mats: np.ndarray, every_det: bool) -> tuple:
+    """The denominators det(I - eps*f'(x)) and norms |eps*f'(x)|_inf of a
+    block's stepped points[block, B, n + 1], read from the eps*f'(x),
+    jacs[block, B, n, n], and the step matrices mats[block, B, n, n] the
+    loop built, each flat in step-major order; jacs, which nothing else
+    reads, is overwritten by its absolute values. With every_det False, the
+    det is taken only where the norm is above 1/2 or not finite and is nan
+    elsewhere. Every stepped point passes through here once, in the block
+    it is stepped in. The points are not read here: they name the rows for
+    a wrapper of this call, as the test suite's pole placement and step
+    counts are."""
+    n = mats.shape[-1]
+    norms = np.abs(jacs, out=jacs).sum(-1).max(-1).reshape(-1)
+    mats = mats.reshape(-1, n, n)
+    if every_det:
+        return np.linalg.det(mats), norms
+    det = np.full(norms.shape, np.nan)
+    near = ~(norms <= 0.5)
+    if near.any():
+        det[near] = np.linalg.det(mats[near])
+    return det, norms
+
+
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
-    """det(I - eps*f'(x)), the denominator polynomial of the Kahan map, as
-    the step from x computes it."""
-    a = np.append(np.asarray(x, dtype=float), 1.0)
-    return float(np.linalg.det(_solve_matrix(field, a, eps * field.step_tensor)[0]))
+    """det(I - eps*f'(x)), the denominator polynomial of the Kahan map: the
+    denominator of the step from x, on a pole or off it."""
+    return kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1).delta.item(0)
 
 
 class KahanBatch(NamedTuple):
@@ -310,10 +324,12 @@ def kahan_orbit(
     # and a row stepped past its pole may be singular: its solve gives nan
     # or inf, which the block's pole decision drops
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps_tensor = eps * field.step_tensor
+        eps_tensor, eye, solve1 = eps * field.step_tensor, _eye(n), _umath_linalg.solve1
         while k < steps and len(point):
             block, live_count = min(DECIDE_STEPS, steps - k), len(point)
-            # the block's augmented points [x, 1], step products and matrices
+            # the block's augmented points [x, 1], step products and matrices,
+            # and scratch for a step's right-hand side; its increment is
+            # solved into the next point's row, which the add then completes
             points = np.ones((block + 1, live_count, n + 1))
             xs = points[..., :n]
             xs[0] = point
@@ -321,20 +337,23 @@ def kahan_orbit(
             mats = np.empty((block, live_count, n, n))
             jacs = products[..., : n * n].reshape(block, live_count, n, n)
             rhs_mats = products[..., n * n :].reshape(block, live_count, n, n + 1)
-            for j in range(block):
-                _solve_matrix(field, points[j], eps_tensor, products[j], jacs[j], mats[j])
-                rhs = np.matvec(rhs_mats[j], points[j])
-                np.add(xs[j], _umath_linalg.solve1(mats[j], rhs, signature="dd->d"), out=xs[j + 1])
-            # the block's points in step-major order, [block * live, ...]
-            norms = np.abs(jacs).sum(-1).max(-1).reshape(-1)
-            mats = mats.reshape(-1, n, n)
-            if every_det:
-                det = np.linalg.det(mats)
+            rhs = np.empty((live_count, n))
+            views = points, xs, xs[1:], products, jacs, mats, rhs_mats
+            if live_count == 1:
+                # one row steps on its 1-D views with ndarray.dot, the BLAS
+                # dgemv that vecmat and matvec call row by row, at a third of
+                # their cost; unlike np.dot it calls no Python dispatcher
+                views, rhs = [view[:, 0] for view in views], rhs[0]
+                vecmat = matvec = np.ndarray.dot
             else:
-                det = np.full(norms.shape, np.nan)
-                near = ~(norms <= 0.5)
-                if near.any():
-                    det[near] = np.linalg.det(mats[near])
+                vecmat, matvec = np.vecmat, np.matvec
+            for a, x, x_next, product, jac, mat, rhs_mat in zip(*views):
+                vecmat(a, eps_tensor, product)
+                np.subtract(eye, jac, mat)
+                matvec(rhs_mat, a, rhs)
+                solve1(mat, rhs, x_next)
+                np.add(x, x_next, x_next)
+            det, norms = _denominators(points[:-1], jacs, mats, every_det)
             poles, thresholds = _poles(det, norms, n)
             orbit.next[k : k + block, live] = xs[1:]
             orbit.delta[k : k + block, live] = det.reshape(block, -1)

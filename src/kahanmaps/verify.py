@@ -139,6 +139,8 @@ def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int) -> KahanP
     and have their witnesses taken in one call. Each generator accepts its
     proposals in stream order and counts its own draws since its last
     acceptance, so its states do not depend on the other generators.
+    When one round accepts every proposal, as most one-state draws do, its
+    states and steps are the pair, in order, as they stand.
     """
     dim = desc.dim
     missing = [count] * len(rngs)
@@ -161,7 +163,7 @@ def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int) -> KahanP
             batch = kahan_step_batch(desc.field, xs, eps)
             ranks, indices, values = _lowest_witnesses(KahanPair(desc, xs, eps, batch))
             ok = kept & ~batch.pole & (ranks >= DENOMINATOR_FLOOR)
-            rounds.append((xs, batch, ok, np.repeat(live, sizes)))
+            rounds.append((xs, batch, ok, live, sizes))
             start = 0
             for g, k in zip(live, sizes):
                 block = ok[start : start + k]
@@ -187,11 +189,16 @@ def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int) -> KahanP
                 start += k
     if not rounds:
         return KahanPair(desc, np.empty((0, dim)), eps)
-    xs, batches, ok, owner = zip(*rounds)
+    if len(rounds) == 1:
+        # one round accepted every proposal: its states are in order
+        xs, batch = rounds[0][:2]
+        return KahanPair(desc, xs, eps, batch)
+    xs, batches, ok, live, sizes = zip(*rounds)
     steps = KahanBatch(*map(np.concatenate, zip(*batches)))
     taken = np.flatnonzero(np.concatenate(ok))
     # the accepted states of each generator in turn, in its stream order
-    taken = taken[np.argsort(np.concatenate(owner)[taken], kind="stable")]
+    owner = np.repeat(np.concatenate(live), np.concatenate(sizes))
+    taken = taken[np.argsort(owner[taken], kind="stable")]
     return KahanPair(desc, np.concatenate(xs)[taken], eps, KahanBatch(*(field[taken] for field in steps)))
 
 

@@ -89,21 +89,33 @@ def safe_state(rng, desc, eps=0.05):
 
 def place_pole(monkeypatch, x):
     """Make the Kahan step from every point equal to x a pole, whatever the
-    field and step size: once the step matrix is built, the step product
-    beside it, eps*f'(x) and the right-hand side's matrix, is set to inf in
-    place at such a row, so its norm and pole threshold are inf there while
-    its det keeps its value, and kahan_orbit and every caller of it, the
-    one-state oracle in scalar_table included, see the pole from the same
-    code."""
+    field and step size: when a block of kahan_orbit's stepped points comes
+    to its pole decision, eps*f'(x) is set to inf in place at every such
+    point, so its norm and pole threshold are inf there while its det keeps
+    its value, and kahan_orbit and every caller of it, the one-state oracle
+    in scalar_table included, see the pole from the same code."""
     target = np.array(x, dtype=float)
-    solve_matrix = quadfield._solve_matrix
+    denominators = quadfield._denominators
 
-    def placed(field, a, eps_tensor, *out):
-        mat, product = solve_matrix(field, a, eps_tensor, *out)
-        product[(a[..., :-1] == target).all(axis=-1)] = math.inf
-        return mat, product
+    def placed(points, jacs, *args):
+        jacs[(points[..., :-1] == target).all(axis=-1)] = math.inf
+        return denominators(points, jacs, *args)
 
-    monkeypatch.setattr(quadfield, "_solve_matrix", placed)
+    monkeypatch.setattr(quadfield, "_denominators", placed)
+
+
+def count_stepped(monkeypatch):
+    """The number of points each of kahan_orbit's pole decisions reads, one
+    entry per block, from now on: every stepped point is read once."""
+    counts = []
+    denominators = quadfield._denominators
+
+    def counted(points, *args):
+        counts.append(points[..., 0].size)
+        return denominators(points, *args)
+
+    monkeypatch.setattr(quadfield, "_denominators", counted)
+    return counts
 
 
 def einsum_polarize(field, x, y):

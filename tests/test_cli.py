@@ -6,11 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import ALL_KINDS, make_params, make_system, place_pole, pole_eps, safe_state
+from conftest import ALL_KINDS, count_stepped, make_params, make_system, place_pole, pole_eps, safe_state
 from scalar_table import ScalarPair
 
 import kahanmaps.cli as cli
-from kahanmaps import quadfield
 from kahanmaps.cli import (
     MAX_RUN_POINTS,
     ExperimentConfig,
@@ -315,14 +314,7 @@ class TestOnePassRows:
     def test_one_kahan_step_per_row(self, kind, tmp_path, monkeypatch):
         # one step per row, one after the last row, and one to draw x0:
         # every step builds its step matrix once per row
-        rows = []
-        solve_matrix = quadfield._solve_matrix
-
-        def counted(field, a, *args):
-            rows.append(len(a))
-            return solve_matrix(field, a, *args)
-
-        monkeypatch.setattr(quadfield, "_solve_matrix", counted)
+        rows = count_stepped(monkeypatch)
         cfg = catalog_config(kind, steps=50)
         assert run_command(cfg, "simulate", str(tmp_path)) == 0
         assert sum(rows) == cfg.steps + 2, (kind, rows)

@@ -8,6 +8,7 @@ defining equations.
 """
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
-from conftest import ALL_KINDS, make_system, place_pole, pole_eps, safe_state, step_defect, unit_ball
+from conftest import ALL_KINDS, count_stepped, make_system, place_pole, pole_eps, safe_state, step_defect, unit_ball
 from continuous import einsum_field
 from exact_clebsch import ExactField
 from kahanmaps import quadfield
@@ -32,6 +33,7 @@ from kahanmaps.quadfield import (
     kahan_step_batch,
     map_jacobian,
 )
+from kahanmaps.systems import PlanarFamilyParams, build_system
 from kahanmaps.verify import draw_initial_state
 
 
@@ -530,11 +532,12 @@ class TestKahanOrbit:
         first = kahan_step_batch(desc.field, np.array([safe_state(rng, desc) for _ in range(count)]), eps)
         onward = kahan_orbit(desc.field, first.next, eps, 4)
         stepped = []
-        solve_matrix = quadfield._solve_matrix
+        denominators = quadfield._denominators
         monkeypatch.setattr(
             quadfield,
-            "_solve_matrix",
-            lambda f, a, *args: stepped.append(np.array(a[..., :-1])) or solve_matrix(f, a, *args),
+            "_denominators",
+            lambda points, *args: stepped.append(points[..., :-1].reshape(-1, desc.dim))
+            or denominators(points, *args),
         )
         orbit = kahan_orbit(desc.field, xs, eps, 5, first)
         # the points whose steps are decided are points 1..4, in step order:
@@ -707,25 +710,15 @@ class TestKahanOrbit:
 
 class TestOneJacobianPerPoint:
     """The pole decision reads the step products and matrices the loop
-    built, so each stepped point builds its Jacobian once."""
-
-    def count_rows(self, monkeypatch):
-        rows = []
-        solve_matrix = quadfield._solve_matrix
-
-        def counted(field, a, *args):
-            rows.append(len(a))
-            return solve_matrix(field, a, *args)
-
-        monkeypatch.setattr(quadfield, "_solve_matrix", counted)
-        return rows
+    built, so each stepped point builds its Jacobian once and reaches the
+    decision once."""
 
     @pytest.mark.parametrize("count", [1, 7, 500])
     def test_step_batch(self, count, monkeypatch):
         desc = make_system("kirchhoff")
         rng = np.random.default_rng(41)
         xs = np.array([unit_ball(rng, desc.dim) for _ in range(count)])
-        rows = self.count_rows(monkeypatch)
+        rows = count_stepped(monkeypatch)
         kahan_step_batch(desc.field, xs, 0.05)
         assert sum(rows) == count
 
@@ -733,9 +726,30 @@ class TestOneJacobianPerPoint:
     def test_lone_orbit(self, steps, monkeypatch):
         desc = make_system("kirchhoff")
         x = safe_state(np.random.default_rng(43), desc)
-        rows = self.count_rows(monkeypatch)
+        rows = count_stepped(monkeypatch)
         orbit = kahan_orbit(desc.field, x[None], 0.05, steps)
         assert list(orbit.ends()) == [steps] and sum(rows) == steps
+
+
+class TestStepMemory:
+    def test_step_batch_peak(self):
+        # a step of a stack holds the product rows, (2n^2 + n) doubles each,
+        # and the matrices, n^2 each, and its pole decision takes the norms
+        # in place: 294 B per unit of trials x dim at n = 10. Norms taken
+        # from a copy of eps*f'(x) give 372.4 B, and a second product
+        # buffer would add 168 B; the bound fails on either
+        n, count = 10, 2000
+        rng = np.random.default_rng(67)
+        desc = build_system("planar_family", PlanarFamilyParams(qform=(1.0, 0.5, 2.0), ell=rng.uniform(-1, 1, n)))
+        xs = rng.uniform(-1.0, 1.0, (count, n))
+        kahan_step_batch(desc.field, xs, 0.05)  # numpy's lazy set-up is not the step's
+        tracemalloc.start()
+        try:
+            kahan_step_batch(desc.field, xs, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 372 * count * n, peak / (count * n)
 
 
 def scalar_pole_rule(det, norm, n):
@@ -807,13 +821,14 @@ def delta_free_against_full(field, xs, eps, steps, first=None):
     free = kahan_orbit(field, xs, eps, steps, first, delta=False)
     assert same(free.next, full.next) and same(free.pole, full.pole) and same(free.threshold, full.threshold)
     assert list(free.ends()) == list(full.ends())
-    # the norms from the step's own eps*f'(x), which place_pole sets to inf
+    # the norms of the step's own eps*f'(x), read by the pole decision,
+    # where place_pole sets them to inf
     points = np.concatenate([xs[None], full.next[:-1]])
     augmented = np.concatenate([points, np.ones((*points.shape[:-1], 1))], axis=-1)
     n = field.dim
     with np.errstate(invalid="ignore"):
-        product = quadfield._solve_matrix(field, augmented, eps * field.step_tensor)[1]
-        norms = np.abs(product[..., : n * n]).reshape(*points.shape, n).sum(-1).max(-1)
+        jacs = np.vecmat(augmented, eps * field.step_tensor)[..., : n * n].reshape(*points.shape, n)
+        norms = quadfield._denominators(augmented, jacs, np.eye(n) - jacs, True)[1].reshape(points.shape[:-1])
     taken = ~(norms <= 0.5)
     if first is not None:
         taken[0] = True
@@ -914,6 +929,23 @@ def einsum_jacobian(field, x):
     return 2.0 * np.einsum("ijk,...k->...ij", field.quad, x) + field.lin
 
 
+def step_buffers(field, xs, eps):
+    """The eps*f'(x) and step matrices I - eps*f'(x) that kahan_step_batch
+    builds for the rows of xs, as its pole decision reads them."""
+    seen = []
+    denominators = quadfield._denominators
+
+    def kept(points, jacs, mats, *args):
+        seen.append((jacs[0].copy(), mats[0].copy()))
+        return denominators(points, jacs, mats, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadfield, "_denominators", kept)
+        kahan_step_batch(field, xs, eps)
+    (buffers,) = seen
+    return buffers
+
+
 class TestStepTensor:
     """One product of the augmented points [x, 1] with eps times the step
     tensor gives eps*f'(x) and, through the right-hand side's matrix,
@@ -934,9 +966,11 @@ class TestStepTensor:
         tensor = field.step_tensor
         assert tensor.tobytes() == reference_step_tensor(field).tobytes() and not tensor.flags.writeable
         a = np.concatenate([xs, np.ones((count, 1))], axis=1)
-        mat, product = quadfield._solve_matrix(field, a, eps * tensor)
+        product = np.vecmat(a, eps * tensor)
         scaled = product[:, : n * n].reshape(count, n, n)
-        assert mat.tobytes() == (np.eye(n) - scaled).tobytes()
+        # the step builds this eps*f'(x), and its matrix from it
+        jacs, mats = step_buffers(field, xs, eps)
+        assert jacs.tobytes() == scaled.tobytes() and mats.tobytes() == (np.eye(n) - scaled).tobytes()
         rhs = np.matvec(product[:, n * n :].reshape(count, n, n + 1), a)
         # a dot product of n + 1 terms, of terms that are themselves such
         # dot products, errs by at most a few (n + 2) ulps of the sum of
@@ -1016,8 +1050,10 @@ def near_singular_stack(seed, count, n):
 
 def kahan_orbit_solve(mats, rhs):
     """kahan_orbit's solve call, under the error state it steps in."""
+    out = np.empty(rhs.shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _umath_linalg.solve1(mats, rhs, signature="dd->d")
+        _umath_linalg.solve1(mats, rhs, out)
+    return out
 
 
 def solve_rows(mats, rhs):
@@ -1037,7 +1073,25 @@ class TestLapackKernels:
     """kahan_orbit solves with the gufunc numpy.linalg.solve dispatches to,
     without its wrapper, and decides poles on numpy.linalg.det of a whole
     block: each must give every matrix of a stack the bits numpy.linalg
-    gives it alone."""
+    gives it alone. Its products are np.vecmat and np.matvec on a stack and
+    ndarray.dot, np.dot's kernel, on the 1-D views of a lone row: each must
+    give a row the same bits, alone or in a stack."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 10, 66])
+    def test_one_row_dot_equals_the_stacked_products(self, n):
+        # the step's shapes: [x, 1] times the (n + 1, n*n + n*(n + 1)) step
+        # tensor, and the n x (n + 1) right-hand side's matrix times [x, 1]
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((5, n + 1))
+        tensor = rng.standard_normal((n + 1, n * n + n * (n + 1)))
+        rhs_mats = rng.standard_normal((5, n, n + 1))
+        for count in (1, 5):
+            products = np.vecmat(a[:count], tensor)
+            rhs = np.matvec(rhs_mats[:count], a[:count])
+            for row in range(count):
+                for dot in (np.dot, np.ndarray.dot):
+                    assert dot(a[row], tensor).tobytes() == products[row].tobytes(), (count, row, dot)
+                    assert dot(rhs_mats[row], a[row]).tobytes() == rhs[row].tobytes(), (count, row, dot)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,)])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_KINDS, make_system, place_pole, pole_eps
+from conftest import ALL_KINDS, count_stepped, make_system, place_pole, pole_eps
 from kahanmaps import quadfield, verify
 from kahanmaps.integrals import DenominatorZeroError, KahanPair, denominator_witnesses
 from kahanmaps.quadfield import QuadraticVectorField, SingularStepError
@@ -535,39 +535,29 @@ class TestStackedConservation:
 
 
 class TestStepsPerTrial:
-    def count_rows(self, monkeypatch):
-        # every Kahan step, of one state or of a stack, builds its step
-        # matrix once per row
-        rows = []
-        solve_matrix = quadfield._solve_matrix
-
-        def counted(field, a, *args):
-            rows.append(len(a))
-            return solve_matrix(field, a, *args)
-
-        monkeypatch.setattr(quadfield, "_solve_matrix", counted)
-        return rows
+    # every Kahan step, of one state or of a stack, reaches the pole
+    # decision once per row
 
     @pytest.mark.parametrize("kind", ["general_clebsch", "kirchhoff", "lagrange"])
     def test_measure_two_steps(self, kind, monkeypatch):
         desc = make_system(kind)
-        rows = self.count_rows(monkeypatch)
+        rows = count_stepped(monkeypatch)
         check_measure(desc, desc.density_names[0], trials=50, eps=0.05, seed=60)
         assert sum(rows) == 2 * 50
 
     def test_reversibility_two_steps(self, monkeypatch):
-        rows = self.count_rows(monkeypatch)
+        rows = count_stepped(monkeypatch)
         check_reversibility(make_system("kirchhoff"), trials=50, eps=0.05, seed=61)
         assert sum(rows) == 2 * 50
 
     def test_identities_one_step(self, monkeypatch):
-        rows = self.count_rows(monkeypatch)
+        rows = count_stepped(monkeypatch)
         check_identities_clebsch1(make_system("first_clebsch"), trials=50, eps=0.05, seed=62)
         assert sum(rows) == 50
 
     def test_conservation_one_step_per_orbit_point(self, monkeypatch):
         desc = make_system("kirchhoff")
-        rows = self.count_rows(monkeypatch)
+        rows = count_stepped(monkeypatch)
         verify._conservation(desc, desc.conserved_names, [63, 64, 65], 100, 0.05)
         # one draw step per orbit, then one step per orbit point
         assert sum(rows) == 3 * (100 + 1)
