@@ -21,13 +21,14 @@ Null-space detection uses a full singular-value decomposition with the
 relative threshold NULL_SIGMA_FACTOR and reports the spectral gap as a
 quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
-Every caller builds its windows with _windows and decides them with
-_decide, one stacked decomposition and one stacked pass: hk_nullspace a
-stack of one, ratio extraction every sliding window of the orbit, and a
-WronskianRatio integral, per order, the first window of each orbit in a
-stack of initial states stepped as one batch.  functional_rank hands the
-ratios that share an orbit all 2n perturbed states of its central
-differences at once.
+Every caller decides its windows with _null_vectors after one stacked
+decomposition: hk_nullspace a stack of one and ratio extraction every
+sliding window of the orbit, both built by _windows, and a WronskianRatio
+integral every order's first window of each orbit in a stack of initial
+states stepped as one batch.  functional_rank takes the gradients of the
+ratios that share an orbit from that one orbit of x and its tangents
+dx_k/dx_0, carried by the Kahan map's closed-form Jacobian, so each
+derivative is exact to rounding and no perturbed state is stepped.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, kahan_orbit
-from .systems import central_difference, central_gradient, central_states
+from .quadfield import QuadraticVectorField, kahan_orbit, map_jacobian
+from .systems import central_gradient
 
 __all__ = [
     "HKNullSpaceReport",
@@ -61,9 +62,12 @@ __all__ = [
 
 NULL_SIGMA_FACTOR = 1e-9
 # functional_rank counts the singular values above this times the largest.
-# Criterion 07 (functional independence) was settled at this value; it still
-# owes a measured reason, such as the largest sigma seen on sets known to be
-# dependent (ROADMAP.md, the tangent-gradient item).
+# Measured on tangent rows at criterion 07's points (seed 110, 30 each):
+# sigma_4/sigma_1 <= 3.8e-10 on the exactly rank-3 sets I0,J0,J1,J2 and
+# I0,J0,J3,J4, >= 1.3e-7 on J1..J4 and >= 6e-5 on the other rank-4 sets.
+# hk_detect's J1..J4 probes (seeds 1-20, 400 points) spread from 2.7e-9 to
+# 1.5e-2 without a gap; the 11 below this value read rank 3 because their
+# rows are nearly dependent, not because of noise.
 RANK_THRESHOLD = 1e-7
 ANNIHILATION_FACTOR = 1e-10
 PIVOT_FLOOR = 1e-6
@@ -126,12 +130,16 @@ def wronskian_observable(ell: int, pair: tuple) -> Observable:
         dim = states.shape[-1]
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError(f"pair {pair} outside dimension {dim}")
-        return (
-            states[..., bases + ell, i] * states[..., bases, j]
-            - states[..., bases, i] * states[..., bases + ell, j]
-        )
+        return _wronskian(states, states, bases + ell, bases, i, j)
 
     return Observable(column, reach=ell)
+
+
+def _wronskian(a: np.ndarray, b: np.ndarray, up, base, i, j) -> np.ndarray:
+    """a_i(up) b_j(base) - a_i(base) b_j(up), the Wronskian column formula
+    on point indices up = base + ell; with a = b = the orbit it is the
+    column, and w(dX, X) + w(X, dX) its derivative along tangents dX."""
+    return a[..., up, i] * b[..., base, j] - a[..., base, i] * b[..., up, j]
 
 
 def state_observable(fn: Callable[[np.ndarray], float]) -> Observable:
@@ -349,8 +357,7 @@ def extract_integral_ratios(
 
 
 def functional_rank(integrals: Sequence[Callable[[np.ndarray], float]], x: np.ndarray) -> int:
-    """Numerical rank of the finite-difference gradients at x (see
-    _unit_gradients)."""
+    """Numerical rank of the integrals' gradients at x (see _unit_gradients)."""
     sv = np.linalg.svd(_unit_gradients(integrals, x), compute_uv=False)
     if sv[0] == 0:
         return 0
@@ -358,34 +365,41 @@ def functional_rank(integrals: Sequence[Callable[[np.ndarray], float]], x: np.nd
 
 
 def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient rows of the integrals at x, each scaled
-    to unit length (zero rows stay zero), so one steep integral cannot push
-    the others under the rank threshold.
+    """Gradient rows of the integrals at x, each scaled to unit length
+    (zero rows stay zero), so one steep integral cannot push the others
+    under the rank threshold.
 
-    Wronskian ratios that share an orbit are evaluated together on the
-    stacked perturbed states; any other integral is called once per
-    perturbed state.  A non-finite value or gradient entry is an error,
-    not a zero row.
+    Wronskian ratios that share an orbit take theirs from one tangent orbit
+    of x (_ratio_values), exact to rounding, and fail where WronskianRatio
+    fails at x; any other integral takes central_gradient.  x is checked
+    first: one state, of every ratio's dimension, finite.  A non-finite
+    value or gradient entry is an error, not a zero row.
     """
     if not integrals:
         raise ValueError("at least one integral is required")
     x = np.asarray(x, dtype=float)
-    states, h = central_states(x)
     groups: dict = {}
     for index, fn in enumerate(integrals):
         if isinstance(fn, WronskianRatio):
             groups.setdefault((fn.field, fn.eps, fn.pairs, fn.window), []).append(index)
+    if x.ndim != 1 or not x.size:
+        raise ValueError(f"x must be one state of shape (n,), got shape {x.shape}")
+    for field, *_ in groups:
+        if x.shape != (field.dim,):
+            raise ValueError(f"x must have shape ({field.dim},), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        k = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"x has a non-finite entry x[{k}] = {x[k]}")
     shared = {}
     for members in groups.values():
-        shared.update(zip(members, _ratio_values([integrals[i] for i in members], states)))
+        rows = _ratio_values([integrals[i] for i in members], x[None], gradients=True)
+        shared.update(zip(members, rows))
     grads = np.empty((len(integrals), x.shape[0]))
     for index, fn in enumerate(integrals):
-        if index in shared:
-            if isinstance(shared[index], Exception):
-                raise shared[index]
-            grads[index] = central_difference(shared[index], h)
-        else:
-            grads[index] = central_gradient(fn, x)
+        grad = shared[index] if index in shared else central_gradient(fn, x)
+        if isinstance(grad, Exception):
+            raise grad
+        grads[index] = grad
         if not np.isfinite(grads[index]).all():
             raise ValueError(f"integral {index} has a non-finite value or gradient at x")
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
@@ -436,56 +450,85 @@ class WronskianRatio:
         return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
 
-def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray) -> list:
+def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradients: bool = False) -> list:
     """Values of ratios sharing field, eps, pairs and window at every row of
-    states[B, n]: one stacked orbit to the longest order's length, and per
-    order one window build and one stacked SVD.
+    states[B, n], or with `gradients` their gradients [B, n]: one stacked
+    orbit to the longest order's length, every order's window from the
+    Wronskian column formula, and one stacked SVD.
 
-    Each entry is the ratio's B values or, if a row fails, the error that
-    ratio raises at its first failing row: a pole at step 0, an orbit cut
-    short of the window by a later pole (named by its step, as hk-scan
-    names it), a non-finite window, a null dimension other than 1, or a
-    degenerate denominator.
+    A gradient comes from tangents, not differences: one stacked
+    map_jacobian over the orbit's steps, their prefix products
+    T_k = dx_k/dx_0 by doubling, and each window's derivative dW by the
+    product rule. The SVD's other directions give the null vector's
+    derivative dv = -V_r S_r^-1 U_r^T (dW v), and the quotient rule the
+    ratio's.
+
+    Each entry is the ratio's B values or gradients or, if a row fails, the
+    error that ratio raises at its first failing row: a pole at step 0, an
+    orbit cut short of the window by a later pole (named by its step, as
+    hk-scan names it), a non-finite window, a null dimension other than 1,
+    or a degenerate denominator.
     """
     first = ratios[0]
     field, eps, pairs, window = first.field, first.eps, first.pairs, first.window
     x = np.asarray(states, dtype=float)
     if x.ndim != 2 or x.shape[1] != field.dim:
         raise ValueError(f"states must have shape (B, {field.dim}), got {x.shape}")
-    count = x.shape[0]
     orders = sorted({r.order for r in ratios})
-    stepped = kahan_orbit(field, x, eps, window - 1 + orders[-1], delta=False)
+    steps = window - 1 + orders[-1]
+    stepped = kahan_orbit(field, x, eps, steps, delta=False)
     # orbit[b]: the points of row b, nan past a pole
     orbit = np.concatenate([x[None], stepped.next]).swapaxes(0, 1)
     points = stepped.ends() + 1  # points each row reached before a pole
-    found = {}
-    for ell in orders:
-        rows = _windows(orbit, WronskianBasisSpec(ell, pairs).observables(), window, np.array(0))
-        fits = points >= window + ell
-        usable = fits & np.isfinite(rows).all(axis=(1, 2))
-        _, vectors, null_dim = _decide(rows[usable])
-        v = np.ones((count, len(pairs)))
-        v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
-        dims = np.zeros(count, dtype=int)  # 0 on rows that have no window
-        dims[usable] = null_dim
-        found[ell] = v, fits, usable, dims
+    # row r of order ell's window reads points r and r + ell: [B, orders, window, m]
+    base = np.arange(window)[:, None]
+    up, base = base + np.array(orders)[:, None, None], base[None]
+    i, j = np.array(pairs).T
+    rows = _wronskian(orbit, orbit, up, base, i, j)
+    fits = points[:, None] >= window + np.array(orders)
+    usable = fits & np.isfinite(rows).all(axis=(-2, -1))
+    u, sv, vt = np.linalg.svd(rows[usable], full_matrices=False)
+    vectors, null_dim = _null_vectors(rows[usable], sv, vt)
+    v = np.ones(usable.shape + (len(pairs),))
+    v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
+    dims = np.zeros(usable.shape, dtype=int)  # 0 on rows that have no window
+    dims[usable] = null_dim
+    if gradients:
+        # past a pole the tangents are nan; a row that reads them fails
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jac = map_jacobian(field, orbit[:, :-1], eps, orbit[:, 1:])
+            shift = 1
+            while shift < steps:
+                jac[:, shift:] = jac[:, shift:] @ jac[:, :-shift]
+                shift *= 2
+            eye = np.broadcast_to(np.eye(field.dim), (len(x), 1, field.dim, field.dim))
+            # tangents[d, b, k]: d(point k of row b)/d(x_d)
+            tangents = np.concatenate([eye, jac], axis=1).transpose(3, 0, 1, 2)
+            d_rows = _wronskian(tangents, orbit, up, base, i, j) + _wronskian(orbit, tangents, up, base, i, j)
+            d_null = u[..., :-1].mT @ (d_rows[:, usable] @ vectors[:, -1, :, None]) / sv[:, :-1, None]
+            dv = np.zeros(v.shape + (field.dim,))
+            dv[usable] = -(vt[:, :-1].mT @ d_null)[..., 0].transpose(1, 2, 0)
 
     def ratio_values(ratio: WronskianRatio):
-        v, fits, usable, dims = found[ratio.order]
-        degenerate = np.abs(v[:, ratio.den]) < PIVOT_FLOOR * np.max(np.abs(v), axis=1)
-        failed = (dims != 1) | degenerate
+        o = orders.index(ratio.order)
+        vo = v[:, o]
+        degenerate = np.abs(vo[:, ratio.den]) < PIVOT_FLOOR * np.max(np.abs(vo), axis=1)
+        failed = (dims[:, o] != 1) | degenerate
         if not failed.any():
-            return v[:, ratio.num] / v[:, ratio.den]
+            value = vo[:, ratio.num] / vo[:, ratio.den]
+            if not gradients:
+                return value
+            return (dv[:, o, ratio.num] - value[:, None] * dv[:, o, ratio.den]) / vo[:, ratio.den, None]
         b = int(np.argmax(failed))
         if stepped.pole[0, b]:
             return stepped.pole_error((0, b))
-        if not fits[b]:
+        if not fits[b, o]:
             needed = window - 1 + ratio.order
             return ValueError(f"orbit hits a pole at step {points[b]} of the {needed} the window needs")
-        if not usable[b]:
+        if not usable[b, o]:
             return ValueError("observable produced a non-finite value inside the window")
-        if dims[b] != 1:
-            return RuntimeError(f"order-{ratio.order} Wronskian window has null dimension {dims[b]}")
+        if dims[b, o] != 1:
+            return RuntimeError(f"order-{ratio.order} Wronskian window has null dimension {dims[b, o]}")
         return ValueError(f"denominator entry {ratio.den} degenerate in null vector")
 
     return [ratio_values(ratio) for ratio in ratios]

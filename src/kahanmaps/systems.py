@@ -51,8 +51,6 @@ __all__ = [
     "build_system",
     "params_from_dict",
     "params_to_dict",
-    "central_states",
-    "central_difference",
     "central_gradient",
 ]
 
@@ -876,24 +874,10 @@ def params_to_dict(params) -> dict:
     raise TypeError(f"not a catalog params object: {type(params).__name__}")
 
 
-def central_states(x: np.ndarray) -> tuple:
-    """The 2n states of a central difference at x, stacked [2n, n] in the
-    order x + h_0 e_0, x - h_0 e_0, x + h_1 e_1, ..., and the per-coordinate
-    steps h_j = 1e-6*(1+|x_j|)."""
+def central_gradient(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient with per-coordinate step
+    h_j = 1e-6*(1+|x_j|), from fn at x + h_j e_j and x - h_j e_j."""
     x = np.asarray(x, dtype=float)
     h = 1e-6 * (1.0 + np.abs(x))
-    e = np.diag(h)
-    return np.stack([x + e, x - e], axis=1).reshape(-1, x.shape[0]), h
-
-
-def central_difference(values, h: np.ndarray) -> np.ndarray:
-    """Gradient from a function's values on the rows of central_states."""
-    values = np.asarray(values, dtype=float).reshape(-1, 2)
+    values = np.array([[fn(x + e), fn(x - e)] for e in np.diag(h)], dtype=float)
     return (values[:, 0] - values[:, 1]) / (2.0 * h)
-
-
-def central_gradient(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient with per-coordinate step 1e-6*(1+|x_j|)."""
-    states, h = central_states(x)
-    return central_difference([fn(state) for state in states], h)
-

@@ -9,13 +9,14 @@ against the closed-form coefficient evaluations.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIX_DIM_KINDS, make_system, place_pole, safe_state, step_defect, unit_ball
+from conftest import SIX_DIM_KINDS, count_stepped, make_system, place_pole, safe_state, step_defect, unit_ball
 from kahanmaps import hkbasis
 from kahanmaps.hkbasis import (
     ANNIHILATION_FACTOR,
@@ -50,7 +51,6 @@ from kahanmaps.quadfield import (
     SingularStepError,
     kahan_step,
 )
-from kahanmaps.systems import central_states
 
 CLEBSCH_KINDS = ("general_clebsch", "first_clebsch", "second_clebsch")
 
@@ -964,10 +964,10 @@ def scalar_ratio(ratio):
     return integral
 
 
-def reference_unit_gradients(integrals, x, scale=1e-6):
-    """functional_rank's gradient rows as a loop: every integral, a ratio
+def reference_gradients(integrals, x, scale=1e-6):
+    """Central-difference gradient rows as a loop: every integral, a ratio
     through scalar_ratio, called at x + h e_j and x - h e_j for one
-    coordinate j at a time, then every row scaled to unit length."""
+    coordinate j at a time, h = scale * (1 + |x_j|)."""
     x = np.asarray(x, dtype=float)
     grads = np.empty((len(integrals), x.shape[0]))
     for row, fn in enumerate(integrals):
@@ -978,8 +978,25 @@ def reference_unit_gradients(integrals, x, scale=1e-6):
             e = np.zeros(x.shape[0])
             e[j] = h
             grads[row, j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
+    return grads
+
+
+def reference_unit_gradients(integrals, x, scale=1e-6):
+    """reference_gradients with every row scaled to unit length."""
+    grads = reference_gradients(integrals, x, scale)
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     return np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
+
+
+def first_error(ratios, x):
+    """The error of the first ratio, in list order, that fails at x, as
+    raised() reports it; None when every ratio has a value there."""
+    for ratio in ratios:
+        try:
+            ratio(x)
+        except Exception as exc:  # the error itself is what is compared
+            return type(exc), str(exc)
+    return None
 
 
 def shell_state(rng, desc, eps):
@@ -1011,35 +1028,68 @@ def clebsch_ratios(eps=0.4, window=16):
 
 class TestStackedRatios:
     """WronskianRatio evaluates a stack of states in one orbit; functional_rank
-    evaluates the ratios that share an orbit on all 2n perturbed states at
-    once. Both must give the per-state loop's numbers and errors."""
+    takes the ratios' gradients from the one tangent orbit of x. The values
+    are the per-state loop's; a probe fails with the error the first failing
+    ratio raises at x, and its rows agree with central differences of the
+    loop to the measured bounds below."""
 
     @pytest.mark.parametrize("seed", [71, 72])
     def test_clebsch_rank_rows_match_loop(self, seed):
+        # eps 0.4, the rank probes' setting: unit rows within 2e-7 of the
+        # loop's central differences (measured <= 8.4e-8 over both seeds;
+        # hk_detect seeds 1, 7 and 2504 read <= 7.3e-8, see the pinned
+        # exception below)
         desc, ratios = clebsch_ratios()
         rng = np.random.default_rng(seed)
         for _ in range(20):
             x = shell_state(rng, desc, 0.4)
-            try:
-                expected = reference_unit_gradients(ratios, x)
-            except (SingularStepError, RuntimeError, ValueError) as exc:
-                assert raised(lambda: _unit_gradients(ratios, x)) == (type(exc), str(exc))
+            expected = first_error(ratios, x)
+            if expected is not None:
+                assert raised(lambda: _unit_gradients(ratios, x)) == expected
                 continue
-            assert np.array_equal(_unit_gradients(ratios, x), expected)
+            rows = _unit_gradients(ratios, x)
+            assert np.abs(rows - reference_unit_gradients(ratios, x)).max() <= 2e-7
+
+    def test_steep_probe_converges_on_tangent_rows(self):
+        # hk_detect seed 2, probe 9: the order-3 ratios' gradients are about
+        # 7e6 there, and central differences at the default step 1e-6 are
+        # off by 2.4e-4 on the unit rows. Their error falls as h^2 toward
+        # the tangent rows: measured 2.4e-4, 2.4e-6 and 2.0e-8 at h = 1e-6,
+        # 1e-7 and 1e-8
+        desc, ratios = clebsch_ratios()
+        rng = np.random.default_rng(2)
+        x = [shell_state(rng, desc, 0.4) for _ in range(10)][-1]
+        rows = _unit_gradients(ratios, x)
+        errors = [
+            np.abs(rows - reference_unit_gradients(ratios, x, scale)).max()
+            for scale in (1e-6, 1e-7, 1e-8)
+        ]
+        assert errors[0] > 1e-4
+        assert errors[1] < errors[0] / 50 and errors[2] < errors[1] / 50
+        assert errors[2] <= 1e-7
 
     @pytest.mark.parametrize("kind", ["kirchhoff", "lagrange"])
     def test_order_three_rank_rows_match_loop(self, kind):
+        # eps 0.05: v1/v0 is the constant 1 on these axially symmetric tops,
+        # and its tangent gradient stays under 1e-10 (measured <= 1.8e-11)
+        # where central differences read up to 2.4e-7; the other ratio's
+        # gradient is within 1e-6 of theirs (measured <= 4.2e-7, their noise
+        # floor: rounding of the ratio over h)
         desc = make_system(kind)
         eps = 0.05
         ratios = [wronskian_ratio_integral(desc.field, eps, 3, num, 0) for num in (1, 2)]
         rng = np.random.default_rng(73)
         for _ in range(5):
             x = safe_state(rng, desc, eps)
-            assert np.array_equal(_unit_gradients(ratios, x), reference_unit_gradients(ratios, x))
+            constant, varying = (grad[0] for grad in hkbasis._ratio_values(ratios, x[None], gradients=True))
+            assert np.abs(constant).max() <= 1e-10
+            assert np.abs(varying - reference_gradients(ratios[1:], x)[0]).max() <= 1e-6
 
     def test_mixed_list_matches_loop(self):
         # plain callables interleaved with ratio groups of two fields and two
-        # window heights, in an order that splits every group
+        # window heights, in an order that splits every group: every row is
+        # the one its integral gets alone, and a plain callable's row is the
+        # loop's central difference to the bit
         gen, (j1, j2, j3, j4) = clebsch_ratios(eps=0.05)
         kir = make_system("kirchhoff")
         eps = 0.05
@@ -1056,9 +1106,11 @@ class TestStackedRatios:
             j3,
         ]
         x = safe_state(np.random.default_rng(74), gen, eps)
-        expected = reference_unit_gradients(fns, x)
-        assert np.array_equal(_unit_gradients(fns, x), expected)
-        sv = np.linalg.svd(expected, compute_uv=False)
+        rows = _unit_gradients(fns, x)
+        assert np.array_equal(rows, [_unit_gradients([fn], x)[0] for fn in fns])
+        plain = [0, 3, 8]
+        assert np.array_equal(rows[plain], reference_unit_gradients([fns[k] for k in plain], x))
+        sv = np.linalg.svd(rows, compute_uv=False)
         assert functional_rank(fns, x) == int(np.sum(sv > 1e-7 * sv[0]))
 
     def test_call_and_stack_match_scalar_ratio(self):
@@ -1075,30 +1127,25 @@ class TestStackedRatios:
         with pytest.raises(ValueError, match="shape"):
             j1(np.zeros(5))
 
-    def _pole_at(self, monkeypatch, ratios, x, row, step):
-        """Make the Kahan step from the state `step` steps along perturbed
-        state `row` a pole, in the scalar and the stacked kernel alike."""
-        field, eps = ratios[0].field, ratios[0].eps
-        start = central_states(x)[0][row]
-        state = iterate_orbit(field, start, eps, step)[step] if step else start
-        place_pole(monkeypatch, state)
-
     @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
     def test_pole_errors_match_loop(self, monkeypatch, step, error):
-        # step 18 is the last one, which only the order-4 windows reach; a
-        # later pole is named by its step, numbered as hk-scan numbers it
+        # a pole on x's own orbit: step 18 is the last one, which only the
+        # order-4 windows reach; a later pole is named by its step, numbered
+        # as hk-scan numbers it
         message = {
             0: "below threshold",
             5: "orbit hits a pole at step 6 of the 18 the window needs",
             18: "orbit hits a pole at step 19 of the 19 the window needs",
         }[step]
         desc, ratios = clebsch_ratios()
-        x = shell_state(np.random.default_rng(76), desc, 0.4)
-        self._pole_at(monkeypatch, ratios, x, row=5, step=step)
-        expected = raised(lambda: reference_unit_gradients(ratios, x))
+        rng = np.random.default_rng(76)
+        x = shell_state(rng, desc, 0.4)
+        others = np.array([shell_state(rng, desc, 0.4) for _ in range(3)])
+        place_pole(monkeypatch, iterate_orbit(desc.field, x, 0.4, step)[step] if step else x)
+        expected = first_error(ratios, x)
         assert expected[0] is error and message in expected[1]
         assert raised(lambda: functional_rank(ratios, x)) == expected
-        states = central_states(x)[0]
+        states = np.concatenate([others[:1], x[None], others[1:]])
         j1 = ratios[0]
         if step < 18:
             assert raised(lambda: j1.values(states)) == expected
@@ -1135,6 +1182,17 @@ class TestStackedRatios:
         assert raised(lambda: functional_rank(ratios, x)) == expected
 
 
+    def test_one_orbit_per_probe(self, monkeypatch):
+        # the four order-3/order-4 ratios step x alone to the 16 + 4 - 1
+        # points the order-4 window reads, 19 steps, where central
+        # differences stepped 2n = 12 such orbits
+        desc, ratios = clebsch_ratios()
+        x = shell_state(np.random.default_rng(79), desc, 0.4)
+        counts = count_stepped(monkeypatch)
+        _unit_gradients(ratios, x)
+        assert sum(counts) == 19
+
+
 class TestRankInputs:
     def test_nan_integral_named(self):
         fns = [lambda y: math.nan, lambda y: float(y[0])]
@@ -1151,6 +1209,24 @@ class TestRankInputs:
         fns = [lambda y: float(y[0]), lambda y: 1e308 if y[1] > 0.3 else -1e308]
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="integral 1 has a non-finite"):
             functional_rank(fns, np.full(6, 0.3))
+
+    @pytest.mark.parametrize("shape", [(2, 6), (0,)])
+    def test_x_that_is_not_one_state_named(self, shape):
+        _, ratios = clebsch_ratios()
+        with pytest.raises(ValueError, match=rf"x must be one state of shape \(n,\), got shape {re.escape(str(shape))}"):
+            functional_rank(ratios, np.full(shape, 0.3))
+
+    def test_short_x_named(self):
+        _, ratios = clebsch_ratios()
+        with pytest.raises(ValueError, match=r"x must have shape \(6,\), got shape \(5,\)"):
+            functional_rank(ratios, np.full(5, 0.3))
+
+    def test_infinite_x_named(self):
+        _, (j1, *_) = clebsch_ratios()
+        x = np.full(6, 0.3)
+        x[2] = -math.inf
+        with pytest.raises(ValueError, match=r"non-finite entry x\[2\] = -inf"):
+            functional_rank([lambda y: float(y[0]), j1], x)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one integral is required"):
