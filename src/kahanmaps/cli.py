@@ -43,15 +43,16 @@ DEFAULT_SEED = 42
 DEFAULT_TRIALS = 500
 
 # Upper bound on steps x dim and on trials x dim, a memory budget. The
-# largest allocation is verify's conservation stack: (steps + 1) x names x
-# dim float64 points plus, per step and name, the delta and threshold
-# columns and the pole mask (17 bytes). first_clebsch has the most names,
-# 9: at dim 6 that is 9 x (6 x 8 + 17) = 585 bytes per step, and evaluating
-# the names on it lifts the peak to 0.8 kB per step (peak RSS measured at
-# 25 000 and 100 000 steps), 140 bytes per unit of steps x dim. A trial
-# peaks at 1.5 kB, 260 bytes per unit of trials x dim (measured at 2 000 and
-# 20 000 trials). 2**21 units keep either under 0.6 GB, 349 525 steps or
-# trials at dim 6.
+# largest allocation of steps is verify's conservation stack: (steps + 1) x
+# names x dim float64 points plus, per step and name, the delta and
+# threshold columns and the pole mask (17 bytes). first_clebsch has the
+# most names, 9: at dim 6 that is 9 x (6 x 8 + 17) = 585 bytes per step.
+# Measured as verify's peak RSS growth at dim 6, a unit of steps x dim
+# costs 200 bytes (first_clebsch, 25 000 to 100 000 steps) and a unit of
+# trials x dim 360 bytes (general_clebsch, 2 000 to 60 000 trials), so
+# 2**21 units, 349 525 steps or trials at dim 6, peak near 0.8 GB. That
+# figure holds near dim 6 only: a step of a dim-n state holds about 4 n^2
+# doubles, so the cost per unit grows with n (ROADMAP item 8).
 MAX_RUN_POINTS = 2**21
 
 # config keys that are not system parameters when params are given flat
@@ -263,7 +264,7 @@ def _verify(cfg: ExperimentConfig, desc, out_dir: str) -> int:
 
 
 def _scan_orders(cfg: ExperimentConfig, desc):
-    if desc.dim != 6:
+    if not desc.wronskian_orders:
         raise ValueError(
             f"hk-scan needs conjugate coordinate pairs; '{cfg.kind}' has none"
         )
@@ -318,7 +319,7 @@ def _report(cfg: ExperimentConfig, desc, out_dir: str) -> int:
             f" skipped {rep.skipped})"
         )
     all_passed = suites_passed(reports)
-    if desc.dim == 6:
+    if desc.wronskian_orders:
         lines.append("")
         _, _, results = _scan_orders(cfg, desc)
         for order, hk in results:

@@ -21,8 +21,8 @@ Null-space detection uses a full singular-value decomposition with the
 relative threshold NULL_SIGMA_FACTOR and reports the spectral gap as a
 quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
-Every caller decides its windows with _null_vectors after one stacked
-decomposition: hk_nullspace a stack of one and ratio extraction every
+Every caller decides its windows with _decide, one stacked decomposition
+and its decision: hk_nullspace a stack of one and ratio extraction every
 sliding window of the orbit, both built by _windows, and a WronskianRatio
 integral every order's first window of each orbit in a stack of initial
 states stepped as one batch.  functional_rank takes the gradients of the
@@ -274,11 +274,11 @@ def _null_vectors(rows: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple:
 
 
 def _decide(windows: np.ndarray) -> tuple:
-    """The singular values sv[W, m] of a stack of window matrices
-    windows[W, r, m] and their null spaces, (sv, vectors, null_dim) as
-    _null_vectors returns them."""
-    _, sv, vt = np.linalg.svd(windows, full_matrices=False)
-    return (sv, *_null_vectors(windows, sv, vt))
+    """The thin SVD u, sv[W, m], vt of a stack of window matrices
+    windows[W, r, m] and their null spaces, (u, sv, vt, vectors, null_dim)
+    with the last two as _null_vectors returns them."""
+    u, sv, vt = np.linalg.svd(windows, full_matrices=False)
+    return (u, sv, vt, *_null_vectors(windows, sv, vt))
 
 
 def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: int) -> HKNullSpaceReport:
@@ -288,7 +288,7 @@ def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: 
     rows = _windows(states, observables, window, np.array([0]))
     if not np.isfinite(rows).all():
         raise ValueError("observable produced a non-finite value inside the window")
-    sv, vectors, null_dim = _decide(rows)
+    _, sv, _, vectors, null_dim = _decide(rows)
     m, sv, null_dim = rows.shape[-1], sv[0], int(null_dim[0])
     if null_dim == 0:
         gap = 0.0  # sentinel: no spectral split to report
@@ -341,7 +341,7 @@ def extract_integral_ratios(
     count = len(finite) if finite.all() else int(np.argmin(finite))
     if count == 0:
         raise ValueError("observable produced a non-finite value inside the window")
-    _, vectors, null_dim = _decide(windows[:count])
+    vectors, null_dim = _decide(windows[:count])[3:]
     v = vectors[:, -1]  # the null vector wherever null_dim is 1
     wrong_dim = null_dim != 1
     failed = wrong_dim | (np.abs(v[:, pivot]) < PIVOT_FLOOR * np.max(np.abs(v), axis=1))
@@ -487,8 +487,7 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
     rows = _wronskian(orbit, orbit, up, base, i, j)
     fits = points[:, None] >= window + np.array(orders)
     usable = fits & np.isfinite(rows).all(axis=(-2, -1))
-    u, sv, vt = np.linalg.svd(rows[usable], full_matrices=False)
-    vectors, null_dim = _null_vectors(rows[usable], sv, vt)
+    u, sv, vt, vectors, null_dim = _decide(rows[usable])
     v = np.ones(usable.shape + (len(pairs),))
     v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
     dims = np.zeros(usable.shape, dtype=int)  # 0 on rows that have no window

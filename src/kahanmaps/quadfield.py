@@ -95,7 +95,6 @@ a singular row of its stack is nan.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -117,8 +116,8 @@ __all__ = [
 # Pole detection: |det(I - eps*f'(x))| below this times a conditioning factor
 # counts as singular rather than merely small.
 SINGULAR_DET_FACTOR = 1e-13
-# The array root rounds a few ulps from the scalar power; a row that clears
-# the array test by this relative margin is off a pole.
+# The n-th root rounds a few ulps from the power; a row that clears the
+# root test by this relative margin is off a pole.
 POLE_MARGIN = 1.0 + 1e-6
 # Steps an orbit takes between pole decisions; a row stepped past its pole
 # wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step kirchhoff orbit
@@ -193,33 +192,25 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _pole_threshold(norm: float, n: int) -> float:
-    # Scale-aware singularity threshold; the power n tracks how the
-    # determinant magnitude grows with the matrix norm. It is a scalar
-    # power per state, because the array power rounds differently.
-    try:
-        return SINGULAR_DET_FACTOR * (1.0 + norm) ** n
-    except OverflowError:
-        return math.inf
-
-
 def _poles(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
-    """The rows of a stack whose |det| falls below _pole_threshold of their
-    norm, and those thresholds. One array comparison, in n-th roots so that
-    nothing overflows, clears every row whose |det| passes its threshold by
-    the relative margin POLE_MARGIN, and only the rows it leaves take the
-    scalar test. Every decision and threshold is the scalar one."""
+    """The rows of a stack whose |det| falls below the threshold
+    SINGULAR_DET_FACTOR (1 + norm)^n, the power n tracking how |det| grows
+    with the matrix norm, and those thresholds, as lists. One array
+    comparison, in n-th roots so that nothing overflows, clears every row
+    whose |det| passes its threshold by the relative margin POLE_MARGIN;
+    only the rows it leaves take their thresholds, from libm's pow as
+    np.float_power, inf where the power overflows."""
     root = np.abs(det)
     root **= 1.0 / n
     bound = norms + 1.0
     bound *= (SINGULAR_DET_FACTOR * POLE_MARGIN) ** (1.0 / n)
-    poles, thresholds = [], []
-    for i in np.less(root, bound).nonzero()[0].tolist():
-        threshold = _pole_threshold(norms.item(i), n)
-        if abs(det.item(i)) < threshold:
-            poles.append(i)
-            thresholds.append(threshold)
-    return poles, thresholds
+    near = np.less(root, bound).nonzero()[0]
+    if not len(near):
+        return [], []
+    with np.errstate(over="ignore"):
+        thresholds = SINGULAR_DET_FACTOR * np.float_power(norms[near] + 1.0, float(n))
+    pole = np.abs(det[near]) < thresholds
+    return near[pole].tolist(), thresholds[pole].tolist()
 
 
 def _denominators(points: np.ndarray, jacs: np.ndarray, mats: np.ndarray, every_det: bool) -> tuple:

@@ -6,9 +6,9 @@ omega), the Kirchhoff case (a1 = a2, b1 = b2), the Lagrange top (the one
 entry with a linear part), and a planar family with an affine multiplier
 where only the first two components are constrained.
 
-Each kind is one entry of KINDS: its parameter class and JSON keys, the
-field builder, the declared quantity names, and the formulas of its
-map-level quantities, which come in two families:
+Each kind is one entry of KINDS: its parameter class, whose constructor
+fields are its JSON keys, the field builder, the declared quantity names,
+and the formulas of its map-level quantities, which come in two families:
 
 * state-only quantities (lowercase names: c1..c0, g_i, r, s, F) evaluated at
   a point x;
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -524,15 +524,9 @@ _FIRST_DENS = (_first_den(_g, -1.0), _first_den(_G, 1.0))
 def _first_K(q) -> np.ndarray:
     """K = sum_i (C_i/C_0) m_i p_i / c_0, a conserved quantity of the first
     special case built from both coefficient families."""
-    C = q.part(_C)
-    x = q.x
-    c0 = np.sum(x[:, 3:] ** 2, axis=-1)
-    zero = (C[:, 3] == 0.0) | (c0 == 0.0)
-    q.fail(zero, lambda i: DenominatorZeroError("zero denominator in K"))
-    m, p = x[:, :3], x[:, 3:]
-    num = sum(C[:, i] * m[:, i] * p[:, i] for i in range(3))
-    den = C[:, 3] * c0
-    return np.divide(num, den, out=_nan_like(den), where=~zero)
+    C, x = q.part(_C), q.x
+    num = sum(C[:, i] * x[:, i] * x[:, 3 + i] for i in range(3))
+    return _div(q, num, C[:, 3] * np.sum(x[:, 3:] ** 2, axis=-1), "K")
 
 
 def _clebsch_quantities(den, den_hat) -> dict:
@@ -663,7 +657,7 @@ def _planar_big(q) -> np.ndarray:
 class SystemKind:
     """Everything the package knows about one catalog kind.
 
-    params: parameter class, built from JSON with the keys required/optional
+    params: parameter class, built from JSON with the keys in `keys`
     field: the quadratic field of the parameters
     integral_names, density_names, conserved_names, wronskian_orders: as in
       SystemDescriptor
@@ -676,8 +670,6 @@ class SystemKind:
     """
 
     params: type
-    required: tuple
-    optional: tuple
     field: Callable
     integral_names: tuple
     density_names: tuple
@@ -686,6 +678,16 @@ class SystemKind:
     quantities: dict
     coefficients: tuple
     witnesses: Callable
+
+    @property
+    def keys(self) -> dict:
+        """JSON key -> whether it is required: the constructor fields of
+        params, in order, each required when it has no default."""
+        return {
+            f.name: f.default is MISSING and f.default_factory is MISSING
+            for f in fields(self.params)
+            if f.init
+        }
 
 
 _CLEBSCH_INTEGRALS = (
@@ -698,8 +700,6 @@ _CLEBSCH_COEFFICIENTS = (("c1", "c2", "c3", "c0"), ("C1", "C2", "C3", "C0"))
 
 _GENERAL_CLEBSCH = SystemKind(
     params=ClebschParams,
-    required=("a", "b"),
-    optional=("beta", "wcoef"),
     field=_general_clebsch_field,
     integral_names=_CLEBSCH_INTEGRALS,
     density_names=("C0", "C1", "C2", "C3"),
@@ -714,8 +714,6 @@ KINDS = {
     "general_clebsch": _GENERAL_CLEBSCH,
     "first_clebsch": SystemKind(
         params=FirstClebschParams,
-        required=("omega",),
-        optional=(),
         field=_family_field,
         integral_names=("I0", "J0", "K", "c1", "c2", "c3", "c0", "C1", "C2", "C3", "C0"),
         density_names=("C0", "J0_den"),
@@ -733,14 +731,10 @@ KINDS = {
     "second_clebsch": replace(
         _GENERAL_CLEBSCH,
         params=SecondClebschParams,
-        required=("omega",),
-        optional=(),
         field=_family_field,
     ),
     "kirchhoff": SystemKind(
         params=KirchhoffParams,
-        required=("a1", "a3", "b1", "b3"),
-        optional=(),
         field=lambda pr: _clebsch_field((pr.a1, pr.a1, pr.a3), (pr.b1, pr.b1, pr.b3)),
         integral_names=("I0", "J0", "c1", "c3", "C1", "C3"),
         density_names=("C1", "C3"),
@@ -768,8 +762,6 @@ KINDS = {
     ),
     "lagrange": SystemKind(
         params=LagrangeParams,
-        required=("alpha", "gamma"),
-        optional=(),
         field=lambda pr: _lagrange_field(pr.alpha, pr.gamma),
         integral_names=("I0", "J0", "r", "s", "R", "S"),
         density_names=("R", "S"),
@@ -787,8 +779,6 @@ KINDS = {
     ),
     "planar_family": SystemKind(
         params=PlanarFamilyParams,
-        required=("qform", "ell"),
-        optional=("ell0", "extra_quad", "extra_lin", "extra_const"),
         field=_planar_field,
         integral_names=("F", "Fhat"),
         density_names=(),
@@ -850,11 +840,12 @@ def params_from_dict(kind: str, doc: dict) -> object:
     lists of them), naming any missing, unknown or malformed field in the
     error."""
     spec = _kind(kind)
-    for key in spec.required:
-        if key not in doc:
+    keys = spec.keys
+    for key, required in keys.items():
+        if required and key not in doc:
             raise ValueError(f"{kind} config missing required field '{key}'")
     for key, value in doc.items():
-        if key not in spec.required + spec.optional:
+        if key not in keys:
             raise ValueError(f"{kind} config has unknown field '{key}'")
         _json_shape(value, f"{kind} config field '{key}'")
     return spec.params(**doc)
@@ -870,7 +861,7 @@ def params_to_dict(params) -> dict:
     """JSON-ready dict for any catalog params object."""
     for spec in KINDS.values():
         if isinstance(params, spec.params):
-            return {key: _json_value(getattr(params, key)) for key in spec.required + spec.optional}
+            return {key: _json_value(getattr(params, key)) for key in spec.keys}
     raise TypeError(f"not a catalog params object: {type(params).__name__}")
 
 

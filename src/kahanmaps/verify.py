@@ -327,7 +327,7 @@ def check_measure(
         xs, ys = pair.x, pair.step.next
         column = f"density_{density_name}"
         here = pair.value(column)
-        onward = KahanPair(desc, ys, eps, kahan_step_batch(desc.field, ys, eps)).value(column)
+        onward = KahanPair(desc, ys, eps).value(column)
         den, num = here.value, onward.value
         # a pole or a zero denominator skips the state, and so does a density
         # crossing zero at x, where the ratio is meaningless

@@ -440,17 +440,24 @@ class TestHkScan:
             expected = hk_nullspace(orbit, obs, scan["window"]).to_json_dict()
             assert entry == json.loads(json.dumps(expected)), order
 
-    def test_planar_scan_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("ell", [[1.0, -1.0], [1.0, -1.0, 0.3, 0.5, -0.2, 0.4]], ids=["dim2", "dim6"])
+    def test_planar_scan_is_config_error(self, ell, tmp_path, capsys):
+        # the catalog declares no Wronskian orders for the planar family, so
+        # neither command scans it, even where its dimension has conjugate pairs
         doc = {
             "system": "planar_family",
             "qform": [1.0, 0.5, 2.0],
-            "ell": [1.0, -1.0],
+            "ell": ell,
             "ell0": 0.2,
+            "trials": 20,
+            "steps": 50,
         }
         path = write_config(tmp_path, doc)
         code = main(["hk-scan", "--config", path, "--out", str(tmp_path)])
         assert code == 2
         assert "planar_family" in capsys.readouterr().err
+        assert main(["report", "--config", path, "--out", str(tmp_path)]) in (0, 1)
+        assert "Wronskian null space" not in (tmp_path / "report.txt").read_text()
 
 
 class TestReportCommand:

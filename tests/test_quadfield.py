@@ -764,7 +764,7 @@ def scalar_pole_rule(det, norm, n):
 
 class TestPoleTest:
     @pytest.mark.parametrize("count", [1, 8, 9, 300])
-    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("n", [1, 3, 6, 10, 28, 66])
     def test_decisions_equal_the_scalar_rule(self, count, n):
         # determinants within a few ulps of their thresholds, on both sides,
         # and far from them; norms that are 0, huge enough to overflow the

@@ -24,7 +24,8 @@ def test_library_sketch_runs_as_documented():
 
 def test_catalog_table_matches_kinds():
     # one row per kind; the keys before "optional" are its required JSON
-    # keys and the rest its optional ones, in the order KINDS declares them
+    # keys and the rest its optional ones, in the order its params class
+    # declares them
     section = README.read_text(encoding="utf-8").split("## The catalog")[1].split("\n\n")[1]
     rows = {}
     for line in section.splitlines()[2:]:
@@ -34,4 +35,8 @@ def test_catalog_table_matches_kinds():
             tuple(re.findall(r"`(\w+)`", required)),
             tuple(re.findall(r"`(\w+)`", optional)),
         )
-    assert rows == {kind: (spec.required, spec.optional) for kind, spec in KINDS.items()}
+    expected = {}
+    for kind, spec in KINDS.items():
+        required = tuple(key for key, needed in spec.keys.items() if needed)
+        expected[kind] = (required, tuple(key for key in spec.keys if key not in required))
+    assert rows == expected
