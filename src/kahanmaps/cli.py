@@ -265,9 +265,7 @@ def _verify(cfg: ExperimentConfig, desc, out_dir: str) -> int:
 
 def _scan_orders(cfg: ExperimentConfig, desc):
     if not desc.wronskian_orders:
-        raise ValueError(
-            f"hk-scan needs conjugate coordinate pairs; '{cfg.kind}' has none"
-        )
+        raise ValueError(f"hk-scan: the catalog declares no Wronskian orders for '{cfg.kind}'")
     orders = cfg.orders if cfg.orders is not None else (1, 2, 3, 4)
     pairs = conjugate_pairs(desc.dim)
     window = default_window(len(pairs))

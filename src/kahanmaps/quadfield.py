@@ -22,14 +22,16 @@ quad, so
 
     2*eps*f(x) = eps*(f'(x) + B) x + 2*eps*c = [eps*(f'(x) + B) | 2*eps*c] a.
 
-The field keeps the coefficients of both in one read-only step_tensor, and
-a step is five numpy calls and nothing else: the product a @ (eps *
-step_tensor), a row holding eps*f'(x) and the n x (n + 1) matrix
-[eps*(f'(x) + B) | 2*eps*c]; I - eps*f'(x) subtracted from it; that
-matrix times a, the right-hand side; the solve, into the next point's
-row; and the add that completes it there.  Each block of steps builds
-its row views once, and every call writes into the block's buffers.  On
-6 x 6 matrices each call's 1-3 us of dispatch is most of the step's
+The field keeps the coefficients of both in one read-only step_tensor.  An
+orbit folds eps * step_tensor, its first n*n columns negated and I added
+row-major to its constant row, and a step is four numpy calls and nothing
+else: a times it, a row holding I - eps*f'(x) and the n x (n + 1) matrix
+[eps*(f'(x) + B) | 2*eps*c]; that matrix times a, the right-hand side;
+the solve, into the next point's row; and the add that completes it.
+(The 1 on the diagonal is summed inside the product, which moves no bit
+where f'(x) has a zero diagonal, as on the five e(3) kinds.)  The views
+and buffers are built once an orbit, and again when a pole drops a row.
+On 6 x 6 matrices each call's 1-3 us of dispatch is most of the step's
 cost.  On a stack the products are np.vecmat and np.matvec, not matmul:
 matmul hands a stack to BLAS gemm, which rounds a row differently from
 the same row alone, while vecmat and matvec hand each row to BLAS dgemv.
@@ -40,26 +42,25 @@ a row has the same bits alone or in a stack of any size.  The step
 tensor is the package's one source of f'(x): map_jacobian reads it from
 the same tensor, unscaled.
 
-Its loop carries only what the next point depends on; nothing is
-evaluated after it.  The defining equation above is the definition of
-the map, and the increment form is how it is solved.  A state whose
-|det(I - eps*f'(x))| falls below a scale-aware threshold sits on a pole:
-its row stops there, that entry keeps its denominator and threshold, and
-every later entry of the row is nan.  The rows step DECIDE_STEPS steps at
-a time into the block's buffers of points, products and matrices; then
-one call reads the block's stepped points, their eps*f'(x) and their
-matrices: one det of the matrices gives the denominators and the
-eps*f'(x), taken in place, give the norms.  Every stepped point passes
-through that call once.  One pass then decides the poles; a row's steps
-past its first pole in the block, at most DECIDE_STEPS - 1, are dropped.
-The products, the solve and det give each row the same bits in a stack
-of any size, so the block's denominators and decisions are those of the
-steps one at a time.  Every step is a KahanBatch: kahan_step_batch is the
-one-step orbit of a stack without its step axis, and kahan_step entry
-(0, 0) of the one-step orbit of one state, which raises SingularStepError
-at a pole; a state gets the same numbers from all three, bit for bit.
-delta is the denominator of that one-step orbit.  Whether a pole at the
-first step of an orbit is an error is for the caller to say.
+Its loop carries only what the next point depends on.  The defining
+equation above defines the map; the increment form solves it.  A state
+whose |det(I - eps*f'(x))| falls below a scale-aware threshold sits on a
+pole: its row stops there, that entry keeps its denominator and
+threshold, and every later entry of the row is nan.  The rows step
+DECIDE_STEPS steps at a time; then one call reads the block's stepped
+points, their matrices and eps*f'(x), taken once as I minus them: one
+det of the matrices gives the denominators and the eps*f'(x), taken in
+place, give the norms.  Every stepped point passes through that call
+once.  One pass then decides the poles; a row's steps past its first
+pole in the block, at most DECIDE_STEPS - 1, are dropped.  The products,
+the solve and det give each row the same bits in a stack of any size, so
+the block's denominators and decisions are those of the steps one at a
+time.  Every step is a KahanBatch: kahan_step_batch is the one-step
+orbit of a stack without its step axis, and kahan_step entry (0, 0) of
+the one-step orbit of one state, which raises SingularStepError at a
+pole; a state gets the same numbers from all three, bit for bit.  delta
+is the denominator of that one-step orbit.  Whether a pole at the first
+step of an orbit is an error is for the caller to say.
 
 The callers that never read the denominators, verify's conservation
 orbits and backward reversibility steps and hkbasis's iterate_orbit and
@@ -121,9 +122,9 @@ SINGULAR_DET_FACTOR = 1e-13
 POLE_MARGIN = 1.0 + 1e-6
 # Steps an orbit takes between pole decisions; a row stepped past its pole
 # wastes at most DECIDE_STEPS - 1 steps. A lone 1000-step kirchhoff orbit
-# costs about 8-11 us a step at any block from 16 to 256 steps, 16-20 us at
-# 4 and 43-53 us at 1 (process CPU time, median of 7, over three runs on a
-# 2-core x86-64 VM under shared load).
+# costs about 5-10 us a step at blocks of 16, 64 and 256 steps, 10-16 us at 4
+# and 25-40 us at 1 (process CPU time a step, median of 15 orbits, over five
+# runs on a 2-core x86-64 VM under shared load).
 DECIDE_STEPS = 64
 
 
@@ -217,13 +218,13 @@ def _denominators(points: np.ndarray, jacs: np.ndarray, mats: np.ndarray, every_
     """The denominators det(I - eps*f'(x)) and norms |eps*f'(x)|_inf of a
     block's stepped points[block, B, n + 1], read from the eps*f'(x),
     jacs[block, B, n, n], and the step matrices mats[block, B, n, n] the
-    loop built, each flat in step-major order; jacs, which nothing else
-    reads, is overwritten by its absolute values. With every_det False, the
-    det is taken only where the norm is above 1/2 or not finite and is nan
-    elsewhere. Every stepped point passes through here once, in the block
-    it is stepped in. The points are not read here: they name the rows for
-    a wrapper of this call, as the test suite's pole placement and step
-    counts are."""
+    loop built them from, each flat in step-major order; jacs, the block's
+    own copy, is overwritten by its absolute values. With every_det False,
+    the det is taken only where the norm is above 1/2 or not finite and is
+    nan elsewhere. Every stepped point passes through here once, in the
+    block it is stepped in. The points are not read here: they name the
+    rows for a wrapper of this call, as the test suite's pole placement and
+    step counts are."""
     n = mats.shape[-1]
     norms = np.abs(jacs, out=jacs).sum(-1).max(-1).reshape(-1)
     mats = mats.reshape(-1, n, n)
@@ -286,12 +287,12 @@ def kahan_orbit(
     points, poles and thresholds are unchanged (see the module docstring).
 
     The rows still off a pole step DECIDE_STEPS at a time: each step takes
-    one product of [x, 1] with eps * field.step_tensor, which gives
-    eps*f'(x) and the matrix whose product with [x, 1] is 2*eps*f(x), and
-    solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with partial
-    pivoting, and nothing else. Then the matrices and eps*f'(x) the block
-    built give the denominators and norms, and one pole decision reads
-    them all; a row's steps past its first pole are dropped.
+    one product of [x, 1] with eps * field.step_tensor, folded so that it
+    gives I - eps*f'(x) and the matrix whose product with [x, 1] is
+    2*eps*f(x), and solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with
+    partial pivoting, and nothing else. Then the block's matrices give the
+    denominators, I minus them the norms, and one pole decision reads them
+    all; a row's steps past its first pole are dropped.
     """
     x = np.asarray(x, dtype=float)
     count, n = x.shape
@@ -301,8 +302,8 @@ def kahan_orbit(
         np.zeros((steps, count), dtype=bool),
         np.full((steps, count), np.nan),
     )
-    # the rows off a pole (all of them until one is met) and their points
-    live, point, k = slice(None), x, 0
+    # the rows off a pole (all until one is met), their points, and the buffers' row count
+    live, point, k, live_count = slice(None), x, 0, 0
     # below |eps*f'(x)|_inf = 1/2, |det| >= 2^-n clears the threshold while 3^n < 1e13
     every_det = delta or 3.0**n * SINGULAR_DET_FACTOR >= 1.0
     if first is not None and steps:
@@ -315,40 +316,41 @@ def kahan_orbit(
     # and a row stepped past its pole may be singular: its solve gives nan
     # or inf, which the block's pole decision drops
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps_tensor, eye, solve1 = eps * field.step_tensor, _eye(n), _umath_linalg.solve1
+        # folded so that a @ tensor starts with I - eps*f'(x)
+        tensor, eye, solve1 = eps * field.step_tensor, _eye(n), _umath_linalg.solve1
+        tensor[:, : n * n] *= -1.0
+        tensor[n, : n * n] += eye.reshape(-1)
         while k < steps and len(point):
-            block, live_count = min(DECIDE_STEPS, steps - k), len(point)
-            # the block's augmented points [x, 1], step products and matrices,
-            # and scratch for a step's right-hand side; its increment is
-            # solved into the next point's row, which the add then completes
-            points = np.ones((block + 1, live_count, n + 1))
-            xs = points[..., :n]
-            xs[0] = point
-            products = np.empty((block, live_count, eps_tensor.shape[1]))
-            mats = np.empty((block, live_count, n, n))
-            jacs = products[..., : n * n].reshape(block, live_count, n, n)
-            rhs_mats = products[..., n * n :].reshape(block, live_count, n, n + 1)
-            rhs = np.empty((live_count, n))
-            views = points, xs, xs[1:], products, jacs, mats, rhs_mats
-            if live_count == 1:
-                # one row steps on its 1-D views with ndarray.dot, the BLAS
-                # dgemv that vecmat and matvec call row by row, at a third of
-                # their cost; unlike np.dot it calls no Python dispatcher
-                views, rhs = [view[:, 0] for view in views], rhs[0]
-                vecmat = matvec = np.ndarray.dot
-            else:
+            block = min(DECIDE_STEPS, steps - k)
+            if len(point) != live_count:
+                # points [x, 1], products and right-hand side for as long as the
+                # live rows hold; the solve writes into the next point's row
+                live_count = len(point)
+                points = np.ones((block + 1, live_count, n + 1))
+                xs = points[..., :n]
+                products = np.empty((block, live_count, tensor.shape[1]))
+                mats = products[..., : n * n].reshape(block, live_count, n, n)
+                rhs_mats = products[..., n * n :].reshape(block, live_count, n, n + 1)
+                rhs = np.empty((live_count, n))
+                views = points, xs, xs[1:], products, mats, rhs_mats
                 vecmat, matvec = np.vecmat, np.matvec
-            for a, x, x_next, product, jac, mat, rhs_mat in zip(*views):
-                vecmat(a, eps_tensor, product)
-                np.subtract(eye, jac, mat)
+                if live_count == 1:
+                    # one row steps its 1-D views with ndarray.dot: the dgemv vecmat
+                    # and matvec call, at a third of their cost (no Python dispatcher)
+                    views, rhs = [view[:, 0] for view in views], rhs[0]
+                    vecmat = matvec = np.ndarray.dot
+                step_views = list(zip(*views))
+            xs[0] = point
+            for a, x, x_next, product, mat, rhs_mat in step_views[:block]:
+                vecmat(a, tensor, product)
                 matvec(rhs_mat, a, rhs)
                 solve1(mat, rhs, x_next)
                 np.add(x, x_next, x_next)
-            det, norms = _denominators(points[:-1], jacs, mats, every_det)
+            det, norms = _denominators(points[:block], eye - mats[:block], mats[:block], every_det)
             poles, thresholds = _poles(det, norms, n)
-            orbit.next[k : k + block, live] = xs[1:]
+            orbit.next[k : k + block, live] = xs[1 : block + 1]
             orbit.delta[k : k + block, live] = det.reshape(block, -1)
-            point = xs[-1]
+            point = xs[block]
             if poles:
                 # each row's first pole in the block, in step-major order
                 ended = {}

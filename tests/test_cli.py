@@ -455,7 +455,9 @@ class TestHkScan:
         path = write_config(tmp_path, doc)
         code = main(["hk-scan", "--config", path, "--out", str(tmp_path)])
         assert code == 2
-        assert "planar_family" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: hk-scan: the catalog declares no Wronskian orders for 'planar_family'\n"
+        )
         assert main(["report", "--config", path, "--out", str(tmp_path)]) in (0, 1)
         assert "Wronskian null space" not in (tmp_path / "report.txt").read_text()
 

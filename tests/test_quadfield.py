@@ -363,18 +363,28 @@ def reference_step_tensor(field):
     return np.concatenate([jac.reshape(n + 1, -1), rhs.reshape(n + 1, -1)], axis=1)
 
 
+def folded_step_tensor(field, eps):
+    """eps times the reference step tensor with its first n*n columns
+    negated and I added, row-major, to its constant row: the product of
+    [x, 1] with it starts with I - eps f'(x)."""
+    n = field.dim
+    tensor = eps * reference_step_tensor(field)
+    tensor[:, : n * n] = -tensor[:, : n * n]
+    tensor[n, : n * n] += np.eye(n).reshape(-1)
+    return tensor
+
+
 def one_state_step(field, x, eps):
     """The one-state step formulas, kept as the reference of the batch
     kernel: (next, delta, residual, on a pole). One product of a = [x, 1]
-    with eps times the step tensor gives eps f'(x) and the matrix
+    with the folded step tensor gives I - eps f'(x) and the matrix
     [eps (f'(x) + B) | 2 eps c], whose product with a is the right-hand
     side 2 eps f(x) = eps (f'(x) + B) x + 2 eps c."""
     n, a = field.dim, np.append(x, 1.0)
-    product = np.vecmat(a, eps * reference_step_tensor(field))
-    scaled = product[: n * n].reshape(n, n)
-    mat = np.eye(n) - scaled
+    product = np.vecmat(a, folded_step_tensor(field, eps))
+    mat = product[: n * n].reshape(n, n)
     det = float(np.linalg.det(mat))
-    threshold = 1e-13 * (1.0 + np.linalg.norm(scaled, np.inf)) ** n
+    threshold = 1e-13 * (1.0 + np.linalg.norm(np.eye(n) - mat, np.inf)) ** n
     if abs(det) < threshold:
         return None, det, None, True
     rhs = np.matvec(product[n * n :].reshape(n, n + 1), a)
@@ -581,6 +591,41 @@ class TestKahanOrbit:
                 else:
                     assert np.array_equal(orbit.next[k, b], x_next), (b, k)
 
+    @pytest.mark.parametrize("kind", ["kirchhoff", "planar_family"])
+    @pytest.mark.parametrize("entry", [None, 10, quadfield.DECIDE_STEPS + 10])
+    def test_buffers_follow_the_live_rows(self, kind, entry, monkeypatch):
+        # rows [regular, pole in the step from point entry, regular] of an
+        # orbit of two full blocks and a short one: the orbit's buffers
+        # serve every block until the pole drops a row, the next block
+        # steps on new ones, and the short block on a prefix of either
+        desc, eps, block = make_system(kind), 0.05, quadfield.DECIDE_STEPS
+        steps = 2 * block + 5
+        rng = np.random.default_rng(47)
+        xs = np.array([safe_state(rng, desc) for _ in range(3)])
+        target = None
+        if entry is not None:
+            target = kahan_orbit(desc.field, xs[1:2], eps, entry).next[entry - 1, 0]
+            place_pole(monkeypatch, target)
+        rows = count_stepped(monkeypatch)
+        orbit = kahan_orbit(desc.field, xs, eps, steps)
+        assert list(orbit.ends()) == [steps, steps if entry is None else entry, steps]
+        # every stepped point is read once: the middle row steps to the end
+        # of its pole's block
+        live = [3 if entry is None or b <= entry // block else 2 for b in range(3)]
+        assert rows == [size * count for size, count in zip([block, block, 5], live)]
+        for b, x in enumerate(xs):
+            lone = kahan_orbit(desc.field, x[None], eps, steps)
+            for column, expected in zip(orbit, lone):
+                assert same(column[:, b], expected[:, 0]), b
+            row = one_state_loop(desc.field, x, eps, steps, target)
+            for k in range(steps):
+                x_next, det, _, pole = row[k] if k < len(row) else (None, math.nan, None, False)
+                assert orbit.pole[k, b] == pole and same(orbit.delta[k, b], np.float64(det)), (b, k)
+                if x_next is None:
+                    assert np.isnan(orbit.next[k, b]).all()
+                else:
+                    assert np.array_equal(orbit.next[k, b], x_next), (b, k)
+
     def test_a_nan_state_carries_nan(self):
         # a state already out of range meets no pole and raises nothing: its
         # row is nan, and the other rows step as their lone orbits do
@@ -734,10 +779,10 @@ class TestOneJacobianPerPoint:
 class TestStepMemory:
     def test_step_batch_peak(self):
         # a step of a stack holds the product rows, (2n^2 + n) doubles each,
-        # and the matrices, n^2 each, and its pole decision takes the norms
-        # in place: 294 B per unit of trials x dim at n = 10. Norms taken
-        # from a copy of eps*f'(x) give 372.4 B, and a second product
-        # buffer would add 168 B; the bound fails on either
+        # the matrices among them, and its pole decision the eps*f'(x), n^2
+        # each, taking the norms in place: 293 B per unit of trials x dim at
+        # n = 10. Norms taken from a copy of eps*f'(x) give 372.4 B, and a
+        # second product buffer would add 168 B; the bound fails on either
         n, count = 10, 2000
         rng = np.random.default_rng(67)
         desc = build_system("planar_family", PlanarFamilyParams(qform=(1.0, 0.5, 2.0), ell=rng.uniform(-1, 1, n)))
@@ -947,8 +992,8 @@ def step_buffers(field, xs, eps):
 
 
 class TestStepTensor:
-    """One product of the augmented points [x, 1] with eps times the step
-    tensor gives eps*f'(x) and, through the right-hand side's matrix,
+    """One product of the augmented points [x, 1] with the folded step
+    tensor gives I - eps*f'(x) and, through the right-hand side's matrix,
     2*eps*f(x): each within a few ulps of the einsum expressions, measured
     on the same sums of absolute values."""
 
@@ -966,11 +1011,12 @@ class TestStepTensor:
         tensor = field.step_tensor
         assert tensor.tobytes() == reference_step_tensor(field).tobytes() and not tensor.flags.writeable
         a = np.concatenate([xs, np.ones((count, 1))], axis=1)
-        product = np.vecmat(a, eps * tensor)
-        scaled = product[:, : n * n].reshape(count, n, n)
-        # the step builds this eps*f'(x), and its matrix from it
+        product = np.vecmat(a, folded_step_tensor(field, eps))
+        mat = product[:, : n * n].reshape(count, n, n)
+        # the step builds this matrix, and the eps*f'(x) its pole decision
+        # reads from it
         jacs, mats = step_buffers(field, xs, eps)
-        assert jacs.tobytes() == scaled.tobytes() and mats.tobytes() == (np.eye(n) - scaled).tobytes()
+        assert mats.tobytes() == mat.tobytes() and jacs.tobytes() == (np.eye(n) - mat).tobytes()
         rhs = np.matvec(product[:, n * n :].reshape(count, n, n + 1), a)
         # a dot product of n + 1 terms, of terms that are themselves such
         # dot products, errs by at most a few (n + 2) ulps of the sum of
@@ -978,7 +1024,9 @@ class TestStepTensor:
         ulps = 4 * (n + 2) * np.finfo(float).eps
         quad, lin, const, x = np.abs(field.quad), np.abs(field.lin), np.abs(field.const), np.abs(xs)
         jac_scale = abs(eps) * (2.0 * np.einsum("ijk,...k->...ij", quad, x) + lin)
-        assert (np.abs(scaled - eps * einsum_jacobian(field, xs)) <= ulps * jac_scale).all()
+        # the matrix's diagonal sums take the term 1 as well
+        mat_scale = jac_scale + np.eye(n)
+        assert (np.abs(mat - (np.eye(n) - eps * einsum_jacobian(field, xs))) <= ulps * mat_scale).all()
         field_scale = 2.0 * abs(eps) * (np.einsum("ijk,...j,...k->...i", quad, x, x) + x @ lin.T + const)
         assert (np.abs(rhs - 2.0 * eps * einsum_field(field, xs)) <= 2 * ulps * field_scale).all()
 
