@@ -3,7 +3,8 @@ Wronskian null-space scans, driven by a JSON config or flags.
 
 Outputs are plain files (orbit.csv, verify.json, hkscan.json, report.txt)
 written with fixed formatting so identical config and seed reproduce them
-byte for byte.
+byte for byte. orbit.csv's cells are the bytes of '%.17g', formatted in
+numpy 256 rows at a time from exact 17-digit decimals (_cell_bytes).
 """
 
 from __future__ import annotations
@@ -213,6 +214,134 @@ def _write(out_dir: str, name: str, lines: list) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# orbit.csv's writer formats a value as '%.17g' would, in a cell of four
+# little-endian 64-bit words: the sign, a "0.000" prefix and the first digit
+# in word 0, digits 2-17 and the point in words 1-3, then an exponent suffix
+# and the separator in word 3. Bytes left zero are dropped on output. Rows
+# go 256 at a time, so the buffers stay near 1.7 MB whatever the orbit's
+# length.
+TABLE_BLOCK_ROWS = 256
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+def _split(a):
+    t = 134217729.0 * a  # 2**27 + 1: hi keeps the upper 26 bits of a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _low(j: int) -> int:
+    """The bytes of a word below byte j, j clipped to 0..8."""
+    return (1 << 8 * min(max(j, 0), 8)) - 1
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text, "little")
+
+
+def _words(rows: list) -> np.ndarray:
+    """int64 words holding the bits of Python ints below 2**64."""
+    return np.array(rows, np.uint64).view(np.int64)
+
+
+_POW_HI, _POW_LO = _split(_POW10)
+# by the first digit's decimal exponent e, -6..15, at e + 6: the prefix
+# after the sign byte, the suffix after the digits, and the digit before
+# the point (-1: the prefix holds it)
+_PREFIX = _words([0, 0] + [_word(b"\0" + b"0." + b"0" * z) for z in range(3, -1, -1)] + [0] * 16)
+_SUFFIX = _words([_word(b"\0e-06"), _word(b"\0e-05")] + [0] * 20)
+_POINT = np.array([0, 0, -1, -1, -1, -1] + list(range(16)))
+# by kept digits L: the "0" to add to the digit values of words 1 and 2
+_ZEROS = _word(b"0" * 8)
+_KEEP = _words([[_low(n - 1) & _ZEROS, _low(n - 9) & _ZEROS] for n in range(18)]).T.copy()
+# at p + 1 for a point after digit p, counted from 0, and at 0 for no point
+# (p = 16): in words 1 and 2, the bytes that stay and the bytes that take
+# the digits shifted up by one; the byte between them takes the point
+_INSERT = _words([[_low(p), _low(8) ^ _low(p + 1), _low(p - 8), _low(8) ^ _low(p - 7)] for p in (16, *range(16))]).T.copy()
+_POINTS = _word(b"." * 8)
+
+
+def _two_product(a: np.ndarray, k: np.ndarray):
+    """a * 10**k as hi + lo exactly (Dekker's TwoProduct, 1971)."""
+    hi = a * _POW10[k]
+    ah, al = _split(a)
+    bh, bl = _POW_HI[k], _POW_LO[k]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digit_bytes(m: np.ndarray) -> np.ndarray:
+    """The 8 decimal digits of each m < 10**8, first digit in the lowest byte:
+    halves in 32-bit lanes, then pairs and digits in 16- and 8-bit lanes, as
+    x * 5243 >> 19 and x * 103 >> 10 are x // 100 and x // 10 there."""
+    a = m // 10**4
+    x = a | (m - a * 10**4) << 32
+    q = (x * 5243 >> 19) & 0x7F_0000007F
+    y = q | (x - q * 100) << 16
+    t = (y * 103 >> 10) & 0x000F_000F_000F_000F
+    return t | (y - t * 10) << 8
+
+
+def _cell_bytes(v: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for each value of v, as [len(v), 32] bytes, those unused zero.
+
+    A nonzero |v| in [1e-6, 1e16) takes the 17 digits of |v| * 10**k, k in
+    1..22 so that 10**k is exact: hi + lo from TwoProduct is that product
+    exactly, and comparing it, not its rounding, with 1e16 and 1e17 fixes
+    k. hi is then an even integer above 2**53, so hi + rint(lo) rounds half
+    to even as '%.17g' does. Other values, and a product that rounds up to
+    1e17, take '%.17g' itself.
+    """
+    a = np.abs(v)
+    near = (a >= 1e-7) & (a < 1e17)
+    a = np.where(near, a, 1.0)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 1, 22)
+    hi, lo = _two_product(a, k)
+    k += (hi < 1e16) | ((hi == 1e16) & (lo < 0))  # log10 may miss by one
+    k -= (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    np.clip(k, 1, 22, out=k)
+    hi, lo = _two_product(a, k)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast = near & ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (n < 10**17)
+    first = n // 10**16
+    rest = n - first * 10**16
+    upper = rest // 10**8
+    w1, w2 = _digit_bytes(upper), _digit_bytes(rest - upper * 10**8)
+    row = 22 - k  # the first digit's decimal exponent + 6
+    # digits through the last nonzero one; each digit byte is below 10
+    last = np.where(w2 > 0, w2, w1)
+    significant = 1 + 8 * (w2 > 0) + (np.frexp(last.astype(float))[1] + 7) // 8
+    point = _POINT[row]
+    kept = np.maximum(significant, point + 1)
+    keep1, keep2 = _KEEP.take(kept, axis=1)
+    w1 += keep1
+    w2 += keep2
+    keep1, shift1, keep2, shift2 = _INSERT.take(np.where(kept > point + 1, point + 1, 0), axis=1)
+    cells = np.empty((len(v), 4), "<i8")
+    cells[:, 0] = _PREFIX[row] | (first + 48) << 56 | (v < 0) * 45
+    cells[:, 1] = (w1 & keep1) | (w1 << 8 & shift1) | (~(keep1 | shift1) & _POINTS)
+    cells[:, 2] = (w2 & keep2) | ((w2 << 8 | w1 >> 56) & shift2) | (~(keep2 | shift2) & _POINTS)
+    cells[:, 3] = (w2 & ~keep2) >> 56 | _SUFFIX[row]
+    chars = cells.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        chars[slow] = 0
+        chars[slow, :24] = np.array(["%.17g" % x for x in v[slow].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+    return chars
+
+
+def _write_table(fh, header: list, cells: np.ndarray) -> None:
+    """Write to binary file fh a CSV of the header and one line per row of
+    cells, every value as '%.17g' writes it (an integral value below 1e16
+    as '%d' does)."""
+    fh.write((",".join(header) + "\n").encode())
+    for start in range(0, len(cells), TABLE_BLOCK_ROWS):
+        block = cells[start : start + TABLE_BLOCK_ROWS]
+        chars = _cell_bytes(block.ravel()).reshape(block.shape + (32,))
+        chars[..., -1] = ord(",")
+        chars[:, -1, -1] = ord("\n")
+        fh.write(chars.tobytes().translate(None, b"\0"))
+
+
 def _resolve_x0(cfg: ExperimentConfig, desc) -> np.ndarray:
     if cfg.x0 is not None:
         return np.asarray(cfg.x0, dtype=float)
@@ -240,12 +369,10 @@ def _simulate(cfg: ExperimentConfig, desc, out_dir: str) -> int:
     for j, name in enumerate(columns):
         values = pair.value(name)
         table[:, j] = np.where(values.fail, np.nan, values.value)
-    cells = np.column_stack([orbit.next[:rows, 0], orbit.delta[:rows, 0], table])
+    cells = np.column_stack([np.arange(1.0, rows + 1), orbit.next[:rows, 0], orbit.delta[:rows, 0], table])
     header = ["step"] + [f"x{i + 1}" for i in range(desc.dim)] + ["delta"] + columns
-    # %.17g writes the bytes of _fmt, nan, inf and -0 included
-    row_format = "%d," + ",".join(["%.17g"] * cells.shape[1])
-    lines = [",".join(header)] + [row_format % (k, *row) for k, row in enumerate(cells.tolist(), 1)]
-    _write(out_dir, "orbit.csv", lines)
+    with open(os.path.join(out_dir, "orbit.csv"), "wb") as fh:
+        _write_table(fh, header, cells)
     if end < cfg.steps:
         print(f"orbit truncated: pole at step {end + 1} of {cfg.steps}", file=sys.stderr)
     return 0

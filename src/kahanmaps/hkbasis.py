@@ -69,6 +69,12 @@ NULL_SIGMA_FACTOR = 1e-9
 # 1.5e-2 without a gap; the 11 below this value read rank 3 because their
 # rows are nearly dependent, not because of noise.
 RANK_THRESHOLD = 1e-7
+# _unit_gradients zeroes a gradient row below this times max(1, |I(x)|), so
+# a constant integral adds no rank. Measured as that ratio: the constant
+# order-3 ratio v1/v0 of kirchhoff and lagrange at eps 0.05 reads <= 3.0e-8
+# (800 draws, seeds 1-40); hk_detect's J1..J4 rows read >= 0.015 (seeds
+# 1-20, 400 points) and criterion 07's rows >= 0.11.
+GRADIENT_FLOOR = 1e-5
 ANNIHILATION_FACTOR = 1e-10
 PIVOT_FLOOR = 1e-6
 # a ratio sequence is constant while every entry stays within this times
@@ -365,9 +371,10 @@ def functional_rank(integrals: Sequence[Callable[[np.ndarray], float]], x: np.nd
 
 
 def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
-    """Gradient rows of the integrals at x, each scaled to unit length
-    (zero rows stay zero), so one steep integral cannot push the others
-    under the rank threshold.
+    """Gradient rows of the integrals at x, each scaled to unit length, so
+    one steep integral cannot push the others under the rank threshold. A
+    row below GRADIENT_FLOOR * max(1, |I(x)|) is rounding noise, a constant
+    integral's, and stays zero.
 
     Wronskian ratios that share an orbit take theirs from one tangent orbit
     of x (_ratio_values), exact to rounding, and fail where WronskianRatio
@@ -395,15 +402,17 @@ def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
         rows = _ratio_values([integrals[i] for i in members], x[None], gradients=True)
         shared.update(zip(members, rows))
     grads = np.empty((len(integrals), x.shape[0]))
+    values = np.empty((len(integrals), 1))
     for index, fn in enumerate(integrals):
-        grad = shared[index] if index in shared else central_gradient(fn, x)
-        if isinstance(grad, Exception):
-            raise grad
-        grads[index] = grad
-        if not np.isfinite(grads[index]).all():
+        found = shared[index] if index in shared else (fn(x), central_gradient(fn, x))
+        if isinstance(found, Exception):
+            raise found
+        values[index], grads[index] = found
+        if not (np.isfinite(values[index]).all() and np.isfinite(grads[index]).all()):
             raise ValueError(f"integral {index} has a non-finite value or gradient at x")
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
-    return np.divide(grads, norms, out=np.zeros_like(grads), where=norms > 0)
+    live = norms >= GRADIENT_FLOOR * np.maximum(1.0, np.abs(values))
+    return np.divide(grads, norms, out=np.zeros_like(grads), where=live)
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,11 +472,12 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
     derivative dv = -V_r S_r^-1 U_r^T (dW v), and the quotient rule the
     ratio's.
 
-    Each entry is the ratio's B values or gradients or, if a row fails, the
-    error that ratio raises at its first failing row: a pole at step 0, an
-    orbit cut short of the window by a later pole (named by its step, as
-    hk-scan names it), a non-finite window, a null dimension other than 1,
-    or a degenerate denominator.
+    Each entry is the ratio's B values, with `gradients` the pair of its
+    values and gradients, or, if a row fails, the error that ratio raises
+    at its first failing row: a pole at step 0, an orbit cut short of the
+    window by a later pole (named by its step, as hk-scan names it), a
+    non-finite window, a null dimension other than 1, or a degenerate
+    denominator.
     """
     first = ratios[0]
     field, eps, pairs, window = first.field, first.eps, first.pairs, first.window
@@ -517,7 +527,7 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
             value = vo[:, ratio.num] / vo[:, ratio.den]
             if not gradients:
                 return value
-            return (dv[:, o, ratio.num] - value[:, None] * dv[:, o, ratio.den]) / vo[:, ratio.den, None]
+            return value, (dv[:, o, ratio.num] - value[:, None] * dv[:, o, ratio.den]) / vo[:, ratio.den, None]
         b = int(np.argmax(failed))
         if stepped.pole[0, b]:
             return stepped.pole_error((0, b))

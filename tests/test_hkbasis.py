@@ -906,6 +906,27 @@ class TestFunctionalRank:
         assert functional_rank(quad + [ratios[3, 0], ratios[3, 1]], x) == 3
         assert functional_rank(quad + [ratios[4, 0], ratios[4, 1]], x) == 3
 
+    @pytest.mark.parametrize("kind", ["kirchhoff", "lagrange"])
+    def test_constant_ratio_adds_no_rank(self, kind):
+        # the order-3 ratio v1/v0 is the constant 1 on these axially
+        # symmetric tops: its gradient is rounding noise (GRADIENT_FLOOR's
+        # comment), which unit scaling alone made a full row, reading ranks
+        # 3 and 4 below; v2/v0 adds one rank to I0, J0
+        desc = make_system(kind)
+        eps = 0.05
+        fns = [
+            lambda y: eval_I0(desc, y, eps),
+            lambda y: KahanPair(desc, y[None], eps).value("J0").item(0),
+            wronskian_ratio_integral(desc.field, eps, 3, 1, 0),
+        ]
+        varying = wronskian_ratio_integral(desc.field, eps, 3, 2, 0)
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            x = safe_state(rng, desc, eps)
+            assert functional_rank(fns[2:], x) == 0
+            assert functional_rank(fns, x) == 2
+            assert functional_rank(fns + [varying], x) == 3
+
     def test_kirchhoff_rank_four_with_axis_component(self):
         desc = make_system("kirchhoff")
         eps = 0.05
@@ -1081,7 +1102,7 @@ class TestStackedRatios:
         rng = np.random.default_rng(73)
         for _ in range(5):
             x = safe_state(rng, desc, eps)
-            constant, varying = (grad[0] for grad in hkbasis._ratio_values(ratios, x[None], gradients=True))
+            constant, varying = (grad[0] for _, grad in hkbasis._ratio_values(ratios, x[None], gradients=True))
             assert np.abs(constant).max() <= 1e-10
             assert np.abs(varying - reference_gradients(ratios[1:], x)[0]).max() <= 1e-6
 
