@@ -39,8 +39,8 @@ A lone row steps on its 1-D views with ndarray.dot, np.dot's kernel
 without its Python dispatcher, which calls the same dgemv at about a
 third of the dispatch cost (0.6 us a call against 1.7 us at n = 6).  So
 a row has the same bits alone or in a stack of any size.  The step
-tensor is the package's one source of f'(x): map_jacobian reads it from
-the same tensor, unscaled.
+tensor is the package's one source of f'(x): jacobian reads it from the
+same tensor, unscaled, for map_jacobian and verify's measure check.
 
 Its loop carries only what the next point depends on.  The defining
 equation above defines the map; the increment form solves it.  A state
@@ -111,6 +111,7 @@ __all__ = [
     "kahan_step",
     "kahan_step_batch",
     "kahan_orbit",
+    "jacobian",
     "map_jacobian",
 ]
 
@@ -391,13 +392,23 @@ def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next:
     given its successor x~; both may be stacks [..., n]. It solves with the
     gufunc numpy.linalg.solve dispatches to, under the step's error state:
     a row whose I - eps*f'(x) is singular is nan instead of raising, and
-    every other row has numpy.linalg.solve's bits."""
-    n = field.dim
-    # f'(x) is the first n*n columns of [x, 1] @ step_tensor, row-major
+    every other row has numpy.linalg.solve's bits. hkbasis's tangent
+    orbits call it; its det, det(I + eps*f'(x~)) / det(I - eps*f'(x)), is
+    what verify's measure check takes in that closed form instead."""
     points = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x_next, dtype=float)))
-    a = np.concatenate([points, np.ones((*points.shape[:-1], 1))], axis=-1)
-    jac = np.vecmat(a, field.step_tensor[:, : n * n]).reshape(*a.shape[:-1], n, n)
-    eye = _eye(n)
+    jac = jacobian(field, points)
+    eye = _eye(field.dim)
     mat, rhs = eye - eps * jac[0], eye + eps * jac[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _umath_linalg.solve(mat, rhs, signature="dd->d")
+
+
+def jacobian(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
+    """f'(x) = 2 Q x + B, the Jacobian of the field, at one state or a
+    stack x[..., n]: the first n*n columns of [x, 1] @ step_tensor,
+    row-major. np.vecmat gives each row the same bits in a stack of any
+    size."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    a = np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
+    return np.vecmat(a, field.step_tensor[:, : n * n]).reshape(*x.shape, n)

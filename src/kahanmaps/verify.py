@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import KahanPair
-from .quadfield import KahanBatch, kahan_orbit, kahan_step_batch, map_jacobian
+from .quadfield import KahanBatch, jacobian, kahan_orbit, kahan_step_batch
 from .systems import SystemDescriptor
 
 __all__ = [
@@ -321,10 +321,18 @@ def check_conservation(
 def check_measure(
     desc: SystemDescriptor, density_name: str, trials: int, eps: float, seed: int = 42
 ) -> PropertyReport:
-    """Worst relative defect of density(x~)/density(x) against det dPhi(x)."""
+    """Worst relative defect of density(x~)/density(x) against det dPhi(x).
+
+    det dPhi(x) is taken in closed form, det(I + eps*f'(x~)) / det(I -
+    eps*f'(x)) (Celledoni, McLachlan, Owren and Quispel 2013): one det a
+    trial over the denominator the draw's step holds, with no solve. Where
+    I - eps*f'(x) is ill conditioned this keeps the rounding of two dets,
+    which a solve for dPhi itself does not: at eps 0.4 a general_clebsch
+    draw with condition ~3e3 reads 1.2e-14 off the exact ratio in closed
+    form and 6.5e-10 off through the solve."""
 
     def trial(pair):
-        xs, ys = pair.x, pair.step.next
+        ys = pair.step.next
         column = f"density_{density_name}"
         here = pair.value(column)
         onward = KahanPair(desc, ys, eps).value(column)
@@ -333,11 +341,12 @@ def check_measure(
         # crossing zero at x, where the ratio is meaningless
         skip = here.fail | onward.fail
         skip[~skip] = np.abs(den[~skip]) < 1e-8 * (1.0 + np.abs(num[~skip]))
-        # at a huge eps a density out of the float range gives inf/inf, and a
-        # singular I - eps*f'(x) a nan det dPhi: a nan violation, which
-        # counts the state as skipped
-        with np.errstate(invalid="ignore"):
-            dets = np.linalg.det(map_jacobian(desc.field, xs, eps, ys))
+        # at a huge eps a density out of the float range gives inf/inf, and
+        # so may det dPhi: a nan violation, which counts the state as skipped
+        with np.errstate(over="ignore", invalid="ignore"):
+            # det dPhi(x) = det(I + eps*f'(x~)) / det(I - eps*f'(x)), whose
+            # denominator the draw's step holds
+            dets = np.linalg.det(np.eye(desc.dim) + eps * jacobian(desc.field, ys)) / pair.step.delta
             ratio = np.divide(num, den, out=np.full_like(den, np.nan), where=~skip)
             return np.abs(ratio - dets) / (1.0 + np.abs(ratio) + np.abs(dets)), skip
 

@@ -112,6 +112,26 @@ def solve(mat, rhs) -> list:
     return out
 
 
+def det(mat) -> Fraction:
+    """The determinant of a square matrix of Fractions, by exact Gaussian
+    elimination."""
+    rows = [list(row) for row in mat]
+    n = len(rows)
+    out = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            out = -out
+        out *= rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] / rows[col][col]
+            rows[r][col:] = [u - f * v for u, v in zip(rows[r][col:], rows[col][col:])]
+    return out
+
+
 def dyadic(values) -> tuple:
     """Integers m_i and one shift s with values[i] = m_i / 2**s exactly,
     for floats."""
@@ -161,6 +181,20 @@ class ExactField:
         ]
         self.lin, self.sl = dyadic(field.lin.ravel().tolist())
         self.const, self.sc = dyadic(field.const.tolist())
+
+    def jacobian(self, x) -> list:
+        """f'(x) = 2 Q x + B at a float state x, exactly, as rows of
+        Fractions."""
+        n, quad, lin = self.n, self.quad, self.lin
+        xs, sx = dyadic(x)
+        return [
+            [
+                Fraction(2 * sum(q * xs[j] for j, q in quad[i * n + k]), 1 << (self.sq + sx))
+                + Fraction(lin[i * n + k], 1 << self.sl)
+                for k in range(n)
+            ]
+            for i in range(n)
+        ]
 
     def step(self, x, eps) -> list:
         """The Kahan step from a float state x at a float eps, exactly, as
