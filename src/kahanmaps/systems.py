@@ -502,7 +502,9 @@ def _spectral_den(triple, sign: float):
 
     def den(q) -> np.ndarray:
         a, _, _, beta = q.params.family
-        return 1.0 + sign * q.eps * q.eps * (a[0] * a[1] * a[2] / beta) * np.sum(q.part(triple), axis=-1)
+        # past the float range at a huge eps, as in _coeff_vec
+        with np.errstate(over="ignore"):
+            return 1.0 + sign * q.eps * q.eps * (a[0] * a[1] * a[2] / beta) * np.sum(q.part(triple), axis=-1)
 
     return den
 

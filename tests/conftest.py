@@ -90,16 +90,25 @@ def safe_state(rng, desc, eps=0.05):
 def place_pole(monkeypatch, x):
     """Make the Kahan step from every point equal to x a pole, whatever the
     field and step size: when a block of kahan_orbit's stepped points comes
-    to its pole decision, eps*f'(x) is set to inf in place at every such
-    point, so its norm and pole threshold are inf there while its det keeps
-    its value, and kahan_orbit and every caller of it, the one-state oracle
-    in scalar_table included, see the pole from the same code."""
+    to its pole decision, every such point is left open with the norm of
+    its eps*f'(x) set to inf, and its det is taken there, so its norm and
+    pole threshold are inf while its det keeps its value, and kahan_orbit
+    and every caller of it, the one-state oracle in scalar_table included,
+    see the pole from the same code."""
     target = np.array(x, dtype=float)
     denominators = quadfield._denominators
 
-    def placed(points, jacs, *args):
-        jacs[(points[..., :-1] == target).all(axis=-1)] = math.inf
-        return denominators(points, jacs, *args)
+    def placed(points, mats, *args):
+        det, rows, norms = denominators(points, mats, *args)
+        at = (points[..., :-1] == target).all(axis=-1).reshape(-1)
+        if not at.any():
+            return det, rows, norms
+        det[at] = np.linalg.det(mats.reshape(-1, *mats.shape[-2:])[at])
+        every = np.full(det.shape, np.nan)
+        every[rows] = norms
+        every[at] = math.inf
+        rows = np.union1d(rows, np.flatnonzero(at))
+        return det, rows, every[rows]
 
     monkeypatch.setattr(quadfield, "_denominators", placed)
 

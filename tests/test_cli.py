@@ -619,6 +619,18 @@ class TestHugeEps:
         else:
             assert codes[0] == 0
 
+    @pytest.mark.parametrize("kind", ["general_clebsch", "second_clebsch"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_spectral_denominators_warn_about_nothing(self, kind, seed, tmp_path):
+        # the I0 and J0 denominators 1 +- eps^2 (a1 a2 a3 / beta) sum g
+        # leave the float range at some seeds' draws: kept as +-inf
+        doc = {"system": kind, "params": params_to_dict(make_params(kind)), "seed": seed, "steps": 200}
+        path = write_config(tmp_path, doc)
+        for command in ("verify", "report"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                main([command, "--config", path, "--eps", "1e150", "--out", str(tmp_path)])
+
     @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "first_clebsch"])
     def test_verify_json_is_strict(self, kind, tmp_path):
         # a non-finite float is written as null

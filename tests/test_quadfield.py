@@ -779,10 +779,10 @@ class TestOneJacobianPerPoint:
 class TestStepMemory:
     def test_step_batch_peak(self):
         # a step of a stack holds the product rows, (2n^2 + n) doubles each,
-        # the matrices among them, and its pole decision the eps*f'(x), n^2
-        # each, taking the norms in place: 293 B per unit of trials x dim at
-        # n = 10. Norms taken from a copy of eps*f'(x) give 372.4 B, and a
-        # second product buffer would add 168 B; the bound fails on either
+        # the matrices among them; at eps 0.05 the norm bound decides every
+        # row and its pole decision forms no eps*f'(x): 214 B per unit of
+        # trials x dim at n = 10. A second product buffer would add 168 B
+        # and fail the bound
         n, count = 10, 2000
         rng = np.random.default_rng(67)
         desc = build_system("planar_family", PlanarFamilyParams(qform=(1.0, 0.5, 2.0), ell=rng.uniform(-1, 1, n)))
@@ -791,6 +791,25 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             kahan_step_batch(desc.field, xs, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 372 * count * n, peak / (count * n)
+
+    @pytest.mark.parametrize("delta", [True, False])
+    def test_step_batch_peak_with_every_row_open(self, delta):
+        # at eps 5 no bound decides: the pole decision forms eps*f'(x) for
+        # every row, n^2 doubles each, in its copy of the matrices, and
+        # takes the norms in place: 295 B per unit of trials x dim at
+        # n = 10. Norms taken from a second copy give 373 B and fail
+        n, count = 10, 2000
+        rng = np.random.default_rng(67)
+        desc = build_system("planar_family", PlanarFamilyParams(qform=(1.0, 0.5, 2.0), ell=rng.uniform(-1, 1, n)))
+        xs = rng.uniform(-1.0, 1.0, (count, n))
+        kahan_orbit(desc.field, xs, 5.0, 1, delta=delta)
+        tracemalloc.start()
+        try:
+            kahan_orbit(desc.field, xs, 5.0, 1, delta=delta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -856,6 +875,14 @@ class TestPoleTest:
                 assert same(field[:, b], expected[:, 0]), b
 
 
+def spread_states(desc, rng, count=11):
+    """count states from 0.05 to 6 in radius, whose norms |eps*f'(x)|_inf
+    fall on both sides of 1/2 at eps 0.05 and 0.4, and a nan state."""
+    directions = rng.standard_normal((count, desc.dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return np.concatenate([np.geomspace(0.05, 6.0, count)[:, None] * directions, np.full((1, desc.dim), np.nan)])
+
+
 def delta_free_against_full(field, xs, eps, steps, first=None):
     """kahan_orbit with delta=False against the full orbit: the same points,
     poles, thresholds and ends, and the full orbit's denominator at every
@@ -866,14 +893,18 @@ def delta_free_against_full(field, xs, eps, steps, first=None):
     free = kahan_orbit(field, xs, eps, steps, first, delta=False)
     assert same(free.next, full.next) and same(free.pole, full.pole) and same(free.threshold, full.threshold)
     assert list(free.ends()) == list(full.ends())
-    # the norms of the step's own eps*f'(x), read by the pole decision,
-    # where place_pole sets them to inf
+    # the exact norms of the step's own eps*f'(x), I minus its matrix, as
+    # the pole decision reads them under a nan bound, which leaves every
+    # decision open, and inf where place_pole sets them
     points = np.concatenate([xs[None], full.next[:-1]])
     augmented = np.concatenate([points, np.ones((*points.shape[:-1], 1))], axis=-1)
     n = field.dim
     with np.errstate(invalid="ignore"):
-        jacs = np.vecmat(augmented, eps * field.step_tensor)[..., : n * n].reshape(*points.shape, n)
-        norms = quadfield._denominators(augmented, jacs, np.eye(n) - jacs, True)[1].reshape(points.shape[:-1])
+        mats = np.vecmat(augmented, folded_step_tensor(field, eps))[..., : n * n].reshape(*points.shape, n)
+        unbounded = np.full(points.shape[:-1], np.nan)
+        _, rows, norms = quadfield._denominators(augmented, mats, unbounded, True)
+    assert np.array_equal(rows, np.arange(unbounded.size))
+    norms = norms.reshape(points.shape[:-1])
     taken = ~(norms <= 0.5)
     if first is not None:
         taken[0] = True
@@ -894,10 +925,7 @@ class TestDeltaFreeOrbit:
         # |eps*f'(x)|_inf = 1/2, and a nan state carries nan; 70 steps
         # cross a block edge
         desc = make_system(kind)
-        rng = np.random.default_rng(47)
-        directions = rng.standard_normal((11, desc.dim))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        xs = np.concatenate([np.geomspace(0.05, 6.0, 11)[:, None] * directions, np.full((1, desc.dim), np.nan)])
+        xs = spread_states(desc, np.random.default_rng(47))
         first = kahan_step_batch(desc.field, xs, eps) if with_first else None
         with np.errstate(over="ignore", invalid="ignore"):
             full, norms = delta_free_against_full(desc.field, xs, eps, 70, first)
@@ -968,6 +996,161 @@ class TestDeltaFreeOrbit:
         assert np.isfinite(free.delta).all()
 
 
+def exact_norm_rule(points, mats, bounds, every_det):
+    """The block rule as it stood before the norm bound, frozen and put
+    behind the bound's seam: the norm |eps*f'(x)|_inf of every stepped
+    point, from I minus its matrix, and the det at every point, or with
+    every_det False only where the norm is above 1/2 or not finite; the
+    bounds are not read, and every point goes to the pole decision."""
+    n = mats.shape[-1]
+    jacs = np.eye(n) - mats
+    norms = np.abs(jacs, out=jacs).sum(-1).max(-1).reshape(-1)
+    mats = mats.reshape(-1, n, n)
+    if every_det:
+        return np.linalg.det(mats), np.arange(norms.size), norms
+    det = np.full(norms.shape, np.nan)
+    near = ~(norms <= 0.5)
+    if near.any():
+        det[near] = np.linalg.det(mats[near])
+    return det, np.arange(norms.size), norms
+
+
+def against_the_exact_rule(field, xs, eps, steps, first=None, pole_point=None):
+    """kahan_orbit, in both delta modes, against the same orbit decided by
+    exact_norm_rule: every column bit for bit. pole_point, when given, is
+    placed as a pole on both sides. Returns the full orbit."""
+    orbits = []
+    for rule in (None, exact_norm_rule):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+            if rule is not None:
+                patch.setattr(quadfield, "_denominators", rule)
+            if pole_point is not None:
+                place_pole(patch, pole_point)
+            orbits.append([kahan_orbit(field, xs, eps, steps, first, delta=d) for d in (True, False)])
+    for got, expected in zip(*orbits):
+        for column, want in zip(got, expected):
+            assert column.tobytes() == want.tobytes()
+    return orbits[0][0]
+
+
+class TestNormBound:
+    """Each block bounds |eps*f'(x)|_inf by |[x, 1]| @ c, c from the slices
+    of eps * step_tensor raised by a rounding margin, and forms eps*f'(x)
+    only where that bound leaves the pole decision open. The bound is at
+    least the computed norm, and every point, denominator, pole and
+    threshold is the one the exact norms give."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        planar=st.booleans(),
+        count=st.sampled_from([1, 5]),
+        scale=st.floats(-8.0, 8.0),
+        eps=st.floats(-1e150, 1e150),
+        first_state=st.sampled_from(["drawn", "origin", math.nan, math.inf, -math.inf]),
+    )
+    @example(seed=1, n=6, planar=False, count=5, scale=8.0, eps=1e150, first_state=math.inf)
+    @example(seed=2, n=10, planar=True, count=5, scale=-8.0, eps=-5e-324, first_state="drawn")
+    @example(seed=3, n=6, planar=False, count=1, scale=0.0, eps=1e150, first_state="origin")
+    @settings(max_examples=150, deadline=None)
+    def test_bound_dominates_the_computed_norm(self, seed, n, planar, count, scale, eps, first_state):
+        # random fields, planar ones from n = 2, states scaled 1e-8 to 1e8;
+        # the first state is one of them, the origin, where the bound is the
+        # constant slice's norm alone and so is tight up to rounding, or has
+        # a nan or infinite entry. At every stepped point the bound is at
+        # least the norm of I minus the step's matrix as computed, or it is
+        # not finite
+        rng = np.random.default_rng(seed)
+        if planar and n >= 2:
+            params = PlanarFamilyParams(qform=(1.0, 0.5, 2.0), ell=rng.uniform(-1, 1, n))
+            field = build_system("planar_family", params).field
+        else:
+            field = random_field(rng, n)
+        xs = rng.uniform(-1.0, 1.0, (count, n)) * 10.0**scale
+        if first_state == "origin":
+            xs[0] = 0.0
+        elif first_state != "drawn":
+            xs[0, rng.integers(n)] = first_state
+        seen = []
+        denominators = quadfield._denominators
+
+        def kept(points, mats, bounds, every_det):
+            seen.append((points.copy(), mats.copy(), bounds.copy()))
+            return denominators(points, mats, bounds, every_det)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadfield, "_denominators", kept)
+            kahan_step_batch(field, xs, eps)
+        ((points, mats, bounds),) = seen
+        with np.errstate(invalid="ignore", over="ignore"):
+            norms = np.abs(np.eye(n) - mats).sum(-1).max(-1)
+        assert ((norms <= bounds) | ~np.isfinite(bounds)).all(), (norms, bounds)
+        # a nan state has a nan bound, which leaves its decision open
+        assert np.isnan(bounds[np.isnan(points).any(axis=-1)]).all()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("eps", [0.05, 0.4])
+    def test_norms_straddling_one_half(self, kind, eps):
+        # 70 steps cross a block edge
+        desc = make_system(kind)
+        xs = spread_states(desc, np.random.default_rng(47))
+        full = against_the_exact_rule(desc.field, xs, eps, 70)
+        with np.errstate(invalid="ignore", over="ignore"):
+            points = np.concatenate([xs[None], full.next[:-1]])
+            norms = np.abs(eps * einsum_jacobian(desc.field, points)).sum(-1).max(-1)
+        reached = np.arange(70)[:, None] <= full.ends()
+        assert (norms[reached] <= 0.5).any() and (norms[reached] > 0.5).any()
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_exact_roots(self, kind):
+        # eps a root of det(I - eps*f'(x)): x's row stops at step 0 and a
+        # row one step before x at step 1
+        desc = make_system(kind)
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = safe_state(rng, desc)
+            root = pole_eps(desc.field, x)
+            if root is not None:
+                break
+        assert root is not None, "no real root of the denominator in 50 states"
+        xs = np.array([0.5 * x, x, kahan_step(desc.field, x, -root).next, np.full(desc.dim, np.nan)])
+        for first in (None, kahan_step_batch(desc.field, xs, root)):
+            full = against_the_exact_rule(desc.field, xs, root, 3, first)
+            assert list(full.ends()[1:3]) == [0, 1]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_huge_eps(self, kind):
+        # at eps 1e150 every denominator is past the float range or a pole
+        desc = make_system(kind)
+        xs = spread_states(desc, np.random.default_rng(71), count=5)
+        against_the_exact_rule(desc.field, xs, 1e150, 70)
+
+    @pytest.mark.parametrize("with_first", [False, True])
+    @pytest.mark.parametrize("entry", [quadfield.DECIDE_STEPS + d for d in (-1, 0, 1)])
+    def test_block_edge(self, entry, with_first):
+        # rows meet a placed pole at either side of a block edge, which
+        # first moves by one step, among rows that straddle 1/2 at eps 0.4
+        desc, eps = make_system("kirchhoff"), 0.4
+        rng = np.random.default_rng(41)
+        xs = np.concatenate([spread_states(desc, rng, count=4), [safe_state(rng, desc, eps)]])
+        target = kahan_orbit(desc.field, xs[-1:], eps, entry).next[entry - 1, 0]
+        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        full = against_the_exact_rule(desc.field, xs, eps, 2 * quadfield.DECIDE_STEPS + 3, first, target)
+        assert full.ends()[-1] == entry and full.threshold[entry, -1] == math.inf
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        radius=st.floats(0.05, 4.0),
+        eps=st.floats(-0.5, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_fields(self, seed, n, radius, eps):
+        rng = np.random.default_rng(seed)
+        field = random_field(rng, n)
+        against_the_exact_rule(field, rng.uniform(-radius, radius, (4, n)), eps, 8)
+
+
 def einsum_jacobian(field, x):
     """f'(x) = 2 Q x + B of one state or a stack x[..., n], as a frozen
     np.einsum expression that shares no kernel with the package."""
@@ -976,13 +1159,15 @@ def einsum_jacobian(field, x):
 
 def step_buffers(field, xs, eps):
     """The eps*f'(x) and step matrices I - eps*f'(x) that kahan_step_batch
-    builds for the rows of xs, as its pole decision reads them."""
+    builds for the rows of xs, as its pole decision reads them: the
+    matrices, and the eps*f'(x) it forms from them, I minus them, where
+    their norm bound leaves the decision open."""
     seen = []
     denominators = quadfield._denominators
 
-    def kept(points, jacs, mats, *args):
-        seen.append((jacs[0].copy(), mats[0].copy()))
-        return denominators(points, jacs, mats, *args)
+    def kept(points, mats, *args):
+        seen.append((np.eye(mats.shape[-1]) - mats[0], mats[0].copy()))
+        return denominators(points, mats, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadfield, "_denominators", kept)

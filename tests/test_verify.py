@@ -571,6 +571,54 @@ class TestStackedConservation:
         assert [r.to_json_dict() for r in stubbed[1:]] == [r.to_json_dict() for r in clean[1:]]
 
 
+def count_exact_norms(monkeypatch):
+    """Counts, from now on, of the stepped points whose eps*f'(x) kahan_orbit
+    forms to take its exact norm ("formed"), and of those whose norm bound
+    leaves the pole decision open by the rule restated here ("open"): with
+    delta=False a bound above 1/2 or not finite, and otherwise a root of
+    |det| below the bound's root of the threshold, or not a number."""
+    counts = {"formed": 0, "open": 0, "stepped": 0}
+    exact_norms, denominators = quadfield._exact_norms, quadfield._denominators
+
+    def formed(mats):
+        counts["formed"] += len(mats)
+        return exact_norms(mats)
+
+    def opened(points, mats, bounds, every_det):
+        n, bound = mats.shape[-1], bounds.reshape(-1).copy()
+        det, rows, norms = denominators(points, mats, bounds, every_det)
+        if every_det:
+            factor = (quadfield.SINGULAR_DET_FACTOR * quadfield.POLE_MARGIN) ** (1.0 / n)
+            with np.errstate(invalid="ignore", over="ignore"):
+                leaves = ~(np.abs(det) ** (1.0 / n) >= (bound + 1.0) * factor)
+        else:
+            leaves = ~(bound <= 0.5)
+        counts["open"] += int(leaves.sum())
+        counts["stepped"] += bound.size
+        return det, rows, norms
+
+    monkeypatch.setattr(quadfield, "_exact_norms", formed)
+    monkeypatch.setattr(quadfield, "_denominators", opened)
+    return counts
+
+
+class TestExactNormWork:
+    """A kirchhoff verify forms eps*f'(x) at no stepped point at eps 0.05,
+    where every bound decides, and at exactly the points whose bound leaves
+    the decision open at eps 0.4."""
+
+    def test_none_at_eps_005(self, monkeypatch):
+        counts = count_exact_norms(monkeypatch)
+        reports = run_suites([make_system("kirchhoff")], eps=0.05, trials=100, steps=200, seed=7)
+        assert suites_passed(reports)
+        assert counts["stepped"] > 0 and counts["formed"] == counts["open"] == 0
+
+    def test_the_open_points_at_eps_04(self, monkeypatch):
+        counts = count_exact_norms(monkeypatch)
+        run_suites([make_system("kirchhoff")], eps=0.4, trials=100, steps=200, seed=7)
+        assert 0 < counts["open"] < counts["stepped"] and counts["formed"] == counts["open"]
+
+
 class TestStepsPerTrial:
     # every Kahan step, of one state or of a stack, reaches the pole
     # decision once per row
