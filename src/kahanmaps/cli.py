@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .hkbasis import (
+    GAP_RATIO_FLOOR,
     WronskianBasisSpec,
     conjugate_pairs,
     default_window,
@@ -449,7 +450,7 @@ def _report(cfg: ExperimentConfig, desc, out_dir: str) -> int:
         _, _, results = _scan_orders(cfg, desc)
         for order, hk in results:
             expected = order in desc.wronskian_orders
-            ok = hk.null_dim == 1 and hk.gap_ratio >= 1e6
+            ok = hk.null_dim == 1 and hk.gap_ratio >= GAP_RATIO_FLOOR
             if expected:
                 tag = "PASS" if ok else "FAIL"
                 all_passed = all_passed and ok

@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 NULL_SIGMA_FACTOR = 1e-9
+# report grades a declared order's null space sound when its gap_ratio is
+# at least this. Non-integrable controls read gaps <= 3.7e3, the seed-2504
+# rank probe's near-pole windows 4.5e8-6.3e8, and every order 1-8 of the
+# five 6-dim kinds >= 7e13 at eps 0.05 and 0.4 (ROADMAP items 5 and 12).
+GAP_RATIO_FLOOR = 1e6
 # functional_rank counts the singular values above this times the largest.
 # Measured on tangent rows at criterion 07's points (seed 110, 30 each):
 # sigma_4/sigma_1 <= 3.8e-10 on the exactly rank-3 sets I0,J0,J1,J2 and

@@ -44,52 +44,51 @@ same tensor, unscaled, for map_jacobian and verify's measure check.
 
 Its loop carries only what the next point depends on.  The defining
 equation above defines the map; the increment form solves it.  A state
-whose |det(I - eps*f'(x))| falls below a scale-aware threshold sits on a
-pole: its row stops there, that entry keeps its denominator and
-threshold, and every later entry of the row is nan.  The threshold
-grows with nu = |eps*f'(x)|_inf, and nu is bounded without forming
-eps*f'(x): eps*f'(x) = sum_k a_k eps*J_k over the n + 1 slices J_k of
-the step tensor's first n*n columns, so nu <= |a| @ c with c[k] =
-|eps*J_k|_inf.  An orbit reads c from eps * step_tensor once, raised by a
-stated rounding margin (see _norm_bounds) so that |a| @ c is at least the
-nu the step's own matrix gives as computed.  The rows step DECIDE_STEPS
-steps at a time; then one product |points| @ c bounds nu at every
-stepped point of the block, and one call reads the points, their
-matrices and bounds: one det of the matrices gives the denominators,
-and a point whose n-th root of |det| clears the root of its threshold
-at the bound is off a pole, since the threshold only grows with nu.
-Only the points the bound leaves open form eps*f'(x), as I minus their
-matrices, for the exact norm, and only they reach the pole decision.
+whose |det(I - eps*f'(x))| falls below the threshold 1e-13 (1 + nu)^n,
+nu = |eps*f'(x)|_inf, sits on a pole: its row stops there, that entry
+keeps its denominator and threshold, and every later entry of the row is
+nan.  nu is bounded without forming eps*f'(x): eps*f'(x) = sum_k a_k
+eps*J_k over the n + 1 slices J_k of the step tensor's first n*n
+columns, so nu <= |a| @ c with c[k] = |eps*J_k|_inf.  An orbit reads c
+from eps * step_tensor once, raised by a stated rounding margin (see
+_norm_bounds) so that the bound nu' = |a| @ c is at least the nu the
+step's own matrix M = I - eps*f'(x) gives as computed.  The rows step
+DECIDE_STEPS steps at a time; then one product |points| @ c bounds nu at
+every stepped point of the block, and one call decides the block's
+poles in n-th roots, where nothing overflows, in three steps:
+
+- with delta=False (below) a point takes its det only if its bound fails
+  the clearance 1 - nu' >= (1 + nu') (1e-13 POLE_MARGIN)^(1/n), and is
+  off a pole otherwise: every eigenvalue of M lies within |I - M|_inf <=
+  nu' of 1, so |det M| >= (1 - nu')^n, above the threshold at nu', and
+  cond_inf(M) <= (1 + nu')/(1 - nu') <= 1e13^(1/n), at most 3.2e6 from
+  n = 2 (a 1 x 1 det is exact), keeps the computed det's rounding far
+  inside POLE_MARGIN.  With delta=True every point takes its det;
+- a point whose n-th root of |det| clears the root of its threshold at
+  its bound is off a pole, since the threshold only grows with nu;
+- only the points left open form eps*f'(x), as I minus their matrices,
+  for the exact norm, and are poles where |det| < 1e-13 (1 + nu)^n.
+
 Every stepped point passes through that call once; a row's steps past
 its first pole in the block, at most DECIDE_STEPS - 1, are dropped.  The
 products, the solve and det give each row the same bits in a stack of
-any size, and the bound only skips decisions the exact norm would make
+any size, and the bounds only skip decisions the exact norm would make
 the same way, so the block's denominators, decisions and thresholds are
-those of the steps one at a time with exact norms.  From the unit ball,
-on the six catalog kinds, the bound decides all but at most 2.3% of the
-points of 1000-step orbits at eps 0.05; at eps 0.4 it still clears
-almost every det, but leaves 51-95% of the points of delta=False orbits
-(below) to their exact norms.  Every step is a KahanBatch:
+those of the steps one at a time with exact norms.  On 1000-step orbits
+of 200 unit-ball states per catalog kind, no point is left to the exact
+norm at eps 0.05 or 0.4, and a delta=False orbit takes no det at eps
+0.05 and 15-74% of them at eps 0.4.  Every step is a KahanBatch:
 kahan_step_batch is the one-step orbit of a stack without its step axis,
 and kahan_step entry (0, 0) of the one-step orbit of one state, which
 raises SingularStepError at a pole; a state gets the same numbers from
 all three, bit for bit.  delta is the denominator of that one-step
-orbit.  Whether a pole at the first
-step of an orbit is an error is for the caller to say.
+orbit.  Its caller says whether a pole at an orbit's first step is an error.
 
 The callers that never read the denominators, verify's conservation
 orbits and backward reversibility steps and hkbasis's iterate_orbit and
-Wronskian ratio orbits, pass kahan_orbit delta=False.  Then the det is
-taken only at the points whose nu is above 1/2 or not finite; every
-other point keeps a nan denominator and is not a pole.  A point whose
-bound is at most 1/2 takes neither its exact norm nor its det.
-That decision is the full one: every eigenvalue of eps*f'(x) lies within
-nu of 0, so for nu <= 1/2 every eigenvalue of I - eps*f'(x) lies within
-1/2 of 1 and |det| >= 2^-n; the matrix's condition number is at most 3,
-so the computed det is too.
-The threshold is 1e-13 (1 + nu)^n <= 1e-13 1.5^n, 1.2e-12 at n = 6, which
-2^-n clears while 3^n < 1e13, by 10 decades at n = 6; a larger n takes
-every det.
+Wronskian ratio orbits, pass kahan_orbit delta=False.  Then every point
+the clearance decides keeps a nan denominator and is not a pole, and the
+points, poles and thresholds are those of the full orbit.
 
 Measured against the exact rational step from the same floats
 (tests/exact_clebsch.py), on 200 states in the unit ball per catalog kind,
@@ -210,34 +209,15 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
-def _roots(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
-    """The n-th roots |det|^(1/n) of a stack's denominators and the roots
-    (1 + norm) (SINGULAR_DET_FACTOR POLE_MARGIN)^(1/n) of their thresholds
-    SINGULAR_DET_FACTOR (1 + norm)^n, raised by the relative margin
-    POLE_MARGIN: in n-th roots nothing overflows."""
-    root = np.abs(det)
-    root **= 1.0 / n
-    bound = norms + 1.0
-    bound *= (SINGULAR_DET_FACTOR * POLE_MARGIN) ** (1.0 / n)
-    return root, bound
-
-
 def _poles(det: np.ndarray, norms: np.ndarray, n: int) -> tuple:
     """The rows of a stack whose |det| falls below the threshold
     SINGULAR_DET_FACTOR (1 + norm)^n, the power n tracking how |det| grows
-    with the matrix norm, and those thresholds, as lists. One array
-    comparison of their _roots clears every row whose |det| passes its
-    threshold by the relative margin POLE_MARGIN; only the rows it leaves
-    take their thresholds, from libm's pow as np.float_power, inf where the
-    power overflows."""
-    root, bound = _roots(det, norms, n)
-    near = np.less(root, bound).nonzero()[0]
-    if not len(near):
-        return [], []
+    with the matrix norm, and those thresholds, as lists: libm's pow as
+    np.float_power, inf where the power overflows."""
     with np.errstate(over="ignore"):
-        thresholds = SINGULAR_DET_FACTOR * np.float_power(norms[near] + 1.0, float(n))
-    pole = np.abs(det[near]) < thresholds
-    return near[pole].tolist(), thresholds[pole].tolist()
+        thresholds = SINGULAR_DET_FACTOR * np.float_power(norms + 1.0, float(n))
+    pole = np.abs(det) < thresholds
+    return pole.nonzero()[0].tolist(), thresholds[pole].tolist()
 
 
 def _norm_bounds(scaled: np.ndarray, n: int) -> np.ndarray:
@@ -268,38 +248,35 @@ def _exact_norms(mats: np.ndarray) -> np.ndarray:
     return np.abs(jacs, out=jacs).sum(-1).max(-1)
 
 
-def _denominators(points: np.ndarray, mats: np.ndarray, bounds: np.ndarray, every_det: bool) -> tuple:
+def _denominators(points: np.ndarray, mats: np.ndarray, bounds: np.ndarray, delta: bool) -> tuple:
     """The pole decision's inputs for a block's stepped points[block, B,
     n + 1], from the step matrices mats[block, B, n, n] the loop built them
     from and bounds[block, B] on their |eps*f'(x)|_inf, each flat in
     step-major order: the denominators det(I - eps*f'(x)), the rows whose
     decision the bounds leave open, ascending, and the exact norms of
-    those rows. A row whose n-th root of |det| clears the root of its
-    threshold at its bound (see _roots) clears it at its exact norm too, so
-    it is off a pole; every other row, a nan det or bound among them, is
-    open and takes its exact norm. With every_det False the det is taken
-    only where the exact norm is above 1/2 or not finite, and is nan
-    elsewhere: the exact norm is taken where the bound is above 1/2 or not
-    finite, and the open rows are those that take the det. Every stepped
-    point passes through here once, in the block it is stepped in. The
-    points are not read here: they name the rows for a wrapper of this
-    call, as the test suite's pole placement and step counts are."""
+    those rows. With delta every row takes its det; without it only the
+    rows whose bound fails the clearance (see the module docstring) do,
+    and the others keep a nan det. A row that took its det is open unless
+    its n-th root of |det| clears the root of its threshold at its bound;
+    a nan det or bound leaves it open. Every stepped point passes through
+    here once, in the block it is stepped in. The points are not read:
+    they name the rows for the tests' wrappers of this call."""
     n = mats.shape[-1]
     mats, bounds = mats.reshape(-1, n, n), bounds.reshape(-1)
-    if every_det:
-        det = np.linalg.det(mats)
-        root, bound = _roots(det, bounds, n)
-        rows = np.flatnonzero(~(root >= bound))
-        return det, rows, _exact_norms(mats[rows])
-    det = np.full(bounds.shape, np.nan)
-    rows = np.flatnonzero(~(bounds <= 0.5))
-    if not len(rows):
-        return det, rows, bounds[rows]
-    norms = _exact_norms(mats[rows])
-    taken = ~(norms <= 0.5)
-    rows, norms = rows[taken], norms[taken]
-    det[rows] = np.linalg.det(mats[rows])
-    return det, rows, norms
+    # the n-th roots of the thresholds at the bounds, raised by POLE_MARGIN
+    clear = (bounds + 1.0) * (SINGULAR_DET_FACTOR * POLE_MARGIN) ** (1.0 / n)
+    if delta:
+        det, taken = np.linalg.det(mats), slice(None)
+    else:
+        det, taken = np.full(bounds.shape, np.nan), np.flatnonzero(~(1.0 - bounds >= clear))
+        if not len(taken):
+            return det, taken, bounds[taken]
+        det[taken] = np.linalg.det(mats[taken])
+    root = np.abs(det[taken])
+    root **= 1.0 / n
+    rows = np.flatnonzero(~(root >= clear[taken]))
+    rows = rows if delta else taken[rows]
+    return det, rows, _exact_norms(mats[rows])
 
 
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
@@ -347,9 +324,9 @@ def kahan_orbit(
     point k + 1 is next[k]). first, when given, holds the steps from x,
     which are then not taken again. A row stops at its first pole (see the
     module docstring). With delta=False the denominators are taken only
-    where the pole decision needs them, at the points whose
-    |eps*f'(x)|_inf is above 1/2 or not finite, and are nan elsewhere; the
-    points, poles and thresholds are unchanged (see the module docstring).
+    where the pole decision needs them, at the points whose norm bound
+    fails the clearance, and are nan elsewhere; the points, poles and
+    thresholds are unchanged (see the module docstring).
 
     The rows still off a pole step DECIDE_STEPS at a time: each step takes
     one product of [x, 1] with eps * field.step_tensor, folded so that it
@@ -357,10 +334,10 @@ def kahan_orbit(
     2*eps*f(x), and solves (I - eps*f'(x)) (x~ - x) = 2*eps*f(x) by LU with
     partial pivoting, and nothing else. Then |[x, 1]| @ c, c the norms of
     the tensor's slices with a rounding margin, read once an orbit, bounds
-    |eps*f'(x)|_inf at every stepped point of the block; the matrices give
-    the denominators, and only the points whose bound leaves the pole
-    decision open take the exact norm, from I minus their matrices, and
-    reach it. A row's steps past its first pole are dropped.
+    |eps*f'(x)|_inf at every stepped point of the block, and the block's
+    poles are decided from the bounds, the matrices' dets and, where those
+    leave it open, exact norms. A row's steps past its first pole are
+    dropped.
     """
     x = np.asarray(x, dtype=float)
     count, n = x.shape
@@ -372,8 +349,6 @@ def kahan_orbit(
     )
     # the rows off a pole (all until one is met), their points, and the buffers' row count
     live, point, k, live_count = slice(None), x, 0, 0
-    # below |eps*f'(x)|_inf = 1/2, |det| >= 2^-n clears the threshold while 3^n < 1e13
-    every_det = delta or 3.0**n * SINGULAR_DET_FACTOR >= 1.0
     if first is not None and steps:
         orbit.next[0], orbit.delta[0], orbit.pole[0] = first[:3]
         orbit.threshold[0, first.pole] = first.threshold[first.pole]
@@ -417,7 +392,7 @@ def kahan_orbit(
                 solve1(mat, rhs, x_next)
                 np.add(x, x_next, x_next)
             bounds = np.abs(points[:block]) @ norm_bounds
-            det, open_rows, norms = _denominators(points[:block], mats[:block], bounds, every_det)
+            det, open_rows, norms = _denominators(points[:block], mats[:block], bounds, delta)
             poles, thresholds = _poles(det[open_rows], norms, n) if len(open_rows) else ((), ())
             orbit.next[k : k + block, live] = xs[1 : block + 1]
             orbit.delta[k : k + block, live] = det.reshape(block, -1)

@@ -11,6 +11,7 @@ Last, the package reaches numpy's private modules in two places only.
 """
 
 import ast
+import functools
 import glob
 import importlib
 import importlib.util
@@ -75,16 +76,32 @@ def test_all_names_resolve(layer):
     assert not missing
 
 
-def loaded_names(tree, skip=None):
-    """The names tree reads, outside its top-level def or class named skip."""
-    names = set()
-    for top in tree.body:
-        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
-            continue
-        names.update(
-            node.id for node in ast.walk(top) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        )
-    return names
+def loaded_names(node):
+    """The names read anywhere under node."""
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+@functools.lru_cache(maxsize=None)
+def callers():
+    """Read once a session: per package module, the names each top-level
+    statement reads, beside the name of the def or class it is (None for
+    any other statement); the benchmark's sources; and the names the
+    README sketch reads."""
+    reads = {}
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        reads[os.path.splitext(os.path.basename(path))[0]] = [
+            (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None, loaded_names(top))
+            for top in tree.body
+        ]
+    bench = ""
+    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            bench += fh.read()
+    with open(README, encoding="utf-8") as fh:
+        (sketch,) = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    return reads, bench, loaded_names(ast.parse(sketch))
 
 
 @pytest.mark.parametrize("layer", MODULES)
@@ -92,24 +109,16 @@ def test_every_export_has_a_caller(layer):
     # a caller is a read of the name in the package (its own definition
     # aside), a word in the benchmark's sources, or a read in the README sketch
     module = importlib.import_module(f"kahanmaps.{layer}")
-    trees = {}
-    for path in glob.glob(os.path.join(SRC, "*.py")):
-        with open(path, encoding="utf-8") as fh:
-            trees[os.path.splitext(os.path.basename(path))[0]] = ast.parse(fh.read())
-    bench = ""
-    for path in glob.glob(os.path.join(PERFBENCH, "*.py")):
-        with open(path, encoding="utf-8") as fh:
-            bench += fh.read()
-    with open(README, encoding="utf-8") as fh:
-        (sketch,) = re.findall(r"^```python\n(.*?)^```$", fh.read(), re.M | re.S)
+    reads, bench, sketch = callers()
     uncalled = []
     for name in module.__all__:
-        read = [loaded_names(tree, name if other == layer else None) for other, tree in trees.items()]
-        if not (
-            any(name in names for names in read)
-            or re.search(rf"\b{name}\b", bench)
-            or name in loaded_names(ast.parse(sketch))
-        ):
+        read = any(
+            name in names
+            for other, tops in reads.items()
+            for top, names in tops
+            if not (other == layer and top == name)
+        )
+        if not (read or re.search(rf"\b{name}\b", bench) or name in sketch):
             uncalled.append(name)
     assert sorted(uncalled) == sorted(name for other, name in UNCALLED if other == layer)
 

@@ -883,12 +883,22 @@ def spread_states(desc, rng, count=11):
     return np.concatenate([np.geomspace(0.05, 6.0, count)[:, None] * directions, np.full((1, desc.dim), np.nan)])
 
 
+def fails_the_clearance(bounds, n):
+    """Where a norm bound nu' fails the det-free clearance 1 - nu' >= (1 +
+    nu') (SINGULAR_DET_FACTOR POLE_MARGIN)^(1/n), restated; a nan bound
+    fails it."""
+    factor = (quadfield.SINGULAR_DET_FACTOR * quadfield.POLE_MARGIN) ** (1.0 / n)
+    with np.errstate(invalid="ignore"):
+        return ~(1.0 - bounds >= (bounds + 1.0) * factor)
+
+
 def delta_free_against_full(field, xs, eps, steps, first=None):
     """kahan_orbit with delta=False against the full orbit: the same points,
     poles, thresholds and ends, and the full orbit's denominator at every
-    entry whose point has |eps*f'(x)|_inf above 1/2 or not finite (entry
-    0 too when first gives it), nan elsewhere. Returns the full orbit and
-    the norms at the points its entries step from."""
+    entry whose point's norm bound, from _norm_bounds, fails the clearance,
+    at every pole entry, and at entry 0 when first gives it; nan elsewhere.
+    Returns the full orbit, the norms at the points its entries step from,
+    and the mask of the entries that take the det."""
     full = kahan_orbit(field, xs, eps, steps, first)
     free = kahan_orbit(field, xs, eps, steps, first, delta=False)
     assert same(free.next, full.next) and same(free.pole, full.pole) and same(free.threshold, full.threshold)
@@ -899,17 +909,17 @@ def delta_free_against_full(field, xs, eps, steps, first=None):
     points = np.concatenate([xs[None], full.next[:-1]])
     augmented = np.concatenate([points, np.ones((*points.shape[:-1], 1))], axis=-1)
     n = field.dim
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         mats = np.vecmat(augmented, folded_step_tensor(field, eps))[..., : n * n].reshape(*points.shape, n)
         unbounded = np.full(points.shape[:-1], np.nan)
         _, rows, norms = quadfield._denominators(augmented, mats, unbounded, True)
+        bounds = np.abs(augmented) @ quadfield._norm_bounds(eps * field.step_tensor, n)
     assert np.array_equal(rows, np.arange(unbounded.size))
-    norms = norms.reshape(points.shape[:-1])
-    taken = ~(norms <= 0.5)
+    taken = fails_the_clearance(bounds, n) | full.pole
     if first is not None:
         taken[0] = True
     assert same(free.delta, np.where(taken, full.delta, np.nan))
-    return full, norms
+    return full, norms.reshape(points.shape[:-1]), taken
 
 
 class TestDeltaFreeOrbit:
@@ -922,15 +932,16 @@ class TestDeltaFreeOrbit:
     @pytest.mark.parametrize("with_first", [False, True])
     def test_equals_the_full_orbit(self, kind, eps, with_first):
         # states from 0.05 to 6 in radius put points on both sides of
-        # |eps*f'(x)|_inf = 1/2, and a nan state carries nan; 70 steps
-        # cross a block edge
+        # |eps*f'(x)|_inf = 1/2 and of the clearance, and a nan state
+        # carries nan; 70 steps cross a block edge
         desc = make_system(kind)
         xs = spread_states(desc, np.random.default_rng(47))
         first = kahan_step_batch(desc.field, xs, eps) if with_first else None
         with np.errstate(over="ignore", invalid="ignore"):
-            full, norms = delta_free_against_full(desc.field, xs, eps, 70, first)
+            full, norms, taken = delta_free_against_full(desc.field, xs, eps, 70, first)
         reached = np.arange(70)[:, None] <= full.ends()
         assert (norms[reached] <= 0.5).any() and (norms[reached] > 0.5).any()
+        assert (~taken[reached]).any() and taken[reached & np.isfinite(norms)].any()
 
     @pytest.mark.parametrize("with_first", [False, True])
     @pytest.mark.parametrize("k", [0, 5, quadfield.DECIDE_STEPS])
@@ -943,7 +954,7 @@ class TestDeltaFreeOrbit:
         point = kahan_orbit(desc.field, xs[1:2], eps, k).next[k - 1, 0] if k else xs[1]
         place_pole(monkeypatch, point)
         first = kahan_step_batch(desc.field, xs, eps) if with_first else None
-        full, norms = delta_free_against_full(desc.field, xs, eps, steps, first)
+        full, norms, _ = delta_free_against_full(desc.field, xs, eps, steps, first)
         assert list(full.ends()) == [steps, k, steps] and norms[k, 1] == math.inf
         free = kahan_orbit(desc.field, xs, eps, steps, first, delta=False)
         assert free.delta[k, 1] == full.delta[k, 1]
@@ -964,7 +975,7 @@ class TestDeltaFreeOrbit:
         assert root is not None, "no real root of the denominator in 50 states"
         xs = np.array([0.5 * x, x, kahan_step(desc.field, x, -root).next])
         first = kahan_step_batch(desc.field, xs, root) if with_first else None
-        full, _ = delta_free_against_full(desc.field, xs, root, 3, first)
+        full, _, _ = delta_free_against_full(desc.field, xs, root, 3, first)
         assert list(full.ends()[1:]) == [0, 1]
         free = kahan_orbit(desc.field, xs, root, 3, first, delta=False)
         assert free.delta[0, 1] == full.delta[0, 1] and free.delta[1, 2] == full.delta[1, 2]
@@ -983,42 +994,24 @@ class TestDeltaFreeOrbit:
         with np.errstate(over="ignore", invalid="ignore"):
             delta_free_against_full(field, xs, eps, 8)
 
-    def test_large_dimension_takes_every_det(self):
-        # at n = 28, 2^-n no longer clears 1e-13 (1 + 1/2)^n: every point
-        # takes its det
-        rng = np.random.default_rng(59)
-        field = random_field(rng, 28, scale=0.01)
-        xs = rng.uniform(-0.1, 0.1, (2, 28))
-        full = kahan_orbit(field, xs, 0.05, 5)
-        free = kahan_orbit(field, xs, 0.05, 5, delta=False)
-        for column, expected in zip(free, full):
-            assert same(column, expected)
-        assert np.isfinite(free.delta).all()
 
-
-def exact_norm_rule(points, mats, bounds, every_det):
-    """The block rule as it stood before the norm bound, frozen and put
-    behind the bound's seam: the norm |eps*f'(x)|_inf of every stepped
-    point, from I minus its matrix, and the det at every point, or with
-    every_det False only where the norm is above 1/2 or not finite; the
-    bounds are not read, and every point goes to the pole decision."""
+def exact_norm_rule(points, mats, bounds, delta):
+    """The block rule by its definition, frozen and put behind the bound's
+    seam: the det and the norm |eps*f'(x)|_inf of every stepped point, from
+    I minus its matrix; neither the bounds nor the delta mode is read, and
+    every point goes to the pole decision."""
     n = mats.shape[-1]
     jacs = np.eye(n) - mats
     norms = np.abs(jacs, out=jacs).sum(-1).max(-1).reshape(-1)
-    mats = mats.reshape(-1, n, n)
-    if every_det:
-        return np.linalg.det(mats), np.arange(norms.size), norms
-    det = np.full(norms.shape, np.nan)
-    near = ~(norms <= 0.5)
-    if near.any():
-        det[near] = np.linalg.det(mats[near])
-    return det, np.arange(norms.size), norms
+    return np.linalg.det(mats.reshape(-1, n, n)), np.arange(norms.size), norms
 
 
 def against_the_exact_rule(field, xs, eps, steps, first=None, pole_point=None):
     """kahan_orbit, in both delta modes, against the same orbit decided by
-    exact_norm_rule: every column bit for bit. pole_point, when given, is
-    placed as a pole on both sides. Returns the full orbit."""
+    exact_norm_rule: every column bit for bit, but for the denominators of
+    the delta=False orbit, which match wherever they are taken, at every
+    pole entry among them. pole_point, when given, is placed as a pole on
+    both sides. Returns the full orbit."""
     orbits = []
     for rule in (None, exact_norm_rule):
         with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
@@ -1027,10 +1020,14 @@ def against_the_exact_rule(field, xs, eps, steps, first=None, pole_point=None):
             if pole_point is not None:
                 place_pole(patch, pole_point)
             orbits.append([kahan_orbit(field, xs, eps, steps, first, delta=d) for d in (True, False)])
-    for got, expected in zip(*orbits):
-        for column, want in zip(got, expected):
-            assert column.tobytes() == want.tobytes()
-    return orbits[0][0]
+    (full, free), (expected_full, expected_free) = orbits
+    for got, expected in ((full, expected_full), (free, expected_free)):
+        for name in ("next", "pole", "threshold"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert full.delta.tobytes() == expected_full.delta.tobytes()
+    taken = ~np.isnan(free.delta)
+    assert free.delta[taken].tobytes() == expected_free.delta[taken].tobytes() and taken[free.pole].all()
+    return full
 
 
 class TestNormBound:
@@ -1074,9 +1071,9 @@ class TestNormBound:
         seen = []
         denominators = quadfield._denominators
 
-        def kept(points, mats, bounds, every_det):
+        def kept(points, mats, bounds, delta):
             seen.append((points.copy(), mats.copy(), bounds.copy()))
-            return denominators(points, mats, bounds, every_det)
+            return denominators(points, mats, bounds, delta)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quadfield, "_denominators", kept)
@@ -1149,6 +1146,55 @@ class TestNormBound:
         rng = np.random.default_rng(seed)
         field = random_field(rng, n)
         against_the_exact_rule(field, rng.uniform(-radius, radius, (4, n)), eps, 8)
+
+
+def floats_around(value, ulps):
+    """value and the floats up to ulps steps from it on either side."""
+    below = [value]
+    for _ in range(ulps):
+        below.append(np.nextafter(below[-1], -math.inf))
+    above = [value]
+    for _ in range(ulps):
+        above.append(np.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestClearanceEdge:
+    """On quad = 0, const = 0 and lin = (nu/eps) I the step matrix is
+    M = (1 - nu) I at every point, so Delta = (1 - nu)^n is the
+    clearance's lower bound itself: ulps either side of the clearance's
+    edge and of the true pole edge (1 - nu)/(1 + nu) = 10^(-13/n)."""
+
+    @pytest.mark.parametrize("n", [1, 6, 28, 66])
+    def test_scaled_identity(self, n):
+        # eps a power of two, so that eps (nu/eps) is nu
+        eps, u = 0.5, np.finfo(float).eps / 2
+        factor = (quadfield.SINGULAR_DET_FACTOR * quadfield.POLE_MARGIN) ** (1.0 / n)
+        # the nu whose bound, nu (1 + 8 (n + 2) u) + 4 (n + 2) u, is on the
+        # clearance's edge, and the pole edge
+        clear_edge = ((1.0 - factor) / (1.0 + factor) - 4 * (n + 2) * u) / (1.0 + 8 * (n + 2) * u)
+        root = 10.0 ** (-13.0 / n)
+        pole_edge = (1.0 - root) / (1.0 + root)
+        xs = np.stack([np.ones(n), np.linspace(-1.0, 1.0, n)])
+        sides, poles = set(), 0
+        for nu in floats_around(clear_edge, 6) + floats_around(pole_edge, 6):
+            field = QuadraticVectorField(np.zeros((n, n, n)), (nu / eps) * np.eye(n), np.zeros(n))
+            assert (eps * field.step_tensor[n, : n * n] == nu * np.eye(n).reshape(-1)).all()
+            full = against_the_exact_rule(field, xs, eps, 2)
+            # every point's bound is the constant slice's
+            clears = not fails_the_clearance(quadfield._norm_bounds(eps * field.step_tensor, n)[n], n)
+            free = kahan_orbit(field, xs, eps, 2, delta=False)
+            assert same(free.delta, np.where(clears, np.nan, full.delta))
+            sides.add(clears)
+            poles += int(full.pole.any())
+            if clears:
+                # cleared without a det: a non-pole by the definition, at
+                # the det as computed and exactly
+                m = 1.0 - nu
+                assert not full.pole.any() and not scalar_pole_rule(full.delta[0, 0], abs(1.0 - m), n)[0]
+                assert Fraction(m) ** n >= Fraction(quadfield.SINGULAR_DET_FACTOR) * (2 - Fraction(m)) ** n
+        # the sweeps cross both edges
+        assert sides == {False, True} and 0 < poles < 13
 
 
 def einsum_jacobian(field, x):

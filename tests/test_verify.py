@@ -574,9 +574,11 @@ class TestStackedConservation:
 def count_exact_norms(monkeypatch):
     """Counts, from now on, of the stepped points whose eps*f'(x) kahan_orbit
     forms to take its exact norm ("formed"), and of those whose norm bound
-    leaves the pole decision open by the rule restated here ("open"): with
-    delta=False a bound above 1/2 or not finite, and otherwise a root of
-    |det| below the bound's root of the threshold, or not a number."""
+    leaves the pole decision open by the rule restated here ("open"): a
+    point takes its det with delta, or else where its bound nu' fails the
+    clearance 1 - nu' >= (1 + nu') (1e-13 POLE_MARGIN)^(1/n), and is open
+    where it takes its det and the n-th root of |det| is below the bound's
+    root of the threshold, or not a number."""
     counts = {"formed": 0, "open": 0, "stepped": 0}
     exact_norms, denominators = quadfield._exact_norms, quadfield._denominators
 
@@ -584,15 +586,13 @@ def count_exact_norms(monkeypatch):
         counts["formed"] += len(mats)
         return exact_norms(mats)
 
-    def opened(points, mats, bounds, every_det):
+    def opened(points, mats, bounds, delta):
         n, bound = mats.shape[-1], bounds.reshape(-1).copy()
-        det, rows, norms = denominators(points, mats, bounds, every_det)
-        if every_det:
-            factor = (quadfield.SINGULAR_DET_FACTOR * quadfield.POLE_MARGIN) ** (1.0 / n)
-            with np.errstate(invalid="ignore", over="ignore"):
-                leaves = ~(np.abs(det) ** (1.0 / n) >= (bound + 1.0) * factor)
-        else:
-            leaves = ~(bound <= 0.5)
+        det, rows, norms = denominators(points, mats, bounds, delta)
+        factor = (quadfield.SINGULAR_DET_FACTOR * quadfield.POLE_MARGIN) ** (1.0 / n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            taken = delta | ~(1.0 - bound >= (bound + 1.0) * factor)
+            leaves = taken & ~(np.abs(det) ** (1.0 / n) >= (bound + 1.0) * factor)
         counts["open"] += int(leaves.sum())
         counts["stepped"] += bound.size
         return det, rows, norms
@@ -603,9 +603,10 @@ def count_exact_norms(monkeypatch):
 
 
 class TestExactNormWork:
-    """A kirchhoff verify forms eps*f'(x) at no stepped point at eps 0.05,
-    where every bound decides, and at exactly the points whose bound leaves
-    the decision open at eps 0.4."""
+    """A kirchhoff verify forms eps*f'(x) at no stepped point at eps 0.05 or
+    0.4, where the bounds decide every point, and an orbit through an exact
+    root of its denominator forms it at exactly the points whose bound
+    leaves the decision open."""
 
     def test_none_at_eps_005(self, monkeypatch):
         counts = count_exact_norms(monkeypatch)
@@ -613,10 +614,28 @@ class TestExactNormWork:
         assert suites_passed(reports)
         assert counts["stepped"] > 0 and counts["formed"] == counts["open"] == 0
 
-    def test_the_open_points_at_eps_04(self, monkeypatch):
+    def test_none_at_eps_04(self, monkeypatch):
+        # 689 of the 1203 stepped points have a norm bound above 1/2, yet
+        # the clearance or the det decides every one
         counts = count_exact_norms(monkeypatch)
         run_suites([make_system("kirchhoff")], eps=0.4, trials=100, steps=200, seed=7)
-        assert 0 < counts["open"] < counts["stepped"] and counts["formed"] == counts["open"]
+        assert counts["stepped"] > 0 and counts["formed"] == counts["open"] == 0
+
+    @pytest.mark.parametrize("delta", [True, False])
+    def test_the_open_points_at_an_exact_root(self, delta, monkeypatch):
+        # eps a root of det(I - eps*f'(x)): x's row is open at step 0
+        desc = make_system("kirchhoff")
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            x = draw_initial_state(rng, desc, 0.05)
+            root = pole_eps(desc.field, x)
+            if root is not None:
+                break
+        assert root is not None, "no real root of the denominator in 50 states"
+        counts = count_exact_norms(monkeypatch)
+        orbit = quadfield.kahan_orbit(desc.field, np.array([0.5 * x, x]), root, 3, delta=delta)
+        assert orbit.pole[0, 1] and 0 < counts["open"] < counts["stepped"]
+        assert counts["formed"] == counts["open"]
 
 
 class TestStepsPerTrial:
