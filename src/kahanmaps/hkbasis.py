@@ -25,10 +25,16 @@ Every caller decides its windows with _decide, one stacked decomposition
 and its decision: hk_nullspace a stack of one and ratio extraction every
 sliding window of the orbit, both built by _windows, and a WronskianRatio
 integral every order's first window of each orbit in a stack of initial
-states stepped as one batch.  functional_rank takes the gradients of the
-ratios that share an orbit from that one orbit of x and its tangents
-dx_k/dx_0, carried by the Kahan map's closed-form Jacobian, so each
-derivative is exact to rounding and no perturbed state is stepped.
+states stepped as one batch.  _windows evaluates each observable once a
+base point and slices the windows from those per-point columns.  _decide
+takes the singular values and right vectors from the SVD of each window's
+R factor wherever LAPACK's dgesdd factors the window that way itself (at
+least its MNTHR = floor(11m/6) rows, and entries inside the range where it
+rescales nothing), which gives the same bits without forming Q or U; U
+is formed only for the ratios' gradients.  functional_rank takes the
+gradients of the ratios that share an orbit from that one orbit of x and
+its tangents dx_k/dx_0, carried by the Kahan map's closed-form Jacobian,
+so each derivative is exact to rounding and no perturbed state is stepped.
 """
 
 from __future__ import annotations
@@ -85,6 +91,9 @@ PIVOT_FLOOR = 1e-6
 # a ratio sequence is constant while every entry stays within this times
 # 1 + |its median| of the median
 RATIO_TOL = 1e-9
+# dgesdd rescales a matrix whose largest |entry| lies outside [this, 1 /
+# this]: its SMLNUM, sqrt(safe minimum) / eps, about 6.7e-139
+_SVD_UNSCALED = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 def iterate_orbit(
     field: QuadraticVectorField, x0: np.ndarray, eps: float, steps: int
@@ -236,6 +245,11 @@ def _windows(
     one per base in the int array starts: row r of the window at base b
     holds every observable at base b + r.
 
+    Each observable is evaluated once a base point, over the bases 0 ..
+    max(starts) + window - 1, and the windows are slices of those per-point
+    columns (sliding_window_view), copied once into one contiguous array,
+    so a cell has the arithmetic of its base alone.
+
     The window height is checked against m, then every window against the
     orbit and every observable's reach; an observable that still rejects
     its bases (a Wronskian pair outside the state dimension) raises
@@ -248,11 +262,13 @@ def _windows(
     if outside.any():
         start = starts[outside][0]
         raise ValueError(f"orbit too short for window of {window} rows starting at {start}")
-    bases = starts[..., None] + np.arange(window)
+    bases = np.arange(starts.max(initial=0) + window)
     try:
-        return np.stack([observe.column(states, bases) for observe in observables], -1)
+        columns = np.stack([observe.column(states, bases) for observe in observables], -1)
     except IndexError as exc:
         raise ValueError(str(exc)) from exc
+    slices = np.lib.stride_tricks.sliding_window_view(columns, window, axis=-2)
+    return np.take(slices.swapaxes(-2, -1), starts, axis=-3)
 
 
 def _check_window(m: int, window: int) -> None:
@@ -270,26 +286,52 @@ def _null_vectors(rows: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple:
     toward the null space only while it and every direction after it have
     sigma < NULL_SIGMA_FACTOR * sigma_max and a normalized vector that
     annihilates the matrix to ANNIHILATION_FACTOR * sigma_max; when
-    sigma_max is 0 every direction counts.
+    sigma_max is 0 every direction counts.  Residuals are taken only for
+    the directions from `first` on, as many trailing ones as the most that
+    pass the sigma test in any window: no window's trailing run of passing
+    directions is longer.
     """
     pivots = np.take_along_axis(vt, np.argmax(np.abs(vt), axis=-1)[..., None], axis=-1)
     vectors = vt / pivots
-    # one matrix-vector product per direction, the same bits as rows @ v
-    residual = np.max(np.abs(rows[:, None] @ vectors[..., None]), axis=(-2, -1))
     sigma_max = sv[:, :1]
-    accepted = (sigma_max <= 0) | (
-        (sv < NULL_SIGMA_FACTOR * sigma_max) & ~(residual > ANNIHILATION_FACTOR * sigma_max)
-    )
+    accepted = sv < NULL_SIGMA_FACTOR * sigma_max
+    first = vt.shape[-1] - int(accepted.sum(axis=-1).max(initial=0))
+    # one matrix-vector product per direction, the same bits as rows @ v
+    residual = np.max(np.abs(rows[:, None] @ vectors[:, first:, :, None]), axis=(-2, -1))
+    accepted[:, first:] &= ~(residual > ANNIHILATION_FACTOR * sigma_max)
+    accepted |= sigma_max <= 0
     null_dim = np.logical_and.accumulate(accepted[:, ::-1], axis=-1).sum(axis=-1)
     return vectors, null_dim
 
 
-def _decide(windows: np.ndarray) -> tuple:
+def _decide(windows: np.ndarray, left: bool = False) -> tuple:
     """The thin SVD u, sv[W, m], vt of a stack of window matrices
     windows[W, r, m] and their null spaces, (u, sv, vt, vectors, null_dim)
-    with the last two as _null_vectors returns them."""
-    u, sv, vt = np.linalg.svd(windows, full_matrices=False)
-    return (u, sv, vt, *_null_vectors(windows, sv, vt))
+    with the last two as _null_vectors returns them; u is None unless
+    `left` asks for it.
+
+    LAPACK's dgesdd, which np.linalg.svd calls, factors a window of r >=
+    floor(11m/6) rows (its MNTHR) as QR first and takes sigma and V from
+    the SVD of the m x m factor R (Chan's R-SVD); forming Q and U = Q U_R
+    is most of its cost. Without `left` such a stack is factored here the
+    same way, np.linalg.svd of np.linalg.qr(mode="r"): the same dgeqrf,
+    then the same bidiagonal SVD of R, so the same bits (checked on the
+    reference dgesdd of numpy 2.4's OpenBLAS 0.3.31, m = 1..7), provided
+    dgesdd rescales neither matrix. It rescales a matrix whose largest
+    |entry| lies outside [_SVD_UNSCALED, 1 / _SVD_UNSCALED], and each column
+    of R has its window column's 2-norm, so R's largest entry lies within
+    a factor sqrt(r) of the window's; the window must clear the range by
+    2 sqrt(r). Any other stack (short windows, a window near or past
+    either end of the range, a zero window among them, and every stack
+    whose U is read) takes the direct thin SVD."""
+    r, m = windows.shape[-2:]
+    top = np.abs(windows).max(axis=(-2, -1))
+    low = 2.0 * np.sqrt(r) * _SVD_UNSCALED
+    if left or r < 11 * m // 6 or not ((top >= low) & (top <= 1 / low)).all():
+        u, sv, vt = np.linalg.svd(windows, full_matrices=False)
+    else:
+        u, sv, vt = np.linalg.svd(np.linalg.qr(windows, mode="r"))  # u is R's
+    return (u if left else None, sv, vt, *_null_vectors(windows, sv, vt))
 
 
 def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: int) -> HKNullSpaceReport:
@@ -502,7 +544,7 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
     rows = _wronskian(orbit, orbit, up, base, i, j)
     fits = points[:, None] >= window + np.array(orders)
     usable = fits & np.isfinite(rows).all(axis=(-2, -1))
-    u, sv, vt, vectors, null_dim = _decide(rows[usable])
+    u, sv, vt, vectors, null_dim = _decide(rows[usable], left=gradients)
     v = np.ones(usable.shape + (len(pairs),))
     v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
     dims = np.zeros(usable.shape, dtype=int)  # 0 on rows that have no window

@@ -85,10 +85,11 @@ all three, bit for bit.  delta is the denominator of that one-step
 orbit.  Its caller says whether a pole at an orbit's first step is an error.
 
 The callers that never read the denominators, verify's conservation
-orbits and backward reversibility steps and hkbasis's iterate_orbit and
-Wronskian ratio orbits, pass kahan_orbit delta=False.  Then every point
-the clearance decides keeps a nan denominator and is not a pole, and the
-points, poles and thresholds are those of the full orbit.
+orbits, backward reversibility steps and every draw but the measure
+check's, and hkbasis's iterate_orbit and Wronskian ratio orbits, pass
+kahan_orbit delta=False.  Then every point the clearance decides keeps a
+nan denominator and is not a pole, and the points, poles and thresholds
+are those of the full orbit.
 
 Measured against the exact rational step from the same floats
 (tests/exact_clebsch.py), on 200 states in the unit ball per catalog kind,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrals import KahanPair
-from .quadfield import KahanBatch, jacobian, kahan_orbit, kahan_step_batch
+from .quadfield import KahanBatch, jacobian, kahan_orbit
 from .systems import SystemDescriptor
 
 __all__ = [
@@ -124,10 +124,14 @@ def _no_state_error(desc: SystemDescriptor, binding: tuple) -> ValueError:
     )
 
 
-def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int) -> KahanPair:
+def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int, delta: bool = True) -> KahanPair:
     """count random states in the unit ball from each generator of rngs, as
     one stacked KahanPair holding their forward steps: the states of rngs[0]
-    first, then those of rngs[1], and so on.
+    first, then those of rngs[1], and so on. With delta=False the steps
+    are kahan_orbit's with delta=False, which take a denominator only where
+    the pole decision needs one, a pole's included, so the states, the
+    rejections and their messages are unchanged; only check_measure reads
+    the others.
 
     A state is drawn as draw_initial_state draws it. Each round, every
     generator still missing states draws one block of proposals, as many as
@@ -160,7 +164,7 @@ def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int) -> KahanP
             norms = np.sqrt(np.vecdot(vs, vs))
             kept = norms >= 1e-12  # a shorter v gives no direction: it is rejected
             xs = vs * (radii / norms)[:, None]
-            batch = kahan_step_batch(desc.field, xs, eps)
+            batch = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, eps, 1, delta=delta)))
             ranks, indices, values = _lowest_witnesses(KahanPair(desc, xs, eps, batch))
             ok = kept & ~batch.pole & (ranks >= DENOMINATOR_FLOOR)
             rounds.append((xs, batch, ok, live, sizes))
@@ -213,7 +217,7 @@ def draw_initial_state(rng: np.random.Generator, desc: SystemDescriptor, eps: fl
     draws, naming what bound: the lowest witness seen, a pole first and a
     non-finite witness next.
     """
-    return _draw_states([rng], desc, eps, 1).x[0]
+    return _draw_states([rng], desc, eps, 1, delta=False).x[0]
 
 
 def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:
@@ -234,12 +238,21 @@ def _first_worst(violations: np.ndarray, skip: np.ndarray) -> tuple:
 
 
 def _worst_trial(
-    name: str, description: str, desc: SystemDescriptor, trials: int, eps: float, seed: int, tolerance: float, trial
+    name: str,
+    description: str,
+    desc: SystemDescriptor,
+    trials: int,
+    eps: float,
+    seed: int,
+    tolerance: float,
+    trial,
+    delta: bool = False,
 ) -> PropertyReport:
     """Grade seeded draws: trial(pair) gets every drawn state in one stacked
-    KahanPair holding their forward steps and returns the violations, one
-    row per state, and the mask of the states it skips."""
-    pair = _draw_states([np.random.default_rng(seed)], desc, eps, trials)
+    KahanPair holding their forward steps, with their denominators if
+    delta, and returns the violations, one row per state, and the mask of
+    the states it skips."""
+    pair = _draw_states([np.random.default_rng(seed)], desc, eps, trials, delta)
     if pair.x.shape[0]:
         violations, skip = trial(pair)
     else:
@@ -272,11 +285,11 @@ def _conservation(desc: SystemDescriptor, names, seeds, steps: int, eps: float) 
     The states of all seeds are drawn together, one proposal per seed and
     round, each from its own seed's stream. The orbits only step, as one
     stack, and a pole ends only the orbit that meets it. No conserved
-    quantity reads the denominator, so the orbits take it only where the
-    pole decision needs it. Each quantity is then evaluated on its whole
-    orbit, the drawn state included, in one call, every point with the step
-    the orbit holds from it."""
-    drawn = _draw_states([np.random.default_rng(seed) for seed in seeds], desc, eps, 1)
+    quantity reads the denominator, so the draws and the orbits take it
+    only where the pole decision needs it. Each quantity is then evaluated
+    on its whole orbit, the drawn state included, in one call, every point
+    with the step the orbit holds from it."""
+    drawn = _draw_states([np.random.default_rng(seed) for seed in seeds], desc, eps, 1, delta=False)
     # orbit[k]: the steps from point k of every orbit; point 0 is the draw,
     # point k + 1 is orbit.next[k]
     orbit = kahan_orbit(desc.field, drawn.x, eps, steps + 1, drawn.step, delta=False)
@@ -352,7 +365,7 @@ def check_measure(
 
     name = f"{desc.kind}.measure.{density_name}"
     description = f"invariant density {density_name}: one-step ratio matches the map Jacobian determinant"
-    return _worst_trial(name, description, desc, trials, eps, seed, MEASURE_TOL, trial)
+    return _worst_trial(name, description, desc, trials, eps, seed, MEASURE_TOL, trial, delta=True)
 
 
 def check_identities_clebsch1(

@@ -536,7 +536,7 @@ def window_stack(seed, m, r, kinds, exponents):
     """One r x m window per kind, scaled by 10**exponent: U diag(s) V^T
     with random orthonormal U, V and s in 0.5..2, the last one or two s
     set to zero for "rank-1"/"rank-2" and the edges, every s zero for
-    "zero"."""
+    "zero" and every s but the first for "outer", a window of rank one."""
     rng = np.random.default_rng(seed)
     stack = []
     for kind, exponent in zip(kinds, exponents):
@@ -549,6 +549,8 @@ def window_stack(seed, m, r, kinds, exponents):
             s[-1] = 0.0
         elif kind == "rank-2" or kind == "sigma-edge":
             s[-2:] = 0.0
+        elif kind == "outer":
+            s[1:] = 0.0
         stack.append(10.0**exponent * (u * s) @ v.T)
     return np.array(stack)
 
@@ -614,6 +616,108 @@ class TestStackedNullSpace:
         assert np.float64(report.gap_ratio).tobytes() == np.float64(gap).tobytes()
         if kind == "zero":
             assert report.null_dim == m and report.gap_ratio == math.inf
+
+
+def test_every_passing_direction_takes_its_residual():
+    # window 0's last two directions pass the sigma test and only the
+    # second-to-last fails the residual test, so its null dimension is 1;
+    # window 1's directions all fail the sigma test
+    rows = np.zeros((2, 5, 3))
+    rows[0, :, 0] = 1.0
+    rows[0, 0, 1] = 1e-3
+    rows[1] = np.eye(5, 3)
+    sv = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    vt = np.stack([np.eye(3)] * 2)
+    vectors, null_dim = hkbasis._null_vectors(rows, sv, vt)
+    for w in range(2):
+        want, _ = one_window_null_vectors(rows[w], sv[w], vt[w])
+        assert null_dim[w] == len(want) and vectors[w, 3 - null_dim[w] :].tobytes() == want.tobytes()
+    assert null_dim.tolist() == [1, 0]
+
+
+def record_svd(monkeypatch):
+    """(compute_uv, rows of the input) of every np.linalg.svd call from now on."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((compute_uv, np.shape(a)[-2]))
+        return svd(a, full_matrices, compute_uv, hermitian)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
+class TestRFactorDecision:
+    """_decide takes sigma and V from the SVD of the window's R factor where
+    LAPACK's dgesdd itself would, and forms U only when asked: its results
+    are np.linalg.svd's and _null_vectors', bit for bit, on windows short
+    of dgesdd's QR threshold floor(11m/6) rows and beyond it, and at scales
+    past the range in which dgesdd leaves a matrix unscaled."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 7),
+        data=st.data(),
+        kinds=st.lists(st.sampled_from(WINDOW_KINDS[:4] + ("outer",)), min_size=1, max_size=6),
+        exponent=st.floats(-150.0, 150.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_direct_svd(self, seed, m, data, kinds, exponent):
+        r = data.draw(st.integers(m + 2, 3 * m + 11), label="rows")
+        exponents = np.random.default_rng(seed).uniform(-150.0, 150.0, len(kinds))
+        exponents[0] = exponent
+        stack = window_stack(seed, m, r, kinds, exponents)
+        u, sv, vt = np.linalg.svd(stack, full_matrices=False)
+        want = (sv, vt, *hkbasis._null_vectors(stack, sv, vt))
+        decided = hkbasis._decide(stack)
+        assert decided[0] is None
+        for got, expected in zip(decided[1:], want):
+            assert got.tobytes() == expected.tobytes()
+        left = hkbasis._decide(stack, left=True)
+        for got, expected in zip(left, (u, *want)):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_only_gradients_form_u(self, monkeypatch):
+        # U of an r-row window is r x m: every SVD that computes vectors
+        # for a decision takes an m x m R factor, and the gradients' one
+        # takes the windows themselves
+        desc = make_system("general_clebsch")
+        eps = 0.05
+        orbit = iterate_orbit(desc.field, safe_state(np.random.default_rng(42), desc, eps), eps, 60)
+        obs = wronskian_observables(2)
+        window = default_window(len(obs))
+        _, ratios = clebsch_ratios()
+        x = shell_state(np.random.default_rng(79), desc, 0.4)
+        calls = record_svd(monkeypatch)
+        report = hk_nullspace(orbit, obs, window)
+        extract_integral_ratios(report, orbit, obs, pivot=2)
+        ratios[0].values(x[None])
+        assert len(calls) == 3 and set(calls) == {(True, len(obs))}
+        calls.clear()
+        hkbasis._ratio_values(ratios, x[None], gradients=True)
+        assert calls == [(True, ratios[0].window)]
+
+    def test_each_observable_called_once_per_base(self):
+        # starts 9, 0 and 5 of 8-row windows read bases 0..16 once each,
+        # not 3 x 8 bases
+        desc = make_system("kirchhoff")
+        orbit = iterate_orbit(desc.field, safe_state(np.random.default_rng(43), desc), 0.05, 30)
+        calls = []
+
+        def counted(observe):
+            def column(states, bases):
+                calls.append(bases.tolist())
+                return observe.column(states, bases)
+
+            return hkbasis.Observable(column, observe.reach)
+
+        obs = wronskian_observables(2)
+        starts = np.array([9, 0, 5])
+        built = _windows(orbit, [counted(o) for o in obs], 8, starts)
+        assert calls == [list(range(17))] * len(obs)
+        for window, start in zip(built, starts):
+            assert window.tobytes() == _windows(orbit, obs, 8, [start])[0].tobytes()
 
 
 class TestExtractRatios:

@@ -355,8 +355,8 @@ def reference_step_tensor(field):
     jac, rhs = np.zeros((n + 1, n, n)), np.zeros((n + 1, n, n + 1))
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                jac[k, i, j] = rhs[k, i, j] = 2.0 * field.quad[i, j, k]
+            # the coefficients of x_0 .. x_{n-1}, all k at once
+            jac[:n, i, j] = rhs[:n, i, j] = 2.0 * field.quad[i, j, :]
             jac[n, i, j] = field.lin[i, j]
             rhs[n, i, j] = 2.0 * field.lin[i, j]
         rhs[n, i, n] = 2.0 * field.const[i]

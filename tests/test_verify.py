@@ -638,6 +638,42 @@ class TestExactNormWork:
         assert counts["formed"] == counts["open"]
 
 
+def count_dets(monkeypatch):
+    """The number of denominators kahan_orbit's pole decisions take from
+    now on: the dets they return that are not nan."""
+    counts = []
+    denominators = quadfield._denominators
+
+    def counted(*args):
+        det, rows, norms = denominators(*args)
+        counts.append(int(np.count_nonzero(~np.isnan(det))))
+        return det, rows, norms
+
+    monkeypatch.setattr(quadfield, "_denominators", counted)
+    return counts
+
+
+class TestDrawDenominators:
+    """Only the measure check reads Delta(x), through the densities: its
+    draws take a det per state, and at eps 0.05, where every norm bound
+    clears, the other checks' draws and draw_initial_state take none."""
+
+    def test_measure_draws_take_every_det(self, monkeypatch):
+        desc = make_system("kirchhoff")
+        dets = count_dets(monkeypatch)
+        check_measure(desc, desc.density_names[0], trials=50, eps=0.05, seed=60)
+        assert dets[0] == 50
+
+    def test_other_draws_take_none(self, monkeypatch):
+        dets = count_dets(monkeypatch)
+        desc = make_system("first_clebsch")
+        check_reversibility(desc, trials=50, eps=0.05, seed=61)
+        check_identities_clebsch1(desc, trials=50, eps=0.05, seed=62)
+        verify._conservation(desc, desc.conserved_names, [63, 64], 100, 0.05)
+        draw_initial_state(np.random.default_rng(5), desc, 0.05)
+        assert len(dets) >= 5 and sum(dets) == 0
+
+
 class TestStepsPerTrial:
     # every Kahan step, of one state or of a stack, reaches the pole
     # decision once per row
