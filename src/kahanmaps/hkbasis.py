@@ -28,13 +28,11 @@ integral every order's first window of each orbit in a stack of initial
 states stepped as one batch.  _windows evaluates each observable once a
 base point and slices the windows from those per-point columns.  _decide
 takes the singular values and right vectors from the SVD of each window's
-R factor wherever LAPACK's dgesdd factors the window that way itself (at
-least its MNTHR = floor(11m/6) rows, and entries inside the range where it
-rescales nothing), which gives the same bits without forming Q or U; U
-is formed only for the ratios' gradients.  functional_rank takes the
+m x m R factor, so no Q or U is formed.  functional_rank takes the
 gradients of the ratios that share an orbit from that one orbit of x and
 its tangents dx_k/dx_0, carried by the Kahan map's closed-form Jacobian,
-so each derivative is exact to rounding and no perturbed state is stepped.
+so each derivative is exact to rounding and no perturbed state is stepped;
+the null vector's derivative is -W^+ (dW v), with W^+ from sigma and V.
 """
 
 from __future__ import annotations
@@ -91,9 +89,6 @@ PIVOT_FLOOR = 1e-6
 # a ratio sequence is constant while every entry stays within this times
 # 1 + |its median| of the median
 RATIO_TOL = 1e-9
-# dgesdd rescales a matrix whose largest |entry| lies outside [this, 1 /
-# this]: its SMLNUM, sqrt(safe minimum) / eps, about 6.7e-139
-_SVD_UNSCALED = np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
 
 def iterate_orbit(
     field: QuadraticVectorField, x0: np.ndarray, eps: float, steps: int
@@ -272,6 +267,10 @@ def _windows(
 
 
 def _check_window(m: int, window: int) -> None:
+    if not m:
+        raise ValueError("observables must hold at least one observable")
+    if not isinstance(window, (int, np.integer)):
+        raise ValueError(f"window must be an integer, got {window!r}")
     if window < m + 2:
         raise ValueError(f"window must be at least {m + 2} for {m} observables")
 
@@ -304,34 +303,22 @@ def _null_vectors(rows: np.ndarray, sv: np.ndarray, vt: np.ndarray) -> tuple:
     return vectors, null_dim
 
 
-def _decide(windows: np.ndarray, left: bool = False) -> tuple:
-    """The thin SVD u, sv[W, m], vt of a stack of window matrices
-    windows[W, r, m] and their null spaces, (u, sv, vt, vectors, null_dim)
-    with the last two as _null_vectors returns them; u is None unless
-    `left` asks for it.
+def _decide(windows: np.ndarray) -> tuple:
+    """The singular values sv[W, m] and right singular vectors vt[W, m, m]
+    of a stack of window matrices windows[W, r, m] and their null spaces,
+    (sv, vt, vectors, null_dim) with the last two as _null_vectors returns
+    them: sigma and V of each window's m x m R factor (Chan's R-SVD), so
+    neither Q nor U is formed."""
+    _, sv, vt = np.linalg.svd(np.linalg.qr(windows, mode="r"))
+    return (sv, vt, *_null_vectors(windows, sv, vt))
 
-    LAPACK's dgesdd, which np.linalg.svd calls, factors a window of r >=
-    floor(11m/6) rows (its MNTHR) as QR first and takes sigma and V from
-    the SVD of the m x m factor R (Chan's R-SVD); forming Q and U = Q U_R
-    is most of its cost. Without `left` such a stack is factored here the
-    same way, np.linalg.svd of np.linalg.qr(mode="r"): the same dgeqrf,
-    then the same bidiagonal SVD of R, so the same bits (checked on the
-    reference dgesdd of numpy 2.4's OpenBLAS 0.3.31, m = 1..7), provided
-    dgesdd rescales neither matrix. It rescales a matrix whose largest
-    |entry| lies outside [_SVD_UNSCALED, 1 / _SVD_UNSCALED], and each column
-    of R has its window column's 2-norm, so R's largest entry lies within
-    a factor sqrt(r) of the window's; the window must clear the range by
-    2 sqrt(r). Any other stack (short windows, a window near or past
-    either end of the range, a zero window among them, and every stack
-    whose U is read) takes the direct thin SVD."""
-    r, m = windows.shape[-2:]
-    top = np.abs(windows).max(axis=(-2, -1))
-    low = 2.0 * np.sqrt(r) * _SVD_UNSCALED
-    if left or r < 11 * m // 6 or not ((top >= low) & (top <= 1 / low)).all():
-        u, sv, vt = np.linalg.svd(windows, full_matrices=False)
-    else:
-        u, sv, vt = np.linalg.svd(np.linalg.qr(windows, mode="r"))  # u is R's
-    return (u if left else None, sv, vt, *_null_vectors(windows, sv, vt))
+
+def _null_derivative(windows: np.ndarray, sv: np.ndarray, vt: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-W^+ y for windows[W, r, m] whose null space is their last singular
+    direction, from _decide's sv and vt, with y[..., W, r, k]: U_r = W V_r
+    S_r^-1 on the other directions, so W^+ y = V_r S_r^-2 V_r^T W^T y."""
+    v_r, s_r = vt[:, :-1], sv[:, :-1, None]
+    return -(v_r.mT @ ((v_r @ (windows.mT @ y)) / s_r / s_r))
 
 
 def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: int) -> HKNullSpaceReport:
@@ -341,7 +328,7 @@ def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: 
     rows = _windows(states, observables, window, np.array([0]))
     if not np.isfinite(rows).all():
         raise ValueError("observable produced a non-finite value inside the window")
-    _, sv, _, vectors, null_dim = _decide(rows)
+    sv, _, vectors, null_dim = _decide(rows)
     m, sv, null_dim = rows.shape[-1], sv[0], int(null_dim[0])
     if null_dim == 0:
         gap = 0.0  # sentinel: no spectral split to report
@@ -384,8 +371,8 @@ def extract_integral_ratios(
     if report.null_dim != 1:
         raise ValueError(f"requires null_dim 1, report has {report.null_dim}")
     m = len(observables)
-    if not 0 <= pivot < m:
-        raise ValueError(f"pivot {pivot} outside {m} observables")
+    if not isinstance(pivot, (int, np.integer)) or not 0 <= pivot < m:
+        raise ValueError(f"pivot must be an integer in 0..{m - 1} for {m} observables, got {pivot!r}")
     window = report.window
     # every start whose window fits, or 0 for _windows to reject
     last = states.shape[0] - window - max(observe.reach for observe in observables)
@@ -394,7 +381,7 @@ def extract_integral_ratios(
     count = len(finite) if finite.all() else int(np.argmin(finite))
     if count == 0:
         raise ValueError("observable produced a non-finite value inside the window")
-    vectors, null_dim = _decide(windows[:count])[3:]
+    vectors, null_dim = _decide(windows[:count])[2:]
     v = vectors[:, -1]  # the null vector wherever null_dim is 1
     wrong_dim = null_dim != 1
     failed = wrong_dim | (np.abs(v[:, pivot]) < PIVOT_FLOOR * np.max(np.abs(v), axis=1))
@@ -431,19 +418,11 @@ def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
     """
     if not integrals:
         raise ValueError("at least one integral is required")
-    x = np.asarray(x, dtype=float)
     groups: dict = {}
     for index, fn in enumerate(integrals):
         if isinstance(fn, WronskianRatio):
             groups.setdefault((fn.field, fn.eps, fn.pairs, fn.window), []).append(index)
-    if x.ndim != 1 or not x.size:
-        raise ValueError(f"x must be one state of shape (n,), got shape {x.shape}")
-    for field, *_ in groups:
-        if x.shape != (field.dim,):
-            raise ValueError(f"x must have shape ({field.dim},), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        k = int(np.argmin(np.isfinite(x)))
-        raise ValueError(f"x has a non-finite entry x[{k}] = {x[k]}")
+    x = _check_state(x, [field.dim for field, *_ in groups])
     shared = {}
     for members in groups.values():
         rows = _ratio_values([integrals[i] for i in members], x[None], gradients=True)
@@ -460,6 +439,21 @@ def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(grads, axis=1, keepdims=True)
     live = norms >= GRADIENT_FLOOR * np.maximum(1.0, np.abs(values))
     return np.divide(grads, norms, out=np.zeros_like(grads), where=live)
+
+
+def _check_state(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """x as a float array, checked to be one finite state of shape (dim,)
+    for every dim in dims; a ValueError names the fault."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or not x.size:
+        raise ValueError(f"x must be one state of shape (n,), got shape {x.shape}")
+    for dim in dims:
+        if x.shape != (dim,):
+            raise ValueError(f"x must have shape ({dim},), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        k = int(np.argmin(np.isfinite(x)))
+        raise ValueError(f"x has a non-finite entry x[{k}] = {x[k]}")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,7 +497,7 @@ class WronskianRatio:
         return values
 
     def __call__(self, x: np.ndarray) -> float:
-        return float(self.values(np.asarray(x, dtype=float)[None])[0])
+        return float(self.values(_check_state(x, [self.field.dim])[None])[0])
 
 
 def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradients: bool = False) -> list:
@@ -515,9 +509,8 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
     A gradient comes from tangents, not differences: one stacked
     map_jacobian over the orbit's steps, their prefix products
     T_k = dx_k/dx_0 by doubling, and each window's derivative dW by the
-    product rule. The SVD's other directions give the null vector's
-    derivative dv = -V_r S_r^-1 U_r^T (dW v), and the quotient rule the
-    ratio's.
+    product rule. The null vector's derivative is dv = -W^+ (dW v)
+    (_null_derivative), and the quotient rule gives the ratio's.
 
     Each entry is the ratio's B values, with `gradients` the pair of its
     values and gradients, or, if a row fails, the error that ratio raises
@@ -544,7 +537,8 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
     rows = _wronskian(orbit, orbit, up, base, i, j)
     fits = points[:, None] >= window + np.array(orders)
     usable = fits & np.isfinite(rows).all(axis=(-2, -1))
-    u, sv, vt, vectors, null_dim = _decide(rows[usable], left=gradients)
+    windows = rows[usable]
+    sv, vt, vectors, null_dim = _decide(windows)
     v = np.ones(usable.shape + (len(pairs),))
     v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
     dims = np.zeros(usable.shape, dtype=int)  # 0 on rows that have no window
@@ -561,9 +555,9 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
             # tangents[d, b, k]: d(point k of row b)/d(x_d)
             tangents = np.concatenate([eye, jac], axis=1).transpose(3, 0, 1, 2)
             d_rows = _wronskian(tangents, orbit, up, base, i, j) + _wronskian(orbit, tangents, up, base, i, j)
-            d_null = u[..., :-1].mT @ (d_rows[:, usable] @ vectors[:, -1, :, None]) / sv[:, :-1, None]
+            d_null = _null_derivative(windows, sv, vt, d_rows[:, usable] @ vectors[:, -1, :, None])
             dv = np.zeros(v.shape + (field.dim,))
-            dv[usable] = -(vt[:, :-1].mT @ d_null)[..., 0].transpose(1, 2, 0)
+            dv[usable] = d_null[..., 0].transpose(1, 2, 0)
 
     def ratio_values(ratio: WronskianRatio):
         o = orders.index(ratio.order)

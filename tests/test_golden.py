@@ -6,6 +6,10 @@ orbit.csv, verify.json, hkscan.json and report.txt (verify and hk-scan
 together) stay byte-identical across refactors unless a change says why
 they move (and then records the new digests).
 
+The "probe_eps" section pins hk-scan and report the same way at eps 0.4,
+the rank probes' step size, so the window decisions keep their bytes at a
+second step size.
+
 The "edges" section pins simulate at step sizes where the orbit meets a pole
 or its denominator leaves the float range: each run's exit status, stderr and
 the digest of its orbit.csv (null when none is written).
@@ -38,6 +42,18 @@ def test_outputs_match_recorded_digests(command, tmp_path):
         run_command(cfg, command, str(out))
         digests[kind] = hashlib.sha256((out / OUTPUT[command]).read_bytes()).hexdigest()
     assert digests == GOLDEN["digests"][command]
+
+
+@pytest.mark.parametrize("command", list(GOLDEN["probe_eps"]["digests"]))
+def test_probe_eps_outputs_match_recorded_digests(command, tmp_path):
+    recorded = GOLDEN["probe_eps"]["digests"][command]
+    digests = {}
+    for kind in recorded:
+        overrides = {**GOLDEN["configs"][kind], "seed": GOLDEN["seed"], "eps": GOLDEN["probe_eps"]["eps"]}
+        out = tmp_path / kind
+        run_command(parse_config(overrides=overrides), command, str(out))
+        digests[kind] = hashlib.sha256((out / OUTPUT[command]).read_bytes()).hexdigest()
+    assert digests == recorded
 
 
 def edge_run(kind, eps, out, capsys):

@@ -500,6 +500,16 @@ class TestHkNullspace:
         with pytest.raises(ValueError, match="window"):
             hk_nullspace(orbit, wronskian_observables(2), window=8)
 
+    def test_empty_observables_rejected(self):
+        orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 10)
+        with pytest.raises(ValueError, match="observables must hold at least one observable"):
+            hk_nullspace(orbit, [], window=5)
+
+    def test_non_integer_window_rejected(self):
+        orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 20)
+        with pytest.raises(ValueError, match=re.escape("window must be an integer, got 10.5")):
+            hk_nullspace(orbit, [constant_observable(1.0)] * 3, window=10.5)
+
     def test_null_vectors_annihilate_the_window(self):
         desc = make_system("second_clebsch")
         eps = 0.05
@@ -609,7 +619,7 @@ class TestStackedNullSpace:
         rows = window_stack(seed, m, m + extra_rows, [kind], [exponent])[0]
         obs = [state_observable(lambda x, i=i: x[i]) for i in range(m)]
         report = hk_nullspace(synthetic_orbit(rows), obs, window=len(rows))
-        _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+        _, sv, vt = np.linalg.svd(np.linalg.qr(rows, mode="r"))
         want, gap = one_window_null_vectors(rows, sv, vt)
         assert report.null_dim == len(want)
         assert report.coeff_vectors.tobytes() == want.tobytes()
@@ -636,12 +646,13 @@ def test_every_passing_direction_takes_its_residual():
 
 
 def record_svd(monkeypatch):
-    """(compute_uv, rows of the input) of every np.linalg.svd call from now on."""
+    """(compute_uv, shape of each input matrix) of every np.linalg.svd call
+    from now on."""
     calls = []
     svd = np.linalg.svd
 
     def recorded(a, full_matrices=True, compute_uv=True, hermitian=False):
-        calls.append((compute_uv, np.shape(a)[-2]))
+        calls.append((compute_uv, np.shape(a)[-2:]))
         return svd(a, full_matrices, compute_uv, hermitian)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
@@ -649,11 +660,11 @@ def record_svd(monkeypatch):
 
 
 class TestRFactorDecision:
-    """_decide takes sigma and V from the SVD of the window's R factor where
-    LAPACK's dgesdd itself would, and forms U only when asked: its results
-    are np.linalg.svd's and _null_vectors', bit for bit, on windows short
-    of dgesdd's QR threshold floor(11m/6) rows and beyond it, and at scales
-    past the range in which dgesdd leaves a matrix unscaled."""
+    """_decide takes sigma and V from the SVD of every window's R factor:
+    bit for bit np.linalg.svd's where LAPACK's dgesdd takes that route
+    itself, and the same null spaces with sigma inside a backward-error
+    bound everywhere else; the null vector's derivative is -W^+ y without
+    U; and no SVD in a decision forms an r-row U."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -668,20 +679,63 @@ class TestRFactorDecision:
         exponents = np.random.default_rng(seed).uniform(-150.0, 150.0, len(kinds))
         exponents[0] = exponent
         stack = window_stack(seed, m, r, kinds, exponents)
-        u, sv, vt = np.linalg.svd(stack, full_matrices=False)
+        _, sv, vt = np.linalg.svd(stack, full_matrices=False)
         want = (sv, vt, *hkbasis._null_vectors(stack, sv, vt))
         decided = hkbasis._decide(stack)
-        assert decided[0] is None
-        for got, expected in zip(decided[1:], want):
-            assert got.tobytes() == expected.tobytes()
-        left = hkbasis._decide(stack, left=True)
-        for got, expected in zip(left, (u, *want)):
-            assert got.tobytes() == expected.tobytes()
+        # dgesdd factors a window of at least its MNTHR = floor(11m/6) rows
+        # as QR first and takes sigma and V from the SVD of R, the same
+        # dgeqrf and bidiagonal SVD as _decide (the reference dgesdd of
+        # numpy 2.4's OpenBLAS 0.3.31), unless it rescales the window: it
+        # does when the largest |entry| lies outside [sqrt(safe minimum) /
+        # eps, its reciprocal], and R's largest entry lies within sqrt(r) of
+        # the window's, so the window must clear that range by 2 sqrt(r)
+        low = 2.0 * np.sqrt(r) * np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps
+        top = np.abs(stack).max(axis=(-2, -1))
+        same_route = (r >= 11 * m // 6) & (top >= low) & (top <= 1 / low)
+        # elsewhere each side's sigma are the exact ones of W + E with
+        # ||E|| within a small multiple of m r u ||W|| (the normwise backward
+        # errors of Householder QR and of the bidiagonal SVD), so Weyl's
+        # inequality |sigma_i(W + E) - sigma_i(W)| <= ||E|| bounds their
+        # difference by twice that; 4 m r u sigma_1 (measured: at most
+        # 0.7 m r u sigma_1 over 6000 stacks)
+        bound = 4 * m * r * (np.finfo(float).eps / 2) * sv[:, :1]
+        for w in range(len(kinds)):
+            if same_route[w]:
+                for got, expected in zip(decided, want):
+                    assert got[w].tobytes() == expected[w].tobytes()
+            else:
+                assert decided[3][w] == want[3][w], kinds[w]
+                assert np.all(np.abs(decided[0][w] - sv[w]) <= bound[w]), kinds[w]
 
-    def test_only_gradients_form_u(self, monkeypatch):
-        # U of an r-row window is r x m: every SVD that computes vectors
-        # for a decision takes an m x m R factor, and the gradients' one
-        # takes the windows themselves
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 6),
+        data=st.data(),
+        exponent=st.floats(-100.0, 100.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_null_derivative_is_pseudoinverse(self, seed, m, data, exponent):
+        # windows with exactly one null direction, their other singular
+        # values in [0.5, 2] times 10^exponent, and y on the windows' scale
+        r = data.draw(st.integers(m + 2, 3 * m + 11), label="rows")
+        window = window_stack(seed, m, r, ["rank-1"], [exponent])
+        y = np.random.default_rng(seed).standard_normal((1, r, 3)) * 10.0**exponent
+        sv, vt, _, null_dim = hkbasis._decide(window)
+        assert null_dim.tolist() == [1]
+        got = hkbasis._null_derivative(window, sv, vt, y)[0]
+        want = -np.linalg.pinv(window[0], rtol=NULL_SIGMA_FACTOR) @ y[0]
+        # both sides are W^+ y of W plus a backward error within a small
+        # multiple of m r u ||W||, and Wedin's bound ||dW^+|| <= (1 +
+        # sqrt 5)/2 ||W^+||^2 ||dW|| at equal rank turns that into kappa m r
+        # u ||W^+|| ||y|| with kappa = sigma_1 / sigma_(m-1); 8 such units
+        # (measured: at most 1.4 over 5000 windows)
+        s = np.linalg.svd(window[0], compute_uv=False)
+        bound = 8 * m * r * (np.finfo(float).eps / 2) * (s[0] / s[-2]) * np.linalg.norm(y[0], 2) / s[-2]
+        assert np.linalg.norm(got - want, 2) <= bound
+
+    def test_no_decision_forms_u(self, monkeypatch):
+        # U of an r-row window is r x m: every SVD that computes vectors,
+        # the gradients' included, takes an m x m R factor
         desc = make_system("general_clebsch")
         eps = 0.05
         orbit = iterate_orbit(desc.field, safe_state(np.random.default_rng(42), desc, eps), eps, 60)
@@ -693,10 +747,8 @@ class TestRFactorDecision:
         report = hk_nullspace(orbit, obs, window)
         extract_integral_ratios(report, orbit, obs, pivot=2)
         ratios[0].values(x[None])
-        assert len(calls) == 3 and set(calls) == {(True, len(obs))}
-        calls.clear()
         hkbasis._ratio_values(ratios, x[None], gradients=True)
-        assert calls == [(True, ratios[0].window)]
+        assert len(calls) == 4 and set(calls) == {(True, (len(obs), len(obs)))}
 
     def test_each_observable_called_once_per_base(self):
         # starts 9, 0 and 5 of 8-row windows read bases 0..16 once each,
@@ -933,6 +985,15 @@ class TestExtractRatios:
         assert report.null_dim == 1
         with pytest.raises(ValueError, match="pivot"):
             extract_integral_ratios(report, orbit, obs, pivot=0)
+
+    @pytest.mark.parametrize("pivot", [1.5, -1, 2])
+    def test_pivot_outside_the_observables_rejected(self, pivot):
+        orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
+        obs = [state_observable(lambda x: x[0]), constant_observable(0.0)]
+        report = hk_nullspace(orbit, obs, window=6)
+        message = f"pivot must be an integer in 0..1 for 2 observables, got {pivot!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            extract_integral_ratios(report, orbit, obs, pivot=pivot)
 
 
 class TestFunctionalRank:
@@ -1259,6 +1320,21 @@ class TestStackedRatios:
         _, (j1, *_) = clebsch_ratios()
         with pytest.raises(ValueError, match="shape"):
             j1(np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.ones(5), "x must have shape (6,), got shape (5,)"),
+            (np.ones((2, 6)), "x must be one state of shape (n,), got shape (2, 6)"),
+            (np.array([0.5, math.nan, 0.1, 0.2, 0.3, 0.4]), "x has a non-finite entry x[1] = nan"),
+        ],
+    )
+    def test_call_names_the_state_it_was_given(self, x, message):
+        # the same rules, in the same words, as functional_rank's
+        j1 = wronskian_ratio_integral(make_system("kirchhoff").field, 0.05, 1, 0, 2)
+        for call in (j1, lambda y: functional_rank([j1], y)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(x)
 
     @pytest.mark.parametrize("step, error", [(0, SingularStepError), (5, ValueError), (18, ValueError)])
     def test_pole_errors_match_loop(self, monkeypatch, step, error):
