@@ -24,11 +24,11 @@ to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
 Every caller decides its windows with _decide, one stacked decomposition
 and its decision: hk_nullspace a stack of one and ratio extraction every
 sliding window of the orbit, both built by _windows, and a WronskianRatio
-integral every order's first window of each orbit in a stack of initial
-states stepped as one batch.  _windows evaluates each observable once a
-base point and slices the windows from those per-point columns.  _decide
-takes the singular values and right vectors from the SVD of each window's
-m x m R factor, so no Q or U is formed.  functional_rank takes the
+integral every order's first window of the one orbit of its state.
+_windows evaluates each observable once a base point and gathers the
+windows from those per-point columns in one indexing.  _decide takes the
+singular values and right vectors from the SVD of each window's m x m R
+factor, so no Q or U is formed.  functional_rank takes the
 gradients of the ratios that share an orbit from that one orbit of x and
 its tangents dx_k/dx_0, carried by the Kahan map's closed-form Jacobian,
 so each derivative is exact to rounding and no perturbed state is stepped;
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, kahan_orbit, map_jacobian
+from .quadfield import QuadraticVectorField, _is_index, kahan_orbit, map_jacobian
 from .systems import central_gradient
 
 __all__ = [
@@ -141,7 +141,6 @@ def wronskian_observable(ell: int, pair: tuple) -> Observable:
     i, j = pair
 
     def column(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
-        # states may be one orbit (points, n) or a stack of orbits (B, points, n)
         dim = states.shape[-1]
         if not (0 <= i < dim and 0 <= j < dim):
             raise IndexError(f"pair {pair} outside dimension {dim}")
@@ -193,14 +192,14 @@ class WronskianBasisSpec:
     pairs: tuple
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        if not _is_index(self.order) or self.order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
         pairs = tuple(tuple(p) for p in self.pairs)
         if not pairs:
             raise ValueError("at least one pair is required")
         for p in pairs:
-            if len(p) != 2 or p[0] == p[1] or min(p) < 0:
-                raise ValueError(f"invalid pair {p}")
+            if len(p) != 2 or not all(map(_is_index, p)) or p[0] == p[1] or min(p) < 0:
+                raise ValueError(f"invalid pair {p}: pairs must hold two distinct integers >= 0")
         object.__setattr__(self, "pairs", pairs)
 
     def observables(self) -> list:
@@ -236,24 +235,26 @@ class HKNullSpaceReport:
 def _windows(
     states: np.ndarray, observables: Sequence[Observable], window: int, starts: np.ndarray
 ) -> np.ndarray:
-    """Window matrices [..., window, m] of the orbits states[..., points, n],
+    """Window matrices [starts, window, m] of the orbit states[points, n],
     one per base in the int array starts: row r of the window at base b
     holds every observable at base b + r.
 
     Each observable is evaluated once a base point, over the bases 0 ..
-    max(starts) + window - 1, and the windows are slices of those per-point
-    columns (sliding_window_view), copied once into one contiguous array,
-    so a cell has the arithmetic of its base alone.
+    max(starts) + window - 1, and one gather of those per-point columns
+    copies every window into one contiguous array, so a cell has the
+    arithmetic of its base alone.
 
-    The window height is checked against m, then every window against the
-    orbit and every observable's reach; an observable that still rejects
-    its bases (a Wronskian pair outside the state dimension) raises
-    ValueError with its own message.
+    The window height is checked against m, states against one orbit, then
+    every window against the orbit and every observable's reach; an
+    observable that still rejects its bases (a Wronskian pair outside the
+    state dimension) raises ValueError with its own message.
     """
     _check_window(len(observables), window)
+    if np.ndim(states) != 2:
+        raise ValueError(f"states must be one orbit of shape (points, n), got shape {np.shape(states)}")
     starts = np.asarray(starts)
     reach = max((observe.reach for observe in observables), default=0)
-    outside = (starts < 0) | (starts + window - 1 + reach >= states.shape[-2])
+    outside = (starts < 0) | (starts + window - 1 + reach >= states.shape[0])
     if outside.any():
         start = starts[outside][0]
         raise ValueError(f"orbit too short for window of {window} rows starting at {start}")
@@ -262,14 +263,13 @@ def _windows(
         columns = np.stack([observe.column(states, bases) for observe in observables], -1)
     except IndexError as exc:
         raise ValueError(str(exc)) from exc
-    slices = np.lib.stride_tricks.sliding_window_view(columns, window, axis=-2)
-    return np.take(slices.swapaxes(-2, -1), starts, axis=-3)
+    return np.take(columns, starts[:, None] + np.arange(window), axis=0)
 
 
 def _check_window(m: int, window: int) -> None:
     if not m:
         raise ValueError("observables must hold at least one observable")
-    if not isinstance(window, (int, np.integer)):
+    if not _is_index(window):
         raise ValueError(f"window must be an integer, got {window!r}")
     if window < m + 2:
         raise ValueError(f"window must be at least {m + 2} for {m} observables")
@@ -371,7 +371,8 @@ def extract_integral_ratios(
     if report.null_dim != 1:
         raise ValueError(f"requires null_dim 1, report has {report.null_dim}")
     m = len(observables)
-    if not isinstance(pivot, (int, np.integer)) or not 0 <= pivot < m:
+    _check_window(m, report.window)
+    if not _is_index(pivot) or not 0 <= pivot < m:
         raise ValueError(f"pivot must be an integer in 0..{m - 1} for {m} observables, got {pivot!r}")
     window = report.window
     # every start whose window fits, or 0 for _windows to reject
@@ -425,7 +426,7 @@ def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
     x = _check_state(x, [field.dim for field, *_ in groups])
     shared = {}
     for members in groups.values():
-        rows = _ratio_values([integrals[i] for i in members], x[None], gradients=True)
+        rows = _ratio_values([integrals[i] for i in members], x, gradients=True)
         shared.update(zip(members, rows))
     grads = np.empty((len(integrals), x.shape[0]))
     values = np.empty((len(integrals), 1))
@@ -460,11 +461,10 @@ def _check_state(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 class WronskianRatio:
     """Integral of the map read off a discrete-Wronskian null vector.
 
-    From each initial state it runs a short orbit, finds the one-dimensional
-    null space of the order-`order` Wronskian window matrix of `window`
-    rows over `pairs`, and returns entry `num` over entry `den`.  values()
-    does so for a stack of states at once; calling it on one state is the
-    stack of one.
+    From one state it runs a short orbit, finds the one-dimensional null
+    space of the order-`order` Wronskian window matrix of `window` rows
+    over `pairs`, and returns entry `num` over entry `den`.  pairs default
+    to the conjugate pairs and window to default_window(len(pairs)).
     """
 
     field: QuadraticVectorField
@@ -472,39 +472,40 @@ class WronskianRatio:
     order: int
     num: int
     den: int
-    pairs: tuple
-    window: int
+    pairs: tuple = None
+    window: int = None
 
     def __post_init__(self) -> None:
-        pairs = WronskianBasisSpec(self.order, self.pairs).pairs
+        given = conjugate_pairs(self.field.dim) if self.pairs is None else self.pairs
+        pairs = WronskianBasisSpec(self.order, given).pairs
         if max(max(pair) for pair in pairs) >= self.field.dim:
             raise ValueError(f"pairs {pairs} reach past dimension {self.field.dim}")
         m = len(pairs)
-        _check_window(m, self.window)
+        window = default_window(m) if self.window is None else self.window
+        _check_window(m, window)
         for name in ("num", "den"):
             index = getattr(self, name)
+            if not _is_index(index):
+                raise ValueError(f"{name} must be an integer, got {index!r}")
             if not 0 <= index < m:
                 raise ValueError(f"{name} must lie in 0..{m - 1} for {m} pairs, got {index}")
         if self.num == self.den:
             raise ValueError(f"num and den are both {self.num}: the ratio is the constant 1")
         object.__setattr__(self, "pairs", pairs)
-
-    def values(self, states: np.ndarray) -> np.ndarray:
-        """The ratio at every row of states[B, n]."""
-        (values,) = _ratio_values([self], states)
-        if isinstance(values, Exception):
-            raise values
-        return values
+        object.__setattr__(self, "window", window)
 
     def __call__(self, x: np.ndarray) -> float:
-        return float(self.values(_check_state(x, [self.field.dim])[None])[0])
+        (value,) = _ratio_values([self], _check_state(x, [self.field.dim]))
+        if isinstance(value, Exception):
+            raise value
+        return float(value)
 
 
-def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradients: bool = False) -> list:
-    """Values of ratios sharing field, eps, pairs and window at every row of
-    states[B, n], or with `gradients` their gradients [B, n]: one stacked
-    orbit to the longest order's length, every order's window from the
-    Wronskian column formula, and one stacked SVD.
+def _ratio_values(ratios: Sequence[WronskianRatio], x: np.ndarray, gradients: bool = False) -> list:
+    """Values of ratios sharing field, eps, pairs and window at the one
+    state x[n], or with `gradients` their gradients [n]: one orbit of x to
+    the longest order's length, every order's window from the Wronskian
+    column formula, and one stacked SVD of those windows.
 
     A gradient comes from tangents, not differences: one stacked
     map_jacobian over the orbit's steps, their prefix products
@@ -512,48 +513,42 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
     product rule. The null vector's derivative is dv = -W^+ (dW v)
     (_null_derivative), and the quotient rule gives the ratio's.
 
-    Each entry is the ratio's B values, with `gradients` the pair of its
-    values and gradients, or, if a row fails, the error that ratio raises
-    at its first failing row: a pole at step 0, an orbit cut short of the
-    window by a later pole (named by its step, as hk-scan names it), a
-    non-finite window, a null dimension other than 1, or a degenerate
-    denominator.
+    Each entry is the ratio's value, with `gradients` the pair of its value
+    and gradient, or the error the ratio raises at x: a pole at step 0, an
+    orbit cut short of the window by a later pole (named by its step, as
+    hk-scan names it), a non-finite window, a null dimension other than 1,
+    or a degenerate denominator, the first that applies.
     """
     first = ratios[0]
     field, eps, pairs, window = first.field, first.eps, first.pairs, first.window
-    x = np.asarray(states, dtype=float)
-    if x.ndim != 2 or x.shape[1] != field.dim:
-        raise ValueError(f"states must have shape (B, {field.dim}), got {x.shape}")
     orders = sorted({r.order for r in ratios})
     steps = window - 1 + orders[-1]
-    stepped = kahan_orbit(field, x, eps, steps, delta=False)
-    # orbit[b]: the points of row b, nan past a pole
-    orbit = np.concatenate([x[None], stepped.next]).swapaxes(0, 1)
-    points = stepped.ends() + 1  # points each row reached before a pole
-    # row r of order ell's window reads points r and r + ell: [B, orders, window, m]
+    stepped = kahan_orbit(field, x[None], eps, steps, delta=False)
+    orbit = np.concatenate([x[None], stepped.next[:, 0]])  # nan past a pole
+    points = int(stepped.ends()[0]) + 1  # points reached before a pole
+    # row r of order ell's window reads points r and r + ell: [orders, window, m]
     base = np.arange(window)[:, None]
     up, base = base + np.array(orders)[:, None, None], base[None]
     i, j = np.array(pairs).T
     rows = _wronskian(orbit, orbit, up, base, i, j)
-    fits = points[:, None] >= window + np.array(orders)
+    fits = points >= window + np.array(orders)
     usable = fits & np.isfinite(rows).all(axis=(-2, -1))
     windows = rows[usable]
     sv, vt, vectors, null_dim = _decide(windows)
-    v = np.ones(usable.shape + (len(pairs),))
+    v = np.ones((len(orders), len(pairs)))
     v[usable] = vectors[:, -1]  # the null vector wherever null_dim is 1
-    dims = np.zeros(usable.shape, dtype=int)  # 0 on rows that have no window
+    dims = np.zeros(len(orders), dtype=int)  # 0 on orders that have no window
     dims[usable] = null_dim
     if gradients:
-        # past a pole the tangents are nan; a row that reads them fails
+        # past a pole the tangents are nan; a window that reads them fails
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            jac = map_jacobian(field, orbit[:, :-1], eps, orbit[:, 1:])
+            jac = map_jacobian(field, orbit[:-1], eps, orbit[1:])
             shift = 1
             while shift < steps:
-                jac[:, shift:] = jac[:, shift:] @ jac[:, :-shift]
+                jac[shift:] = jac[shift:] @ jac[:-shift]
                 shift *= 2
-            eye = np.broadcast_to(np.eye(field.dim), (len(x), 1, field.dim, field.dim))
-            # tangents[d, b, k]: d(point k of row b)/d(x_d)
-            tangents = np.concatenate([eye, jac], axis=1).transpose(3, 0, 1, 2)
+            # tangents[d, k]: d(point k)/d(x_d)
+            tangents = np.concatenate([np.eye(field.dim)[None], jac]).transpose(2, 0, 1)
             d_rows = _wronskian(tangents, orbit, up, base, i, j) + _wronskian(orbit, tangents, up, base, i, j)
             d_null = _null_derivative(windows, sv, vt, d_rows[:, usable] @ vectors[:, -1, :, None])
             dv = np.zeros(v.shape + (field.dim,))
@@ -561,42 +556,25 @@ def _ratio_values(ratios: Sequence[WronskianRatio], states: np.ndarray, gradient
 
     def ratio_values(ratio: WronskianRatio):
         o = orders.index(ratio.order)
-        vo = v[:, o]
-        degenerate = np.abs(vo[:, ratio.den]) < PIVOT_FLOOR * np.max(np.abs(vo), axis=1)
-        failed = (dims[:, o] != 1) | degenerate
-        if not failed.any():
-            value = vo[:, ratio.num] / vo[:, ratio.den]
+        vo = v[o]
+        if dims[o] == 1 and not np.abs(vo[ratio.den]) < PIVOT_FLOOR * np.max(np.abs(vo)):
+            value = vo[ratio.num] / vo[ratio.den]
             if not gradients:
                 return value
-            return value, (dv[:, o, ratio.num] - value[:, None] * dv[:, o, ratio.den]) / vo[:, ratio.den, None]
-        b = int(np.argmax(failed))
-        if stepped.pole[0, b]:
-            return stepped.pole_error((0, b))
-        if not fits[b, o]:
+            return value, (dv[o, ratio.num] - value * dv[o, ratio.den]) / vo[ratio.den]
+        if stepped.pole[0, 0]:
+            return stepped.pole_error((0, 0))
+        if not fits[o]:
             needed = window - 1 + ratio.order
-            return ValueError(f"orbit hits a pole at step {points[b]} of the {needed} the window needs")
-        if not usable[b, o]:
+            return ValueError(f"orbit hits a pole at step {points} of the {needed} the window needs")
+        if not usable[o]:
             return ValueError("observable produced a non-finite value inside the window")
-        if dims[b, o] != 1:
-            return RuntimeError(f"order-{ratio.order} Wronskian window has null dimension {dims[b, o]}")
+        if dims[o] != 1:
+            return RuntimeError(f"order-{ratio.order} Wronskian window has null dimension {dims[o]}")
         return ValueError(f"denominator entry {ratio.den} degenerate in null vector")
 
     return [ratio_values(ratio) for ratio in ratios]
 
 
-def wronskian_ratio_integral(
-    field: QuadraticVectorField,
-    eps: float,
-    order: int,
-    num: int,
-    den: int,
-    pairs: tuple = None,
-    window: int = None,
-) -> WronskianRatio:
-    """The WronskianRatio of entry `num` over entry `den`, over the conjugate
-    pairs and the default window height unless given."""
-    if pairs is None:
-        pairs = conjugate_pairs(field.dim)
-    if window is None:
-        window = default_window(len(pairs))
-    return WronskianRatio(field, eps, order, num, den, pairs, window)
+# the name the benchmark and the acceptance tests build ratios by
+wronskian_ratio_integral = WronskianRatio

@@ -283,7 +283,21 @@ def _denominators(points: np.ndarray, mats: np.ndarray, bounds: np.ndarray, delt
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
     """det(I - eps*f'(x)), the denominator polynomial of the Kahan map: the
     denominator of the step from x, on a pole or off it."""
-    return kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1).delta.item(0)
+    return kahan_orbit(field, _one_state(field, x), eps, 1).delta.item(0)
+
+
+def _one_state(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
+    """One state x of shape (n,) as the stack of one kahan_orbit steps; a
+    ValueError names any other shape as the caller passed it."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (field.dim,):
+        raise ValueError(f"x must have shape ({field.dim},), got shape {x.shape}")
+    return x[None]
+
+
+def _is_index(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class KahanBatch(NamedTuple):
@@ -339,8 +353,15 @@ def kahan_orbit(
     poles are decided from the bounds, the matrices' dets and, where those
     leave it open, exact norms. A row's steps past its first pole are
     dropped.
+
+    x must have shape (B, field.dim) and steps be an integer >= 0; a
+    ValueError names any other.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != field.dim:
+        raise ValueError(f"x must be a stack of states of shape (B, {field.dim}), got shape {x.shape}")
+    if not _is_index(steps) or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     count, n = x.shape
     orbit = KahanBatch(
         np.full((steps, count, n), np.nan),
@@ -427,7 +448,7 @@ def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanB
     """Advance one state x by one Kahan step of size 2*eps: entry (0, 0) of
     the one-step orbit of x, its next state and delta. Raises
     SingularStepError at a pole of the map."""
-    orbit = kahan_orbit(field, np.asarray(x, dtype=float)[None], eps, 1)
+    orbit = kahan_orbit(field, _one_state(field, x), eps, 1)
     if orbit.pole[0, 0]:
         raise orbit.pole_error((0, 0))
     return KahanBatch(*(column[0, 0] for column in orbit))

@@ -10,6 +10,12 @@ The "probe_eps" section pins hk-scan and report the same way at eps 0.4,
 the rank probes' step size, so the window decisions keep their bytes at a
 second step size.
 
+The "rank_probes" section pins the bits of hk_detect's functional-rank
+probes: the Wronskian ratios J1..J4 of general_clebsch at the 20 seed-1
+shell points, drawn as the benchmark draws them. It holds the sha256 of
+their unit-gradient rows, all 20 probes' rows in draw order, and the 20
+ranks.
+
 The "edges" section pins simulate at step sizes where the orbit meets a pole
 or its denominator leaves the float range: each run's exit status, stderr and
 the digest of its orbit.csv (null when none is written).
@@ -19,9 +25,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from kahanmaps.cli import main, parse_config, run_command
+from kahanmaps.hkbasis import _unit_gradients, functional_rank, wronskian_ratio_integral
+from kahanmaps.integrals import denominator_witnesses
+from kahanmaps.systems import build_system
 
 with open(os.path.join(os.path.dirname(__file__), "golden_seed1.json"), encoding="utf-8") as fh:
     GOLDEN = json.load(fh)
@@ -54,6 +64,34 @@ def test_probe_eps_outputs_match_recorded_digests(command, tmp_path):
         run_command(parse_config(overrides=overrides), command, str(out))
         digests[kind] = hashlib.sha256((out / OUTPUT[command]).read_bytes()).hexdigest()
     assert digests == recorded
+
+
+def shell_points(desc, seed, count, eps):
+    """count draws of the shell 0.4 <= |x| <= 1 whose denominator witnesses
+    all clear 1e-6, in the benchmark's rank-probe order."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        v = rng.standard_normal(desc.dim)
+        x = v * (rng.uniform(0.4, 1.0) / float(np.linalg.norm(v)))
+        if min(denominator_witnesses(desc, x, eps)) >= 1e-6:
+            points.append(x)
+    return points
+
+
+def test_rank_probes_match_recorded_rows():
+    probes = GOLDEN["rank_probes"]
+    cfg = parse_config(overrides={**GOLDEN["configs"]["general_clebsch"], "seed": GOLDEN["seed"]})
+    desc = build_system(cfg.kind, cfg.params)
+    eps = probes["eps"]
+    ratios = [
+        wronskian_ratio_integral(desc.field, eps, order, num, probes["den"], window=probes["window"])
+        for order, num in probes["orders_numerators"]
+    ]
+    points = shell_points(desc, GOLDEN["seed"], probes["points"], eps)
+    rows = np.stack([_unit_gradients(ratios, x) for x in points])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == probes["sha256"]
+    assert [functional_rank(ratios, x) for x in points] == probes["ranks"]
 
 
 def edge_run(kind, eps, out, capsys):

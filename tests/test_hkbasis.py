@@ -746,8 +746,8 @@ class TestRFactorDecision:
         calls = record_svd(monkeypatch)
         report = hk_nullspace(orbit, obs, window)
         extract_integral_ratios(report, orbit, obs, pivot=2)
-        ratios[0].values(x[None])
-        hkbasis._ratio_values(ratios, x[None], gradients=True)
+        ratios[0](x)
+        hkbasis._ratio_values(ratios, x, gradients=True)
         assert len(calls) == 4 and set(calls) == {(True, (len(obs), len(obs)))}
 
     def test_each_observable_called_once_per_base(self):
@@ -986,7 +986,7 @@ class TestExtractRatios:
         with pytest.raises(ValueError, match="pivot"):
             extract_integral_ratios(report, orbit, obs, pivot=0)
 
-    @pytest.mark.parametrize("pivot", [1.5, -1, 2])
+    @pytest.mark.parametrize("pivot", [1.5, -1, 2, True])
     def test_pivot_outside_the_observables_rejected(self, pivot):
         orbit = iterate_orbit(scalar_field(), np.array([0.1]), 0.01, 16)
         obs = [state_observable(lambda x: x[0]), constant_observable(0.0)]
@@ -1213,7 +1213,7 @@ def clebsch_ratios(eps=0.4, window=16):
 
 
 class TestStackedRatios:
-    """WronskianRatio evaluates a stack of states in one orbit; functional_rank
+    """WronskianRatio evaluates one state from one orbit; functional_rank
     takes the ratios' gradients from the one tangent orbit of x. The values
     are the per-state loop's; a probe fails with the error the first failing
     ratio raises at x, and its rows agree with central differences of the
@@ -1270,14 +1270,15 @@ class TestStackedRatios:
         for seed in range(1, 41):
             rng = np.random.default_rng(seed)
             draws += [safe_state(rng, desc, eps) for _ in range(10)]
-        (values, constant), _ = hkbasis._ratio_values(ratios, np.array(draws), gradients=True)
-        assert (np.linalg.norm(constant, axis=1) <= 1e-7 * np.maximum(1.0, np.abs(values))).all()
+        for x in draws:
+            (value, constant), _ = hkbasis._ratio_values(ratios, x, gradients=True)
+            assert np.linalg.norm(constant) <= 1e-7 * max(1.0, abs(value))
         assert 1e-7 <= hkbasis.GRADIENT_FLOOR / 100
         rng = np.random.default_rng(73)
         for _ in range(5):
             x = safe_state(rng, desc, eps)
-            _, (_, varying) = hkbasis._ratio_values(ratios, x[None], gradients=True)
-            assert np.abs(varying[0] - reference_gradients(ratios[1:], x)[0]).max() <= 1e-6
+            _, (_, varying) = hkbasis._ratio_values(ratios, x, gradients=True)
+            assert np.abs(varying - reference_gradients(ratios[1:], x)[0]).max() <= 1e-6
 
     def test_mixed_list_matches_loop(self):
         # plain callables interleaved with ratio groups of two fields and two
@@ -1307,14 +1308,12 @@ class TestStackedRatios:
         sv = np.linalg.svd(rows, compute_uv=False)
         assert functional_rank(fns, x) == int(np.sum(sv > 1e-7 * sv[0]))
 
-    def test_call_and_stack_match_scalar_ratio(self):
+    def test_call_matches_scalar_ratio(self):
         desc, ratios = clebsch_ratios()
         rng = np.random.default_rng(75)
         states = np.array([shell_state(rng, desc, 0.4) for _ in range(4)])
         for ratio in ratios:
-            expected = [scalar_ratio(ratio)(x) for x in states]
-            assert [ratio(x) for x in states] == expected
-            assert ratio.values(states).tolist() == expected
+            assert [ratio(x) for x in states] == [scalar_ratio(ratio)(x) for x in states]
 
     def test_call_checks_state_shape(self):
         _, (j1, *_) = clebsch_ratios()
@@ -1347,19 +1346,11 @@ class TestStackedRatios:
             18: "orbit hits a pole at step 19 of the 19 the window needs",
         }[step]
         desc, ratios = clebsch_ratios()
-        rng = np.random.default_rng(76)
-        x = shell_state(rng, desc, 0.4)
-        others = np.array([shell_state(rng, desc, 0.4) for _ in range(3)])
+        x = shell_state(np.random.default_rng(76), desc, 0.4)
         place_pole(monkeypatch, iterate_orbit(desc.field, x, 0.4, step)[step] if step else x)
         expected = first_error(ratios, x)
         assert expected[0] is error and message in expected[1]
         assert raised(lambda: functional_rank(ratios, x)) == expected
-        states = np.concatenate([others[:1], x[None], others[1:]])
-        j1 = ratios[0]
-        if step < 18:
-            assert raised(lambda: j1.values(states)) == expected
-        else:
-            assert j1.values(states).tolist() == [scalar_ratio(j1)(y) for y in states]
 
     def test_null_dimension_error_matches_loop(self, monkeypatch):
         desc, ratios = clebsch_ratios()
@@ -1459,3 +1450,49 @@ class TestRankInputs:
         field = make_system("general_clebsch").field
         with pytest.raises(ValueError, match="window must be at least 5"):
             wronskian_ratio_integral(field, 0.4, 3, 0, 2, window=4)
+
+    def test_default_pairs_and_window(self):
+        ratio = WronskianRatio(make_system("kirchhoff").field, 0.05, 3, 2, 0)
+        assert ratio.pairs == conjugate_pairs(6) and ratio.window == default_window(3)
+
+
+class TestIndexArguments:
+    """Indices and counts must be integers, bools rejected, and each
+    rejection names its argument."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num": 0.5}, "num must be an integer, got 0.5"),
+            ({"num": True}, "num must be an integer, got True"),
+            ({"den": np.float64(1.0)}, "den must be an integer, got np.float64(1.0)"),
+            ({"window": True}, "window must be an integer, got True"),
+        ],
+    )
+    def test_ratio_index_must_be_an_integer(self, kwargs, message):
+        args = {"num": 0, "den": 1, **kwargs}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wronskian_ratio_integral(make_system("kirchhoff").field, 0.05, 1, **args)
+
+    def test_fractional_pair_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("invalid pair (0.5, 3): pairs must hold two distinct integers")):
+            WronskianBasisSpec(1, ((0.5, 3), (1, 4)))
+
+    @pytest.mark.parametrize("order", [1.5, True])
+    def test_fractional_order_rejected(self, order):
+        with pytest.raises(ValueError, match=re.escape(f"order must be an integer >= 1, got {order!r}")):
+            WronskianBasisSpec(order, ((0, 3), (1, 4)))
+
+    def test_state_that_is_not_an_orbit_rejected(self):
+        obs = wronskian_observables(1)
+        message = "states must be one orbit of shape (points, n), got shape (6,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hk_nullspace(np.full(6, 0.1), obs, default_window(len(obs)))
+
+    def test_empty_observables_named_before_the_pivot(self):
+        desc = make_system("kirchhoff")
+        orbit = iterate_orbit(desc.field, safe_state(np.random.default_rng(5), desc), 0.05, 40)
+        obs = wronskian_observables(1)
+        report = hk_nullspace(orbit, obs, default_window(len(obs)))
+        with pytest.raises(ValueError, match="observables must hold at least one observable"):
+            extract_integral_ratios(report, orbit, [], 0)

@@ -8,6 +8,7 @@ defining equations.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -283,6 +284,32 @@ class TestValidation:
         lin[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             QuadraticVectorField(quad=np.zeros((2, 2, 2)), lin=lin, const=np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((6,), "x must be a stack of states of shape (B, 6), got shape (6,)"),
+            ((2, 5), "x must be a stack of states of shape (B, 6), got shape (2, 5)"),
+        ],
+    )
+    def test_orbit_names_a_state_that_is_not_a_stack(self, shape, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            kahan_orbit(make_system("kirchhoff").field, np.full(shape, 0.1), 0.05, 3)
+
+    @pytest.mark.parametrize("call", [kahan_step, delta])
+    def test_one_state_named_as_passed(self, call):
+        # the shape the caller passed, not the stack of one it is stepped as
+        with pytest.raises(ValueError, match=re.escape("x must have shape (6,), got shape (5,)")):
+            call(make_system("kirchhoff").field, np.full(5, 0.1), 0.05)
+
+    @pytest.mark.parametrize("steps", [-1, 2.5, True])
+    def test_steps_must_be_a_count(self, steps):
+        with pytest.raises(ValueError, match=re.escape(f"steps must be an integer >= 0, got {steps!r}")):
+            kahan_orbit(make_system("kirchhoff").field, np.full((1, 6), 0.1), 0.05, steps)
+
+    def test_fractional_steps_named_through_iterate_orbit(self):
+        with pytest.raises(ValueError, match=re.escape("steps must be an integer >= 0, got 2.5")):
+            iterate_orbit(make_system("kirchhoff").field, np.full(6, 0.1), 0.05, 2.5)
 
 
 # Median one-step forward error, in ulps of |x~|_inf, of the kernel that
