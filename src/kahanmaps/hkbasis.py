@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, _is_index, kahan_orbit, map_jacobian
+from .quadfield import QuadraticVectorField, _finite_eps, _is_index, _states, kahan_orbit, map_jacobian
 from .systems import central_gradient
 
 __all__ = [
@@ -98,15 +98,13 @@ def iterate_orbit(
     takes no denominator the pole decision does not need, so k is
     `steps` unless a pole cuts the orbit short. A pole at step 0 raises
     SingularStepError."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (field.dim,):
-        raise ValueError(f"x0 must have shape ({field.dim},), got {x.shape}")
-    orbit = kahan_orbit(field, x[None], eps, steps, delta=False)
+    if not _is_index(steps) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
+    x = _states(field, x0, eps, one=True, name="x0")
+    orbit = kahan_orbit(field, x, eps, steps, delta=False)
     if orbit.pole[0, 0]:
         raise orbit.pole_error((0, 0))
-    states = np.concatenate([x[None], orbit.next[: int(orbit.ends()[0]), 0]])
+    states = np.concatenate([x, orbit.next[: int(orbit.ends()[0]), 0]])
     states.setflags(write=False)
     return states
 
@@ -136,8 +134,8 @@ class Observable:
 
 def wronskian_observable(ell: int, pair: tuple) -> Observable:
     """x_i at base+ell times x_j at base, minus x_i at base times x_j at base+ell."""
-    if ell < 1:
-        raise ValueError("order must be >= 1")
+    if not _is_index(ell) or ell < 1:
+        raise ValueError(f"order must be an integer >= 1, got {ell!r}")
     i, j = pair
 
     def column(states: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -476,6 +474,7 @@ class WronskianRatio:
     window: int = None
 
     def __post_init__(self) -> None:
+        _finite_eps(self.eps)
         given = conjugate_pairs(self.field.dim) if self.pairs is None else self.pairs
         pairs = WronskianBasisSpec(self.order, given).pairs
         if max(max(pair) for pair in pairs) >= self.field.dim:

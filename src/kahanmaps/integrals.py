@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from kahanmaps.quadfield import KahanBatch, kahan_step_batch
+from kahanmaps.quadfield import KahanBatch, _states, kahan_orbit
 from kahanmaps.systems import (
     KINDS,
     DenominatorZeroError,
@@ -77,7 +77,8 @@ class Rows(NamedTuple):
 class KahanPair:
     """States x[B, n] and their Kahan successors x~, on which the named
     quantities of the system are evaluated: each quantity is one call over
-    every row and returns Rows. Any other shape of x is a ValueError.
+    every row and returns Rows. Any other shape of x, or an eps that is
+    not one finite real number, is a ValueError that names it.
 
     The forward steps are taken at most once: pass them as step (a
     KahanBatch) when the caller already holds them, otherwise the first
@@ -87,12 +88,9 @@ class KahanPair:
     """
 
     def __init__(self, desc: SystemDescriptor, x, eps: float, step: KahanBatch = None):
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != desc.dim:
-            raise ValueError(f"x must have shape (B, {desc.dim}), got {x.shape}")
         self.desc = desc
         self.params = desc.params
-        self.x = x
+        self.x = _states(desc.field, x, eps)
         self.eps = eps
         self._step = step
         self._parts: dict = {}
@@ -103,7 +101,7 @@ class KahanPair:
     def step(self) -> KahanBatch:
         """The forward steps, taken on first use."""
         if self._step is None:
-            self._step = kahan_step_batch(self.desc.field, self.x, self.eps)
+            self._step = KahanBatch(*(column[0] for column in kahan_orbit(self.desc.field, self.x, self.eps, 1)))
         return self._step
 
     def _successors(self) -> KahanBatch:
@@ -216,7 +214,7 @@ class KahanPair:
 
 def _one(desc: SystemDescriptor, x, eps: float) -> KahanPair:
     """The pair of one state x, as a stack of one."""
-    return KahanPair(desc, np.asarray(x, dtype=float)[None], eps)
+    return KahanPair(desc, _states(desc.field, x, eps, one=True), eps)
 
 
 def evaluate_named(desc: SystemDescriptor, name: str, x, eps: float) -> float:

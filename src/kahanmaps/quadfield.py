@@ -78,11 +78,10 @@ those of the steps one at a time with exact norms.  On 1000-step orbits
 of 200 unit-ball states per catalog kind, no point is left to the exact
 norm at eps 0.05 or 0.4, and a delta=False orbit takes no det at eps
 0.05 and 15-74% of them at eps 0.4.  Every step is a KahanBatch:
-kahan_step_batch is the one-step orbit of a stack without its step axis,
-and kahan_step entry (0, 0) of the one-step orbit of one state, which
-raises SingularStepError at a pole; a state gets the same numbers from
-all three, bit for bit.  delta is the denominator of that one-step
-orbit.  Its caller says whether a pole at an orbit's first step is an error.
+kahan_step is entry (0, 0) of the one-step orbit of one state, raising
+SingularStepError at a pole, and delta its denominator, bit for bit as
+in a stack.  Its caller says whether a pole at an orbit's first step is
+an error.  Each function that steps checks its eps and x with _states.
 
 The callers that never read the denominators, verify's conservation
 orbits, backward reversibility steps and every draw but the measure
@@ -112,6 +111,7 @@ a singular row of its stack is nan.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -125,7 +125,6 @@ __all__ = [
     "KahanBatch",
     "delta",
     "kahan_step",
-    "kahan_step_batch",
     "kahan_orbit",
     "jacobian",
     "map_jacobian",
@@ -143,6 +142,8 @@ POLE_MARGIN = 1.0 + 1e-6
 # and 25-40 us at 1 (process CPU time a step, median of 15 orbits, over five
 # runs on a 2-core x86-64 VM under shared load).
 DECIDE_STEPS = 64
+# the types a step size eps may have; a bool, though an int, is not one
+_REAL = (float, int, np.floating, np.integer)
 
 
 class SingularStepError(RuntimeError):
@@ -283,16 +284,30 @@ def _denominators(points: np.ndarray, mats: np.ndarray, bounds: np.ndarray, delt
 def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
     """det(I - eps*f'(x)), the denominator polynomial of the Kahan map: the
     denominator of the step from x, on a pole or off it."""
-    return kahan_orbit(field, _one_state(field, x), eps, 1).delta.item(0)
+    return kahan_orbit(field, _states(field, x, eps, one=True), eps, 1).delta.item(0)
 
 
-def _one_state(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
-    """One state x of shape (n,) as the stack of one kahan_orbit steps; a
-    ValueError names any other shape as the caller passed it."""
+def _finite_eps(eps) -> None:
+    """Raise a ValueError unless eps is one finite real number."""
+    if not isinstance(eps, _REAL) or isinstance(eps, bool) or not math.isfinite(eps):
+        raise ValueError(f"eps must be one finite real number, got {eps!r}")
+
+
+def _states(field: QuadraticVectorField, x, eps, one: bool = False, name: str = "x") -> np.ndarray:
+    """x as a float stack of states [B, n] for a step of size eps, or, with
+    one, a state of shape (n,) as the stack of one. A ValueError names eps
+    unless it is one finite real number, and `name` with the shape of x as
+    passed unless it has the shape asked for."""
+    _finite_eps(eps)
     x = np.asarray(x, dtype=float)
-    if x.shape != (field.dim,):
-        raise ValueError(f"x must have shape ({field.dim},), got shape {x.shape}")
-    return x[None]
+    n = field.dim
+    if one:
+        if x.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got shape {x.shape}")
+        return x[None]
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"{name} must be a stack of states of shape (B, {n}), got shape {x.shape}")
+    return x
 
 
 def _is_index(value) -> bool:
@@ -354,12 +369,10 @@ def kahan_orbit(
     leave it open, exact norms. A row's steps past its first pole are
     dropped.
 
-    x must have shape (B, field.dim) and steps be an integer >= 0; a
-    ValueError names any other.
+    x must have shape (B, field.dim), eps be one finite real number and
+    steps an integer >= 0; a ValueError names any other.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != field.dim:
-        raise ValueError(f"x must be a stack of states of shape (B, {field.dim}), got shape {x.shape}")
+    x = _states(field, x, eps)
     if not _is_index(steps) or steps < 0:
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     count, n = x.shape
@@ -436,19 +449,11 @@ def kahan_orbit(
     return orbit
 
 
-def kahan_step_batch(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
-    """Advance every row of x[B, n] by one Kahan step of size 2*eps (time
-    step 2*eps of the flow): the one-step orbit of x, without its step
-    axis. A row on a pole is flagged in the mask, never raised, and the
-    other rows step as usual."""
-    return KahanBatch(*(column[0] for column in kahan_orbit(field, x, eps, 1)))
-
-
 def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanBatch:
     """Advance one state x by one Kahan step of size 2*eps: entry (0, 0) of
     the one-step orbit of x, its next state and delta. Raises
     SingularStepError at a pole of the map."""
-    orbit = kahan_orbit(field, _one_state(field, x), eps, 1)
+    orbit = kahan_orbit(field, _states(field, x, eps, one=True), eps, 1)
     if orbit.pole[0, 0]:
         raise orbit.pole_error((0, 0))
     return KahanBatch(*(column[0, 0] for column in orbit))
@@ -462,6 +467,7 @@ def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next:
     every other row has numpy.linalg.solve's bits. hkbasis's tangent
     orbits call it; its det, det(I + eps*f'(x~)) / det(I - eps*f'(x)), is
     what verify's measure check takes in that closed form instead."""
+    _finite_eps(eps)
     points = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x_next, dtype=float)))
     jac = jacobian(field, points)
     eye = _eye(field.dim)

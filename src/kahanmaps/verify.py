@@ -143,8 +143,6 @@ def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int, delta: bo
     and have their witnesses taken in one call. Each generator accepts its
     proposals in stream order and counts its own draws since its last
     acceptance, so its states do not depend on the other generators.
-    When one round accepts every proposal, as most one-state draws do, its
-    states and steps are the pair, in order, as they stand.
     """
     dim = desc.dim
     missing = [count] * len(rngs)
@@ -193,10 +191,6 @@ def _draw_states(rngs, desc: SystemDescriptor, eps: float, count: int, delta: bo
                 start += k
     if not rounds:
         return KahanPair(desc, np.empty((0, dim)), eps)
-    if len(rounds) == 1:
-        # one round accepted every proposal: its states are in order
-        xs, batch = rounds[0][:2]
-        return KahanPair(desc, xs, eps, batch)
     xs, batches, ok, live, sizes = zip(*rounds)
     steps = KahanBatch(*map(np.concatenate, zip(*batches)))
     taken = np.flatnonzero(np.concatenate(ok))

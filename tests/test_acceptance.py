@@ -30,7 +30,7 @@ from kahanmaps.integrals import (
     eval_I0,
     evaluate_named,
 )
-from kahanmaps.quadfield import SingularStepError, kahan_step, kahan_step_batch, map_jacobian
+from kahanmaps.quadfield import SingularStepError, kahan_orbit, kahan_step, map_jacobian
 from kahanmaps.systems import PlanarFamilyParams, build_system
 from kahanmaps.verify import (
     check_conservation,
@@ -74,7 +74,7 @@ def test_criterion_02_jacobian_determinant_identity():
         x, x_next = pair.x[stepped], pair.step.next[stepped]
         det = np.linalg.det(map_jacobian(desc.field, x, eps, x_next))
         lhs = det * pair.step.delta[stepped]
-        rhs = kahan_step_batch(desc.field, x_next, -eps).delta
+        rhs = kahan_orbit(desc.field, x_next, -eps, 1).delta[0]
         scale = 1.0 + np.abs(lhs) + np.abs(rhs)
         assert (np.abs(lhs - rhs) <= 1e-11 * scale).all(), (kind, np.max(np.abs(lhs - rhs)))
 

@@ -1482,6 +1482,9 @@ class TestIndexArguments:
     def test_fractional_order_rejected(self, order):
         with pytest.raises(ValueError, match=re.escape(f"order must be an integer >= 1, got {order!r}")):
             WronskianBasisSpec(order, ((0, 3), (1, 4)))
+        # the observable itself, by the same rule, before any column is read
+        with pytest.raises(ValueError, match=re.escape(f"order must be an integer >= 1, got {order!r}")):
+            wronskian_observable(order, (0, 3))
 
     def test_state_that_is_not_an_orbit_rejected(self):
         obs = wronskian_observables(1)

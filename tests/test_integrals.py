@@ -482,12 +482,12 @@ class TestSuiteAndNames:
     def test_pair_takes_only_a_stack(self, shape):
         # a lone state, a stack of the wrong width and any other shape
         desc = make_system("kirchhoff")
-        with pytest.raises(ValueError, match=re.escape(f"x must have shape (B, 6), got {shape}")):
+        with pytest.raises(ValueError, match=re.escape(f"x must be a stack of states of shape (B, 6), got shape {shape}")):
             KahanPair(desc, np.zeros(shape), 0.05)
 
     def test_one_state_view_rejects_a_stack(self):
         desc = make_system("kirchhoff")
-        with pytest.raises(ValueError, match=re.escape("(B, 6)")):
+        with pytest.raises(ValueError, match=re.escape("x must have shape (6,), got shape (2, 6)")):
             evaluate_named(desc, "I0", np.zeros((2, 6)), 0.05)
 
     def test_unknown_name_rejected(self):

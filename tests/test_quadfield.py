@@ -31,7 +31,6 @@ from kahanmaps.quadfield import (
     delta,
     kahan_orbit,
     kahan_step,
-    kahan_step_batch,
     map_jacobian,
 )
 from kahanmaps.systems import PlanarFamilyParams, build_system
@@ -308,8 +307,10 @@ class TestValidation:
             kahan_orbit(make_system("kirchhoff").field, np.full((1, 6), 0.1), 0.05, steps)
 
     def test_fractional_steps_named_through_iterate_orbit(self):
-        with pytest.raises(ValueError, match=re.escape("steps must be an integer >= 0, got 2.5")):
-            iterate_orbit(make_system("kirchhoff").field, np.full(6, 0.1), 0.05, 2.5)
+        # iterate_orbit's own rule, integer >= 1, not kahan_orbit's >= 0
+        for steps in (1.5, 2.5):
+            with pytest.raises(ValueError, match=re.escape(f"steps must be an integer >= 1, got {steps}")):
+                iterate_orbit(make_system("kirchhoff").field, np.full(6, 0.1), 0.05, steps)
 
 
 # Median one-step forward error, in ulps of |x~|_inf, of the kernel that
@@ -336,9 +337,9 @@ def forward_errors(field, xs, eps):
     from each row of xs that is off a pole, against the exact rational step
     from the same floats."""
     exact = ExactField(field)
-    batch = kahan_step_batch(field, xs, eps)
+    orbit = kahan_orbit(field, xs, eps, 1)
     errors = []
-    for x, got, pole in zip(xs.tolist(), batch.next.tolist(), batch.pole):
+    for x, got, pole in zip(xs.tolist(), orbit.next[0].tolist(), orbit.pole[0]):
         if pole:
             continue
         want = exact.step(x, eps)
@@ -430,8 +431,8 @@ class TestBatchStep:
         desc = make_system(kind)
         rng = np.random.default_rng(17)
         xs = rng.standard_normal((500, desc.dim)) * rng.uniform(0.05, 2.0, (500, 1))
-        batch = kahan_step_batch(desc.field, xs, eps)
-        for x, x_next, det, pole in zip(xs, *batch[:3]):
+        orbit = kahan_orbit(desc.field, xs, eps, 1)
+        for x, x_next, det, pole in zip(xs, *(column[0] for column in orbit[:3])):
             ref_next, ref_det, _, ref_pole = one_state_step(desc.field, x, eps)
             assert det == ref_det and pole == ref_pole
             if not pole:
@@ -451,7 +452,8 @@ class TestBatchStep:
         assert root is not None, "no real root of the denominator in 50 states"
         assert one_state_step(desc.field, x, root)[3]
         regular = [0.5 * x, safe_state(rng, desc)]
-        batch = kahan_step_batch(desc.field, np.array([regular[0], x, regular[1]]), root)
+        xs = np.array([regular[0], x, regular[1]])
+        batch = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, root, 1)))
         assert list(batch.pole) == [False, True, False]
         assert np.isnan(batch.next[1]).all()
         for row, y in zip((0, 2), regular):
@@ -475,8 +477,8 @@ class TestBatchStep:
         kahan_step(desc.field, x, root)
 
     def test_empty_stack(self):
-        batch = kahan_step_batch(SCALAR, np.zeros((0, 1)), 0.1)
-        assert batch.next.shape == (0, 1) and batch.pole.shape == (0,)
+        orbit = kahan_orbit(SCALAR, np.zeros((0, 1)), 0.1, 1)
+        assert orbit.next.shape == (1, 0, 1) and orbit.pole.shape == (1, 0)
 
 
 def step_loop(field, x, eps, steps):
@@ -566,7 +568,8 @@ class TestKahanOrbit:
         desc, eps = make_system("kirchhoff"), 0.05
         rng = np.random.default_rng(31)
         xs = np.array([safe_state(rng, desc) for _ in range(count)])
-        first = kahan_step_batch(desc.field, np.array([safe_state(rng, desc) for _ in range(count)]), eps)
+        others = np.array([safe_state(rng, desc) for _ in range(count)])
+        first = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, others, eps, 1)))
         onward = kahan_orbit(desc.field, first.next, eps, 4)
         stepped = []
         denominators = quadfield._denominators
@@ -599,7 +602,7 @@ class TestKahanOrbit:
         xs = np.array([safe_state(rng, desc) for _ in range(3)])
         target = kahan_orbit(desc.field, xs[1:2], eps, entry).next[entry - 1, 0]
         place_pole(monkeypatch, target)
-        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        first = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, eps, 1))) if with_first else None
         orbit = kahan_orbit(desc.field, xs, eps, steps, first)
         assert list(orbit.ends()) == [steps, entry, steps]
         threshold = np.full((steps, 3), np.nan)
@@ -730,7 +733,7 @@ class TestKahanOrbit:
                 place_pole(patch, target)
                 expected = [one_state_loop(field, x, eps, steps, target) for x in xs]
             orbit = kahan_orbit(field, xs, eps, steps)
-            batch = kahan_step_batch(field, xs, eps)
+            batch = KahanBatch(*(column[0] for column in kahan_orbit(field, xs, eps, 1)))
             lone = [kahan_step(field, x, eps) if not row[0][3] else None for x, row in zip(xs, expected)]
             points = [None if one is None else iterate_orbit(field, x, eps, steps) for x, one in zip(xs, lone)]
             for x, row in zip(xs, expected):
@@ -791,7 +794,7 @@ class TestOneJacobianPerPoint:
         rng = np.random.default_rng(41)
         xs = np.array([unit_ball(rng, desc.dim) for _ in range(count)])
         rows = count_stepped(monkeypatch)
-        kahan_step_batch(desc.field, xs, 0.05)
+        kahan_orbit(desc.field, xs, 0.05, 1)
         assert sum(rows) == count
 
     @pytest.mark.parametrize("steps", [1, quadfield.DECIDE_STEPS, quadfield.DECIDE_STEPS + 1, 200])
@@ -814,10 +817,10 @@ class TestStepMemory:
         rng = np.random.default_rng(67)
         desc = build_system("planar_family", PlanarFamilyParams(qform=(1.0, 0.5, 2.0), ell=rng.uniform(-1, 1, n)))
         xs = rng.uniform(-1.0, 1.0, (count, n))
-        kahan_step_batch(desc.field, xs, 0.05)  # numpy's lazy set-up is not the step's
+        kahan_orbit(desc.field, xs, 0.05, 1)  # numpy's lazy set-up is not the step's
         tracemalloc.start()
         try:
-            kahan_step_batch(desc.field, xs, 0.05)
+            kahan_orbit(desc.field, xs, 0.05, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -963,7 +966,7 @@ class TestDeltaFreeOrbit:
         # carries nan; 70 steps cross a block edge
         desc = make_system(kind)
         xs = spread_states(desc, np.random.default_rng(47))
-        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        first = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, eps, 1))) if with_first else None
         with np.errstate(over="ignore", invalid="ignore"):
             full, norms, taken = delta_free_against_full(desc.field, xs, eps, 70, first)
         reached = np.arange(70)[:, None] <= full.ends()
@@ -980,7 +983,7 @@ class TestDeltaFreeOrbit:
         xs = np.array([safe_state(rng, desc) for _ in range(3)])
         point = kahan_orbit(desc.field, xs[1:2], eps, k).next[k - 1, 0] if k else xs[1]
         place_pole(monkeypatch, point)
-        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        first = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, eps, 1))) if with_first else None
         full, norms, _ = delta_free_against_full(desc.field, xs, eps, steps, first)
         assert list(full.ends()) == [steps, k, steps] and norms[k, 1] == math.inf
         free = kahan_orbit(desc.field, xs, eps, steps, first, delta=False)
@@ -1001,7 +1004,7 @@ class TestDeltaFreeOrbit:
                 break
         assert root is not None, "no real root of the denominator in 50 states"
         xs = np.array([0.5 * x, x, kahan_step(desc.field, x, -root).next])
-        first = kahan_step_batch(desc.field, xs, root) if with_first else None
+        first = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, root, 1))) if with_first else None
         full, _, _ = delta_free_against_full(desc.field, xs, root, 3, first)
         assert list(full.ends()[1:]) == [0, 1]
         free = kahan_orbit(desc.field, xs, root, 3, first, delta=False)
@@ -1104,7 +1107,7 @@ class TestNormBound:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(quadfield, "_denominators", kept)
-            kahan_step_batch(field, xs, eps)
+            kahan_orbit(field, xs, eps, 1)
         ((points, mats, bounds),) = seen
         with np.errstate(invalid="ignore", over="ignore"):
             norms = np.abs(np.eye(n) - mats).sum(-1).max(-1)
@@ -1138,7 +1141,7 @@ class TestNormBound:
                 break
         assert root is not None, "no real root of the denominator in 50 states"
         xs = np.array([0.5 * x, x, kahan_step(desc.field, x, -root).next, np.full(desc.dim, np.nan)])
-        for first in (None, kahan_step_batch(desc.field, xs, root)):
+        for first in (None, KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, root, 1)))):
             full = against_the_exact_rule(desc.field, xs, root, 3, first)
             assert list(full.ends()[1:3]) == [0, 1]
 
@@ -1158,7 +1161,7 @@ class TestNormBound:
         rng = np.random.default_rng(41)
         xs = np.concatenate([spread_states(desc, rng, count=4), [safe_state(rng, desc, eps)]])
         target = kahan_orbit(desc.field, xs[-1:], eps, entry).next[entry - 1, 0]
-        first = kahan_step_batch(desc.field, xs, eps) if with_first else None
+        first = KahanBatch(*(column[0] for column in kahan_orbit(desc.field, xs, eps, 1))) if with_first else None
         full = against_the_exact_rule(desc.field, xs, eps, 2 * quadfield.DECIDE_STEPS + 3, first, target)
         assert full.ends()[-1] == entry and full.threshold[entry, -1] == math.inf
 
@@ -1231,8 +1234,8 @@ def einsum_jacobian(field, x):
 
 
 def step_buffers(field, xs, eps):
-    """The eps*f'(x) and step matrices I - eps*f'(x) that kahan_step_batch
-    builds for the rows of xs, as its pole decision reads them: the
+    """The eps*f'(x) and step matrices I - eps*f'(x) that a one-step
+    kahan_orbit builds for the rows of xs, as its pole decision reads them: the
     matrices, and the eps*f'(x) it forms from them, I minus them, where
     their norm bound leaves the decision open."""
     seen = []
@@ -1244,7 +1247,7 @@ def step_buffers(field, xs, eps):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadfield, "_denominators", kept)
-        kahan_step_batch(field, xs, eps)
+        kahan_orbit(field, xs, eps, 1)
     (buffers,) = seen
     return buffers
 
@@ -1323,7 +1326,7 @@ class TestMapJacobianBits:
         eps = 0.05
         rng = np.random.default_rng(count)
         xs = np.array([unit_ball(rng, desc.dim) for _ in range(count)])
-        ys = kahan_step_batch(desc.field, xs, eps).next
+        ys = kahan_orbit(desc.field, xs, eps, 1).next[0]
         eye = np.eye(desc.dim)
         expected = np.linalg.solve(
             eye - eps * einsum_jacobian(desc.field, xs), eye + eps * einsum_jacobian(desc.field, ys)

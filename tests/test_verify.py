@@ -474,7 +474,7 @@ class TestBatchedDraws:
         first = vs[0] * (radii[0] / np.linalg.norm(vs[0]))
         eps = pole_eps(desc.field, first)
         assume(eps is not None)
-        assert quadfield.kahan_step_batch(desc.field, first[None], eps).pole[0]
+        assert quadfield.kahan_orbit(desc.field, first[None], eps, 1).pole[0, 0]
         rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = block_draw(rng_ref, desc, eps, verify.DENOMINATOR_FLOOR, 3, [])
         pair = verify._draw_states([rng], desc, eps, 3)
