@@ -27,8 +27,8 @@ from .hkbasis import (
     iterate_orbit,
 )
 from .integrals import KahanPair
-from .quadfield import KahanBatch, SingularStepError, kahan_orbit
-from .systems import build_system, is_json_number, params_from_dict, params_to_dict
+from .quadfield import KahanBatch, SingularStepError, _is_real, kahan_orbit
+from .systems import build_system, params_from_dict, params_to_dict
 from .verify import draw_initial_state, reports_to_json, run_suites, suites_passed
 
 __all__ = [
@@ -79,8 +79,8 @@ class ExperimentConfig:
 
 def _is_integer(value) -> bool:
     """A JSON integer, or a number with an integral value (1e3): one that
-    int() takes without truncating."""
-    return is_json_number(value) and (isinstance(value, int) or value.is_integer())
+    int() takes without truncating (JSON has one number type)."""
+    return _is_real(value) and (isinstance(value, int) or value.is_integer())
 
 
 def _integer(doc: dict, key: str, default: int, low: int, dim: Optional[int] = None) -> int:
@@ -147,7 +147,7 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
     x0 = None
     if doc.get("x0") is not None:
         listed = doc["x0"]
-        if not isinstance(listed, list) or not all(is_json_number(v) for v in listed):
+        if not isinstance(listed, list) or not all(_is_real(v) for v in listed):
             raise ValueError(f"x0 must be a list of finite numbers, got {listed!r}")
         x0 = np.array(listed, dtype=float)
         if x0.shape != (desc.dim,):
@@ -156,7 +156,7 @@ def parse_config(path: Optional[str] = None, overrides: Optional[dict] = None) -
             )
 
     eps = doc.get("eps", DEFAULT_EPS)
-    if not is_json_number(eps):
+    if not _is_real(eps):
         raise ValueError(f"eps must be a finite number, got {eps!r}")
     eps = float(eps)
     steps = _integer(doc, "steps", DEFAULT_STEPS, 0, desc.dim)

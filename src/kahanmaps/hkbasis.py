@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, _finite_eps, _is_index, _states, kahan_orbit, map_jacobian
+from .quadfield import QuadraticVectorField, _is_index, _real, _reals, _states, kahan_orbit, map_jacobian
 from .systems import central_gradient
 
 __all__ = [
@@ -441,17 +441,10 @@ def _unit_gradients(integrals: Sequence[Callable], x: np.ndarray) -> np.ndarray:
 
 
 def _check_state(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """x as a float array, checked to be one finite state of shape (dim,)
-    for every dim in dims; a ValueError names the fault."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or not x.size:
-        raise ValueError(f"x must be one state of shape (n,), got shape {x.shape}")
-    for dim in dims:
-        if x.shape != (dim,):
-            raise ValueError(f"x must have shape ({dim},), got shape {x.shape}")
-    if not np.isfinite(x).all():
-        k = int(np.argmin(np.isfinite(x)))
-        raise ValueError(f"x has a non-finite entry x[{k}] = {x[k]}")
+    """x as one finite state of shape (dim,) for every dim in dims, or of
+    any length when dims is empty, by quadfield's array rule."""
+    for dim in set(dims) or {None}:
+        x = _reals(x, "x", (dim,))
     return x
 
 
@@ -474,7 +467,7 @@ class WronskianRatio:
     window: int = None
 
     def __post_init__(self) -> None:
-        _finite_eps(self.eps)
+        _real(self.eps, "eps")
         given = conjugate_pairs(self.field.dim) if self.pairs is None else self.pairs
         pairs = WronskianBasisSpec(self.order, given).pairs
         if max(max(pair) for pair in pairs) >= self.field.dim:

@@ -77,8 +77,9 @@ class Rows(NamedTuple):
 class KahanPair:
     """States x[B, n] and their Kahan successors x~, on which the named
     quantities of the system are evaluated: each quantity is one call over
-    every row and returns Rows. Any other shape of x, or an eps that is
-    not one finite real number, is a ValueError that names it.
+    every row and returns Rows. Any other shape of x, an eps that is not
+    one finite real number, or a step without one row per state is a
+    ValueError that names it.
 
     The forward steps are taken at most once: pass them as step (a
     KahanBatch) when the caller already holds them, otherwise the first
@@ -91,6 +92,8 @@ class KahanPair:
         self.desc = desc
         self.params = desc.params
         self.x = _states(desc.field, x, eps)
+        if step is not None and len(step.next) != len(self.x):
+            raise ValueError(f"step must have as many rows as x, {len(self.x)}, got {len(step.next)}")
         self.eps = eps
         self._step = step
         self._parts: dict = {}

@@ -81,7 +81,15 @@ norm at eps 0.05 or 0.4, and a delta=False orbit takes no det at eps
 kahan_step is entry (0, 0) of the one-step orbit of one state, raising
 SingularStepError at a pole, and delta its denominator, bit for bit as
 in a stack.  Its caller says whether a pole at an orbit's first step is
-an error.  Each function that steps checks its eps and x with _states.
+an error.
+
+Each input has one rule, and a ValueError names the field that breaks
+it: a step size or system parameter is one finite int or float, not a
+bool (_real); a coefficient array or checked state is an array of finite
+ints or floats of its shape, kept as a read-only float copy (_reals).
+_states checks a stepped x by shape alone, as orbits carry nan past a
+pole.  An integer argument is an int, not 1e3, which the CLI takes for
+1000 as JSON has one number type (_is_index).
 
 The callers that never read the denominators, verify's conservation
 orbits, backward reversibility steps and every draw but the measure
@@ -111,7 +119,7 @@ a singular row of its stack is nan.
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -142,8 +150,6 @@ POLE_MARGIN = 1.0 + 1e-6
 # and 25-40 us at 1 (process CPU time a step, median of 15 orbits, over five
 # runs on a 2-core x86-64 VM under shared load).
 DECIDE_STEPS = 64
-# the types a step size eps may have; a bool, though an int, is not one
-_REAL = (float, int, np.floating, np.integer)
 
 
 class SingularStepError(RuntimeError):
@@ -158,8 +164,8 @@ class QuadraticVectorField:
     lin: (n, n)
     const: (n,)
 
-    All entries must be finite; symmetry and shapes are validated on
-    construction and the arrays are frozen read-only. Construction also
+    Each must be an array of finite reals of its shape (_reals), and quad
+    symmetric; they are kept as read-only float copies. Construction also
     builds step_tensor, (n + 1, n*n + n*(n + 1)), read-only: for a = [x, 1],
     a @ step_tensor holds f'(x) = 2 Q x + B row-major, then the n x (n + 1)
     matrix [f'(x) + B | 2c] row-major, whose product with a is 2 f(x).
@@ -171,19 +177,10 @@ class QuadraticVectorField:
     step_tensor: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        const = np.array(self.const, dtype=float)
-        if const.ndim != 1:
-            raise ValueError("const must be a one-dimensional array")
+        const = _reals(self.const, "const", (None,))
         n = const.shape[0]
-        quad = np.array(self.quad, dtype=float)
-        lin = np.array(self.lin, dtype=float)
-        if quad.shape != (n, n, n):
-            raise ValueError(f"quad must have shape {(n, n, n)}, got {quad.shape}")
-        if lin.shape != (n, n):
-            raise ValueError(f"lin must have shape {(n, n)}, got {lin.shape}")
-        for name, arr in (("quad", quad), ("lin", lin), ("const", const)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contains non-finite entries")
+        quad = _reals(self.quad, "quad", (n, n, n))
+        lin = _reals(self.lin, "lin", (n, n))
         if not np.array_equal(quad, quad.swapaxes(1, 2)):
             raise ValueError("quad must be symmetric in its last two axes")
         # row k < n holds the coefficients of x_k and row n the constant
@@ -195,8 +192,8 @@ class QuadraticVectorField:
         rhs[n, :, :n] += lin
         rhs[n, :, n] = 2.0 * const
         step_tensor = np.concatenate([jac.reshape(n + 1, -1), rhs.reshape(n + 1, -1)], axis=1)
+        step_tensor.setflags(write=False)
         for name, arr in (("quad", quad), ("lin", lin), ("const", const), ("step_tensor", step_tensor)):
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
@@ -287,18 +284,54 @@ def delta(field: QuadraticVectorField, x: np.ndarray, eps: float) -> float:
     return kahan_orbit(field, _states(field, x, eps, one=True), eps, 1).delta.item(0)
 
 
-def _finite_eps(eps) -> None:
-    """Raise a ValueError unless eps is one finite real number."""
-    if not isinstance(eps, _REAL) or isinstance(eps, bool) or not math.isfinite(eps):
-        raise ValueError(f"eps must be one finite real number, got {eps!r}")
+def _is_real(value) -> bool:
+    """A Python or numpy int or float, not a bool, that float() takes
+    without overflow and that is finite: on JSON values, a strict JSON
+    number."""
+    number = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return number and abs(value) <= sys.float_info.max
+
+
+def _real(value, name: str) -> float:
+    """value as a float; a ValueError names `name` unless _is_real(value)."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be one finite real number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, name: str, shape: tuple = None, finite: bool = True) -> np.ndarray:
+    """value as a read-only float copy. A ValueError names `name` unless it
+    is an array of ints or floats (not bools, strings or objects), of
+    `shape` when one is given, and, with `finite`, names its first
+    non-finite entry. In `shape` None is an axis of any length >= 1, and a
+    leading ... any number of leading axes."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged nested list
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers, got {value!r}")
+    if shape is not None:
+        lead = shape[:1] == (...,)
+        want = shape[lead:]
+        got = arr.shape[arr.ndim - len(want) :] if lead else arr.shape
+        if len(got) != len(want) or not all(g == w or w is None and g > 0 for g, w in zip(got, want)):
+            text = str(shape).replace("None", "n").replace("Ellipsis", "...")
+            raise ValueError(f"{name} must have shape {text}, got shape {arr.shape}")
+    arr = arr.astype(float)
+    if finite and not np.isfinite(arr).all():
+        index = np.unravel_index(np.argmin(np.isfinite(arr)), arr.shape)
+        raise ValueError(f"{name} has a non-finite entry {name}[{', '.join(map(str, index))}] = {arr[index]}")
+    arr.setflags(write=False)
+    return arr
 
 
 def _states(field: QuadraticVectorField, x, eps, one: bool = False, name: str = "x") -> np.ndarray:
     """x as a float stack of states [B, n] for a step of size eps, or, with
     one, a state of shape (n,) as the stack of one. A ValueError names eps
     unless it is one finite real number, and `name` with the shape of x as
-    passed unless it has the shape asked for."""
-    _finite_eps(eps)
+    passed unless it has the shape asked for; x may hold nan."""
+    _real(eps, "eps")
     x = np.asarray(x, dtype=float)
     n = field.dim
     if one:
@@ -461,15 +494,15 @@ def kahan_step(field: QuadraticVectorField, x: np.ndarray, eps: float) -> KahanB
 
 def map_jacobian(field: QuadraticVectorField, x: np.ndarray, eps: float, x_next: np.ndarray) -> np.ndarray:
     """Jacobian of the Kahan map at x, (I - eps*f'(x))^{-1} (I + eps*f'(x~)),
-    given its successor x~; both may be stacks [..., n]. It solves with the
+    given its successor x~ of the same shape [..., n]. It solves with the
     gufunc numpy.linalg.solve dispatches to, under the step's error state:
     a row whose I - eps*f'(x) is singular is nan instead of raising, and
     every other row has numpy.linalg.solve's bits. hkbasis's tangent
     orbits call it; its det, det(I + eps*f'(x~)) / det(I - eps*f'(x)), is
     what verify's measure check takes in that closed form instead."""
-    _finite_eps(eps)
-    points = np.stack(np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(x_next, dtype=float)))
-    jac = jacobian(field, points)
+    _real(eps, "eps")
+    x = _reals(x, "x", (..., field.dim), finite=False)
+    jac = jacobian(field, np.stack([x, _reals(x_next, "x_next", x.shape, finite=False)]))
     eye = _eye(field.dim)
     mat, rhs = eye - eps * jac[0], eye + eps * jac[1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -480,8 +513,8 @@ def jacobian(field: QuadraticVectorField, x: np.ndarray) -> np.ndarray:
     """f'(x) = 2 Q x + B, the Jacobian of the field, at one state or a
     stack x[..., n]: the first n*n columns of [x, 1] @ step_tensor,
     row-major. np.vecmat gives each row the same bits in a stack of any
-    size."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
+    size. x may hold nan, as the successor of a pole does."""
+    n = field.dim
+    x = _reals(x, "x", (..., n), finite=False)
     a = np.concatenate([x, np.ones((*x.shape[:-1], 1))], axis=-1)
     return np.vecmat(a, field.step_tensor[:, : n * n]).reshape(*x.shape, n)

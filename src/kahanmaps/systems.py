@@ -20,20 +20,23 @@ quantity of the map (I0 from the state-only family, J0 from the bilinear
 family), and the designated coefficients times Delta(x; eps) =
 det(I - eps f'(x)) are preserved densities; integrals evaluates them.
 
+Each params class checks its fields by quadfield's two rules, naming a
+field that is not one finite real number (_real) or an array of finite
+reals of its shape (_reals).
+
 State ordering for the 6-dim systems is x = (m1, m2, m3, p1, p2, p3).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from kahanmaps.quadfield import QuadraticVectorField
+from kahanmaps.quadfield import QuadraticVectorField, _is_real, _real, _reals
 
 __all__ = [
     "KINDS",
@@ -59,36 +62,6 @@ __all__ = [
 LAGRANGE_M3_FLOOR = 1e-12
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
-def is_json_number(value) -> bool:
-    """A finite number as strict JSON holds one: not NaN or Infinity, which
-    Python's reader takes, not true/false, which Python counts as int, and
-    not an integer past the float range, which float() cannot take."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
-def _real(value, name: str) -> float:
-    if np.ndim(value) != 0:
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _vec3(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
 
 
 def clebsch_condition_residual(a, b) -> float:
@@ -155,8 +128,8 @@ class ClebschParams:
     degenerate: bool = dc_field(default=False, init=False)
 
     def __post_init__(self) -> None:
-        a = _vec3(self.a, "a")
-        b = _vec3(self.b, "b")
+        a = _reals(self.a, "a", (3,))
+        b = _reals(self.b, "b", (3,))
         if np.any(a == 0.0):
             raise ValueError("all entries of a must be nonzero")
         residual = clebsch_condition_residual(a, b)
@@ -174,7 +147,7 @@ class ClebschParams:
             beta = supplied
         wcoef = _wcoef_from_a(a)
         if self.wcoef is not None:
-            supplied = _vec3(self.wcoef, "wcoef")
+            supplied = _reals(self.wcoef, "wcoef", (3,))
             if not np.allclose(supplied, wcoef, rtol=1e-9, atol=1e-12):
                 raise ValueError("supplied wcoef disagrees with 1/a_j + 1/a_k - 1/a_i")
         object.__setattr__(self, "a", a)
@@ -196,7 +169,7 @@ class FirstClebschParams:
     omega: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _vec3(self.omega, "omega"))
+        object.__setattr__(self, "omega", _reals(self.omega, "omega", (3,)))
 
     @cached_property
     def family(self) -> tuple:
@@ -210,7 +183,7 @@ class SecondClebschParams:
     omega: np.ndarray
 
     def __post_init__(self) -> None:
-        omega = _vec3(self.omega, "omega")
+        omega = _reals(self.omega, "omega", (3,))
         if np.any(omega == 0.0):
             raise ValueError("omega entries must be nonzero (they become the a-coefficients)")
         object.__setattr__(self, "omega", omega)
@@ -265,32 +238,22 @@ class PlanarFamilyParams:
     extra_const: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        qform = tuple(_vec3(self.qform, "qform (a, b, c)").tolist())
-        ell = np.array(self.ell, dtype=float)
-        if ell.ndim != 1 or ell.shape[0] < 2:
-            raise ValueError("ell must be a coefficient vector of length >= 2")
+        qform = tuple(_reals(self.qform, "qform", (3,)).tolist())
+        ell = _reals(self.ell, "ell", (None,))
         n = ell.shape[0]
-        extra_quad = (
-            np.zeros((n - 2, n, n)) if self.extra_quad is None else np.array(self.extra_quad, dtype=float)
+        if n < 2:
+            raise ValueError("ell must be a coefficient vector of length >= 2")
+        # the extra components default to zero
+        extra_quad, extra_lin, extra_const = (
+            _reals(np.zeros(shape) if value is None else value, name, shape)
+            for name, value, shape in (
+                ("extra_quad", self.extra_quad, (n - 2, n, n)),
+                ("extra_lin", self.extra_lin, (n - 2, n)),
+                ("extra_const", self.extra_const, (n - 2,)),
+            )
         )
-        extra_lin = (
-            np.zeros((n - 2, n)) if self.extra_lin is None else np.array(self.extra_lin, dtype=float)
-        )
-        extra_const = (
-            np.zeros(n - 2) if self.extra_const is None else np.array(self.extra_const, dtype=float)
-        )
-        if extra_quad.shape != (n - 2, n, n):
-            raise ValueError(f"extra_quad must have shape {(n - 2, n, n)}")
         if not np.array_equal(extra_quad, extra_quad.swapaxes(1, 2)):
             raise ValueError("extra_quad must be symmetric in its last two axes")
-        if extra_lin.shape != (n - 2, n):
-            raise ValueError(f"extra_lin must have shape {(n - 2, n)}")
-        if extra_const.shape != (n - 2,):
-            raise ValueError(f"extra_const must have shape {(n - 2,)}")
-        for arr in (ell, extra_quad, extra_lin, extra_const):
-            if not np.isfinite(arr).all():
-                raise ValueError("planar family coefficients must be finite")
-            arr.setflags(write=False)
         object.__setattr__(self, "qform", qform)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "ell0", _real(self.ell0, "ell0"))
@@ -832,7 +795,7 @@ def _json_shape(value, name: str) -> tuple:
         if len(shapes) > 1:
             raise ValueError(f"{name} must be a rectangular list of numbers, got {value!r}")
         return (len(value), *(shapes.pop() if shapes else ()))
-    if not is_json_number(value):
+    if not _is_real(value):
         raise ValueError(f"{name} must be a finite number or a list of them, got {value!r}")
     return ()
 

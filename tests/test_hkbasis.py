@@ -1324,7 +1324,7 @@ class TestStackedRatios:
         "x, message",
         [
             (np.ones(5), "x must have shape (6,), got shape (5,)"),
-            (np.ones((2, 6)), "x must be one state of shape (n,), got shape (2, 6)"),
+            (np.ones((2, 6)), "x must have shape (6,), got shape (2, 6)"),
             (np.array([0.5, math.nan, 0.1, 0.2, 0.3, 0.4]), "x has a non-finite entry x[1] = nan"),
         ],
     )
@@ -1413,7 +1413,7 @@ class TestRankInputs:
     @pytest.mark.parametrize("shape", [(2, 6), (0,)])
     def test_x_that_is_not_one_state_named(self, shape):
         _, ratios = clebsch_ratios()
-        with pytest.raises(ValueError, match=rf"x must be one state of shape \(n,\), got shape {re.escape(str(shape))}"):
+        with pytest.raises(ValueError, match=rf"x must have shape \(6,\), got shape {re.escape(str(shape))}"):
             functional_rank(ratios, np.full(shape, 0.3))
 
     def test_short_x_named(self):

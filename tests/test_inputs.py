@@ -1,23 +1,28 @@
 """Every public function that takes a state or a step size eps names a
 malformed one: a ValueError that names eps, x or x0, and the value or the
-shape as the caller passed it.
+shape as the caller passed it. Every params class names a malformed field
+the same way.
 
 A step of size eps exists only for one finite real eps, and a state only
 at the field's dimension. One-state functions take x of shape (n,), and
 stack functions x of shape (B, n); each is checked before anything steps.
+A scalar parameter is one finite real number, and an array parameter an
+array of finite reals.
 """
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import make_system
+from conftest import make_params, make_system
 from kahanmaps import verify
 from kahanmaps.hkbasis import WronskianRatio, functional_rank, iterate_orbit
 from kahanmaps.integrals import KahanPair, denominator_witnesses, eval_density, eval_I0, evaluate_named
-from kahanmaps.quadfield import delta, kahan_orbit, kahan_step, map_jacobian
+from kahanmaps.quadfield import KahanBatch, delta, jacobian, kahan_orbit, kahan_step, map_jacobian
+from kahanmaps.systems import KINDS, params_to_dict
 
 KIRCHHOFF = make_system("kirchhoff")
 CLEBSCH = make_system("first_clebsch")
@@ -84,3 +89,91 @@ def test_state_of_another_shape_named(name, shape):
     call, arg = {**ONE_STATE, **STACK}[name]
     with pytest.raises(ValueError, match=rf"^{arg} must .*, got shape {re.escape(str(shape))}$"):
         call(np.full(shape, 0.1), 0.05)
+
+
+@pytest.mark.parametrize("eps", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("name", sorted(EPS_CALLS))
+def test_eps_past_the_float_range_named(name, eps):
+    with pytest.raises(ValueError, match=rf"^eps must be one finite real number, got {re.escape(repr(eps))}$"):
+        EPS_CALLS[name](eps)
+
+
+@pytest.mark.parametrize("name", ["WronskianRatio", "functional_rank"])
+@pytest.mark.parametrize("x", [np.full(6, "0.1"), np.ones(6, dtype=bool)], ids=["str", "bool"])
+def test_state_that_is_not_real_named(name, x):
+    call, arg = ONE_STATE[name]
+    with pytest.raises(ValueError, match=rf"^{arg} must be an array of real numbers, got "):
+        call(x, 0.05)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: jacobian(FIELD, np.ones(5)), "x must have shape (..., 6), got shape (5,)"),
+        (lambda: jacobian(FIELD, np.ones((2, 5))), "x must have shape (..., 6), got shape (2, 5)"),
+        (lambda: map_jacobian(FIELD, np.ones(5), 0.05, np.ones(5)), "x must have shape (..., 6), got shape (5,)"),
+        (lambda: map_jacobian(FIELD, STATE, 0.05, np.ones(5)), "x_next must have shape (6,), got shape (5,)"),
+        # no caller broadcasts a state against a stack
+        (lambda: map_jacobian(FIELD, np.stack([STATE, STATE]), 0.05, STATE), "x_next must have shape (2, 6), got shape (6,)"),
+        (lambda: jacobian(FIELD, np.full(6, "0.1")), "x must be an array of real numbers, got "),
+    ],
+    ids=["jacobian-5", "jacobian-2x5", "map_jacobian-x", "map_jacobian-x_next", "map_jacobian-broadcast", "jacobian-str"],
+)
+def test_jacobian_width_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_jacobian_takes_a_nan_state():
+    # the successor of a pole is nan, and verify's measure check passes it
+    assert np.isnan(jacobian(FIELD, np.full((2, 6), math.nan))).any()
+
+
+def test_step_of_another_row_count_named():
+    two = kahan_orbit(FIELD, np.stack([STATE, 2 * STATE]), 0.05, 1)
+    step = KahanBatch(*(column[0] for column in two))
+    with pytest.raises(ValueError, match=r"^step must have as many rows as x, 1, got 2$"):
+        KahanPair(KIRCHHOFF, STATE[None], 0.05, step)
+
+
+# every field of every params class, from a valid instance of the kind
+PARAMS = {kind: params_to_dict(make_params(kind)) for kind in KINDS}
+FIELDS = [(kind, key) for kind, spec in KINDS.items() for key in spec.keys]
+SCALAR_FIELDS = [(kind, key) for kind, key in FIELDS if np.ndim(PARAMS[kind][key]) == 0]
+ARRAY_FIELDS = [(kind, key) for kind, key in FIELDS if np.ndim(PARAMS[kind][key]) > 0]
+
+
+def with_nan(value):
+    value = np.array(value, dtype=float)
+    value.flat[0] = math.nan
+    return value
+
+
+def build(kind, key, value):
+    return KINDS[kind].params(**{**PARAMS[kind], key: value})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, "1.5", 10**400, math.nan, math.inf, np.array(1.5), Fraction(3, 2)],
+    ids=["True", "str", "1e400", "nan", "inf", "0-d", "Fraction"],
+)
+@pytest.mark.parametrize("kind, key", SCALAR_FIELDS, ids=[f"{kind}.{key}" for kind, key in SCALAR_FIELDS])
+def test_scalar_param_that_is_not_one_finite_real_named(kind, key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be one finite real number, got {re.escape(repr(value))}$"):
+        build(kind, key, value)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda v: np.full(np.shape(v), "1.5"), "must be an array of real numbers, got "),
+        (lambda v: np.ones(np.shape(v), dtype=bool), "must be an array of real numbers, got "),
+        (with_nan, "has a non-finite entry "),
+    ],
+    ids=["str", "bool", "nan"],
+)
+@pytest.mark.parametrize("kind, key", ARRAY_FIELDS, ids=[f"{kind}.{key}" for kind, key in ARRAY_FIELDS])
+def test_array_param_that_is_not_finite_reals_named(kind, key, make, message):
+    with pytest.raises(ValueError, match=f"^{key} {message}"):
+        build(kind, key, make(PARAMS[kind][key]))

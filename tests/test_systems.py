@@ -355,9 +355,9 @@ class TestParamValidation:
             PlanarFamilyParams(qform=(1, 0, 1), ell=(1, 0, 0), extra_quad=bad)
 
     def test_non_finite_beta_and_ell0_rejected(self):
-        with pytest.raises(ValueError, match="beta must be finite"):
+        with pytest.raises(ValueError, match="beta must be one finite real number, got nan"):
             ClebschParams(a=(1.0, 1.0, 2.0), b=(1.0, 1.0, 3.0), beta=np.nan)
-        with pytest.raises(ValueError, match="ell0 must be finite"):
+        with pytest.raises(ValueError, match="ell0 must be one finite real number, got inf"):
             PlanarFamilyParams(qform=(1, 0.5, 2), ell=(1, -1), ell0=np.inf)
 
     def test_planar_dim(self):
