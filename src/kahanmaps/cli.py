@@ -13,21 +13,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hkbasis import (
-    GAP_RATIO_FLOOR,
-    WronskianBasisSpec,
-    conjugate_pairs,
-    default_window,
-    hk_nullspace,
-    iterate_orbit,
-)
+from .hkbasis import GAP_RATIO_FLOOR, _order_reports, conjugate_pairs, default_window, iterate_orbit
 from .integrals import KahanPair
-from .quadfield import KahanBatch, SingularStepError, _is_real, kahan_orbit
+from .quadfield import KahanBatch, SingularStepError, _Frozen, _is_real, kahan_orbit
 from .systems import build_system, params_from_dict, params_to_dict
 from .verify import draw_initial_state, reports_to_json, run_suites, suites_passed
 
@@ -63,18 +55,21 @@ RESERVED_KEYS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen, eq=True):
     """One validated experiment: a catalog system plus run settings."""
 
-    kind: str
-    params: object
-    x0: Optional[np.ndarray]
-    eps: float
-    steps: int
-    seed: int
-    orders: Optional[tuple]
-    trials: int
+    def __init__(
+        self,
+        kind: str,
+        params: object,
+        x0: Optional[np.ndarray],
+        eps: float,
+        steps: int,
+        seed: int,
+        orders: Optional[tuple],
+        trials: int,
+    ) -> None:
+        self._init(locals())
 
 
 def _is_integer(value) -> bool:
@@ -406,11 +401,7 @@ def _scan_orders(cfg: ExperimentConfig, desc):
         raise _first_step_pole(exc) from exc
     if len(orbit) <= steps:
         raise ValueError(f"orbit hits a pole at step {len(orbit)} of the {steps} the scan needs")
-    results = []
-    for order in orders:
-        observables = WronskianBasisSpec(order=order, pairs=pairs).observables()
-        results.append((order, hk_nullspace(orbit, observables, window)))
-    return x0, window, results
+    return x0, window, list(zip(orders, _order_reports(orbit, orders, pairs, window)))
 
 
 def _hk_scan(cfg: ExperimentConfig, desc, out_dir: str) -> int:

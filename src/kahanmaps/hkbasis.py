@@ -23,8 +23,9 @@ quality score; candidate vectors must also annihilate the window matrix
 to ANNIHILATION_FACTOR times its norm, otherwise they are not counted.
 Every caller decides its windows with _decide, one stacked decomposition
 and its decision: hk_nullspace a stack of one and ratio extraction every
-sliding window of the orbit, both built by _windows, and a WronskianRatio
-integral every order's first window of the one orbit of its state.
+sliding window of the orbit, both built by _windows, and hk-scan and a
+WronskianRatio integral every order's first window of one orbit, built by
+the Wronskian column formula (_order_index).
 _windows evaluates each observable once a base point and gathers the
 windows from those per-point columns in one indexing.  _decide takes the
 singular values and right vectors from the SVD of each window's m x m R
@@ -37,12 +38,11 @@ the null vector's derivative is -W^+ (dW v), with W^+ from sigma and V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadfield import QuadraticVectorField, _is_index, _real, _reals, _states, kahan_orbit, map_jacobian
+from .quadfield import QuadraticVectorField, _Frozen, _is_index, _real, _reals, _states, kahan_orbit, map_jacobian
 from .systems import central_gradient
 
 __all__ = [
@@ -109,8 +109,7 @@ def iterate_orbit(
     return states
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(_Frozen, eq=True):
     """A column of values along an orbit.
 
     column(states, bases) returns one value per base, in the shape of the
@@ -118,8 +117,8 @@ class Observable:
     calling the observable checks.
     """
 
-    column: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    reach: int
+    def __init__(self, column: Callable[[np.ndarray, np.ndarray], np.ndarray], reach: int) -> None:
+        self._init(locals())
 
     def __call__(self, states: np.ndarray, bases: np.ndarray) -> np.ndarray:
         bases = np.asarray(bases)
@@ -184,21 +183,17 @@ def conjugate_pairs(dim: int) -> tuple:
     return tuple((i, i + half) for i in range(half))
 
 
-@dataclass(frozen=True)
-class WronskianBasisSpec:
-    order: int
-    pairs: tuple
-
-    def __post_init__(self) -> None:
-        if not _is_index(self.order) or self.order < 1:
-            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
-        pairs = tuple(tuple(p) for p in self.pairs)
+class WronskianBasisSpec(_Frozen, eq=True):
+    def __init__(self, order: int, pairs: tuple) -> None:
+        if not _is_index(order) or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        pairs = tuple(tuple(p) for p in pairs)
         if not pairs:
             raise ValueError("at least one pair is required")
         for p in pairs:
             if len(p) != 2 or not all(map(_is_index, p)) or p[0] == p[1] or min(p) < 0:
                 raise ValueError(f"invalid pair {p}: pairs must hold two distinct integers >= 0")
-        object.__setattr__(self, "pairs", pairs)
+        self._init(locals())
 
     def observables(self) -> list:
         return [wronskian_observable(self.order, p) for p in self.pairs]
@@ -209,15 +204,13 @@ def default_window(m: int) -> int:
     return 2 * m + 4
 
 
-@dataclass(frozen=True)
-class HKNullSpaceReport:
+class HKNullSpaceReport(_Frozen, eq=True):
     """The null space of the window of `window` rows from orbit point 0."""
 
-    singular_values: np.ndarray
-    null_dim: int
-    coeff_vectors: np.ndarray
-    window: int
-    gap_ratio: float
+    def __init__(
+        self, singular_values: np.ndarray, null_dim: int, coeff_vectors: np.ndarray, window: int, gap_ratio: float
+    ) -> None:
+        self._init(locals())
 
     def to_json_dict(self) -> dict:
         gap = self.gap_ratio if np.isfinite(self.gap_ratio) else None
@@ -323,32 +316,47 @@ def hk_nullspace(states: np.ndarray, observables: Sequence[Observable], window: 
     """Singular spectrum and annihilating vectors (see _null_vectors) of the
     window matrix of `window` rows from orbit point 0; pass states[start:]
     for a window from a later point."""
-    rows = _windows(states, observables, window, np.array([0]))
-    if not np.isfinite(rows).all():
+    (report,) = _reports(_windows(states, observables, window, np.array([0])), window)
+    return report
+
+
+def _reports(windows: np.ndarray, window: int) -> list:
+    """The HKNullSpaceReport of each of the stacked windows[W, window, m],
+    decided in one _decide call. The gap of a null space of dimension d is
+    the last singular value above it over the first inside it, inf when d
+    is m or that value is 0, and 0.0, a sentinel, when d is 0: no spectral
+    split to report."""
+    if not np.isfinite(windows).all():
         raise ValueError("observable produced a non-finite value inside the window")
-    sv, _, vectors, null_dim = _decide(rows)
-    m, sv, null_dim = rows.shape[-1], sv[0], int(null_dim[0])
-    if null_dim == 0:
-        gap = 0.0  # sentinel: no spectral split to report
-    elif null_dim == m or sv[m - null_dim] == 0:
-        gap = np.inf
-    else:
-        gap = float(sv[m - null_dim - 1] / sv[m - null_dim])
-    return HKNullSpaceReport(
-        singular_values=sv,
-        null_dim=null_dim,
-        coeff_vectors=vectors[0, m - null_dim :],
-        window=window,
-        gap_ratio=gap,
-    )
+    sv, _, vectors, null_dim = _decide(windows)
+    m, reports = windows.shape[-1], []
+    for s, v, d in zip(sv, vectors, null_dim.tolist()):
+        gap = 0.0 if d == 0 else np.inf if d == m or s[m - d] == 0 else float(s[m - d - 1] / s[m - d])
+        reports.append(HKNullSpaceReport(s, d, v[m - d :], window, gap))
+    return reports
 
 
-@dataclass(frozen=True)
-class RatioSequences:
+def _order_index(orders: Sequence[int], pairs: tuple, window: int) -> tuple:
+    """The point and coordinate indices (up, base, i, j) of _wronskian that
+    give every order's window of `window` rows from orbit point 0 over
+    `pairs`, [orders, window, m]: row r of order ell's window reads points r
+    and r + ell."""
+    base = np.arange(window)[:, None]
+    i, j = np.array(pairs).T
+    return base + np.array(orders)[:, None, None], base[None], i, j
+
+
+def _order_reports(orbit: np.ndarray, orders: Sequence[int], pairs: tuple, window: int) -> list:
+    """hk-scan's reports: hk_nullspace of the order-ell Wronskian window over
+    `pairs` of the orbit, for every ell in orders, decided in one stack."""
+    return _reports(_wronskian(orbit, orbit, *_order_index(orders, pairs, window)), window)
+
+
+class RatioSequences(_Frozen, eq=True):
     """Per-observable coefficient ratio sequences over sliding windows."""
 
-    ratios: tuple
-    non_constant: tuple
+    def __init__(self, ratios: tuple, non_constant: tuple) -> None:
+        self._init(locals())
 
 
 def extract_integral_ratios(
@@ -448,8 +456,7 @@ def _check_state(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
-class WronskianRatio:
+class WronskianRatio(_Frozen):
     """Integral of the map read off a discrete-Wronskian null vector.
 
     From one state it runs a short orbit, finds the one-dimensional null
@@ -458,33 +465,31 @@ class WronskianRatio:
     to the conjugate pairs and window to default_window(len(pairs)).
     """
 
-    field: QuadraticVectorField
-    eps: float
-    order: int
-    num: int
-    den: int
-    pairs: tuple = None
-    window: int = None
-
-    def __post_init__(self) -> None:
-        _real(self.eps, "eps")
-        given = conjugate_pairs(self.field.dim) if self.pairs is None else self.pairs
-        pairs = WronskianBasisSpec(self.order, given).pairs
-        if max(max(pair) for pair in pairs) >= self.field.dim:
-            raise ValueError(f"pairs {pairs} reach past dimension {self.field.dim}")
+    def __init__(
+        self,
+        field: QuadraticVectorField,
+        eps: float,
+        order: int,
+        num: int,
+        den: int,
+        pairs: tuple = None,
+        window: int = None,
+    ) -> None:
+        _real(eps, "eps")
+        pairs = WronskianBasisSpec(order, conjugate_pairs(field.dim) if pairs is None else pairs).pairs
+        if max(max(pair) for pair in pairs) >= field.dim:
+            raise ValueError(f"pairs {pairs} reach past dimension {field.dim}")
         m = len(pairs)
-        window = default_window(m) if self.window is None else self.window
+        window = default_window(m) if window is None else window
         _check_window(m, window)
-        for name in ("num", "den"):
-            index = getattr(self, name)
+        for name, index in (("num", num), ("den", den)):
             if not _is_index(index):
                 raise ValueError(f"{name} must be an integer, got {index!r}")
             if not 0 <= index < m:
                 raise ValueError(f"{name} must lie in 0..{m - 1} for {m} pairs, got {index}")
-        if self.num == self.den:
-            raise ValueError(f"num and den are both {self.num}: the ratio is the constant 1")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "window", window)
+        if num == den:
+            raise ValueError(f"num and den are both {num}: the ratio is the constant 1")
+        self._init(locals())
 
     def __call__(self, x: np.ndarray) -> float:
         (value,) = _ratio_values([self], _check_state(x, [self.field.dim]))
@@ -518,11 +523,8 @@ def _ratio_values(ratios: Sequence[WronskianRatio], x: np.ndarray, gradients: bo
     stepped = kahan_orbit(field, x[None], eps, steps, delta=False)
     orbit = np.concatenate([x[None], stepped.next[:, 0]])  # nan past a pole
     points = int(stepped.ends()[0]) + 1  # points reached before a pole
-    # row r of order ell's window reads points r and r + ell: [orders, window, m]
-    base = np.arange(window)[:, None]
-    up, base = base + np.array(orders)[:, None, None], base[None]
-    i, j = np.array(pairs).T
-    rows = _wronskian(orbit, orbit, up, base, i, j)
+    index = _order_index(orders, pairs, window)
+    rows = _wronskian(orbit, orbit, *index)
     fits = points >= window + np.array(orders)
     usable = fits & np.isfinite(rows).all(axis=(-2, -1))
     windows = rows[usable]
@@ -541,7 +543,7 @@ def _ratio_values(ratios: Sequence[WronskianRatio], x: np.ndarray, gradients: bo
                 shift *= 2
             # tangents[d, k]: d(point k)/d(x_d)
             tangents = np.concatenate([np.eye(field.dim)[None], jac]).transpose(2, 0, 1)
-            d_rows = _wronskian(tangents, orbit, up, base, i, j) + _wronskian(orbit, tangents, up, base, i, j)
+            d_rows = _wronskian(tangents, orbit, *index) + _wronskian(orbit, tangents, *index)
             d_null = _null_derivative(windows, sv, vt, d_rows[:, usable] @ vectors[:, -1, :, None])
             dv = np.zeros(v.shape + (field.dim,))
             dv[usable] = d_null[..., 0].transpose(1, 2, 0)

@@ -87,9 +87,9 @@ Each input has one rule, and a ValueError names the field that breaks
 it: a step size or system parameter is one finite int or float, not a
 bool (_real); a coefficient array or checked state is an array of finite
 ints or floats of its shape, kept as a read-only float copy (_reals).
-_states checks a stepped x by shape alone, as orbits carry nan past a
-pole.  An integer argument is an int, not 1e3, which the CLI takes for
-1000 as JSON has one number type (_is_index).
+_states checks a stepped x by the same rule without finiteness, as
+orbits carry nan past a pole.  An integer argument is an int, not 1e3,
+which the CLI takes for 1000 as JSON has one number type (_is_index).
 
 The callers that never read the denominators, verify's conservation
 orbits, backward reversibility steps and every draw but the measure
@@ -118,11 +118,9 @@ a singular row of its stack is nan.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -156,8 +154,49 @@ class SingularStepError(RuntimeError):
     """Raised when the step matrix I - eps*f'(x) is numerically singular."""
 
 
-@dataclass(frozen=True, eq=False)
-class QuadraticVectorField:
+class _Frozen:
+    """Base of the package's value classes, plain classes rather than
+    dataclasses, which exec-compile their methods at every import. Its
+    fields are the parameters of __init__, which sets them once, by _init
+    or object.__setattr__; then assigning or deleting an attribute raises
+    AttributeError. repr shows the fields; a subclass declared with eq=True
+    compares and hashes by their values, any other by identity."""
+
+    def __init_subclass__(cls, eq: bool = False) -> None:
+        if eq:
+            cls.__eq__, cls.__hash__ = _Frozen._eq, _Frozen._hash
+
+    def _init(self, values: dict, check: Callable = None) -> None:
+        """Set every field from __init__'s locals(), through check(value,
+        name) when given."""
+        for name in self._fields():
+            object.__setattr__(self, name, values[name] if check is None else check(values[name], name))
+
+    def _fields(self) -> tuple:
+        code = type(self).__init__.__code__
+        return code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields())
+
+    def _eq(self, other) -> bool:
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def _hash(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields())
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field '{name}'")
+
+
+class QuadraticVectorField(_Frozen):
     """Coefficient arrays of a quadratic vector field on R^n.
 
     quad: (n, n, n), symmetric in the last two axes
@@ -171,16 +210,11 @@ class QuadraticVectorField:
     matrix [f'(x) + B | 2c] row-major, whose product with a is 2 f(x).
     """
 
-    quad: np.ndarray
-    lin: np.ndarray
-    const: np.ndarray
-    step_tensor: np.ndarray = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        const = _reals(self.const, "const", (None,))
+    def __init__(self, quad: np.ndarray, lin: np.ndarray, const: np.ndarray) -> None:
+        const = _reals(const, "const", (None,))
         n = const.shape[0]
-        quad = _reals(self.quad, "quad", (n, n, n))
-        lin = _reals(self.lin, "lin", (n, n))
+        quad = _reals(quad, "quad", (n, n, n))
+        lin = _reals(lin, "lin", (n, n))
         if not np.array_equal(quad, quad.swapaxes(1, 2)):
             raise ValueError("quad must be symmetric in its last two axes")
         # row k < n holds the coefficients of x_k and row n the constant
@@ -193,8 +227,8 @@ class QuadraticVectorField:
         rhs[n, :, n] = 2.0 * const
         step_tensor = np.concatenate([jac.reshape(n + 1, -1), rhs.reshape(n + 1, -1)], axis=1)
         step_tensor.setflags(write=False)
-        for name, arr in (("quad", quad), ("lin", lin), ("const", const), ("step_tensor", step_tensor)):
-            object.__setattr__(self, name, arr)
+        self._init(locals())
+        object.__setattr__(self, "step_tensor", step_tensor)
 
     @property
     def dim(self) -> int:
@@ -301,15 +335,21 @@ def _real(value, name: str) -> float:
 
 def _reals(value, name: str, shape: tuple = None, finite: bool = True) -> np.ndarray:
     """value as a read-only float copy. A ValueError names `name` unless it
-    is an array of ints or floats (not bools, strings or objects), of
-    `shape` when one is given, and, with `finite`, names its first
-    non-finite entry. In `shape` None is an axis of any length >= 1, and a
-    leading ... any number of leading axes."""
+    is an array of ints or floats (not bools, strings or objects; a list
+    or tuple that numpy would promote is scanned for bools), of `shape`
+    when one is given, and, with `finite`, names its first non-finite
+    entry. In `shape` None is an axis of any length >= 1, and a leading ...
+    any number of leading axes."""
     try:
         arr = np.asarray(value)
     except ValueError:  # a ragged nested list
         arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
+    if (
+        arr is None
+        or arr.dtype.kind not in "iuf"
+        or isinstance(value, (list, tuple))
+        and any(isinstance(v, (bool, np.bool_)) for v in np.array(value, dtype=object).flat)
+    ):
         raise ValueError(f"{name} must be an array of real numbers, got {value!r}")
     if shape is not None:
         lead = shape[:1] == (...,)
@@ -327,16 +367,15 @@ def _reals(value, name: str, shape: tuple = None, finite: bool = True) -> np.nda
 
 
 def _states(field: QuadraticVectorField, x, eps, one: bool = False, name: str = "x") -> np.ndarray:
-    """x as a float stack of states [B, n] for a step of size eps, or, with
-    one, a state of shape (n,) as the stack of one. A ValueError names eps
-    unless it is one finite real number, and `name` with the shape of x as
-    passed unless it has the shape asked for; x may hold nan."""
+    """x as a read-only float stack of states [B, n] for a step of size
+    eps, or, with one, a state of shape (n,) as the stack of one. A
+    ValueError names eps unless it is one finite real number, and `name`
+    unless x is an array of real numbers (_reals) of the shape asked for,
+    with its shape as passed; x may hold nan."""
     _real(eps, "eps")
-    x = np.asarray(x, dtype=float)
     n = field.dim
+    x = _reals(x, name, (n,) if one else None, finite=False)
     if one:
-        if x.shape != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got shape {x.shape}")
         return x[None]
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"{name} must be a stack of states of shape (B, {n}), got shape {x.shape}")

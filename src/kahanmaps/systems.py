@@ -22,21 +22,25 @@ det(I - eps f'(x)) are preserved densities; integrals evaluates them.
 
 Each params class checks its fields by quadfield's two rules, naming a
 field that is not one finite real number (_real) or an array of finite
-reals of its shape (_reals).
+reals of its shape (_reals). Like every class of the package it is a
+plain class over quadfield._Frozen, not a dataclass: the package's 16
+dataclasses exec-compiled 82 methods at every import, 15 ms of a 21 ms
+warm-cache import of kahanmaps.cli, which now takes 5 ms (medians of 15
+fresh processes on a 2-core x86-64 VM).
 
 State ordering for the 6-dim systems is x = (m1, m2, m3, p1, p2, p3).
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import MISSING, dataclass, field as dc_field, fields, replace
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from kahanmaps.quadfield import QuadraticVectorField, _is_real, _real, _reals
+from kahanmaps.quadfield import QuadraticVectorField, _Frozen, _is_real, _real, _reals
 
 __all__ = [
     "KINDS",
@@ -111,8 +115,7 @@ def _beta_from_ratios(a: np.ndarray, b: np.ndarray) -> tuple[float, bool]:
     return beta, False
 
 
-@dataclass(frozen=True, eq=False)
-class ClebschParams:
+class ClebschParams(_Frozen):
     """General Clebsch parameters (a, b) with the derived data beta and the
     Wronskian weights wcoef, A_i = 1/a_j + 1/a_k - 1/a_i.
 
@@ -121,15 +124,9 @@ class ClebschParams:
     constant, where beta carries no information.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    beta: Optional[float] = None
-    wcoef: Optional[np.ndarray] = None
-    degenerate: bool = dc_field(default=False, init=False)
-
-    def __post_init__(self) -> None:
-        a = _reals(self.a, "a", (3,))
-        b = _reals(self.b, "b", (3,))
+    def __init__(self, a: np.ndarray, b: np.ndarray, beta: float = None, wcoef: np.ndarray = None) -> None:
+        a = _reals(a, "a", (3,))
+        b = _reals(b, "b", (3,))
         if np.any(a == 0.0):
             raise ValueError("all entries of a must be nonzero")
         residual = clebsch_condition_residual(a, b)
@@ -137,23 +134,16 @@ class ClebschParams:
             raise ValueError(
                 f"compatibility condition violated: cyclic-sum residual {residual:.3e}"
             )
-        beta, degenerate = _beta_from_ratios(a, b)
-        supplied = None if self.beta is None else _real(self.beta, "beta")
+        ratio, degenerate = _beta_from_ratios(a, b)
+        supplied = None if beta is None else _real(beta, "beta")
         if supplied is not None and not degenerate:
-            if abs(supplied - beta) > 1e-9 * (1.0 + abs(beta)):
-                raise ValueError(
-                    f"supplied beta {self.beta} disagrees with ratio value {beta}"
-                )
-            beta = supplied
-        wcoef = _wcoef_from_a(a)
-        if self.wcoef is not None:
-            supplied = _reals(self.wcoef, "wcoef", (3,))
-            if not np.allclose(supplied, wcoef, rtol=1e-9, atol=1e-12):
-                raise ValueError("supplied wcoef disagrees with 1/a_j + 1/a_k - 1/a_i")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "wcoef", wcoef)
+            if abs(supplied - ratio) > 1e-9 * (1.0 + abs(ratio)):
+                raise ValueError(f"supplied beta {beta} disagrees with ratio value {ratio}")
+            ratio = supplied
+        beta, wcoef, supplied = ratio, _wcoef_from_a(a), wcoef
+        if supplied is not None and not np.allclose(_reals(supplied, "wcoef", (3,)), wcoef, rtol=1e-9, atol=1e-12):
+            raise ValueError("supplied wcoef disagrees with 1/a_j + 1/a_k - 1/a_i")
+        self._init(locals())
         object.__setattr__(self, "degenerate", degenerate)
 
     @cached_property
@@ -162,28 +152,22 @@ class ClebschParams:
         return self.a, self.b, self.wcoef, self.beta
 
 
-@dataclass(frozen=True, eq=False)
-class FirstClebschParams:
+class FirstClebschParams(_Frozen):
     """First special case: unit m-coefficients, omega on the p-quadratics."""
 
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _reals(self.omega, "omega", (3,)))
+    def __init__(self, omega: np.ndarray) -> None:
+        object.__setattr__(self, "omega", _reals(omega, "omega", (3,)))
 
     @cached_property
     def family(self) -> tuple:
         return np.ones(3), self.omega, np.ones(3), 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class SecondClebschParams:
+class SecondClebschParams(_Frozen):
     """Second special case: a_i = omega_i, b_i = -omega_j*omega_k."""
 
-    omega: np.ndarray
-
-    def __post_init__(self) -> None:
-        omega = _reals(self.omega, "omega", (3,))
+    def __init__(self, omega: np.ndarray) -> None:
+        omega = _reals(omega, "omega", (3,))
         if np.any(omega == 0.0):
             raise ValueError("omega entries must be nonzero (they become the a-coefficients)")
         object.__setattr__(self, "omega", omega)
@@ -195,51 +179,39 @@ class SecondClebschParams:
         return om, b, _wcoef_from_a(om), 1.0
 
 
-@dataclass(frozen=True)
-class KirchhoffParams:
+class KirchhoffParams(_Frozen, eq=True):
     """Axially symmetric case a1 = a2, b1 = b2 of the Clebsch family."""
 
-    a1: float
-    a3: float
-    b1: float
-    b3: float
-
-    def __post_init__(self) -> None:
-        for name in ("a1", "a3", "b1", "b3"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+    def __init__(self, a1: float, a3: float, b1: float, b3: float) -> None:
+        self._init(locals(), _real)
         if self.a1 == 0.0:
             raise ValueError("a1 must be nonzero")
 
 
-@dataclass(frozen=True)
-class LagrangeParams:
+class LagrangeParams(_Frozen, eq=True):
     """Symmetric heavy top: anisotropy alpha on m3, gravity coupling gamma."""
 
-    alpha: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "gamma"):
-            object.__setattr__(self, name, _real(getattr(self, name), name))
+    def __init__(self, alpha: float, gamma: float) -> None:
+        self._init(locals(), _real)
 
 
-@dataclass(frozen=True, eq=False)
-class PlanarFamilyParams:
+class PlanarFamilyParams(_Frozen):
     """Planar quadratic form H = (a x1^2 + 2 b x1 x2 + c x2^2)/2 rotated by an
     affine multiplier ell(x) = ell . x + ell0 on all of R^n; components 3..n
     of the field are arbitrary quadratic (they do not affect the first two).
     """
 
-    qform: tuple
-    ell: np.ndarray
-    ell0: float = 0.0
-    extra_quad: Optional[np.ndarray] = None
-    extra_lin: Optional[np.ndarray] = None
-    extra_const: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        qform = tuple(_reals(self.qform, "qform", (3,)).tolist())
-        ell = _reals(self.ell, "ell", (None,))
+    def __init__(
+        self,
+        qform: tuple,
+        ell: np.ndarray,
+        ell0: float = 0.0,
+        extra_quad: np.ndarray = None,
+        extra_lin: np.ndarray = None,
+        extra_const: np.ndarray = None,
+    ) -> None:
+        qform = tuple(_reals(qform, "qform", (3,)).tolist())
+        ell = _reals(ell, "ell", (None,))
         n = ell.shape[0]
         if n < 2:
             raise ValueError("ell must be a coefficient vector of length >= 2")
@@ -247,27 +219,22 @@ class PlanarFamilyParams:
         extra_quad, extra_lin, extra_const = (
             _reals(np.zeros(shape) if value is None else value, name, shape)
             for name, value, shape in (
-                ("extra_quad", self.extra_quad, (n - 2, n, n)),
-                ("extra_lin", self.extra_lin, (n - 2, n)),
-                ("extra_const", self.extra_const, (n - 2,)),
+                ("extra_quad", extra_quad, (n - 2, n, n)),
+                ("extra_lin", extra_lin, (n - 2, n)),
+                ("extra_const", extra_const, (n - 2,)),
             )
         )
         if not np.array_equal(extra_quad, extra_quad.swapaxes(1, 2)):
             raise ValueError("extra_quad must be symmetric in its last two axes")
-        object.__setattr__(self, "qform", qform)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "ell0", _real(self.ell0, "ell0"))
-        object.__setattr__(self, "extra_quad", extra_quad)
-        object.__setattr__(self, "extra_lin", extra_lin)
-        object.__setattr__(self, "extra_const", extra_const)
+        ell0 = _real(ell0, "ell0")
+        self._init(locals())
 
     @property
     def dim(self) -> int:
         return self.ell.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class SystemDescriptor:
+class SystemDescriptor(_Frozen):
     """A catalog system: its kind, parameters, quadratic field, and the names
     of the map-level quantities attached to it.
 
@@ -280,13 +247,17 @@ class SystemDescriptor:
       one-dimensional null space
     """
 
-    kind: str
-    params: object
-    field: QuadraticVectorField
-    integral_names: tuple
-    density_names: tuple
-    conserved_names: tuple
-    wronskian_orders: tuple
+    def __init__(
+        self,
+        kind: str,
+        params: object,
+        field: QuadraticVectorField,
+        integral_names: tuple,
+        density_names: tuple,
+        conserved_names: tuple,
+        wronskian_orders: tuple,
+    ) -> None:
+        self._init(locals())
 
     @property
     def dim(self) -> int:
@@ -618,8 +589,7 @@ def _planar_big(q) -> np.ndarray:
     return np.stack([num, 1.0 - eps * eps * (qa * qc - qb * qb) * ell_x * ell_y], axis=-1)
 
 
-@dataclass(frozen=True)
-class SystemKind:
+class SystemKind(_Frozen, eq=True):
     """Everything the package knows about one catalog kind.
 
     params: parameter class, built from JSON with the keys in `keys`
@@ -634,25 +604,25 @@ class SystemKind:
       (None: all of them)
     """
 
-    params: type
-    field: Callable
-    integral_names: tuple
-    density_names: tuple
-    conserved_names: tuple
-    wronskian_orders: tuple
-    quantities: dict
-    coefficients: tuple
-    witnesses: Callable
+    def __init__(
+        self,
+        params: type,
+        field: Callable,
+        integral_names: tuple,
+        density_names: tuple,
+        conserved_names: tuple,
+        wronskian_orders: tuple,
+        quantities: dict,
+        coefficients: tuple,
+        witnesses: Callable,
+    ) -> None:
+        self._init(locals())
 
     @property
     def keys(self) -> dict:
-        """JSON key -> whether it is required: the constructor fields of
-        params, in order, each required when it has no default."""
-        return {
-            f.name: f.default is MISSING and f.default_factory is MISSING
-            for f in fields(self.params)
-            if f.init
-        }
+        """JSON key -> whether it is required: the parameters of params's
+        constructor, in order, each required when it has no default."""
+        return {p.name: p.default is p.empty for p in inspect.signature(self.params).parameters.values()}
 
 
 _CLEBSCH_INTEGRALS = (
@@ -693,11 +663,7 @@ KINDS = {
         witnesses=_clebsch_witnesses(*_FIRST_DENS),
     ),
     # the second special case has the general case's names and formulas
-    "second_clebsch": replace(
-        _GENERAL_CLEBSCH,
-        params=SecondClebschParams,
-        field=_family_field,
-    ),
+    "second_clebsch": SystemKind(**{**vars(_GENERAL_CLEBSCH), "params": SecondClebschParams, "field": _family_field}),
     "kirchhoff": SystemKind(
         params=KirchhoffParams,
         field=lambda pr: _clebsch_field((pr.a1, pr.a1, pr.a3), (pr.b1, pr.b1, pr.b3)),

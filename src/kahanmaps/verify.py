@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .integrals import KahanPair
-from .quadfield import KahanBatch, jacobian, kahan_orbit
+from .quadfield import KahanBatch, _Frozen, jacobian, kahan_orbit
 from .systems import SystemDescriptor
 
 __all__ = [
@@ -53,24 +51,23 @@ def _json_float(value: float):
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Frozen, eq=True):
     """Outcome of one seeded property suite; description says in words what
     was checked, for the report, and stays out of the JSON."""
 
-    name: str
-    description: str
-    trials: int
-    max_violation: float
-    tolerance: float
-    worst_case_input: np.ndarray
-    seed: int
-    skipped: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "worst_case_input", np.asarray(self.worst_case_input, dtype=float)
-        )
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        trials: int,
+        max_violation: float,
+        tolerance: float,
+        worst_case_input: np.ndarray,
+        seed: int,
+        skipped: int = 0,
+    ) -> None:
+        worst_case_input = np.asarray(worst_case_input, dtype=float)
+        self._init(locals())
 
     @property
     def passed(self) -> bool:

@@ -98,12 +98,16 @@ def test_eps_past_the_float_range_named(name, eps):
         EPS_CALLS[name](eps)
 
 
-@pytest.mark.parametrize("name", ["WronskianRatio", "functional_rank"])
-@pytest.mark.parametrize("x", [np.full(6, "0.1"), np.ones(6, dtype=bool)], ids=["str", "bool"])
+@pytest.mark.parametrize("name", sorted({**ONE_STATE, **STACK}))
+@pytest.mark.parametrize(
+    "x", [np.full(6, "0.1"), np.ones(6, dtype=bool), [True] + [0.1] * 5], ids=["str", "bool", "mixed-list"]
+)
 def test_state_that_is_not_real_named(name, x):
-    call, arg = ONE_STATE[name]
+    # a stack function takes the state as a stack of one; nan stays allowed
+    # (test_jacobian_takes_a_nan_state), but no string or bool steps
+    call, arg = {**ONE_STATE, **STACK}[name]
     with pytest.raises(ValueError, match=rf"^{arg} must be an array of real numbers, got "):
-        call(x, 0.05)
+        call(x if name in ONE_STATE else [x], 0.05)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +153,13 @@ def with_nan(value):
     return value
 
 
+def with_true(value):
+    # nested lists, which numpy promotes to float64 past their bool entry
+    value = np.array(value, dtype=object)
+    value.flat[0] = True
+    return value.tolist()
+
+
 def build(kind, key, value):
     return KINDS[kind].params(**{**PARAMS[kind], key: value})
 
@@ -170,8 +181,9 @@ def test_scalar_param_that_is_not_one_finite_real_named(kind, key, value):
         (lambda v: np.full(np.shape(v), "1.5"), "must be an array of real numbers, got "),
         (lambda v: np.ones(np.shape(v), dtype=bool), "must be an array of real numbers, got "),
         (with_nan, "has a non-finite entry "),
+        (with_true, "must be an array of real numbers, got "),
     ],
-    ids=["str", "bool", "nan"],
+    ids=["str", "bool", "nan", "mixed-list"],
 )
 @pytest.mark.parametrize("kind, key", ARRAY_FIELDS, ids=[f"{kind}.{key}" for kind, key in ARRAY_FIELDS])
 def test_array_param_that_is_not_finite_reals_named(kind, key, make, message):

@@ -1,13 +1,12 @@
 """Catalog flows checked against cross-product oracles, frozen point values,
 and the continuous conserved quantities."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from conftest import ALL_KINDS, SIX_DIM_KINDS, make_params, make_system, unit_ball
 from continuous import bracket, einsum_field, invariants, spectral_params, wronskian_coeffs, wronskian_residual
 
+from kahanmaps.quadfield import QuadraticVectorField
 from kahanmaps.systems import (
     ClebschParams,
     FirstClebschParams,
@@ -247,7 +246,7 @@ class TestContinuousConservation:
         quad = desc.field.quad.copy()
         quad[0, 1, 2] += 0.5
         quad[0, 2, 1] += 0.5
-        bent = replace(desc.field, quad=quad)
+        bent = QuadraticVectorField(quad, desc.field.lin, desc.field.const)
         inv = invariants(desc)
         rng = np.random.default_rng(24)
         states = [unit_ball(rng, 6) for _ in range(6)]
